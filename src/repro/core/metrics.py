@@ -17,17 +17,18 @@ eq. (3)).  Following the MetaSeg construction ([16] of the paper) we compute:
 * context: the predicted class id, a thing/stuff flag and the normalised
   centroid position.
 
-The extractor is fully vectorised over segments **and** over metric columns:
-one top-2 partition of the softmax field yields V, M and the max-probability
-map at once (:func:`repro.core.heatmaps.fused_dispersion_heatmaps`), and all
-per-segment sums — dispersion heatmaps, pixel coordinates, max probability and
-every per-class mean probability — come from a single grouped reduction (one
-``np.bincount`` over ``component_id * n_columns + column`` codes with stacked
-weights) plus one such pass each for the interior and boundary restrictions;
-interior/boundary *counts* are derived by exact integer subtraction instead of
-masked re-bincounts.  The column-at-a-time seed implementation is retained
-verbatim as ``_reference_compute_features``; the fused path is bitwise-
-identical to it (``tests/test_core_metrics_dataset.py`` fuzzes the parity,
+The extractor is fully vectorised over segments: one top-2 partition of the
+softmax field yields V, M and the max-probability map at once
+(:func:`repro.core.heatmaps.fused_dispersion_heatmaps`); every per-class mean
+probability comes from one product of a sparse (CSR) segment-membership
+matrix with the ``(H·W, C)`` field; the centroids reuse the coordinate sums
+of the segment decomposition; the remaining per-segment sums (dispersion
+heatmaps over the whole segment, its interior and its boundary, and the max
+probability) are one ``np.bincount`` each, and interior/boundary *counts* are
+derived by exact integer subtraction instead of masked re-bincounts.  The
+column-at-a-time seed implementation is retained as
+``_reference_compute_features``; the fused path is bitwise-identical to it
+(``tests/test_core_metrics_dataset.py`` fuzzes the parity,
 ``benchmarks/bench_extraction_fused.py`` gates the speedup).
 """
 
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.api.registry import METRIC_GROUPS as METRIC_GROUP_REGISTRY
 from repro.core.dataset import MetricsDataset
@@ -104,58 +106,33 @@ class SegmentMetricsExtractor:
             raise ValueError("connectivity must be 4 or 8")
         self.connectivity = connectivity
         self.ignore_id = ignore_id
-        # Per-shape scratch buffers (pixel coordinate grids) reused across
-        # frames; video pipelines process thousands of equally-sized frames,
-        # so the grids are allocated once per resolution instead of per frame.
-        self._grid_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        # Mutable (H, W, C) work buffers for the fused extraction, reused
-        # across frames of equal shape.  Unlike the read-only grids these are
-        # written on every call, so they live in thread-local storage — the
-        # batched extraction layer shares one extractor across a thread pool.
+        # Mutable (H, W, C) heatmap work buffers, reused across frames of
+        # equal shape.  They are written on every call, so they live in
+        # thread-local storage — the batched extraction layer and the scoring
+        # server share one extractor across a thread pool.
         self._scratch = threading.local()
 
-    def _pixel_grids(self, height: int, width: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached (row, col) coordinate grids for a frame shape."""
-        key = (height, width)
-        grids = self._grid_cache.get(key)
-        if grids is None:
-            rows_grid, cols_grid = np.meshgrid(
-                np.arange(height, dtype=np.float64),
-                np.arange(width, dtype=np.float64),
-                indexing="ij",
-            )
-            grids = (rows_grid, cols_grid)
-            self._grid_cache[key] = grids  # repro: allow[concurrency-shared-state] -- idempotent per-key write; racing threads store identical grids
-        return grids
+    def _thread_scratch(self, shape: Tuple[int, int, int]):
+        """This thread's reusable dispersion-heatmap buffers for a field shape.
 
-    def _thread_scratch(self, height: int, width: int, n_classes: int):
-        """This thread's reusable fused-extraction buffers for a field shape.
-
-        Returns ``(dispersion_scratch, class_codes_buffer)``.  Only the most
-        recent shape is retained per thread, which bounds the footprint to
-        one working set while still serving the frame-after-frame video case.
+        Only the most recent shape is retained per thread, so the footprint
+        is one working set per thread however many shapes are scored, while
+        the frame-after-frame video case still reuses its buffers.
         """
-        shape = (height, width, n_classes)
         state = getattr(self._scratch, "state", None)
         if state is None or state[0] != shape:
-            state = (
-                shape,
-                dispersion_scratch(shape),
-                np.empty((height * width, n_classes), dtype=np.int64),
-            )
+            state = (shape, dispersion_scratch(shape))
             self._scratch.state = state
-        return state[1], state[2]
+        return state[1]
 
     def __getstate__(self):
-        """Drop unpicklable / bulky per-thread scratch state when pickled."""
+        """Drop the unpicklable per-thread scratch state when pickled."""
         state = self.__dict__.copy()
         state["_scratch"] = None
-        state["_grid_cache"] = {}
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._grid_cache = {}
         self._scratch = threading.local()
 
     # ------------------------------------------------------------------ ---
@@ -235,15 +212,17 @@ class SegmentMetricsExtractor:
         """Fused single-pass aggregation of all segment metrics.
 
         Bitwise-identical to :meth:`_reference_compute_features` (the seed
-        column-at-a-time path): the stacked-weights ``np.bincount`` adds the
-        same weights to the same bins in the same (pixel-major) order as the
-        seed's one-bincount-per-column loop, and the interior/boundary counts
-        it derives by subtraction are exact in float64.
+        column-at-a-time path): every per-segment sum adds the same values to
+        the same segment in the same ascending pixel order as the seed's
+        one-bincount-per-column loop — the membership matrix's CSR rows hold
+        their pixels in ascending order — and the interior/boundary counts it
+        derives by subtraction are exact in float64.
         """
         components = prediction.components
         n_segments = prediction.n_segments
         n_bins = n_segments + 1
         flat_components = components.ravel()
+        n_pixels = flat_components.size
         height, width = components.shape
         n_classes = probs.shape[2]
 
@@ -262,9 +241,8 @@ class SegmentMetricsExtractor:
         # probs is already validated by extract_full; one partition feeds V,
         # M and pmax, one log pass feeds E, and the (H, W, C) work buffers
         # are reused across equally-shaped frames.
-        heatmap_scratch, class_codes = self._thread_scratch(height, width, n_classes)
         heatmaps, pmax = fused_dispersion_heatmaps(
-            probs, validate=False, scratch=heatmap_scratch
+            probs, validate=False, scratch=self._thread_scratch(probs.shape)
         )
 
         def _mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -280,8 +258,6 @@ class SegmentMetricsExtractor:
         # the hoisted component selections and the exact counts derived above
         # (the seed path re-extracts mask-selected components and re-counts
         # them for every heatmap).
-        rows_grid, cols_grid = self._pixel_grids(height, width)
-
         columns: List[np.ndarray] = []
         # geometry ------------------------------------------------------------
         safe_bd = np.maximum(sizes_bd, 1.0)
@@ -324,25 +300,21 @@ class SegmentMetricsExtractor:
             is_thing[sid] = 1.0 if info.class_id in thing_ids else 0.0
         columns.append(class_per_segment)
         columns.append(is_thing)
-        columns.append(_mean(_sum(rows_grid.ravel()), sizes) / max(1, height - 1))
-        columns.append(_mean(_sum(cols_grid.ravel()), sizes) / max(1, width - 1))
+        row_sums, col_sums = prediction.coordinate_sums()
+        columns.append(_mean(row_sums, sizes) / max(1, height - 1))
+        columns.append(_mean(col_sums, sizes) / max(1, width - 1))
         columns.append(_mean(_sum(pmax.ravel()), sizes))            # pmax_mean
         # per-class mean probabilities -----------------------------------------
-        # One grouped reduction (codes = component_id * C + class) over the
-        # softmax field itself replaces the seed's per-class strided-slice
-        # copy + bincount passes; the raveled field is the weight vector with
-        # zero copies, and per bin the additions happen in the same pixel
-        # order as the seed's per-column bincount.
-        np.add(
-            (flat_components * n_classes)[:, None],
-            np.arange(n_classes, dtype=np.int64)[None, :],
-            out=class_codes,
-        )
-        class_sums = np.bincount(
-            class_codes.ravel(),
-            weights=np.ascontiguousarray(probs).ravel(),
-            minlength=n_bins * n_classes,
-        ).reshape(n_bins, n_classes)
+        # One sparse product: row i of the (n_bins, H·W) membership matrix
+        # holds a 1.0 at every pixel of segment i.  It is built column-wise
+        # (one entry per pixel) and converted to CSR by a counting sort, so
+        # each row lists its pixels in ascending order and the product adds
+        # the field's rows in the same order as the seed's per-class bincount.
+        membership = sparse.csc_matrix(
+            (np.ones(n_pixels), flat_components, np.arange(n_pixels + 1)),
+            shape=(n_bins, n_pixels),
+        ).tocsr()
+        class_sums = membership @ probs.reshape(n_pixels, n_classes)
         for class_index in range(n_classes):
             columns.append(_mean(class_sums[:, class_index], sizes))
 
@@ -420,7 +392,11 @@ class SegmentMetricsExtractor:
             is_thing[sid] = 1.0 if info.class_id in thing_ids else 0.0
         columns.append(class_per_segment)
         columns.append(is_thing)
-        rows_grid, cols_grid = self._pixel_grids(height, width)
+        rows_grid, cols_grid = np.meshgrid(
+            np.arange(height, dtype=np.float64),
+            np.arange(width, dtype=np.float64),
+            indexing="ij",
+        )
         centroid_row = _segment_mean(rows_grid) / max(1, height - 1)
         centroid_col = _segment_mean(cols_grid) / max(1, width - 1)
         columns.append(centroid_row)

@@ -45,12 +45,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.connected_components import (
-    component_slices,
-    connected_components,
-    pair_contingency,
-)
-from repro.utils.validation import check_label_map, check_same_shape
+from repro.utils.connected_components import label_components, pair_contingency
+from repro.utils.validation import check_same_shape
 
 #: Sentinel class id that never equals a real class (used in lookup tables for
 #: component ids that carry no segment, e.g. the background id 0).
@@ -154,6 +150,26 @@ class Segmentation:
         self._pixel_groups = groups
         return groups
 
+    def coordinate_sums(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-component-id sums of pixel row and column indices (bin 0 = background).
+
+        Exact integers in float64.  Cached on the instance: the centroids of
+        :func:`extract_segments` and of the metric extractor share one pass.
+        """
+        cached = getattr(self, "_coordinate_sums", None)
+        if cached is None:
+            flat = self.components.ravel()
+            height, width = self.components.shape
+            n_bins = self.n_segments + 1
+            rows = np.repeat(np.arange(height, dtype=np.float64), width)
+            cols = np.tile(np.arange(width, dtype=np.float64), height)
+            cached = (
+                np.bincount(flat, weights=rows, minlength=n_bins),
+                np.bincount(flat, weights=cols, minlength=n_bins),
+            )
+            self._coordinate_sums = cached
+        return cached
+
     def class_lookup(self, size: Optional[int] = None) -> np.ndarray:
         """Dense component-id → class-id lookup table.
 
@@ -172,48 +188,38 @@ def extract_segments(labels: np.ndarray, connectivity: int = 8, ignore_id: int =
     """Decompose a label map into connected components per class.
 
     All classes are decomposed at once: two neighbouring pixels belong to the
-    same segment iff they carry the same class label.  Sizes, centroids,
-    bounding boxes and class ids of all segments are computed in a handful of
-    full-image passes (``np.bincount`` / ``find_objects``) rather than one
-    scan per segment.
+    same segment iff they carry the same class label.  One labelling pass
+    (:func:`~repro.utils.connected_components.label_components`) yields the
+    component image together with every segment's first pixel (hence its
+    class id) and bounding box; sizes and centroids come from three
+    ``np.bincount`` passes rather than one scan per segment.
     """
-    labels = check_label_map(labels)
-    components, n_components = connected_components(
-        labels, connectivity=connectivity, background=ignore_id
+    labelling = label_components(labels, connectivity=connectivity, background=ignore_id)
+    segmentation = Segmentation(
+        labels=labelling.labels, components=labelling.components, connectivity=connectivity
     )
-    segments: Dict[int, SegmentInfo] = {}
-    if n_components > 0:
-        n_bins = n_components + 1
-        flat = components.ravel()
-        width = components.shape[1]
-        sizes = np.bincount(flat, minlength=n_bins)
-        pixel_index = np.arange(flat.size)
-        row_sums = np.bincount(flat, weights=pixel_index // width, minlength=n_bins)
-        col_sums = np.bincount(flat, weights=pixel_index % width, minlength=n_bins)
-        component_ids, first_index = np.unique(flat, return_index=True)
-        class_ids = labels.ravel()[first_index]
-        boxes = component_slices(components)
-        for component_id, class_id in zip(component_ids, class_ids):
-            segment_id = int(component_id)
-            if segment_id == 0:
-                continue
-            rows_slice, cols_slice = boxes[segment_id]
-            size = int(sizes[segment_id])
-            # Centroid as mean of bounding-box-local coordinates plus the box
-            # offset: the coordinate sums are exact integers in float64, so
-            # this reproduces the per-segment np.mean()-based result bitwise.
-            centroid = (
-                float((row_sums[segment_id] - size * rows_slice.start) / size + rows_slice.start),
-                float((col_sums[segment_id] - size * cols_slice.start) / size + cols_slice.start),
-            )
-            segments[segment_id] = SegmentInfo(
-                segment_id=segment_id,
-                class_id=int(class_id),
-                size=size,
-                bounding_box=(rows_slice.start, cols_slice.start, rows_slice.stop, cols_slice.stop),
-                centroid=centroid,
-            )
-    return Segmentation(labels=labels, components=components, segments=segments, connectivity=connectivity)
+    sizes = np.bincount(labelling.components.ravel())
+    row_sums, col_sums = segmentation.coordinate_sums()
+    class_ids = labelling.labels.ravel()[labelling.first_index].tolist()
+    for segment_id, (class_id, (top, left, bottom, right)) in enumerate(
+        zip(class_ids, labelling.boxes.tolist()), start=1
+    ):
+        size = int(sizes[segment_id])
+        # Centroid as mean of bounding-box-local coordinates plus the box
+        # offset: the coordinate sums are exact integers in float64, so
+        # this reproduces the per-segment np.mean()-based result bitwise.
+        centroid = (
+            float((row_sums[segment_id] - size * top) / size + top),
+            float((col_sums[segment_id] - size * left) / size + left),
+        )
+        segmentation.segments[segment_id] = SegmentInfo(
+            segment_id=segment_id,
+            class_id=class_id,
+            size=size,
+            bounding_box=(top, left, bottom, right),
+            centroid=centroid,
+        )
+    return segmentation
 
 
 def segment_iou(

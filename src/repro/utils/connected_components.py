@@ -2,16 +2,19 @@
 
 The paper treats every connected component of a predicted (or ground-truth)
 class mask as one *segment instance*; meta classification and the FP/FN
-definitions all operate on these components.  This module provides:
+definitions all operate on these components.  Two engines label them:
 
-* a self-contained union-find based labelling routine (``engine="unionfind"``)
-  that only needs numpy, and
-* a fast path backed by ``scipy.ndimage.label`` (``engine="scipy"``) used by
-  default when scipy is importable.
+* ``engine="scipy"`` (the default): one ``find_objects`` pass over the label
+  map gives every class's bounding box, and ``ndimage.label`` runs once per
+  class inside that box only; the component boxes come out of the same pass.
+* ``engine="unionfind"``: an independent numpy union-find labelling, with
+  boxes from ``find_objects`` on the result; the test suite cross-checks the
+  two engines.
 
-Both engines produce identical partitions (component numbering may differ in
-general, but we normalise ids to scan order of the first pixel so the outputs
-are bit-identical); the test suite cross-checks them against each other.
+Both normalise component ids to scan order of each component's first pixel
+(found with one scatter-min), so their outputs are bit-identical.
+:func:`label_components` also returns the first pixels and boxes, which is
+all :func:`repro.core.segments.extract_segments` needs besides the image.
 
 Two pixels belong to the same component iff they carry the same value in the
 label map and are connected through a path of equally-valued neighbours.
@@ -19,19 +22,21 @@ label map and are connected through a path of equally-valued neighbours.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
+from scipy import ndimage
 
 from repro.utils.validation import check_label_map
 
-try:  # pragma: no cover - import guard exercised implicitly
-    from scipy import ndimage as _ndimage
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _ndimage = None
-    _HAVE_SCIPY = False
+class Labelling(NamedTuple):
+    """One labelling pass over a label map (see :func:`label_components`)."""
+
+    labels: np.ndarray  # the validated int64 label map
+    components: np.ndarray  # (H, W) int64; background 0, components 1..n in scan order
+    first_index: np.ndarray  # (n,) flat index of each component's first pixel, ascending
+    boxes: np.ndarray  # (n, 4) int64 (top, left, bottom, right), bottom/right exclusive
 
 
 def _resolve_roots(parent: np.ndarray) -> np.ndarray:
@@ -43,18 +48,29 @@ def _resolve_roots(parent: np.ndarray) -> np.ndarray:
         parent = grand
 
 
-def _normalise_ids(components: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Renumber component ids to 1..n in scan order of each component's first pixel."""
-    flat = components.ravel()
-    nonzero_mask = flat != 0
-    if not np.any(nonzero_mask):
-        return np.zeros_like(components), 0
-    ids, first_idx = np.unique(flat[nonzero_mask], return_index=True)
-    order = np.argsort(first_idx, kind="stable")
-    mapping = np.zeros(int(flat.max()) + 1, dtype=np.int64)
-    mapping[ids[order]] = np.arange(1, ids.size + 1)
-    out = np.where(nonzero_mask, mapping[np.clip(flat, 0, None)], 0)
-    return out.reshape(components.shape), int(ids.size)
+def _normalise_ids(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Renumber raw component ids to 1..n in scan order of their first pixel.
+
+    Returns the renumbered image, the raw id behind each new id (new id
+    ``i + 1`` was ``raw_ids[i]``) and each component's first flat pixel index.
+    """
+    flat = raw.ravel()
+    n_pixels = flat.size
+    first = np.full(int(flat.max()) + 1, n_pixels, dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(n_pixels))
+    raw_ids = np.flatnonzero(first[1:] < n_pixels) + 1
+    raw_ids = raw_ids[np.argsort(first[raw_ids])]
+    mapping = np.zeros(first.size, dtype=np.int64)
+    mapping[raw_ids] = np.arange(1, raw_ids.size + 1)
+    return mapping[raw], raw_ids, first[raw_ids]
+
+
+def _boxes(slices, row0: int = 0, col0: int = 0) -> List[Tuple[int, int, int, int]]:
+    """``find_objects`` slices as (top, left, bottom, right), offset by (row0, col0)."""
+    return [
+        (row0 + rows.start, col0 + cols.start, row0 + rows.stop, col0 + cols.stop)
+        for rows, cols in slices
+    ]
 
 
 def _label_unionfind(labels: np.ndarray, connectivity: int, background: int) -> np.ndarray:
@@ -106,23 +122,78 @@ def _label_unionfind(labels: np.ndarray, connectivity: int, background: int) -> 
     return components.reshape(h, w)
 
 
-def _label_scipy(labels: np.ndarray, connectivity: int, background: int) -> np.ndarray:
-    structure = (
-        np.ones((3, 3), dtype=bool)
-        if connectivity == 8
-        else np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    )
+def _class_boxes(labels: np.ndarray) -> List[Tuple[int, Tuple[slice, slice]]]:
+    """``(value, bounding box)`` of every value present in *labels*.
+
+    One ``find_objects`` pass over the values shifted to 1..span.  Its table
+    has one entry per id in the observed span, so a map whose span exceeds
+    its pixel count (sparse ids such as ``{0, 2**40}``) is first compacted to
+    dense codes with ``np.unique``; memory stays O(H×W) either way.
+    """
+    low = int(labels.min())
+    high = int(labels.max())
+    if high - low < labels.size:
+        values = range(low, high + 1)
+        codes = labels - (low - 1)
+    else:
+        values, inverse = np.unique(labels, return_inverse=True)
+        codes = inverse.reshape(labels.shape) + 1
+    return [
+        (int(value), box)
+        for value, box in zip(values, ndimage.find_objects(codes))
+        if box is not None
+    ]
+
+
+def _label_scipy(
+    labels: np.ndarray, connectivity: int, background: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-class labelling inside each class's bounding box.
+
+    Returns the raw component image (ids class-major, scan order within a
+    class) and the (n, 4) box of every raw id.
+    """
+    structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
     components = np.zeros(labels.shape, dtype=np.int64)
-    offset = 0
-    values = np.unique(labels)
-    for value in values:
+    boxes: List[Tuple[int, int, int, int]] = []
+    for value, (rows, cols) in _class_boxes(labels):
         if value == background:
             continue
-        mask = labels == value
-        labelled, count = _ndimage.label(mask, structure=structure)
-        components[mask] = labelled[mask] + offset
-        offset += int(count)
-    return components
+        mask = labels[rows, cols] == value
+        labelled, count = ndimage.label(mask, structure=structure)
+        components[rows, cols][mask] = labelled[mask] + len(boxes)
+        if count == 1:
+            # A class's only component spans exactly the class box.
+            boxes.append((rows.start, cols.start, rows.stop, cols.stop))
+        else:
+            boxes.extend(_boxes(ndimage.find_objects(labelled), rows.start, cols.start))
+    return components, np.array(boxes, dtype=np.int64).reshape(-1, 4)
+
+
+def label_components(
+    labels: np.ndarray,
+    connectivity: int = 8,
+    background: int = -1,
+    engine: str = "auto",
+) -> Labelling:
+    """Label connected components and return their first pixels and boxes.
+
+    Same parameters and component numbering as :func:`connected_components`.
+    """
+    labels = check_label_map(labels)
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    if engine not in ("auto", "scipy", "unionfind"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "unionfind":
+        components, _, first_index = _normalise_ids(
+            _label_unionfind(labels, connectivity, background)
+        )
+        boxes = np.array(_boxes(ndimage.find_objects(components)), dtype=np.int64)
+        return Labelling(labels, components, first_index, boxes.reshape(-1, 4))
+    raw, raw_boxes = _label_scipy(labels, connectivity, background)
+    components, raw_ids, first_index = _normalise_ids(raw)
+    return Labelling(labels, components, first_index, raw_boxes[raw_ids - 1])
 
 
 def connected_components(
@@ -142,8 +213,7 @@ def connected_components(
     background:
         Value treated as background / ignore (component id 0).
     engine:
-        ``"auto"`` (scipy when available, otherwise union-find), ``"scipy"``
-        or ``"unionfind"``.
+        ``"scipy"`` (``"auto"`` is an alias) or ``"unionfind"``.
 
     Returns
     -------
@@ -153,19 +223,8 @@ def connected_components(
     n_components:
         Number of non-background components.
     """
-    labels = check_label_map(labels)
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    if engine not in ("auto", "scipy", "unionfind"):
-        raise ValueError(f"unknown engine {engine!r}")
-    use_scipy = engine == "scipy" or (engine == "auto" and _HAVE_SCIPY)
-    if engine == "scipy" and not _HAVE_SCIPY:
-        raise RuntimeError("scipy is not available but engine='scipy' was requested")
-    if use_scipy:
-        raw = _label_scipy(labels, connectivity, background)
-    else:
-        raw = _label_unionfind(labels, connectivity, background)
-    return _normalise_ids(raw)
+    labelling = label_components(labels, connectivity, background, engine)
+    return labelling.components, int(labelling.first_index.size)
 
 
 def pair_contingency(
@@ -232,50 +291,3 @@ def relabel_sequential(components: np.ndarray) -> Tuple[np.ndarray, int]:
     mapping[unique] = np.arange(1, unique.size + 1, dtype=np.int64)
     out = np.where(components > 0, mapping[np.clip(components, 0, None)], 0)
     return out, int(unique.size)
-
-
-def component_slices(components: np.ndarray) -> Dict[int, Tuple[slice, slice]]:
-    """Bounding-box slices per component id (excluding background 0).
-
-    Useful for cheaply iterating over segments without scanning the full
-    image for every segment.
-    """
-    components = np.asarray(components, dtype=np.int64)
-    out: Dict[int, Tuple[slice, slice]] = {}
-    if components.size == 0:
-        return out
-    n = int(components.max())
-    if n <= 0:
-        return out
-    if _HAVE_SCIPY:
-        slices = _ndimage.find_objects(components, max_label=n)
-        for comp_id, slc in enumerate(slices, start=1):
-            if slc is not None:
-                out[comp_id] = (slc[0], slc[1])
-        return out
-    # Fallback without scipy: one pass over the foreground pixel coordinates
-    # with unbuffered min/max scatter reductions, instead of a full-image
-    # ``np.nonzero`` scan per component.
-    width = components.shape[1]
-    foreground = np.nonzero(components.ravel())[0]
-    if foreground.size == 0:
-        return out
-    ids = components.ravel()[foreground]
-    rows = foreground // width
-    cols = foreground % width
-    top = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    left = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    bottom = np.full(n + 1, -1, dtype=np.int64)
-    right = np.full(n + 1, -1, dtype=np.int64)
-    np.minimum.at(top, ids, rows)
-    np.maximum.at(bottom, ids, rows)
-    np.minimum.at(left, ids, cols)
-    np.maximum.at(right, ids, cols)
-    for comp_id in range(1, n + 1):
-        if bottom[comp_id] < 0:
-            continue
-        out[comp_id] = (
-            slice(int(top[comp_id]), int(bottom[comp_id]) + 1),
-            slice(int(left[comp_id]), int(right[comp_id]) + 1),
-        )
-    return out

@@ -134,6 +134,38 @@ class TestModelPersistence:
             Runner().fit(config)
 
 
+class TestSharedExtractor:
+    def test_extractor_keeps_no_per_shape_state(self, fitted_model, val_frames):
+        """Scoring many frame shapes must not grow the shared extractor."""
+        service = ScoringService(fitted_model)
+        extractor = service.extractor
+
+        def snapshot():
+            return {
+                name: (value, len(value) if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(extractor).items()
+            }
+
+        before = snapshot()
+        _image_id, probs = val_frames[0]
+        shapes = [(32, 64), (31, 63), (17, 40), (8, 9), (1, 64), (32, 1)]
+        for height, width in shapes:
+            crop = np.ascontiguousarray(probs[:height, :width])
+            image_id = f"crop-{height}x{width}"
+            assert _canon(service.score_frame(crop, image_id=image_id)) == _canon(
+                fitted_model.score_frame(crop, image_id=image_id)
+            )
+        # Same attributes bound to the same, unchanged-size objects: nothing
+        # is keyed by shape.
+        after = snapshot()
+        assert list(after) == list(before)
+        for name, (value, size) in before.items():
+            assert after[name][0] is value and after[name][1] == size, name
+        # This thread's heatmap scratch holds the latest shape only.
+        n_classes = fitted_model.label_space.n_classes
+        assert extractor._scratch.state[0] == (32, 1, n_classes)
+
+
 class TestServerParity:
     def test_health_and_model_endpoints(self, server, fitted_model):
         info = json.loads(urllib.request.urlopen(server.url + "/healthz").read())

@@ -1,5 +1,7 @@
 """Tests for repro.utils.connected_components."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.utils.connected_components import (
     component_sizes,
-    component_slices,
     connected_components,
+    label_components,
     relabel_sequential,
 )
 
@@ -115,20 +117,20 @@ class TestRelabelSequential:
         assert out[0, 0] != out[0, 2]
 
 
-class TestComponentSlices:
+class TestComponentBoxes:
     def test_bounding_boxes(self):
         labels = np.zeros((6, 6), dtype=int)
         labels[2:4, 3:6] = 1
-        components, _ = connected_components(labels)
-        boxes = component_slices(components)
+        labelling = label_components(labels)
         # There are two components; find the one covering the class-1 block.
-        block_id = components[2, 3]
-        rows_slice, cols_slice = boxes[block_id]
-        assert (rows_slice.start, rows_slice.stop) == (2, 4)
-        assert (cols_slice.start, cols_slice.stop) == (3, 6)
+        block_id = labelling.components[2, 3]
+        assert tuple(labelling.boxes[block_id - 1]) == (2, 3, 4, 6)
+        assert tuple(labelling.boxes[labelling.components[0, 0] - 1]) == (0, 0, 6, 6)
 
     def test_empty_components(self):
-        assert component_slices(np.zeros((3, 3), dtype=np.int64)) == {}
+        labelling = label_components(np.full((3, 3), -1))
+        assert labelling.boxes.shape == (0, 4)
+        assert labelling.first_index.shape == (0,)
 
 
 @given(
@@ -153,14 +155,36 @@ def test_property_components_partition_foreground(labels, connectivity):
 @given(
     labels=arrays(
         dtype=np.int64,
-        shape=st.tuples(st.integers(2, 10), st.integers(2, 10)),
-        elements=st.integers(min_value=0, max_value=2),
-    )
+        shape=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+        elements=st.sampled_from([-1, 0, 1, 2, 7, 300, 2**40]),
+    ),
+    connectivity=st.sampled_from([4, 8]),
 )
-@settings(max_examples=25, deadline=None)
-def test_property_engines_equivalent(labels):
-    """The scipy fast path and the union-find fallback agree exactly."""
-    a, count_a = connected_components(labels, engine="scipy")
-    b, count_b = connected_components(labels, engine="unionfind")
+@settings(max_examples=40, deadline=None)
+def test_property_engines_equivalent(labels, connectivity):
+    """The scipy fast path and the union-find fallback agree exactly.
+
+    Ids include the ignore value -1 and gaps, up to a span larger than any
+    drawn map (the compacting route of the scipy labeller).
+    """
+    a, count_a = connected_components(labels, connectivity=connectivity, engine="scipy")
+    b, count_b = connected_components(labels, connectivity=connectivity, engine="unionfind")
     assert count_a == count_b
     np.testing.assert_array_equal(a, b)
+
+
+def test_sparse_ids_bounded_memory():
+    """A huge id span must not size any table: the labeller compacts ids first."""
+    rng = np.random.default_rng(0)
+    labels = rng.choice(np.array([-1, 0, 2**40], dtype=np.int64), size=(64, 64))
+    tracemalloc.start()
+    try:
+        components, count = connected_components(labels, engine="scipy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The map itself is 32 KiB; a table indexed by id would need 2**40 entries.
+    assert peak < 1 << 20
+    expected, expected_count = connected_components(labels, engine="unionfind")
+    assert count == expected_count
+    np.testing.assert_array_equal(components, expected)
