@@ -272,16 +272,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         try:
             state = store.get(spec, codec="json")
-        except StoreError as exc:
+            model = None if state is None else FittedModel.from_state(state)
+        except (StoreError, ValueError) as exc:  # ValueError: stale model state
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if state is None:
+        if model is None:
             print(
                 f"error: no fitted model under key {spec!r} in {store.root}",
                 file=sys.stderr,
             )
             return 2
-        model = FittedModel.from_state(state)
         print(f"model: loaded from store ({spec[:12]})")
     else:
         path = Path(spec)

@@ -113,7 +113,7 @@ class MetaClassifier:
         rng = as_rng(self.random_state)
         seed = int(rng.integers(0, 2**31 - 1))
         if self.method == "logistic":
-            params = {"penalty": self.penalty, "max_iter": 300}
+            params = {"penalty": self.penalty}
             params.update(self.model_params)
             return LogisticRegression(**params)
         if self.method == "gradient_boosting":

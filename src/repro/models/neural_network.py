@@ -13,17 +13,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.models.base import ClassifierMixin, RegressorMixin, check_is_fitted
+from repro.models.logistic import _sigmoid
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_binary_labels, check_feature_matrix, check_vector
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
 
 
 class _BaseMLP:

@@ -39,7 +39,10 @@ from repro.version import __version__
 #: of stored payloads changes without a library version bump.
 #: Revision 2: stage-1 shard keys gained the network ``dump_root`` field
 #: (disk-served softmax dumps determine the extracted payload).
-CACHE_FORMAT = 2
+#: Revision 3: logistic meta-models are fitted by damped Newton instead of
+#: early-stopped gradient descent; fit and report keys hash the model
+#: parameters but not the solver, so older fits and Table I reports are stale.
+CACHE_FORMAT = 3
 
 
 def version_salt() -> str:

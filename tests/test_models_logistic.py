@@ -99,3 +99,34 @@ class TestLogisticRegression:
         a = LogisticRegression().fit(x, y).predict_proba(x)
         b = LogisticRegression().fit(x, y).predict_proba(x)
         np.testing.assert_allclose(a, b)
+
+    def test_n_iter_counts_newton_steps(self, rng):
+        # The gradient vanishes at the zero start: no step is taken.
+        x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        model = LogisticRegression().fit(x, np.array([1, 1, 0, 0]))
+        assert model.n_iter_ == 0 and model.converged_
+        x, y = _separable_data(rng)
+        capped = LogisticRegression(max_iter=2).fit(x, y)
+        assert capped.n_iter_ == 2 and not capped.converged_
+        assert LogisticRegression().fit(x, y).converged_
+
+    def test_separable_unpenalised_fit_is_finite(self, rng):
+        x, y = _separable_data(rng)
+        model = LogisticRegression(penalty=0.0).fit(x, y)
+        assert model.converged_ and np.all(np.isfinite(model.coef_))
+        assert model.score(x, y) == 1.0
+
+    def test_state_round_trip_keeps_convergence(self, rng):
+        x, y = _separable_data(rng)
+        model = LogisticRegression(penalty=1.0).fit(x, y)
+        restored = LogisticRegression.from_state(model.to_state())
+        assert (restored.n_iter_, restored.converged_) == (model.n_iter_, True)
+        np.testing.assert_array_equal(restored.coef_, model.coef_)
+
+    def test_stale_gradient_descent_state_is_refused(self, rng):
+        x, y = _separable_data(rng)
+        state = LogisticRegression().fit(x, y).to_state()
+        state["params"]["learning_rate"] = 1.0
+        del state["converged"]
+        with pytest.raises(ValueError, match="stale LogisticRegression state"):
+            LogisticRegression.from_state(state)

@@ -12,12 +12,14 @@ The three ISSUE-mandated gates plus unit coverage of the package itself:
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.api.runner import Runner
 from repro.obs import (
     DEFAULT_BUCKETS,
+    METRICS,
     NULL_TRACER,
     Counter,
     Gauge,
@@ -31,6 +33,8 @@ from repro.obs import (
     validate_chrome_trace,
     write_json,
 )
+
+EXAMPLE_CONFIGS = Path(__file__).resolve().parent.parent / "examples" / "configs"
 
 TINY_HEIGHT = 48
 TINY_WIDTH = 96
@@ -378,3 +382,26 @@ class TestRunnerInstrumentation:
         assert warm.cache["hit"] is True
         assert warm.to_json() == cold.to_json()
         assert warm.timings.keys() == {"cache_lookup"}
+
+
+# ------------------------------------------------- fit convergence metric --
+class TestFitConvergenceMetric:
+    def test_forced_max_iter_counts_one(self):
+        import numpy as np
+
+        from repro.models.logistic import LogisticRegression
+
+        counter = METRICS.counter("fit.unconverged")
+        before = counter.value
+        x = np.linspace(-2.0, 2.0, 40).reshape(-1, 1)
+        model = LogisticRegression(max_iter=1).fit(x, (x[:, 0] > 0.3).astype(int))
+        assert not model.converged_ and model.n_iter_ == 1
+        assert counter.value - before == 1
+
+    def test_metaseg_small_fits_converge_and_stay_out_of_reports(self):
+        config = json.loads((EXAMPLE_CONFIGS / "metaseg_small.json").read_text())
+        counter = METRICS.counter("fit.unconverged")
+        before = counter.value
+        report = Runner().run(config)
+        assert counter.value == before
+        assert "unconverged" not in report.to_json()

@@ -126,6 +126,22 @@ class TestModelPersistence:
                 fitted_model.score_frame(probs, image_id=image_id)
             )
 
+    def test_serve_refuses_stale_gradient_descent_state(self, tmp_path, fitted_model, capsys):
+        """A state written before the Newton solver exits 2, not a traceback."""
+        from repro.__main__ import main
+
+        state = json.loads(json.dumps(fitted_model.to_state()))
+        logistic = state["classifier"]["model"]
+        assert logistic["type"] == "LogisticRegression"
+        logistic["params"]["learning_rate"] = 1.0
+        del logistic["converged"]
+        key = "ab" * 32
+        ResultStore(tmp_path).put(key, state)
+        code = main(["serve", "--model", key, "--cache-dir", str(tmp_path), "--port", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stale LogisticRegression state" in err and "gradient-descent format" in err
+
     def test_fit_rejects_non_metaseg(self):
         config = _serve_config()
         config["kind"] = "decision"
