@@ -80,7 +80,7 @@ def run_baseline(config: ExperimentConfig) -> Tuple[object, Dict[str, float]]:
             backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
         pipeline = runner.build_metaseg_pipeline(resolved)
         with _timer(timings, "extract"):
-            metrics, _ = backend.extract_metaseg(runner, resolved, pipeline)
+            metrics, _ = backend.stage1(resolved)
         with _timer(timings, "evaluate"):
             result = pipeline.run_table1_protocol(
                 metrics,

@@ -62,7 +62,7 @@ def run_direct(config: ExperimentConfig) -> MetaSegResult:
     )
     network = SimulatedSegmentationNetwork(mobilenetv2_profile(), random_state=seeds.network)
     pipeline = MetaSegPipeline(network)
-    metrics = pipeline.extract_dataset_batched(dataset.val_samples())
+    metrics = pipeline.extract_dataset(dataset.val_samples())
     return pipeline.run_table1_protocol(
         metrics,
         n_runs=config.evaluation.n_runs,

@@ -7,9 +7,9 @@ Nine subcommands expose the unified experiment API headlessly:
   full report, ``--timings`` includes wall-clock stage timings;
   ``--trace`` prints the hierarchical span tree and ``--trace-out t.json``
   exports it in Chrome ``trace_event`` format — load in ``chrome://tracing``
-  or Perfetto; ``--backend``/``--workers``/``--streaming`` override the
-  config's execution section, e.g. ``--backend process --workers 4`` for
-  sharded multi-process execution — bitwise identical to serial;
+  or Perfetto; ``--backend``/``--workers`` override the config's
+  execution section, e.g. ``--backend process --workers 4`` for sharded
+  multi-process execution — bitwise identical to serial;
   ``--cache`` / ``--cache-dir`` serve repeated runs from the
   content-addressed result store);
 * ``python -m repro trace config.json``     — ``run`` with tracing always
@@ -135,8 +135,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config.execution.backend = args.backend
     if args.workers is not None:
         config.execution.workers = args.workers
-    if args.streaming is not None:
-        config.execution.streaming = args.streaming
     try:
         config.validate()
     except ConfigError as exc:
@@ -196,7 +194,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         no_cache=args.no_cache,
         backend=args.backend,
         workers=args.workers,
-        streaming=args.streaming,
         tracer=tracer,
     )
     print("\n".join(result.summary_rows()))
@@ -437,11 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the worker / shard count of the execution backend",
     )
     run.add_argument(
-        "--streaming", action=argparse.BooleanOptionalAction, default=None,
-        help="fold results chunk by chunk (peak memory O(chunk), same "
-             "numbers); --no-streaming overrides a config that enables it",
-    )
-    run.add_argument(
         "--cache", action="store_true",
         help="serve/store this run through the content-addressed result "
              "store (bitwise identical to a fresh run)",
@@ -476,10 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="override the worker / shard count of the execution backend",
-    )
-    trace.add_argument(
-        "--streaming", action=argparse.BooleanOptionalAction, default=None,
-        help="fold results chunk by chunk (same numbers)",
     )
     trace.add_argument(
         "--cache", action="store_true",
@@ -520,10 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="override the worker / shard count of every point",
-    )
-    sweep.add_argument(
-        "--streaming", action=argparse.BooleanOptionalAction, default=None,
-        help="override the streaming flag of every point",
     )
     sweep.add_argument(
         "--timings", action="store_true",

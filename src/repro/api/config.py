@@ -16,6 +16,11 @@ into a report, and handed to :class:`repro.api.runner.Runner` for execution::
     )
     report = Runner().run(config)
 
+Keys that were removed from the schema (``extraction.chunk_size``,
+``extraction.max_workers``, ``execution.streaming``) fail at parse time with
+a :class:`ConfigError` naming their replacement; the one worker knob is
+``execution.workers``.
+
 This module is stdlib-only (dataclasses + json) so it can be imported from
 anywhere in the library without cycles.
 """
@@ -124,39 +129,18 @@ class NetworkConfig:
 
 @dataclass
 class ExtractionConfig:
-    """Inference + metric-extraction execution parameters.
+    """Metric-extraction parameters.
 
-    Chunk size and worker count live here once instead of being threaded
-    through per-method keyword arguments; the pipelines fall back to these
-    values whenever a call site does not pass them explicitly.  All settings
-    are bit-neutral: parallel extraction is exactly identical to serial.
+    How the stage-1 walk is scheduled lives in :class:`ExecutionConfig`
+    (one worker knob); items always fold one at a time, so there is no
+    chunk size.
     """
 
-    chunk_size: Optional[int] = None
-    """Samples per streamed chunk; ``None`` uses the library default."""
-    max_workers: Optional[int] = None
-    """Thread-pool width for per-sample fan-out.  ``None``, 0 and 1 all run
-    serially (the library-wide worker contract); negative values are
-    rejected at parse time."""
     connectivity: int = 8
     """Connectivity (4 or 8) of the segment decomposition (``metaseg``
     kind; the other kinds use the library default of 8)."""
 
     def validate(self) -> None:
-        if self.chunk_size is not None and (
-            not _is_int(self.chunk_size) or self.chunk_size < 1
-        ):
-            raise ConfigError(
-                f"extraction: chunk_size must be an integer >= 1, "
-                f"got {self.chunk_size!r}"
-            )
-        if self.max_workers is not None and (
-            not _is_int(self.max_workers) or self.max_workers < 0
-        ):
-            raise ConfigError(
-                f"extraction: max_workers must be an integer >= 0 "
-                f"(None, 0 and 1 run serially), got {self.max_workers!r}"
-            )
         if self.connectivity not in (4, 8):
             raise ConfigError("extraction: connectivity must be 4 or 8")
 
@@ -166,12 +150,12 @@ class ExecutionConfig:
     """How the Runner executes the dataset walk of an experiment.
 
     ``backend`` names an entry of the ``execution_backends`` registry
-    (built-ins: ``serial``, ``thread``, ``process``); ``workers`` is the
-    thread-pool width or process-shard count (``None`` lets the backend pick
-    its default, 0/1 degenerate to serial execution, negative values are
-    rejected at parse time); ``streaming`` selects the never-concatenate
-    aggregation path that folds per-chunk results into running accumulators
-    so peak memory stays O(chunk) instead of O(dataset).
+    (built-ins: ``serial``, ``thread``, ``process``, ``distributed``);
+    ``workers`` is the one worker knob: the shard count of the stage-1 walk,
+    run on that many threads or processes (``None`` picks the core count,
+    0 and 1 mean one inline shard, negative values are rejected at parse
+    time; ``serial`` always runs one shard).  Every walk streams: items are
+    read uncached by index and folded one at a time.
 
     The fault-tolerance knobs apply to the ``distributed`` backend's work
     queue (other backends ignore them): ``lease_timeout`` is how many
@@ -180,13 +164,12 @@ class ExecutionConfig:
     fails with a :class:`repro.dispatch.DispatchError`, and ``backoff`` is
     the base retry delay (doubled per attempt, jittered, capped).
 
-    Every combination is bit-neutral: backends and streaming only change how
-    the work is scheduled, never the numbers.
+    Every combination is bit-neutral: backends only change where the work
+    runs, never the numbers.
     """
 
     backend: str = "serial"
     workers: Optional[int] = None
-    streaming: bool = False
     lease_timeout: float = 30.0
     max_retries: int = 3
     backoff: float = 0.05
@@ -200,10 +183,6 @@ class ExecutionConfig:
             raise ConfigError(
                 f"execution: workers must be an integer >= 0 "
                 f"(None, 0 and 1 run serially), got {self.workers!r}"
-            )
-        if not isinstance(self.streaming, bool):
-            raise ConfigError(
-                f"execution: streaming must be a boolean, got {self.streaming!r}"
             )
         if (
             not isinstance(self.lease_timeout, (int, float))
@@ -314,6 +293,15 @@ class EvalConfig:
             raise ConfigError("evaluation: category must be non-empty")
 
 
+#: Removed (section, key) -> its replacement; from_dict names it in the error.
+_REMOVED_KEYS = {
+    ("extraction", "chunk_size"): "items fold one at a time, so drop the key",
+    ("extraction", "max_workers"): (
+        "threads come from execution.workers under execution.backend 'thread'"
+    ),
+    ("execution", "streaming"): "every walk streams uncached now, so drop the key",
+}
+
 #: Section name -> nested dataclass type, shared by from_dict/to_dict.
 _SECTIONS = {
     "data": DataConfig,
@@ -368,13 +356,14 @@ class ExperimentConfig:
         """Build a config from a plain dict, rejecting unknown keys.
 
         By default the built config is validated before it is returned, so
-        structurally invalid values (negative worker counts, zero chunk
-        sizes, bad fractions, ...) raise :class:`ConfigError` — naming the
-        section and field — at parse time instead of blowing up deep inside
-        the execution layer.  ``validate=False`` defers that to the caller,
-        for consumers that apply overrides before validating (the CLI flags:
-        an override must be able to fix the very field it overrides).
-        Structural errors (non-dict payloads, unknown keys) always raise.
+        structurally invalid values (negative worker counts, bad fractions,
+        ...) raise :class:`ConfigError` — naming the section and field — at
+        parse time instead of blowing up deep inside the execution layer.
+        ``validate=False`` defers that to the caller, for consumers that
+        apply overrides before validating (the CLI flags: an override must be
+        able to fix the very field it overrides).
+        Structural errors (non-dict payloads, unknown or removed keys)
+        always raise.
         """
         if not isinstance(payload, dict):
             raise ConfigError(f"config payload must be a dict, got {type(payload).__name__}")
@@ -442,6 +431,11 @@ def _section_from_dict(section_cls, payload: object, section: str):
         return payload
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {section!r} must be a dict")
+    for key in sorted(map(str, payload)):
+        if (section, key) in _REMOVED_KEYS:
+            raise ConfigError(
+                f"{section}: {key} was removed; {_REMOVED_KEYS[section, key]}"
+            )
     known = {f.name for f in dataclasses.fields(section_cls)}
     unknown = set(payload) - known
     if unknown:

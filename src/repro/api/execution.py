@@ -1,50 +1,56 @@
-"""Execution backends: how the Runner walks a dataset.
+"""Execution backends: where the shards of an experiment's stage 1 run.
 
-The paper's protocols are embarrassingly parallel over images / sequences /
-evaluation samples, and every per-item computation in this library derives
-its randomness from ``(master_seed, item_index)``.  That makes the *walk*
-over the workload a pluggable concern: this module provides the string-keyed
-``execution_backends`` registry and its three built-in entries,
+Stage 1 is the walk over independent items that precedes every protocol:
+Table I extracts the metrics of each validation frame, Table II processes
+each video sequence, and Fig. 5 decodes each validation frame under every
+decision rule.  Each kind is described once, by a :class:`Stage1` entry:
 
-* ``serial``  — in-process, item by item (the default; identical to the
-  pre-backend behaviour);
-* ``thread``  — in-process, fanning independent items across a thread pool
-  through the shared batched-execution layer (numpy releases the GIL in the
-  heavy kernels);
-* ``process`` — shards the ``DataConfig`` index ranges across a
-  ``concurrent.futures.ProcessPoolExecutor``.  Each shard worker receives a
-  picklable work spec (the config dict plus its index range), rebuilds the
-  substrate / network / pipeline from the config and the derived seeds, and
-  walks only its own indices; the parent merges the per-shard results in
-  shard order.
+* ``size`` — the substrate attribute holding the item count (``n_val`` or
+  ``n_sequences``);
+* ``shard`` — a pure function ``(resolved, start, stop, priors) -> payload``
+  over the contiguous index range ``[start, stop)``.  It reads items by
+  index and uncached (``val_sample(i, cache=False)`` /
+  ``samples(i, cache=False)``) and folds them one at a time, so a walk never
+  holds more than one item's pixels;
+* ``fold`` — merges the shard payloads, in shard order, into the protocol's
+  input.
 
-Every backend also supports the ``streaming`` flag of
-:class:`~repro.api.config.ExecutionConfig`: the never-concatenate
-aggregation path that folds per-chunk results into running accumulators
-(:class:`repro.core.dataset.MetricsAccumulator`, the decision fold) so peak
-memory stays O(chunk) instead of O(dataset).
+A backend does one thing: it maps the shard function over
+``shard_ranges(n, workers)``.  A single shard always runs inline on the
+already-resolved experiment.  Otherwise:
 
-The reproducibility contract is absolute: **backends only change how the
-work is scheduled, never the numbers.**  Per-item results are pure functions
-of ``(config, derived_seeds, item_index)``, all merges preserve item order,
-and the evaluation protocols (which consume one RNG stream) always run in
-the parent — so every backend / worker-count / streaming combination is
-bitwise identical to the serial path.
+* ``serial`` — always one shard (the default);
+* ``thread`` — contiguous shards on a ``ThreadPoolExecutor`` (numpy releases
+  the GIL in the heavy kernels);
+* ``process`` — picklable specs (the config dict, the index range and, for
+  the decision kind, the fitted priors) on a ``ProcessPoolExecutor``.  Each
+  worker rebuilds the experiment from the config and runs the same shard
+  function.  With a store attached, shards are content-addressed and
+  claimed single-flight (:meth:`ProcessBackend._map_shards`);
+* ``distributed`` (:mod:`repro.dispatch.backend`) — the same specs over the
+  fault-tolerant work queue.
+
+The reproducibility contract is absolute: **backends only change where the
+work runs, never the numbers.**  Per-item results are pure functions of
+``(config, derived_seeds, item_index)``, shards are contiguous and folded
+in order, and the evaluation protocols (which consume one RNG stream) run
+in the parent — so every backend and worker count is bitwise identical to
+serial.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.api.config import ExecutionConfig, ExperimentConfig
 from repro.api.registry import EXECUTION_BACKENDS
-from repro.core.batching import normalize_max_workers, supports_cache_kwarg
+from repro.api.runner import ResolvedExperiment, Runner
 from repro.core.dataset import MetricsDataset
 from repro.obs import NULL_TRACER, Tracer
-from repro.store import priors_key, shard_key
+from repro.store import shard_key
 
 
 def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -71,286 +77,102 @@ def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-class _CountingIterator:
-    """Wraps an iterator, counting the items that pass through it.
-
-    Streaming walks cannot ``len()`` their input; the count feeds the
-    report's provenance (``n_images`` etc.) without materialising anything.
-    """
-
-    def __init__(self, items: Iterable) -> None:
-        self._items = iter(items)
-        self.count = 0
-
-    def __iter__(self) -> Iterator:
-        for item in self._items:
-            self.count += 1  # repro: allow[concurrency-shared-state] -- the wrapped iterator has a single consumer; count is read after exhaustion
-            yield item
+# ------------------------------------------------------------ stage-1 kinds
+def _val_samples(resolved: ResolvedExperiment, start: int, stop: int) -> Iterable:
+    """Validation samples ``start..stop``, read lazily and uncached."""
+    dataset = resolved.dataset
+    return (dataset.val_sample(index, cache=False) for index in range(start, stop))
 
 
-def _iter_split(dataset, split: str, cache: bool) -> Iterator:
-    """Lazily iterate one split, uncached where the substrate supports it."""
-    iterator = getattr(dataset, f"iter_{split}", None)
-    if iterator is not None:
-        if not cache and supports_cache_kwarg(iterator):
-            return iterator(cache=False)
-        return iterator()
-    return iter(getattr(dataset, f"{split}_samples")())
+def _metaseg_shard(resolved, start: int, stop: int, priors=None) -> MetricsDataset:
+    pipeline = Runner().build_metaseg_pipeline(resolved)
+    return pipeline.extract_dataset(_val_samples(resolved, start, stop), index_offset=start)
 
 
-def _iter_index_range(dataset, start: int, stop: int, cache: bool) -> Iterator:
-    """Lazily yield validation samples ``start..stop`` of a substrate."""
-    accessor = dataset.val_sample
-    pass_cache = not cache and supports_cache_kwarg(accessor)
-    for index in range(start, stop):
-        yield accessor(index, cache=False) if pass_cache else accessor(index)
+def _fold_metaseg(resolved, shards: List[MetricsDataset]) -> MetricsDataset:
+    return shards[0] if len(shards) == 1 else MetricsDataset.concatenate(shards)
 
 
-@EXECUTION_BACKENDS.register("serial")
-class SerialBackend:
-    """In-process, item-by-item execution (the deterministic default).
+def _timedynamic_shard(resolved, start: int, stop: int, priors=None) -> List:
+    pipeline = Runner().build_timedynamic_pipeline(resolved)
+    return list(pipeline.iter_process_dataset(resolved.dataset, start, stop))
 
-    Also the base class of the other backends: it implements the three
-    kind-specific stage-1 walks (extraction / sequence processing / rule
-    comparison) against the pipelines' own batched-execution layer, and the
-    subclasses only change the worker count or the process fan-out.  The
-    evaluation protocols always run in the parent, on the merged stage-1
-    result, so they consume one RNG stream regardless of the backend.
-    """
 
-    name = "serial"
+def _fold_timedynamic(resolved, shards: List[List]) -> List:
+    return list(chain.from_iterable(shards))
 
-    def __init__(self, execution: ExecutionConfig) -> None:
-        self.execution = execution
-        self.workers = normalize_max_workers(execution.workers)
-        self.streaming = bool(execution.streaming)
-        self.store = None
-        self.tracer = NULL_TRACER
-        #: Backend-side fit cache counters (decision priors), merged into
-        #: ``report.cache["fits"]`` by the Runner when a store is attached.
-        self.fit_cache = {"hits": 0, "misses": 0}
 
-    def attach_store(self, store) -> None:
-        """Install a :class:`repro.store.ResultStore` for result reuse.
-
-        Called by the Runner when it was built with a store.  The serial and
-        thread backends keep no per-item cache of their own (whole-report
-        memoisation already happens in the Runner); the ``process`` backend
-        uses the store for per-shard caching.
-        """
-        self.store = store  # repro: allow[concurrency-shared-state] -- Runner wires the store on the parent thread before any walk starts
-
-    def attach_tracer(self, tracer) -> None:
-        """Install the run's :class:`repro.obs.Tracer` (default: no-op).
-
-        The ``process`` backend embeds the tracer's span context into the
-        picklable shard specs and merges the child timelines it gets back;
-        the in-process backends run entirely under the Runner's stage spans.
-        """
-        self.tracer = tracer  # repro: allow[concurrency-shared-state] -- Runner wires the tracer on the parent thread before any walk starts
-
-    # ------------------------------------------------------------------ ---
-    def _pipeline_workers(self) -> Optional[int]:
-        """Worker count handed to the pipeline calls.
-
-        ``None`` defers to the pipeline's extraction-config default, which
-        for the serial backend preserves the pre-backend behaviour exactly.
-        """
-        return None
-
-    def default_workers(self) -> int:
-        """Effective worker count under the library-wide contract.
-
-        ``None`` lets the backend use the machine's core count; explicit 0
-        and 1 mean serial (never "pick for me"), matching the documented
-        ``ExecutionConfig`` semantics.
-        """
-        if self.workers is None:
-            return os.cpu_count() or 1
-        return max(1, self.workers)
-
-    # ------------------------------------------------------- metaseg stage 1
-    def extract_metaseg(self, runner, resolved, pipeline) -> Tuple[MetricsDataset, int]:
-        """Extract the full metrics dataset; returns (dataset, n_images)."""
-        if self.streaming:
-            counter = _CountingIterator(_iter_split(resolved.dataset, "val", cache=False))
-            try:
-                metrics = pipeline.extract_dataset_streaming(
-                    counter, max_workers=self._pipeline_workers()
-                )
-            except ValueError as exc:
-                # Only rewrite the pipeline's own empty-input error; any other
-                # ValueError is a real dataset/extraction problem and must
-                # surface unchanged.
-                if counter.count == 0 and str(exc) == "no samples provided":
-                    raise ValueError(
-                        "metaseg needs data.n_val >= 1 evaluation samples"
-                    ) from None
-                raise
-            return metrics, counter.count
-        samples = resolved.dataset.val_samples()
-        if not samples:
-            raise ValueError("metaseg needs data.n_val >= 1 evaluation samples")
-        metrics = pipeline.extract_dataset_batched(
-            samples, max_workers=self._pipeline_workers()
+def _decision_shard(resolved, start: int, stop: int, priors=None) -> List:
+    comparison = Runner().build_decision_comparison(resolved)
+    comparison.set_priors(priors)
+    return list(
+        comparison.iter_compare_samples(
+            _val_samples(resolved, start, stop),
+            rules=resolved.rules,
+            index_offset=start,
+            strengths=resolved.config.evaluation.strengths,
         )
-        return metrics, len(samples)
+    )
 
-    # --------------------------------------------------- timedynamic stage 1
-    def process_timedynamic(self, runner, resolved, pipeline) -> List:
-        """Process every sequence; returns the ordered SequenceMetrics list.
 
-        The compact per-sequence metrics are the protocol's input, so the
-        list itself is O(segments); ``streaming`` additionally regenerates
-        and releases the raw frames sequence by sequence instead of caching
-        the pixel data of the whole dataset (and keeps any requested thread
-        fan-out — the two are orthogonal).
-        """
-        return pipeline.process_dataset(
-            resolved.dataset,
-            max_workers=self._pipeline_workers(),
-            cache=not self.streaming,
+def _fold_decision(resolved, shards: List[List]):
+    comparison = Runner().build_decision_comparison(resolved)
+    result, _ = comparison.fold_compare_results(
+        chain.from_iterable(shards), rules=resolved.rules
+    )
+    return result
+
+
+class Stage1(NamedTuple):
+    """One experiment kind's stage 1: item count, shard function and fold."""
+
+    size: str
+    shard: Callable
+    fold: Callable
+    empty_error: str
+
+
+def stage1_of(kind: str) -> Stage1:
+    """The :class:`Stage1` description of an experiment kind."""
+    if kind == "metaseg":
+        return Stage1(
+            "n_val", _metaseg_shard, _fold_metaseg,
+            "metaseg needs data.n_val >= 1 evaluation samples",
         )
-
-    # ------------------------------------------------------ decision stage 1
-    @staticmethod
-    def _check_decision_splits(dataset) -> None:
-        """Fail with the actionable config error before priors are fitted.
-
-        ``fit_priors`` would otherwise raise its own (less actionable)
-        error on an empty training stream.
-        """
-        if getattr(dataset, "n_train", None) == 0 or getattr(dataset, "n_val", None) == 0:
-            raise ValueError("decision needs data.n_train >= 1 and data.n_val >= 1")
-
-    def _fit_decision_priors(self, resolved, comparison, timer) -> int:
-        """Fit the decision priors, or load them from the store; returns n_train.
-
-        The priors are a pure function of the training labels, so with a
-        store attached they are cached under :func:`repro.store.priors_key`
-        (which excludes the rule/strength/category fields — a rule sweep on
-        a fixed substrate reuses one fit).  The cached payload carries the
-        training-walk count alongside the priors so a hit reproduces the
-        report's ``n_train_images`` provenance without re-walking the split.
-        """
-        key = None
-        if self.store is not None:
-            key = priors_key(resolved.config.to_dict())
-            cached = self.store.get(key, codec="pickle")
-            if (
-                isinstance(cached, dict)
-                and "priors" in cached
-                and int(cached.get("n_train", 0)) > 0
-            ):
-                with timer("fit_priors"):
-                    comparison.set_priors(cached["priors"])
-                self.fit_cache["hits"] += 1  # repro: allow[concurrency-shared-state] -- decision priors are fitted on the parent thread only
-                return int(cached["n_train"])
-        train = _CountingIterator(_iter_split(resolved.dataset, "train", cache=False))
-        try:
-            with timer("fit_priors"):
-                comparison.fit_priors(train)
-        except ValueError as exc:
-            # Rewrite only the estimator's own empty-input error; anything
-            # else is a real data problem and must surface unchanged.
-            if train.count == 0 and "at least one label map" in str(exc):
-                raise ValueError(
-                    "decision needs data.n_train >= 1 and data.n_val >= 1"
-                ) from None
-            raise
-        if not train.count:
-            raise ValueError("decision needs data.n_train >= 1 and data.n_val >= 1")
-        if self.store is not None:
-            self.fit_cache["misses"] += 1  # repro: allow[concurrency-shared-state] -- decision priors are fitted on the parent thread only
-            self.store.put(
-                key,
-                {"priors": comparison.priors, "n_train": train.count},
-                codec="pickle",
-                provenance={
-                    "type": "priors",
-                    "kind": resolved.config.kind,
-                    "n_train": train.count,
-                    "config_hash": key,
-                },
-            )
-        return train.count
-
-    def compare_decision(self, runner, resolved, comparison, timer) -> Tuple:
-        """Fit priors and compare rules; returns (result, n_train, n_val)."""
-        config = resolved.config
-        if self.streaming:
-            self._check_decision_splits(resolved.dataset)
-            n_train = self._fit_decision_priors(resolved, comparison, timer)
-            with timer("evaluate"):
-                result, n_val = comparison.compare_streaming(
-                    _iter_split(resolved.dataset, "val", cache=False),
-                    rules=resolved.rules,
-                    strengths=config.evaluation.strengths,
-                    max_workers=self._pipeline_workers(),
-                )
-            return result, n_train, n_val
-        self._check_decision_splits(resolved.dataset)
-        val_samples = resolved.dataset.val_samples()
-        if not val_samples:
-            raise ValueError("decision needs data.n_train >= 1 and data.n_val >= 1")
-        n_train = self._fit_decision_priors(resolved, comparison, timer)
-        with timer("evaluate"):
-            result = comparison.compare(
-                val_samples,
-                rules=resolved.rules,
-                strengths=config.evaluation.strengths,
-                max_workers=self._pipeline_workers(),
-            )
-        return result, n_train, len(val_samples)
+    if kind == "timedynamic":
+        return Stage1(
+            "n_sequences", _timedynamic_shard, _fold_timedynamic,
+            "timedynamic needs data.n_sequences >= 1",
+        )
+    if kind == "decision":
+        return Stage1(
+            "n_val", _decision_shard, _fold_decision,
+            "decision needs data.n_train >= 1 and data.n_val >= 1",
+        )
+    raise ValueError(f"unknown experiment kind {kind!r}")
 
 
-@EXECUTION_BACKENDS.register("thread")
-class ThreadBackend(SerialBackend):
-    """Thread-pool fan-out of independent items (order-preserving).
+def _spec_shard(spec: Dict):
+    """Compute one shard spec in this process, rebuilding the experiment.
 
-    Identical to ``serial`` except that the per-item work of each walk is
-    handed ``workers`` threads through the pipelines' batched-execution
-    layer.  Results are merged in input order, so the numbers are bitwise
-    equal to serial for every worker count.
+    Module-level so it pickles; workers never consult the config's execution
+    section, so there is no recursive fan-out.  A spec without a ``"trace"``
+    entry returns the payload itself.  With one, the worker continues the
+    parent trace: it builds a child :class:`~repro.obs.Tracer` on the
+    shipped trace id (with a per-shard span-id prefix so merged timelines
+    never collide), runs the shard under a span parented to the remote
+    parent span, and returns ``{"__trace__": export, "payload": payload}``.
+    The parent unwraps the envelope before any store write.
     """
+    def payload():
+        config = ExperimentConfig.from_dict(spec["config"])
+        resolved = Runner().resolve(config)
+        shard = stage1_of(config.kind).shard
+        return shard(resolved, spec["start"], spec["stop"], spec["priors"])
 
-    name = "thread"
-
-    def _pipeline_workers(self) -> Optional[int]:
-        return self.default_workers()
-
-
-# ---------------------------------------------------------- process workers
-# Module-level functions so they are picklable; each rebuilds its components
-# from the shipped config (bit-identical thanks to per-index derived seeds)
-# and walks only its own index range.  The workers never consult the config's
-# execution section, so there is no recursive fan-out.
-
-
-def _shard_runner_and_config(spec: Dict) -> Tuple:
-    """(runner, resolved) for one shard spec, rebuilt from the config dict."""
-    from repro.api.runner import Runner
-
-    config = ExperimentConfig.from_dict(spec["config"])
-    runner = Runner()
-    return runner, runner.resolve(config)
-
-
-def _traced_shard(spec: Dict, payload_fn):
-    """Run one shard worker under its parent's span context (when carried).
-
-    A spec without a ``"trace"`` entry returns the payload untouched.  With
-    one, the worker continues the parent trace: it builds a child
-    :class:`~repro.obs.Tracer` on the shipped trace id (with a per-shard
-    span-id prefix so merged timelines never collide), runs the payload
-    under a span parented to the remote parent span, and returns
-    ``{"__trace__": export, "payload": payload}`` — the parent unwraps the
-    envelope (and strips it before any store write) and merges the child
-    timeline in shard order.
-    """
     trace = spec.get("trace")
     if trace is None:
-        return payload_fn(spec)
+        return payload()
     tracer = Tracer(trace_id=trace["trace_id"], id_prefix=trace["id_prefix"])
     with tracer.span(
         trace["name"],
@@ -358,91 +180,107 @@ def _traced_shard(spec: Dict, payload_fn):
         start=spec["start"],
         stop=spec["stop"],
     ):
-        payload = payload_fn(spec)
-    return {"__trace__": tracer.export(), "payload": payload}
+        result = payload()
+    return {"__trace__": tracer.export(), "payload": result}
 
 
-def _metaseg_shard_payload(spec: Dict) -> MetricsDataset:
-    runner, resolved = _shard_runner_and_config(spec)
-    pipeline = runner.build_metaseg_pipeline(resolved)
-    samples = _iter_index_range(
-        resolved.dataset, spec["start"], spec["stop"], cache=False
-    )
-    # The streaming fold keeps the shard's transient memory O(chunk) and is
-    # bitwise identical to the batched path.  Workers run their extraction
-    # serially (max_workers=0, like the decision shard): the process fan-out
-    # already claims the cores, and letting extraction.max_workers open a
-    # nested thread pool per shard would oversubscribe them.
-    return pipeline.extract_dataset_streaming(
-        samples, index_offset=spec["start"], max_workers=0
-    )
+# ------------------------------------------------------------------ backends
+@EXECUTION_BACKENDS.register("serial")
+class SerialBackend:
+    """One inline shard on the already-resolved experiment (the default).
 
-
-def _metaseg_shard(spec: Dict):
-    """Extract the metrics of validation samples ``start..stop`` of the config."""
-    return _traced_shard(spec, _metaseg_shard_payload)
-
-
-def _timedynamic_shard_payload(spec: Dict) -> List:
-    runner, resolved = _shard_runner_and_config(spec)
-    pipeline = runner.build_timedynamic_pipeline(resolved)
-    return list(
-        pipeline.iter_process_dataset(
-            resolved.dataset, start=spec["start"], stop=spec["stop"], cache=False
-        )
-    )
-
-
-def _timedynamic_shard(spec: Dict):
-    """Process sequences ``start..stop`` of the config."""
-    return _traced_shard(spec, _timedynamic_shard_payload)
-
-
-def _decision_shard_payload(spec: Dict) -> List:
-    runner, resolved = _shard_runner_and_config(spec)
-    comparison = runner.build_decision_comparison(resolved)
-    comparison.set_priors(spec["priors"])
-    samples = _iter_index_range(
-        resolved.dataset, spec["start"], spec["stop"], cache=False
-    )
-    return list(
-        comparison.iter_compare_samples(
-            samples,
-            rules=resolved.rules,
-            index_offset=spec["start"],
-            strengths=resolved.config.evaluation.strengths,
-            max_workers=0,
-        )
-    )
-
-
-def _decision_shard(spec: Dict):
-    """Per-sample rule results of validation samples ``start..stop``.
-
-    The parent ships the fitted priors (fitting them once is cheaper than
-    refitting per worker, and trivially bit-identical); the fold over the
-    concatenated per-sample streams happens in the parent.
+    Also the base class of the other backends: :meth:`stage1` is the one
+    walk every backend shares, and subclasses change only the shard count
+    and where the shards run (:meth:`map`).  The evaluation protocols
+    always run in the parent, on the folded stage-1 result, so they consume
+    one RNG stream regardless of the backend.
     """
-    return _traced_shard(spec, _decision_shard_payload)
+
+    name = "serial"
+
+    def __init__(self, execution: ExecutionConfig) -> None:
+        execution.validate()
+        self.execution = execution
+        self.store = None
+        self.tracer = NULL_TRACER
+
+    def attach_store(self, store) -> None:
+        """Install a :class:`repro.store.ResultStore` for shard reuse.
+
+        Called by the Runner when it was built with a store.  In-process
+        shards are not cached (whole-report memoisation already happens in
+        the Runner); the ``process`` and ``distributed`` backends cache and
+        claim their shipped shards in the store.
+        """
+        self.store = store  # repro: allow[concurrency-shared-state] -- Runner wires the store on the parent thread before any walk starts
+
+    def attach_tracer(self, tracer) -> None:
+        """Install the run's :class:`repro.obs.Tracer` (default: no-op).
+
+        Spec-shipping backends embed the tracer's span context into the
+        shard specs and merge the child timelines they get back; in-process
+        shards run entirely under the Runner's stage spans.
+        """
+        self.tracer = tracer  # repro: allow[concurrency-shared-state] -- Runner wires the tracer on the parent thread before any walk starts
+
+    def default_workers(self) -> int:
+        """The shard count; ``serial`` always runs one."""
+        return 1
+
+    def map(self, fn: Callable, items: Iterable) -> List:
+        """``fn`` over ``items`` on this backend's workers, in input order."""
+        return [fn(item) for item in items]
+
+    def stage1(self, resolved: ResolvedExperiment, priors=None) -> Tuple[object, int]:
+        """Walk stage 1 of a resolved experiment: (folded result, item count).
+
+        ``priors`` (the decision kind's fitted prior field) ride along to
+        every shard.
+        """
+        kind = stage1_of(resolved.config.kind)
+        n_items = int(getattr(resolved.dataset, kind.size))
+        if n_items < 1:
+            raise ValueError(kind.empty_error)
+        ranges = shard_ranges(n_items, self.default_workers())
+        if len(ranges) == 1:
+            shards = [kind.shard(resolved, 0, n_items, priors)]
+        else:
+            shards = self._map_ranges(kind, resolved, ranges, priors)
+        return kind.fold(resolved, shards), n_items
+
+    def _map_ranges(self, kind: Stage1, resolved, ranges, priors) -> List:
+        """Shard payloads of several ranges, computed in this process."""
+        return self.map(lambda bounds: kind.shard(resolved, *bounds, priors), ranges)
+
+
+@EXECUTION_BACKENDS.register("thread")
+class ThreadBackend(SerialBackend):
+    """Contiguous shards on a thread pool, folded in shard order."""
+
+    name = "thread"
+
+    def default_workers(self) -> int:
+        """``None`` picks the core count; explicit 0 and 1 mean one shard."""
+        if self.execution.workers is None:
+            return os.cpu_count() or 1
+        return max(1, int(self.execution.workers))
+
+    def map(self, fn: Callable, items: Iterable) -> List:
+        items = list(items)
+        with ThreadPoolExecutor(max_workers=max(1, len(items))) as pool:
+            return list(pool.map(fn, items))
 
 
 @EXECUTION_BACKENDS.register("process")
-class ProcessBackend(SerialBackend):
-    """Sharded multi-process execution over ``DataConfig`` index ranges.
+class ProcessBackend(ThreadBackend):
+    """Shard specs on a process pool, cached and claimed through the store.
 
-    The parent splits the workload's index range into ``workers`` contiguous
-    shards (:func:`shard_ranges`), ships each worker a picklable spec (the
-    config dict plus its ``[start, stop)`` range, and for the decision kind
-    the fitted priors), and merges the per-shard results **in shard index
-    order** — which, because shards are contiguous, is exactly input order,
-    so the merged stage-1 result is bitwise identical to serial.  The
-    evaluation protocol then runs in the parent on the merged result.
-
-    Requires a substrate with per-index accessors (``val_sample(i)`` /
-    ``samples(i)``), which every built-in substrate provides; with a single
-    worker (or a single-item workload) it degenerates to the serial walk.
-    The same seam extends to multi-machine sharding: a remote worker that
-    receives the spec dict produces the identical shard payload.
+    The parent ships each worker a picklable spec — the config dict, its
+    ``[start, stop)`` range and, for the decision kind, the fitted priors —
+    and folds the payloads **in shard order**, which is input order, so the
+    result is bitwise identical to serial.  The same seam serves the
+    ``distributed`` backend, which overrides only :meth:`map`: a remote
+    worker that receives the spec dict produces the identical payload.
     """
 
     name = "process"
@@ -453,151 +291,96 @@ class ProcessBackend(SerialBackend):
         #: so the Runner's bookkeeping never needs a hasattr dance).
         self.shard_cache = {"hits": 0, "misses": 0}
 
-    def _specs(self, resolved, n_items: int) -> List[Dict]:
+    def map(self, fn: Callable, items: Iterable) -> List:
+        items = list(items)
+        with ProcessPoolExecutor(max_workers=max(1, len(items))) as pool:
+            return list(pool.map(fn, items))
+
+    def _map_ranges(self, kind: Stage1, resolved, ranges, priors) -> List:
         config_dict = resolved.config.to_dict()
         specs = [
-            {"config": config_dict, "start": start, "stop": stop}
-            for start, stop in shard_ranges(n_items, self.default_workers())
+            {"config": config_dict, "start": start, "stop": stop, "priors": priors}
+            for start, stop in ranges
         ]
-        if self.tracer.enabled:
+        context = self.tracer.current_context() if self.tracer.enabled else None
+        if context is not None:
             # Continue the parent trace across the process boundary: each
             # spec carries the open stage span as remote parent plus a
-            # per-shard id prefix.  The ``trace`` entry is ignored by
-            # ``shard_key`` (which hashes only config + index range), so
-            # traced and untraced shard payloads share cache entries.
-            context = self.tracer.current_context()
-            if context is not None:
-                for index, spec in enumerate(specs):
-                    spec["trace"] = {
-                        "trace_id": context["trace_id"],
-                        "parent_span_id": context["parent_span_id"],
-                        "id_prefix": f"{context['parent_span_id']}.{index}.",
-                        "name": f"shard{index}",
-                    }
-        return specs
+            # per-shard id prefix.  ``shard_key`` ignores the entry, so
+            # traced and untraced payloads share cache entries.
+            for index, spec in enumerate(specs):
+                spec["trace"] = {
+                    "trace_id": context["trace_id"],
+                    "parent_span_id": context["parent_span_id"],
+                    "id_prefix": f"{context['parent_span_id']}.{index}.",
+                    "name": f"shard{index}",
+                }
+        return self._map_shards(specs)
 
     def _absorb_shard_trace(self, result):
         """Unwrap one shard result, folding a carried child timeline in.
 
-        Traced workers return ``{"__trace__": export, "payload": payload}``;
-        the envelope is stripped here — before the payload is cached or
-        merged — so store entries and stage-1 merges never see telemetry.
+        The envelope is stripped before the payload is cached or folded, so
+        store entries and stage-1 results never see telemetry.
         """
         if isinstance(result, dict) and "__trace__" in result:
             self.tracer.merge(result["__trace__"])
             return result["payload"]
         return result
 
-    def _compute_shards(self, worker, specs: List[Dict]) -> List:
-        """Actually compute shard specs; results in spec order.
+    def _map_shards(self, specs: List[Dict]) -> List:
+        """Shard payloads in shard order, single-flight across processes.
 
-        The single seam subclasses override to change *where* shards run
-        (the ``distributed`` backend replaces the process pool with its
-        fault-tolerant work queue); everything above this call — caching,
-        trace absorption, merging — is transport-agnostic.
-        """
-        with ProcessPoolExecutor(max_workers=len(specs)) as pool:
-            return list(pool.map(worker, specs))
-
-    def _map_shards(self, worker, specs: List[Dict]) -> List:
-        """Run the shard specs on a process pool, results in shard order.
-
-        With a store attached, shard results are content-addressed by
-        (stage-1 config hash, index range): cached shards are served without
-        touching the pool, only the missing ones are computed (and then
-        published), and — because the cache key excludes every field that
-        cannot influence the shard payload — a sweep that only changes
-        protocol-side fields reuses every shard.  If everything is cached,
-        no process pool is spawned at all.
+        Without a store every spec is computed by :meth:`map`.  With one,
+        shard results are content-addressed by (stage-1 config hash, index
+        range): cached shards are served without spawning anything.  Every
+        missing key is either *claimed* (computed — one :meth:`map` for the
+        whole claimed batch — and published) or already claimed by another
+        process, in which case we wait and re-read; if that producer dies
+        without publishing, the waiter rescues the shard by computing it
+        inline.  Either way each shard is computed once machine-wide, and
+        because the key excludes every protocol-side field, a sweep that
+        only changes the meta-model reuses every shard.
         """
         if self.store is None:
-            computed = self._compute_shards(worker, specs)
-            # Shard order == input order, so child timelines merge in order.
-            return [self._absorb_shard_trace(result) for result in computed]
-        keys = [
-            shard_key(spec["config"], spec["start"], spec["stop"]) for spec in specs
-        ]
+            return [self._absorb_shard_trace(r) for r in self.map(_spec_shard, specs)]
+        keys = [shard_key(spec["config"], spec["start"], spec["stop"]) for spec in specs]
         results: List = [self.store.get(key, codec="pickle") for key in keys]
         missing = [index for index, result in enumerate(results) if result is None]
-        self.shard_cache["hits"] += len(specs) - len(missing)  # repro: allow[concurrency-shared-state] -- shard futures are consumed on the parent thread only
-        self.shard_cache["misses"] += len(missing)  # repro: allow[concurrency-shared-state] -- shard futures are consumed on the parent thread only
-        if missing:
-            computed = self._compute_shards(worker, [specs[i] for i in missing])
-            for index, result in zip(missing, computed):
-                result = self._absorb_shard_trace(result)
-                results[index] = result
-                spec = specs[index]
-                self.store.put(
-                    keys[index],
-                    result,
-                    codec="pickle",
-                    provenance={
-                        "type": "shard",
-                        "kind": spec["config"]["kind"],
-                        "start": spec["start"],
-                        "stop": spec["stop"],
-                        "config_hash": keys[index],
-                    },
-                )
+        self.shard_cache["hits"] += len(specs) - len(missing)  # repro: allow[concurrency-shared-state] -- shard results are consumed on the parent thread only
+        self.shard_cache["misses"] += len(missing)  # repro: allow[concurrency-shared-state] -- shard results are consumed on the parent thread only
+        claimed = [index for index in missing if self.store.try_claim(keys[index])]
+        waiting = sorted(set(missing) - set(claimed))
+        try:
+            if claimed:
+                computed = self.map(_spec_shard, [specs[index] for index in claimed])
+                for index, result in zip(claimed, computed):
+                    results[index] = self._put_shard(keys[index], specs[index], result)
+        finally:
+            for index in claimed:
+                self.store.release(keys[index])
+        for index in waiting:
+            value = self.store.wait_for(keys[index], codec="pickle")
+            if value is None:
+                # The claiming producer died without publishing: rescue the
+                # shard inline (a pure function of the spec — same bytes).
+                value = self._put_shard(keys[index], specs[index], _spec_shard(specs[index]))
+            results[index] = value
         return results
 
-    def _use_fallback(self, n_items: int) -> bool:
-        """Serial fallback when fan-out cannot help (one worker / one item)."""
-        return self.default_workers() <= 1 or n_items <= 1
-
-    @staticmethod
-    def _sharded_workload_size(dataset, size_attribute: str, accessor: str = "val_sample") -> int:
-        """Size of the shardable index range, or a clear capability error.
-
-        A missing attribute means the substrate cannot be index-sharded —
-        which is a backend-choice problem, not an empty dataset — so the two
-        cases get distinct messages.
-        """
-        size = getattr(dataset, size_attribute, None)
-        if size is None or not hasattr(dataset, accessor):
-            raise ValueError(
-                f"the process backend shards index ranges and needs a dataset "
-                f"substrate exposing {size_attribute!r} and {accessor!r}; "
-                f"use backend 'serial' or 'thread' for this substrate"
-            )
-        return int(size)
-
-    # ------------------------------------------------------------------ ---
-    def extract_metaseg(self, runner, resolved, pipeline) -> Tuple[MetricsDataset, int]:
-        n_val = self._sharded_workload_size(resolved.dataset, "n_val")
-        if not n_val:
-            raise ValueError("metaseg needs data.n_val >= 1 evaluation samples")
-        if self._use_fallback(n_val):
-            return super().extract_metaseg(runner, resolved, pipeline)
-        shards = self._map_shards(_metaseg_shard, self._specs(resolved, n_val))
-        return MetricsDataset.concatenate(shards), n_val
-
-    def process_timedynamic(self, runner, resolved, pipeline) -> List:
-        n_sequences = self._sharded_workload_size(
-            resolved.dataset, "n_sequences", accessor="samples"
+    def _put_shard(self, key: str, spec: Dict, result):
+        """Absorb one computed shard's trace envelope and publish it."""
+        result = self._absorb_shard_trace(result)
+        self.store.put(
+            key,
+            result,
+            codec="pickle",
+            provenance={
+                "type": "shard",
+                "kind": spec["config"]["kind"],
+                "start": spec["start"],
+                "stop": spec["stop"],
+                "config_hash": key,
+            },
         )
-        if self._use_fallback(n_sequences):
-            return super().process_timedynamic(runner, resolved, pipeline)
-        shards = self._map_shards(_timedynamic_shard, self._specs(resolved, n_sequences))
-        return list(chain.from_iterable(shards))
-
-    def compare_decision(self, runner, resolved, comparison, timer) -> Tuple:
-        n_val = self._sharded_workload_size(resolved.dataset, "n_val")
-        if self._use_fallback(n_val):
-            return super().compare_decision(runner, resolved, comparison, timer)
-        self._check_decision_splits(resolved.dataset)
-        n_train = self._fit_decision_priors(resolved, comparison, timer)
-        specs = self._specs(resolved, n_val)
-        for spec in specs:
-            spec["priors"] = comparison.priors
-        with timer("evaluate"):
-            shards = self._map_shards(_decision_shard, specs)
-            result, folded = comparison.fold_compare_results(
-                chain.from_iterable(shards), rules=resolved.rules
-            )
-        if folded != n_val:
-            raise RuntimeError(
-                f"shard merge folded {folded} samples but the dataset "
-                f"advertises n_val={n_val}; a shard dropped or duplicated work"
-            )
-        return result, n_train, n_val
+        return result

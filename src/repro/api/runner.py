@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.api.config import ExperimentConfig
 from repro.api.fitted import FittedModel
 from repro.obs import Tracer, timings_view
-from repro.store import FitCache, model_key, report_key
+from repro.store import FitCache, model_key, priors_key, report_key
 from repro.api.registry import (
     DATASETS,
     DECISION_RULES,
@@ -211,7 +213,7 @@ class Runner:
 
     Passing a :class:`repro.store.ResultStore` enables result caching at two
     granularities: whole reports are memoised by the full config hash, and
-    the ``process`` backend additionally caches per-shard stage-1 payloads
+    the ``process``/``distributed`` backends cache per-shard stage-1 payloads
     keyed by (stage-1 config hash, index range) — so a sweep that only
     changes protocol-side fields (e.g. the meta-model) reuses every
     extraction shard.  Cached reports are bitwise identical to fresh ones
@@ -267,17 +269,9 @@ class Runner:
         with tracer.span("run", kind=config.kind, seed=config.seed) as root:
             with tracer.span("resolve"):
                 resolved = self.resolve(config)
-                backend = EXECUTION_BACKENDS.get(config.execution.backend)(
-                    config.execution
-                )
-                attach_tracer = getattr(backend, "attach_tracer", None)
-                if attach_tracer is not None:
-                    attach_tracer(tracer)
+                backend = self._backend(config, tracer)
                 fit_cache = None
                 if self.store is not None:
-                    attach = getattr(backend, "attach_store", None)
-                    if attach is not None:
-                        attach(self.store)
                     fit_cache = FitCache(self.store, config.to_dict())
             runner = {
                 "metaseg": self._run_metaseg,
@@ -303,13 +297,8 @@ class Runner:
             shard_cache = getattr(backend, "shard_cache", None)
             if shard_cache:
                 report.cache["shards"] = dict(shard_cache)
-            fits = {"hits": 0, "misses": 0}
-            for counters in (fit_cache.counters, getattr(backend, "fit_cache", None)):
-                if counters:
-                    fits["hits"] += int(counters.get("hits", 0))
-                    fits["misses"] += int(counters.get("misses", 0))
-            if fits["hits"] or fits["misses"]:
-                report.cache["fits"] = fits
+            if fit_cache.counters["hits"] or fit_cache.counters["misses"]:
+                report.cache["fits"] = dict(fit_cache.counters)
         dispatch_stats = getattr(backend, "dispatch_stats", None)
         if dispatch_stats is not None:
             # Queue counters of the distributed backend (retries, worker
@@ -348,13 +337,8 @@ class Runner:
                 model.cache = {"hit": True, "key": key}
                 return model
         resolved = self.resolve(config)
-        backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
-        if self.store is not None:
-            attach = getattr(backend, "attach_store", None)
-            if attach is not None:
-                attach(self.store)
+        metrics, n_images = self._backend(config).stage1(resolved)
         pipeline = self.build_metaseg_pipeline(resolved)
-        metrics, n_images = backend.extract_metaseg(self, resolved, pipeline)
         classifier_name = resolved.classifiers[0]
         regressor_name = resolved.regressors[0]
         params = config.meta_models.model_params
@@ -412,8 +396,8 @@ class Runner:
     ) -> Dict[str, object]:
         """Batch-score the validation split with a fitted model.
 
-        The reference for the serving path: walks ``val_samples()`` in
-        order and scores every frame through the same
+        The reference for the serving path: walks the validation split in
+        order (by index, uncached) and scores every frame through the same
         :meth:`FittedModel.score_frame` the HTTP server uses, so server
         responses are bitwise comparable to this output.  ``model`` defaults
         to :meth:`fit` of the same config.
@@ -424,14 +408,25 @@ class Runner:
         if model is None:
             model = self.fit(config)
         resolved = self.resolve(config)
+        dataset = resolved.dataset
         extractor = model.build_extractor()
         frames: List[Dict[str, object]] = []
-        for index, sample in enumerate(resolved.dataset.val_samples()):
+        for index in range(dataset.n_val):
+            sample = dataset.val_sample(index, cache=False)
             probs = resolved.network.predict_probabilities(sample.labels, index=index)
             frames.append(
                 model.score_frame(probs, extractor=extractor, image_id=sample.image_id)
             )
         return {"frames": frames, "n_frames": len(frames)}
+
+    def _backend(self, config: ExperimentConfig, tracer: Optional[object] = None):
+        """The config's execution backend, wired to this Runner's store."""
+        backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
+        if tracer is not None:
+            backend.attach_tracer(tracer)
+        if self.store is not None:
+            backend.attach_store(self.store)
+        return backend
 
     # ------------------------------------------------------------------ ---
     def resolve(self, config: ExperimentConfig) -> ResolvedExperiment:
@@ -523,13 +518,18 @@ class Runner:
 
         Both names can be perfectly valid registry entries and still not fit
         together (a video substrate for the single-frame kinds, or vice
-        versa); the substrate interface each kind consumes is duck-typed.
+        versa).  The substrate interface each kind consumes is duck-typed
+        and index-based: the stage-1 walk reads ``n_val``/``val_sample(i,
+        cache=False)`` (plus ``n_train``/``train_sample`` for the decision
+        priors) or ``n_sequences``/``samples(i, cache=False)``.
         """
         if config.kind == "timedynamic":
             required = ("n_sequences", "samples")
             shape = "a video substrate (KITTI-like)"
         else:
-            required = ("train_samples", "val_samples")
+            required = ("n_val", "val_sample")
+            if config.kind == "decision":
+                required += ("n_train", "train_sample")
             shape = "a single-frame substrate (Cityscapes-like)"
         missing = [name for name in required if not hasattr(dataset, name)]
         if missing:
@@ -547,9 +547,9 @@ class Runner:
         )
 
     # ----------------------------------------------------- pipeline factories
-    # Shared by the in-process kind runners and the process-backend shard
-    # workers (repro.api.execution), so a shard rebuilds exactly the pipeline
-    # the parent would have used.
+    # Shared by the kind runners and the stage-1 shard functions
+    # (repro.api.execution), so every shard builds exactly the pipeline the
+    # parent would have used.
 
     def build_metaseg_pipeline(self, resolved: ResolvedExperiment) -> MetaSegPipeline:
         """The MetaSeg pipeline of a resolved config."""
@@ -559,7 +559,6 @@ class Runner:
             connectivity=config.extraction.connectivity,
             classification_penalty=config.meta_models.classification_penalty,
             regression_penalty=config.meta_models.regression_penalty,
-            extraction=config.extraction,
         )
 
     def build_timedynamic_pipeline(self, resolved: ResolvedExperiment) -> TimeDynamicPipeline:
@@ -578,7 +577,6 @@ class Runner:
             regression_penalty=config.meta_models.regression_penalty,
             gradient_boosting_params=params.get("gradient_boosting"),
             neural_network_params=params.get("neural_network"),
-            extraction=config.extraction,
             **pipeline_kwargs,
         )
 
@@ -588,7 +586,6 @@ class Runner:
         return DecisionRuleComparison(
             resolved.network,
             category=config.evaluation.category,
-            extraction=config.extraction,
         )
 
     # ------------------------------------------------------------------ ---
@@ -599,7 +596,7 @@ class Runner:
         config = resolved.config
         pipeline = self.build_metaseg_pipeline(resolved)
         with tracer.span("extract", backend=backend.name) as span:
-            metrics, n_images = backend.extract_metaseg(self, resolved, pipeline)
+            metrics, n_images = backend.stage1(resolved)
             span.set(n_images=n_images, n_segments=len(metrics))
         with tracer.span("evaluate", n_runs=config.evaluation.n_runs):
             result = pipeline.run_table1_protocol(
@@ -643,7 +640,7 @@ class Runner:
         config = resolved.config
         pipeline = self.build_timedynamic_pipeline(resolved)
         with tracer.span("process", backend=backend.name) as span:
-            sequences = backend.process_timedynamic(self, resolved, pipeline)
+            sequences, _ = backend.stage1(resolved)
             span.set(n_sequences=len(sequences))
         with tracer.span("evaluate", n_runs=config.evaluation.n_runs):
             result = pipeline.run_protocol(
@@ -683,18 +680,57 @@ class Runner:
         }
         return report
 
+    def _decision_priors(
+        self, resolved: ResolvedExperiment, tracer, fit_cache: Optional[FitCache]
+    ) -> Tuple[np.ndarray, int]:
+        """Fit the decision priors, or load them from the store: (priors, n_train).
+
+        The priors are a pure function of the training labels, so with a
+        store attached they are cached under :func:`repro.store.priors_key`
+        (which excludes the rule/strength/category fields — a rule sweep on
+        a fixed substrate reuses one fit), with the training-split size
+        alongside for the report's ``n_train_images`` provenance.
+        """
+        dataset = resolved.dataset
+        n_train = int(dataset.n_train)
+        if n_train < 1 or int(dataset.n_val) < 1:
+            raise ValueError("decision needs data.n_train >= 1 and data.n_val >= 1")
+        key = None
+        if self.store is not None:
+            key = priors_key(resolved.config.to_dict())
+            cached = self.store.get(key, codec="pickle")
+            if isinstance(cached, dict) and cached.get("n_train") == n_train:
+                fit_cache.counters["hits"] += 1
+                return cached["priors"], n_train
+        with tracer.span("fit_priors", n_train=n_train):
+            priors = self.build_decision_comparison(resolved).fit_priors(
+                dataset.train_sample(index, cache=False) for index in range(n_train)
+            )
+        if self.store is not None:
+            fit_cache.counters["misses"] += 1
+            self.store.put(
+                key,
+                {"priors": priors, "n_train": n_train},
+                codec="pickle",
+                provenance={
+                    "type": "priors",
+                    "kind": resolved.config.kind,
+                    "n_train": n_train,
+                    "config_hash": key,
+                },
+            )
+        return priors, n_train
+
     def _run_decision(
         self, resolved: ResolvedExperiment, backend, tracer,
         fit_cache: Optional[FitCache] = None,
     ) -> ExperimentReport:
-        # The decision protocol fits no meta-models; its cacheable fit (the
-        # pixel priors) is handled inside the execution backend.  The backend
-        # names its own stages ("fit_priors"/"evaluate"), so it receives the
-        # span factory as the stage timer.
-        comparison = self.build_decision_comparison(resolved)
-        result, n_train, n_val = backend.compare_decision(
-            self, resolved, comparison, tracer.span
-        )
+        # The decision protocol fits no meta-models; its cacheable fit is the
+        # pixel priors, fitted (or loaded) once before the walk and shipped
+        # to every stage-1 shard.  The walk runs under the "evaluate" span.
+        priors, n_train = self._decision_priors(resolved, tracer, fit_cache)
+        with tracer.span("evaluate", backend=backend.name):
+            result, n_val = backend.stage1(resolved, priors)
 
         report = self._report(resolved)
         report.provenance.update(

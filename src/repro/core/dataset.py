@@ -202,20 +202,14 @@ class MetricsAccumulator:
     """Folds streamed :class:`MetricsDataset` chunks into one dataset.
 
     The never-concatenate counterpart of :meth:`MetricsDataset.concatenate`:
-    instead of holding every per-image (or per-chunk) part until a final
-    ``vstack``, chunks are copied into growing preallocated buffers as they
-    arrive, so the peak transient memory of a streamed extraction walk is
-    bounded by one chunk plus the (amortised, at most 2x) output buffers —
-    never by the full list of parts.  Row values are plain copies, so the
-    accumulated dataset is bitwise identical to a one-shot concatenation of
-    the same chunks.
-
-    Usage::
-
-        acc = MetricsAccumulator()
-        for chunk in pipeline.iter_extract_batched(samples):
-            acc.add(chunk)
-        dataset = acc.result()
+    instead of holding every per-image part until a final ``vstack``,
+    chunks are copied into growing preallocated buffers as they arrive, so
+    the peak transient memory of an extraction walk is bounded by one image
+    plus the (amortised, at most 2x) output buffers — never by the full
+    list of parts.  Row values are plain copies, so the accumulated dataset
+    is bitwise identical to a one-shot concatenation of the same chunks.
+    :meth:`repro.core.pipeline.MetaSegPipeline.extract_dataset` folds every
+    image through one.
     """
 
     def __init__(self) -> None:

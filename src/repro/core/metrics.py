@@ -108,8 +108,8 @@ class SegmentMetricsExtractor:
         self.ignore_id = ignore_id
         # Mutable (H, W, C) heatmap work buffers, reused across frames of
         # equal shape.  They are written on every call, so they live in
-        # thread-local storage — the batched extraction layer and the scoring
-        # server share one extractor across a thread pool.
+        # thread-local storage — the scoring server shares one extractor
+        # across a thread pool.
         self._scratch = threading.local()
 
     def _thread_scratch(self, shape: Tuple[int, int, int]):

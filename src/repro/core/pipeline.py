@@ -13,17 +13,9 @@ The pipeline wires the substrate and the core pieces together:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
-from repro.core.batching import (
-    extraction_defaults,
-    iter_indexed_chunks,
-    map_ordered,
-    normalize_max_workers,
-)
 from repro.core.dataset import MetricsAccumulator, MetricsDataset
 from repro.core.meta_classification import MetaClassifier, naive_baseline_accuracy
 from repro.core.meta_regression import MetaRegressor
@@ -34,9 +26,6 @@ from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.segmentation.network import SimulatedSegmentationNetwork
 from repro.utils.arrays import mean_std
 from repro.utils.rng import RandomState, as_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
-    from repro.api.config import ExtractionConfig
 
 
 @dataclass
@@ -90,11 +79,6 @@ class MetaSegPipeline:
         Connectivity of the segment decomposition.
     classification_penalty, regression_penalty:
         l2 strengths of the "penalized" variants of Table I.
-    extraction:
-        Optional :class:`repro.api.config.ExtractionConfig` providing the
-        default ``chunk_size``/``max_workers`` for the extraction methods, so
-        execution parameters are configured once per experiment instead of
-        per call.  Explicit keyword arguments still win.
     """
 
     def __init__(
@@ -104,7 +88,6 @@ class MetaSegPipeline:
         connectivity: int = 8,
         classification_penalty: float = 1.0,
         regression_penalty: float = 1.0,
-        extraction: Optional["ExtractionConfig"] = None,
     ) -> None:
         self.network = network
         self.label_space = label_space or cityscapes_label_space()
@@ -113,7 +96,6 @@ class MetaSegPipeline:
         )
         self.classification_penalty = float(classification_penalty)
         self.regression_penalty = float(regression_penalty)
-        self._default_chunk_size, self._default_max_workers = extraction_defaults(extraction)
 
     # ------------------------------------------------------------------ ---
     def extract_dataset(
@@ -121,117 +103,21 @@ class MetaSegPipeline:
         samples: Iterable[SegmentationSample],
         index_offset: int = 0,
     ) -> MetricsDataset:
-        """Run inference and metric extraction over an iterable of samples."""
-        return self.extract_dataset_batched(samples, index_offset=index_offset)
+        """Run inference and metric extraction over an iterable of samples.
 
-    def _extract_one(self, indexed_sample: Tuple[int, SegmentationSample]) -> MetricsDataset:
-        """Inference + metric extraction for one (index, sample) pair."""
-        index, sample = indexed_sample
-        probs = self.network.predict_probabilities(sample.labels, index=index)
-        return self.extractor.extract(probs, gt_labels=sample.labels, image_id=sample.image_id)
-
-    def _iter_extract_parts(
-        self,
-        samples: Iterable[SegmentationSample],
-        index_offset: int,
-        chunk_size: int,
-        max_workers: Optional[int],
-    ) -> Iterable[List[MetricsDataset]]:
-        """Yield the per-image datasets of one chunk of samples at a time.
-
-        Chunks widen beyond ``chunk_size`` when workers are requested (see
-        :func:`repro.core.batching.iter_indexed_chunks`), so the parallelism
-        is actually achievable — a chunk is the unit fanned out to the pool.
-        """
-        for indexed in iter_indexed_chunks(samples, chunk_size, max_workers, index_offset):
-            yield map_ordered(self._extract_one, indexed, max_workers=max_workers)
-
-    def _resolve_execution(
-        self, chunk_size: Optional[int], max_workers: Optional[int]
-    ) -> Tuple[int, Optional[int]]:
-        """Fill unset execution parameters from the pipeline-level defaults.
-
-        Worker counts follow the library-wide contract of
-        :func:`repro.core.batching.normalize_max_workers` (None/0/1 serial,
-        negative rejected).
-        """
-        if chunk_size is None:
-            chunk_size = self._default_chunk_size
-        return chunk_size, normalize_max_workers(max_workers, self._default_max_workers)
-
-    def iter_extract_batched(
-        self,
-        samples: Iterable[SegmentationSample],
-        index_offset: int = 0,
-        chunk_size: Optional[int] = None,
-        max_workers: Optional[int] = None,
-    ) -> Iterable[MetricsDataset]:
-        """Stream metric extraction chunk by chunk.
-
-        Yields one concatenated :class:`MetricsDataset` per chunk of samples
-        instead of accumulating per-image datasets in a Python list, so the
-        peak memory is bounded by the chunk size regardless of the dataset
-        size.  ``max_workers`` > 1 fans the per-sample work of each chunk out
-        across a thread pool; chunks then widen to several pool-widths (see
-        :func:`repro.core.batching.iter_indexed_chunks`), so the effective
-        memory bound is ``max(chunk_size, 4 * max_workers)`` samples.
-        Results are order-preserving either way, so the streamed parts are
-        bit-identical to a serial run.  Unset parameters fall back to the
-        pipeline's extraction config (serial, default chunk size when none
-        was given).
-        """
-        chunk_size, max_workers = self._resolve_execution(chunk_size, max_workers)
-        for parts in self._iter_extract_parts(samples, index_offset, chunk_size, max_workers):
-            yield MetricsDataset.concatenate(parts)
-
-    def extract_dataset_batched(
-        self,
-        samples: Iterable[SegmentationSample],
-        index_offset: int = 0,
-        chunk_size: Optional[int] = None,
-        max_workers: Optional[int] = None,
-    ) -> MetricsDataset:
-        """Batched variant of :meth:`extract_dataset`.
-
-        Chunks the sample stream, optionally fans each chunk out over
-        ``max_workers`` threads, and concatenates the per-image parts once at
-        the end (no per-chunk intermediate copies).  The result is
-        bit-identical to the serial path for every configuration.  Unset
-        parameters fall back to the pipeline's extraction config.
-        """
-        chunk_size, max_workers = self._resolve_execution(chunk_size, max_workers)
-        parts: List[MetricsDataset] = []
-        for chunk_parts in self._iter_extract_parts(
-            samples, index_offset, chunk_size, max_workers
-        ):
-            parts.extend(chunk_parts)
-        if not parts:
-            raise ValueError("no samples provided")
-        return MetricsDataset.concatenate(parts)
-
-    def extract_dataset_streaming(
-        self,
-        samples: Iterable[SegmentationSample],
-        index_offset: int = 0,
-        chunk_size: Optional[int] = None,
-        max_workers: Optional[int] = None,
-    ) -> MetricsDataset:
-        """Never-concatenate variant of :meth:`extract_dataset_batched`.
-
-        Consumes :meth:`iter_extract_batched` and folds every streamed chunk
-        into a :class:`repro.core.dataset.MetricsAccumulator` as it arrives,
-        so neither the sample list nor the list of per-image parts is ever
-        materialised: the peak transient memory is one chunk of samples plus
-        the output buffers, instead of O(dataset).  The accumulated rows are
-        plain copies, so the result is bitwise identical to the batched and
-        serial paths for every configuration.
+        Each image is folded straight into a
+        :class:`~repro.core.dataset.MetricsAccumulator`, so a lazy sample
+        stream is never materialised: the peak transient memory is one image
+        plus the output buffers.  ``index_offset`` is the global index of
+        the first sample (it seeds the network's per-image noise, which is
+        what lets a shard of ``[start, stop)`` reproduce the serial rows).
         """
         accumulator = MetricsAccumulator()
-        for chunk in self.iter_extract_batched(
-            samples, index_offset=index_offset,
-            chunk_size=chunk_size, max_workers=max_workers,
-        ):
-            accumulator.add(chunk)
+        for index, sample in enumerate(samples, start=index_offset):
+            probs = self.network.predict_probabilities(sample.labels, index=index)
+            accumulator.add(
+                self.extractor.extract(probs, gt_labels=sample.labels, image_id=sample.image_id)
+            )
         if accumulator.empty:
             raise ValueError("no samples provided")
         return accumulator.result()

@@ -14,17 +14,11 @@ Protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.registry import DECISION_RULES
-from repro.core.batching import (
-    extraction_defaults,
-    iter_indexed_chunks,
-    map_ordered,
-    normalize_max_workers,
-)
 from repro.decision.evaluation import ClassPrecisionRecall, collect_precision_recall
 from repro.decision.priors import PixelPriorEstimator
 from repro.decision.rules import apply_rule
@@ -32,9 +26,6 @@ from repro.evaluation.segmentation import pixel_accuracy
 from repro.segmentation.datasets import CityscapesLikeDataset, SegmentationSample
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.segmentation.network import SimulatedSegmentationNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
-    from repro.api.config import ExtractionConfig
 
 
 @dataclass
@@ -75,12 +66,10 @@ class DecisionRuleComparison:
         prior_laplace_smoothing: float = 2.0,
         prior_spatial_sigma: float = 2.0,
         prior_global_blend: float = 0.25,
-        extraction: Optional["ExtractionConfig"] = None,
     ) -> None:
         self.network = network
         self.label_space = label_space or cityscapes_label_space()
         self.category = category
-        _, self._default_max_workers = extraction_defaults(extraction)
         self.prior_estimator = PixelPriorEstimator(
             label_space=self.label_space,
             laplace_smoothing=prior_laplace_smoothing,
@@ -103,9 +92,9 @@ class DecisionRuleComparison:
     def set_priors(self, priors: np.ndarray) -> None:
         """Install an externally fitted (H, W, C) prior field.
 
-        Used by the sharded execution backend: the parent process fits the
-        priors once and ships the array to the shard workers, which is both
-        cheaper than refitting per worker and trivially bit-identical.
+        Used by the stage-1 shards: the Runner fits the priors once (or loads
+        them from the store) and ships the array to every shard, which is
+        both cheaper than refitting per shard and trivially bit-identical.
         """
         self._priors = np.asarray(priors, dtype=np.float64)
 
@@ -164,28 +153,17 @@ class DecisionRuleComparison:
         rules: Sequence[str] = ("bayes", "ml"),
         index_offset: int = 0,
         strengths: Optional[Dict[str, float]] = None,
-        max_workers: Optional[int] = None,
-        chunk_size: int = 8,
     ) -> "Iterable[Dict[str, Tuple[List[float], List[float], float]]]":
         """Yield the per-sample rule results in sample order.
 
         The lazy producer side of :meth:`compare`: samples are consumed one
-        chunk at a time (chunks widen to ``max_workers`` so the requested
-        thread fan-out is achievable), and results are yielded in input
-        order, so any fold over this stream is bit-identical to the serial
-        path.  Shard workers of the process execution backend call this with
-        an ``index_offset`` equal to their shard start.
+        at a time, so any fold over this stream holds one sample's pixels.
+        Stage-1 shards call this with an ``index_offset`` equal to their
+        shard start (it seeds the network's per-image noise).
         """
         strengths = strengths or {}
-        max_workers = normalize_max_workers(max_workers, self._default_max_workers)
-        for indexed in iter_indexed_chunks(samples, chunk_size, max_workers, index_offset):
-            yield from map_ordered(
-                lambda indexed_sample: self._compare_one(
-                    indexed_sample[1], indexed_sample[0], rules, strengths
-                ),
-                indexed,
-                max_workers=max_workers,
-            )
+        for index, sample in enumerate(samples, start=index_offset):
+            yield self._compare_one(sample, index, rules, strengths)
 
     def fold_compare_results(
         self,
@@ -194,8 +172,8 @@ class DecisionRuleComparison:
     ) -> Tuple[DecisionRuleResult, int]:
         """Fold a stream of per-sample results into one DecisionRuleResult.
 
-        The single reduction shared by the serial, streaming and sharded
-        paths: per-rule statistics are extended in sample order and the
+        The single reduction shared by :meth:`compare` and the stage-1
+        shard fold: per-rule statistics are extended in sample order and the
         pixel-accuracy sum is divided once at the end, so every path that
         produces the same per-sample stream folds to bitwise-equal numbers.
         Returns the result together with the number of samples consumed.
@@ -222,54 +200,23 @@ class DecisionRuleComparison:
 
     def compare(
         self,
-        samples: Sequence[SegmentationSample],
-        rules: Sequence[str] = ("bayes", "ml"),
-        index_offset: int = 0,
-        strengths: Optional[Dict[str, float]] = None,
-        max_workers: Optional[int] = None,
-    ) -> DecisionRuleResult:
-        """Run the comparison over evaluation samples (Fig. 5 protocol).
-
-        Samples are independent, so ``max_workers`` > 1 evaluates them on a
-        thread pool through the shared batched-execution layer.  The per-rule
-        statistics are merged back in sample order, making the result
-        bit-identical to the serial run.  ``max_workers=None`` falls back to
-        the comparison's extraction config (serial by default).
-        """
-        if not samples:
-            raise ValueError("at least one evaluation sample is required")
-        result, _ = self.fold_compare_results(
-            self.iter_compare_samples(
-                samples, rules=rules, index_offset=index_offset,
-                strengths=strengths, max_workers=max_workers,
-            ),
-            rules=rules,
-        )
-        return result
-
-    def compare_streaming(
-        self,
         samples: "Iterable[SegmentationSample]",
         rules: Sequence[str] = ("bayes", "ml"),
         index_offset: int = 0,
         strengths: Optional[Dict[str, float]] = None,
-        max_workers: Optional[int] = None,
-    ) -> Tuple[DecisionRuleResult, int]:
-        """Never-materialise variant of :meth:`compare` for lazy sample streams.
+    ) -> DecisionRuleResult:
+        """Run the comparison over evaluation samples (Fig. 5 protocol).
 
-        Folds the per-sample results as they are produced, so neither the
-        sample list nor the per-sample result list is ever held in memory.
-        Bitwise identical to :meth:`compare` on the same samples; also
-        returns the number of samples consumed (the caller cannot ``len()``
-        a stream).
+        Folds :meth:`iter_compare_samples` as it is produced, so a lazy
+        sample stream is never materialised.
         """
-        return self.fold_compare_results(
+        result, _ = self.fold_compare_results(
             self.iter_compare_samples(
-                samples, rules=rules, index_offset=index_offset,
-                strengths=strengths, max_workers=max_workers,
+                samples, rules=rules, index_offset=index_offset, strengths=strengths
             ),
             rules=rules,
         )
+        return result
 
     # ------------------------------------------------------------------ ---
     def run_on_dataset(

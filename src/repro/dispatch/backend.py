@@ -1,23 +1,21 @@
 """The ``distributed`` execution backend: shard fan-out over the work queue.
 
 :class:`DistributedBackend` is the :class:`~repro.api.execution.ProcessBackend`
-with its process-pool shard computation replaced by the fault-tolerant
-dispatch queue: a :class:`~repro.dispatch.coordinator.Coordinator` serves
-the shard specs over localhost TCP to ``multiprocessing`` workers running
+with one method replaced: :meth:`~DistributedBackend.map` hands the shard
+specs to the fault-tolerant dispatch queue instead of a process pool.  A
+:class:`~repro.dispatch.coordinator.Coordinator` serves the specs over
+localhost TCP to ``multiprocessing`` workers running
 :func:`~repro.dispatch.worker.worker_main` (externally attached
 ``python -m repro worker`` processes can join the same queue).  Everything
-else — spec construction, trace-envelope absorption, shard-order merging,
-the serial fallback for one worker / one item — is inherited, so the
-bitwise-parity contract of the base class carries over verbatim; the queue
-adds worker-loss tolerance, lease timeouts, retry with backoff, dedup and
-inline graceful degradation on top.
+else — spec construction, trace-envelope absorption, shard-order folding,
+the inline walk for a single shard, and the store's single-flight shard
+claims — is inherited, so the bitwise-parity contract of the base class
+carries over verbatim; the queue adds worker-loss tolerance, lease
+timeouts, retry with backoff, dedup and inline graceful degradation on top.
 
-With a store attached, shard reuse additionally becomes *single-flight*
-across processes: missing shard keys are claimed through the store's
-lock-file primitives, unclaimed keys (another run is computing them right
-now) are waited on and re-read, and a waiter whose producer died rescues
-the shard by computing it inline.  Concurrent runs over the same config
-therefore compute each shard once, not once per run.
+The public :meth:`~DistributedBackend.map` also carries whole sweep points
+(:mod:`repro.sweep.driver`): any module-level function over picklable
+items can ride the queue.
 
 Queue stats accumulate on ``self.dispatch_stats`` (the Runner copies them
 into ``report.cache["dispatch"]``) and mirror to ``METRICS`` under
@@ -27,7 +25,7 @@ into ``report.cache["dispatch"]``) and mirror to ``METRICS`` under
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.api.config import ExecutionConfig
 from repro.api.execution import ProcessBackend
@@ -90,11 +88,17 @@ class DistributedBackend(ProcessBackend):
                 keys.append(None)
         return keys if any(key is not None for key in keys) else None
 
-    def _compute_shards(self, worker: Callable, specs: List[Dict]) -> List:
-        """Compute shard specs through the dispatch queue (results in order)."""
+    def map(self, fn: Callable, items: Iterable) -> List:
+        """``fn`` over ``items`` through the dispatch queue, in input order.
+
+        ``fn`` must be a module-level function (workers import it by name)
+        and the items picklable.  A single item, or a call from inside a
+        dispatch worker, runs inline.
+        """
+        specs = list(items)
         if len(specs) == 1 or is_worker_process():
-            return [worker(spec) for spec in specs]
-        fn = f"{worker.__module__}:{worker.__qualname__}"
+            return [fn(spec) for spec in specs]
+        name = f"{fn.__module__}:{fn.__qualname__}"
         fault_plan = FaultPlan.from_env()
         n_workers = min(self.default_workers(), len(specs))
         context = _worker_context()
@@ -117,11 +121,11 @@ class DistributedBackend(ProcessBackend):
                 spawned.append(process)
             try:
                 results = coordinator.run(
-                    fn, specs, keys=self._dedup_keys(specs), spawned=spawned
+                    name, specs, keys=self._dedup_keys(specs), spawned=spawned
                 )
             finally:
-                for name, value in coordinator.stats.items():
-                    self.dispatch_stats[name] += value
+                for stat, value in coordinator.stats.items():
+                    self.dispatch_stats[stat] += value
                 coordinator.close()  # EOF tells lingering workers to exit
                 for process in spawned:
                     process.join(timeout=JOIN_TIMEOUT)
@@ -130,65 +134,6 @@ class DistributedBackend(ProcessBackend):
                         process.terminate()
                         process.join(timeout=JOIN_TIMEOUT)
         return results
-
-    # ------------------------------------------------- single-flight caching
-    def _map_shards(self, worker: Callable, specs: List[Dict]) -> List:
-        """Shard results in shard order, single-flight across processes.
-
-        Without a store this is the queue fan-out.  With one, every missing
-        shard key is either *claimed* (we compute it — one queue run for the
-        whole claimed batch — and publish), or already claimed by another
-        process, in which case we wait and re-read; if that producer dies
-        without publishing, the waiter rescues the shard by computing it
-        inline.  Either way each shard is computed once machine-wide.
-        """
-        if self.store is None:
-            computed = self._compute_shards(worker, specs)
-            return [self._absorb_shard_trace(result) for result in computed]
-        keys = [
-            shard_key(spec["config"], spec["start"], spec["stop"]) for spec in specs
-        ]
-        results: List = [self.store.get(key, codec="pickle") for key in keys]
-        missing = [index for index, result in enumerate(results) if result is None]
-        self.shard_cache["hits"] += len(specs) - len(missing)
-        self.shard_cache["misses"] += len(missing)
-        if not missing:
-            return results
-        claimed = [index for index in missing if self.store.try_claim(keys[index])]
-        waiting = [index for index in missing if index not in set(claimed)]
-        try:
-            if claimed:
-                computed = self._compute_shards(worker, [specs[i] for i in claimed])
-                for index, result in zip(claimed, computed):
-                    results[index] = self._put_shard(keys[index], specs[index], result)
-        finally:
-            for index in claimed:
-                self.store.release(keys[index])
-        for index in waiting:
-            value = self.store.wait_for(keys[index], codec="pickle")
-            if value is None:
-                # The claiming producer died without publishing: rescue the
-                # shard inline (pure function of the spec — same bytes).
-                value = self._put_shard(keys[index], specs[index], worker(specs[index]))
-            results[index] = value
-        return results
-
-    def _put_shard(self, key: str, spec: Dict, result):
-        """Absorb one computed shard's trace envelope and publish it."""
-        result = self._absorb_shard_trace(result)
-        self.store.put(
-            key,
-            result,
-            codec="pickle",
-            provenance={
-                "type": "shard",
-                "kind": spec["config"]["kind"],
-                "start": spec["start"],
-                "stop": spec["stop"],
-                "config_hash": key,
-            },
-        )
-        return result
 
 
 __all__ = ["DistributedBackend", "JOIN_TIMEOUT"]

@@ -22,8 +22,8 @@ at a time, never the whole dump).
 The adapter presents the exact duck-typed network interface the pipelines
 consume — ``predict_probabilities(gt_labels, index)``, ``profile.name``,
 ``label_space``, ``n_classes`` — so it drops into every experiment kind that
-walks single frames (``metaseg`` / ``decision``), every execution backend and
-streaming mode unchanged.  ``index`` is the position in the validation walk;
+walks single frames (``metaseg`` / ``decision``) and every execution backend
+unchanged.  ``index`` is the position in the validation walk;
 frames are ordered by (city, frame id), the same deterministic order the
 disk dataset uses, and :meth:`SoftmaxDumpNetwork.check_dataset` cross-checks
 the two listings up front so a frame/dump mismatch is a

@@ -18,7 +18,7 @@ Three properties make the keys safe:
   *entire* config (any field change → new key), while per-shard keys
   (:func:`shard_key`) cover only the fields that can influence the shard's
   stage-1 payload (:func:`stage1_payload`).  Fields that are documented
-  bit-neutral (worker counts, chunk sizes, execution backend) and fields only
+  bit-neutral (the execution section: backend and worker count) and fields only
   consumed by the parent-side evaluation protocol (meta-model lists,
   resampling parameters) are excluded — that is what lets a sweep that only
   changes the meta-model reuse every extraction shard.
@@ -101,8 +101,8 @@ def stage1_payload(config_dict: Dict[str, object]) -> Dict[str, object]:
       the network, the rule list with their strengths, and the category
       (which also determines the priors fitted in the parent).
 
-    Worker counts, chunk sizes and the execution section are excluded: they
-    are bit-neutral by the library-wide contract (enforced by the parity
+    The execution section (backend, worker count, queue knobs) is excluded:
+    it is bit-neutral by the library-wide contract (enforced by the parity
     tests of ``tests/test_api_execution.py``).
     """
     kind = config_dict["kind"]

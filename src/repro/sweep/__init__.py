@@ -2,7 +2,7 @@
 
 A sweep is a base :class:`~repro.api.config.ExperimentConfig` plus a grid of
 values over dotted config fields (``meta_models.classifiers``,
-``extraction.chunk_size``, ``seed``, ...).  The driver expands the grid
+``extraction.connectivity``, ``seed``, ...).  The driver expands the grid
 deterministically, runs every point through the existing
 :class:`~repro.api.runner.Runner` (any execution backend) with
 content-addressed result caching (:mod:`repro.store`) on by default, and

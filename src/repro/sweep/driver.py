@@ -223,7 +223,7 @@ def _run_points_distributed(
         for point in points
     ]
     queue = DistributedBackend(points[0].config.execution)
-    payloads = queue._compute_shards(_sweep_point_payload, specs)
+    payloads = queue.map(_sweep_point_payload, specs)
     results: List[SweepPointResult] = []
     for point, payload in zip(points, payloads):
         report = ExperimentReport.from_dict(payload["report"])
@@ -244,12 +244,11 @@ def run_sweep(
     no_cache: bool = False,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    streaming: Optional[bool] = None,
     tracer: Optional[object] = None,
 ) -> SweepResult:
     """Execute every point of a sweep and return the collected result.
 
-    ``backend`` / ``workers`` / ``streaming`` override the execution section
+    ``backend`` / ``workers`` override the execution section
     of *every* point (they are bit-neutral, so the reports are unaffected).
     Caching is on by default — ``store`` picks the store (default:
     :class:`ResultStore` at the standard root, ``$REPRO_CACHE_DIR``
@@ -279,8 +278,6 @@ def run_sweep(
                 config.execution.backend = backend
             if workers is not None:
                 config.execution.workers = workers
-            if streaming is not None:
-                config.execution.streaming = streaming
             config.validate()
         if _fan_out_points(points):
             # Distributed sweeps ship whole points to queue workers; the

@@ -20,17 +20,11 @@ Protocol, following Section III:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
-from repro.core.batching import (
-    extraction_defaults,
-    map_ordered,
-    normalize_max_workers,
-    supports_cache_kwarg,
-)
 from repro.core.dataset import MetricsDataset
 from repro.core.meta_classification import MetaClassifier
 from repro.core.meta_regression import MetaRegressor
@@ -49,9 +43,6 @@ from repro.timedynamic.time_series import (
 )
 from repro.utils.arrays import mean_std
 from repro.utils.rng import RandomState, as_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
-    from repro.api.config import ExtractionConfig
 
 
 @dataclass
@@ -113,7 +104,6 @@ class TimeDynamicPipeline:
         regression_penalty: float = 1e-3,
         gradient_boosting_params: Optional[dict] = None,
         neural_network_params: Optional[dict] = None,
-        extraction: Optional["ExtractionConfig"] = None,
     ) -> None:
         self.test_network = test_network
         self.reference_network = reference_network
@@ -121,7 +111,6 @@ class TimeDynamicPipeline:
         self.base_features = list(base_features)
         self.classification_penalty = float(classification_penalty)
         self.regression_penalty = float(regression_penalty)
-        _, self._default_max_workers = extraction_defaults(extraction)
         self.gradient_boosting_params = dict(gradient_boosting_params or {
             "n_estimators": 40, "max_depth": 3, "max_features": "sqrt", "subsample": 0.8,
         })
@@ -133,20 +122,8 @@ class TimeDynamicPipeline:
         )
 
     # ------------------------------------------------------------------ ---
-    @staticmethod
-    def _sequence_samples(dataset: KittiLikeDataset, sequence_index: int, cache: bool):
-        """Samples of one sequence, uncached where the substrate supports it.
-
-        Custom registered substrates may not take the ``cache`` keyword; they
-        fall back to their default (cached) accessor, which is still correct,
-        just without the streaming memory bound.
-        """
-        if not cache and supports_cache_kwarg(dataset.samples):
-            return dataset.samples(sequence_index, cache=False)
-        return dataset.samples(sequence_index)
-
     def _process_sequence(
-        self, dataset: KittiLikeDataset, sequence_index: int, cache: bool = True
+        self, dataset: KittiLikeDataset, sequence_index: int
     ) -> SequenceMetrics:
         """Inference, pseudo labelling, extraction and tracking for one sequence.
 
@@ -158,7 +135,7 @@ class TimeDynamicPipeline:
         table, so per-frame cost is O(H×W) rather than O(n_segments × H×W).
         """
         frames_per_sequence = dataset.n_frames_per_sequence
-        samples = self._sequence_samples(dataset, sequence_index, cache)
+        samples = dataset.samples(sequence_index, cache=False)
         probability_fields = []
         real_gt: List[Optional[np.ndarray]] = []
         pseudo_gt: List[Optional[np.ndarray]] = []
@@ -182,47 +159,28 @@ class TimeDynamicPipeline:
             probability_fields, real_gt, pseudo_gt, sequence_id=sequence_index
         )
 
-    def process_dataset(
-        self,
-        dataset: KittiLikeDataset,
-        max_workers: Optional[int] = None,
-        cache: bool = True,
-    ) -> List[SequenceMetrics]:
+    def process_dataset(self, dataset: KittiLikeDataset) -> List[SequenceMetrics]:
         """Run inference, pseudo labelling, metric extraction and tracking.
 
-        Sequences are independent of each other (network RNG is derived from
-        the global frame index, tracking state lives per sequence), so with
-        ``max_workers`` > 1 they are processed on a thread pool via the shared
-        batched-execution layer; the returned list is ordered by sequence
-        index and bit-identical to the serial run.  ``max_workers=None``
-        falls back to the pipeline's extraction config (serial by default).
-        ``cache=False`` regenerates and releases each sequence's raw frames
-        instead of caching the whole dataset's pixel data (the streaming
-        walk); results are bitwise identical either way.
+        The list of :meth:`iter_process_dataset`, ordered by sequence index.
         """
-        max_workers = normalize_max_workers(max_workers, self._default_max_workers)
-        return map_ordered(
-            lambda sequence_index: self._process_sequence(dataset, sequence_index, cache=cache),
-            range(dataset.n_sequences),
-            max_workers=max_workers,
-        )
+        return list(self.iter_process_dataset(dataset))
 
     def iter_process_dataset(
         self,
         dataset: KittiLikeDataset,
         start: int = 0,
         stop: Optional[int] = None,
-        cache: bool = True,
     ) -> "Iterator[SequenceMetrics]":
-        """Streaming variant of :meth:`process_dataset`.
+        """Yield the :class:`SequenceMetrics` of sequences ``start..stop``.
 
-        Yields the :class:`SequenceMetrics` of sequences ``start..stop`` one
-        at a time (bitwise identical to the corresponding slice of the serial
-        :meth:`process_dataset` result).  With ``cache=False`` the raw frames
-        of a sequence are regenerated on the fly and released as soon as the
-        sequence is processed, so a streaming consumer holds the compact
-        per-sequence metrics but never the pixel data of the whole dataset.
-        The ``start``/``stop`` range is also the process-backend shard unit.
+        Sequences are independent (network RNG is derived from the global
+        frame index, tracking state lives per sequence), so any range yields
+        exactly the matching slice of the full walk.  The raw frames of a
+        sequence are regenerated uncached and released once it is
+        processed, so a consumer holds the compact per-sequence metrics but
+        never the pixel data of the whole dataset.  The ``start``/``stop``
+        range is the stage-1 shard unit.
         """
         if stop is None:
             stop = dataset.n_sequences
@@ -232,7 +190,7 @@ class TimeDynamicPipeline:
                 f"{dataset.n_sequences} sequences"
             )
         for sequence_index in range(start, stop):
-            yield self._process_sequence(dataset, sequence_index, cache=cache)
+            yield self._process_sequence(dataset, sequence_index)
 
     # ------------------------------------------------------------------ ---
     def _make_classifier(self, method: str, seed: int) -> MetaClassifier:

@@ -51,13 +51,14 @@ class TestValidation:
             ("data", {"height": 8}, "at least 32x64"),
             ("data", {"labeled_stride": 0}, "labeled_stride"),
             ("network", {"profile": ""}, "profile name"),
-            ("extraction", {"chunk_size": 0}, "chunk_size"),
-            ("extraction", {"chunk_size": -3}, "chunk_size"),
-            ("extraction", {"max_workers": -1}, "max_workers"),
+            # Removed keys: rejected whatever their value.
+            ("extraction", {"chunk_size": 8}, "chunk_size"),
+            ("extraction", {"chunk_size": None}, "chunk_size"),
+            ("extraction", {"max_workers": 2}, "max_workers"),
             ("extraction", {"connectivity": 6}, "connectivity"),
             ("execution", {"backend": ""}, "backend"),
             ("execution", {"workers": -2}, "workers"),
-            ("execution", {"streaming": "yes"}, "streaming"),
+            ("execution", {"streaming": True}, "streaming"),
             ("execution", {"lease_timeout": 0}, "lease_timeout"),
             ("execution", {"lease_timeout": True}, "lease_timeout"),
             ("execution", {"max_retries": -1}, "max_retries"),
@@ -75,25 +76,13 @@ class TestValidation:
         ],
     )
     def test_section_validation(self, section, kwargs, message):
-        section_types = {
-            "data": DataConfig,
-            "network": NetworkConfig,
-            "extraction": ExtractionConfig,
-            "execution": ExecutionConfig,
-            "meta_models": MetaModelConfig,
-            "evaluation": EvalConfig,
-        }
-        config = ExperimentConfig(**{section: section_types[section](**kwargs)})
         with pytest.raises(ValueError, match=message):
-            config.validate()
+            ExperimentConfig.from_dict({section: kwargs}, validate=False).validate()
 
     def test_serial_worker_counts_are_valid(self):
         """The unified contract: None/0/1 all mean serial and all validate."""
         for workers in (None, 0, 1):
-            ExperimentConfig(
-                extraction=ExtractionConfig(max_workers=workers),
-                execution=ExecutionConfig(workers=workers),
-            ).validate()
+            ExperimentConfig(execution=ExecutionConfig(workers=workers)).validate()
 
 
 class TestParseTimeValidation:
@@ -102,14 +91,14 @@ class TestParseTimeValidation:
     @pytest.mark.parametrize(
         "section, payload, fragment",
         [
-            ("extraction", {"chunk_size": 0}, "extraction: chunk_size"),
-            ("extraction", {"chunk_size": -4}, "extraction: chunk_size"),
-            ("extraction", {"max_workers": -1}, "extraction: max_workers"),
-            ("extraction", {"chunk_size": True}, "extraction: chunk_size"),
+            ("extraction", {"chunk_size": 8}, "extraction: chunk_size"),
+            ("extraction", {"chunk_size": 1}, "extraction: chunk_size"),
+            ("extraction", {"max_workers": 4}, "extraction: max_workers"),
+            ("extraction", {"chunk_size": None}, "extraction: chunk_size"),
             ("execution", {"workers": -1}, "execution: workers"),
             ("execution", {"workers": True}, "execution: workers"),
             ("execution", {"backend": ""}, "execution: backend"),
-            ("execution", {"streaming": 3}, "execution: streaming"),
+            ("execution", {"streaming": False}, "execution: streaming"),
             ("execution", {"lease_timeout": -1}, "execution: lease_timeout"),
             ("execution", {"max_retries": "many"}, "execution: max_retries"),
             ("execution", {"backoff": True}, "execution: backoff"),
@@ -118,6 +107,22 @@ class TestParseTimeValidation:
     def test_bad_execution_numbers_fail_at_parse_time(self, section, payload, fragment):
         with pytest.raises(ConfigError, match=fragment):
             ExperimentConfig.from_dict({section: payload})
+
+    @pytest.mark.parametrize(
+        "section, key, replacement",
+        [
+            ("extraction", "chunk_size", "items fold one at a time"),
+            ("extraction", "max_workers", "execution.workers under execution.backend 'thread'"),
+            ("execution", "streaming", "every walk streams uncached"),
+        ],
+    )
+    def test_removed_keys_name_their_replacement(self, section, key, replacement):
+        for validate in (True, False):
+            with pytest.raises(ConfigError) as error:
+                ExperimentConfig.from_dict({section: {key: None}}, validate=validate)
+            message = str(error.value)
+            assert f"{section}: {key} was removed" in message
+            assert replacement in message
 
     def test_config_error_is_a_value_error(self):
         # Callers that catch ValueError (the CLI, older tests) keep working.
@@ -131,7 +136,7 @@ class TestParseTimeValidation:
 
     def test_valid_execution_section_round_trips(self):
         config = ExperimentConfig.from_dict(
-            {"execution": {"backend": "process", "workers": 4, "streaming": True}}
+            {"execution": {"backend": "process", "workers": 4}}
         )
         assert config.execution.backend == "process"
         rebuilt = ExperimentConfig.from_json(config.to_json())
@@ -160,7 +165,7 @@ class TestSerialisation:
             seed=17,
             data=DataConfig(dataset="kitti_like", n_sequences=3, n_frames=5),
             network=NetworkConfig(profile="mobilenetv2", overrides={"miss_rate": 0.1}),
-            extraction=ExtractionConfig(chunk_size=4, max_workers=2),
+            extraction=ExtractionConfig(connectivity=4),
             meta_models=MetaModelConfig(
                 classifiers=["gradient_boosting"],
                 regressors=["gradient_boosting"],

@@ -1,16 +1,19 @@
-"""Tests for repro.api.execution: backends, sharding and streaming.
+"""Tests for repro.api.execution: the stage-1 walk, its shards and backends.
 
 The acceptance criterion of the execution layer is absolute: every backend
-(``serial`` / ``thread`` / ``process``) and the streaming aggregation path
-produce **bitwise identical** reports on all three experiment kinds.  The
-parity tests below follow the PR-1 fuzz-harness style — seeded cases, exact
+(``serial`` / ``thread`` / ``process``) at every worker count produces
+**bitwise identical** reports on all three experiment kinds.  The parity
+tests below follow the fuzz-harness style — seeded cases, exact
 (float-equal) table comparison — and the memory test pins the streaming
-path's O(chunk) claim with ``tracemalloc``.
+walk's O(image) claim with ``tracemalloc``.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.core.pipeline import MetaSegPipeline
 from repro.segmentation.datasets import CityscapesLikeDataset
 from repro.segmentation.network import SimulatedSegmentationNetwork, mobilenetv2_profile
 from repro.segmentation.scene import SceneConfig
+from repro.store import ResultStore, shard_key
 
 TINY_HEIGHT = 48
 TINY_WIDTH = 96
@@ -72,10 +76,8 @@ PAYLOADS = {
 #: Execution-section variants that must all be bitwise identical to serial.
 VARIANTS = (
     {"backend": "thread", "workers": 2},
+    {"backend": "thread", "workers": 3},
     {"backend": "process", "workers": 2},
-    {"backend": "serial", "streaming": True},
-    {"backend": "thread", "workers": 2, "streaming": True},
-    {"backend": "process", "workers": 2, "streaming": True},
 )
 
 
@@ -129,7 +131,7 @@ def serial_reports():
 
 
 class TestBackendParity:
-    """process / thread / streaming == serial, bitwise, on all three kinds."""
+    """process / thread == serial, bitwise, on all three kinds."""
 
     @pytest.mark.parametrize("execution", VARIANTS, ids=lambda e: "-".join(
         f"{k}={v}" for k, v in e.items()))
@@ -152,10 +154,21 @@ class TestBackendParity:
         )
         assert_reports_identical(sharded, serial, "metaseg/3-shards")
 
+    def test_thread_shards_merge_in_index_order(self):
+        serial = run_with_execution(metaseg_payload(4), {"backend": "serial"})
+        sharded = run_with_execution(
+            metaseg_payload(4), {"backend": "thread", "workers": 3}
+        )
+        assert_reports_identical(sharded, serial, "metaseg/3-thread-shards")
+
 
 @pytest.mark.fuzz
 class TestBackendParityFuzz:
-    """Extended seeded sweep (select with ``-m fuzz``, run by scripts/ci.sh)."""
+    """Extended seeded sweep (select with ``-m fuzz``, run by scripts/ci.sh).
+
+    The serial reference is the streaming walk every backend shares: one
+    inline shard reading items uncached and folding them one at a time.
+    """
 
     @pytest.mark.parametrize("seed", [1, 9, 23])
     @pytest.mark.parametrize("kind", sorted(PAYLOADS))
@@ -164,7 +177,7 @@ class TestBackendParityFuzz:
         for execution in (
             {"backend": "process", "workers": 2},
             {"backend": "thread", "workers": 3},
-            {"backend": "serial", "streaming": True},
+            {"backend": "thread", "workers": 1},
         ):
             report = run_with_execution(PAYLOADS[kind](seed), execution)
             assert_reports_identical(report, serial, f"{kind}/seed{seed}/{execution}")
@@ -183,17 +196,21 @@ class TestBackendSemantics:
             Runner().resolve(config)
 
     def test_workers_zero_and_one_degenerate_to_serial(self, serial_reports):
-        for workers in (0, 1):
-            report = run_with_execution(
-                metaseg_payload(3), {"backend": "process", "workers": workers}
-            )
-            assert_reports_identical(report, serial_reports["metaseg"], f"workers={workers}")
+        for backend in ("thread", "process"):
+            for workers in (0, 1):
+                report = run_with_execution(
+                    metaseg_payload(3), {"backend": backend, "workers": workers}
+                )
+                assert_reports_identical(
+                    report, serial_reports["metaseg"], f"{backend}/workers={workers}"
+                )
 
     def test_backend_factories_honour_worker_contract(self):
-        assert SerialBackend(ExecutionConfig())._pipeline_workers() is None
-        assert ThreadBackend(ExecutionConfig(workers=3))._pipeline_workers() == 3
+        assert SerialBackend(ExecutionConfig(workers=8)).default_workers() == 1
+        assert ThreadBackend(ExecutionConfig(workers=3)).default_workers() == 3
         assert ProcessBackend(ExecutionConfig(workers=5)).default_workers() == 5
-        with pytest.raises(ValueError, match="max_workers"):
+        assert ThreadBackend(ExecutionConfig()).default_workers() == (os.cpu_count() or 1)
+        with pytest.raises(ConfigError, match="execution: workers"):
             SerialBackend(ExecutionConfig(workers=-1))
 
     def test_explicit_zero_and_one_workers_never_fan_out(self):
@@ -203,16 +220,21 @@ class TestBackendSemantics:
                 assert backend_cls(ExecutionConfig(workers=workers)).default_workers() == 1
 
     def test_sharded_size_errors_distinguish_capability_from_emptiness(self):
+        # A substrate without the index accessors cannot be walked by any
+        # backend: that is a resolve-time capability error, distinct from
+        # the empty-split errors below.
         class NoIndexAccess:
-            pass
+            def val_samples(self):
+                return []
 
-        with pytest.raises(ValueError, match="use backend 'serial' or 'thread'"):
-            ProcessBackend._sharded_workload_size(NoIndexAccess(), "n_val")
+        config = ExperimentConfig.from_dict(metaseg_payload(0))
+        with pytest.raises(ValueError, match="lacks n_val, val_sample"):
+            Runner._check_dataset_kind(config, NoIndexAccess())
 
     def test_empty_decision_train_split_is_a_config_error_everywhere(self):
         payload = decision_payload(0)
         payload["data"]["n_train"] = 0
-        for execution in ({"backend": "serial"}, {"backend": "serial", "streaming": True},
+        for execution in ({"backend": "serial"}, {"backend": "thread", "workers": 2},
                           {"backend": "process", "workers": 2}):
             with pytest.raises(ValueError, match="data.n_train >= 1"):
                 run_with_execution(payload, execution)
@@ -221,7 +243,7 @@ class TestBackendSemantics:
         payload = metaseg_payload(0)
         payload["data"]["n_val"] = 0
         for execution in ({"backend": "serial"}, {"backend": "process", "workers": 2},
-                          {"backend": "serial", "streaming": True}):
+                          {"backend": "thread", "workers": 2}):
             with pytest.raises(ValueError, match="n_val >= 1"):
                 run_with_execution(payload, execution)
 
@@ -230,7 +252,10 @@ class TestBackendSemantics:
 class TestMetricsAccumulator:
     def test_fold_matches_concatenate(self, metaseg_pipeline, cityscapes_like):
         samples = cityscapes_like.val_samples()
-        chunks = list(metaseg_pipeline.iter_extract_batched(samples, chunk_size=2))
+        chunks = [
+            metaseg_pipeline.extract_dataset(samples[start:start + 2], index_offset=start)
+            for start in range(0, len(samples), 2)
+        ]
         accumulator = MetricsAccumulator()
         for chunk in chunks:
             accumulator.add(chunk)
@@ -263,10 +288,9 @@ class TestMetricsAccumulator:
 
 # ------------------------------------------------------------- peak memory --
 class TestStreamingPeakMemory:
-    """The streaming path's O(chunk) claim, pinned with tracemalloc."""
+    """The streaming walk's O(image) claim, pinned with tracemalloc."""
 
     N_VAL = 24
-    CHUNK = 4
 
     def _workload(self):
         dataset = CityscapesLikeDataset(
@@ -277,23 +301,37 @@ class TestStreamingPeakMemory:
         network = SimulatedSegmentationNetwork(mobilenetv2_profile(), random_state=7)
         return dataset, MetaSegPipeline(network)
 
+    @staticmethod
+    def _materialised(dataset, pipeline) -> MetricsDataset:
+        """Oracle: the whole sample list, per-image parts, one concatenate."""
+        samples = dataset.val_samples()
+        parts = [
+            pipeline.extractor.extract(
+                pipeline.network.predict_probabilities(sample.labels, index=index),
+                gt_labels=sample.labels,
+                image_id=sample.image_id,
+            )
+            for index, sample in enumerate(samples)
+        ]
+        return MetricsDataset.concatenate(parts)
+
     def test_streaming_peak_below_batched_peak(self):
         # Warm up allocator caches / lazy imports outside the measurement.
         dataset, pipeline = self._workload()
-        pipeline.extract_dataset_batched(dataset.val_samples()[:2])
+        pipeline.extract_dataset(dataset.val_samples()[:2])
 
         gc.collect()
         dataset, pipeline = self._workload()
         tracemalloc.start()
-        batched = pipeline.extract_dataset_batched(dataset.val_samples())
+        batched = self._materialised(dataset, pipeline)
         peak_batched = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
 
         gc.collect()
         dataset, pipeline = self._workload()
         tracemalloc.start()
-        streamed = pipeline.extract_dataset_streaming(
-            dataset.iter_val(cache=False), chunk_size=self.CHUNK
+        streamed = pipeline.extract_dataset(
+            dataset.val_sample(index, cache=False) for index in range(self.N_VAL)
         )
         peak_streaming = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -301,14 +339,58 @@ class TestStreamingPeakMemory:
         # Same numbers ...
         np.testing.assert_array_equal(streamed.features, batched.features)
         np.testing.assert_array_equal(streamed.target_iou(), batched.target_iou())
-        # ... at measurably lower peak memory: the batched walk holds the
-        # full sample list + per-image parts, the streaming walk only one
-        # chunk plus the output buffers.  Measured ~0.73x; gated at 0.95x so
-        # allocator/platform variance on the small workload cannot flake the
-        # tier-1 suite while a real regression (>= 1x) still fails clearly.
+        # ... at measurably lower peak memory: the oracle holds the full
+        # sample list + per-image parts, the streaming walk one image plus
+        # the output buffers.  Gated at 0.95x so allocator/platform variance
+        # on the small workload cannot flake the tier-1 suite while a real
+        # regression (>= 1x) still fails clearly.
         assert peak_streaming < 0.95 * peak_batched, (
             f"streaming peak {peak_streaming} not below batched peak {peak_batched}"
         )
+
+
+# -------------------------------------------------------- single flight --
+class TestProcessSingleFlight:
+    """Concurrent ``process`` runs on one store compute each shard once."""
+
+    def test_process_run_waits_on_a_claimed_shard_then_rescues_it(self, tmp_path):
+        payload = {**metaseg_payload(5), "execution": {"backend": "process", "workers": 2}}
+        config = ExperimentConfig.from_dict(payload)
+        store = ResultStore(tmp_path)
+        keys = [shard_key(config.to_dict(), start, stop) for start, stop in shard_ranges(5, 2)]
+        # Another producer (this test process) is computing shard 0.
+        assert store.try_claim(keys[0])
+        outcome = {}
+
+        def run():
+            try:
+                outcome["report"] = Runner(store=store).run(config)
+            except BaseException as exc:  # surfaced by the assertions below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run)
+        released = False
+        try:
+            thread.start()
+            deadline = time.monotonic() + 60.0
+            while store.get(keys[1], codec="pickle") is None and thread.is_alive():
+                assert time.monotonic() < deadline, "shard 1 was never published"
+                time.sleep(0.05)
+            time.sleep(0.3)
+            # The run computed the unclaimed shard and now waits on ours.
+            assert thread.is_alive(), "the run finished without waiting on the claim"
+            assert store.get(keys[0], codec="pickle") is None
+        finally:
+            released = store.release(keys[0])
+            thread.join(timeout=120.0)
+        assert released
+        assert "error" not in outcome, outcome.get("error")
+        report = outcome["report"]
+        # Released unpublished: the run rescued shard 0 inline.
+        assert store.get(keys[0], codec="pickle") is not None
+        assert report.cache["shards"] == {"hits": 0, "misses": 2}
+        serial = Runner().run(ExperimentConfig.from_dict(metaseg_payload(5)))
+        assert_reports_identical(report, serial, "single-flight rescue")
 
 
 # ------------------------------------------------------------------- CLI --
@@ -327,7 +409,7 @@ class TestCliExecutionOverrides:
         assert main(["run", str(path), "--output", str(serial_out)]) == 0
         assert main([
             "run", str(path), "--backend", "process", "--workers", "2",
-            "--streaming", "--output", str(sharded_out),
+            "--output", str(sharded_out),
         ]) == 0
         capsys.readouterr()
         import json
@@ -341,15 +423,18 @@ class TestCliExecutionOverrides:
         assert sharded["config"]["execution"]["backend"] == "process"
 
     def test_no_streaming_overrides_config(self, tmp_path, capsys):
+        # Every walk streams: the --streaming/--no-streaming flags are gone,
+        # and a config still carrying the key names what replaced it.
+        path = self._write(tmp_path, metaseg_payload(3))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(path), "--no-streaming"])
+        assert exit_info.value.code == 2
         payload = metaseg_payload(3)
         payload["execution"] = {"backend": "serial", "streaming": True}
         path = self._write(tmp_path, payload)
-        out = tmp_path / "report.json"
-        assert main(["run", str(path), "--no-streaming", "--output", str(out)]) == 0
-        capsys.readouterr()
-        import json
-
-        assert json.loads(out.read_text())["config"]["execution"]["streaming"] is False
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "execution: streaming was removed" in err and "drop the key" in err
 
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, metaseg_payload(0))

@@ -15,7 +15,7 @@ from repro.api.config import (
     DataConfig,
     EvalConfig,
     ExperimentConfig,
-    ExtractionConfig,
+    ExecutionConfig,
     MetaModelConfig,
     NetworkConfig,
 )
@@ -30,14 +30,14 @@ TINY_HEIGHT = 48
 TINY_WIDTH = 96
 
 
-def metaseg_config(seed: int = 9, max_workers=None) -> ExperimentConfig:
+def metaseg_config(seed: int = 9, execution=None) -> ExperimentConfig:
     return ExperimentConfig(
         kind="metaseg",
         name="tiny",
         seed=seed,
         data=DataConfig(dataset="cityscapes_like", n_val=4,
                         height=TINY_HEIGHT, width=TINY_WIDTH),
-        extraction=ExtractionConfig(max_workers=max_workers),
+        execution=execution or ExecutionConfig(),
         evaluation=EvalConfig(n_runs=2),
     )
 
@@ -136,10 +136,34 @@ class TestRunnerMetaseg:
 
     def test_parallel_extraction_bit_identical(self, metaseg_report):
         # Only the config echo may differ; tables and provenance are bitwise
-        # equal because parallel extraction is order-preserving.
-        parallel = Runner().run(metaseg_config(max_workers=4))
+        # equal because the thread shards fold in order.
+        parallel = Runner().run(
+            metaseg_config(execution=ExecutionConfig(backend="thread", workers=4))
+        )
         assert parallel.tables == metaseg_report.tables
         assert parallel.provenance == metaseg_report.provenance
+
+    def test_score_walks_the_split_by_index_uncached(self, monkeypatch):
+        config = metaseg_config()
+        runner = Runner()
+        model = runner.fit(config)
+        resolved = runner.resolve(config)
+        extractor = model.build_extractor()
+        expected = []
+        for index in range(resolved.dataset.n_val):
+            sample = resolved.dataset.val_sample(index)
+            probs = resolved.network.predict_probabilities(sample.labels, index=index)
+            expected.append(
+                model.score_frame(probs, extractor=extractor, image_id=sample.image_id)
+            )
+
+        def materialise(self):
+            raise AssertionError("Runner.score must not hold the whole split")
+
+        monkeypatch.setattr(CityscapesLikeDataset, "val_samples", materialise)
+        scored = runner.score(config, model)
+        assert scored["n_frames"] == len(expected)
+        assert json.dumps(scored["frames"]) == json.dumps(expected)
 
     def test_feature_group_restriction_runs(self):
         config = metaseg_config()

@@ -8,7 +8,7 @@ contract (a large dump is sliced, never materialised — enforced with a
 tracemalloc peak bound), and the headline property: an experiment run
 against the committed fixture tree is **bitwise identical** to the
 in-memory synthetic run it was generated from — under serial, thread and
-process backends, streaming mode, and through the result store.
+process backends, and through the result store.
 """
 
 import json
@@ -435,9 +435,9 @@ class TestFixtureParity:
         [
             {"backend": "process", "workers": 2},
             {"backend": "thread", "workers": 2},
-            {"backend": "serial", "streaming": True},
+            {"backend": "distributed", "workers": 2},
         ],
-        ids=["process", "thread", "streaming"],
+        ids=["process", "thread", "distributed"],
     )
     def test_metaseg_backends(self, synthetic_metaseg_report, execution):
         assert comparable(run(disk_payload(**execution))) == comparable(

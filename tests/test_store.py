@@ -110,7 +110,7 @@ class TestCanonicalKeys:
             (("data", "height"), 64),
             (("network", "profile"), "xception65"),
             (("extraction", "connectivity"), 4),
-            (("extraction", "chunk_size"), 2),
+            (("execution", "lease_timeout"), 5.0),
             (("execution", "backend"), "process"),
             (("execution", "workers"), 2),
             (("meta_models", "classifiers"), ["gradient_boosting"]),
@@ -151,7 +151,7 @@ class TestStage1Scoping:
             lambda d: d["meta_models"].update(classification_penalty=9.0),
             lambda d: d["evaluation"].update(n_runs=7),
             lambda d: d["execution"].update(backend="process", workers=8),
-            lambda d: d["extraction"].update(chunk_size=2, max_workers=3),
+            lambda d: d["execution"].update(lease_timeout=5.0, max_retries=1),
             lambda d: d.update(name="renamed"),
         ):
             mutated = copy.deepcopy(base)
