@@ -40,6 +40,7 @@ from _bench_common import (
 )
 
 from repro.api.config import DataConfig, EvalConfig, ExperimentConfig
+from repro.api.kinds import metaseg_pipeline
 from repro.api.registry import EXECUTION_BACKENDS
 from repro.api.runner import Runner
 from repro.obs import NULL_TRACER, Tracer
@@ -78,7 +79,7 @@ def run_baseline(config: ExperimentConfig) -> Tuple[object, Dict[str, float]]:
         with _timer(timings, "resolve"):
             resolved = runner.resolve(config)
             backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
-        pipeline = runner.build_metaseg_pipeline(resolved)
+        pipeline = metaseg_pipeline(resolved)
         with _timer(timings, "extract"):
             metrics, _ = backend.stage1(resolved)
         with _timer(timings, "evaluate"):

@@ -91,6 +91,8 @@ echo "=== experiment CLI (smoke) ==="
 python -m repro list
 python -m repro run examples/configs/metaseg_small.json
 python -m repro run examples/configs/metaseg_sharded.json
+python -m repro run examples/configs/timedynamic_small.json
+python -m repro run examples/configs/decision_small.json
 
 echo "=== trace export (smoke: run --trace, Chrome trace-event schema) ==="
 TRACE_OUT="${TMP_ROOT}/trace.json"

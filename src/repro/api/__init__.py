@@ -1,15 +1,17 @@
 """Unified experiment API: registries, declarative configs, one Runner.
 
-The subpackage has three layers:
+The subpackage has four layers:
 
 * :mod:`repro.api.registry` — string-keyed registries of every pluggable
   component (network profiles, datasets, metric groups, meta-model variants,
   decision rules), populated by self-registration at import time;
 * :mod:`repro.api.config` — declarative, JSON-round-trippable configuration
   dataclasses (:class:`ExperimentConfig` and its nested sections);
+* :mod:`repro.api.kinds` — the three experiment kinds, one table entry
+  each (substrate, stage-1 shard and fold, protocol and tables);
 * :mod:`repro.api.runner` — the :class:`Runner` that resolves a config
-  through the registries, dispatches to any of the three experiment kinds
-  and returns a unified :class:`ExperimentReport`.
+  through the registries, runs any of the three experiment kinds and
+  returns a unified :class:`ExperimentReport`.
 
 ``python -m repro`` (see :mod:`repro.__main__`) exposes the same API on the
 command line.

@@ -3,17 +3,9 @@
 Stage 1 is the walk over independent items that precedes every protocol:
 Table I extracts the metrics of each validation frame, Table II processes
 each video sequence, and Fig. 5 decodes each validation frame under every
-decision rule.  Each kind is described once, by a :class:`Stage1` entry:
-
-* ``size`` — the substrate attribute holding the item count (``n_val`` or
-  ``n_sequences``);
-* ``shard`` — a pure function ``(resolved, start, stop, priors) -> payload``
-  over the contiguous index range ``[start, stop)``.  It reads items by
-  index and uncached (``val_sample(i, cache=False)`` /
-  ``samples(i, cache=False)``) and folds them one at a time, so a walk never
-  holds more than one item's pixels;
-* ``fold`` — merges the shard payloads, in shard order, into the protocol's
-  input.
+decision rule.  Each kind's item count, pure shard function
+``(resolved, start, stop, priors) -> payload`` and in-order fold are one
+entry of :data:`repro.api.kinds.KINDS`.
 
 A backend does one thing: it maps the shard function over
 ``shard_ranges(n, workers)``.  A single shard always runs inline on the
@@ -42,13 +34,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from itertools import chain
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.api.config import ExecutionConfig, ExperimentConfig
+from repro.api.kinds import KINDS, ExperimentKind
 from repro.api.registry import EXECUTION_BACKENDS
 from repro.api.runner import ResolvedExperiment, Runner
-from repro.core.dataset import MetricsDataset
 from repro.obs import NULL_TRACER, Tracer
 from repro.store import shard_key
 
@@ -77,81 +68,6 @@ def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-# ------------------------------------------------------------ stage-1 kinds
-def _val_samples(resolved: ResolvedExperiment, start: int, stop: int) -> Iterable:
-    """Validation samples ``start..stop``, read lazily and uncached."""
-    dataset = resolved.dataset
-    return (dataset.val_sample(index, cache=False) for index in range(start, stop))
-
-
-def _metaseg_shard(resolved, start: int, stop: int, priors=None) -> MetricsDataset:
-    pipeline = Runner().build_metaseg_pipeline(resolved)
-    return pipeline.extract_dataset(_val_samples(resolved, start, stop), index_offset=start)
-
-
-def _fold_metaseg(resolved, shards: List[MetricsDataset]) -> MetricsDataset:
-    return shards[0] if len(shards) == 1 else MetricsDataset.concatenate(shards)
-
-
-def _timedynamic_shard(resolved, start: int, stop: int, priors=None) -> List:
-    pipeline = Runner().build_timedynamic_pipeline(resolved)
-    return list(pipeline.iter_process_dataset(resolved.dataset, start, stop))
-
-
-def _fold_timedynamic(resolved, shards: List[List]) -> List:
-    return list(chain.from_iterable(shards))
-
-
-def _decision_shard(resolved, start: int, stop: int, priors=None) -> List:
-    comparison = Runner().build_decision_comparison(resolved)
-    comparison.set_priors(priors)
-    return list(
-        comparison.iter_compare_samples(
-            _val_samples(resolved, start, stop),
-            rules=resolved.rules,
-            index_offset=start,
-            strengths=resolved.config.evaluation.strengths,
-        )
-    )
-
-
-def _fold_decision(resolved, shards: List[List]):
-    comparison = Runner().build_decision_comparison(resolved)
-    result, _ = comparison.fold_compare_results(
-        chain.from_iterable(shards), rules=resolved.rules
-    )
-    return result
-
-
-class Stage1(NamedTuple):
-    """One experiment kind's stage 1: item count, shard function and fold."""
-
-    size: str
-    shard: Callable
-    fold: Callable
-    empty_error: str
-
-
-def stage1_of(kind: str) -> Stage1:
-    """The :class:`Stage1` description of an experiment kind."""
-    if kind == "metaseg":
-        return Stage1(
-            "n_val", _metaseg_shard, _fold_metaseg,
-            "metaseg needs data.n_val >= 1 evaluation samples",
-        )
-    if kind == "timedynamic":
-        return Stage1(
-            "n_sequences", _timedynamic_shard, _fold_timedynamic,
-            "timedynamic needs data.n_sequences >= 1",
-        )
-    if kind == "decision":
-        return Stage1(
-            "n_val", _decision_shard, _fold_decision,
-            "decision needs data.n_train >= 1 and data.n_val >= 1",
-        )
-    raise ValueError(f"unknown experiment kind {kind!r}")
-
-
 def _spec_shard(spec: Dict):
     """Compute one shard spec in this process, rebuilding the experiment.
 
@@ -167,7 +83,7 @@ def _spec_shard(spec: Dict):
     def payload():
         config = ExperimentConfig.from_dict(spec["config"])
         resolved = Runner().resolve(config)
-        shard = stage1_of(config.kind).shard
+        shard = KINDS[config.kind].shard
         return shard(resolved, spec["start"], spec["stop"], spec["priors"])
 
     trace = spec.get("trace")
@@ -237,10 +153,10 @@ class SerialBackend:
         ``priors`` (the decision kind's fitted prior field) ride along to
         every shard.
         """
-        kind = stage1_of(resolved.config.kind)
+        kind = KINDS[resolved.config.kind]
         n_items = int(getattr(resolved.dataset, kind.size))
         if n_items < 1:
-            raise ValueError(kind.empty_error)
+            raise ValueError(f"{resolved.config.kind} needs data.{kind.size} >= 1")
         ranges = shard_ranges(n_items, self.default_workers())
         if len(ranges) == 1:
             shards = [kind.shard(resolved, 0, n_items, priors)]
@@ -248,7 +164,7 @@ class SerialBackend:
             shards = self._map_ranges(kind, resolved, ranges, priors)
         return kind.fold(resolved, shards), n_items
 
-    def _map_ranges(self, kind: Stage1, resolved, ranges, priors) -> List:
+    def _map_ranges(self, kind: ExperimentKind, resolved, ranges, priors) -> List:
         """Shard payloads of several ranges, computed in this process."""
         return self.map(lambda bounds: kind.shard(resolved, *bounds, priors), ranges)
 
@@ -296,7 +212,7 @@ class ProcessBackend(ThreadBackend):
         with ProcessPoolExecutor(max_workers=max(1, len(items))) as pool:
             return list(pool.map(fn, items))
 
-    def _map_ranges(self, kind: Stage1, resolved, ranges, priors) -> List:
+    def _map_ranges(self, kind: ExperimentKind, resolved, ranges, priors) -> List:
         config_dict = resolved.config.to_dict()
         specs = [
             {"config": config_dict, "start": start, "stop": stop, "priors": priors}

@@ -2,11 +2,11 @@
 
 One :class:`Runner` executes any :class:`~repro.api.config.ExperimentConfig`:
 it resolves every named component through the registries
-(:mod:`repro.api.registry`), builds the substrate and pipeline for the
-requested kind (``metaseg`` / ``timedynamic`` / ``decision``), runs the
-paper's protocol, and returns a unified :class:`ExperimentReport` — kind
-tag, flat per-variant metric tables, and provenance (config echo, seed,
-stage timings).
+(:mod:`repro.api.registry`), walks stage 1 and runs the paper's protocol
+of the requested kind (``metaseg`` / ``timedynamic`` / ``decision``, each
+one entry of :data:`repro.api.kinds.KINDS`), and returns a unified
+:class:`ExperimentReport` — kind tag, flat per-variant metric tables, and
+provenance (config echo, seed, stage timings).
 
 Every stochastic component derives its seed from the config's single
 ``seed`` field via fixed offsets (see :func:`derived_seeds`), so a Runner
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.api.config import ExperimentConfig
 from repro.api.fitted import FittedModel
+from repro.api.kinds import KINDS, Table, metaseg_pipeline
 from repro.obs import Tracer, timings_view
-from repro.store import FitCache, model_key, priors_key, report_key
+from repro.store import FitCache, model_key, report_key
 from repro.api.registry import (
     DATASETS,
     DECISION_RULES,
@@ -35,28 +34,7 @@ from repro.api.registry import (
     METRIC_GROUPS,
     NETWORK_PROFILES,
 )
-from repro.core.pipeline import MetaSegPipeline
-from repro.decision.pipeline import DecisionRuleComparison
 from repro.segmentation.network import SimulatedSegmentationNetwork
-from repro.timedynamic.pipeline import TimeDynamicPipeline
-from repro.utils.arrays import mean_std
-
-#: A table is a list of flat rows; every row is JSON-serialisable.
-Table = List[Dict[str, object]]
-
-
-def _table_rows(cells) -> Table:
-    """Flatten (key-fields, {metric: (mean, std)}) cells into table rows.
-
-    Every report table shares this row shape — the key fields of the cell
-    plus ``metric``/``mean``/``std`` columns — so downstream consumers need
-    no kind-specific handling.
-    """
-    rows: Table = []
-    for keys, metrics_by_name in cells:
-        for metric, (mean, std) in metrics_by_name.items():
-            rows.append({**keys, "metric": metric, "mean": mean, "std": std})
-    return rows
 
 
 class DerivedSeeds(NamedTuple):
@@ -207,7 +185,8 @@ class Runner:
     """Resolves a config through the registries and runs the experiment.
 
     The Runner owns no state between runs; it is safe to reuse one instance
-    for many configs.  Dispatch is by ``config.kind``::
+    for many configs.  Everything kind-specific comes from the
+    ``config.kind`` entry of :data:`repro.api.kinds.KINDS`::
 
         report = Runner().run(ExperimentConfig(kind="metaseg"))
 
@@ -242,15 +221,16 @@ class Runner:
     def run(self, config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentReport:
         """Execute one experiment and return its unified report.
 
-        The dataset walk is delegated to the execution backend named by
-        ``config.execution.backend`` (``serial`` / ``thread`` / ``process``,
-        resolved through the ``execution_backends`` registry); every backend
-        is bitwise identical to serial, so the choice is purely about
-        wall-clock and memory.
+        Resolve, the kind's optional ``prepare`` step, the stage-1 walk
+        under the kind's span, then its ``evaluate`` hook under the
+        ``evaluate`` span.  The walk is delegated to the execution backend
+        named by ``config.execution.backend`` (``serial`` / ``thread`` /
+        ``process``, resolved through the ``execution_backends`` registry);
+        every backend is bitwise identical to serial, so the choice is
+        purely about wall-clock and memory.
         """
-        if isinstance(config, dict):
-            config = ExperimentConfig.from_dict(config)
-        config.validate()
+        config = _validated(config)
+        kind = KINDS[config.kind]
         tracer = self._run_tracer()
         key = None
         if self.store is not None:
@@ -273,12 +253,18 @@ class Runner:
                 fit_cache = None
                 if self.store is not None:
                     fit_cache = FitCache(self.store, config.to_dict())
-            runner = {
-                "metaseg": self._run_metaseg,
-                "timedynamic": self._run_timedynamic,
-                "decision": self._run_decision,
-            }[config.kind]
-            report = runner(resolved, backend, tracer, fit_cache)
+            priors = None
+            if kind.prepare is not None:
+                priors = kind.prepare(resolved, self.store, tracer, fit_cache)
+            with tracer.span(kind.span, backend=backend.name) as span:
+                folded, n_items = backend.stage1(resolved, priors)
+                span.set(n_items=n_items)
+            with tracer.span("evaluate"):
+                provenance, tables = kind.evaluate(resolved, folded, n_items, fit_cache)
+            report = ExperimentReport(
+                kind=config.kind, name=config.name, seed=config.seed,
+                config=config.to_dict(), tables=tables, provenance=provenance,
+            )
         report.timings = timings_view(tracer.records(), root.span_id)
         if self.store is not None:
             self.store.put(
@@ -320,14 +306,7 @@ class Runner:
         re-extracting and re-fitting; ``model.cache`` records ``hit``/``key``
         like ``report.cache`` does.
         """
-        if isinstance(config, dict):
-            config = ExperimentConfig.from_dict(config)
-        config.validate()
-        if config.kind != "metaseg":
-            raise ValueError(
-                f"Runner.fit builds single-frame scoring models and requires "
-                f"kind 'metaseg', got {config.kind!r}"
-            )
+        config = _serving_config(config)
         key = None
         if self.store is not None:
             key = model_key(config.to_dict())
@@ -338,7 +317,6 @@ class Runner:
                 return model
         resolved = self.resolve(config)
         metrics, n_images = self._backend(config).stage1(resolved)
-        pipeline = self.build_metaseg_pipeline(resolved)
         classifier_name = resolved.classifiers[0]
         regressor_name = resolved.regressors[0]
         params = config.meta_models.model_params
@@ -359,7 +337,7 @@ class Runner:
         model = FittedModel(
             classifier=classifier,
             regressor=regressor,
-            label_space=pipeline.label_space,
+            label_space=metaseg_pipeline(resolved).label_space,
             connectivity=config.extraction.connectivity,
             feature_names=list(metrics.feature_names),
             provenance={
@@ -402,9 +380,7 @@ class Runner:
         responses are bitwise comparable to this output.  ``model`` defaults
         to :meth:`fit` of the same config.
         """
-        if isinstance(config, dict):
-            config = ExperimentConfig.from_dict(config)
-        config.validate()
+        config = _serving_config(config)
         if model is None:
             model = self.fit(config)
         resolved = self.resolve(config)
@@ -436,6 +412,7 @@ class Runner:
         names) on any unknown component name, before anything expensive runs.
         """
         seeds = derived_seeds(config.seed)
+        kind = KINDS[config.kind]
         # Backend first: it is the cheapest lookup and gates everything else.
         EXECUTION_BACKENDS.get(config.execution.backend)
         # A registry entry marked ``builds_network`` is an adapter factory:
@@ -450,7 +427,7 @@ class Runner:
                     f"precomputed outputs; profile overrides only apply to "
                     f"simulated profiles"
                 )
-            if config.kind == "timedynamic":
+            if kind.video:
                 raise ValueError(
                     f"network: profile {config.network.profile!r} serves "
                     f"single validation frames and cannot drive the "
@@ -463,7 +440,7 @@ class Runner:
                 profile = profile.with_overrides(**config.network.overrides)
             network = SimulatedSegmentationNetwork(profile, random_state=seeds.network)
         reference_network = None
-        if config.kind == "timedynamic":
+        if kind.video:
             reference_factory = NETWORK_PROFILES.get(config.network.reference_profile)
             if getattr(reference_factory, "builds_network", False):
                 raise ValueError(
@@ -474,7 +451,15 @@ class Runner:
                 reference_factory(), random_state=seeds.reference_network
             )
         dataset = DATASETS.get(config.data.dataset)(config.data, seeds.data)
-        self._check_dataset_kind(config, dataset)
+        # Valid registry names can still not fit together (a video substrate
+        # for a single-frame kind): a config error here, not a crash mid-walk.
+        missing = [name for name in kind.reads if not hasattr(dataset, name)]
+        if missing:
+            raise ValueError(
+                f"dataset {config.data.dataset!r} does not fit experiment kind "
+                f"{config.kind!r}: it lacks {', '.join(missing)}; "
+                f"this kind needs {kind.substrate}"
+            )
         # Adapter networks can cross-check the substrate they will be walked
         # against (frame/dump mismatch fails here, not mid-extraction).
         check_dataset = getattr(network, "check_dataset", None)
@@ -482,7 +467,7 @@ class Runner:
             check_dataset(dataset)
         group = METRIC_GROUPS.get(config.meta_models.feature_group)
         feature_subset = None if group is None else list(group)
-        if config.kind == "timedynamic":
+        if kind.video:
             # Section III shares one method list across both meta tasks, so
             # each name must be registered as classifier AND regressor.
             for name in config.meta_models.classifiers:
@@ -512,248 +497,25 @@ class Runner:
             rules=list(config.evaluation.rules),
         )
 
-    @staticmethod
-    def _check_dataset_kind(config: ExperimentConfig, dataset: object) -> None:
-        """Reject kind/dataset mismatches with a config error, not a crash.
 
-        Both names can be perfectly valid registry entries and still not fit
-        together (a video substrate for the single-frame kinds, or vice
-        versa).  The substrate interface each kind consumes is duck-typed
-        and index-based: the stage-1 walk reads ``n_val``/``val_sample(i,
-        cache=False)`` (plus ``n_train``/``train_sample`` for the decision
-        priors) or ``n_sequences``/``samples(i, cache=False)``.
-        """
-        if config.kind == "timedynamic":
-            required = ("n_sequences", "samples")
-            shape = "a video substrate (KITTI-like)"
-        else:
-            required = ("n_val", "val_sample")
-            if config.kind == "decision":
-                required += ("n_train", "train_sample")
-            shape = "a single-frame substrate (Cityscapes-like)"
-        missing = [name for name in required if not hasattr(dataset, name)]
-        if missing:
-            raise ValueError(
-                f"dataset {config.data.dataset!r} does not fit experiment kind "
-                f"{config.kind!r}: it lacks {', '.join(missing)}; "
-                f"this kind needs {shape}"
-            )
+def _validated(config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentConfig:
+    """A validated :class:`ExperimentConfig` from a config or its dict form."""
+    if isinstance(config, dict):
+        config = ExperimentConfig.from_dict(config)
+    config.validate()
+    return config
 
-    # ------------------------------------------------------------------ ---
-    def _report(self, resolved: ResolvedExperiment) -> ExperimentReport:
-        config = resolved.config
-        return ExperimentReport(
-            kind=config.kind, name=config.name, seed=config.seed, config=config.to_dict()
+
+def _serving_config(config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentConfig:
+    """The validated config of :meth:`Runner.fit`/:meth:`Runner.score`:
+    serving models score single frames, so only kind ``metaseg`` fits."""
+    config = _validated(config)
+    if config.kind != "metaseg":
+        raise ValueError(
+            f"Runner.fit builds single-frame scoring models and requires "
+            f"kind 'metaseg', got {config.kind!r}"
         )
-
-    # ----------------------------------------------------- pipeline factories
-    # Shared by the kind runners and the stage-1 shard functions
-    # (repro.api.execution), so every shard builds exactly the pipeline the
-    # parent would have used.
-
-    def build_metaseg_pipeline(self, resolved: ResolvedExperiment) -> MetaSegPipeline:
-        """The MetaSeg pipeline of a resolved config."""
-        config = resolved.config
-        return MetaSegPipeline(
-            resolved.network,
-            connectivity=config.extraction.connectivity,
-            classification_penalty=config.meta_models.classification_penalty,
-            regression_penalty=config.meta_models.regression_penalty,
-        )
-
-    def build_timedynamic_pipeline(self, resolved: ResolvedExperiment) -> TimeDynamicPipeline:
-        """The time-dynamic pipeline of a resolved config."""
-        config = resolved.config
-        params = config.meta_models.model_params
-        pipeline_kwargs = {}
-        if resolved.feature_subset is not None:
-            # The metric-group restriction maps to the base features tracked
-            # over time (the full time-series vector is built from them).
-            pipeline_kwargs["base_features"] = resolved.feature_subset
-        return TimeDynamicPipeline(
-            test_network=resolved.network,
-            reference_network=resolved.reference_network,
-            classification_penalty=config.meta_models.classification_penalty,
-            regression_penalty=config.meta_models.regression_penalty,
-            gradient_boosting_params=params.get("gradient_boosting"),
-            neural_network_params=params.get("neural_network"),
-            **pipeline_kwargs,
-        )
-
-    def build_decision_comparison(self, resolved: ResolvedExperiment) -> DecisionRuleComparison:
-        """The decision-rule comparison of a resolved config."""
-        config = resolved.config
-        return DecisionRuleComparison(
-            resolved.network,
-            category=config.evaluation.category,
-        )
-
-    # ------------------------------------------------------------------ ---
-    def _run_metaseg(
-        self, resolved: ResolvedExperiment, backend, tracer,
-        fit_cache: Optional[FitCache] = None,
-    ) -> ExperimentReport:
-        config = resolved.config
-        pipeline = self.build_metaseg_pipeline(resolved)
-        with tracer.span("extract", backend=backend.name) as span:
-            metrics, n_images = backend.stage1(resolved)
-            span.set(n_images=n_images, n_segments=len(metrics))
-        with tracer.span("evaluate", n_runs=config.evaluation.n_runs):
-            result = pipeline.run_table1_protocol(
-                metrics,
-                n_runs=config.evaluation.n_runs,
-                train_fraction=config.evaluation.train_fraction,
-                random_state=resolved.seeds.protocol,
-                classification_methods=resolved.classifiers,
-                regression_methods=resolved.regressors,
-                feature_subset=resolved.feature_subset,
-                model_params=config.meta_models.model_params,
-                fit_cache=fit_cache,
-            )
-
-        report = self._report(resolved)
-        report.provenance.update(
-            network=result.network_name,
-            n_images=n_images,
-            n_segments=result.n_segments,
-            false_positive_fraction=result.false_positive_fraction,
-            n_runs=result.n_runs,
-        )
-        classification = _table_rows(
-            ({"variant": variant}, metrics_by_name)
-            for variant, metrics_by_name in result.classification.items()
-        )
-        classification.append(
-            {"variant": "naive", "metric": "accuracy", "mean": result.naive_accuracy, "std": 0.0}
-        )
-        regression = _table_rows(
-            ({"variant": variant}, metrics_by_name)
-            for variant, metrics_by_name in result.regression.items()
-        )
-        report.tables = {"classification": classification, "regression": regression}
-        return report
-
-    def _run_timedynamic(
-        self, resolved: ResolvedExperiment, backend, tracer,
-        fit_cache: Optional[FitCache] = None,
-    ) -> ExperimentReport:
-        config = resolved.config
-        pipeline = self.build_timedynamic_pipeline(resolved)
-        with tracer.span("process", backend=backend.name) as span:
-            sequences, _ = backend.stage1(resolved)
-            span.set(n_sequences=len(sequences))
-        with tracer.span("evaluate", n_runs=config.evaluation.n_runs):
-            result = pipeline.run_protocol(
-                sequences,
-                n_frames_list=config.evaluation.n_frames_list,
-                compositions=config.evaluation.compositions,
-                methods=resolved.classifiers,
-                n_runs=config.evaluation.n_runs,
-                split_fractions=config.evaluation.split_fractions,
-                augmentation_factor=config.evaluation.augmentation_factor,
-                random_state=resolved.seeds.protocol,
-                fit_cache=fit_cache,
-            )
-
-        report = self._report(resolved)
-        report.provenance.update(
-            network=resolved.network.profile.name,
-            reference_network=resolved.reference_network.profile.name,
-            n_sequences=resolved.dataset.n_sequences,
-            n_real_segments=result.n_real_segments,
-            n_pseudo_segments=result.n_pseudo_segments,
-            n_runs=result.n_runs,
-        )
-        def cells(nested):
-            for composition, by_method in nested.items():
-                for method, by_frames in by_method.items():
-                    for n_frames, metrics_by_name in sorted(by_frames.items()):
-                        yield (
-                            {"composition": composition, "method": method,
-                             "n_frames": n_frames},
-                            metrics_by_name,
-                        )
-
-        report.tables = {
-            "classification": _table_rows(cells(result.classification)),
-            "regression": _table_rows(cells(result.regression)),
-        }
-        return report
-
-    def _decision_priors(
-        self, resolved: ResolvedExperiment, tracer, fit_cache: Optional[FitCache]
-    ) -> Tuple[np.ndarray, int]:
-        """Fit the decision priors, or load them from the store: (priors, n_train).
-
-        The priors are a pure function of the training labels, so with a
-        store attached they are cached under :func:`repro.store.priors_key`
-        (which excludes the rule/strength/category fields — a rule sweep on
-        a fixed substrate reuses one fit), with the training-split size
-        alongside for the report's ``n_train_images`` provenance.
-        """
-        dataset = resolved.dataset
-        n_train = int(dataset.n_train)
-        if n_train < 1 or int(dataset.n_val) < 1:
-            raise ValueError("decision needs data.n_train >= 1 and data.n_val >= 1")
-        key = None
-        if self.store is not None:
-            key = priors_key(resolved.config.to_dict())
-            cached = self.store.get(key, codec="pickle")
-            if isinstance(cached, dict) and cached.get("n_train") == n_train:
-                fit_cache.counters["hits"] += 1
-                return cached["priors"], n_train
-        with tracer.span("fit_priors", n_train=n_train):
-            priors = self.build_decision_comparison(resolved).fit_priors(
-                dataset.train_sample(index, cache=False) for index in range(n_train)
-            )
-        if self.store is not None:
-            fit_cache.counters["misses"] += 1
-            self.store.put(
-                key,
-                {"priors": priors, "n_train": n_train},
-                codec="pickle",
-                provenance={
-                    "type": "priors",
-                    "kind": resolved.config.kind,
-                    "n_train": n_train,
-                    "config_hash": key,
-                },
-            )
-        return priors, n_train
-
-    def _run_decision(
-        self, resolved: ResolvedExperiment, backend, tracer,
-        fit_cache: Optional[FitCache] = None,
-    ) -> ExperimentReport:
-        # The decision protocol fits no meta-models; its cacheable fit is the
-        # pixel priors, fitted (or loaded) once before the walk and shipped
-        # to every stage-1 shard.  The walk runs under the "evaluate" span.
-        priors, n_train = self._decision_priors(resolved, tracer, fit_cache)
-        with tracer.span("evaluate", backend=backend.name):
-            result, n_val = backend.stage1(resolved, priors)
-
-        report = self._report(resolved)
-        report.provenance.update(
-            network=result.network_name,
-            category=result.category,
-            n_train_images=n_train,
-            n_val_images=n_val,
-        )
-        report.tables = {
-            "rules": _table_rows(
-                (
-                    {"rule": rule},
-                    {
-                        "precision": mean_std(stats.precision_values),
-                        "recall": mean_std(stats.recall_values),
-                        "non_detection_rate": (stats.non_detection_rate(), 0.0),
-                        "pixel_accuracy": (result.pixel_accuracy[rule], 0.0),
-                    },
-                )
-                for rule, stats in result.per_rule.items()
-            )
-        }
-        return report
+    return config
 
 
 def run_experiment(config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentReport:

@@ -284,8 +284,9 @@ def timings_view(
     Children of the root span keep their bare stage names (``resolve``,
     ``extract``, ``evaluate`` — the pre-telemetry keys), deeper spans get
     dotted paths (``extract.shard3``), and the root itself becomes
-    ``total``.  Spans outside the subtree (other runs sharing the tracer)
-    are ignored.
+    ``total``.  Spans sharing one path add up under it (the decision kind's
+    walk and its table shaping both run as ``evaluate``).  Spans outside the
+    subtree (other runs sharing the tracer) are ignored.
     """
     out: Dict[str, float] = {}
     if root_id is None:
@@ -307,7 +308,8 @@ def timings_view(
             current = by_id.get(current.get("parent_id"))
         if not reached_root or not path:
             continue
-        out[".".join(reversed(path))] = float(record["duration_s"])
+        key = ".".join(reversed(path))
+        out[key] = out.get(key, 0.0) + float(record["duration_s"])
     root = by_id[root_id]
     if root.get("duration_s") is not None:
         out["total"] = float(root["duration_s"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -22,7 +23,7 @@ import pytest
 from repro.__main__ import main
 from repro.api.config import ConfigError, ExecutionConfig, ExperimentConfig
 from repro.api.execution import ProcessBackend, SerialBackend, ThreadBackend, shard_ranges
-from repro.api.registry import EXECUTION_BACKENDS, RegistryError
+from repro.api.registry import DATASETS, EXECUTION_BACKENDS, RegistryError
 from repro.api.runner import Runner
 from repro.core.dataset import MetricsAccumulator, MetricsDataset
 from repro.core.pipeline import MetaSegPipeline
@@ -227,9 +228,24 @@ class TestBackendSemantics:
             def val_samples(self):
                 return []
 
-        config = ExperimentConfig.from_dict(metaseg_payload(0))
-        with pytest.raises(ValueError, match="lacks n_val, val_sample"):
-            Runner._check_dataset_kind(config, NoIndexAccess())
+        @DATASETS.register("no_index_access")
+        def build_no_index_access(data, seed):
+            """A substrate without the index accessors."""
+            return NoIndexAccess()
+
+        try:
+            payload = metaseg_payload(0)
+            payload["data"]["dataset"] = "no_index_access"
+            config = ExperimentConfig.from_dict(payload)
+            message = (
+                "dataset 'no_index_access' does not fit experiment kind 'metaseg': "
+                "it lacks n_val, val_sample; this kind needs a single-frame "
+                "substrate (Cityscapes-like)"
+            )
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Runner().resolve(config)
+        finally:
+            DATASETS._entries.pop("no_index_access")
 
     def test_empty_decision_train_split_is_a_config_error_everywhere(self):
         payload = decision_payload(0)

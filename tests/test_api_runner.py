@@ -12,6 +12,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.api.config import (
+    EXPERIMENT_KINDS,
     DataConfig,
     EvalConfig,
     ExperimentConfig,
@@ -19,12 +20,19 @@ from repro.api.config import (
     MetaModelConfig,
     NetworkConfig,
 )
+from repro.api.kinds import KINDS
 from repro.api.runner import ExperimentReport, Runner, derived_seeds, run_experiment
 from repro.core.pipeline import MetaSegPipeline
 from repro.decision.pipeline import DecisionRuleComparison
-from repro.segmentation.datasets import CityscapesLikeDataset
-from repro.segmentation.network import SimulatedSegmentationNetwork, mobilenetv2_profile
+from repro.segmentation.datasets import CityscapesLikeDataset, KittiLikeDataset
+from repro.segmentation.network import (
+    SimulatedSegmentationNetwork,
+    mobilenetv2_profile,
+    xception65_profile,
+)
 from repro.segmentation.scene import SceneConfig
+from repro.segmentation.sequence import SequenceConfig
+from repro.timedynamic.pipeline import TimeDynamicPipeline
 
 TINY_HEIGHT = 48
 TINY_WIDTH = 96
@@ -165,6 +173,20 @@ class TestRunnerMetaseg:
         assert scored["n_frames"] == len(expected)
         assert json.dumps(scored["frames"]) == json.dumps(expected)
 
+    @pytest.mark.parametrize("make_config", [timedynamic_config, decision_config])
+    def test_fit_and_score_reject_non_metaseg_kinds(self, make_config):
+        # Serving models score single frames: a video or decision config is
+        # a config error on both entry points, never a crash on (or a silent
+        # walk of) the wrong substrate.
+        config = make_config()
+        runner = Runner()
+        message = "requires kind 'metaseg', got " + repr(config.kind)
+        with pytest.raises(ValueError, match=message):
+            runner.fit(config)
+        model = runner.fit(metaseg_config())
+        with pytest.raises(ValueError, match=message):
+            runner.score(config, model=model)
+
     def test_feature_group_restriction_runs(self):
         config = metaseg_config()
         config.meta_models.feature_group = "dispersion"
@@ -249,6 +271,48 @@ class TestRunnerTimedynamic:
         assert timedynamic_report.provenance["n_real_segments"] > 0
         assert timedynamic_report.provenance["reference_network"] == "xception65"
 
+    def test_bitwise_parity_with_direct_pipeline(self, timedynamic_report):
+        """Runner == direct TimeDynamicPipeline, bitwise."""
+        config = timedynamic_config()
+        seeds = derived_seeds(config.seed)
+        dataset = KittiLikeDataset(
+            n_sequences=2,
+            sequence_config=SequenceConfig(
+                n_frames=6, scene_config=SceneConfig(height=TINY_HEIGHT, width=TINY_WIDTH)
+            ),
+            labeled_stride=2,
+            random_state=seeds.data,
+        )
+        pipeline = TimeDynamicPipeline(
+            test_network=SimulatedSegmentationNetwork(
+                mobilenetv2_profile(), random_state=seeds.network
+            ),
+            reference_network=SimulatedSegmentationNetwork(
+                xception65_profile(), random_state=seeds.reference_network
+            ),
+            classification_penalty=1e-3,
+            regression_penalty=1e-3,
+            gradient_boosting_params=config.meta_models.model_params["gradient_boosting"],
+        )
+        result = pipeline.run_protocol(
+            pipeline.process_dataset(dataset),
+            n_frames_list=[0, 1],
+            compositions=["R"],
+            methods=["gradient_boosting"],
+            n_runs=1,
+            random_state=seeds.protocol,
+        )
+        assert timedynamic_report.provenance["n_real_segments"] == result.n_real_segments
+        assert timedynamic_report.provenance["n_pseudo_segments"] == result.n_pseudo_segments
+        for table, nested in (("classification", result.classification),
+                              ("regression", result.regression)):
+            rows = timedynamic_report.table(table)
+            assert rows
+            for row in rows:
+                by_frames = nested[row["composition"]][row["method"]]
+                mean, std = by_frames[row["n_frames"]][row["metric"]]
+                assert row["mean"] == mean and row["std"] == std
+
     def test_rows_cover_all_cells(self, timedynamic_report):
         rows = timedynamic_report.table("classification")
         cells = {(row["composition"], row["method"], row["n_frames"], row["metric"])
@@ -297,6 +361,9 @@ class TestRunnerDecision:
 
 
 class TestConfigCompatibility:
+    def test_every_config_kind_has_one_table_entry(self):
+        assert tuple(KINDS) == EXPERIMENT_KINDS
+
     def test_kind_dataset_mismatch_is_a_config_error(self):
         video_for_metaseg = metaseg_config()
         video_for_metaseg.data.dataset = "kitti_like_small"

@@ -140,6 +140,19 @@ class TestSpans:
         assert timings_view(tracer.records(), None) == {}
         assert timings_view(tracer.records(), "missing") == {}
 
+    def test_timings_view_sums_spans_sharing_a_path(self):
+        tracer = Tracer()
+        with tracer.span("run") as root:
+            with tracer.span("evaluate"):
+                pass
+            with tracer.span("evaluate"):
+                pass
+        records = tracer.records()
+        timings = timings_view(records, root.span_id)
+        durations = [r["duration_s"] for r in records if r["name"] == "evaluate"]
+        assert set(timings) == {"evaluate", "total"}
+        assert timings["evaluate"] == sum(durations)
+
     def test_timings_view_ignores_spans_outside_subtree(self):
         tracer = Tracer()
         with tracer.span("other"):

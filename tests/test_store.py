@@ -31,6 +31,8 @@ from repro.store import (
     StoreError,
     canonical_json,
     default_cache_root,
+    model_key,
+    priors_key,
     report_key,
     shard_key,
     stage1_payload,
@@ -138,6 +140,45 @@ class TestCanonicalKeys:
         before = report_key(config)
         monkeypatch.setattr(store_keys, "CACHE_FORMAT", store_keys.CACHE_FORMAT + 1)
         assert report_key(config) != before
+
+
+#: Keys of the checked-in ``examples/configs/*_small.json`` configs.  A
+#: refactor must not move them (that would silently invalidate every store);
+#: an intentional ``CACHE_FORMAT`` or library version bump updates them in
+#: the same change.
+PINNED_KEYS = {
+    "metaseg_small": {
+        "report": "93ef97a4c5b92beaba42290b14f88e960ece80703b09b0496c10cacc3a078fa1",
+        "shard": "50bd636a99960f7fd353b77e21a3f54e98fb5df420d55e97d44e288153c3713e",
+        "model": "dd31f4e3c4043b0817bd7fc03f7fbbd07e7fc770d5b1f437343a7f6995d63cc2",
+    },
+    "timedynamic_small": {
+        "report": "1711c8a0c29f48e647e57ee331c675eba80b7accda009f67461bdf69e9032783",
+        "shard": "4ae5cc4f5776d4873f4a11dde0080c788149a55c1e685c9ac6fc05dd440876c9",
+    },
+    "decision_small": {
+        "report": "d42e818fcc422d7c66c3a7be1ca28812ab9088d1ff5260bd5433f3892ffbf931",
+        "shard": "e0b1a9983b284f1784a680c9cf1ec4fac3630492afdeb8a753a39a1fac3f0537",
+        "priors": "c3c37cd5348b5117039aaaa617e4c2906aa63555a8be2b5e96823a69fbbf0a89",
+    },
+}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_example_config_keys_are_pinned(self, name):
+        assert store_keys.CACHE_FORMAT == 3
+        path = Path(__file__).resolve().parent.parent / "examples" / "configs" / f"{name}.json"
+        config = ExperimentConfig.from_json(path.read_text()).to_dict()
+        size = "n_sequences" if config["kind"] == "timedynamic" else "n_val"
+        derive = {
+            "report": lambda: report_key(config),
+            "shard": lambda: shard_key(config, 0, config["data"][size]),
+            "model": lambda: model_key(config),
+            "priors": lambda: priors_key(config),
+        }
+        pinned = PINNED_KEYS[name]
+        assert {role: derive[role]() for role in pinned} == pinned
 
 
 class TestStage1Scoping:
