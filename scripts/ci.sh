@@ -87,6 +87,25 @@ for label, report in (("healthy", healthy), ("kill-one", faulted)):
 print("distributed smoke: healthy + kill-one-worker bitwise-equal to serial")
 PY
 
+echo "=== unwritable cache (smoke: the finished run survives a store it cannot write) ==="
+RO_CACHE="${TMP_ROOT}/ro-cache"
+mkdir -p "${RO_CACHE}"
+: > "${RO_CACHE}/objects"  # a regular file where the objects directory goes
+python -m repro run examples/configs/metaseg_small.json --cache-dir "${RO_CACHE}" \
+    --output "${TMP_ROOT}/ro_serial.json"
+python -m repro run examples/configs/metaseg_small.json --cache-dir "${RO_CACHE}" \
+    --backend process --workers 2 --output "${TMP_ROOT}/ro_process.json"
+python - "${DIST_SERIAL_OUT}" "${TMP_ROOT}/ro_serial.json" "${TMP_ROOT}/ro_process.json" <<'PY'
+import json, sys
+serial, *cached = (json.load(open(path)) for path in sys.argv[1:])
+for report in cached:
+    for field in ("tables", "provenance"):
+        if report[field] != serial[field]:
+            print(f"FAIL: run on an unwritable cache diverges in {field}", file=sys.stderr)
+            raise SystemExit(1)
+print("unwritable cache smoke: serial + process runs bitwise-equal to the storeless run")
+PY
+
 echo "=== experiment CLI (smoke) ==="
 python -m repro list
 python -m repro run examples/configs/metaseg_small.json

@@ -18,7 +18,8 @@ already-resolved experiment.  Otherwise:
   the decision kind, the fitted priors) on a ``ProcessPoolExecutor``.  Each
   worker rebuilds the experiment from the config and runs the same shard
   function.  With a store attached, shards are content-addressed and
-  claimed single-flight (:meth:`ProcessBackend._map_shards`);
+  claimed single-flight through :meth:`repro.store.ResultStore.get_or_compute`
+  (:meth:`ProcessBackend._map_ranges`);
 * ``distributed`` (:mod:`repro.dispatch.backend`) — the same specs over the
   fault-tolerant work queue.
 
@@ -213,6 +214,17 @@ class ProcessBackend(ThreadBackend):
             return list(pool.map(fn, items))
 
     def _map_ranges(self, kind: ExperimentKind, resolved, ranges, priors) -> List:
+        """Shard payloads in shard order, single-flight across processes.
+
+        Without a store every spec is computed by one :meth:`map`.  With
+        one, shards are content-addressed by (stage-1 config hash, index
+        range) and go through :meth:`ResultStore.get_or_compute`: cached
+        shards are served without spawning anything, the claimed misses
+        are computed by one :meth:`map` and shards another process holds
+        are waited for (or rescued).  Because the key excludes every
+        protocol-side field, a sweep that only changes the meta-model
+        reuses every shard.
+        """
         config_dict = resolved.config.to_dict()
         specs = [
             {"config": config_dict, "start": start, "stop": stop, "priors": priors}
@@ -231,72 +243,31 @@ class ProcessBackend(ThreadBackend):
                     "id_prefix": f"{context['parent_span_id']}.{index}.",
                     "name": f"shard{index}",
                 }
-        return self._map_shards(specs)
 
-    def _absorb_shard_trace(self, result):
-        """Unwrap one shard result, folding a carried child timeline in.
+        def compute(indices) -> List:
+            payloads = []
+            for result in self.map(_spec_shard, [specs[index] for index in indices]):
+                if isinstance(result, dict) and "__trace__" in result:
+                    # Fold the carried child timeline in and strip the
+                    # envelope: stored and folded payloads never see telemetry.
+                    self.tracer.merge(result["__trace__"])
+                    result = result["payload"]
+                payloads.append(result)
+            return payloads
 
-        The envelope is stripped before the payload is cached or folded, so
-        store entries and stage-1 results never see telemetry.
-        """
-        if isinstance(result, dict) and "__trace__" in result:
-            self.tracer.merge(result["__trace__"])
-            return result["payload"]
-        return result
-
-    def _map_shards(self, specs: List[Dict]) -> List:
-        """Shard payloads in shard order, single-flight across processes.
-
-        Without a store every spec is computed by :meth:`map`.  With one,
-        shard results are content-addressed by (stage-1 config hash, index
-        range): cached shards are served without spawning anything.  Every
-        missing key is either *claimed* (computed — one :meth:`map` for the
-        whole claimed batch — and published) or already claimed by another
-        process, in which case we wait and re-read; if that producer dies
-        without publishing, the waiter rescues the shard by computing it
-        inline.  Either way each shard is computed once machine-wide, and
-        because the key excludes every protocol-side field, a sweep that
-        only changes the meta-model reuses every shard.
-        """
         if self.store is None:
-            return [self._absorb_shard_trace(r) for r in self.map(_spec_shard, specs)]
-        keys = [shard_key(spec["config"], spec["start"], spec["stop"]) for spec in specs]
-        results: List = [self.store.get(key, codec="pickle") for key in keys]
-        missing = [index for index, result in enumerate(results) if result is None]
-        self.shard_cache["hits"] += len(specs) - len(missing)  # repro: allow[concurrency-shared-state] -- shard results are consumed on the parent thread only
-        self.shard_cache["misses"] += len(missing)  # repro: allow[concurrency-shared-state] -- shard results are consumed on the parent thread only
-        claimed = [index for index in missing if self.store.try_claim(keys[index])]
-        waiting = sorted(set(missing) - set(claimed))
-        try:
-            if claimed:
-                computed = self.map(_spec_shard, [specs[index] for index in claimed])
-                for index, result in zip(claimed, computed):
-                    results[index] = self._put_shard(keys[index], specs[index], result)
-        finally:
-            for index in claimed:
-                self.store.release(keys[index])
-        for index in waiting:
-            value = self.store.wait_for(keys[index], codec="pickle")
-            if value is None:
-                # The claiming producer died without publishing: rescue the
-                # shard inline (a pure function of the spec — same bytes).
-                value = self._put_shard(keys[index], specs[index], _spec_shard(specs[index]))
-            results[index] = value
-        return results
-
-    def _put_shard(self, key: str, spec: Dict, result):
-        """Absorb one computed shard's trace envelope and publish it."""
-        result = self._absorb_shard_trace(result)
-        self.store.put(
-            key,
-            result,
+            return compute(range(len(specs)))
+        keys = [shard_key(config_dict, start, stop) for start, stop in ranges]
+        payloads, hits = self.store.get_or_compute(
+            keys,
+            compute,
             codec="pickle",
-            provenance={
-                "type": "shard",
-                "kind": spec["config"]["kind"],
-                "start": spec["start"],
-                "stop": spec["stop"],
-                "config_hash": key,
-            },
+            provenance=[
+                {"type": "shard", "kind": config_dict["kind"], "start": start,
+                 "stop": stop, "config_hash": key}
+                for (start, stop), key in zip(ranges, keys)
+            ],
         )
-        return result
+        for hit in hits:
+            self.shard_cache["hits" if hit else "misses"] += 1  # repro: allow[concurrency-shared-state] -- counted on the parent thread after the pool has joined
+        return payloads

@@ -81,8 +81,8 @@ def decision_comparison(resolved) -> DecisionRuleComparison:
 
 
 def _val_samples(resolved, start: int, stop: int) -> Iterable:
-    """Validation samples ``start..stop``, read lazily and uncached."""
-    return (resolved.dataset.val_sample(i, cache=False) for i in range(start, stop))
+    """Validation samples ``start..stop``, read lazily one at a time."""
+    return (resolved.dataset.val_sample(i) for i in range(start, stop))
 
 
 # -------------------------------------------------------------------- metaseg
@@ -190,30 +190,36 @@ def _decision_priors(resolved, store, tracer, fit_cache):
     n_train = int(dataset.n_train)
     if n_train < 1 or int(dataset.n_val) < 1:
         raise ValueError("decision needs data.n_train >= 1 and data.n_val >= 1")
-    key = None
-    if store is not None:
-        key = priors_key(resolved.config.to_dict())
-        cached = store.get(key, codec="pickle")
-        if isinstance(cached, dict) and cached.get("n_train") == n_train:
-            fit_cache.counters["hits"] += 1
-            return cached["priors"]
-    with tracer.span("fit_priors", n_train=n_train):
-        priors = decision_comparison(resolved).fit_priors(
-            dataset.train_sample(index, cache=False) for index in range(n_train)
-        )
-    if store is not None:
-        fit_cache.counters["misses"] += 1
-        store.put(
-            key,
-            {"priors": priors, "n_train": n_train},
-            codec="pickle",
-            provenance={
-                "type": "priors",
-                "kind": resolved.config.kind,
-                "n_train": n_train,
-                "config_hash": key,
-            },
-        )
+
+    def fit(indices):
+        with tracer.span("fit_priors", n_train=n_train):
+            return [decision_comparison(resolved).fit_priors(
+                dataset.train_sample(index) for index in range(n_train)
+            )]
+
+    if store is None:
+        return fit(None)[0]
+
+    def decode(payload):
+        if payload["n_train"] != n_train:
+            raise ValueError("priors fitted on another training split")
+        return payload["priors"]
+
+    key = priors_key(resolved.config.to_dict())
+    (priors,), (hit,) = store.get_or_compute(
+        [key],
+        fit,
+        codec="pickle",
+        provenance=[{
+            "type": "priors",
+            "kind": resolved.config.kind,
+            "n_train": n_train,
+            "config_hash": key,
+        }],
+        encode=lambda priors: {"priors": priors, "n_train": n_train},
+        decode=decode,
+    )
+    fit_cache.counters["hits" if hit else "misses"] += 1
     return priors
 
 

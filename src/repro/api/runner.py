@@ -190,13 +190,17 @@ class Runner:
 
         report = Runner().run(ExperimentConfig(kind="metaseg"))
 
-    Passing a :class:`repro.store.ResultStore` enables result caching at two
-    granularities: whole reports are memoised by the full config hash, and
-    the ``process``/``distributed`` backends cache per-shard stage-1 payloads
-    keyed by (stage-1 config hash, index range) — so a sweep that only
-    changes protocol-side fields (e.g. the meta-model) reuses every
-    extraction shard.  Cached reports are bitwise identical to fresh ones
-    (timings and cache bookkeeping live outside the serialised payload).
+    Passing a :class:`repro.store.ResultStore` memoises the run through
+    :meth:`~repro.store.ResultStore.get_or_compute`, the one caching route:
+    whole reports by the full config hash, the serving model of
+    :meth:`fit`, the ``process``/``distributed`` stage-1 shards by
+    (stage-1 config hash, index range), the decision priors and every
+    meta-model fit.  So a sweep that only changes protocol-side fields
+    (e.g. the meta-model) reuses every extraction shard.  Writes are
+    best-effort (an unwritable store still returns the computed result)
+    and stale payloads are recomputed.  Cached reports are bitwise
+    identical to fresh ones (timings and cache bookkeeping live outside
+    the serialised payload).
 
     ``tracer`` selects the telemetry sink for the run's stage spans
     (:mod:`repro.obs`).  The default (``None``) gives every ``run()`` its
@@ -227,32 +231,42 @@ class Runner:
         named by ``config.execution.backend`` (``serial`` / ``thread`` /
         ``process``, resolved through the ``execution_backends`` registry);
         every backend is bitwise identical to serial, so the choice is
-        purely about wall-clock and memory.
+        purely about wall-clock and memory.  With a store, the whole run is
+        the compute of one single-flight report memo under the
+        ``cache_lookup`` span.
         """
         config = _validated(config)
-        kind = KINDS[config.kind]
         tracer = self._run_tracer()
-        key = None
-        if self.store is not None:
-            with tracer.span("cache_lookup") as lookup:
-                key = report_key(config.to_dict())
-                payload = self.store.get(key, codec="json")
-            if payload is not None:
-                report = ExperimentReport.from_dict(payload)
-                report.timings = (
-                    {"cache_lookup": lookup.duration_s}
-                    if lookup.duration_s is not None
-                    else {}
-                )
-                report.cache = {"hit": True, "key": key}
-                return report
+        if self.store is None:
+            return self._execute(config, tracer, None)
+        key = report_key(config.to_dict())
+        fit_cache = FitCache(self.store, config.to_dict())
+        with tracer.span("cache_lookup") as lookup:
+            (report,), (hit,) = self.store.get_or_compute(
+                [key],
+                lambda indices: [self._execute(config, tracer, fit_cache)],
+                provenance=_memo_provenance("report", config, key),
+                encode=ExperimentReport.to_dict,
+                decode=ExperimentReport.from_dict,
+            )
+        if hit and lookup.duration_s is not None:
+            report.timings = {"cache_lookup": lookup.duration_s}
+        report.cache = {"hit": hit, "key": key, **report.cache}
+        return report
+
+    def _execute(
+        self, config: ExperimentConfig, tracer: object, fit_cache: Optional[FitCache]
+    ) -> ExperimentReport:
+        """Compute one report: resolve, prepare, stage-1 walk, evaluate.
+
+        ``report.cache`` carries this run's shard, fit and dispatch
+        counters (shard and fit counters only with a store attached).
+        """
+        kind = KINDS[config.kind]
         with tracer.span("run", kind=config.kind, seed=config.seed) as root:
             with tracer.span("resolve"):
                 resolved = self.resolve(config)
                 backend = self._backend(config, tracer)
-                fit_cache = None
-                if self.store is not None:
-                    fit_cache = FitCache(self.store, config.to_dict())
             priors = None
             if kind.prepare is not None:
                 priors = kind.prepare(resolved, self.store, tracer, fit_cache)
@@ -266,25 +280,11 @@ class Runner:
                 config=config.to_dict(), tables=tables, provenance=provenance,
             )
         report.timings = timings_view(tracer.records(), root.span_id)
-        if self.store is not None:
-            self.store.put(
-                key,
-                report.to_dict(),
-                codec="json",
-                provenance={
-                    "type": "report",
-                    "kind": config.kind,
-                    "name": config.name,
-                    "seed": config.seed,
-                    "config_hash": key,
-                },
-            )
-            report.cache = {"hit": False, "key": key}
-            shard_cache = getattr(backend, "shard_cache", None)
-            if shard_cache:
-                report.cache["shards"] = dict(shard_cache)
-            if fit_cache.counters["hits"] or fit_cache.counters["misses"]:
-                report.cache["fits"] = dict(fit_cache.counters)
+        shard_cache = getattr(backend, "shard_cache", None)
+        if self.store is not None and shard_cache:
+            report.cache["shards"] = dict(shard_cache)
+        if fit_cache is not None and any(fit_cache.counters.values()):
+            report.cache["fits"] = dict(fit_cache.counters)
         dispatch_stats = getattr(backend, "dispatch_stats", None)
         if dispatch_stats is not None:
             # Queue counters of the distributed backend (retries, worker
@@ -307,14 +307,21 @@ class Runner:
         like ``report.cache`` does.
         """
         config = _serving_config(config)
-        key = None
-        if self.store is not None:
-            key = model_key(config.to_dict())
-            state = self.store.get(key, codec="json")
-            if state is not None:
-                model = FittedModel.from_state(state)
-                model.cache = {"hit": True, "key": key}
-                return model
+        if self.store is None:
+            return self._fit_model(config)
+        key = model_key(config.to_dict())
+        (model,), (hit,) = self.store.get_or_compute(
+            [key],
+            lambda indices: [self._fit_model(config)],
+            provenance=_memo_provenance("model", config, key),
+            encode=FittedModel.to_state,
+            decode=FittedModel.from_state,
+        )
+        model.cache = {"hit": hit, "key": key}
+        return model
+
+    def _fit_model(self, config: ExperimentConfig) -> FittedModel:
+        """Extract the metrics dataset and fit the serving model once."""
         resolved = self.resolve(config)
         metrics, n_images = self._backend(config).stage1(resolved)
         classifier_name = resolved.classifiers[0]
@@ -334,7 +341,7 @@ class Runner:
             **params.get(regressor_name, {}),
         )
         regressor.fit(metrics)
-        model = FittedModel(
+        return FittedModel(
             classifier=classifier,
             regressor=regressor,
             label_space=metaseg_pipeline(resolved).label_space,
@@ -351,21 +358,6 @@ class Runner:
                 "n_segments": len(metrics),
             },
         )
-        if self.store is not None:
-            self.store.put(
-                key,
-                model.to_state(),
-                codec="json",
-                provenance={
-                    "type": "model",
-                    "kind": config.kind,
-                    "name": config.name,
-                    "seed": config.seed,
-                    "config_hash": key,
-                },
-            )
-            model.cache = {"hit": False, "key": key}
-        return model
 
     def score(
         self,
@@ -375,7 +367,7 @@ class Runner:
         """Batch-score the validation split with a fitted model.
 
         The reference for the serving path: walks the validation split in
-        order (by index, uncached) and scores every frame through the same
+        order, one frame at a time, and scores every frame through the same
         :meth:`FittedModel.score_frame` the HTTP server uses, so server
         responses are bitwise comparable to this output.  ``model`` defaults
         to :meth:`fit` of the same config.
@@ -388,7 +380,7 @@ class Runner:
         extractor = model.build_extractor()
         frames: List[Dict[str, object]] = []
         for index in range(dataset.n_val):
-            sample = dataset.val_sample(index, cache=False)
+            sample = dataset.val_sample(index)
             probs = resolved.network.predict_probabilities(sample.labels, index=index)
             frames.append(
                 model.score_frame(probs, extractor=extractor, image_id=sample.image_id)
@@ -516,6 +508,12 @@ def _serving_config(config: Union[ExperimentConfig, Dict[str, object]]) -> Exper
             f"kind 'metaseg', got {config.kind!r}"
         )
     return config
+
+
+def _memo_provenance(entry: str, config: ExperimentConfig, key: str) -> List[Dict]:
+    """Sidecar provenance of a report or model memo (one key)."""
+    return [{"type": entry, "kind": config.kind, "name": config.name,
+             "seed": config.seed, "config_hash": key}]
 
 
 def run_experiment(config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentReport:

@@ -9,8 +9,8 @@ generating scenes: a directory tree in the standard Cityscapes layout
     <root>/gtFine/<split>/<city>/<frame>_gtFine_labelIds.png
 
 is walked lazily — discovery at construction touches only directory listings;
-the label PNG of a frame is decoded on first access (and cached unless the
-caller streams with ``cache=False``, exactly like the synthetic substrates).
+the label PNG of a frame is decoded on every access and never memoised,
+exactly like the synthetic substrates.
 Raw on-disk label ids are remapped to the consecutive train ids through the
 :class:`~repro.segmentation.labels.LabelSpace` raw-id table, with every void
 class decoding to the ignore id.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -142,8 +142,6 @@ class CityscapesDiskDataset:
             self._train_frames = discover_frames(self.root, train_split)
         except ConfigError:
             self._train_frames = []  # train split is optional
-        self._train_cache: Dict[int, SegmentationSample] = {}
-        self._val_cache: Dict[int, SegmentationSample] = {}
 
     def __repr__(self) -> str:
         return (
@@ -189,35 +187,29 @@ class CityscapesDiskDataset:
             ) from None
         return SegmentationSample(image_id=frame.frame_id, labels=self._lut[raw])
 
-    def _sample(self, split: str, index: int, cache: bool) -> SegmentationSample:
+    def _sample(self, split: str, index: int) -> SegmentationSample:
         frames = self._frames_of(split)
-        cached = self._train_cache if frames is self._train_frames else self._val_cache
         if not 0 <= index < len(frames):
             raise IndexError(f"{split} index {index} out of range [0, {len(frames)})")
-        if index in cached:
-            return cached[index]
-        sample = self._load(frames[index])
-        if cache:
-            cached[index] = sample
-        return sample
+        return self._load(frames[index])
 
-    def train_sample(self, index: int, cache: bool = True) -> SegmentationSample:
-        """Return (and by default cache) training frame *index*."""
-        return self._sample("train", index, cache=cache)
+    def train_sample(self, index: int) -> SegmentationSample:
+        """Decode training frame *index*."""
+        return self._sample("train", index)
 
-    def val_sample(self, index: int, cache: bool = True) -> SegmentationSample:
-        """Return (and by default cache) validation frame *index*."""
-        return self._sample("val", index, cache=cache)
+    def val_sample(self, index: int) -> SegmentationSample:
+        """Decode validation frame *index*."""
+        return self._sample("val", index)
 
-    def iter_train(self, cache: bool = True) -> Iterator[SegmentationSample]:
-        """Iterate over the training frames (``cache=False`` streams them)."""
+    def iter_train(self) -> Iterator[SegmentationSample]:
+        """Iterate over the training frames, decoded one at a time."""
         for index in range(self.n_train):
-            yield self.train_sample(index, cache=cache)
+            yield self.train_sample(index)
 
-    def iter_val(self, cache: bool = True) -> Iterator[SegmentationSample]:
-        """Iterate over the validation frames (``cache=False`` streams them)."""
+    def iter_val(self) -> Iterator[SegmentationSample]:
+        """Iterate over the validation frames, decoded one at a time."""
         for index in range(self.n_val):
-            yield self.val_sample(index, cache=cache)
+            yield self.val_sample(index)
 
     def train_samples(self) -> List[SegmentationSample]:
         """All training samples as a list."""

@@ -90,6 +90,7 @@ def write_disk_fixture(
     encode_lut = _train_to_raw_lut(dataset.label_space)
 
     n_frames: Dict[str, int] = {}
+    dumps: Dict[str, np.ndarray] = {}
     for split, n_samples, sample_of in (
         ("train", n_train, dataset.train_sample),
         ("val", n_val, dataset.val_sample),
@@ -108,14 +109,12 @@ def write_disk_fixture(
             write_png_gray8(city_dir / f"{sample.image_id}{LABEL_SUFFIX}", raw)
             if write_images:
                 write_png_gray8(image_dir / f"{sample.image_id}{IMAGE_SUFFIX}", raw)
+            if split == "val":
+                probs = network.predict_probabilities(sample.labels, index=index)
+                dumps[f"val/{sample.image_id}"] = np.asarray(probs, dtype=np.float64)
         n_frames[split] = n_samples
 
     dump_root.mkdir(parents=True, exist_ok=True)
-    dumps: Dict[str, np.ndarray] = {}
-    for index in range(n_val):
-        sample = dataset.val_sample(index)
-        probs = network.predict_probabilities(sample.labels, index=index)
-        dumps[f"val/{sample.image_id}"] = np.asarray(probs, dtype=np.float64)
     if dump_format == "npy":
         val_dir = dump_root / "val" / "val"
         val_dir.mkdir(parents=True, exist_ok=True)

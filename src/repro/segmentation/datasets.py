@@ -77,8 +77,6 @@ class CityscapesLikeDataset:
             label_space=self.label_space,
             random_state=int(rng.integers(0, 2**31 - 1)),
         )
-        self._train_cache: dict = {}
-        self._val_cache: dict = {}
 
     # ------------------------------------------------------------------ ---
     @property
@@ -86,52 +84,47 @@ class CityscapesLikeDataset:
         """Number of semantic classes."""
         return self.label_space.n_classes
 
-    def train_sample(self, index: int, cache: bool = True) -> SegmentationSample:
-        """Return (and by default cache) training sample *index*."""
-        return self._sample("train", index, cache=cache)
+    def train_sample(self, index: int) -> SegmentationSample:
+        """Build training sample *index*."""
+        return self._sample("train", index)
 
-    def val_sample(self, index: int, cache: bool = True) -> SegmentationSample:
-        """Return (and by default cache) validation sample *index*."""
-        return self._sample("val", index, cache=cache)
+    def val_sample(self, index: int) -> SegmentationSample:
+        """Build validation sample *index*."""
+        return self._sample("val", index)
 
-    def _sample(self, split: str, index: int, cache: bool = True) -> SegmentationSample:
+    def _sample(self, split: str, index: int) -> SegmentationSample:
         """Build sample *index* of *split*.
 
         Scene ``index`` is generated from a seed derived from the split's
-        master seed and ``index``, so a sample is bitwise identical whether
-        it is served from the cache, regenerated (``cache=False``, the
-        memory-bounded streaming walks) or built in another process (the
-        sharded execution backend).
+        master seed and ``index``, so a sample is bitwise identical however
+        often it is rebuilt, in this process or in another (the sharded
+        execution backend).  Nothing is memoised: walks hold one sample at
+        a time, and results are cached in the result store instead.
         """
         if split == "train":
-            size, cached, generator = self.n_train, self._train_cache, self._train_generator
+            size, generator = self.n_train, self._train_generator
         elif split == "val":
-            size, cached, generator = self.n_val, self._val_cache, self._val_generator
+            size, generator = self.n_val, self._val_generator
         else:
             raise ValueError(f"unknown split {split!r}")
         if not 0 <= index < size:
             raise IndexError(f"{split} index {index} out of range [0, {size})")
-        if index in cached:
-            return cached[index]
         scene = generator.generate(index)
-        sample = SegmentationSample(
+        return SegmentationSample(
             image_id=f"{split}_{index:04d}",
             labels=scene.labels,
             scene=scene,
         )
-        if cache:
-            cached[index] = sample
-        return sample
 
-    def iter_train(self, cache: bool = True) -> Iterator[SegmentationSample]:
-        """Iterate over all training samples (``cache=False`` streams them)."""
+    def iter_train(self) -> Iterator[SegmentationSample]:
+        """Iterate over all training samples, built one at a time."""
         for i in range(self.n_train):
-            yield self.train_sample(i, cache=cache)
+            yield self.train_sample(i)
 
-    def iter_val(self, cache: bool = True) -> Iterator[SegmentationSample]:
-        """Iterate over all validation samples (``cache=False`` streams them)."""
+    def iter_val(self) -> Iterator[SegmentationSample]:
+        """Iterate over all validation samples, built one at a time."""
         for i in range(self.n_val):
-            yield self.val_sample(i, cache=cache)
+            yield self.val_sample(i)
 
     def train_samples(self) -> List[SegmentationSample]:
         """All training samples as a list."""
@@ -171,7 +164,6 @@ class KittiLikeDataset:
             label_space=self.label_space,
             random_state=int(rng.integers(0, 2**31 - 1)),
         )
-        self._cache: dict = {}
 
     @property
     def n_classes(self) -> int:
@@ -183,22 +175,16 @@ class KittiLikeDataset:
         """Number of frames in every sequence."""
         return self.sequence_config.n_frames
 
-    def sequence(self, index: int, cache: bool = True) -> SceneSequence:
-        """Return (and by default cache) sequence *index*.
+    def sequence(self, index: int) -> SceneSequence:
+        """Build sequence *index*.
 
-        Sequences are generated from per-index derived seeds, so
-        ``cache=False`` (memory-bounded streaming walks) and out-of-process
-        regeneration (the sharded execution backend) are bitwise identical
-        to the cached path.
+        Sequences are generated from per-index derived seeds, so every
+        rebuild — in this process or in another (the sharded execution
+        backend) — is bitwise identical.  Nothing is memoised.
         """
         if not 0 <= index < self.n_sequences:
             raise IndexError(f"sequence index {index} out of range [0, {self.n_sequences})")
-        if index in self._cache:
-            return self._cache[index]
-        sequence = self._generator.generate(index)
-        if cache:
-            self._cache[index] = sequence
-        return sequence
+        return self._generator.generate(index)
 
     def sequences(self) -> List[SceneSequence]:
         """All sequences as a list."""
@@ -208,9 +194,9 @@ class KittiLikeDataset:
         """Frame indices (within each sequence) that expose ground truth."""
         return list(range(self.labeled_stride - 1, self.n_frames_per_sequence, self.labeled_stride))
 
-    def samples(self, sequence_index: int, cache: bool = True) -> List[SegmentationSample]:
+    def samples(self, sequence_index: int) -> List[SegmentationSample]:
         """Samples of one sequence with the sparse ground-truth flags set."""
-        sequence = self.sequence(sequence_index, cache=cache)
+        sequence = self.sequence(sequence_index)
         labeled = set(self.labeled_frame_indices())
         out: List[SegmentationSample] = []
         for frame_index, scene in enumerate(sequence.frames):

@@ -10,17 +10,22 @@ protocol-side fields (e.g. the meta-model) reuses every extraction shard.
 Two layers:
 
 * :mod:`repro.store.keys` — canonical config hashing (stable JSON
-  canonicalisation + code-version salt) at two granularities: whole-report
-  keys and stage-1 shard keys scoped to the fields that influence the shard.
+  canonicalisation + code-version salt) for the five memos: whole reports,
+  the serving model, stage-1 shards (scoped to the fields that influence
+  the shard, plus the index range), the decision priors and every
+  meta-model fit (:mod:`repro.store.fits`).
 * :mod:`repro.store.store` — the filesystem store: atomic temp-file+rename
   writes, provenance sidecars (timestamps live outside the hashed payload),
-  digest-verified self-healing reads, eviction helpers.
+  digest-verified self-healing reads, eviction helpers, and
+  :meth:`~repro.store.store.ResultStore.get_or_compute` — the one caching
+  route every memo goes through (single-flight claims, best-effort writes,
+  stale payloads recomputed).
 
-Wire-up: ``Runner(store=ResultStore())`` memoises whole reports and hands
-the store to the execution backend for per-shard caching; the sweep driver
-(:mod:`repro.sweep`) does this by default.  Cached results are bitwise
-identical to fresh ones — enforced by ``tests/test_store.py`` and
-``benchmarks/bench_sweep_cache.py``.
+Wire-up: ``Runner(store=ResultStore())`` memoises whole reports, serving
+models, priors and fits, and hands the store to the execution backend for
+per-shard caching; the sweep driver (:mod:`repro.sweep`) does this by
+default.  Cached results are bitwise identical to fresh ones — enforced by
+``tests/test_store.py`` and ``benchmarks/bench_sweep_cache.py``.
 """
 
 from repro.store.fits import FitCache

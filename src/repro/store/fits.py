@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.store.keys import content_key, stage1_payload
-from repro.store.store import ResultStore, StoreError
+from repro.store.store import ResultStore
 
 
 class FitCache:
@@ -64,34 +64,26 @@ class FitCache:
         )
 
     def fit_or_load(self, model: object, train, split: Dict[str, object]):
-        """Return a fitted model: loaded from the store, or fitted and stored.
+        """Return a fitted model: loaded from the store, or fitted and stored
+        (:meth:`ResultStore.get_or_compute`; a stale payload re-fits).
 
         *split* must describe the training split deterministically (protocol
         name, split seed, fractions, ...) — it is the only thing besides the
         model parameters that distinguishes fits on one extraction payload.
         """
-        key = self.fit_key(model, split)
-        state = self.store.get(key, codec="json")
-        if state is not None:
-            try:
-                loaded = type(model).from_state(state)
-            except (KeyError, TypeError, ValueError):
-                loaded = None  # stale/foreign payload: self-heal by re-fitting
-            if loaded is not None:
-                self.counters["hits"] += 1
-                return loaded
-        model.fit(train)
-        self.counters["misses"] += 1
-        try:
-            self.store.put(
-                key,
-                model.to_state(),
-                codec="json",
-                provenance={"type": "fit", "kind": self._kind, "split": split},
-            )
-        except (StoreError, OSError):
-            pass  # caching is best-effort; the fit itself succeeded
-        return model
+        def fit(indices):
+            model.fit(train)
+            return [model]
+
+        (fitted,), (hit,) = self.store.get_or_compute(
+            [self.fit_key(model, split)],
+            fit,
+            provenance=[{"type": "fit", "kind": self._kind, "split": split}],
+            encode=lambda fitted: fitted.to_state(),
+            decode=type(model).from_state,
+        )
+        self.counters["hits" if hit else "misses"] += 1
+        return fitted
 
 
 __all__ = ["FitCache"]

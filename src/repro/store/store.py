@@ -26,6 +26,11 @@ Durability and correctness guarantees:
 * **Concurrent use** — there is no global index file to contend on; two
   processes racing to publish the same key both write equal payloads and the
   last rename wins.
+* **One memo route** — :meth:`ResultStore.get_or_compute` is the only code
+  that reads, claims, computes and publishes a memo (reports, serving
+  models, stage-1 shards, decision priors, fits): single-flight across
+  processes, best-effort writes (an unwritable cache never discards a
+  computed value) and stale payloads treated as misses.
 * **LRU lifecycle** — every hit stamps ``last_access_unix`` into the sidecar
   (best-effort, atomically), and :meth:`ResultStore.prune` evicts by that
   recency (creation time for never-read entries), so hot entries survive;
@@ -49,7 +54,7 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import METRICS
 from repro.store.keys import version_salt
@@ -85,6 +90,10 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def _identity(value: object) -> object:
+    return value
 
 
 def _sha256(data: bytes) -> str:
@@ -315,7 +324,9 @@ class ResultStore:
 
         A claim left by a process that no longer exists is broken and
         re-contended.  The holder must :meth:`release` when done (success or
-        failure) — typically via ``try/finally``.
+        failure) — typically via ``try/finally``.  An unwritable lock
+        directory raises ``OSError``: nobody can hold the key, so
+        :meth:`get_or_compute` computes it unclaimed instead of waiting.
         """
         self._check_key(key)
         lock_path = self._lock_path(key)
@@ -334,8 +345,6 @@ class ResultStore:
                     except OSError:
                         pass
                     continue
-                return False
-            except OSError:
                 return False
             with os.fdopen(fd, "w") as handle:
                 handle.write(record)
@@ -391,45 +400,83 @@ class ResultStore:
 
     def get_or_compute(
         self,
-        key: str,
-        compute,
+        keys: Sequence[str],
+        compute: Callable[[List[int]], Sequence[object]],
         codec: str = "json",
-        provenance: Optional[Dict[str, object]] = None,
+        provenance: Optional[Sequence[Dict[str, object]]] = None,
+        encode: Callable[[object], object] = _identity,
+        decode: Callable[[object], object] = _identity,
         timeout: float = 120.0,
-    ):
-        """Return the cached value, computing (and publishing) it at most
-        once across concurrent callers.
+    ) -> Tuple[List[object], List[bool]]:
+        """The one memo route: ``(values, hits)`` of *keys*, each computed
+        at most once across concurrent callers.
 
-        N concurrent callers of the same *key* produce exactly one
-        ``compute()`` in the healthy case: one claims and computes, the rest
-        wait and re-read.  A waiter whose producer dies computes as a
-        fallback (duplicated work beats a lost run).  ``compute`` must not
-        return ``None`` — the store reserves it for misses.
+        A stored payload is served as ``decode(payload)``; one that
+        ``decode`` rejects with ``KeyError``/``TypeError``/``ValueError``
+        (stale or foreign) is a miss.  Misses are claimed, computed by
+        **one** ``compute(indices)`` call (values in *indices* order),
+        published as ``encode(value)`` with ``provenance[index]`` and
+        released in ``finally``.  Keys another caller holds are waited for
+        and rescued with ``compute([index])`` when that producer dies or
+        the wait times out.  Claims and publishes are best-effort: an
+        ``OSError``/:class:`StoreError` (an unwritable cache) is counted on
+        ``store.put.errors`` and never discards a computed value.
+        ``hits[i]`` tells whether value *i* came from the store.  Values
+        must not encode to ``None`` (reserved for misses).
         """
-        value = self.get(key, codec=codec)
-        if value is not None:
-            METRICS.counter("store.singleflight.hits").inc()
-            return value
-        if self.try_claim(key):
+        keys = list(keys)
+        values: List[object] = [None] * len(keys)
+        hits = [False] * len(keys)
+
+        def served(index: int, payload: object) -> bool:
+            if payload is None:
+                return False
             try:
-                # Re-check under the lock: the previous holder may have
-                # published between our miss and our claim.
-                value = self.get(key, codec=codec)
-                if value is None:
-                    METRICS.counter("store.singleflight.computes").inc()
-                    value = compute()
-                    self.put(key, value, codec=codec, provenance=provenance)
-                return value
-            finally:
-                self.release(key)
-        value = self.wait_for(key, codec=codec, timeout=timeout)
-        if value is not None:
-            METRICS.counter("store.singleflight.waits").inc()
-            return value
-        METRICS.counter("store.singleflight.rescues").inc()
-        value = compute()
-        self.put(key, value, codec=codec, provenance=provenance)
-        return value
+                values[index] = decode(payload)
+            except (KeyError, TypeError, ValueError):
+                return False
+            hits[index] = True
+            return True
+
+        def publish(indices: List[int], computed: Sequence[object]) -> None:
+            for index, value in zip(indices, computed):
+                values[index] = value
+                payload = encode(value)
+                try:
+                    self.put(keys[index], payload, codec=codec,
+                             provenance=provenance[index] if provenance else None)
+                except (OSError, StoreError):
+                    METRICS.counter("store.put.errors").inc()
+
+        missing = [i for i, key in enumerate(keys) if not served(i, self.get(key, codec))]
+        METRICS.counter("store.singleflight.hits").inc(len(keys) - len(missing))
+        claimed, held, waiting = [], [], []
+        for index in missing:
+            try:
+                if not self.try_claim(keys[index]):
+                    waiting.append(index)
+                    continue
+                held.append(index)
+            except (OSError, StoreError):
+                METRICS.counter("store.put.errors").inc()  # compute unclaimed
+            claimed.append(index)
+        try:
+            # Re-check under the lock: the previous holder may have
+            # published between our miss and our claim.
+            todo = [i for i in claimed if not served(i, self.get(keys[i], codec))]
+            if todo:
+                METRICS.counter("store.singleflight.computes").inc(len(todo))
+                publish(todo, compute(todo))
+        finally:
+            for index in held:
+                self.release(keys[index])
+        for index in waiting:
+            if served(index, self.wait_for(keys[index], codec, timeout=timeout)):
+                METRICS.counter("store.singleflight.waits").inc()
+            else:
+                METRICS.counter("store.singleflight.rescues").inc()
+                publish([index], compute([index]))
+        return values, hits
 
     # ------------------------------------------------------------- management
     def evict(self, key: str) -> bool:

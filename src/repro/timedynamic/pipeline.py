@@ -135,7 +135,7 @@ class TimeDynamicPipeline:
         table, so per-frame cost is O(H×W) rather than O(n_segments × H×W).
         """
         frames_per_sequence = dataset.n_frames_per_sequence
-        samples = dataset.samples(sequence_index, cache=False)
+        samples = dataset.samples(sequence_index)
         probability_fields = []
         real_gt: List[Optional[np.ndarray]] = []
         pseudo_gt: List[Optional[np.ndarray]] = []

@@ -347,7 +347,7 @@ class TestStreamingPeakMemory:
         dataset, pipeline = self._workload()
         tracemalloc.start()
         streamed = pipeline.extract_dataset(
-            dataset.val_sample(index, cache=False) for index in range(self.N_VAL)
+            dataset.val_sample(index) for index in range(self.N_VAL)
         )
         peak_streaming = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()

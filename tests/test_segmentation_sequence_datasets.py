@@ -91,8 +91,11 @@ class TestCityscapesLikeDataset:
         ]
         assert len(set(ids)) == len(ids)
 
-    def test_caching_returns_same_object(self, cityscapes_like):
-        assert cityscapes_like.train_sample(0) is cityscapes_like.train_sample(0)
+    def test_rebuilt_sample_is_bitwise_equal(self, cityscapes_like):
+        first, again = cityscapes_like.train_sample(0), cityscapes_like.train_sample(0)
+        assert again is not first  # nothing is memoised
+        assert again.image_id == first.image_id
+        np.testing.assert_array_equal(again.labels, first.labels)
 
     def test_out_of_range(self, cityscapes_like):
         with pytest.raises(IndexError):
@@ -128,8 +131,12 @@ class TestKittiLikeDataset:
             kitti_like.n_sequences * kitti_like.n_frames_per_sequence
         )
 
-    def test_sequence_caching(self, kitti_like):
-        assert kitti_like.sequence(0) is kitti_like.sequence(0)
+    def test_rebuilt_sequence_is_bitwise_equal(self, kitti_like):
+        first, again = kitti_like.sequence(0), kitti_like.sequence(0)
+        assert again is not first  # nothing is memoised
+        assert len(again) == len(first)
+        for frame, frame_again in zip(first.frames, again.frames):
+            np.testing.assert_array_equal(frame_again.labels, frame.labels)
 
     def test_out_of_range(self, kitti_like):
         with pytest.raises(IndexError):

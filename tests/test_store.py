@@ -25,7 +25,9 @@ from repro.api.config import (
     ExperimentConfig,
     MetaModelConfig,
 )
+from repro.api.kinds import KINDS
 from repro.api.runner import Runner
+from repro.obs import METRICS
 from repro.store import (
     ResultStore,
     StoreError,
@@ -750,7 +752,9 @@ class TestSingleFlight:
 
         results = [None] * 8
         def call(slot):
-            results[slot] = store.get_or_compute(key, compute, timeout=30.0)
+            (results[slot],), _ = store.get_or_compute(
+                [key], lambda indices: [compute()], timeout=30.0
+            )
 
         threads = [
             threading.Thread(target=call, args=(slot,)) for slot in range(8)
@@ -795,12 +799,13 @@ class TestSingleFlight:
         key = report_key({"singleflight": "rescue"})
         assert store.try_claim(key) is True  # a producer that never publishes
         try:
-            value = store.get_or_compute(
-                key, lambda: {"rescued": True}, timeout=0.3
+            (value,), (hit,) = store.get_or_compute(
+                [key], lambda indices: [{"rescued": True}], timeout=0.3
             )
         finally:
             store.release(key)
         assert value == {"rescued": True}
+        assert hit is False
         assert store.get(key) == {"rescued": True}
 
     def test_publish_then_release_is_seen_by_waiters(self, tmp_path):
@@ -812,10 +817,11 @@ class TestSingleFlight:
         assert store.wait_for(key, timeout=5.0) == {"done": 1}
         # And get_or_compute never calls compute for a published key.
         sentinel = []
-        value = store.get_or_compute(
-            key, lambda: sentinel.append(1) or {"recomputed": True}
+        (value,), (hit,) = store.get_or_compute(
+            [key], lambda indices: sentinel.append(1) or [{"recomputed": True}]
         )
         assert value == {"done": 1}
+        assert hit is True
         assert sentinel == []
 
     def test_failed_compute_releases_the_lock(self, tmp_path):
@@ -823,12 +829,15 @@ class TestSingleFlight:
         key = report_key({"singleflight": "failure"})
         with pytest.raises(RuntimeError, match="compute exploded"):
             store.get_or_compute(
-                key, lambda: (_ for _ in ()).throw(RuntimeError("compute exploded"))
+                [key],
+                lambda indices: (_ for _ in ()).throw(RuntimeError("compute exploded")),
             )
         # The claim was released on the way out: the key is retryable.
         assert store.try_claim(key) is True
         store.release(key)
-        assert store.get_or_compute(key, lambda: {"ok": 1}) == {"ok": 1}
+        assert store.get_or_compute([key], lambda indices: [{"ok": 1}]) == (
+            [{"ok": 1}], [False]
+        )
 
     def test_plain_miss_never_evicts(self, tmp_path, monkeypatch):
         """A missing-entry miss must not call evict: a get that read the
@@ -868,7 +877,9 @@ class TestSingleFlight:
 
             results = [None] * 4
             def call(slot):
-                results[slot] = store.get_or_compute(key, compute, timeout=30.0)
+                (results[slot],), _ = store.get_or_compute(
+                    [key], lambda indices: [compute()], timeout=30.0
+                )
 
             threads = [
                 threading.Thread(target=call, args=(slot,)) for slot in range(4)
@@ -882,6 +893,73 @@ class TestSingleFlight:
                 f"round {round_index}: expected one compute, got {len(calls)}"
             )
 
+    def test_batch_computes_unclaimed_keys_once_then_rescues(self, tmp_path):
+        store = ResultStore(tmp_path)
+        keys = [report_key({"singleflight": "batch", "n": n}) for n in range(2)]
+        assert store.try_claim(keys[0]) is True  # a producer that never publishes
+        calls = []
+
+        def compute(indices):
+            calls.append(list(indices))
+            return [{"n": index} for index in indices]
+
+        try:
+            values, hits = store.get_or_compute(keys, compute, timeout=0.3)
+        finally:
+            store.release(keys[0])
+        assert calls == [[1], [0]]  # the unclaimed key, then the rescue
+        assert values == [{"n": 0}, {"n": 1}]
+        assert hits == [False, False]
+        assert [store.get(key) for key in keys] == values
+        assert store.get_or_compute(keys, compute) == (values, [True, True])
+        assert calls == [[1], [0]]
+
+    def test_undecodable_payload_is_a_miss_and_overwritten(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = report_key({"singleflight": "stale"})
+        store.put(key, {"stale": 1})
+
+        def decode(payload):
+            return payload["value"]
+
+        values, hits = store.get_or_compute(
+            [key], lambda indices: [7], encode=lambda value: {"value": value},
+            decode=decode,
+        )
+        assert (values, hits) == ([7], [False])
+        assert store.get(key) == {"value": 7}
+        assert store.get_or_compute(
+            [key], lambda indices: [8], decode=decode
+        ) == ([7], [True])
+
+    def test_unwritable_store_keeps_computed_values(self, tmp_path):
+        (tmp_path / "objects").write_text("not a directory")
+        store = ResultStore(tmp_path)
+        keys = [report_key({"singleflight": "unwritable", "n": n}) for n in range(2)]
+        errors = METRICS.counter("store.put.errors")
+        before = errors.value
+        values, hits = store.get_or_compute(
+            keys, lambda indices: [{"n": index} for index in indices]
+        )
+        assert (values, hits) == ([{"n": 0}, {"n": 1}], [False, False])
+        assert errors.value - before == 2
+        assert not any(store._lock_path(key).exists() for key in keys)
+
+    def test_unclaimable_keys_are_computed_in_one_call(self, tmp_path):
+        (tmp_path / "locks").write_text("not a directory")
+        store = ResultStore(tmp_path)
+        keys = [report_key({"singleflight": "unclaimable", "n": n}) for n in range(2)]
+        calls = []
+
+        def compute(indices):
+            calls.append(list(indices))
+            return [{"n": index} for index in indices]
+
+        values, hits = store.get_or_compute(keys, compute, timeout=30.0)
+        assert calls == [[0, 1]]
+        assert hits == [False, False]
+        assert [store.get(key) for key in keys] == values
+
     def test_clear_removes_lock_residue(self, tmp_path):
         store = ResultStore(tmp_path)
         key = report_key({"singleflight": "clear"})
@@ -891,3 +969,95 @@ class TestSingleFlight:
         assert not (tmp_path / "locks").exists()
         assert store.try_claim(key) is True
         store.release(key)
+
+
+# ------------------------------------------------- best-effort memo route
+
+
+def _unwritable_store(tmp_path) -> ResultStore:
+    """A store whose ``objects`` is a regular file: every put fails (also as
+    root, unlike a permission bit)."""
+    (tmp_path / "objects").write_text("not a directory")
+    return ResultStore(tmp_path)
+
+
+class TestUnwritableStore:
+    """An unwritable store still returns the finished run, bitwise."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_run_returns_the_storeless_report(self, tmp_path, backend):
+        config = ExperimentConfig.from_dict({
+            **metaseg_config().to_dict(),
+            "execution": {"backend": backend, "workers": 2},
+        })
+        errors = METRICS.counter("store.put.errors")
+        before = errors.value
+        report = Runner(store=_unwritable_store(tmp_path)).run(config)
+        assert errors.value > before
+        assert report.cache["hit"] is False
+        assert report.to_json() == Runner().run(config).to_json()
+
+    def test_fit_returns_the_storeless_model(self, tmp_path):
+        errors = METRICS.counter("store.put.errors")
+        before = errors.value
+        model = Runner(store=_unwritable_store(tmp_path)).fit(metaseg_config())
+        assert errors.value > before
+        assert model.cache["hit"] is False
+        fresh = Runner().fit(metaseg_config())
+        assert json.dumps(model.to_state()) == json.dumps(fresh.to_state())
+
+
+class TestStalePayloads:
+    """A decodable but unrecognised payload under a memo key self-heals."""
+
+    def test_stale_report_entry_is_recomputed_and_overwritten(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = report_key(metaseg_config().to_dict())
+        store.put(key, {"stale": 1})
+        report = Runner(store=store).run(metaseg_config())
+        assert report.cache["hit"] is False
+        assert report.to_json() == Runner().run(metaseg_config()).to_json()
+        assert store.get(key) == report.to_dict()
+        assert Runner(store=store).run(metaseg_config()).cache["hit"] is True
+
+    def test_stale_model_entry_is_recomputed_and_overwritten(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = model_key(metaseg_config().to_dict())
+        store.put(key, {"stale": 1})
+        model = Runner(store=store).fit(metaseg_config())
+        assert model.cache == {"hit": False, "key": key}
+        fresh = Runner().fit(metaseg_config())
+        assert json.dumps(model.to_state()) == json.dumps(fresh.to_state())
+        assert store.get(key) == json.loads(json.dumps(model.to_state()))
+        assert Runner(store=store).fit(metaseg_config()).cache["hit"] is True
+
+
+class TestReportSingleFlight:
+    def test_concurrent_runs_walk_stage1_once(self, tmp_path, monkeypatch):
+        import threading
+
+        kind = KINDS["metaseg"]
+        shard_calls = []
+        calls_lock = threading.Lock()
+
+        def counting_shard(*args):
+            with calls_lock:
+                shard_calls.append(1)
+            return kind.shard(*args)
+
+        monkeypatch.setitem(KINDS, "metaseg", kind._replace(shard=counting_shard))
+        store = ResultStore(tmp_path)
+        reports = [None, None]
+
+        def run(slot):
+            reports[slot] = Runner(store=store).run(metaseg_config())
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(shard_calls) == 1
+        assert sorted(report.cache["hit"] for report in reports) == [False, True]
+        assert reports[0].to_json() == reports[1].to_json()
