@@ -37,10 +37,12 @@ def build_pipeline() -> TimeDynamicPipeline:
     return TimeDynamicPipeline(
         test_network=SimulatedSegmentationNetwork(mobilenetv2_profile(), random_state=20),
         reference_network=SimulatedSegmentationNetwork(xception65_profile(), random_state=21),
-        gradient_boosting_params={
-            "n_estimators": 30, "max_depth": 3, "max_features": "sqrt", "subsample": 0.8,
+        model_params={
+            "gradient_boosting": {
+                "n_estimators": 30, "max_depth": 3, "max_features": "sqrt", "subsample": 0.8,
+            },
+            "neural_network": {"hidden_layer_sizes": (24,), "n_epochs": 60},
         },
-        neural_network_params={"hidden_layer_sizes": (24,), "n_epochs": 60},
     )
 
 

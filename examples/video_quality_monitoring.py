@@ -53,8 +53,10 @@ def main() -> None:
     pipeline = TimeDynamicPipeline(
         test_network=SimulatedSegmentationNetwork(mobilenetv2_profile(), random_state=1),
         reference_network=SimulatedSegmentationNetwork(xception65_profile(), random_state=2),
-        gradient_boosting_params={"n_estimators": 30, "max_depth": 3, "max_features": "sqrt"},
-        neural_network_params={"hidden_layer_sizes": (24,), "n_epochs": 60},
+        model_params={
+            "gradient_boosting": {"n_estimators": 30, "max_depth": 3, "max_features": "sqrt"},
+            "neural_network": {"hidden_layer_sizes": (24,), "n_epochs": 60},
+        },
     )
 
     print("\nrunning per-frame inference, pseudo labelling and segment tracking ...")

@@ -62,6 +62,12 @@ echo "=== distributed dispatch benchmark (smoke: parity + kill-one recovery) ===
 PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
     python benchmarks/bench_distributed.py --smoke
 
+echo "=== meta-model paper scripts (smoke) ==="
+PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" REPRO_BENCH_SCALE=0.5 \
+    python -m pytest -q --benchmark-disable benchmarks/bench_table1.py \
+    benchmarks/bench_table2.py benchmarks/bench_fig1.py benchmarks/bench_fig2.py \
+    benchmarks/bench_correlations.py benchmarks/bench_multiresolution.py
+
 echo "=== dispatch fault-injection suite ==="
 python -m pytest -q -m faults tests/test_dispatch_faults.py
 

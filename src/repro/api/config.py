@@ -219,8 +219,9 @@ class MetaModelConfig:
     ignores ``regressors``).  ``feature_group`` names a ``metric_groups``
     entry restricting the features (for ``timedynamic`` it selects the base
     features tracked over time); ``model_params`` maps a method name to
-    extra keyword arguments for that model family.  The ``decision`` kind
-    fits no meta models and ignores this section.
+    extra keyword arguments for that model family (README "Meta models";
+    ``Runner.resolve`` rejects keys a built-in family cannot take).  The
+    ``decision`` kind fits no meta models.
 
     ``Runner.fit`` (the fit-once/score-many serving path) persists exactly
     one classifier/regressor pair per config: ``classifiers[0]`` and

@@ -56,7 +56,6 @@ def metaseg_pipeline(resolved) -> MetaSegPipeline:
 def timedynamic_pipeline(resolved) -> TimeDynamicPipeline:
     """The time-dynamic pipeline of a resolved config."""
     config = resolved.config
-    params = config.meta_models.model_params
     pipeline_kwargs = {}
     if resolved.feature_subset is not None:
         # The metric-group restriction maps to the base features tracked
@@ -67,8 +66,7 @@ def timedynamic_pipeline(resolved) -> TimeDynamicPipeline:
         reference_network=resolved.reference_network,
         classification_penalty=config.meta_models.classification_penalty,
         regression_penalty=config.meta_models.regression_penalty,
-        gradient_boosting_params=params.get("gradient_boosting"),
-        neural_network_params=params.get("neural_network"),
+        model_params=config.meta_models.model_params,
         **pipeline_kwargs,
     )
 

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Union
 
-from repro.api.config import ExperimentConfig
+from repro.api.config import ConfigError, ExperimentConfig
 from repro.api.fitted import FittedModel
 from repro.api.kinds import KINDS, Table, metaseg_pipeline
 from repro.obs import Tracer, timings_view
@@ -34,6 +34,7 @@ from repro.api.registry import (
     METRIC_GROUPS,
     NETWORK_PROFILES,
 )
+from repro.core.meta_model import PROTOCOL_PARAMS
 from repro.segmentation.network import SimulatedSegmentationNetwork
 
 
@@ -401,7 +402,10 @@ class Runner:
         """Resolve every registry name of a validated config into components.
 
         Raises :class:`repro.api.registry.RegistryError` (with the available
-        names) on any unknown component name, before anything expensive runs.
+        names) on any unknown component name, and
+        :class:`~repro.api.config.ConfigError` on a ``model_params`` entry a
+        built-in meta-model family cannot take, before anything expensive
+        runs.
         """
         seeds = derived_seeds(config.seed)
         kind = KINDS[config.kind]
@@ -459,10 +463,13 @@ class Runner:
             check_dataset(dataset)
         group = METRIC_GROUPS.get(config.meta_models.feature_group)
         feature_subset = None if group is None else list(group)
+        meta = config.meta_models
+        regressors = meta.regressors
         if kind.video:
             # Section III shares one method list across both meta tasks, so
             # each name must be registered as classifier AND regressor.
-            for name in config.meta_models.classifiers:
+            regressors = meta.classifiers
+            for name in meta.classifiers:
                 if name not in META_CLASSIFIERS or name not in META_REGRESSORS:
                     raise ValueError(
                         f"timedynamic methods must be registered as both "
@@ -470,11 +477,10 @@ class Runner:
                         f"(shared by both: "
                         f"{', '.join(sorted(set(META_CLASSIFIERS) & set(META_REGRESSORS)))})"
                     )
-        else:
-            for name in config.meta_models.classifiers:
-                META_CLASSIFIERS.get(name)
-            for name in config.meta_models.regressors:
-                META_REGRESSORS.get(name)
+        for registry, names in ((META_CLASSIFIERS, meta.classifiers),
+                                (META_REGRESSORS, regressors)):
+            for name in names:
+                _check_model_params(registry.get(name), name, meta.model_params.get(name, {}))
         for name in config.evaluation.rules:
             DECISION_RULES.get(name)
         return ResolvedExperiment(
@@ -488,6 +494,29 @@ class Runner:
             regressors=list(config.meta_models.regressors),
             rules=list(config.evaluation.rules),
         )
+
+
+def _check_model_params(factory: object, name: str, params: object) -> None:
+    """Reject a built-in family's ``model_params`` entry its model cannot take.
+
+    Checked at resolve time, so a typo fails before stage 1 instead of
+    inside the protocol.  Custom factories stay unchecked.
+    """
+    meta_model = getattr(factory, "meta_model", None)
+    if meta_model is None:
+        return
+    where = f"meta_models: model_params[{name!r}]"
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be a dict, got {type(params).__name__}")
+    accepted = meta_model.accepted_params(factory.method)
+    for key in params:
+        if key in PROTOCOL_PARAMS:
+            raise ConfigError(f"{where}: {key!r} is set by the protocol, not by model_params")
+        if key not in accepted:
+            raise ConfigError(
+                f"{where}: the {meta_model.__name__} family {name!r} has no "
+                f"parameter {key!r} (accepted: {', '.join(accepted)})"
+            )
 
 
 def _validated(config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentConfig:

@@ -11,7 +11,8 @@ This subpackage implements the paper's primary contribution (Section II):
    dataset (:mod:`repro.core.dataset`);
 4. *meta classification* (IoU = 0 vs. IoU > 0, i.e. false-positive detection)
    and *meta regression* (direct IoU prediction) on top of those metrics
-   (:mod:`repro.core.meta_classification`, :mod:`repro.core.meta_regression`);
+   (:mod:`repro.core.meta_classification`, :mod:`repro.core.meta_regression`,
+   one construction in :mod:`repro.core.meta_model`);
 5. an end-to-end pipeline reproducing the Table I protocol
    (:mod:`repro.core.pipeline`), the nested multi-resolution extension
    (:mod:`repro.core.multiresolution`) and Fig.-1-style visualisations

@@ -5,28 +5,26 @@ IoU value itself as a gradual quality measure ("this can also be viewed as a
 quality measure", Section II).  Table I reports the residual standard
 deviation σ and R² for linear regression on all metrics and for the
 entropy-only baseline; Section III adds gradient boosting and shallow neural
-networks.
+networks.  The families are the :attr:`MetaRegressor.FAMILIES` table over
+the construction of :mod:`repro.core.meta_model`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.api.registry import META_REGRESSORS
 from repro.core.dataset import MetricsDataset
 from repro.core.metrics import METRIC_GROUPS
+from repro.core.meta_model import BOOSTING_DEFAULTS, NETWORK_DEFAULTS, Family, MetaModel
 from repro.evaluation.regression import r2_score, residual_std
 from repro.models.gradient_boosting import GradientBoostingRegressor
 from repro.models.linear import LinearRegression
 from repro.models.neural_network import MLPRegressor
-from repro.models.scaler import StandardScaler
-from repro.utils.rng import RandomState, as_rng
-
-#: Model families supported for the meta regression task.
-REGRESSOR_METHODS = ("linear", "gradient_boosting", "neural_network")
+from repro.utils.rng import RandomState
 
 
 @dataclass
@@ -39,7 +37,7 @@ class MetaRegressionResult:
     test_r2: float
 
     def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view (used by the benchmark harnesses)."""
+        """Plain-dict view (metric name -> value)."""
         return {
             "train_sigma": self.train_sigma,
             "test_sigma": self.test_sigma,
@@ -48,89 +46,39 @@ class MetaRegressionResult:
         }
 
 
-class MetaRegressor:
+class MetaRegressor(MetaModel):
     """Segment-wise IoU estimator operating on metric datasets.
 
-    Parameters
-    ----------
-    method:
-        One of ``"linear"``, ``"gradient_boosting"``, ``"neural_network"``.
-    penalty:
-        l2 penalty strength (ridge weight for the linear model, weight decay
-        for the neural network).
-    feature_subset:
-        Optional list of feature names (e.g. the entropy-only baseline).
-    clip_predictions:
-        Whether to clip predicted IoU values to [0, 1].
-    random_state:
-        Seed for the stochastic models.
-    model_params:
-        Extra keyword arguments forwarded to the underlying model.
+    ``method`` is a key of :attr:`FAMILIES`; ``clip_predictions`` clips the
+    predicted IoU values to [0, 1].  The other keywords are those of
+    :class:`~repro.core.meta_model.MetaModel`.
     """
 
-    def __init__(
-        self,
-        method: str = "linear",
-        penalty: float = 0.0,
-        feature_subset: Optional[Sequence[str]] = None,
-        clip_predictions: bool = True,
-        random_state: RandomState = 0,
-        **model_params,
-    ) -> None:
-        if method not in REGRESSOR_METHODS:
-            raise ValueError(f"method must be one of {REGRESSOR_METHODS}, got {method!r}")
-        if penalty < 0:
-            raise ValueError("penalty must be non-negative")
-        self.method = method
-        self.penalty = float(penalty)
-        self.feature_subset = list(feature_subset) if feature_subset is not None else None
-        self.clip_predictions = clip_predictions
-        self.random_state = random_state
-        self.model_params = model_params
-        self.scaler_: Optional[StandardScaler] = None
-        self.model_ = None
+    FAMILIES = {
+        "linear": Family(LinearRegression, "alpha", False, {}),
+        "gradient_boosting": Family(GradientBoostingRegressor, None, True, BOOSTING_DEFAULTS),
+        "neural_network": Family(MLPRegressor, "l2_penalty", True, NETWORK_DEFAULTS),
+    }
+    TASK_PARAMS = ("clip_predictions",)
 
-    # ------------------------------------------------------------------ ---
-    def _build_model(self):
-        rng = as_rng(self.random_state)
-        seed = int(rng.integers(0, 2**31 - 1))
-        if self.method == "linear":
-            params = {"alpha": self.penalty}
-            params.update(self.model_params)
-            return LinearRegression(**params)
-        if self.method == "gradient_boosting":
-            params = {"n_estimators": 60, "max_depth": 3, "learning_rate": 0.1,
-                      "min_samples_leaf": 5, "random_state": seed}
-            params.update(self.model_params)
-            return GradientBoostingRegressor(**params)
-        params = {"hidden_layer_sizes": (32,), "l2_penalty": self.penalty,
-                  "n_epochs": 150, "learning_rate": 1e-2, "random_state": seed}
-        params.update(self.model_params)
-        return MLPRegressor(**params)
+    def __init__(self, method: str = "linear", clip_predictions: bool = True, **kwargs) -> None:
+        super().__init__(method, **kwargs)
+        self.clip_predictions = bool(clip_predictions)
 
     def fit(self, dataset: MetricsDataset) -> "MetaRegressor":
         """Fit the meta regressor on a metrics dataset with IoU targets."""
         features = dataset.feature_matrix(self.feature_subset)
         targets = dataset.target_iou()
-        self.scaler_ = StandardScaler().fit(features)
-        self.model_ = self._build_model()
-        self.model_.fit(self.scaler_.transform(features), targets)
+        self._fit_scaled(features, targets)
         return self
 
     def predict(self, dataset: MetricsDataset) -> np.ndarray:
         """Predicted IoU per segment (clipped to [0, 1] unless disabled)."""
-        if self.model_ is None:
-            raise RuntimeError("MetaRegressor is not fitted yet")
-        features = dataset.feature_matrix(self.feature_subset)
-        predictions = self.model_.predict(self.scaler_.transform(features))
+        features = self._scaled_features(dataset)
+        predictions = self.model_.predict(features)
         if self.clip_predictions:
             predictions = np.clip(predictions, 0.0, 1.0)
         return predictions
-
-    def evaluate(self, train: MetricsDataset, test: MetricsDataset) -> MetaRegressionResult:
-        """Fit on *train* and report σ/R² on both splits (Table I protocol)."""
-        self.fit(train)
-        return self.evaluate_fitted(train, test)
 
     def evaluate_fitted(
         self, train: MetricsDataset, test: MetricsDataset
@@ -147,68 +95,8 @@ class MetaRegressor:
             test_r2=r2_score(test_targets, test_pred),
         )
 
-    # ------------------------------------------------------------------ ---
-    def param_state(self) -> dict:
-        """Canonical constructor parameters (the identity part of a fit key).
 
-        Raises TypeError for non-integer seeds: an ambiguous seed must never
-        silently alias two different fits under one cache key.
-        """
-        from repro.models.state import serializable_seed
-
-        return {
-            "type": type(self).__name__,
-            "method": self.method,
-            "penalty": self.penalty,
-            "feature_subset": self.feature_subset,
-            "clip_predictions": bool(self.clip_predictions),
-            "random_state": serializable_seed(self.random_state),
-            "model_params": dict(self.model_params),
-        }
-
-    def to_state(self) -> dict:
-        """JSON-serialisable fitted state (bitwise-exact round-trip)."""
-        if self.model_ is None:
-            raise RuntimeError("MetaRegressor is not fitted yet")
-        from repro.models.state import model_to_state
-
-        state = self.param_state()
-        state["scaler"] = self.scaler_.to_state()
-        state["model"] = model_to_state(self.model_)
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "MetaRegressor":
-        """Rebuild a fitted meta regressor from its :meth:`to_state` form."""
-        from repro.models.state import expect_state_type, model_from_state
-
-        expect_state_type(state, cls)
-        meta = cls(
-            method=state["method"],
-            penalty=state["penalty"],
-            feature_subset=state["feature_subset"],
-            clip_predictions=state["clip_predictions"],
-            random_state=state["random_state"],
-            **state["model_params"],
-        )
-        meta.scaler_ = StandardScaler.from_state(state["scaler"])
-        meta.model_ = model_from_state(state["model"])
-        return meta
-
-
-# Register the supported model families as named factories (see the
-# matching block in repro.core.meta_classification).
-def _regressor_factory(method: str):
-    def factory(**kwargs) -> MetaRegressor:
-        return MetaRegressor(method=method, **kwargs)
-
-    factory.__name__ = f"{method}_meta_regressor"
-    factory.__doc__ = f"MetaRegressor factory for the {method!r} model family."
-    return factory
-
-
-for _method in REGRESSOR_METHODS:
-    META_REGRESSORS.register(_method, _regressor_factory(_method))
+MetaRegressor.register_families(META_REGRESSORS)
 
 
 def entropy_baseline_regressor(

@@ -17,14 +17,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
 from repro.core.dataset import MetricsAccumulator, MetricsDataset
-from repro.core.meta_classification import MetaClassifier, naive_baseline_accuracy
-from repro.core.meta_regression import MetaRegressor
-from repro.core.metrics import METRIC_GROUPS, SegmentMetricsExtractor
+from repro.core.meta_classification import entropy_baseline_classifier, naive_baseline_accuracy
+from repro.core.meta_regression import entropy_baseline_regressor
+from repro.core.metrics import SegmentMetricsExtractor
 from repro.evaluation.regression import pearson_correlation
 from repro.segmentation.datasets import SegmentationSample
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.segmentation.network import SimulatedSegmentationNetwork
-from repro.utils.arrays import mean_std
+from repro.store.fits import fit_model
+from repro.utils.arrays import mean_std_by_key
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -152,7 +153,8 @@ class MetaSegPipeline:
             registered factories work here.  A factory is called as
             ``factory(penalty=..., feature_subset=..., random_state=...,
             **model_params[name])`` and must return an object with the
-            ``evaluate(train, test)`` protocol of the built-in meta models.
+            ``fit(train)`` / ``evaluate_fitted(train, test)`` protocol of the
+            built-in meta models.
         feature_subset:
             Optional metric-group restriction for the main variants (e.g. a
             named group from the ``metric_groups`` registry); ``None`` uses
@@ -160,7 +162,8 @@ class MetaSegPipeline:
             uses its own single feature.
         model_params:
             Optional per-method extra keyword arguments, e.g.
-            ``{"gradient_boosting": {"n_estimators": 20}}``.
+            ``{"gradient_boosting": {"n_estimators": 20}}``; a built-in
+            family merges them key by key over its defaults.
         fit_cache:
             Optional :class:`repro.store.FitCache`: previously performed
             meta-model fits are loaded from the store instead of re-fitted.
@@ -188,11 +191,9 @@ class MetaSegPipeline:
         regression_runs: Dict[str, List[Dict[str, float]]] = {}
 
         def evaluate(model, train, test, split):
-            """Evaluate one variant, loading a cached fit when possible."""
-            if fit_cache is not None and fit_cache.supports(model):
-                fitted = fit_cache.fit_or_load(model, train, split)
-                return fitted.evaluate_fitted(train, test)
-            return model.evaluate(train, test)
+            """Fit one variant (or load its cached fit) and score it."""
+            fitted = fit_model(model, train, split, fit_cache)
+            return fitted.evaluate_fitted(train, test).as_dict()
 
         for _ in range(n_runs):
             split_seed = int(rng.integers(0, 2**31 - 1))
@@ -203,26 +204,17 @@ class MetaSegPipeline:
             }
             train, test = dataset.split((train_fraction, 1.0 - train_fraction), split_seed)
             for method, factory in classifier_factories.items():
-                params = model_params.get(method, {})
-                variants = {
-                    f"{method}_penalized": factory(
-                        penalty=self.classification_penalty,
-                        feature_subset=subset, random_state=split_seed, **params,
-                    ),
-                    f"{method}_unpenalized": factory(
-                        penalty=0.0,
-                        feature_subset=subset, random_state=split_seed, **params,
-                    ),
-                }
-                for name, classifier in variants.items():
-                    result = evaluate(classifier, train, test, split).as_dict()
-                    classification_runs.setdefault(name, []).append(result)
-            entropy_classifier = MetaClassifier(
-                method="logistic", penalty=0.0,
-                feature_subset=list(METRIC_GROUPS["entropy_only"]), random_state=split_seed,
-            )
+                for variant, penalty in (("penalized", self.classification_penalty),
+                                         ("unpenalized", 0.0)):
+                    classifier = factory(
+                        penalty=penalty, feature_subset=subset, random_state=split_seed,
+                        **model_params.get(method, {}),
+                    )
+                    classification_runs.setdefault(f"{method}_{variant}", []).append(
+                        evaluate(classifier, train, test, split)
+                    )
             classification_runs.setdefault("entropy_only", []).append(
-                evaluate(entropy_classifier, train, test, split).as_dict()
+                evaluate(entropy_baseline_classifier(random_state=split_seed), train, test, split)
             )
             for method, factory in regressor_factories.items():
                 regressor = factory(
@@ -231,14 +223,10 @@ class MetaSegPipeline:
                     **model_params.get(method, {}),
                 )
                 regression_runs.setdefault(f"{method}_all_metrics", []).append(
-                    evaluate(regressor, train, test, split).as_dict()
+                    evaluate(regressor, train, test, split)
                 )
-            entropy_regressor = MetaRegressor(
-                method="linear", penalty=0.0,
-                feature_subset=list(METRIC_GROUPS["entropy_only"]), random_state=split_seed,
-            )
             regression_runs.setdefault("entropy_only", []).append(
-                evaluate(entropy_regressor, train, test, split).as_dict()
+                evaluate(entropy_baseline_regressor(random_state=split_seed), train, test, split)
             )
 
         result = MetaSegResult(
@@ -249,13 +237,9 @@ class MetaSegPipeline:
             naive_accuracy=naive_baseline_accuracy(dataset),
         )
         for name, runs in classification_runs.items():
-            result.classification[name] = {
-                key: mean_std([run[key] for run in runs]) for key in runs[0]
-            }
+            result.classification[name] = mean_std_by_key(runs)
         for name, runs in regression_runs.items():
-            result.regression[name] = {
-                key: mean_std([run[key] for run in runs]) for key in runs[0]
-            }
+            result.regression[name] = mean_std_by_key(runs)
         return result
 
     # ------------------------------------------------------------------ ---

@@ -8,6 +8,8 @@ stream, so loading a previously fitted model instead of re-fitting is
 RNG-stream-neutral and bitwise identical.  :class:`FitCache` exploits that by
 keying each fit on exactly those three components and persisting the fitted
 state (:meth:`to_state`) through the :class:`~repro.store.store.ResultStore`.
+:func:`fit_model` is the one fit call of both protocols: through the cache
+when one is attached and the model supports it, in place otherwise.
 
 A store-backed sweep that varies only evaluation-side fields (``n_runs``,
 ``train_fraction``, model lists) therefore reuses not just extraction shards
@@ -86,4 +88,18 @@ class FitCache:
         return fitted
 
 
-__all__ = ["FitCache"]
+def fit_model(model: object, train, split: Dict[str, object], fit_cache: Optional[FitCache]):
+    """Return *model* fitted on *train*.
+
+    With a *fit_cache* and a model that has the state protocol the fit goes
+    through :meth:`FitCache.fit_or_load` (*split* enters its key);
+    otherwise (no store, or a custom factory's plain estimator) *model* is
+    fitted in place.
+    """
+    if fit_cache is not None and fit_cache.supports(model):
+        return fit_cache.fit_or_load(model, train, split)
+    model.fit(train)
+    return model
+
+
+__all__ = ["FitCache", "fit_model"]

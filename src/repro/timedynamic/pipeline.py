@@ -41,8 +41,18 @@ from repro.timedynamic.time_series import (
     TimeSeriesBuilder,
     build_time_series_dataset,
 )
-from repro.utils.arrays import mean_std
+from repro.store.fits import fit_model
+from repro.utils.arrays import mean_std_by_key
 from repro.utils.rng import RandomState, as_rng
+
+#: Section III model parameters by method; an entry of the pipeline's
+#: ``model_params`` replaces the method's entry here.
+SECTION_III_PARAMS: Dict[str, dict] = {
+    "gradient_boosting": {
+        "n_estimators": 40, "max_depth": 3, "max_features": "sqrt", "subsample": 0.8,
+    },
+    "neural_network": {"hidden_layer_sizes": (24,), "n_epochs": 80, "batch_size": 64},
+}
 
 
 @dataclass
@@ -92,7 +102,14 @@ class TimeDynamicResult:
 
 
 class TimeDynamicPipeline:
-    """Orchestrates the Section III experiments on a KITTI-like video dataset."""
+    """Orchestrates the Section III experiments on a KITTI-like video dataset.
+
+    ``model_params`` maps a method name to the keyword arguments its meta
+    models get (the config's ``meta_models.model_params`` shape); an entry
+    replaces that method's :data:`SECTION_III_PARAMS` entry.  Every method,
+    built-in or custom, is built as ``factory(penalty=..., random_state=...,
+    **params)`` with the task's penalty.
+    """
 
     def __init__(
         self,
@@ -102,8 +119,7 @@ class TimeDynamicPipeline:
         base_features: Sequence[str] = DEFAULT_BASE_FEATURES,
         classification_penalty: float = 1e-3,
         regression_penalty: float = 1e-3,
-        gradient_boosting_params: Optional[dict] = None,
-        neural_network_params: Optional[dict] = None,
+        model_params: Optional[Dict[str, dict]] = None,
     ) -> None:
         self.test_network = test_network
         self.reference_network = reference_network
@@ -111,12 +127,7 @@ class TimeDynamicPipeline:
         self.base_features = list(base_features)
         self.classification_penalty = float(classification_penalty)
         self.regression_penalty = float(regression_penalty)
-        self.gradient_boosting_params = dict(gradient_boosting_params or {
-            "n_estimators": 40, "max_depth": 3, "max_features": "sqrt", "subsample": 0.8,
-        })
-        self.neural_network_params = dict(neural_network_params or {
-            "hidden_layer_sizes": (24,), "n_epochs": 80, "batch_size": 64,
-        })
+        self.model_params = {**SECTION_III_PARAMS, **(model_params or {})}
         self.builder = TimeSeriesBuilder(
             extractor=SegmentMetricsExtractor(label_space=self.label_space)
         )
@@ -193,30 +204,6 @@ class TimeDynamicPipeline:
             yield self._process_sequence(dataset, sequence_index)
 
     # ------------------------------------------------------------------ ---
-    def _make_classifier(self, method: str, seed: int) -> MetaClassifier:
-        """Build the meta classifier for one method via the registry.
-
-        Custom factories registered under ``meta_classifiers`` are called
-        with the same keyword arguments as the built-in families.
-        """
-        factory = META_CLASSIFIERS.get(method)
-        if method == "gradient_boosting":
-            return factory(random_state=seed, **self.gradient_boosting_params)
-        return factory(
-            penalty=self.classification_penalty, random_state=seed,
-            **self.neural_network_params,
-        )
-
-    def _make_regressor(self, method: str, seed: int) -> MetaRegressor:
-        """Build the meta regressor for one method via the registry."""
-        factory = META_REGRESSORS.get(method)
-        if method == "gradient_boosting":
-            return factory(random_state=seed, **self.gradient_boosting_params)
-        return factory(
-            penalty=self.regression_penalty, random_state=seed,
-            **self.neural_network_params,
-        )
-
     def run_protocol(
         self,
         sequences: Sequence[SequenceMetrics],
@@ -284,14 +271,14 @@ class TimeDynamicPipeline:
                             "split_fractions": list(split_fractions),
                             "augmentation_factor": float(augmentation_factor),
                         }
-                        classifier = self._make_classifier(method, run_seed)
-                        if fit_cache is not None and fit_cache.supports(classifier):
-                            classifier = fit_cache.fit_or_load(
-                                classifier, training,
-                                {**split, "task": "classification"},
-                            )
-                        else:
-                            classifier.fit(training)
+                        params = self.model_params.get(method, {})
+                        classifier = fit_model(
+                            META_CLASSIFIERS.get(method)(
+                                penalty=self.classification_penalty, random_state=run_seed,
+                                **params,
+                            ),
+                            training, {**split, "task": "classification"}, fit_cache,
+                        )
                         scores = classifier.predict_proba(test)
                         collect_cls.setdefault((composition, method, n_frames), []).append({
                             "accuracy": accuracy(
@@ -299,14 +286,13 @@ class TimeDynamicPipeline:
                             ),
                             "auroc": auroc(test_cls_targets, scores),
                         })
-                        regressor = self._make_regressor(method, run_seed)
-                        if fit_cache is not None and fit_cache.supports(regressor):
-                            regressor = fit_cache.fit_or_load(
-                                regressor, training,
-                                {**split, "task": "regression"},
-                            )
-                        else:
-                            regressor.fit(training)
+                        regressor = fit_model(
+                            META_REGRESSORS.get(method)(
+                                penalty=self.regression_penalty, random_state=run_seed,
+                                **params,
+                            ),
+                            training, {**split, "task": "regression"}, fit_cache,
+                        )
                         predictions = regressor.predict(test)
                         collect_reg.setdefault((composition, method, n_frames), []).append({
                             "sigma": residual_std(test_reg_targets, predictions),
@@ -314,13 +300,13 @@ class TimeDynamicPipeline:
                         })
 
         for (composition, method, n_frames), runs in collect_cls.items():
-            result.classification.setdefault(composition, {}).setdefault(method, {})[n_frames] = {
-                key: mean_std([run[key] for run in runs]) for key in runs[0]
-            }
+            result.classification.setdefault(composition, {}).setdefault(method, {})[n_frames] = (
+                mean_std_by_key(runs)
+            )
         for (composition, method, n_frames), runs in collect_reg.items():
-            result.regression.setdefault(composition, {}).setdefault(method, {})[n_frames] = {
-                key: mean_std([run[key] for run in runs]) for key in runs[0]
-            }
+            result.regression.setdefault(composition, {}).setdefault(method, {})[n_frames] = (
+                mean_std_by_key(runs)
+            )
         return result
 
     # ------------------------------------------------------------------ ---
@@ -341,26 +327,20 @@ class TimeDynamicPipeline:
         dataset = build_time_series_dataset(
             sequences, n_previous=0, target="real", base_features=self.base_features
         )
-        aurocs: List[float] = []
-        r2s: List[float] = []
-        accuracies: List[float] = []
-        sigmas: List[float] = []
+        runs: List[Dict[str, float]] = []
         for _ in range(n_runs):
             run_seed = int(rng.integers(0, 2**31 - 1))
             train, _val, test = dataset.split(split_fractions, random_state=run_seed)
             classifier = MetaClassifier(method="logistic", penalty=0.0, random_state=run_seed)
             classifier.fit(train)
             scores = classifier.predict_proba(test)
-            aurocs.append(auroc(test.target_iou0(), scores))
-            accuracies.append(accuracy(test.target_iou0(), (scores >= 0.5).astype(np.int64)))
             regressor = MetaRegressor(method="linear", penalty=0.0, random_state=run_seed)
             regressor.fit(train)
             predictions = regressor.predict(test)
-            r2s.append(r2_score(test.target_iou(), predictions))
-            sigmas.append(residual_std(test.target_iou(), predictions))
-        return {
-            "accuracy": mean_std(accuracies),
-            "auroc": mean_std(aurocs),
-            "sigma": mean_std(sigmas),
-            "r2": mean_std(r2s),
-        }
+            runs.append({
+                "accuracy": accuracy(test.target_iou0(), (scores >= 0.5).astype(np.int64)),
+                "auroc": auroc(test.target_iou0(), scores),
+                "sigma": residual_std(test.target_iou(), predictions),
+                "r2": r2_score(test.target_iou(), predictions),
+            })
+        return mean_std_by_key(runs)

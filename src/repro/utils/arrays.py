@@ -9,7 +9,7 @@ with plain numpy so the library has no image-processing dependency.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,11 @@ def mean_std(values: Union[Sequence[float], np.ndarray]) -> Tuple[float, float]:
     if array.size == 0:
         raise ValueError("mean_std needs at least one value")
     return float(array.mean()), float(array.std(ddof=0))
+
+
+def mean_std_by_key(runs: Sequence[Mapping[str, float]]) -> Dict[str, Tuple[float, float]]:
+    """:func:`mean_std` of every key over runs that share the first run's keys."""
+    return {key: mean_std([run[key] for run in runs]) for key in runs[0]}
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from repro.__main__ import main
 from repro.api.config import (
     EXPERIMENT_KINDS,
+    ConfigError,
     DataConfig,
     EvalConfig,
     ExperimentConfig,
@@ -24,6 +25,7 @@ from repro.api.kinds import KINDS
 from repro.api.runner import ExperimentReport, Runner, derived_seeds, run_experiment
 from repro.core.pipeline import MetaSegPipeline
 from repro.decision.pipeline import DecisionRuleComparison
+from repro.obs import Tracer
 from repro.segmentation.datasets import CityscapesLikeDataset, KittiLikeDataset
 from repro.segmentation.network import (
     SimulatedSegmentationNetwork,
@@ -239,6 +241,59 @@ class TestCustomRegistrations:
             META_CLASSIFIERS._entries.pop("stub_logistic")
             META_REGRESSORS._entries.pop("stub_linear")
 
+    def test_timedynamic_custom_method_gets_only_its_own_params(self):
+        """Table II builds every method as factory(penalty, random_state,
+        **model_params[method]): no other family's defaults leak in."""
+        from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
+        from repro.core.meta_classification import MetaClassifier
+        from repro.core.meta_regression import MetaRegressor
+
+        tiny = {"n_estimators": 4, "max_depth": 2}
+        received = []
+
+        @META_CLASSIFIERS.register("tiny_gb")
+        def tiny_classifier(**kwargs) -> MetaClassifier:
+            """Small gradient boosting under a custom name."""
+            received.append(kwargs)
+            return MetaClassifier(method="gradient_boosting", **kwargs)
+
+        @META_REGRESSORS.register("tiny_gb")
+        def tiny_regressor(**kwargs) -> MetaRegressor:
+            """Small gradient boosting under a custom name."""
+            received.append(kwargs)
+            return MetaRegressor(method="gradient_boosting", **kwargs)
+
+        try:
+            config = timedynamic_config()
+            config.meta_models.classifiers = ["tiny_gb"]
+            config.meta_models.model_params = {"tiny_gb": tiny}
+            report = Runner().run(config)
+            assert {row["method"] for row in report.table("regression")} == {"tiny_gb"}
+            assert received
+            for kwargs in received:
+                assert kwargs == {"penalty": 1e-3, "random_state": kwargs["random_state"],
+                                  **tiny}
+        finally:
+            META_CLASSIFIERS._entries.pop("tiny_gb")
+            META_REGRESSORS._entries.pop("tiny_gb")
+
+    def test_custom_factory_params_are_not_checked(self):
+        from repro.api.registry import META_CLASSIFIERS
+        from repro.core.meta_classification import MetaClassifier
+
+        @META_CLASSIFIERS.register("stub_any_params")
+        def stub_classifier(anything=None, **kwargs) -> MetaClassifier:
+            """Logistic family taking a parameter of its own."""
+            return MetaClassifier(method="logistic", **kwargs)
+
+        try:
+            config = metaseg_config()
+            config.meta_models.classifiers = ["stub_any_params"]
+            config.meta_models.model_params = {"stub_any_params": {"anything": 1}}
+            Runner().resolve(config)
+        finally:
+            META_CLASSIFIERS._entries.pop("stub_any_params")
+
     def test_custom_decision_rule_runs_through_runner(self):
         import numpy as np
 
@@ -262,6 +317,52 @@ class TestCustomRegistrations:
                 assert rows[("stub_argmax", metric)] == rows[("bayes", metric)]
         finally:
             DECISION_RULES._entries.pop("stub_argmax")
+
+
+class TestModelParamsChecks:
+    """A bad ``model_params`` entry of a built-in family fails at resolve,
+    before stage 1 opens its span."""
+
+    @staticmethod
+    def _assert_rejected_before_stage1(config, *fragments):
+        tracer = Tracer()
+        with pytest.raises(ConfigError) as excinfo:
+            Runner(tracer=tracer).run(config)
+        for fragment in fragments:
+            assert fragment in str(excinfo.value)
+        names = {record["name"] for record in tracer.records()}
+        assert "resolve" in names
+        assert not names & {"extract", "process", "evaluate"}
+
+    def test_unknown_parameter(self):
+        config = metaseg_config()
+        config.meta_models.model_params = {"logistic": {"max_iterr": 5}}
+        self._assert_rejected_before_stage1(config, "'logistic'", "'max_iterr'", "max_iter")
+
+    @pytest.mark.parametrize("key", ["method", "penalty", "feature_subset", "random_state"])
+    def test_protocol_parameter(self, key):
+        config = metaseg_config()
+        config.meta_models.model_params = {"logistic": {key: 5.0}}
+        self._assert_rejected_before_stage1(config, "'logistic'", repr(key))
+
+    def test_timedynamic_checks_both_tasks(self):
+        config = timedynamic_config()
+        config.meta_models.model_params = {"gradient_boosting": {"clip_predictions": False}}
+        self._assert_rejected_before_stage1(
+            config, "MetaClassifier", "'gradient_boosting'", "'clip_predictions'"
+        )
+
+    def test_entry_must_be_a_dict(self):
+        config = metaseg_config()
+        config.meta_models.model_params = {"linear": [1]}
+        self._assert_rejected_before_stage1(config, "'linear'", "must be a dict")
+
+    def test_task_parameters_and_model_keywords_pass(self):
+        config = metaseg_config()
+        config.meta_models.model_params = {
+            "logistic": {"max_iter": 50}, "linear": {"clip_predictions": False},
+        }
+        Runner().resolve(config)
 
 
 class TestRunnerTimedynamic:
@@ -292,7 +393,7 @@ class TestRunnerTimedynamic:
             ),
             classification_penalty=1e-3,
             regression_penalty=1e-3,
-            gradient_boosting_params=config.meta_models.model_params["gradient_boosting"],
+            model_params=config.meta_models.model_params,
         )
         result = pipeline.run_protocol(
             pipeline.process_dataset(dataset),

@@ -29,6 +29,7 @@ from repro.api.kinds import KINDS
 from repro.api.runner import Runner
 from repro.obs import METRICS
 from repro.store import (
+    FitCache,
     ResultStore,
     StoreError,
     canonical_json,
@@ -166,12 +167,49 @@ PINNED_KEYS = {
 }
 
 
+#: Fit keys of the first resampling split, in protocol order: Table I's
+#: logistic penalized, unpenalized and entropy-only classifiers, then its
+#: linear and entropy-only regressors; Table II's gradient-boosting
+#: classifier and regressor (composition R, no previous frames).
+PINNED_FIT_KEYS = {
+    "metaseg_small": [
+        "08608849e79df230ae592ad21dea19184eb82c68d6b5393efaba1d208fdd19f4",
+        "b300eceafc21d36ffc7a4c97d4523b17e566aa7d801db87364ec47ea9fd019e6",
+        "3b9b4d877d66a19f489246924c1fdc2cda160529dc2996b1edb1be535732c868",
+        "f6801b70d50ce9474f8491555073905c155fcce0b01a27e9477867b1afc013e0",
+        "025bf151a3e6a59cfd4850646fa5244db9558d8974513c8024f2fe297799a7ae",
+    ],
+    "timedynamic_small": [
+        "f9f377733303c439642b2f53a17bba0a429c17109d12329516e6f572f975a9ae",
+        "57b487b52ae2f9bfa544a2a3862c55020fc74761f373a32e5bbe4e302b5faa78",
+    ],
+}
+
+
+def example_config(name: str) -> ExperimentConfig:
+    path = Path(__file__).resolve().parent.parent / "examples" / "configs" / f"{name}.json"
+    return ExperimentConfig.from_json(path.read_text())
+
+
+def recorded_fit_keys(config: ExperimentConfig, store_dir, monkeypatch) -> list:
+    """Every fit key one store-backed run of *config* derives, in order."""
+    keys = []
+    fit_key = FitCache.fit_key
+
+    def record(cache, model, split):
+        keys.append(fit_key(cache, model, split))
+        return keys[-1]
+
+    monkeypatch.setattr(FitCache, "fit_key", record)
+    Runner(store=ResultStore(store_dir)).run(config)
+    return keys
+
+
 class TestPinnedKeys:
     @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
     def test_example_config_keys_are_pinned(self, name):
         assert store_keys.CACHE_FORMAT == 3
-        path = Path(__file__).resolve().parent.parent / "examples" / "configs" / f"{name}.json"
-        config = ExperimentConfig.from_json(path.read_text()).to_dict()
+        config = example_config(name).to_dict()
         size = "n_sequences" if config["kind"] == "timedynamic" else "n_val"
         derive = {
             "report": lambda: report_key(config),
@@ -181,6 +219,21 @@ class TestPinnedKeys:
         }
         pinned = PINNED_KEYS[name]
         assert {role: derive[role]() for role in pinned} == pinned
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FIT_KEYS))
+    def test_example_config_fit_keys_are_pinned(self, name, tmp_path, monkeypatch):
+        pinned = PINNED_FIT_KEYS[name]
+        keys = recorded_fit_keys(example_config(name), tmp_path, monkeypatch)
+        assert keys[:len(pinned)] == pinned
+
+    def test_table1_boosting_variants_share_one_fit(self, tmp_path, monkeypatch):
+        """Gradient boosting has no penalty, so its penalized and unpenalized
+        Table I rows are one fit under one key."""
+        config = example_config("metaseg_small")
+        config.meta_models.classifiers = ["gradient_boosting"]
+        config.evaluation.n_runs = 1
+        penalized, unpenalized = recorded_fit_keys(config, tmp_path, monkeypatch)[:2]
+        assert penalized == unpenalized
 
 
 class TestStage1Scoping:

@@ -11,8 +11,10 @@ def pipeline(mobilenet_network, xception_network, label_space):
         test_network=mobilenet_network,
         reference_network=xception_network,
         label_space=label_space,
-        gradient_boosting_params={"n_estimators": 15, "max_depth": 2, "max_features": "sqrt"},
-        neural_network_params={"hidden_layer_sizes": (12,), "n_epochs": 30},
+        model_params={
+            "gradient_boosting": {"n_estimators": 15, "max_depth": 2, "max_features": "sqrt"},
+            "neural_network": {"hidden_layer_sizes": (12,), "n_epochs": 30},
+        },
     )
 
 
