@@ -1,31 +1,26 @@
-"""Shared configuration and helpers for the benchmark harnesses.
+"""Shared helpers for the benchmark harnesses.
 
-Every benchmark regenerates one table or figure of the paper on the synthetic
-substrate.  The workload sizes below are chosen so that the full suite
-(``pytest benchmarks/ --benchmark-only``) completes in a few minutes on a
-laptop; they can be scaled up with the ``REPRO_BENCH_SCALE`` environment
-variable (a float multiplier on the number of images/sequences).
+Each ``bench_*.py`` is a CLI that times one part of the system and gates it:
+bitwise parity with a reference path plus a speed, overhead or latency
+bound.  ``--smoke`` runs the small CI case.  The paper's tables and figures are
+not benchmarks: they come from the paper configs in ``examples/configs``,
+and ``scripts/paper_claims.py`` checks their claims.
 
-Each bench writes its paper-style rows both to stdout and to
-``benchmarks/artifacts/<name>.txt`` so the numbers can be inspected after the
-run (EXPERIMENTS.md is written from these artifacts).
+Benches write their rows to stdout and to ``benchmarks/artifacts/<name>.txt``
+(gitignored) and their timings to ``benchmarks/artifacts/BENCH_<name>.json``;
+full (non-smoke) runs also write the committed ``benchmarks/trajectory``
+summaries.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import os
 import time
 from pathlib import Path
 from typing import Callable, Iterable, List
 
-import pytest
-
-from repro.segmentation.scene import SceneConfig
-from repro.segmentation.sequence import SequenceConfig
-
-#: Directory where benches drop their textual / PPM artifacts.
+#: Directory where benches drop their row and JSON artifacts.
 ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
 
 #: Tracked directory for committed benchmark summaries.  Unlike
@@ -33,22 +28,6 @@ ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
 #: here are committed so the perf trajectory survives across PRs; benches only
 #: write them in full (non-smoke) mode so CI smoke runs never dirty the tree.
 TRAJECTORY_DIR = Path(__file__).resolve().parent / "trajectory"
-
-#: Global scale factor for the benchmark workloads.
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-#: Image size used by the single-frame (Cityscapes-like) benches.
-BENCH_SCENE_CONFIG = SceneConfig(height=96, width=192)
-
-#: Video configuration used by the Section III benches.
-BENCH_SEQUENCE_CONFIG = SequenceConfig(
-    n_frames=10, scene_config=SceneConfig(height=80, width=160)
-)
-
-
-def scaled(value: int, minimum: int = 1) -> int:
-    """Scale an integer workload size by ``REPRO_BENCH_SCALE``."""
-    return max(minimum, int(round(value * SCALE)))
 
 
 def write_artifact(name: str, rows: Iterable[str]) -> Path:
@@ -175,9 +154,3 @@ def gated_overhead(
             break
     return best_times, best_overhead
 
-
-@pytest.fixture(scope="session")
-def artifact_dir() -> Path:
-    """Artifact directory (created on first use)."""
-    ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
-    return ARTIFACT_DIR

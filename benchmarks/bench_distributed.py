@@ -35,7 +35,6 @@ import time
 from typing import List
 
 from _bench_common import (
-    scaled,
     write_artifact,
     write_bench_json,
     write_trajectory_json,
@@ -60,7 +59,7 @@ SMOKE_WORKERS = 2
 
 def make_config(smoke: bool, execution: ExecutionConfig) -> ExperimentConfig:
     """An extraction-dominated metaseg workload (the protocol stays tiny)."""
-    n_val = 8 if smoke else scaled(24)
+    n_val = 8 if smoke else 24
     height, width = (64, 128) if smoke else (96, 192)
     return ExperimentConfig(
         kind="metaseg",

@@ -33,7 +33,6 @@ from typing import Dict, List, Tuple
 
 from _bench_common import (
     gated_overhead,
-    scaled,
     write_artifact,
     write_bench_json,
     write_trajectory_json,
@@ -50,7 +49,7 @@ MAX_OVERHEAD_FRACTION = 0.03
 
 
 def make_config(smoke: bool) -> ExperimentConfig:
-    n_val = 4 if smoke else scaled(12)
+    n_val = 4 if smoke else 12
     height, width = (64, 128) if smoke else (96, 192)
     return ExperimentConfig(
         kind="metaseg",
@@ -192,7 +191,7 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small single case for CI (full mode uses the scaled workload)",
+        help="small single case for CI (full mode uses the full workload)",
     )
     args = parser.parse_args(argv)
     payload = run(smoke=args.smoke)

@@ -23,7 +23,6 @@ from typing import List
 
 from _bench_common import (
     gated_overhead,
-    scaled,
     write_artifact,
     write_bench_json,
 )
@@ -40,7 +39,7 @@ MAX_OVERHEAD_FRACTION = 0.05
 
 
 def make_config(smoke: bool) -> ExperimentConfig:
-    n_val = 4 if smoke else scaled(12)
+    n_val = 4 if smoke else 12
     height, width = (64, 128) if smoke else (96, 192)
     return ExperimentConfig(
         kind="metaseg",
@@ -143,7 +142,7 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small single case for CI (full mode uses the scaled workload)",
+        help="small single case for CI (full mode uses the full workload)",
     )
     args = parser.parse_args(argv)
     payload = run(smoke=args.smoke)

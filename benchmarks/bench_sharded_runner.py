@@ -31,7 +31,7 @@ import sys
 import time
 from typing import List
 
-from _bench_common import scaled, write_artifact, write_bench_json
+from _bench_common import write_artifact, write_bench_json
 
 from repro.api.config import (
     DataConfig,
@@ -51,7 +51,7 @@ SMOKE_WORKERS = 2
 
 def make_config(smoke: bool, execution: ExecutionConfig) -> ExperimentConfig:
     """An extraction-dominated metaseg workload (the protocol stays tiny)."""
-    n_val = 8 if smoke else scaled(24)
+    n_val = 8 if smoke else 24
     height, width = (64, 128) if smoke else (96, 192)
     return ExperimentConfig(
         kind="metaseg",

@@ -33,7 +33,7 @@ import tempfile
 import time
 from typing import Dict, List
 
-from _bench_common import scaled, write_artifact, write_bench_json
+from _bench_common import write_artifact, write_bench_json
 
 from repro.store import ResultStore
 from repro.sweep import SweepConfig, run_sweep
@@ -55,7 +55,7 @@ META_MODEL_GRID = [
 
 
 def make_sweep(smoke: bool) -> SweepConfig:
-    n_val = 4 if smoke else scaled(8)
+    n_val = 4 if smoke else 8
     height, width = (48, 96) if smoke else (96, 192)
     base = {
         "kind": "metaseg",
@@ -163,7 +163,7 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small workload for CI (full mode uses the scaled workload)",
+        help="small workload for CI (full mode uses the full workload)",
     )
     args = parser.parse_args(argv)
     payload = run(smoke=args.smoke)  # parity asserts are the hard gate

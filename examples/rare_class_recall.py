@@ -6,7 +6,9 @@ are estimated from training data (Fig. 4), the softmax output of the network
 is decoded with the Bayes rule and with the Maximum-Likelihood rule
 (Fig. 3), and the segment-wise precision/recall of the category "human" is
 compared between the two rules (Fig. 5), including the fraction of completely
-overlooked pedestrians F^r(0).
+overlooked pedestrians F^r(0).  The Fig. 3 masks (with their ground truth)
+and the Fig. 4 "human" prior heatmap are written as PPM files to
+``examples/artifacts/``.
 
 Run with::
 
@@ -16,6 +18,8 @@ Run with::
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
 
 from repro import (
     CityscapesLikeDataset,
@@ -37,6 +41,10 @@ def main() -> None:
         scene_config=SceneConfig(height=96, width=192),
         random_state=0,
     )
+    # Fig. 3 panels decode the first validation image.
+    sample = dataset.val_sample(0)
+    ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
+    write_ppm(ARTIFACT_DIR / "fig3_ground_truth.ppm", labels_to_rgb(sample.labels))
 
     for profile in (mobilenetv2_profile(), xception65_profile()):
         network = SimulatedSegmentationNetwork(profile, random_state=1)
@@ -47,7 +55,12 @@ def main() -> None:
         if profile.name == "mobilenetv2":
             print("position-specific prior of the category 'human' "
                   "(dark = unlikely, bright = likely), cf. Fig. 4:")
-            print(render_ascii(comparison.category_prior_heatmap(), width=72))
+            heatmap = comparison.category_prior_heatmap()
+            print(render_ascii(heatmap, width=72))
+            green = np.zeros((*heatmap.shape, 3), dtype=np.uint8)
+            green[..., 1] = np.round(255 * heatmap / heatmap.max()).astype(np.uint8)
+            write_ppm(ARTIFACT_DIR / "fig4_human_prior.ppm", green)
+            print(f"wrote the Fig.-4 heatmap to {ARTIFACT_DIR}/fig4_human_prior.ppm")
 
         result = comparison.compare(dataset.val_samples(), rules=("bayes", "ml"))
         print()
@@ -57,11 +70,9 @@ def main() -> None:
               f"Bayes {100 * rates['bayes']:.1f}%  vs  ML {100 * rates['ml']:.1f}%")
 
         # Fig. 3: qualitative masks for the first validation image.
-        sample = dataset.val_sample(0)
         probs = network.predict_probabilities(sample.labels, index=0)
         bayes_mask = comparison.decode(probs, "bayes")
         ml_mask = comparison.decode(probs, "ml")
-        ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
         write_ppm(ARTIFACT_DIR / f"fig3_{profile.name}_bayes.ppm", labels_to_rgb(bayes_mask))
         write_ppm(ARTIFACT_DIR / f"fig3_{profile.name}_ml.ppm", labels_to_rgb(ml_mask))
         print(f"  wrote Fig.-3-style masks to {ARTIFACT_DIR}/fig3_{profile.name}_*.ppm")

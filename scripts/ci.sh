@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 suite, parity-fuzz suite, benchmark smokes, CLI smoke.
+# CI entry point: tier-1 suite, parity-fuzz suite, benchmark smokes, paper claims,
+# examples, CLI smokes.
 #
 # Usage: scripts/ci.sh
 # Run from anywhere; all paths are resolved relative to the repository root.
@@ -62,11 +63,13 @@ echo "=== distributed dispatch benchmark (smoke: parity + kill-one recovery) ===
 PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
     python benchmarks/bench_distributed.py --smoke
 
-echo "=== meta-model paper scripts (smoke) ==="
-PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" REPRO_BENCH_SCALE=0.5 \
-    python -m pytest -q --benchmark-disable benchmarks/bench_table1.py \
-    benchmarks/bench_table2.py benchmarks/bench_fig1.py benchmarks/bench_fig2.py \
-    benchmarks/bench_correlations.py benchmarks/bench_multiresolution.py
+echo "=== paper claims (Tables I/II, Figs. 1-5 from the committed paper configs) ==="
+python scripts/paper_claims.py
+
+echo "=== examples (the paper's pictures: Fig. 1 panels, Fig. 3 masks, Fig. 4 heatmap) ==="
+for example in quickstart quality_maps rare_class_recall video_quality_monitoring; do
+    python "examples/${example}.py" > "${TMP_ROOT}/example_${example}.txt"
+done
 
 echo "=== dispatch fault-injection suite ==="
 python -m pytest -q -m faults tests/test_dispatch_faults.py

@@ -35,6 +35,7 @@ from repro.segmentation.network import (
 from repro.segmentation.scene import SceneConfig
 from repro.segmentation.sequence import SequenceConfig
 from repro.timedynamic.pipeline import TimeDynamicPipeline
+from repro.utils.arrays import mean_std
 
 TINY_HEIGHT = 48
 TINY_WIDTH = 96
@@ -459,6 +460,36 @@ class TestRunnerDecision:
             if row["metric"] == "pixel_accuracy"
         }
         assert pixel_accuracy == result.pixel_accuracy
+
+    def test_strengths_match_direct_comparison_bitwise(self):
+        config = ExperimentConfig(
+            kind="decision",
+            seed=4,
+            data=DataConfig(dataset="cityscapes_like_small", n_train=3, n_val=2),
+            evaluation=EvalConfig(rules=["bayes", "interpolated", "ml"],
+                                  strengths={"interpolated": 0.5}),
+        )
+        report = Runner().run(config)
+        resolved = Runner().resolve(config)
+        dataset = resolved.dataset
+        comparison = DecisionRuleComparison(resolved.network, category="human")
+        comparison.fit_priors(dataset.train_samples())
+        result = comparison.compare(
+            dataset.val_samples(), rules=("bayes", "interpolated", "ml"),
+            strengths={"interpolated": 0.5},
+        )
+        expected = []
+        for rule, stats in result.per_rule.items():
+            for metric, (mean, std) in (
+                ("precision", mean_std(stats.precision_values)),
+                ("recall", mean_std(stats.recall_values)),
+                ("non_detection_rate", (stats.non_detection_rate(), 0.0)),
+                ("pixel_accuracy", (result.pixel_accuracy[rule], 0.0)),
+            ):
+                expected.append({"rule": rule, "metric": metric, "mean": mean, "std": std})
+        assert report.table("rules") == expected
+        # The strength reaches the rule: interpolated decodes differ from ml.
+        assert result.pixel_accuracy["interpolated"] != result.pixel_accuracy["ml"]
 
 
 class TestConfigCompatibility:
