@@ -59,10 +59,6 @@ echo "=== sharded-runner benchmark (smoke: bitwise parity at 2 workers) ==="
 PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
     python benchmarks/bench_sharded_runner.py --smoke
 
-echo "=== distributed dispatch benchmark (smoke: parity + kill-one recovery) ==="
-PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
-    python benchmarks/bench_distributed.py --smoke
-
 echo "=== paper claims (Tables I/II, Figs. 1-5 from the committed paper configs) ==="
 python scripts/paper_claims.py
 
@@ -71,40 +67,35 @@ for example in quickstart quality_maps rare_class_recall video_quality_monitorin
     python "examples/${example}.py" > "${TMP_ROOT}/example_${example}.txt"
 done
 
-echo "=== dispatch fault-injection suite ==="
-python -m pytest -q -m faults tests/test_dispatch_faults.py
+echo "=== worker-loss fault-injection suite (process backend: kill-one, all-die, CLI kill-one) ==="
+python -m pytest -q -m faults tests/test_execution_faults.py
 
-echo "=== distributed CLI (smoke: work queue, then kill-one-worker parity) ==="
-DIST_SERIAL_OUT="${TMP_ROOT}/dist_serial.json"
-DIST_HEALTHY_OUT="${TMP_ROOT}/dist_healthy.json"
-DIST_FAULTED_OUT="${TMP_ROOT}/dist_faulted.json"
-python -m repro run examples/configs/metaseg_small.json --output "${DIST_SERIAL_OUT}"
+echo "=== process CLI (smoke: --backend process --workers 2 bitwise-equal to serial) ==="
+PROC_SERIAL_OUT="${TMP_ROOT}/proc_serial.json"
+PROC_OUT="${TMP_ROOT}/proc_process.json"
+python -m repro run examples/configs/metaseg_small.json --output "${PROC_SERIAL_OUT}"
 python -m repro run examples/configs/metaseg_small.json \
-    --backend distributed --workers 2 --output "${DIST_HEALTHY_OUT}"
-REPRO_DISPATCH_FAULTS='[{"task": 0, "attempt": 0, "action": "kill"}]' \
-    python -m repro run examples/configs/metaseg_small.json \
-    --backend distributed --workers 2 --output "${DIST_FAULTED_OUT}"
-python - "${DIST_SERIAL_OUT}" "${DIST_HEALTHY_OUT}" "${DIST_FAULTED_OUT}" <<'PY'
+    --backend process --workers 2 --output "${PROC_OUT}"
+python - "${PROC_SERIAL_OUT}" "${PROC_OUT}" <<'PY'
 import json, sys
-serial, healthy, faulted = (json.load(open(path)) for path in sys.argv[1:])
-for label, report in (("healthy", healthy), ("kill-one", faulted)):
-    for field in ("tables", "provenance"):
-        if report[field] != serial[field]:
-            print(f"FAIL: distributed {label} run diverges from serial "
-                  f"in {field}", file=sys.stderr)
-            raise SystemExit(1)
-print("distributed smoke: healthy + kill-one-worker bitwise-equal to serial")
+serial, process = (json.load(open(path)) for path in sys.argv[1:])
+for field in ("tables", "provenance"):
+    if process[field] != serial[field]:
+        print(f"FAIL: process run diverges from serial in {field}", file=sys.stderr)
+        raise SystemExit(1)
+print("process smoke: --backend process --workers 2 bitwise-equal to serial")
 PY
 
 echo "=== unwritable cache (smoke: the finished run survives a store it cannot write) ==="
 RO_CACHE="${TMP_ROOT}/ro-cache"
 mkdir -p "${RO_CACHE}"
 : > "${RO_CACHE}/objects"  # a regular file where the objects directory goes
+python -m repro run examples/configs/metaseg_small.json --output "${TMP_ROOT}/ro_reference.json"
 python -m repro run examples/configs/metaseg_small.json --cache-dir "${RO_CACHE}" \
     --output "${TMP_ROOT}/ro_serial.json"
 python -m repro run examples/configs/metaseg_small.json --cache-dir "${RO_CACHE}" \
     --backend process --workers 2 --output "${TMP_ROOT}/ro_process.json"
-python - "${DIST_SERIAL_OUT}" "${TMP_ROOT}/ro_serial.json" "${TMP_ROOT}/ro_process.json" <<'PY'
+python - "${TMP_ROOT}/ro_reference.json" "${TMP_ROOT}/ro_serial.json" "${TMP_ROOT}/ro_process.json" <<'PY'
 import json, sys
 serial, *cached = (json.load(open(path)) for path in sys.argv[1:])
 for report in cached:

@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro``.
 
-Nine subcommands expose the unified experiment API headlessly:
+Eight subcommands expose the unified experiment API headlessly:
 
 * ``python -m repro run config.json``       — execute an experiment config
   and print its Table-style summary (``--output report.json`` writes the
@@ -25,10 +25,6 @@ Nine subcommands expose the unified experiment API headlessly:
   metaseg config JSON path (fit once, persist to the store when caching is
   on) or the hex content key of a previously fitted model (load, no refit);
   see :mod:`repro.serve`;
-* ``python -m repro worker --connect H:P`` — attach one dispatch worker to
-  a running distributed coordinator's work queue (see
-  :mod:`repro.dispatch`); ``--id`` names the worker, ``--fault-plan FILE``
-  loads a deterministic fault-injection plan (testing/CI only);
 * ``python -m repro cache info|clear|prune`` — inspect, evict or bound the
   result store (``--cache-dir`` / ``$REPRO_CACHE_DIR`` pick the root;
   ``prune`` evicts least-recently-used entries down to ``--max-entries`` /
@@ -335,32 +331,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.dispatch import FaultPlan, FaultPlanError, worker_main
-
-    host, _, port_text = args.connect.rpartition(":")
-    if not host or not port_text.isdigit():
-        print(
-            f"error: --connect expects HOST:PORT, got {args.connect!r}",
-            file=sys.stderr,
-        )
-        return 2
-    fault_plan = None
-    if args.fault_plan:
-        path = Path(args.fault_plan)
-        try:
-            fault_plan = FaultPlan.from_json(path.read_text())
-        except OSError as exc:
-            print(f"error: cannot read fault plan {path}: {exc}", file=sys.stderr)
-            return 2
-        except FaultPlanError as exc:
-            print(f"error: invalid fault plan {path}: {exc}", file=sys.stderr)
-            return 2
-    return worker_main(
-        host, int(port_text), worker_id=args.id, fault_plan=fault_plan
-    )
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     registries = all_registries()
     if args.json:
@@ -426,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="override the execution backend (serial/thread/process/"
-             "distributed; all bitwise identical)",
+        help="override the execution backend (serial/thread/process; "
+             "all bitwise identical)",
     )
     run.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -463,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=None, help="override the config seed")
     trace.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="override the execution backend (serial/thread/process/distributed)",
+        help="override the execution backend (serial/thread/process)",
     )
     trace.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -503,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend", default=None, metavar="NAME",
         help="override the execution backend of every point (serial/thread/"
-             "process/distributed; all bitwise identical)",
+             "process; all bitwise identical)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -571,26 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
              "JSON on shutdown (live metrics are always at GET /metrics)",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    worker = sub.add_parser(
-        "worker",
-        help="attach one dispatch worker to a running distributed work queue",
-    )
-    worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address (printed by the distributed backend / "
-             "returned by Coordinator.address)",
-    )
-    worker.add_argument(
-        "--id", default=None, metavar="NAME",
-        help="worker id reported to the coordinator (default: pid-derived)",
-    )
-    worker.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="JSON FaultPlan this worker should execute (testing/CI only; "
-             "$REPRO_DISPATCH_FAULTS is honoured when unset)",
-    )
-    worker.set_defaults(func=_cmd_worker)
 
     cache = sub.add_parser(
         "cache", help="inspect, evict or bound the content-addressed result store"

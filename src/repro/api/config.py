@@ -17,9 +17,11 @@ into a report, and handed to :class:`repro.api.runner.Runner` for execution::
     report = Runner().run(config)
 
 Keys that were removed from the schema (``extraction.chunk_size``,
-``extraction.max_workers``, ``execution.streaming``) fail at parse time with
-a :class:`ConfigError` naming their replacement; the one worker knob is
-``execution.workers``.
+``extraction.max_workers``, ``execution.streaming``,
+``execution.lease_timeout``, ``execution.max_retries``,
+``execution.backoff``) fail at parse time with a :class:`ConfigError`
+naming their replacement, and so does a removed ``execution.backend``
+value; the one worker knob is ``execution.workers``.
 
 This module is stdlib-only (dataclasses + json) so it can be imported from
 anywhere in the library without cycles.
@@ -150,19 +152,14 @@ class ExecutionConfig:
     """How the Runner executes the dataset walk of an experiment.
 
     ``backend`` names an entry of the ``execution_backends`` registry
-    (built-ins: ``serial``, ``thread``, ``process``, ``distributed``);
-    ``workers`` is the one worker knob: the shard count of the stage-1 walk,
-    run on that many threads or processes (``None`` picks the core count,
+    (built-ins: ``serial``, ``thread``, ``process``); ``workers`` is the
+    one worker knob: the shard count of the stage-1 walk, run on that many
+    threads or processes (``None`` picks the core count,
     0 and 1 mean one inline shard, negative values are rejected at parse
     time; ``serial`` always runs one shard).  Every walk streams: items are
-    read uncached by index and folded one at a time.
-
-    The fault-tolerance knobs apply to the ``distributed`` backend's work
-    queue (other backends ignore them): ``lease_timeout`` is how many
-    seconds a shard lease survives without a worker heartbeat before it is
-    requeued, ``max_retries`` bounds the requeues per shard before the run
-    fails with a :class:`repro.dispatch.DispatchError`, and ``backoff`` is
-    the base retry delay (doubled per attempt, jittered, capped).
+    read uncached by index and folded one at a time.  The ``process``
+    backend recovers a lost worker on its own (the unfinished shards are
+    recomputed inline), so there is nothing to tune.
 
     Every combination is bit-neutral: backends only change where the work
     runs, never the numbers.
@@ -170,42 +167,21 @@ class ExecutionConfig:
 
     backend: str = "serial"
     workers: Optional[int] = None
-    lease_timeout: float = 30.0
-    max_retries: int = 3
-    backoff: float = 0.05
 
     def validate(self) -> None:
         if not isinstance(self.backend, str) or not self.backend:
             raise ConfigError(
                 f"execution: backend must be a non-empty string, got {self.backend!r}"
             )
+        if self.backend in _REMOVED_BACKENDS:
+            raise ConfigError(
+                f"execution: backend {self.backend!r} was removed; "
+                f"{_REMOVED_BACKENDS[self.backend]}"
+            )
         if self.workers is not None and (not _is_int(self.workers) or self.workers < 0):
             raise ConfigError(
                 f"execution: workers must be an integer >= 0 "
                 f"(None, 0 and 1 run serially), got {self.workers!r}"
-            )
-        if (
-            not isinstance(self.lease_timeout, (int, float))
-            or isinstance(self.lease_timeout, bool)
-            or self.lease_timeout <= 0
-        ):
-            raise ConfigError(
-                f"execution: lease_timeout must be a number > 0 seconds, "
-                f"got {self.lease_timeout!r}"
-            )
-        if not _is_int(self.max_retries) or self.max_retries < 0:
-            raise ConfigError(
-                f"execution: max_retries must be an integer >= 0, "
-                f"got {self.max_retries!r}"
-            )
-        if (
-            not isinstance(self.backoff, (int, float))
-            or isinstance(self.backoff, bool)
-            or self.backoff < 0
-        ):
-            raise ConfigError(
-                f"execution: backoff must be a number >= 0 seconds, "
-                f"got {self.backoff!r}"
             )
 
 
@@ -294,6 +270,10 @@ class EvalConfig:
             raise ConfigError("evaluation: category must be non-empty")
 
 
+_RECOVERS_LOST_WORKERS = (
+    "the process backend recovers lost workers without tuning, so drop the key"
+)
+
 #: Removed (section, key) -> its replacement; from_dict names it in the error.
 _REMOVED_KEYS = {
     ("extraction", "chunk_size"): "items fold one at a time, so drop the key",
@@ -301,6 +281,14 @@ _REMOVED_KEYS = {
         "threads come from execution.workers under execution.backend 'thread'"
     ),
     ("execution", "streaming"): "every walk streams uncached now, so drop the key",
+    ("execution", "lease_timeout"): _RECOVERS_LOST_WORKERS,
+    ("execution", "max_retries"): _RECOVERS_LOST_WORKERS,
+    ("execution", "backoff"): _RECOVERS_LOST_WORKERS,
+}
+
+#: Removed execution.backend value -> its replacement; validate names it.
+_REMOVED_BACKENDS = {
+    "distributed": "use 'process', which recovers lost workers on its own",
 }
 
 #: Section name -> nested dataclass type, shared by from_dict/to_dict.

@@ -19,9 +19,9 @@ already-resolved experiment.  Otherwise:
   worker rebuilds the experiment from the config and runs the same shard
   function.  With a store attached, shards are content-addressed and
   claimed single-flight through :meth:`repro.store.ResultStore.get_or_compute`
-  (:meth:`ProcessBackend._map_ranges`);
-* ``distributed`` (:mod:`repro.dispatch.backend`) — the same specs over the
-  fault-tolerant work queue.
+  (:meth:`ProcessBackend._map_ranges`).  A lost worker does not fail the
+  run: the items it left unfinished are recomputed inline in the parent
+  (:meth:`ProcessBackend.map`).
 
 The reproducibility contract is absolute: **backends only change where the
 work runs, never the numbers.**  Per-item results are pure functions of
@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.api.config import ExecutionConfig, ExperimentConfig
 from repro.api.kinds import KINDS, ExperimentKind
 from repro.api.registry import EXECUTION_BACKENDS
 from repro.api.runner import ResolvedExperiment, Runner
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import METRICS, NULL_TRACER, Tracer
 from repro.store import shard_key
 
 
@@ -67,6 +68,22 @@ def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
             ranges.append((start, stop))
         start = stop
     return ranges
+
+
+class ShardError(RuntimeError):
+    """An item a lost worker left unfinished also failed when recomputed inline.
+
+    Raised by :meth:`ProcessBackend.map`; the message names the item index
+    and, for a shard spec, its ``[start, stop)`` range, and the inline
+    failure is chained as ``__cause__``.
+    """
+
+
+def _describe_item(index: int, item: object) -> str:
+    """``item 3``, or ``shard 3 [6, 8)`` for a spec carrying an index range."""
+    if isinstance(item, dict) and "start" in item and "stop" in item:
+        return f"shard {index} [{item['start']}, {item['stop']})"
+    return f"item {index}"
 
 
 def _spec_shard(spec: Dict):
@@ -126,8 +143,8 @@ class SerialBackend:
 
         Called by the Runner when it was built with a store.  In-process
         shards are not cached (whole-report memoisation already happens in
-        the Runner); the ``process`` and ``distributed`` backends cache and
-        claim their shipped shards in the store.
+        the Runner); the ``process`` backend caches and claims its shipped
+        shards in the store.
         """
         self.store = store  # repro: allow[concurrency-shared-state] -- Runner wires the store on the parent thread before any walk starts
 
@@ -195,9 +212,12 @@ class ProcessBackend(ThreadBackend):
     The parent ships each worker a picklable spec — the config dict, its
     ``[start, stop)`` range and, for the decision kind, the fitted priors —
     and folds the payloads **in shard order**, which is input order, so the
-    result is bitwise identical to serial.  The same seam serves the
-    ``distributed`` backend, which overrides only :meth:`map`: a remote
-    worker that receives the spec dict produces the identical payload.
+    result is bitwise identical to serial.
+
+    A worker that dies (segfault, OOM kill, ``os._exit``) breaks the pool;
+    :meth:`map` then recomputes the items left unfinished inline, which is
+    bitwise the same by the purity contract.  A shard that *hangs* is not
+    timed out: a pure numeric shard that never returns is a program bug.
     """
 
     name = "process"
@@ -209,9 +229,41 @@ class ProcessBackend(ThreadBackend):
         self.shard_cache = {"hits": 0, "misses": 0}
 
     def map(self, fn: Callable, items: Iterable) -> List:
+        """``fn`` over ``items`` on a process pool, surviving lost workers.
+
+        Every result that finished is kept.  If the pool breaks, the
+        unfinished items are recomputed inline in input order and
+        ``execution.worker_lost`` counts the broken pool once; an inline
+        failure raises :class:`ShardError`.  An exception ``fn`` raises in
+        a worker propagates unchanged and is not recomputed.
+        """
         items = list(items)
+        results: List = [None] * len(items)
+        unfinished: List[int] = []
+        futures = []
         with ProcessPoolExecutor(max_workers=max(1, len(items))) as pool:
-            return list(pool.map(fn, items))
+            try:
+                for item in items:
+                    futures.append(pool.submit(fn, item))
+            except BrokenProcessPool:
+                pass  # the items never submitted are recomputed below
+            for index, future in enumerate(futures):
+                try:
+                    results[index] = future.result()
+                except BrokenProcessPool:
+                    unfinished.append(index)
+        unfinished.extend(range(len(futures), len(items)))
+        if unfinished:
+            METRICS.counter("execution.worker_lost").inc()
+            for index in unfinished:
+                try:
+                    results[index] = fn(items[index])
+                except Exception as exc:
+                    raise ShardError(
+                        f"{_describe_item(index, items[index])} failed when "
+                        f"recomputed inline after a worker was lost: {exc!r}"
+                    ) from exc
+        return results
 
     def _map_ranges(self, kind: ExperimentKind, resolved, ranges, priors) -> List:
         """Shard payloads in shard order, single-flight across processes.

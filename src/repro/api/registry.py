@@ -228,7 +228,6 @@ def _load_builtins() -> None:
         try:
             import repro.api.execution  # noqa: F401
             import repro.core.meta_classification  # noqa: F401
-            import repro.dispatch.backend  # noqa: F401
             import repro.core.meta_regression  # noqa: F401
             import repro.core.metrics  # noqa: F401
             import repro.decision.rules  # noqa: F401

@@ -194,14 +194,13 @@ class Runner:
     Passing a :class:`repro.store.ResultStore` memoises the run through
     :meth:`~repro.store.ResultStore.get_or_compute`, the one caching route:
     whole reports by the full config hash, the serving model of
-    :meth:`fit`, the ``process``/``distributed`` stage-1 shards by
-    (stage-1 config hash, index range), the decision priors and every
-    meta-model fit.  So a sweep that only changes protocol-side fields
-    (e.g. the meta-model) reuses every extraction shard.  Writes are
-    best-effort (an unwritable store still returns the computed result)
-    and stale payloads are recomputed.  Cached reports are bitwise
-    identical to fresh ones (timings and cache bookkeeping live outside
-    the serialised payload).
+    :meth:`fit`, the ``process`` stage-1 shards by (stage-1 config hash,
+    index range), the decision priors and every meta-model fit.  So a
+    sweep that only changes protocol-side fields (e.g. the meta-model)
+    reuses every extraction shard.  Writes are best-effort (an unwritable
+    store still returns the computed result) and stale payloads are
+    recomputed.  Cached reports are bitwise identical to fresh ones
+    (timings and cache bookkeeping live outside the serialised payload).
 
     ``tracer`` selects the telemetry sink for the run's stage spans
     (:mod:`repro.obs`).  The default (``None``) gives every ``run()`` its
@@ -260,8 +259,8 @@ class Runner:
     ) -> ExperimentReport:
         """Compute one report: resolve, prepare, stage-1 walk, evaluate.
 
-        ``report.cache`` carries this run's shard, fit and dispatch
-        counters (shard and fit counters only with a store attached).
+        ``report.cache`` carries this run's shard and fit counters (only
+        with a store attached).
         """
         kind = KINDS[config.kind]
         with tracer.span("run", kind=config.kind, seed=config.seed) as root:
@@ -286,13 +285,6 @@ class Runner:
             report.cache["shards"] = dict(shard_cache)
         if fit_cache is not None and any(fit_cache.counters.values()):
             report.cache["fits"] = dict(fit_cache.counters)
-        dispatch_stats = getattr(backend, "dispatch_stats", None)
-        if dispatch_stats is not None:
-            # Queue counters of the distributed backend (retries, worker
-            # losses, dedup hits ...).  ``report.cache`` is excluded from the
-            # serialised report, so the stats never perturb cache keys or
-            # stored payloads.
-            report.cache["dispatch"] = dict(dispatch_stats)
         return report
 
     def fit(self, config: Union[ExperimentConfig, Dict[str, object]]) -> FittedModel:

@@ -101,9 +101,9 @@ def stage1_payload(config_dict: Dict[str, object]) -> Dict[str, object]:
       the network, the rule list with their strengths, and the category
       (which also determines the priors fitted in the parent).
 
-    The execution section (backend, worker count, queue knobs) is excluded:
-    it is bit-neutral by the library-wide contract (enforced by the parity
-    tests of ``tests/test_api_execution.py``).
+    The execution section (backend, worker count) is excluded: it is
+    bit-neutral by the library-wide contract (enforced by the parity tests
+    of ``tests/test_api_execution.py``).
     """
     kind = config_dict["kind"]
     network = config_dict["network"]

@@ -12,12 +12,8 @@ entirely from the whole-report cache, and *within* a cold sweep the
 fields cannot influence them (e.g. a meta-model sweep recomputes extraction
 exactly once).
 
-With ``backend="distributed"`` the sweep fans its *points* out over the
-fault-tolerant dispatch work queue (:mod:`repro.dispatch`): each worker
-process runs one point end to end (serving it from / publishing it to the
-shared store) and ships the report payload back; inside a worker the point
-itself degrades to the serial walk, so there is no nested fan-out and the
-reports stay bitwise identical to a serial sweep.
+Points run in order; each point's stage-1 shards run in parallel on the
+point's own backend.
 """
 
 from __future__ import annotations
@@ -178,66 +174,6 @@ class SweepResult:
         )
 
 
-def _sweep_point_payload(spec: Dict) -> Dict[str, object]:
-    """Run one sweep point inside a dispatch worker; the report as plain data.
-
-    The spec carries the point's full config dict plus the sweep's store
-    root, so the worker serves/publishes through the same cache the parent
-    would have.  Inside the worker the ``distributed`` backend degrades to
-    the serial walk (no nested fan-out), so the payload is bitwise the
-    report a serial sweep computes.
-    """
-    config = spec["config"]
-    store = ResultStore(spec["store_root"]) if spec.get("store_root") else None
-    start = time.perf_counter()  # repro: allow[det-wallclock] -- per-point run info (seconds), reported beside the deterministic result
-    report = Runner(store=store).run(config)
-    return {
-        "report": report.to_dict(),
-        "cache": dict(report.cache),
-        "seconds": time.perf_counter() - start,  # repro: allow[det-wallclock] -- per-point run info (seconds), reported beside the deterministic result
-    }
-
-
-def _fan_out_points(points: List[SweepPoint]) -> bool:
-    """True when this sweep should ship its points over the work queue."""
-    from repro.dispatch.worker import is_worker_process
-
-    return (
-        len(points) > 1
-        and not is_worker_process()
-        and all(point.config.execution.backend == "distributed" for point in points)
-    )
-
-
-def _run_points_distributed(
-    points: List[SweepPoint], store: Optional[ResultStore]
-) -> List[SweepPointResult]:
-    """Fan validated sweep points over the dispatch work queue, in order."""
-    from repro.dispatch.backend import DistributedBackend
-
-    specs = [
-        {
-            "config": point.config.to_dict(),
-            "store_root": None if store is None else str(store.root),
-        }
-        for point in points
-    ]
-    queue = DistributedBackend(points[0].config.execution)
-    payloads = queue.map(_sweep_point_payload, specs)
-    results: List[SweepPointResult] = []
-    for point, payload in zip(points, payloads):
-        report = ExperimentReport.from_dict(payload["report"])
-        report.cache = dict(payload.get("cache", {}))
-        results.append(
-            SweepPointResult(
-                point=point,
-                report=report,
-                seconds=float(payload.get("seconds", 0.0)),
-            )
-        )
-    return results
-
-
 def run_sweep(
     sweep: SweepConfig,
     store: Optional[ResultStore] = None,
@@ -279,22 +215,15 @@ def run_sweep(
             if workers is not None:
                 config.execution.workers = workers
             config.validate()
-        if _fan_out_points(points):
-            # Distributed sweeps ship whole points to queue workers; the
-            # per-point Runner spans live in the workers, so the parent
-            # trace only records the sweep envelope.
-            result.points.extend(_run_points_distributed(points, store))
-        else:
-            for point in points:
-                config = point.config
-                start = time.perf_counter()  # repro: allow[det-wallclock] -- per-point run info (seconds), reported beside the deterministic result
-                with tracer.span("point", label=point.label, index=point.index) as span:
-                    report = runner.run(config)
-                    span.set(cache_hit=bool(report.cache.get("hit")))
-                result.points.append(
-                    SweepPointResult(
-                        point=point, report=report, seconds=time.perf_counter() - start  # repro: allow[det-wallclock] -- per-point run info (seconds), reported beside the deterministic result
-                    )
+        for point in points:
+            start = time.perf_counter()  # repro: allow[det-wallclock] -- per-point run info (seconds), reported beside the deterministic result
+            with tracer.span("point", label=point.label, index=point.index) as span:
+                report = runner.run(point.config)
+                span.set(cache_hit=bool(report.cache.get("hit")))
+            result.points.append(
+                SweepPointResult(
+                    point=point, report=report, seconds=time.perf_counter() - start  # repro: allow[det-wallclock] -- per-point run info (seconds), reported beside the deterministic result
                 )
+            )
     result.seconds = time.perf_counter() - sweep_start  # repro: allow[det-wallclock] -- per-point run info (seconds), reported beside the deterministic result
     return result

@@ -1,5 +1,6 @@
 """Tests for repro.api.config: declarative experiment configurations."""
 
+import dataclasses
 import json
 
 import pytest
@@ -59,12 +60,14 @@ class TestValidation:
             ("execution", {"backend": ""}, "backend"),
             ("execution", {"workers": -2}, "workers"),
             ("execution", {"streaming": True}, "streaming"),
-            ("execution", {"lease_timeout": 0}, "lease_timeout"),
-            ("execution", {"lease_timeout": True}, "lease_timeout"),
-            ("execution", {"max_retries": -1}, "max_retries"),
-            ("execution", {"max_retries": 1.5}, "max_retries"),
-            ("execution", {"backoff": -0.1}, "backoff"),
-            ("execution", {"backoff": "fast"}, "backoff"),
+            # Removed queue knobs: rejected whatever their value, old
+            # defaults included.
+            ("execution", {"lease_timeout": 30.0}, "lease_timeout"),
+            ("execution", {"lease_timeout": 0.5}, "lease_timeout"),
+            ("execution", {"max_retries": 3}, "max_retries"),
+            ("execution", {"max_retries": 0}, "max_retries"),
+            ("execution", {"backoff": 0.05}, "backoff"),
+            ("execution", {"backoff": 0.0}, "backoff"),
             ("meta_models", {"classifiers": []}, "at least one classifier"),
             ("meta_models", {"classification_penalty": -1.0}, "penalties"),
             ("evaluation", {"n_runs": 0}, "n_runs"),
@@ -99,9 +102,7 @@ class TestParseTimeValidation:
             ("execution", {"workers": True}, "execution: workers"),
             ("execution", {"backend": ""}, "execution: backend"),
             ("execution", {"streaming": False}, "execution: streaming"),
-            ("execution", {"lease_timeout": -1}, "execution: lease_timeout"),
-            ("execution", {"max_retries": "many"}, "execution: max_retries"),
-            ("execution", {"backoff": True}, "execution: backoff"),
+            ("execution", {"backend": "distributed"}, "execution: backend"),
         ],
     )
     def test_bad_execution_numbers_fail_at_parse_time(self, section, payload, fragment):
@@ -114,6 +115,9 @@ class TestParseTimeValidation:
             ("extraction", "chunk_size", "items fold one at a time"),
             ("extraction", "max_workers", "execution.workers under execution.backend 'thread'"),
             ("execution", "streaming", "every walk streams uncached"),
+            ("execution", "lease_timeout", "process backend recovers lost workers"),
+            ("execution", "max_retries", "process backend recovers lost workers"),
+            ("execution", "backoff", "process backend recovers lost workers"),
         ],
     )
     def test_removed_keys_name_their_replacement(self, section, key, replacement):
@@ -142,19 +146,22 @@ class TestParseTimeValidation:
         rebuilt = ExperimentConfig.from_json(config.to_json())
         assert rebuilt == config
 
-    def test_dispatch_fields_round_trip_with_defaults(self):
-        config = ExperimentConfig.from_dict({"execution": {"backend": "distributed"}})
-        assert config.execution.lease_timeout == 30.0
-        assert config.execution.max_retries == 3
-        assert config.execution.backoff == 0.05
-        tuned = ExperimentConfig.from_dict(
-            {"execution": {"backend": "distributed", "workers": 2,
-                           "lease_timeout": 0.5, "max_retries": 1, "backoff": 0.01}}
-        )
-        tuned.validate()
-        rebuilt = ExperimentConfig.from_json(tuned.to_json())
-        assert rebuilt == tuned
-        assert rebuilt.execution.lease_timeout == 0.5
+    def test_queue_backend_and_knobs_are_removed(self):
+        """The work-queue backend and its three lease knobs fail loudly,
+        naming ``process``, which recovers lost workers on its own."""
+        payload = {"execution": {"backend": "distributed"}}
+        deferred = ExperimentConfig.from_dict(payload, validate=False)
+        for parse in (lambda: ExperimentConfig.from_dict(payload), deferred.validate):
+            with pytest.raises(ConfigError) as error:
+                parse()
+            assert "backend 'distributed' was removed" in str(error.value)
+            assert "'process'" in str(error.value)
+        assert {field.name for field in dataclasses.fields(ExecutionConfig)} == {
+            "backend", "workers",
+        }
+        for key, value in (("lease_timeout", 30.0), ("max_retries", 3), ("backoff", 0.05)):
+            with pytest.raises(ConfigError, match=f"execution: {key} was removed"):
+                ExperimentConfig.from_dict({"execution": {key: value}})
 
 
 class TestSerialisation:

@@ -187,7 +187,7 @@ class TestBackendParityFuzz:
 # ------------------------------------------------------- backend semantics --
 class TestBackendSemantics:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process"} <= set(EXECUTION_BACKENDS.available())
+        assert set(EXECUTION_BACKENDS.available()) == {"serial", "thread", "process"}
 
     def test_unknown_backend_fails_fast_at_resolve(self):
         config = ExperimentConfig.from_dict(
@@ -451,6 +451,29 @@ class TestCliExecutionOverrides:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "execution: streaming was removed" in err and "drop the key" in err
+
+    def test_removed_queue_backend_exits_2_naming_process(self, tmp_path, capsys):
+        path = self._write(tmp_path, metaseg_payload(0))
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(
+            '{"name": "s", "base": %s, "grid": {"seed": [0, 1]}}' % path.read_text()
+        )
+        for argv in (
+            ["run", str(path), "--backend", "distributed"],
+            ["trace", str(path), "--backend", "distributed",
+             "--trace-out", str(tmp_path / "t.json")],
+            ["sweep", str(sweep_path), "--no-cache", "--backend", "distributed"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1, captured.err
+            assert "backend 'distributed' was removed" in lines[0]
+            assert "'process'" in lines[0]
+            assert captured.out == ""
+        payload = {**metaseg_payload(0), "execution": {"backend": "distributed"}}
+        assert main(["run", str(self._write(tmp_path, payload))]) == 2
+        assert "'process'" in capsys.readouterr().err
 
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, metaseg_payload(0))

@@ -438,9 +438,8 @@ class TestFixtureParity:
         [
             {"backend": "process", "workers": 2},
             {"backend": "thread", "workers": 2},
-            {"backend": "distributed", "workers": 2},
         ],
-        ids=["process", "thread", "distributed"],
+        ids=["process", "thread"],
     )
     def test_metaseg_backends(self, synthetic_metaseg_report, execution):
         assert comparable(run(disk_payload(**execution))) == comparable(

@@ -115,8 +115,8 @@ class TestCanonicalKeys:
             (("data", "height"), 64),
             (("network", "profile"), "xception65"),
             (("extraction", "connectivity"), 4),
-            (("execution", "lease_timeout"), 5.0),
             (("execution", "backend"), "process"),
+            (("execution", "backend"), "thread"),
             (("execution", "workers"), 2),
             (("meta_models", "classifiers"), ["gradient_boosting"]),
             (("meta_models", "classification_penalty"), 2.0),
@@ -151,16 +151,16 @@ class TestCanonicalKeys:
 #: the same change.
 PINNED_KEYS = {
     "metaseg_small": {
-        "report": "93ef97a4c5b92beaba42290b14f88e960ece80703b09b0496c10cacc3a078fa1",
+        "report": "740d8e16a154d5c35d2f4cf6ab9bac9b4f42bc087ccdebe14f7de33f48046da3",
         "shard": "50bd636a99960f7fd353b77e21a3f54e98fb5df420d55e97d44e288153c3713e",
         "model": "dd31f4e3c4043b0817bd7fc03f7fbbd07e7fc770d5b1f437343a7f6995d63cc2",
     },
     "timedynamic_small": {
-        "report": "1711c8a0c29f48e647e57ee331c675eba80b7accda009f67461bdf69e9032783",
+        "report": "d3bb189c343234984d8d4252c523637b024fe997fa5526d749f3c0ee2df1c9b8",
         "shard": "4ae5cc4f5776d4873f4a11dde0080c788149a55c1e685c9ac6fc05dd440876c9",
     },
     "decision_small": {
-        "report": "d42e818fcc422d7c66c3a7be1ca28812ab9088d1ff5260bd5433f3892ffbf931",
+        "report": "fbd0ced8565d3e35e3c70e20f7031d3b0911b261770903484ab552f2c1a6a67a",
         "shard": "e0b1a9983b284f1784a680c9cf1ec4fac3630492afdeb8a753a39a1fac3f0537",
         "priors": "c3c37cd5348b5117039aaaa617e4c2906aa63555a8be2b5e96823a69fbbf0a89",
     },
@@ -247,7 +247,7 @@ class TestStage1Scoping:
             lambda d: d["meta_models"].update(classification_penalty=9.0),
             lambda d: d["evaluation"].update(n_runs=7),
             lambda d: d["execution"].update(backend="process", workers=8),
-            lambda d: d["execution"].update(lease_timeout=5.0, max_retries=1),
+            lambda d: d["execution"].update(backend="thread", workers=3),
             lambda d: d.update(name="renamed"),
         ):
             mutated = copy.deepcopy(base)

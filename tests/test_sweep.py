@@ -287,45 +287,49 @@ class TestSweepCli:
         assert "entries: 0" in capsys.readouterr().out
 
 
-# ------------------------------------------------------- distributed sweeps
+# ----------------------------------------------------------- process sweeps
 
 
-class TestDistributedSweep:
-    def test_point_fanout_matches_serial_bitwise(self, tmp_path):
+class TestProcessSweep:
+    """Points run in order; each point's shards run on a process pool."""
+
+    def test_process_sweep_matches_serial_bitwise(self, tmp_path):
         serial = run_sweep(tiny_sweep(), no_cache=True)
-        distributed = run_sweep(
+        process = run_sweep(
             tiny_sweep(), store=ResultStore(tmp_path),
-            backend="distributed", workers=2,
+            backend="process", workers=2,
         )
-        assert len(distributed.points) == 2
-        for serial_point, dist_point in zip(serial.points, distributed.points):
-            assert serial_point.report.tables == dist_point.report.tables
+        assert len(process.points) == 2
+        for serial_point, process_point in zip(serial.points, process.points):
+            assert serial_point.report.tables == process_point.report.tables
             assert (
-                serial_point.report.provenance == dist_point.report.provenance
+                serial_point.report.provenance == process_point.report.provenance
             )
-            config_echo = dist_point.report.config["execution"]
-            assert config_echo["backend"] == "distributed"
+            config_echo = process_point.report.config["execution"]
+            assert config_echo["backend"] == "process"
             assert config_echo["workers"] == 2
-        # The diffs-vs-baseline machinery works on worker-shipped reports.
-        label = distributed.points[1].point.label
-        assert any(
-            e["path"] == "config.seed" for e in distributed.diffs()[label]
-        )
+        label = process.points[1].point.label
+        assert any(e["path"] == "config.seed" for e in process.diffs()[label])
 
     def test_workers_publish_to_the_shared_store(self, tmp_path):
         store = ResultStore(tmp_path)
-        cold = run_sweep(tiny_sweep(), store=store, backend="distributed", workers=2)
+        cold = run_sweep(tiny_sweep(), store=store, backend="process", workers=2)
         assert cold.cache_hits == 0
+        # Each point's shards were computed in pool workers and published.
+        assert all(point.shard_cache["misses"] == 2 for point in cold.points)
         assert store.stats()["n_entries"] > 0
-        warm = run_sweep(tiny_sweep(), store=store, backend="distributed", workers=2)
+        warm = run_sweep(tiny_sweep(), store=store, backend="process", workers=2)
         assert warm.cache_hits == 2
         for cold_point, warm_point in zip(cold.points, warm.points):
             assert cold_point.report.tables == warm_point.report.tables
 
-    def test_distributed_without_cache(self):
-        result = run_sweep(
-            tiny_sweep(), no_cache=True, backend="distributed", workers=2
-        )
+    def test_process_without_cache(self):
+        result = run_sweep(tiny_sweep(), no_cache=True, backend="process", workers=2)
         assert result.store_root is None
         assert len(result.points) == 2
         assert result.points[0].report.tables
+
+    def test_removed_queue_backend_fails_before_any_point_runs(self, tmp_path):
+        with pytest.raises(ConfigError, match="'distributed' was removed.*'process'"):
+            run_sweep(tiny_sweep(), store=ResultStore(tmp_path), backend="distributed")
+        assert ResultStore(tmp_path).stats()["n_entries"] == 0
