@@ -1,15 +1,19 @@
-"""Benchmark — fused single-pass metric extraction vs the seed path.
+"""Benchmark — fused metric extraction vs the seed path.
 
-Times the fused :meth:`SegmentMetricsExtractor._compute_features` (one top-2
-partition for V/M/pmax, one stacked-weights grouped bincount for all metric
-columns) against the retained ``_reference_compute_features`` seed
-implementation (one heatmap pass per dispersion measure, one bincount pass
-per metric column) on synthetic softmax fields with hundreds of segments.
-Bitwise parity of the full feature matrix — and of the assembled
-``MetricsDataset`` — is asserted on every run; full mode enforces the
-acceptance gate of the perf issue (fused >= 1.5x seed) via the exit code.
+Times the fused path — one tiled softmax sweep
+(:func:`repro.core.heatmaps.fused_dispersion_heatmaps`: validation, argmax
+and the E/M/V/p_max heatmaps in one walk over the field) followed by
+:meth:`SegmentMetricsExtractor._compute_features` (every per-segment sum from
+sparse membership products) — against the retained
+``_reference_compute_features`` seed implementation (one validated heatmap
+pass per dispersion measure, one bincount pass per metric column) on
+synthetic softmax fields with hundreds of segments.  Bitwise parity of the
+full feature matrix — and of the assembled ``MetricsDataset`` — is asserted
+on every run; full mode enforces the acceptance gate (fused >= 1.5x seed)
+via the exit code.
 
-Invocation (argmax + segment decomposition are not part of the timed region):
+Invocation (the segment decomposition is not part of the timed region; the
+fused path's argmax is, the seed path's is not):
 
     PYTHONPATH=src python benchmarks/bench_extraction_fused.py           # full
     PYTHONPATH=src python benchmarks/bench_extraction_fused.py --smoke   # CI
@@ -26,6 +30,7 @@ import numpy as np
 
 from _bench_common import write_artifact, write_bench_json, write_trajectory_json
 
+from repro.core.heatmaps import fused_dispersion_heatmaps
 from repro.core.metrics import SegmentMetricsExtractor
 from repro.core.segments import extract_segments
 from repro.segmentation.labels import cityscapes_label_space
@@ -67,7 +72,10 @@ def run_case(name: str, height: int, width: int, cell: int, repeats: int) -> Dic
     extractor = SegmentMetricsExtractor(label_space=label_space)
     probs, prediction = make_case(height, width, cell, label_space.n_classes)
 
-    fused = extractor._compute_features(probs, prediction)
+    def fused_path():
+        return extractor._compute_features(fused_dispersion_heatmaps(probs), prediction)
+
+    fused = fused_path()
     reference = extractor._reference_compute_features(probs, prediction)
     if not np.array_equal(fused, reference):
         mismatches = int(np.count_nonzero(fused != reference))
@@ -84,9 +92,7 @@ def run_case(name: str, height: int, width: int, cell: int, repeats: int) -> Dic
     reference_seconds = _best_of(
         lambda: extractor._reference_compute_features(probs, prediction), repeats
     )
-    fused_seconds = _best_of(
-        lambda: extractor._compute_features(probs, prediction), repeats
-    )
+    fused_seconds = _best_of(fused_path, repeats)
     return {
         "case": name,
         "height": height,

@@ -10,8 +10,8 @@ package — this rule flags the shared-mutable-state idioms:
   visible to every thread);
 * ``global`` rebinding outside a ``with <lock>`` block;
 * instance-attribute writes outside ``__init__`` that are neither routed
-  through a ``threading.local()`` attribute (the warm scratch-buffer idiom
-  of :mod:`repro.core.metrics`) nor inside a ``with <lock>`` block.
+  through a ``threading.local()`` attribute (per-thread state) nor inside
+  a ``with <lock>`` block.
 
 The sanctioned patterns — locks, thread-locals — pass structurally;
 everything else needs a reasoned ``# repro: allow[concurrency-shared-state]``

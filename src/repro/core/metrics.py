@@ -17,16 +17,18 @@ eq. (3)).  Following the MetaSeg construction ([16] of the paper) we compute:
 * context: the predicted class id, a thing/stuff flag and the normalised
   centroid position.
 
-The extractor is fully vectorised over segments: one top-2 partition of the
-softmax field yields V, M and the max-probability map at once
-(:func:`repro.core.heatmaps.fused_dispersion_heatmaps`); every per-class mean
-probability comes from one product of a sparse (CSR) segment-membership
-matrix with the ``(H·W, C)`` field; the centroids reuse the coordinate sums
-of the segment decomposition; the remaining per-segment sums (dispersion
-heatmaps over the whole segment, its interior and its boundary, and the max
-probability) are one ``np.bincount`` each, and interior/boundary *counts* are
-derived by exact integer subtraction instead of masked re-bincounts.  The
-column-at-a-time seed implementation is retained as
+The extractor is fully vectorised over segments.  One tiled sweep over the
+softmax field (:func:`repro.core.heatmaps.fused_dispersion_heatmaps`)
+validates it and yields the argmax and an ``(H·W, 4)`` matrix of the E, M, V
+and max-probability heatmaps.  Every per-segment sum is then a product of a
+sparse (CSR) segment-membership matrix with a dense ``(H·W, k)`` matrix: one
+membership matrix with the heatmap matrix and with the ``(H·W, C)`` field
+(segment means of the heatmaps and of every class probability), one that
+splits each segment into its interior and its boundary with the heatmap
+matrix; pixel counts are the membership rows' lengths and the centroids
+reuse the coordinate sums of the segment decomposition.  The extractor
+holds no mutable state, so one instance is shared freely across threads.
+The column-at-a-time seed implementation is retained as
 ``_reference_compute_features``; the fused path is bitwise-identical to it
 (``tests/test_core_metrics_dataset.py`` fuzzes the parity,
 ``benchmarks/bench_extraction_fused.py`` gates the speedup).
@@ -34,9 +36,8 @@ column-at-a-time seed implementation is retained as
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -44,17 +45,27 @@ from scipy import sparse
 from repro.api.registry import METRIC_GROUPS as METRIC_GROUP_REGISTRY
 from repro.core.dataset import MetricsDataset
 from repro.core.heatmaps import (
+    SWEEP_COLUMNS,
+    SoftmaxSweep,
     _reference_dispersion_heatmaps,
-    dispersion_scratch,
     fused_dispersion_heatmaps,
 )
 from repro.core.segments import Segmentation, extract_segments, segment_ious
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.utils.validation import check_label_map, check_probability_field, check_same_shape
 
+__all__ = [
+    "ImageMetrics",
+    "METRIC_GROUPS",
+    "SegmentMetricsExtractor",
+    # Re-exported seams: the extraction ledger wraps these module attributes.
+    "check_probability_field",
+    "fused_dispersion_heatmaps",
+]
+
 #: Named groups of metrics, usable to select feature subsets (ablations and
 #: the entropy-only baseline of Table I).
-METRIC_GROUPS: Dict[str, Sequence[str]] = {  # repro: allow[concurrency-shared-state] -- read-only after import (ablation name table)
+METRIC_GROUPS: Dict[str, Sequence[str]] = {
     "entropy_only": ("E_mean",),
     "dispersion": (
         "E_mean", "E_in_mean", "E_bd_mean", "E_rel", "E_rel_in",
@@ -106,34 +117,6 @@ class SegmentMetricsExtractor:
             raise ValueError("connectivity must be 4 or 8")
         self.connectivity = connectivity
         self.ignore_id = ignore_id
-        # Mutable (H, W, C) heatmap work buffers, reused across frames of
-        # equal shape.  They are written on every call, so they live in
-        # thread-local storage — the scoring server shares one extractor
-        # across a thread pool.
-        self._scratch = threading.local()
-
-    def _thread_scratch(self, shape: Tuple[int, int, int]):
-        """This thread's reusable dispersion-heatmap buffers for a field shape.
-
-        Only the most recent shape is retained per thread, so the footprint
-        is one working set per thread however many shapes are scored, while
-        the frame-after-frame video case still reuses its buffers.
-        """
-        state = getattr(self._scratch, "state", None)
-        if state is None or state[0] != shape:
-            state = (shape, dispersion_scratch(shape))
-            self._scratch.state = state
-        return state[1]
-
-    def __getstate__(self):
-        """Drop the unpicklable per-thread scratch state when pickled."""
-        state = self.__dict__.copy()
-        state["_scratch"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._scratch = threading.local()
 
     # ------------------------------------------------------------------ ---
     def feature_names(self) -> List[str]:
@@ -173,14 +156,15 @@ class SegmentMetricsExtractor:
         image_id: str = "image",
     ) -> ImageMetrics:
         """Like :meth:`extract` but also return the segment decompositions."""
-        probs = check_probability_field(probs)
+        # One sweep validates the field and yields its argmax and heatmaps.
+        sweep = fused_dispersion_heatmaps(probs)
+        probs = sweep.field
         if probs.shape[2] != self.label_space.n_classes:
             raise ValueError(
                 f"probability field has {probs.shape[2]} classes, "
                 f"label space has {self.label_space.n_classes}"
             )
-        predicted_labels = np.argmax(probs, axis=2).astype(np.int64)
-        prediction = extract_segments(predicted_labels, connectivity=self.connectivity)
+        prediction = extract_segments(sweep.labels, connectivity=self.connectivity)
         ground_truth = None
         iou: Optional[np.ndarray] = None
         if gt_labels is not None:
@@ -192,7 +176,7 @@ class SegmentMetricsExtractor:
             iou_map = segment_ious(prediction, ground_truth, ignore_id=self.ignore_id)
             iou = np.array([iou_map[sid] for sid in prediction.segment_ids()], dtype=np.float64)
 
-        features = self._compute_features(probs, prediction)
+        features = self._compute_features(sweep, prediction)
         segment_ids = np.array(prediction.segment_ids(), dtype=np.int64)
         class_ids = np.array(
             [prediction.segments[sid].class_id for sid in prediction.segment_ids()], dtype=np.int64
@@ -208,56 +192,40 @@ class SegmentMetricsExtractor:
         return ImageMetrics(dataset=dataset, prediction=prediction, ground_truth=ground_truth)
 
     # ------------------------------------------------------------------ ---
-    def _compute_features(self, probs: np.ndarray, prediction: Segmentation) -> np.ndarray:
-        """Fused single-pass aggregation of all segment metrics.
+    def _compute_features(self, sweep: SoftmaxSweep, prediction: Segmentation) -> np.ndarray:
+        """Fused aggregation of all segment metrics from one softmax sweep.
 
         Bitwise-identical to :meth:`_reference_compute_features` (the seed
-        column-at-a-time path): every per-segment sum adds the same values to
-        the same segment in the same ascending pixel order as the seed's
-        one-bincount-per-column loop — the membership matrix's CSR rows hold
-        their pixels in ascending order — and the interior/boundary counts it
-        derives by subtraction are exact in float64.
+        column-at-a-time path) on ``sweep.field``: every per-segment sum adds
+        the same values to the same segment in the same ascending pixel
+        order, starting from zero, as the seed's one-bincount-per-column loop
+        — each CSR row of a membership matrix holds its pixels in ascending
+        order — and the pixel counts are exact integers.
         """
         components = prediction.components
-        n_segments = prediction.n_segments
-        n_bins = n_segments + 1
+        n_bins = prediction.n_segments + 1
         flat_components = components.ravel()
-        n_pixels = flat_components.size
         height, width = components.shape
-        n_classes = probs.shape[2]
+        n_classes = sweep.field.shape[2]
 
-        sizes = np.bincount(flat_components, minlength=n_bins).astype(np.float64)
-        interior = self._interior_mask(components)
-        interior_flat = interior.ravel()
-        boundary_flat = ~interior_flat
-        components_interior = flat_components[interior_flat]
-        components_boundary = flat_components[boundary_flat]
-        sizes_in = np.bincount(components_interior, minlength=n_bins).astype(np.float64)
-        # Exact: both operands are integers well below 2**53, so the
-        # difference carries the same float64 bits as a direct bincount of
-        # the boundary pixels.
-        sizes_bd = sizes - sizes_in
+        # Rows 0..n_bins-1 of ``split`` gather each segment's interior
+        # pixels, rows n_bins.. its boundary pixels.
+        boundary_flat = ~self._interior_mask(components).ravel()
+        membership = _membership(flat_components, n_bins)
+        split = _membership(flat_components + n_bins * boundary_flat, 2 * n_bins)
+        sizes = np.diff(membership.indptr).astype(np.float64)
+        split_sizes = np.diff(split.indptr).astype(np.float64)
+        sizes_in, sizes_bd = split_sizes[:n_bins], split_sizes[n_bins:]
+        # E, M, V, pmax summed over each segment, its interior and its boundary.
+        sums = membership @ sweep.values
+        split_sums = split @ sweep.values
+        sums_in, sums_bd = split_sums[:n_bins], split_sums[n_bins:]
 
-        # probs is already validated by extract_full; one partition feeds V,
-        # M and pmax, one log pass feeds E, and the (H, W, C) work buffers
-        # are reused across equally-shaped frames.
-        heatmaps, pmax = fused_dispersion_heatmaps(
-            probs, validate=False, scratch=self._thread_scratch(probs.shape)
-        )
-
-        def _mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        def _mean(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
             """Per-segment mean from precomputed sums and counts."""
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
+                return np.where(counts > 0, totals / np.maximum(counts, 1.0), 0.0)
 
-        def _sum(values_flat: np.ndarray) -> np.ndarray:
-            """Per-segment sum of an already-flat full-image value array."""
-            return np.bincount(flat_components, weights=values_flat, minlength=n_bins)
-
-        # The three interior/boundary-restricted dispersion reductions reuse
-        # the hoisted component selections and the exact counts derived above
-        # (the seed path re-extracts mask-selected components and re-counts
-        # them for every heatmap).
         columns: List[np.ndarray] = []
         # geometry ------------------------------------------------------------
         safe_bd = np.maximum(sizes_bd, 1.0)
@@ -268,24 +236,10 @@ class SegmentMetricsExtractor:
         columns.append(sizes_in / safe_bd)          # S_rel_in
         # dispersion ----------------------------------------------------------
         for key in ("E", "M", "V"):
-            heatmap_flat = heatmaps[key].ravel()
-            mean_all = _mean(_sum(heatmap_flat), sizes)
-            mean_in = _mean(
-                np.bincount(
-                    components_interior,
-                    weights=heatmap_flat[interior_flat],
-                    minlength=n_bins,
-                ),
-                sizes_in,
-            )
-            mean_bd = _mean(
-                np.bincount(
-                    components_boundary,
-                    weights=heatmap_flat[boundary_flat],
-                    minlength=n_bins,
-                ),
-                sizes_bd,
-            )
+            column = SWEEP_COLUMNS.index(key)
+            mean_all = _mean(sums[:, column], sizes)
+            mean_in = _mean(sums_in[:, column], sizes_in)
+            mean_bd = _mean(sums_bd[:, column], sizes_bd)
             columns.append(mean_all)                               # D_mean
             columns.append(mean_in)                                # D_in_mean
             columns.append(mean_bd)                                # D_bd_mean
@@ -303,18 +257,9 @@ class SegmentMetricsExtractor:
         row_sums, col_sums = prediction.coordinate_sums()
         columns.append(_mean(row_sums, sizes) / max(1, height - 1))
         columns.append(_mean(col_sums, sizes) / max(1, width - 1))
-        columns.append(_mean(_sum(pmax.ravel()), sizes))            # pmax_mean
+        columns.append(_mean(sums[:, SWEEP_COLUMNS.index("pmax")], sizes))  # pmax_mean
         # per-class mean probabilities -----------------------------------------
-        # One sparse product: row i of the (n_bins, H·W) membership matrix
-        # holds a 1.0 at every pixel of segment i.  It is built column-wise
-        # (one entry per pixel) and converted to CSR by a counting sort, so
-        # each row lists its pixels in ascending order and the product adds
-        # the field's rows in the same order as the seed's per-class bincount.
-        membership = sparse.csc_matrix(
-            (np.ones(n_pixels), flat_components, np.arange(n_pixels + 1)),
-            shape=(n_bins, n_pixels),
-        ).tocsr()
-        class_sums = membership @ probs.reshape(n_pixels, n_classes)
+        class_sums = membership @ sweep.field.reshape(flat_components.size, n_classes)
         for class_index in range(n_classes):
             columns.append(_mean(class_sums[:, class_index], sizes))
 
@@ -424,3 +369,17 @@ class SegmentMetricsExtractor:
         interior[:, 0] = False
         interior[:, -1] = False
         return interior
+
+
+def _membership(rows: np.ndarray, n_rows: int) -> sparse.csr_matrix:
+    """(n_rows, H·W) CSR matrix with a 1.0 at (rows[p], p) for every pixel p.
+
+    Built column-wise (one entry per pixel) and converted to CSR by a
+    counting sort, so each row lists its pixels in ascending order and a
+    product with an (H·W, k) matrix adds that matrix's rows in the same
+    order as a per-column ``np.bincount(rows, weights=...)``.
+    """
+    n_pixels = rows.size
+    return sparse.csc_matrix(
+        (np.ones(n_pixels), rows, np.arange(n_pixels + 1)), shape=(n_rows, n_pixels)
+    ).tocsr()

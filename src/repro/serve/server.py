@@ -23,8 +23,7 @@ in the ``X-Request-Id`` response header and in every structured error
 body, so client logs correlate with server traces.  The metrics registry
 is private to the server instance (pass a shared one to aggregate).
 
-Worker threads are long-lived, so the extractor's thread-local ``(H, W, C)``
-scratch buffers stay warm across the requests each worker serves.
+All worker threads score through the service's one stateless extractor.
 """
 
 from __future__ import annotations

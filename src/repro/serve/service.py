@@ -2,10 +2,9 @@
 
 The service owns the model and one shared
 :class:`~repro.core.metrics.SegmentMetricsExtractor` built at startup, so
-the schema-drift check runs once and the extractor's per-thread ``(H, W, C)``
-scratch buffers stay warm across requests — a worker thread that has scored
-one frame of a given resolution re-uses its buffers for every following
-frame of that resolution.
+the schema-drift check runs once.  The extractor holds no per-request or
+per-thread state (each frame's softmax sweep allocates only tile-sized work
+space), so every worker thread scores through the same instance.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ class ScoringService:
 
     def __init__(self, model: FittedModel) -> None:
         self.model = model
-        # Built once: validates the feature schema and keeps the extractor's
-        # thread-local scratch warm across requests.
+        # Built once: validates the feature schema; stateless, so the worker
+        # threads share it.
         self.extractor = model.build_extractor()
 
     def info(self) -> Dict[str, object]:

@@ -1,20 +1,27 @@
 """Tests for repro.core.metrics and repro.core.dataset."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.dataset import MetricsDataset
-from repro.core.heatmaps import _reference_dispersion_heatmaps, dispersion_heatmaps
+from repro.core.heatmaps import (
+    _reference_dispersion_heatmaps,
+    dispersion_heatmaps,
+    fused_dispersion_heatmaps,
+)
 from repro.core.metrics import METRIC_GROUPS, SegmentMetricsExtractor
 from repro.core.segments import extract_segments
 from repro.evaluation.regression import pearson_correlation
+from repro.segmentation.labels import LabelSpace, LabelSpec
 
 
-def _random_softmax_field(seed: int, n_classes: int):
+def _random_softmax_field(seed: int, n_classes: int, height=None, width=None):
     """Seeded random softmax field whose argmax forms chunky segments."""
     rng = np.random.default_rng(seed)
-    height = int(rng.integers(10, 44))
-    width = int(rng.integers(10, 44))
+    height = int(rng.integers(10, 44)) if height is None else height
+    width = int(rng.integers(10, 44)) if width is None else width
     cell = int(rng.integers(2, 7))
     grid = rng.integers(
         0, n_classes, size=(height // cell + 1, width // cell + 1)
@@ -103,6 +110,11 @@ class TestSegmentMetricsExtractor:
         with pytest.raises(ValueError):
             extractor.extract(probability_field, gt_labels=np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize("shape", [(0, 8, 19), (8, 0, 19)])
+    def test_empty_field_rejected_by_name(self, extractor, shape):
+        with pytest.raises(ValueError, match="^probs must be non-empty$"):
+            extractor.extract_full(np.zeros(shape))
+
     def test_invalid_connectivity(self, label_space):
         with pytest.raises(ValueError):
             SegmentMetricsExtractor(label_space=label_space, connectivity=5)
@@ -116,7 +128,7 @@ class TestFusedExtractionParity:
     def test_fused_features_bitwise_equal_seed(self, extractor, label_space, seed):
         probs = _random_softmax_field(seed, label_space.n_classes)
         prediction = extract_segments(np.argmax(probs, axis=2).astype(np.int64))
-        fused = extractor._compute_features(probs, prediction)
+        fused = extractor._compute_features(fused_dispersion_heatmaps(probs), prediction)
         reference = extractor._reference_compute_features(probs, prediction)
         assert fused.shape == reference.shape
         mismatch = np.nonzero(fused != reference)
@@ -132,9 +144,38 @@ class TestFusedExtractionParity:
         )
         probs = np.asarray(probability_field, dtype=np.float64)
         assert np.array_equal(
-            extractor._compute_features(probs, prediction),
+            extractor._compute_features(fused_dispersion_heatmaps(probs), prediction),
             extractor._reference_compute_features(probs, prediction),
         )
+
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize("seed", range(24))
+    def test_folded_sums_bitwise_equal_seed(self, seed):
+        """The membership-product sums match the seed's bincounts bitwise.
+
+        Covers C in {2, 19, 40}, one-row and one-column frames (segments
+        without interior pixels), widths past the sweep's tile budget and
+        exact 0/1 probabilities (zero dispersion over whole segments).
+        """
+        n_classes = (2, 19, 40)[seed % 3]
+        height, width = ((1, 60), (60, 1), (2, 9000), (None, None))[seed % 4]
+        space = LabelSpace(tuple(
+            LabelSpec(index, f"class{index}", "object", (0, 0, 0), index % 2 == 1, 0.01)
+            for index in range(n_classes)
+        ))
+        extractor = SegmentMetricsExtractor(label_space=space)
+        probs = _random_softmax_field(seed, n_classes, height, width)
+        if seed % 5 == 0:
+            winners = np.argmax(probs, axis=2)
+            one_hot = np.arange(n_classes) == winners[..., None]
+            rows = np.random.default_rng(seed).random(probs.shape[:2]) < 0.5
+            probs[rows] = one_hot[rows]
+        prediction = extract_segments(np.argmax(probs, axis=2).astype(np.int64))
+        fused = extractor._compute_features(fused_dispersion_heatmaps(probs), prediction)
+        reference = extractor._reference_compute_features(probs, prediction)
+        assert np.array_equal(fused, reference), f"seed={seed}"
+        dataset = extractor.extract(probs)
+        assert np.array_equal(dataset.features, reference)
 
     @pytest.mark.fuzz
     @pytest.mark.parametrize("seed", range(10))
@@ -145,6 +186,36 @@ class TestFusedExtractionParity:
         assert set(fused) == set(reference)
         for key in reference:
             assert np.array_equal(fused[key], reference[key]), f"seed={seed} map={key}"
+
+
+class TestExtractionMemory:
+    def test_transient_peak_below_field_bytes(self, label_space):
+        """A fresh extractor scores a 256x512x19 field within its bytes.
+
+        The softmax sweep allocates tile-sized work space only; what stays
+        is the per-pixel maps, segment decompositions and the feature
+        matrix.  The field is the extraction benchmark's recipe (chunky
+        16-pixel cells, a few thousand segments).
+        """
+        rng = np.random.default_rng(0)
+        height, width, cell, n_classes = 256, 512, 16, label_space.n_classes
+        grid = rng.integers(0, n_classes, size=(height // cell + 1, width // cell + 1))
+        bias = np.kron(grid, np.ones((cell, cell)))[:height, :width].astype(np.int64)
+        probs = rng.normal(0.0, 1.0, size=(height, width, n_classes))
+        probs[np.arange(height)[:, None], np.arange(width)[None, :], bias] += 4.0
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        gt_grid = rng.integers(0, n_classes, size=grid.shape)
+        gt_labels = np.kron(gt_grid, np.ones((cell, cell)))[:height, :width].astype(np.int64)
+        extractor = SegmentMetricsExtractor(label_space=label_space)
+        tracemalloc.start()
+        try:
+            result = extractor.extract_full(probs, gt_labels=gt_labels)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.dataset.iou is not None
+        assert peak <= probs.nbytes, f"peak {peak / probs.nbytes:.2f}x the field's bytes"
 
 
 class TestMetricsDataset:

@@ -8,6 +8,7 @@ saturated queue must answer 503 immediately (backpressure).
 """
 
 import json
+import pickle
 import socket
 import threading
 import urllib.error
@@ -177,9 +178,19 @@ class TestSharedExtractor:
         assert list(after) == list(before)
         for name, (value, size) in before.items():
             assert after[name][0] is value and after[name][1] == size, name
-        # This thread's heatmap scratch holds the latest shape only.
-        n_classes = fitted_model.label_space.n_classes
-        assert extractor._scratch.state[0] == (32, 1, n_classes)
+        # The extractor keeps no per-thread state at all: its softmax sweep
+        # allocates tile-sized work space per call.
+        assert not any(isinstance(value, threading.local) for value in vars(extractor).values())
+
+    def test_used_extractor_pickles_and_scores_identically(self, fitted_model, val_frames):
+        """An extractor that has scored a frame round-trips through pickle."""
+        service = ScoringService(fitted_model)
+        image_id, probs = val_frames[0]
+        scored = service.score_frame(probs, image_id=image_id)
+        clone = pickle.loads(pickle.dumps(service.extractor))
+        assert vars(clone).keys() == vars(service.extractor).keys()
+        rescored = fitted_model.score_frame(probs, extractor=clone, image_id=image_id)
+        assert _canon(rescored) == _canon(scored)
 
 
 class TestServerParity:
@@ -285,6 +296,15 @@ class TestErrorContracts:
         status, body = _post(server.url + "/score", npy_bytes(bad), "application/x-npy")
         assert status == 400
         assert body["error"]["code"] == "bad_input"
+
+    @pytest.mark.parametrize("shape", [(0, 8, 19), (8, 0, 19)])
+    def test_empty_field_is_400_naming_probs(self, server, shape):
+        status, body = _post(
+            server.url + "/score", npy_bytes(np.zeros(shape)), "application/x-npy"
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad_input"
+        assert body["error"]["message"] == "probs must be non-empty"
 
     def test_missing_content_length_is_411(self, server):
         host, port = server.server_address[:2]

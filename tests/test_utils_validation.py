@@ -76,6 +76,11 @@ class TestCheckProbabilityField:
         with pytest.raises(ValueError):
             check_probability_field(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (0, 0, 2)])
+    def test_rejects_empty_field_by_name(self, shape):
+        with pytest.raises(ValueError, match="^probs must be non-empty$"):
+            check_probability_field(np.zeros(shape, dtype=np.float32))
+
 
 class TestCheckSameShape:
     def test_matching_passes(self):
