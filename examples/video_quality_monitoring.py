@@ -61,8 +61,8 @@ def main() -> None:
 
     print("\nrunning per-frame inference, pseudo labelling and segment tracking ...")
     sequences = pipeline.process_dataset(dataset)
-    lengths = np.concatenate(
-        [list(seq.tracker.track_lengths().values()) for seq in sequences]
+    lengths = np.array(
+        [len(track.segment_history) for seq in sequences for track in seq.tracks.values()]
     )
     print(f"  {int(lengths.size)} tracks, mean length {lengths.mean():.2f} frames, "
           f"max length {int(lengths.max())} frames")

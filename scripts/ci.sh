@@ -86,6 +86,23 @@ for field in ("tables", "provenance"):
         raise SystemExit(1)
 print("process smoke: --backend process --workers 2 bitwise-equal to serial")
 PY
+# The time-dynamic shards (per-sequence metrics datasets and tracks) cross
+# the process pool and are published through the store.
+PROC_TD_SERIAL_OUT="${TMP_ROOT}/proc_td_serial.json"
+PROC_TD_OUT="${TMP_ROOT}/proc_td_process.json"
+python -m repro run examples/configs/timedynamic_small.json --output "${PROC_TD_SERIAL_OUT}"
+python -m repro run examples/configs/timedynamic_small.json \
+    --backend process --workers 2 --cache-dir "${TMP_ROOT}/proc-td-cache" \
+    --output "${PROC_TD_OUT}"
+python - "${PROC_TD_SERIAL_OUT}" "${PROC_TD_OUT}" <<'PY'
+import json, sys
+serial, process = (json.load(open(path)) for path in sys.argv[1:])
+for field in ("tables", "provenance"):
+    if process[field] != serial[field]:
+        print(f"FAIL: time-dynamic process run diverges from serial in {field}", file=sys.stderr)
+        raise SystemExit(1)
+print("process smoke: time-dynamic process run with a store bitwise-equal to serial")
+PY
 
 echo "=== unwritable cache (smoke: the finished run survives a store it cannot write) ==="
 RO_CACHE="${TMP_ROOT}/ro-cache"

@@ -27,9 +27,7 @@ from repro.core.heatmaps import (
 )
 from repro.core.segments import (
     Segmentation,
-    SegmentInfo,
     extract_segments,
-    segment_iou,
     segment_ious,
     false_positive_segments,
     false_negative_segments,
@@ -54,9 +52,7 @@ __all__ = [
     "variation_ratio_heatmap",
     "dispersion_heatmaps",
     "Segmentation",
-    "SegmentInfo",
     "extract_segments",
-    "segment_iou",
     "segment_ious",
     "false_positive_segments",
     "false_negative_segments",

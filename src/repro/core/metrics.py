@@ -173,20 +173,14 @@ class SegmentMetricsExtractor:
             ground_truth = extract_segments(
                 gt_labels, connectivity=self.connectivity, ignore_id=self.ignore_id
             )
-            iou_map = segment_ious(prediction, ground_truth, ignore_id=self.ignore_id)
-            iou = np.array([iou_map[sid] for sid in prediction.segment_ids()], dtype=np.float64)
+            iou = segment_ious(prediction, ground_truth, ignore_id=self.ignore_id)
 
-        features = self._compute_features(sweep, prediction)
-        segment_ids = np.array(prediction.segment_ids(), dtype=np.int64)
-        class_ids = np.array(
-            [prediction.segments[sid].class_id for sid in prediction.segment_ids()], dtype=np.int64
-        )
         dataset = MetricsDataset(
-            features=features,
+            features=self._compute_features(sweep, prediction),
             feature_names=self.feature_names(),
-            segment_ids=segment_ids,
-            class_ids=class_ids,
-            image_ids=np.array([image_id] * segment_ids.shape[0], dtype=object),
+            segment_ids=prediction.segment_ids(),
+            class_ids=prediction.class_ids,
+            image_ids=np.full(prediction.n_segments, image_id, dtype=object),
             iou=iou,
         )
         return ImageMetrics(dataset=dataset, prediction=prediction, ground_truth=ground_truth)
@@ -209,63 +203,60 @@ class SegmentMetricsExtractor:
         n_classes = sweep.field.shape[2]
 
         # Rows 0..n_bins-1 of ``split`` gather each segment's interior
-        # pixels, rows n_bins.. its boundary pixels.
+        # pixels, rows n_bins.. its boundary pixels; bin 0 (background) of
+        # every product is dropped.
         boundary_flat = ~self._interior_mask(components).ravel()
         membership = _membership(flat_components, n_bins)
         split = _membership(flat_components + n_bins * boundary_flat, 2 * n_bins)
-        sizes = np.diff(membership.indptr).astype(np.float64)
+        sizes = np.diff(membership.indptr)[1:].astype(np.float64)
         split_sizes = np.diff(split.indptr).astype(np.float64)
-        sizes_in, sizes_bd = split_sizes[:n_bins], split_sizes[n_bins:]
+        sizes_in, sizes_bd = split_sizes[1:n_bins], split_sizes[n_bins + 1:]
         # E, M, V, pmax summed over each segment, its interior and its boundary.
-        sums = membership @ sweep.values
+        sums = (membership @ sweep.values)[1:]
         split_sums = split @ sweep.values
-        sums_in, sums_bd = split_sums[:n_bins], split_sums[n_bins:]
+        sums_in, sums_bd = split_sums[1:n_bins], split_sums[n_bins + 1:]
 
         def _mean(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
             """Per-segment mean from precomputed sums and counts."""
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(counts > 0, totals / np.maximum(counts, 1.0), 0.0)
 
-        columns: List[np.ndarray] = []
+        # One (n, n_features) matrix, filled column by column in
+        # feature_names() order.
+        matrix = np.empty((prediction.n_segments, len(self.feature_names())), dtype=np.float64)
+        columns = iter(matrix.T)
+
+        def put(values: np.ndarray) -> None:
+            next(columns)[:] = values
+
         # geometry ------------------------------------------------------------
         safe_bd = np.maximum(sizes_bd, 1.0)
-        columns.append(sizes)                       # S
-        columns.append(sizes_in)                    # S_in
-        columns.append(sizes_bd)                    # S_bd
-        columns.append(sizes / safe_bd)             # S_rel
-        columns.append(sizes_in / safe_bd)          # S_rel_in
+        put(sizes)                                  # S
+        put(sizes_in)                               # S_in
+        put(sizes_bd)                               # S_bd
+        put(sizes / safe_bd)                        # S_rel
+        put(sizes_in / safe_bd)                     # S_rel_in
         # dispersion ----------------------------------------------------------
         for key in ("E", "M", "V"):
             column = SWEEP_COLUMNS.index(key)
             mean_all = _mean(sums[:, column], sizes)
             mean_in = _mean(sums_in[:, column], sizes_in)
-            mean_bd = _mean(sums_bd[:, column], sizes_bd)
-            columns.append(mean_all)                               # D_mean
-            columns.append(mean_in)                                # D_in_mean
-            columns.append(mean_bd)                                # D_bd_mean
-            columns.append(mean_all * sizes_bd / np.maximum(sizes, 1.0))      # D_rel
-            columns.append(mean_in * sizes_bd / np.maximum(sizes_in, 1.0))    # D_rel_in
+            put(mean_all)                                          # D_mean
+            put(mean_in)                                           # D_in_mean
+            put(_mean(sums_bd[:, column], sizes_bd))               # D_bd_mean
+            put(mean_all * sizes_bd / np.maximum(sizes, 1.0))      # D_rel
+            put(mean_in * sizes_bd / np.maximum(sizes_in, 1.0))    # D_rel_in
         # context ---------------------------------------------------------------
-        class_per_segment = np.zeros(n_bins, dtype=np.float64)
-        is_thing = np.zeros(n_bins, dtype=np.float64)
-        thing_ids = set(self.label_space.thing_ids())
-        for sid, info in prediction.segments.items():
-            class_per_segment[sid] = info.class_id
-            is_thing[sid] = 1.0 if info.class_id in thing_ids else 0.0
-        columns.append(class_per_segment)
-        columns.append(is_thing)
-        row_sums, col_sums = prediction.coordinate_sums()
-        columns.append(_mean(row_sums, sizes) / max(1, height - 1))
-        columns.append(_mean(col_sums, sizes) / max(1, width - 1))
-        columns.append(_mean(sums[:, SWEEP_COLUMNS.index("pmax")], sizes))  # pmax_mean
+        put(prediction.class_ids)
+        put(np.isin(prediction.class_ids, self.label_space.thing_ids()))
+        put(_mean(prediction.coordinate_sums[:, 0], sizes) / max(1, height - 1))
+        put(_mean(prediction.coordinate_sums[:, 1], sizes) / max(1, width - 1))
+        put(_mean(sums[:, SWEEP_COLUMNS.index("pmax")], sizes))  # pmax_mean
         # per-class mean probabilities -----------------------------------------
         class_sums = membership @ sweep.field.reshape(flat_components.size, n_classes)
         for class_index in range(n_classes):
-            columns.append(_mean(class_sums[:, class_index], sizes))
-
-        matrix = np.stack(columns, axis=1)
-        # Drop the background bin 0; segments are 1..n.
-        return matrix[1:, :]
+            put(_mean(class_sums[1:, class_index], sizes))
+        return matrix
 
     def _reference_compute_features(
         self, probs: np.ndarray, prediction: Segmentation
@@ -332,9 +323,9 @@ class SegmentMetricsExtractor:
         class_per_segment = np.zeros(n_bins, dtype=np.float64)
         is_thing = np.zeros(n_bins, dtype=np.float64)
         thing_ids = set(self.label_space.thing_ids())
-        for sid, info in prediction.segments.items():
-            class_per_segment[sid] = info.class_id
-            is_thing[sid] = 1.0 if info.class_id in thing_ids else 0.0
+        for sid, class_id in enumerate(prediction.class_ids.tolist(), start=1):
+            class_per_segment[sid] = class_id
+            is_thing[sid] = 1.0 if class_id in thing_ids else 0.0
         columns.append(class_per_segment)
         columns.append(is_thing)
         rows_grid, cols_grid = np.meshgrid(

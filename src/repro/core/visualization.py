@@ -15,7 +15,6 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.dataset import MetricsDataset
 from repro.core.segments import Segmentation
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.utils.validation import check_label_map
@@ -38,27 +37,28 @@ def labels_to_rgb(
 
 
 def iou_to_rgb(
-    iou_per_segment: Dict[int, float],
+    iou: np.ndarray,
     segmentation: Segmentation,
     gt_labels: Optional[np.ndarray] = None,
     ignore_id: int = -1,
 ) -> np.ndarray:
     """Render per-segment IoU values as a green (high) to red (low) image.
 
-    Regions without ground truth (``gt_labels == ignore_id``) are white, as in
-    Fig. 1 of the paper.
+    ``iou`` is aligned with the segment ids (entry ``i`` is segment ``i + 1``,
+    like :func:`~repro.core.segments.segment_ious` and the rows of the
+    image's metrics dataset).  Regions without ground truth
+    (``gt_labels == ignore_id``) are white, as in Fig. 1 of the paper.
     """
-    height, width = segmentation.components.shape
-    rgb = np.zeros((height, width, 3), dtype=np.uint8)
-    value_map = np.zeros(segmentation.n_segments + 1, dtype=np.float64)
-    for segment_id, value in iou_per_segment.items():
-        if not 0 <= segment_id <= segmentation.n_segments:
-            raise KeyError(f"segment id {segment_id} outside the segmentation")
-        value_map[segment_id] = float(np.clip(value, 0.0, 1.0))
-    values = value_map[segmentation.components]
+    iou = np.asarray(iou, dtype=np.float64)
+    if iou.shape != (segmentation.n_segments,):
+        raise ValueError(
+            f"iou must hold one value per segment ({segmentation.n_segments}), "
+            f"got shape {iou.shape}"
+        )
+    values = np.concatenate(([0.0], np.clip(iou, 0.0, 1.0)))[segmentation.components]
+    rgb = np.zeros((*values.shape, 3), dtype=np.uint8)
     rgb[..., 0] = np.round(255 * (1.0 - values)).astype(np.uint8)
     rgb[..., 1] = np.round(255 * values).astype(np.uint8)
-    rgb[..., 2] = 0
     if gt_labels is not None:
         gt_labels = check_label_map(gt_labels)
         rgb[gt_labels == ignore_id] = (255, 255, 255)
@@ -129,12 +129,14 @@ def render_ascii(values: np.ndarray, width: int = 80) -> str:
 def fig1_panels(
     gt_labels: np.ndarray,
     prediction: Segmentation,
-    true_iou: Dict[int, float],
-    predicted_iou: Dict[int, float],
+    true_iou: np.ndarray,
+    predicted_iou: np.ndarray,
     label_space: Optional[LabelSpace] = None,
 ) -> Dict[str, np.ndarray]:
     """Assemble the four panels of Fig. 1 as RGB arrays.
 
+    ``true_iou`` and ``predicted_iou`` hold one value per predicted segment,
+    aligned with its segment ids (the rows of the image's metrics dataset).
     Returns a dict with keys ``ground_truth``, ``prediction``, ``true_iou``
     and ``predicted_iou``.
     """
@@ -145,24 +147,3 @@ def fig1_panels(
         "true_iou": iou_to_rgb(true_iou, prediction, gt_labels=gt_labels),
         "predicted_iou": iou_to_rgb(predicted_iou, prediction, gt_labels=gt_labels),
     }
-
-
-def dataset_iou_maps(
-    dataset: MetricsDataset,
-    prediction: Segmentation,
-    predicted_iou: np.ndarray,
-) -> Dict[str, Dict[int, float]]:
-    """Helper building the {segment id → IoU} dicts for :func:`fig1_panels`.
-
-    ``dataset`` must contain exactly the segments of ``prediction`` (i.e. be
-    the per-image dataset extracted from it) and ``predicted_iou`` must be
-    aligned with the dataset rows.
-    """
-    if len(dataset) != prediction.n_segments:
-        raise ValueError("dataset and segmentation disagree on the number of segments")
-    predicted_iou = np.asarray(predicted_iou, dtype=np.float64).ravel()
-    if predicted_iou.shape[0] != len(dataset):
-        raise ValueError("predicted_iou must be aligned with the dataset rows")
-    true_map = {int(sid): float(v) for sid, v in zip(dataset.segment_ids, dataset.target_iou())}
-    pred_map = {int(sid): float(v) for sid, v in zip(dataset.segment_ids, predicted_iou)}
-    return {"true": true_map, "predicted": pred_map}

@@ -40,7 +40,8 @@ from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.serve.protocol import RequestError, parse_score_request
 from repro.serve.service import ScoringService
 
-#: Default cap on request bodies (64 MiB holds a 1024x2048x19 float64 field).
+#: Default cap on request bodies.  64 MiB holds a 512x1024x19 float32 field
+#: (38 MiB) but not a full 1024x2048x19 float64 frame (304 MiB).
 DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 #: How much of an oversized body is drained before responding, so

@@ -42,7 +42,10 @@ from repro.version import __version__
 #: Revision 3: logistic meta-models are fitted by damped Newton instead of
 #: early-stopped gradient descent; fit and report keys hash the model
 #: parameters but not the solver, so older fits and Table I reports are stale.
-CACHE_FORMAT = 3
+#: Revision 4: a time-dynamic stage-1 shard holds each sequence's metrics
+#: datasets and tracks only (no per-frame segmentations, no tracker), so an
+#: older shard would unpickle into the old shape.
+CACHE_FORMAT = 4
 
 
 def version_salt() -> str:

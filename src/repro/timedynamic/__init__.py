@@ -11,7 +11,6 @@ network (the paper's R / RA / RAP / RP / P compositions).
 from repro.timedynamic.tracking import SegmentTracker, TrackedSegment, match_segments
 from repro.timedynamic.time_series import TimeSeriesBuilder, build_time_series_dataset
 from repro.timedynamic.smote import smote_regression
-from repro.timedynamic.pseudo_labels import pseudo_ground_truth_iou
 from repro.timedynamic.compositions import COMPOSITIONS, assemble_composition
 from repro.timedynamic.pipeline import TimeDynamicPipeline, TimeDynamicResult
 
@@ -22,7 +21,6 @@ __all__ = [
     "TimeSeriesBuilder",
     "build_time_series_dataset",
     "smote_regression",
-    "pseudo_ground_truth_iou",
     "COMPOSITIONS",
     "assemble_composition",
     "TimeDynamicPipeline",

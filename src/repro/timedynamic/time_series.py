@@ -11,6 +11,15 @@ filled by persisting the oldest observed value, and the number of actually
 observed history frames is added as an extra feature, so the models can learn
 that young (flickering) segments are less reliable — one of the time-dynamic
 effects the paper exploits.
+
+Pseudo IoU targets (Section III: the reference network's prediction stands
+in for ground truth on unlabelled frames) come from :func:`segment_ious` of
+each frame's prediction against the decomposed pseudo label map, aligned
+with the frame's segment ids like the real targets.  A processed sequence
+keeps only what the protocol reads — each frame's :class:`MetricsDataset`,
+the tracks and the per-frame track assignments — not the frames' segment
+decompositions, so it stays small when it crosses a process pool or goes
+into the result store.
 """
 
 from __future__ import annotations
@@ -21,10 +30,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.dataset import MetricsDataset
-from repro.core.metrics import ImageMetrics, SegmentMetricsExtractor
-from repro.core.segments import segment_ious, extract_segments
-from repro.timedynamic.tracking import SegmentTracker
-from repro.utils.validation import check_label_map
+from repro.core.metrics import SegmentMetricsExtractor
+from repro.core.segments import extract_segments, segment_ious
+from repro.timedynamic.tracking import SegmentTracker, TrackedSegment
 
 #: Default per-frame metrics used as the base of the time series.  A compact
 #: subset keeps the concatenated feature vectors manageable for up to 10
@@ -40,19 +48,23 @@ DEFAULT_BASE_FEATURES = (
 
 @dataclass
 class SequenceMetrics:
-    """Per-frame metric extraction results plus tracking for one video sequence."""
+    """Per-frame metrics datasets plus the tracks of one video sequence.
+
+    ``track_assignments[t]`` maps frame t's segment ids to track ids, and
+    ``tracks`` maps each track id to its :class:`TrackedSegment`.
+    """
 
     sequence_id: int
-    frames: List[ImageMetrics]
+    datasets: List[MetricsDataset]
     track_assignments: List[Dict[int, int]]
-    tracker: SegmentTracker
+    tracks: Dict[int, TrackedSegment]
     pseudo_iou: List[Optional[np.ndarray]] = field(default_factory=list)
     real_iou_available: List[bool] = field(default_factory=list)
 
     @property
     def n_frames(self) -> int:
         """Number of frames in the sequence."""
-        return len(self.frames)
+        return len(self.datasets)
 
 
 class TimeSeriesBuilder:
@@ -99,7 +111,7 @@ class TimeSeriesBuilder:
             max_missed_frames=self.max_missed_frames,
             min_overlap_fraction=self.min_overlap_fraction,
         )
-        frames: List[ImageMetrics] = []
+        datasets: List[MetricsDataset] = []
         assignments: List[Dict[int, int]] = []
         pseudo_iou: List[Optional[np.ndarray]] = []
         real_available: List[bool] = []
@@ -110,26 +122,22 @@ class TimeSeriesBuilder:
                 gt_labels=gt,
                 image_id=f"seq{sequence_id:03d}_frame{frame_index:04d}",
             )
-            frames.append(image_metrics)
+            datasets.append(image_metrics.dataset)
             real_available.append(gt is not None)
             assignments.append(tracker.update(image_metrics.prediction))
             if pseudo_gt_labels is not None and pseudo_gt_labels[frame_index] is not None:
-                pseudo = check_label_map(pseudo_gt_labels[frame_index])
-                pseudo_segmentation = extract_segments(pseudo)
-                iou_map = segment_ious(image_metrics.prediction, pseudo_segmentation)
                 pseudo_iou.append(
-                    np.array(
-                        [iou_map[sid] for sid in image_metrics.prediction.segment_ids()],
-                        dtype=np.float64,
+                    segment_ious(
+                        image_metrics.prediction, extract_segments(pseudo_gt_labels[frame_index])
                     )
                 )
             else:
                 pseudo_iou.append(None)
         return SequenceMetrics(
             sequence_id=sequence_id,
-            frames=frames,
+            datasets=datasets,
             track_assignments=assignments,
-            tracker=tracker,
+            tracks=tracker.tracks,
             pseudo_iou=pseudo_iou,
             real_iou_available=real_available,
         )
@@ -186,12 +194,10 @@ def build_time_series_dataset(
     for sequence in sequences:
         base_matrices: List[np.ndarray] = []
         id_to_row: List[Dict[int, int]] = []
-        for image_metrics in sequence.frames:
-            dataset = image_metrics.dataset
+        for dataset in sequence.datasets:
             base_matrices.append(dataset.feature_matrix(base_features))
             id_to_row.append({int(sid): i for i, sid in enumerate(dataset.segment_ids)})
-        for frame_index, image_metrics in enumerate(sequence.frames):
-            dataset = image_metrics.dataset
+        for frame_index, dataset in enumerate(sequence.datasets):
             if target == "real":
                 if not sequence.real_iou_available[frame_index] and not include_unlabeled:
                     continue
@@ -204,7 +210,7 @@ def build_time_series_dataset(
             for row_index, segment_id in enumerate(dataset.segment_ids):
                 segment_id = int(segment_id)
                 track_id = assignment.get(segment_id)
-                track = sequence.tracker.tracks.get(track_id) if track_id is not None else None
+                track = sequence.tracks.get(track_id) if track_id is not None else None
                 history_rows: List[np.ndarray] = [base_matrices[frame_index][row_index]]
                 observed = 0
                 last_seen = history_rows[0]

@@ -27,12 +27,16 @@ Sparse single-pass matching
   (:func:`repro.utils.connected_components.pair_contingency`) over the two
   component images;
 * segments with a non-zero expected shift scatter their sparse pixel-index
-  list (grouped once per frame via :meth:`Segmentation.pixel_groups`) by the
-  shift and read the overlaps against *all* current segments from one
+  run (one stable argsort of the previous component image groups every
+  segment's pixels at once, sliced by the table's ``sizes``) by the shift
+  and read the overlaps against *all* current segments from one
   ``np.bincount`` — never a dense per-segment mask, never a full-image scan
-  inside the pair loop.
+  inside the pair loop;
+* classes, boxes and sizes of both frames are read straight from the
+  :class:`~repro.core.segments.Segmentation` table, and the tracker takes
+  each new track's class and centroid from the same arrays.
 
-The per-segment-mask implementation is retained verbatim as
+The per-segment-mask implementation is retained as
 ``_reference_match_segments``; ``tests/test_tracking_parity_fuzz.py`` asserts
 the two are bitwise-identical (same match dicts, same insertion order, same
 greedy tie-breaks) on randomized video sequences, and
@@ -127,26 +131,19 @@ def match_segments(
     """
     if not 0.0 <= min_overlap_fraction <= 1.0:
         raise ValueError("min_overlap_fraction must be in [0, 1]")
-    shifts = shifts or {}
-    prev_ids = previous.segment_ids()
-    curr_ids = current.segment_ids()
-    if not prev_ids or not curr_ids:
+    n_prev = previous.n_segments
+    n_curr = current.n_segments
+    if not n_prev or not n_curr:
         return {}
-    n_prev = len(prev_ids)
-    n_curr = len(curr_ids)
-    prev_ids_arr = np.array(prev_ids, dtype=np.int64)
-    curr_ids_arr = np.array(curr_ids, dtype=np.int64)
-    prev_infos = [previous.segments[sid] for sid in prev_ids]
-    curr_infos = [current.segments[sid] for sid in curr_ids]
-    prev_class = np.array([info.class_id for info in prev_infos], dtype=np.int64)
-    curr_class = np.array([info.class_id for info in curr_infos], dtype=np.int64)
-    prev_boxes = np.array([info.bounding_box for info in prev_infos], dtype=np.float64)
-    curr_boxes = np.array([info.bounding_box for info in curr_infos], dtype=np.float64)
-    prev_sizes = np.array([info.size for info in prev_infos], dtype=np.int64)
-    curr_sizes = np.array([info.size for info in curr_infos], dtype=np.int64)
-    shift_arr = np.empty((n_prev, 2), dtype=np.float64)
-    for row, prev_id in enumerate(prev_ids):
-        shift_arr[row] = shifts.get(prev_id, (0.0, 0.0))
+    # Row i is previous segment id i + 1, column j current segment id j + 1.
+    shift_arr = np.zeros((n_prev, 2), dtype=np.float64)
+    if shifts:
+        shifted_ids = np.fromiter(shifts, dtype=np.int64, count=len(shifts))
+        known = (shifted_ids >= 1) & (shifted_ids <= n_prev)
+        shift_values = np.array(list(shifts.values()), dtype=np.float64).reshape(-1, 2)
+        shift_arr[shifted_ids[known] - 1] = shift_values[known]
+    prev_boxes = previous.boxes.astype(np.float64)
+    curr_boxes = current.boxes.astype(np.float64)
 
     # Candidate mask: equal class and shifted bounding boxes within the margin
     # (the exact float arithmetic of _boxes_close, broadcast over all pairs).
@@ -160,41 +157,32 @@ def match_segments(
         | (shifted_right <= curr_boxes[None, :, 1])
         | (curr_boxes[None, :, 3] <= shifted_left)
     )
-    candidate = (prev_class[:, None] == curr_class[None, :]) & ~separated
+    candidate = (previous.class_ids[:, None] == current.class_ids[None, :]) & ~separated
 
     # Pairwise overlaps, computed without any per-segment dense mask.
     overlap = np.zeros((n_prev, n_curr), dtype=np.int64)
     zero_shift = (shift_arr[:, 0] == 0.0) & (shift_arr[:, 1] == 0.0)
-    max_curr_id = int(curr_ids_arr.max())
-    col_of = np.full(max_curr_id + 1, -1, dtype=np.int64)
-    col_of[curr_ids_arr] = np.arange(n_curr, dtype=np.int64)
     if np.any(zero_shift):
         # One pass yields every unshifted candidate overlap at once.
         table_prev, table_curr, table_counts = pair_contingency(
             previous.components, current.components
         )
-        max_prev_id = int(prev_ids_arr.max())
-        row_of = np.full(max_prev_id + 1, -1, dtype=np.int64)
-        row_of[prev_ids_arr[zero_shift]] = np.nonzero(zero_shift)[0]
-        in_range = (
-            (table_prev >= 0) & (table_prev <= max_prev_id)
-            & (table_curr >= 0) & (table_curr <= max_curr_id)
-        )
-        rows = row_of[np.clip(table_prev, 0, max_prev_id)]
-        cols = col_of[np.clip(table_curr, 0, max_curr_id)]
-        keep = in_range & (rows >= 0) & (cols >= 0)
-        overlap[rows[keep], cols[keep]] = table_counts[keep]
+        keep = (table_prev > 0) & (table_curr > 0)
+        rows, cols, counts = table_prev[keep] - 1, table_curr[keep] - 1, table_counts[keep]
+        unshifted = zero_shift[rows]
+        overlap[rows[unshifted], cols[unshifted]] = counts[unshifted]
     if not np.all(zero_shift):
+        # A stable argsort groups every segment's pixels, in scan order, into
+        # one run: segment i + 1 owns order[stops[i] - sizes[i]:stops[i]].
         height, width = previous.components.shape
-        groups = previous.pixel_groups()
+        prev_flat = previous.components.ravel()
+        pixel_order = np.argsort(prev_flat, kind="stable")
+        stops = prev_flat.size - int(previous.sizes.sum()) + np.cumsum(previous.sizes)
         curr_flat = current.components.ravel()
-        for row in np.nonzero(~zero_shift)[0]:
-            group = groups.get(prev_ids[row])
-            if group is None:
-                continue
-            pixel_rows, pixel_cols = group
-            shifted_rows = np.round(pixel_rows + shift_arr[row, 0]).astype(np.int64)
-            shifted_cols = np.round(pixel_cols + shift_arr[row, 1]).astype(np.int64)
+        for row in np.flatnonzero(~zero_shift):
+            pixel_index = pixel_order[stops[row] - previous.sizes[row]:stops[row]]
+            shifted_rows = np.round(pixel_index // width + shift_arr[row, 0]).astype(np.int64)
+            shifted_cols = np.round(pixel_index % width + shift_arr[row, 1]).astype(np.int64)
             keep = (
                 (shifted_rows >= 0)
                 & (shifted_rows < height)
@@ -204,24 +192,20 @@ def match_segments(
             if not np.any(keep):
                 continue
             hits = curr_flat[shifted_rows[keep] * width + shifted_cols[keep]]
-            counts = np.bincount(hits, minlength=max_curr_id + 1)
-            overlap[row, :] = counts[curr_ids_arr]
+            overlap[row, :] = np.bincount(hits, minlength=n_curr + 1)[1:]
 
     # Acceptance test and greedy assignment, replicating the reference's
     # candidate order (row-major over sorted ids) and stable descending sort.
-    smaller = np.minimum(prev_sizes[:, None], curr_sizes[None, :])
+    smaller = np.minimum(previous.sizes[:, None], current.sizes[None, :])
     accepted = candidate & (smaller > 0) & (
         overlap / np.maximum(smaller, 1) >= min_overlap_fraction
     )
     cand_rows, cand_cols = np.nonzero(accepted)
-    cand_overlaps = overlap[cand_rows, cand_cols]
-    order = np.argsort(-cand_overlaps, kind="stable")
+    order = np.argsort(-overlap[cand_rows, cand_cols], kind="stable")
     matched_prev: set = set()
     matched_curr: set = set()
     matches: Dict[int, int] = {}
-    for index in order:
-        prev_id = prev_ids[cand_rows[index]]
-        curr_id = curr_ids[cand_cols[index]]
+    for prev_id, curr_id in zip((cand_rows[order] + 1).tolist(), (cand_cols[order] + 1).tolist()):
         if prev_id in matched_prev or curr_id in matched_curr:
             continue
         matches[prev_id] = curr_id
@@ -246,20 +230,22 @@ def _reference_match_segments(
         raise ValueError("min_overlap_fraction must be in [0, 1]")
     shifts = shifts or {}
     candidates: List[Tuple[int, int, int]] = []
-    current_masks = {sid: current.components == sid for sid in current.segment_ids()}
-    for prev_id in previous.segment_ids():
-        prev_info = previous.segments[prev_id]
+    current_masks = {sid: current.components == sid for sid in current.segment_ids().tolist()}
+    for prev_id in previous.segment_ids().tolist():
+        prev_class = int(previous.class_ids[prev_id - 1])
+        prev_size = int(previous.sizes[prev_id - 1])
+        prev_box = tuple(previous.boxes[prev_id - 1].tolist())
         prev_mask = previous.components == prev_id
         shift = shifts.get(prev_id, (0.0, 0.0))
-        for curr_id in current.segment_ids():
-            curr_info = current.segments[curr_id]
-            if curr_info.class_id != prev_info.class_id:
+        for curr_id in current.segment_ids().tolist():
+            if int(current.class_ids[curr_id - 1]) != prev_class:
                 continue
             # Cheap bounding-box rejection before the pixel-level overlap.
-            if not _boxes_close(prev_info.bounding_box, curr_info.bounding_box, shift, margin=8):
+            curr_box = tuple(current.boxes[curr_id - 1].tolist())
+            if not _boxes_close(prev_box, curr_box, shift, margin=8):
                 continue
             overlap = _overlap_after_shift(prev_mask, current_masks[curr_id], shift)
-            smaller = min(prev_info.size, curr_info.size)
+            smaller = min(prev_size, int(current.sizes[curr_id - 1]))
             if smaller > 0 and overlap / smaller >= min_overlap_fraction:
                 candidates.append((overlap, prev_id, curr_id))
     candidates.sort(key=lambda item: -item[0])
@@ -322,9 +308,9 @@ class SegmentTracker:
         self._frame_index = -1
         self._previous: Optional[Segmentation] = None
         self._match_fn = match_fn or match_segments
-        # Reverse index frame → {segment id: track id}, maintained by
-        # _start_track/_extend_track so track_of is a dict lookup instead of
-        # an O(n_tracks) scan over every track's history.
+        # Reverse index frame → {segment id: track id} (a copy of each
+        # frame's assignment), so track_of is a dict lookup instead of an
+        # O(n_tracks) scan over every track's history.
         self._frame_tracks: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------ ---
@@ -332,33 +318,49 @@ class SegmentTracker:
         """Ingest the next frame; return mapping segment id → track id."""
         self._frame_index += 1
         frame = self._frame_index
+        class_ids = segmentation.class_ids.tolist()
+        centroids = [tuple(centroid) for centroid in segmentation.centroids.tolist()]
         assignment: Dict[int, int] = {}
-        if self._previous is None:
-            for segment_id in segmentation.segment_ids():
-                assignment[segment_id] = self._start_track(segmentation, segment_id, frame)
-        else:
-            shifts = {}
+        matched_current = set()
+        if self._previous is not None:
             prev_segment_to_track = {
                 track.last_segment_id: track
                 for track in self._active.values()
                 if track.last_frame == frame - 1
             }
-            for prev_segment_id, track in prev_segment_to_track.items():
-                shifts[prev_segment_id] = track.expected_shift()
+            shifts = {
+                prev_segment_id: track.expected_shift()
+                for prev_segment_id, track in prev_segment_to_track.items()
+            }
             matches = self._match_fn(
                 self._previous, segmentation, shifts, self.min_overlap_fraction
             )
-            matched_current = set()
             for prev_segment_id, curr_segment_id in matches.items():
                 track = prev_segment_to_track.get(prev_segment_id)
                 if track is None:
                     continue
-                self._extend_track(track, segmentation, curr_segment_id, frame)
+                track.last_frame = frame
+                track.last_segment_id = curr_segment_id
+                track.missed_frames = 0
+                track.centroid_history.append(centroids[curr_segment_id - 1])
+                track.segment_history[frame] = curr_segment_id
                 assignment[curr_segment_id] = track.track_id
                 matched_current.add(curr_segment_id)
-            for segment_id in segmentation.segment_ids():
-                if segment_id not in matched_current:
-                    assignment[segment_id] = self._start_track(segmentation, segment_id, frame)
+        for segment_id in range(1, segmentation.n_segments + 1):
+            if segment_id not in matched_current:
+                track = TrackedSegment(
+                    track_id=self._next_track_id,
+                    class_id=class_ids[segment_id - 1],
+                    last_frame=frame,
+                    last_segment_id=segment_id,
+                    centroid_history=[centroids[segment_id - 1]],
+                    segment_history={frame: segment_id},
+                )
+                self.tracks[track.track_id] = track
+                self._active[track.track_id] = track
+                self._next_track_id += 1
+                assignment[segment_id] = track.track_id
+        self._frame_tracks[frame] = dict(assignment)
         # Age unmatched active tracks and retire the stale ones.
         for track in list(self._active.values()):
             if track.last_frame != frame:
@@ -367,34 +369,6 @@ class SegmentTracker:
                     del self._active[track.track_id]
         self._previous = segmentation
         return assignment
-
-    # ------------------------------------------------------------------ ---
-    def _start_track(self, segmentation: Segmentation, segment_id: int, frame: int) -> int:
-        info = segmentation.segments[segment_id]
-        track = TrackedSegment(
-            track_id=self._next_track_id,
-            class_id=info.class_id,
-            last_frame=frame,
-            last_segment_id=segment_id,
-            centroid_history=[info.centroid],
-            segment_history={frame: segment_id},
-        )
-        self.tracks[track.track_id] = track
-        self._active[track.track_id] = track
-        self._frame_tracks.setdefault(frame, {})[segment_id] = track.track_id
-        self._next_track_id += 1
-        return track.track_id
-
-    def _extend_track(
-        self, track: TrackedSegment, segmentation: Segmentation, segment_id: int, frame: int
-    ) -> None:
-        info = segmentation.segments[segment_id]
-        track.last_frame = frame
-        track.last_segment_id = segment_id
-        track.missed_frames = 0
-        track.centroid_history.append(info.centroid)
-        track.segment_history[frame] = segment_id
-        self._frame_tracks.setdefault(frame, {})[segment_id] = track.track_id
 
     # ------------------------------------------------------------------ ---
     @property

@@ -50,9 +50,10 @@ class TestSegmentMetricsExtractor:
 
     def test_segment_sizes_match_segmentation(self, image_metrics):
         dataset = image_metrics.dataset
-        sizes = dataset.feature("S")
-        for row, sid in enumerate(dataset.segment_ids):
-            assert sizes[row] == image_metrics.prediction.segments[int(sid)].size
+        prediction = image_metrics.prediction
+        np.testing.assert_array_equal(dataset.segment_ids, prediction.segment_ids())
+        np.testing.assert_array_equal(dataset.feature("S"), prediction.sizes)
+        np.testing.assert_array_equal(dataset.class_ids, prediction.class_ids)
 
     def test_size_decomposition(self, image_metrics):
         dataset = image_metrics.dataset
@@ -188,6 +189,35 @@ class TestFusedExtractionParity:
             assert np.array_equal(fused[key], reference[key]), f"seed={seed} map={key}"
 
 
+def _extraction_field(n_classes: int, boost: float):
+    """The extraction benchmark's 256x512 recipe: 16-pixel class cells whose
+    logit is raised by *boost*, plus ground truth on the same cells.  A
+    boost of 4.0 gives a few thousand predicted segments; 2.0 lets the noise
+    win often enough for ~52,000."""
+    rng = np.random.default_rng(0)
+    height, width, cell = 256, 512, 16
+    grid = rng.integers(0, n_classes, size=(height // cell + 1, width // cell + 1))
+    bias = np.kron(grid, np.ones((cell, cell)))[:height, :width].astype(np.int64)
+    probs = rng.normal(0.0, 1.0, size=(height, width, n_classes))
+    probs[np.arange(height)[:, None], np.arange(width)[None, :], bias] += boost
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    gt_grid = rng.integers(0, n_classes, size=grid.shape)
+    gt_labels = np.kron(gt_grid, np.ones((cell, cell)))[:height, :width].astype(np.int64)
+    return probs, gt_labels
+
+
+def _traced_peak(fn):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestExtractionMemory:
     def test_transient_peak_below_field_bytes(self, label_space):
         """A fresh extractor scores a 256x512x19 field within its bytes.
@@ -197,25 +227,40 @@ class TestExtractionMemory:
         matrix.  The field is the extraction benchmark's recipe (chunky
         16-pixel cells, a few thousand segments).
         """
-        rng = np.random.default_rng(0)
-        height, width, cell, n_classes = 256, 512, 16, label_space.n_classes
-        grid = rng.integers(0, n_classes, size=(height // cell + 1, width // cell + 1))
-        bias = np.kron(grid, np.ones((cell, cell)))[:height, :width].astype(np.int64)
-        probs = rng.normal(0.0, 1.0, size=(height, width, n_classes))
-        probs[np.arange(height)[:, None], np.arange(width)[None, :], bias] += 4.0
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=2, keepdims=True)
-        gt_grid = rng.integers(0, n_classes, size=grid.shape)
-        gt_labels = np.kron(gt_grid, np.ones((cell, cell)))[:height, :width].astype(np.int64)
+        probs, gt_labels = _extraction_field(label_space.n_classes, boost=4.0)
         extractor = SegmentMetricsExtractor(label_space=label_space)
-        tracemalloc.start()
-        try:
-            result = extractor.extract_full(probs, gt_labels=gt_labels)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = _traced_peak(lambda: extractor.extract_full(probs, gt_labels=gt_labels))
         assert result.dataset.iou is not None
         assert peak <= probs.nbytes, f"peak {peak / probs.nbytes:.2f}x the field's bytes"
+
+    @pytest.fixture(scope="class")
+    def noisy(self, label_space):
+        """The same field with a weaker class bias: ~52,000 predicted segments."""
+        probs, _gt_labels = _extraction_field(label_space.n_classes, boost=2.0)
+        sweep = fused_dispersion_heatmaps(probs)
+        return sweep, extract_segments(sweep.labels)
+
+    def test_segment_table_peak_on_noisy_field(self, noisy):
+        """The segment table costs arrays per segment, not objects: the
+        decomposition of ~52,000 segments stays within 0.8x the field."""
+        sweep, expected = noisy
+        assert expected.n_segments > 50_000
+        segmentation, peak = _traced_peak(lambda: extract_segments(sweep.labels))
+        assert segmentation.n_segments == expected.n_segments
+        assert peak <= 0.8 * sweep.field.nbytes, (
+            f"peak {peak / sweep.field.nbytes:.2f}x the field's bytes"
+        )
+
+    def test_feature_matrix_peak_on_noisy_field(self, noisy, label_space):
+        """Features are written into one preallocated (n, n_features)
+        matrix: no column list and no stacked copy of it."""
+        sweep, prediction = noisy
+        extractor = SegmentMetricsExtractor(label_space=label_space)
+        features, peak = _traced_peak(lambda: extractor._compute_features(sweep, prediction))
+        assert features.shape == (prediction.n_segments, len(extractor.feature_names()))
+        assert peak <= 2.2 * sweep.field.nbytes, (
+            f"peak {peak / sweep.field.nbytes:.2f}x the field's bytes"
+        )
 
 
 class TestMetricsDataset:

@@ -7,7 +7,6 @@ from repro.core.meta_regression import MetaRegressor
 from repro.core.multiresolution import MultiResolutionInference
 from repro.core.pipeline import MetaSegPipeline
 from repro.core.visualization import (
-    dataset_iou_maps,
     fig1_panels,
     iou_to_rgb,
     labels_to_rgb,
@@ -124,15 +123,21 @@ class TestVisualization:
 
     def test_iou_to_rgb_colours(self, image_metrics):
         prediction = image_metrics.prediction
-        iou_map = {sid: 1.0 for sid in prediction.segment_ids()}
-        rgb = iou_to_rgb(iou_map, prediction)
-        # IoU 1 renders green.
-        assert rgb[..., 1].max() == 255
-        assert rgb[..., 0].min() == 0
+        rgb = iou_to_rgb(np.ones(prediction.n_segments), prediction)
+        # IoU 1 renders green on every segment pixel.
+        segment_pixels = prediction.components > 0
+        assert np.all(rgb[segment_pixels] == (0, 255, 0))
+        # Entry i colours segment id i + 1 only.
+        values = np.zeros(prediction.n_segments)
+        values[0] = 1.0
+        rgb = iou_to_rgb(values, prediction)
+        np.testing.assert_array_equal(rgb[..., 1] == 255, prediction.components == 1)
 
     def test_iou_to_rgb_unknown_segment_raises(self, image_metrics):
-        with pytest.raises(KeyError):
-            iou_to_rgb({9999: 0.5}, image_metrics.prediction)
+        # A value for segment id n + 1, which does not exist.
+        prediction = image_metrics.prediction
+        with pytest.raises(ValueError):
+            iou_to_rgb(np.full(prediction.n_segments + 1, 0.5), prediction)
 
     def test_ppm_roundtrip(self, tmp_path, scene, label_space):
         rgb = labels_to_rgb(scene.labels, label_space)
@@ -158,15 +163,21 @@ class TestVisualization:
         dataset = image_metrics.dataset
         regressor = MetaRegressor(method="linear").fit(metrics_dataset)
         predicted = regressor.predict(dataset)
-        maps = dataset_iou_maps(dataset, image_metrics.prediction, predicted)
         panels = fig1_panels(
-            scene.labels, image_metrics.prediction, maps["true"], maps["predicted"], label_space
+            scene.labels, image_metrics.prediction, dataset.target_iou(), predicted, label_space
         )
         assert set(panels) == {"ground_truth", "prediction", "true_iou", "predicted_iou"}
         for panel in panels.values():
             assert panel.shape == (*scene.labels.shape, 3)
+        np.testing.assert_array_equal(
+            panels["true_iou"],
+            iou_to_rgb(dataset.target_iou(), image_metrics.prediction, gt_labels=scene.labels),
+        )
 
-    def test_dataset_iou_maps_validation(self, image_metrics):
+    def test_fig1_panels_reject_misaligned_iou(self, image_metrics, scene):
         dataset = image_metrics.dataset
         with pytest.raises(ValueError):
-            dataset_iou_maps(dataset, image_metrics.prediction, np.zeros(len(dataset) + 1))
+            fig1_panels(
+                scene.labels, image_metrics.prediction,
+                dataset.target_iou(), np.zeros(len(dataset) + 1),
+            )

@@ -1,16 +1,19 @@
 """Tests for repro.core.segments."""
 
 import numpy as np
-import pytest
 
 from repro.core.segments import (
     extract_segments,
     false_negative_segments,
     false_positive_segments,
-    segment_iou,
     segment_ious,
     segment_precision_recall,
 )
+
+
+def _ids_of_class(segmentation, class_id):
+    """Segment ids of one class, read from the table."""
+    return (np.flatnonzero(segmentation.class_ids == class_id) + 1).tolist()
 
 
 def _simple_pair():
@@ -27,37 +30,51 @@ class TestExtractSegments:
     def test_counts_and_classes(self):
         gt, pred = _simple_pair()
         seg = extract_segments(pred)
-        classes = sorted(info.class_id for info in seg.segments.values())
-        assert classes == [0, 1, 2]
+        assert sorted(seg.class_ids.tolist()) == [0, 1, 2]
         assert seg.n_segments == 3
+        assert seg.segment_ids().tolist() == [1, 2, 3]
 
     def test_sizes_sum_to_pixels(self):
         gt, _ = _simple_pair()
         seg = extract_segments(gt)
-        assert sum(info.size for info in seg.segments.values()) == gt.size
+        assert int(seg.sizes.sum()) == gt.size
 
     def test_mask_and_class_lookup(self):
         gt, _ = _simple_pair()
         seg = extract_segments(gt)
-        for sid in seg.segment_ids():
-            mask = seg.mask(sid)
-            assert mask.sum() == seg.segments[sid].size
-            assert np.unique(gt[mask]).tolist() == [seg.class_of(sid)]
+        lookup = seg.class_lookup()
+        for sid in seg.segment_ids().tolist():
+            mask = seg.components == sid
+            assert mask.sum() == seg.sizes[sid - 1]
+            assert np.unique(gt[mask]).tolist() == [seg.class_ids[sid - 1]] == [lookup[sid]]
+            rows, cols = np.nonzero(mask)
+            top, left, bottom, right = seg.boxes[sid - 1].tolist()
+            assert (top, left, bottom, right) == (
+                rows.min(), cols.min(), rows.max() + 1, cols.max() + 1
+            )
+            assert seg.coordinate_sums[sid - 1].tolist() == [rows.sum(), cols.sum()]
+        assert lookup[0] not in seg.class_ids
 
-    def test_unknown_segment_raises(self):
+    def test_table_dtypes_and_shapes(self):
         gt, _ = _simple_pair()
         seg = extract_segments(gt)
-        with pytest.raises(KeyError):
-            seg.mask(999)
-        with pytest.raises(KeyError):
-            seg.class_of(999)
+        n = seg.n_segments
+        for column, shape, dtype in (
+            (seg.class_ids, (n,), np.int64),
+            (seg.sizes, (n,), np.int64),
+            (seg.boxes, (n, 4), np.int64),
+            (seg.coordinate_sums, (n, 2), np.float64),
+            (seg.centroids, (n, 2), np.float64),
+        ):
+            assert column.shape == shape
+            assert column.dtype == dtype
 
     def test_segments_of_class(self):
         gt, _ = _simple_pair()
         seg = extract_segments(gt)
-        ids = seg.segments_of_class(1)
+        ids = _ids_of_class(seg, 1)
         assert len(ids) == 1
-        assert seg.segments[ids[0]].size == 9
+        assert seg.sizes[ids[0] - 1] == 9
 
     def test_ignore_pixels_excluded(self):
         gt, _ = _simple_pair()
@@ -68,10 +85,9 @@ class TestExtractSegments:
 
     def test_centroid_inside_bounding_box(self, image_metrics):
         prediction = image_metrics.prediction
-        for info in prediction.segments.values():
-            top, left, bottom, right = info.bounding_box
-            assert top <= info.centroid[0] <= bottom
-            assert left <= info.centroid[1] <= right
+        boxes, centroids = prediction.boxes, prediction.centroids
+        assert np.all((boxes[:, 0] <= centroids[:, 0]) & (centroids[:, 0] <= boxes[:, 2]))
+        assert np.all((boxes[:, 1] <= centroids[:, 1]) & (centroids[:, 1] <= boxes[:, 3]))
 
 
 class TestSegmentIoU:
@@ -79,8 +95,8 @@ class TestSegmentIoU:
         gt, pred = _simple_pair()
         prediction = extract_segments(pred)
         ground_truth = extract_segments(gt)
-        class1_id = prediction.segments_of_class(1)[0]
-        value = segment_iou(prediction, ground_truth, class1_id)
+        class1_id = _ids_of_class(prediction, 1)[0]
+        value = segment_ious(prediction, ground_truth)[class1_id - 1]
         # Intersection 6 pixels, union 12 pixels.
         assert abs(value - 0.5) < 1e-12
 
@@ -88,22 +104,21 @@ class TestSegmentIoU:
         gt, pred = _simple_pair()
         prediction = extract_segments(pred)
         ground_truth = extract_segments(gt)
-        class2_id = prediction.segments_of_class(2)[0]
-        assert segment_iou(prediction, ground_truth, class2_id) == 0.0
+        class2_id = _ids_of_class(prediction, 2)[0]
+        assert segment_ious(prediction, ground_truth)[class2_id - 1] == 0.0
 
     def test_perfect_prediction_all_ones(self):
         gt, _ = _simple_pair()
         prediction = extract_segments(gt)
         ground_truth = extract_segments(gt)
         ious = segment_ious(prediction, ground_truth)
-        assert all(abs(v - 1.0) < 1e-12 for v in ious.values())
+        assert np.all(np.abs(ious - 1.0) < 1e-12)
 
     def test_all_predicted_segments_have_iou(self, image_metrics):
-        from repro.core.segments import segment_ious
-
         ious = segment_ious(image_metrics.prediction, image_metrics.ground_truth)
-        assert set(ious) == set(image_metrics.prediction.segment_ids())
-        assert all(0.0 <= v <= 1.0 for v in ious.values())
+        assert ious.shape == (image_metrics.prediction.n_segments,)
+        assert ious.dtype == np.float64
+        assert np.all((0.0 <= ious) & (ious <= 1.0))
 
     def test_ignore_pixels_excluded_from_union(self):
         gt = np.zeros((4, 4), dtype=int)
@@ -113,8 +128,8 @@ class TestSegmentIoU:
         pred[0:2, 0:2] = 1
         prediction = extract_segments(pred)
         ground_truth = extract_segments(gt)
-        class1_id = prediction.segments_of_class(1)[0]
-        value = segment_iou(prediction, ground_truth, class1_id)
+        class1_id = _ids_of_class(prediction, 1)[0]
+        value = segment_ious(prediction, ground_truth)[class1_id - 1]
         assert abs(value - 1.0) < 1e-12
 
     def test_multiple_gt_components_union(self):
@@ -126,8 +141,8 @@ class TestSegmentIoU:
         pred[1, 1:6] = 1
         prediction = extract_segments(pred)
         ground_truth = extract_segments(gt)
-        class1_id = prediction.segments_of_class(1)[0]
-        value = segment_iou(prediction, ground_truth, class1_id)
+        class1_id = _ids_of_class(prediction, 1)[0]
+        value = segment_ious(prediction, ground_truth)[class1_id - 1]
         # Intersection 4, union 5.
         assert abs(value - 0.8) < 1e-12
 
@@ -138,7 +153,7 @@ class TestFalsePositivesNegatives:
         prediction = extract_segments(pred)
         ground_truth = extract_segments(gt)
         fps = false_positive_segments(prediction, ground_truth)
-        fp_classes = {prediction.segments[sid].class_id for sid in fps}
+        fp_classes = set(prediction.class_ids[fps - 1].tolist())
         assert 2 in fp_classes
 
     def test_detects_missed_object_as_fn(self):
@@ -147,15 +162,15 @@ class TestFalsePositivesNegatives:
         prediction = extract_segments(pred_missing)
         ground_truth = extract_segments(gt)
         fns = false_negative_segments(prediction, ground_truth)
-        fn_classes = {ground_truth.segments[sid].class_id for sid in fns}
+        fn_classes = set(ground_truth.class_ids[fns - 1].tolist())
         assert 1 in fn_classes
 
     def test_perfect_prediction_no_errors(self):
         gt, _ = _simple_pair()
         prediction = extract_segments(gt)
         ground_truth = extract_segments(gt)
-        assert false_positive_segments(prediction, ground_truth) == []
-        assert false_negative_segments(prediction, ground_truth) == []
+        assert false_positive_segments(prediction, ground_truth).tolist() == []
+        assert false_negative_segments(prediction, ground_truth).tolist() == []
 
 
 class TestSegmentPrecisionRecall:
@@ -181,5 +196,6 @@ class TestSegmentPrecisionRecall:
         prediction = extract_segments(pred)
         ground_truth = extract_segments(gt)
         precision, recall = segment_precision_recall(prediction, ground_truth, class_ids=[2])
-        assert all(prediction.segments[sid].class_id == 2 for sid in precision)
+        assert precision
+        assert all(prediction.class_ids[sid - 1] == 2 for sid in precision)
         assert recall == {}  # no GT segment of class 2

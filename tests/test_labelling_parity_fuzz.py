@@ -2,30 +2,36 @@
 
 ``label_components`` labels each class only inside its bounding box, finds
 first pixels with a scatter-min and takes the component boxes from the same
-pass; ``extract_segments`` builds every ``SegmentInfo`` from that one pass.
+pass; ``extract_segments`` fills every column of its segment table from that
+one pass with array expressions.
 The oracle below is the straightforward decomposition those replaced, kept
 here verbatim: ``ndimage.label`` on the full-image mask of every class,
 ``np.unique`` scan-order renumbering, a second ``np.unique`` for first
 pixels and a full-image ``find_objects`` for the boxes.  Every case asserts
-bitwise-equal components, counts and ``SegmentInfo`` fields (floats with
-``==``), and that the union-find engine agrees with the scipy engine on the
-component image, the first pixels and the boxes.
+bitwise-equal components, counts and table columns (class ids, sizes,
+boxes, coordinate sums, centroids: same dtype, same shape, same bytes), where
+the oracle fills each row in a per-segment loop, and that the union-find
+engine agrees with the scipy engine on the component image, the first pixels
+and the boxes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from repro.core.segments import SegmentInfo, extract_segments
+from repro.core.segments import extract_segments
 from repro.utils.connected_components import connected_components, label_components
 
 N_CASES = 240
 
 IGNORE_ID = -1
+
+#: Table columns of a ``Segmentation``, compared bitwise against the oracle.
+TABLE_COLUMNS = ("class_ids", "sizes", "boxes", "coordinate_sums", "centroids")
 
 #: Class-id pools: contiguous, gapped, and sparse enough (span larger than
 #: any fuzzed frame) to take the compacting ``np.unique`` route.
@@ -70,11 +76,12 @@ def _oracle_components(labels: np.ndarray, connectivity: int, background: int):
 
 def _oracle_segments(
     labels: np.ndarray, connectivity: int, ignore_id: int
-) -> Tuple[np.ndarray, int, Dict[int, SegmentInfo]]:
-    """Segment bookkeeping from a second ``np.unique`` and ``find_objects``."""
+) -> Tuple[np.ndarray, int, Dict[str, np.ndarray]]:
+    """Segment bookkeeping from a second ``np.unique`` and ``find_objects``,
+    one table row per segment in a per-segment loop."""
     labels = np.asarray(labels).astype(np.int64)
     components, n_components = _oracle_components(labels, connectivity, ignore_id)
-    segments: Dict[int, SegmentInfo] = {}
+    rows: Dict[str, List] = {name: [] for name in TABLE_COLUMNS}
     if n_components > 0:
         n_bins = n_components + 1
         flat = components.ravel()
@@ -96,14 +103,23 @@ def _oracle_segments(
                 float((row_sums[segment_id] - size * rows_slice.start) / size + rows_slice.start),
                 float((col_sums[segment_id] - size * cols_slice.start) / size + cols_slice.start),
             )
-            segments[segment_id] = SegmentInfo(
-                segment_id=segment_id,
-                class_id=int(class_id),
-                size=size,
-                bounding_box=(rows_slice.start, cols_slice.start, rows_slice.stop, cols_slice.stop),
-                centroid=centroid,
+            rows["class_ids"].append(int(class_id))
+            rows["sizes"].append(size)
+            rows["boxes"].append(
+                (rows_slice.start, cols_slice.start, rows_slice.stop, cols_slice.stop)
             )
-    return components, n_components, segments
+            rows["coordinate_sums"].append(
+                (float(row_sums[segment_id]), float(col_sums[segment_id]))
+            )
+            rows["centroids"].append(centroid)
+    table = {
+        "class_ids": np.array(rows["class_ids"], dtype=np.int64),
+        "sizes": np.array(rows["sizes"], dtype=np.int64),
+        "boxes": np.array(rows["boxes"], dtype=np.int64).reshape(-1, 4),
+        "coordinate_sums": np.array(rows["coordinate_sums"], dtype=np.float64).reshape(-1, 2),
+        "centroids": np.array(rows["centroids"], dtype=np.float64).reshape(-1, 2),
+    }
+    return components, n_components, table
 
 
 def _random_label_map(seed: int):
@@ -149,7 +165,7 @@ def _random_label_map(seed: int):
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_labelling_matches_full_image_oracle(seed):
     labels, connectivity = _random_label_map(seed)
-    oracle_components, oracle_count, oracle_segments = _oracle_segments(
+    oracle_components, oracle_count, oracle_table = _oracle_segments(
         labels, connectivity, IGNORE_ID
     )
 
@@ -163,9 +179,12 @@ def test_labelling_matches_full_image_oracle(seed):
     segmentation = extract_segments(labels, connectivity=connectivity, ignore_id=IGNORE_ID)
     assert segmentation.n_segments == oracle_count
     np.testing.assert_array_equal(segmentation.components, oracle_components)
-    assert list(segmentation.segments) == list(oracle_segments)
-    for segment_id, expected in oracle_segments.items():
-        assert segmentation.segments[segment_id] == expected, f"seed={seed} segment={segment_id}"
+    np.testing.assert_array_equal(segmentation.segment_ids(), np.arange(1, oracle_count + 1))
+    for name, expected in oracle_table.items():
+        column = getattr(segmentation, name)
+        assert column.dtype == expected.dtype, f"seed={seed} {name}"
+        assert column.shape == expected.shape, f"seed={seed} {name}"
+        assert column.tobytes() == expected.tobytes(), f"seed={seed} {name}"
 
 
 @pytest.mark.fuzz

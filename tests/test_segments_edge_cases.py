@@ -8,12 +8,12 @@ unannotated (the segment is silently skipped).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
-import pytest
 
 from repro.core.metrics import SegmentMetricsExtractor
 from repro.core.segments import (
-    Segmentation,
     _reference_segment_ious,
     _reference_segment_precision_recall,
     extract_segments,
@@ -22,6 +22,11 @@ from repro.core.segments import (
     segment_ious,
     segment_precision_recall,
 )
+
+
+def _ids_of_class(segmentation, class_id):
+    """Segment ids of one class, read from the table."""
+    return (np.flatnonzero(segmentation.class_ids == class_id) + 1).tolist()
 
 
 class TestInteriorMaskBorderSemantics:
@@ -72,14 +77,17 @@ class TestAllIgnoreGroundTruth:
     def test_all_ious_zero_without_error(self):
         prediction, ground_truth = self._case()
         ious = segment_ious(prediction, ground_truth)
-        assert set(ious) == set(prediction.segment_ids())
-        assert all(value == 0.0 for value in ious.values())
-        assert ious == _reference_segment_ious(prediction, ground_truth)
+        assert ious.shape == (prediction.n_segments,)
+        assert np.all(ious == 0.0)
+        reference = _reference_segment_ious(prediction, ground_truth)
+        assert list(reference) == prediction.segment_ids().tolist()
+        assert ious.tolist() == list(reference.values())
 
     def test_every_predicted_segment_is_false_positive(self):
         prediction, ground_truth = self._case()
-        assert false_positive_segments(prediction, ground_truth) == prediction.segment_ids()
-        assert false_negative_segments(prediction, ground_truth) == []
+        fps = false_positive_segments(prediction, ground_truth)
+        np.testing.assert_array_equal(fps, prediction.segment_ids())
+        assert false_negative_segments(prediction, ground_truth).tolist() == []
 
     def test_union_zero_guard_with_handcrafted_components(self):
         # A ground-truth Segmentation whose component overlaps the prediction
@@ -93,17 +101,14 @@ class TestAllIgnoreGroundTruth:
         gt_source[1:3, 1:4] = 1
         ground_truth = extract_segments(gt_source, ignore_id=-1)
         # Re-declare every pixel unannotated while keeping the components.
-        ground_truth = Segmentation(
-            labels=np.full(shape, -1, dtype=np.int64),
-            components=ground_truth.components,
-            segments=ground_truth.segments,
-            connectivity=ground_truth.connectivity,
+        ground_truth = dataclasses.replace(
+            ground_truth, labels=np.full(shape, -1, dtype=np.int64)
         )
         prediction = extract_segments(pred)
-        segment_id = prediction.segments_of_class(1)[0]
+        segment_id = _ids_of_class(prediction, 1)[0]
         ious = segment_ious(prediction, ground_truth)
-        assert ious[segment_id] == 0.0
-        assert ious == _reference_segment_ious(prediction, ground_truth)
+        assert ious[segment_id - 1] == 0.0
+        assert ious.tolist() == list(_reference_segment_ious(prediction, ground_truth).values())
 
 
 class TestPrecisionRecallIgnoredSegments:
@@ -121,21 +126,22 @@ class TestPrecisionRecallIgnoredSegments:
         prediction = extract_segments(pred)
         ground_truth = extract_segments(gt, ignore_id=-1)
         ignored_ids = [
-            sid for sid in prediction.segments_of_class(1)
-            if np.all(gt[prediction.mask(sid)] == -1)
+            sid for sid in _ids_of_class(prediction, 1)
+            if np.all(gt[prediction.components == sid] == -1)
         ]
         assert len(ignored_ids) == 1
         precision, recall = segment_precision_recall(
             prediction, ground_truth, class_ids=[1]
         )
         assert ignored_ids[0] not in precision
-        annotated = [sid for sid in prediction.segments_of_class(1) if sid not in ignored_ids]
+        annotated = [sid for sid in _ids_of_class(prediction, 1) if sid not in ignored_ids]
         assert set(precision) == set(annotated)
         assert precision[annotated[0]] == 1.0
         reference = _reference_segment_precision_recall(
             prediction, ground_truth, class_ids=[1]
         )
         assert (precision, recall) == reference
+        assert [list(d) for d in (precision, recall)] == [list(d) for d in reference]
 
     def test_partially_ignored_segment_uses_annotated_pixels_only(self):
         pred = np.zeros((4, 6), dtype=np.int64)
@@ -148,7 +154,7 @@ class TestPrecisionRecallIgnoredSegments:
         precision, _recall = segment_precision_recall(
             prediction, ground_truth, class_ids=[1]
         )
-        segment_id = prediction.segments_of_class(1)[0]
+        segment_id = _ids_of_class(prediction, 1)[0]
         # 4 annotated pixels, all of class 1 -> precision 1.0 over denom 4.
         assert precision[segment_id] == 1.0
 
@@ -164,24 +170,5 @@ class TestPrecisionRecallIgnoredSegments:
         _precision, recall = segment_precision_recall(
             prediction, ground_truth, class_ids=[1]
         )
-        gt_segment = ground_truth.segments_of_class(1)[0]
+        gt_segment = _ids_of_class(ground_truth, 1)[0]
         assert recall[gt_segment] == 4 / 8
-
-
-class TestSelectedSegmentIds:
-    def test_unknown_segment_id_raises_keyerror(self):
-        labels = np.zeros((4, 4), dtype=np.int64)
-        labels[1:3, 1:3] = 1
-        segmentation = extract_segments(labels)
-        with pytest.raises(KeyError):
-            segment_ious(segmentation, segmentation, segment_ids=[999])
-
-    def test_subset_matches_full_result(self):
-        labels = np.zeros((5, 8), dtype=np.int64)
-        labels[1:3, 1:4] = 1
-        labels[3:5, 5:8] = 2
-        segmentation = extract_segments(labels)
-        full = segment_ious(segmentation, segmentation)
-        chosen = segmentation.segment_ids()[:2]
-        subset = segment_ious(segmentation, segmentation, segment_ids=chosen)
-        assert subset == {sid: full[sid] for sid in chosen}

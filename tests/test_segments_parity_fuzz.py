@@ -95,11 +95,14 @@ def test_segment_iou_parity(seed):
     prediction, ground_truth = _decompose(gt, pred, connectivity)
     fast = segment_ious(prediction, ground_truth, ignore_id=IGNORE_ID)
     reference = _reference_segment_ious(prediction, ground_truth, ignore_id=IGNORE_ID)
-    assert list(fast) == list(reference)
+    # Entry i of the fast array is segment id i + 1.
+    assert fast.dtype == np.float64
+    assert list(reference) == prediction.segment_ids().tolist()
+    assert fast.shape == (len(reference),)
     for segment_id in reference:
-        assert fast[segment_id] == reference[segment_id], (
+        assert fast[segment_id - 1] == reference[segment_id], (
             f"seed={seed} segment={segment_id}: "
-            f"{fast[segment_id]!r} != {reference[segment_id]!r}"
+            f"{fast[segment_id - 1]!r} != {reference[segment_id]!r}"
         )
 
 
@@ -108,12 +111,15 @@ def test_segment_iou_parity(seed):
 def test_false_positive_negative_parity(seed):
     gt, pred, _n_classes, connectivity, _rng = _random_case(seed)
     prediction, ground_truth = _decompose(gt, pred, connectivity)
-    assert false_positive_segments(
+    fast_fp = false_positive_segments(prediction, ground_truth, ignore_id=IGNORE_ID)
+    fast_fn = false_negative_segments(prediction, ground_truth, ignore_id=IGNORE_ID)
+    assert fast_fp.dtype == fast_fn.dtype == np.int64
+    assert fast_fp.tolist() == _reference_false_positive_segments(
         prediction, ground_truth, ignore_id=IGNORE_ID
-    ) == _reference_false_positive_segments(prediction, ground_truth, ignore_id=IGNORE_ID)
-    assert false_negative_segments(
+    )
+    assert fast_fn.tolist() == _reference_false_negative_segments(
         prediction, ground_truth, ignore_id=IGNORE_ID
-    ) == _reference_false_negative_segments(prediction, ground_truth, ignore_id=IGNORE_ID)
+    )
 
 
 @pytest.mark.fuzz
@@ -158,10 +164,10 @@ def test_case_generator_covers_edge_shapes():
         # A predicted segment intersecting >= 2 same-class GT components is
         # exactly the multi-component union K' of eq. (2).
         gt_class = ground_truth.class_lookup()
-        for segment_id, info in prediction.segments.items():
+        for segment_id, class_id in enumerate(prediction.class_ids.tolist(), start=1):
             mask = prediction.components == segment_id
             gt_ids = np.unique(ground_truth.components[mask])
-            gt_ids = gt_ids[(gt_ids > 0) & (gt_class[gt_ids] == info.class_id)]
+            gt_ids = gt_ids[(gt_ids > 0) & (gt_class[gt_ids] == class_id)]
             if gt_ids.size >= 2:
                 saw_multi_component_union = True
                 break

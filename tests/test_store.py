@@ -151,18 +151,18 @@ class TestCanonicalKeys:
 #: the same change.
 PINNED_KEYS = {
     "metaseg_small": {
-        "report": "740d8e16a154d5c35d2f4cf6ab9bac9b4f42bc087ccdebe14f7de33f48046da3",
-        "shard": "50bd636a99960f7fd353b77e21a3f54e98fb5df420d55e97d44e288153c3713e",
-        "model": "dd31f4e3c4043b0817bd7fc03f7fbbd07e7fc770d5b1f437343a7f6995d63cc2",
+        "report": "63275a75af6e8d63bcded8a7bdba1ad683aa305d9375cb20b7e8cc9c0dbf16c8",
+        "shard": "8ef3654a11d563db8bcc38f44ba5efd935f253ea6ec19537d3f1efbd436220fe",
+        "model": "75c6b1db323f52e0fdc474bf3ed8795a56c96c3e6c5f218fe204eb85fd3af4f6",
     },
     "timedynamic_small": {
-        "report": "d3bb189c343234984d8d4252c523637b024fe997fa5526d749f3c0ee2df1c9b8",
-        "shard": "4ae5cc4f5776d4873f4a11dde0080c788149a55c1e685c9ac6fc05dd440876c9",
+        "report": "7d323739fb2413e932e167c09e1e7d4ec86b77ebf1d6e574d064cc17e714664b",
+        "shard": "04ebbe1bb3a9273645e951246111ce4953f3c69a8e08598157fe1cff7cc08400",
     },
     "decision_small": {
-        "report": "fbd0ced8565d3e35e3c70e20f7031d3b0911b261770903484ab552f2c1a6a67a",
-        "shard": "e0b1a9983b284f1784a680c9cf1ec4fac3630492afdeb8a753a39a1fac3f0537",
-        "priors": "c3c37cd5348b5117039aaaa617e4c2906aa63555a8be2b5e96823a69fbbf0a89",
+        "report": "aa3b52ee25e58e5b0880a06e8104aaf80304e863f7f12ed75475659fc70ad88a",
+        "shard": "b12ddb6ebedbfe224e9212cde659725bb699584bc19efb277ee67e6e0051d9fd",
+        "priors": "7417110520778134d7cc7de0f1521abef892619709d88c91d46f8671d9a4ecca",
     },
 }
 
@@ -173,15 +173,15 @@ PINNED_KEYS = {
 #: classifier and regressor (composition R, no previous frames).
 PINNED_FIT_KEYS = {
     "metaseg_small": [
-        "08608849e79df230ae592ad21dea19184eb82c68d6b5393efaba1d208fdd19f4",
-        "b300eceafc21d36ffc7a4c97d4523b17e566aa7d801db87364ec47ea9fd019e6",
-        "3b9b4d877d66a19f489246924c1fdc2cda160529dc2996b1edb1be535732c868",
-        "f6801b70d50ce9474f8491555073905c155fcce0b01a27e9477867b1afc013e0",
-        "025bf151a3e6a59cfd4850646fa5244db9558d8974513c8024f2fe297799a7ae",
+        "9673b43e509bf3a0e42df3221a02048733b4ad46c74ee3a7a0a067e36fd3115a",
+        "d0106ec096757fad899cdaa56f7d4920b6fa7ab75ec6fb8967fb2db1bd6970e0",
+        "2966fab382b8c3d88b6aa79ee00d051a66897123260ad2ceb50a7f6b17a3ecdd",
+        "6c908713758683db6fcc4e241657901133e7a9441659286d6d78d07ca367d89b",
+        "73cea537cbb95e418839f4728b59e8bb1acbbfcf842330f489d46c1ad7c987bb",
     ],
     "timedynamic_small": [
-        "f9f377733303c439642b2f53a17bba0a429c17109d12329516e6f572f975a9ae",
-        "57b487b52ae2f9bfa544a2a3862c55020fc74761f373a32e5bbe4e302b5faa78",
+        "ac05e0401ef24491fca2225db1dc05bb8540a4439a6cabf78685abd2974f81ea",
+        "a0f39a7eeb7008698507b50274de1a70964bf1665dcc50b1916e95d5dfd38685",
     ],
 }
 
@@ -208,7 +208,7 @@ def recorded_fit_keys(config: ExperimentConfig, store_dir, monkeypatch) -> list:
 class TestPinnedKeys:
     @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
     def test_example_config_keys_are_pinned(self, name):
-        assert store_keys.CACHE_FORMAT == 3
+        assert store_keys.CACHE_FORMAT == 4
         config = example_config(name).to_dict()
         size = "n_sequences" if config["kind"] == "timedynamic" else "n_val"
         derive = {

@@ -1,8 +1,16 @@
 """Tests for repro.timedynamic.pipeline (the Fig. 2 / Table II protocol)."""
 
+import pickle
+from pathlib import Path
+
 import pytest
 
+from repro.api.config import ExperimentConfig
+from repro.api.kinds import KINDS
+from repro.api.runner import Runner
 from repro.timedynamic.pipeline import TimeDynamicPipeline
+
+CONFIGS = Path(__file__).resolve().parent.parent / "examples" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +48,8 @@ class TestProcessDataset:
         assert len(processed) == kitti_like.n_sequences
         for sequence in processed:
             assert sequence.n_frames == kitti_like.n_frames_per_sequence
-            assert sequence.tracker.n_tracks > 0
+            assert len(sequence.tracks) > 0
+            assert len(sequence.datasets) == sequence.n_frames
 
     def test_pseudo_only_for_unlabeled(self, processed, kitti_like):
         labeled = set(kitti_like.labeled_frame_indices())
@@ -88,3 +97,21 @@ class TestRunProtocol:
         reference = pipeline.single_frame_linear_reference(processed, n_runs=2, random_state=1)
         assert set(reference) == {"accuracy", "auroc", "sigma", "r2"}
         assert 0.0 <= reference["auroc"][0] <= 1.0
+
+
+class TestStage1Payload:
+    def test_paper_shard_pickles_under_one_megabyte(self):
+        """The stage-1 shard of the Table II / Fig. 2 config crosses the
+        process pool and goes into the store pickled: it holds the frames'
+        metrics datasets and the tracks, not their segmentations."""
+        config = ExperimentConfig.from_json((CONFIGS / "paper_table2_fig2.json").read_text())
+        resolved = Runner().resolve(config)
+        sequences = KINDS["timedynamic"].shard(resolved, 0, resolved.dataset.n_sequences, None)
+        assert len(sequences) == resolved.dataset.n_sequences
+        size = len(pickle.dumps(sequences, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size <= 1_000_000, f"pickled shard is {size / 1e6:.2f} MB"
+        for sequence in sequences:
+            assert set(vars(sequence)) == {
+                "sequence_id", "datasets", "track_assignments", "tracks",
+                "pseudo_iou", "real_iou_available",
+            }

@@ -1,16 +1,12 @@
-"""Tests for repro.timedynamic.time_series, smote, pseudo_labels and compositions."""
+"""Tests for repro.timedynamic.time_series (incl. pseudo IoU targets), smote and compositions."""
 
 import numpy as np
 import pytest
 
-from repro.core.segments import extract_segments
+from repro.core.metrics import SegmentMetricsExtractor
+from repro.core.segments import extract_segments, segment_ious
 from repro.segmentation.datasets import global_frame_index
 from repro.timedynamic.compositions import COMPOSITIONS, assemble_composition, composition_sizes
-from repro.timedynamic.pseudo_labels import (
-    agreement_rate,
-    pseudo_ground_truth_iou,
-    pseudo_ground_truth_labels,
-)
 from repro.timedynamic.smote import smote_regression, target_relevance
 from repro.timedynamic.time_series import (
     DEFAULT_BASE_FEATURES,
@@ -60,6 +56,9 @@ class TestTimeSeriesBuilder:
             else:
                 assert pseudo is not None
                 assert np.all((pseudo >= 0) & (pseudo <= 1))
+        for dataset, pseudo in zip(processed_sequence.datasets, processed_sequence.pseudo_iou):
+            if pseudo is not None:
+                assert pseudo.shape == (len(dataset),)
 
     def test_misaligned_inputs_raise(self):
         builder = TimeSeriesBuilder()
@@ -157,20 +156,26 @@ class TestSmote:
 
 class TestPseudoLabels:
     def test_pseudo_labels_close_to_gt(self, xception_network, scene):
-        pseudo = pseudo_ground_truth_labels(xception_network, scene.labels, index=0)
-        assert agreement_rate(pseudo, scene.labels) > 0.7
+        # The reference network's argmax is the pseudo ground truth.
+        pseudo = xception_network.predict_labels(scene.labels, index=0)
+        annotated = scene.labels != -1
+        assert np.mean(pseudo[annotated] == scene.labels[annotated]) > 0.7
 
     def test_pseudo_iou_aligned_with_segments(self, mobilenet_network, xception_network, scene):
         probs = mobilenet_network.predict_probabilities(scene.labels, index=0)
-        prediction = extract_segments(np.argmax(probs, axis=2))
-        pseudo = pseudo_ground_truth_labels(xception_network, scene.labels, index=0)
-        iou = pseudo_ground_truth_iou(prediction, pseudo)
+        pseudo = xception_network.predict_labels(scene.labels, index=0)
+        sequence = TimeSeriesBuilder().process_sequence([probs], [None], [pseudo])
+        (dataset,) = sequence.datasets
+        (iou,) = sequence.pseudo_iou
+        assert sequence.real_iou_available == [False]
+        assert dataset.iou is None
+        prediction = SegmentMetricsExtractor().extract_full(probs).prediction
+        np.testing.assert_array_equal(dataset.segment_ids, prediction.segment_ids())
+        expected = segment_ious(prediction, extract_segments(pseudo))
+        assert iou.dtype == np.float64
         assert iou.shape == (prediction.n_segments,)
+        assert iou.tobytes() == expected.tobytes()
         assert np.all((iou >= 0) & (iou <= 1))
-
-    def test_agreement_rate_none_without_gt(self, xception_network, scene):
-        pseudo = pseudo_ground_truth_labels(xception_network, scene.labels, index=0)
-        assert agreement_rate(pseudo, None) is None
 
 
 class TestCompositions:

@@ -13,6 +13,12 @@ def _frame_with_box(top, left, size=4, class_id=13, shape=(20, 30)):
     return extract_segments(labels)
 
 
+def _box_id(segmentation, class_id=13):
+    """Id of the one segment of *class_id*, read from the table."""
+    (segment_id,) = np.flatnonzero(segmentation.class_ids == class_id) + 1
+    return int(segment_id)
+
+
 class TestMatchSegments:
     def test_identical_frames_match_every_segment(self, image_metrics):
         segmentation = image_metrics.prediction
@@ -24,19 +30,19 @@ class TestMatchSegments:
         previous = _frame_with_box(5, 5)
         current = _frame_with_box(5, 7)
         matches = match_segments(previous, current)
-        prev_box = [sid for sid, info in previous.segments.items() if info.class_id == 13][0]
-        curr_box = [sid for sid, info in current.segments.items() if info.class_id == 13][0]
+        prev_box = _box_id(previous)
+        curr_box = _box_id(current)
         assert matches.get(prev_box) == curr_box
 
     def test_shift_enables_matching_fast_objects(self):
         previous = _frame_with_box(5, 5, size=3)
         current = _frame_with_box(5, 13, size=3)
         without_shift = match_segments(previous, current, min_overlap_fraction=0.3)
-        prev_box = [sid for sid, info in previous.segments.items() if info.class_id == 13][0]
+        prev_box = _box_id(previous)
         with_shift = match_segments(
             previous, current, shifts={prev_box: (0.0, 8.0)}, min_overlap_fraction=0.3
         )
-        curr_box = [sid for sid, info in current.segments.items() if info.class_id == 13][0]
+        curr_box = _box_id(current)
         assert with_shift.get(prev_box) == curr_box
         assert without_shift.get(prev_box) != curr_box
 
@@ -44,7 +50,7 @@ class TestMatchSegments:
         previous = _frame_with_box(5, 5, class_id=13)
         current = _frame_with_box(5, 5, class_id=11)
         matches = match_segments(previous, current)
-        prev_box = [sid for sid, info in previous.segments.items() if info.class_id == 13][0]
+        prev_box = _box_id(previous)
         assert prev_box not in matches
 
     def test_one_to_one_assignment(self):
@@ -82,7 +88,7 @@ class TestSegmentTracker:
         box_tracks = set()
         for step, frame_assignment in enumerate(assignments):
             frame = _frame_with_box(5, 5 + 2 * step)
-            box_segment = [sid for sid, info in frame.segments.items() if info.class_id == 13][0]
+            box_segment = _box_id(frame)
             box_tracks.add(frame_assignment[box_segment])
         assert len(box_tracks) == 1
 
@@ -103,7 +109,7 @@ class TestSegmentTracker:
         tracker.update(frame_a)
         tracker.update(empty)
         assignment = tracker.update(frame_b)
-        box_segment = [sid for sid, info in frame_b.segments.items() if info.class_id == 13][0]
+        box_segment = _box_id(frame_b)
         # The re-appearing box may either continue the old track or start a
         # new one depending on the overlap test; the tracker must at least
         # not crash and must assign some track.
@@ -148,6 +154,6 @@ class TestSegmentTracker:
             segmentation = extract_segments(np.argmax(probs, axis=2))
             assignment = tracker.update(segmentation)
             n_segments_total += segmentation.n_segments
-            assert set(assignment) == set(segmentation.segment_ids())
+            assert set(assignment) == set(segmentation.segment_ids().tolist())
         # Tracking compresses segments into fewer identities.
         assert tracker.n_tracks < n_segments_total

@@ -75,7 +75,7 @@ def _random_frames(seed: int):
 def _random_shifts(segmentation: Segmentation, rng: np.random.Generator):
     """Random shift dict mixing zero, float, integral and half-integer shifts."""
     shifts = {}
-    for segment_id in segmentation.segment_ids():
+    for segment_id in segmentation.segment_ids().tolist():
         u = rng.uniform()
         if u < 0.35:
             continue  # no entry: the (0.0, 0.0) default
@@ -122,8 +122,6 @@ def test_tracker_parity(seed):
     fast_tracker = SegmentTracker()
     reference_tracker = SegmentTracker(match_fn=_reference_match_segments)
     for frame in frames:
-        # Separate Segmentation instances so the fast tracker's cached pixel
-        # groups cannot leak into the reference run.
         fast_assignment = fast_tracker.update(
             extract_segments(frame, connectivity=connectivity)
         )
