@@ -20,11 +20,11 @@ python -m repro analyze src/repro
 echo "=== compileall (src + tests must byte-compile) ==="
 python -m compileall -q src tests
 
-echo "=== pyflakes (if available) ==="
+echo "=== pyflakes (stdlib unused-import check where pyflakes is not installed) ==="
 if python -c "import pyflakes" >/dev/null 2>&1; then
     python -m pyflakes src tests
 else
-    echo "pyflakes not installed; skipping"
+    python scripts/check_unused_imports.py src tests
 fi
 
 echo "=== tier-1 test suite ==="

@@ -18,13 +18,12 @@ with the config schema by construction.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.analysis.astutil import (
     dotted_name,
     is_dataclass_def,
     class_methods,
-    string_constants,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.project import AnalysisProject

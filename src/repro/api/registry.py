@@ -26,7 +26,7 @@ built-in implementations are imported lazily on first lookup.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterator, List, Optional, Tuple, TypeVar
 
 EntryT = TypeVar("EntryT")
 

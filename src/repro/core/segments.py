@@ -28,13 +28,14 @@ Contingency-table matching
 
 All matching routines are vectorised through a *sparse contingency table*
 (:func:`repro.utils.connected_components.pair_contingency`): one
-``np.bincount`` pass over the paired ``(pred_component, gt_component)`` ids
-yields the intersection size of **every** predicted/ground-truth component
-pair at once.  From that table the per-segment quantities fall out without
-ever re-scanning the image:
+``np.bincount`` pass over the paired ``(pred_component, 2·gt_component +
+invalid)`` codes, *invalid* marking the unannotated (``ignore_id``) pixels,
+yields the valid and the invalid intersection size of **every**
+predicted/ground-truth component pair at once.  From that one table the
+per-segment quantities fall out without ever re-scanning the image:
 
-* ``|k ∩ K'|`` is the sum of the table entries of k against the intersecting
-  same-class ground-truth components (eq. (2)'s union K');
+* ``|k ∩ K'|`` is the sum of the valid table entries of k against the
+  intersecting same-class ground-truth components (eq. (2)'s union K');
 * ``|k ∪ K'|`` is ``|k ∩ valid| + |K'| - |k ∩ K'|`` where ``valid`` masks the
   annotated (non-ignore) pixels, so no union mask is ever materialised;
 * false negatives and category-level precision/recall use a second table of
@@ -121,40 +122,26 @@ def extract_segments(labels: np.ndarray, connectivity: int = 8, ignore_id: int =
     """Decompose a label map into connected components per class.
 
     All classes are decomposed at once: two neighbouring pixels belong to the
-    same segment iff they carry the same class label.  One labelling pass
-    (:func:`~repro.utils.connected_components.label_components`) yields the
-    component image together with every segment's first pixel (hence its
-    class id) and bounding box; sizes and coordinate sums come from three
-    ``np.bincount`` passes, and every column of the table is one array
-    expression.
+    same segment iff they carry the same class label.  One run-length
+    labelling pass (:func:`~repro.utils.connected_components.label_components`)
+    yields the component image together with every segment's first pixel
+    (hence its class id), bounding box, size and coordinate sums, all reduced
+    per horizontal run; the centroids are one array expression on top.
     """
     labelling = label_components(labels, connectivity=connectivity, background=ignore_id)
-    components = labelling.components
-    height, width = components.shape
-    flat = components.ravel()
-    n_bins = labelling.first_index.size + 1
-    sizes = np.bincount(flat, minlength=n_bins)[1:]
-    rows = np.repeat(np.arange(height, dtype=np.float64), width)
-    cols = np.tile(np.arange(width, dtype=np.float64), height)
-    coordinate_sums = np.stack(
-        [
-            np.bincount(flat, weights=rows, minlength=n_bins)[1:],
-            np.bincount(flat, weights=cols, minlength=n_bins)[1:],
-        ],
-        axis=1,
-    )
+    sizes = labelling.sizes
     # Centroid as mean of bounding-box-local coordinates plus the box offset:
     # the coordinate sums are exact integers in float64, so this reproduces
     # the per-segment np.mean()-based result bitwise.
     corners = labelling.boxes[:, :2]
-    centroids = (coordinate_sums - sizes[:, None] * corners) / sizes[:, None] + corners
+    centroids = (labelling.coordinate_sums - sizes[:, None] * corners) / sizes[:, None] + corners
     return Segmentation(
         labels=labelling.labels,
-        components=components,
+        components=labelling.components,
         class_ids=labelling.labels.ravel()[labelling.first_index],
         sizes=sizes,
         boxes=labelling.boxes,
-        coordinate_sums=coordinate_sums,
+        coordinate_sums=labelling.coordinate_sums,
         centroids=centroids,
         connectivity=connectivity,
     )
@@ -172,44 +159,47 @@ def segment_ious(
     intersect it *and* carry its class.  Pixels without ground truth
     (``ignore_id``) are excluded from both intersection and union.
 
-    Vectorised over segments: two contingency-table passes replace the per
-    segment full-image scans (see the module docstring).  Returns an (n,)
-    ``float64`` array, entry ``i`` the IoU(k) in [0, 1] of segment id
-    ``i + 1``; a segment whose reference union K' is empty — including the
-    all-ignore ground-truth case where the union of annotated pixels is zero
-    — gets IoU 0.0.
+    Vectorised over segments: one contingency table of ``(pred_component,
+    2·gt_component + invalid)`` pairs replaces the per-segment full-image
+    scans (see the module docstring); *invalid* marks the pixels whose
+    ground-truth label is ``ignore_id``.  Returns an (n,) ``float64`` array,
+    entry ``i`` the IoU(k) in [0, 1] of segment id ``i + 1``; a segment whose
+    reference union K' is empty — including the all-ignore ground-truth case
+    where the union of annotated pixels is zero — gets IoU 0.0.
     """
     check_same_shape(prediction.labels, ground_truth.labels, "prediction", "ground_truth")
     pred_class = prediction.class_lookup()
     gt_class = ground_truth.class_lookup()
 
-    valid_flat = (ground_truth.labels != ignore_id).ravel()
-    pred_flat = prediction.components.ravel()
-    gt_flat = ground_truth.components.ravel()
-
     # Intersecting (k, k') pairs are determined on the raw component images —
     # exactly like the reference, which collects candidates before masking out
     # unannotated pixels — while intersection/union sizes only count valid
-    # (annotated) pixels.
-    pair_pred, pair_gt, _pair_counts = pair_contingency(pred_flat, gt_flat)
-    vpred_flat = pred_flat[valid_flat]
-    vgt_flat = gt_flat[valid_flat]
-    vpair_pred, vpair_gt, vpair_counts = pair_contingency(vpred_flat, vgt_flat)
-
+    # (annotated) pixels.  Invalid pixels are told by their label, not by GT
+    # component 0: ``ignore_id`` may differ from the one the ground truth was
+    # extracted with.
+    gt_code = 2 * ground_truth.components
+    gt_code += ground_truth.labels == ignore_id
+    pair_pred, pair_code, pair_counts = pair_contingency(prediction.components, gt_code)
+    pair_gt = pair_code >> 1
+    valid = (pair_code & 1) == 0
     matched = (pair_pred > 0) & (pred_class[pair_pred] == gt_class[pair_gt])
-    vmatched = (vpair_pred > 0) & (pred_class[vpair_pred] == gt_class[vpair_gt])
+    # Rows are sorted by (pred, code): a (k, k') pair with valid and invalid
+    # pixels takes two adjacent rows, of which the first stands for the pair.
+    distinct = np.ones(pair_pred.size, dtype=bool)
+    distinct[1:] = (pair_pred[1:] != pair_pred[:-1]) | (pair_gt[1:] != pair_gt[:-1])
 
     n_bins = prediction.n_segments + 1
-    gt_valid_sizes = np.bincount(vgt_flat, minlength=gt_class.size).astype(np.float64)
-    pred_valid_sizes = np.bincount(vpred_flat, minlength=n_bins).astype(np.float64)
+    valid_counts = np.where(valid, pair_counts, 0)
+    gt_valid_sizes = np.bincount(pair_gt, weights=valid_counts, minlength=gt_class.size)
+    pred_valid_sizes = np.bincount(pair_pred, weights=valid_counts, minlength=n_bins)
     intersections = np.bincount(
-        vpair_pred[vmatched], weights=vpair_counts[vmatched], minlength=n_bins
+        pair_pred[matched], weights=valid_counts[matched], minlength=n_bins
     )
-    # |K'| per predicted segment: each intersecting GT component appears in
-    # exactly one table row per predicted segment, so its valid size is
-    # counted once.
+    # |K'| per predicted segment: each intersecting GT component is counted
+    # once per predicted segment, on the pair's first row.
+    first = matched & distinct
     reference_sizes = np.bincount(
-        pair_pred[matched], weights=gt_valid_sizes[pair_gt[matched]], minlength=n_bins
+        pair_pred[first], weights=gt_valid_sizes[pair_gt[first]], minlength=n_bins
     )
     has_reference = np.zeros(n_bins, dtype=bool)
     has_reference[pair_pred[matched]] = True

@@ -2,19 +2,26 @@
 
 The paper treats every connected component of a predicted (or ground-truth)
 class mask as one *segment instance*; meta classification and the FP/FN
-definitions all operate on these components.  Two engines label them:
+definitions all operate on these components.  :func:`label_components`
+labels every class at once in one run-length pass:
 
-* ``engine="scipy"`` (the default): one ``find_objects`` pass over the label
-  map gives every class's bounding box, and ``ndimage.label`` runs once per
-  class inside that box only; the component boxes come out of the same pass.
-* ``engine="unionfind"``: an independent numpy union-find labelling, with
-  boxes from ``find_objects`` on the result; the test suite cross-checks the
-  two engines.
+* one comparison of neighbouring columns splits each row into maximal
+  horizontal runs of equal value;
+* each run is joined to the equal-valued runs of the row above whose columns
+  it touches (they overlap, widened by one column for 8-connectivity).  Runs
+  partition each row, so two ``searchsorted`` calls on the run bounds give
+  every candidate pair;
+* a batched pointer-doubling union-find merges the joined runs.  Hooks only
+  ever lower a root, so each root is its component's first run in scan order
+  and the component ids need no renumbering sort.
 
-Both normalise component ids to scan order of each component's first pixel
-(found with one scatter-min), so their outputs are bit-identical.
-:func:`label_components` also returns the first pixels and boxes, which is
-all :func:`repro.core.segments.extract_segments` needs besides the image.
+The component image is one ``np.repeat`` of the run ids; the first pixels,
+boxes, sizes and coordinate sums of the components are reduced per run, which
+is all :func:`repro.core.segments.extract_segments` needs besides the image.
+
+``engine="unionfind"`` runs the same union-find over pixels instead of runs
+and reads the component table off the runs of its image; the test suite
+cross-checks it against the run engine.
 
 Two pixels belong to the same component iff they carry the same value in the
 label map and are connected through a path of equally-valued neighbours.
@@ -22,10 +29,9 @@ label map and are connected through a path of equally-valued neighbours.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.validation import check_label_map
 
@@ -37,6 +43,8 @@ class Labelling(NamedTuple):
     components: np.ndarray  # (H, W) int64; background 0, components 1..n in scan order
     first_index: np.ndarray  # (n,) flat index of each component's first pixel, ascending
     boxes: np.ndarray  # (n, 4) int64 (top, left, bottom, right), bottom/right exclusive
+    sizes: np.ndarray  # (n,) int64 pixel count of each component
+    coordinate_sums: np.ndarray  # (n, 2) float64 sums of pixel rows and columns (exact)
 
 
 def _resolve_roots(parent: np.ndarray) -> np.ndarray:
@@ -48,126 +56,132 @@ def _resolve_roots(parent: np.ndarray) -> np.ndarray:
         parent = grand
 
 
-def _normalise_ids(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Renumber raw component ids to 1..n in scan order of their first pixel.
+def _merge(n: int, here: np.ndarray, there: np.ndarray) -> np.ndarray:
+    """Root of each of *n* nodes once the edges ``(here[i], there[i])`` are merged.
 
-    Returns the renumbered image, the raw id behind each new id (new id
-    ``i + 1`` was ``raw_ids[i]``) and each component's first flat pixel index.
+    Batched union-find: all edges are merged at once by alternating full path
+    compression (pointer doubling) with a vectorised "hook the larger root
+    under the smaller" step, instead of one Python-level union call per edge.
+    Parent pointers only ever decrease, so the loop terminates and every root
+    is the smallest node of its set; an edge whose ends share a root stays
+    resolved and is dropped.
     """
-    flat = raw.ravel()
-    n_pixels = flat.size
-    first = np.full(int(flat.max()) + 1, n_pixels, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(n_pixels))
-    raw_ids = np.flatnonzero(first[1:] < n_pixels) + 1
-    raw_ids = raw_ids[np.argsort(first[raw_ids])]
-    mapping = np.zeros(first.size, dtype=np.int64)
-    mapping[raw_ids] = np.arange(1, raw_ids.size + 1)
-    return mapping[raw], raw_ids, first[raw_ids]
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        parent = _resolve_roots(parent)
+        root_a = parent[here]
+        root_b = parent[there]
+        unresolved = root_a != root_b
+        if not np.any(unresolved):
+            return parent
+        here, there = here[unresolved], there[unresolved]
+        root_a, root_b = root_a[unresolved], root_b[unresolved]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
 
 
-def _boxes(slices, row0: int = 0, col0: int = 0) -> List[Tuple[int, int, int, int]]:
-    """``find_objects`` slices as (top, left, bottom, right), offset by (row0, col0)."""
-    return [
-        (row0 + rows.start, col0 + cols.start, row0 + rows.stop, col0 + cols.stop)
-        for rows, cols in slices
-    ]
+def _scan_order_ids(parent: np.ndarray, foreground: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Component id of every node (1..n, 0 off the foreground) and the root
+    node of each id.  Roots are the smallest node of their set, so numbering
+    them in node order numbers the components in scan order."""
+    roots = np.flatnonzero((parent == np.arange(parent.size)) & foreground)
+    rank = np.zeros(parent.size, dtype=np.int64)
+    rank[roots] = np.arange(1, roots.size + 1)
+    return np.where(foreground, rank[parent], 0), roots
 
 
-def _label_unionfind(labels: np.ndarray, connectivity: int, background: int) -> np.ndarray:
+def _runs(image: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat start and length of every maximal horizontal run of equal
+    values, in scan order; every row starts a run, so the runs tile the image."""
+    height, width = image.shape
+    boundary = np.ones((height, width), dtype=bool)
+    np.not_equal(image[:, 1:], image[:, :-1], out=boundary[:, 1:])
+    starts = np.flatnonzero(boundary)
+    return starts, np.diff(starts, append=height * width)
+
+
+def _run_joins(
+    starts: np.ndarray, lengths: np.ndarray, values: np.ndarray, width: int,
+    connectivity: int, background: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair (run above, run below) of vertically touching runs of the
+    same non-background value.
+
+    A run's window on the row above is its own columns, widened by one on
+    each side for 8-connectivity and clipped to the row.  The runs of a row
+    are disjoint and sorted, so the runs meeting the window are the
+    contiguous range from the first one ending past its left edge to the
+    first one starting at or past its right edge.
+    """
+    reach = 1 if connectivity == 8 else 0
+    row_above = (starts // width - 1) * width
+    left = starts - row_above - width
+    low = np.searchsorted(starts + lengths, row_above + np.maximum(left - reach, 0), side="right")
+    counts = np.searchsorted(
+        starts, row_above + np.minimum(left + lengths + reach, width), side="left"
+    ) - low
+    # The value filter runs before the index of the run below is built, so
+    # at most three candidate-sized arrays are alive at once.
+    above = np.repeat(low - np.cumsum(counts) + counts, counts)
+    above += np.arange(above.size)
+    value = np.repeat(values, counts)
+    joined = value == values[above]
+    joined &= value != background
+    below = np.repeat(np.arange(starts.size), counts)[joined]
+    return above[joined], below
+
+
+def _run_table(
+    starts: np.ndarray, lengths: np.ndarray, run_ids: np.ndarray, first_index: np.ndarray,
+    width: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boxes, sizes and coordinate sums of components given as runs.
+
+    All are integer reductions per run (a run's column sum is an arithmetic
+    series), so the float64 coordinate sums are exact and equal a per-pixel
+    sum bitwise.
+    """
+    n = first_index.size
+    rows, left = np.divmod(starts, width)
+    # Row 0 of every reduction collects the background runs and is dropped.
+    boxes = np.zeros((n + 1, 4), dtype=np.int64)
+    boxes[1:, 0] = first_index // width
+    boxes[:, 1] = width
+    np.minimum.at(boxes[:, 1], run_ids, left)
+    np.maximum.at(boxes[:, 2], run_ids, rows + 1)
+    np.maximum.at(boxes[:, 3], run_ids, left + lengths)
+    sizes = np.bincount(run_ids, weights=lengths, minlength=n + 1)[1:].astype(np.int64)
+    coordinate_sums = np.empty((n, 2), dtype=np.float64)
+    coordinate_sums[:, 0] = np.bincount(run_ids, weights=rows * lengths, minlength=n + 1)[1:]
+    coordinate_sums[:, 1] = np.bincount(
+        run_ids, weights=lengths * (2 * left + lengths - 1) // 2, minlength=n + 1
+    )[1:]
+    return boxes[1:], sizes, coordinate_sums
+
+
+def _label_unionfind(
+    labels: np.ndarray, connectivity: int, background: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-pixel union-find: component id of every pixel and each first pixel."""
     h, w = labels.shape
-    n = h * w
     flat = labels.ravel()
 
     def _edges_shift(dr: int, dc: int):
         """Edge arrays between each pixel and its (dr, dc)-shifted neighbour."""
         rows = np.arange(max(0, -dr), h - max(0, dr))
         cols = np.arange(max(0, -dc), w - max(0, dc))
-        if rows.size == 0 or cols.size == 0:
-            return None
         rr, cc = np.meshgrid(rows, cols, indexing="ij")
         here = (rr * w + cc).ravel()
         there = ((rr + dr) * w + (cc + dc)).ravel()
         same = (flat[here] == flat[there]) & (flat[here] != background)
-        if not np.any(same):
-            return None
         return here[same], there[same]
 
     shifts = [(1, 0), (0, 1)]
     if connectivity == 8:
         shifts += [(1, 1), (1, -1)]
-    edge_pairs = [edges for edges in (_edges_shift(dr, dc) for dr, dc in shifts) if edges]
-
-    # Batched union-find: all edges of all shift directions are merged at once
-    # by alternating full path compression (pointer doubling) with a vectorised
-    # "hook the larger root under the smaller" step, instead of one Python-level
-    # union call per edge.  Parent pointers only ever decrease, so the loop
-    # terminates; at exit every edge connects two pixels with equal roots.
-    parent = np.arange(n, dtype=np.int64)
-    if edge_pairs:
-        here = np.concatenate([edges[0] for edges in edge_pairs])
-        there = np.concatenate([edges[1] for edges in edge_pairs])
-        while True:
-            parent = _resolve_roots(parent)
-            root_a = parent[here]
-            root_b = parent[there]
-            low = np.minimum(root_a, root_b)
-            high = np.maximum(root_a, root_b)
-            unresolved = low != high
-            if not np.any(unresolved):
-                break
-            np.minimum.at(parent, high[unresolved], low[unresolved])
-
-    foreground = flat != background
-    components = np.where(foreground, parent + 1, 0)
-    return components.reshape(h, w)
-
-
-def _class_boxes(labels: np.ndarray) -> List[Tuple[int, Tuple[slice, slice]]]:
-    """``(value, bounding box)`` of every value present in *labels*.
-
-    One ``find_objects`` pass over the values shifted to 1..span.  Its table
-    has one entry per id in the observed span, so a map whose span exceeds
-    its pixel count (sparse ids such as ``{0, 2**40}``) is first compacted to
-    dense codes with ``np.unique``; memory stays O(H×W) either way.
-    """
-    low = int(labels.min())
-    high = int(labels.max())
-    if high - low < labels.size:
-        values = range(low, high + 1)
-        codes = labels - (low - 1)
-    else:
-        values, inverse = np.unique(labels, return_inverse=True)
-        codes = inverse.reshape(labels.shape) + 1
-    return [
-        (int(value), box)
-        for value, box in zip(values, ndimage.find_objects(codes))
-        if box is not None
-    ]
-
-
-def _label_scipy(
-    labels: np.ndarray, connectivity: int, background: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-class labelling inside each class's bounding box.
-
-    Returns the raw component image (ids class-major, scan order within a
-    class) and the (n, 4) box of every raw id.
-    """
-    structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
-    components = np.zeros(labels.shape, dtype=np.int64)
-    boxes: List[Tuple[int, int, int, int]] = []
-    for value, (rows, cols) in _class_boxes(labels):
-        if value == background:
-            continue
-        mask = labels[rows, cols] == value
-        labelled, count = ndimage.label(mask, structure=structure)
-        components[rows, cols][mask] = labelled[mask] + len(boxes)
-        if count == 1:
-            # A class's only component spans exactly the class box.
-            boxes.append((rows.start, cols.start, rows.stop, cols.stop))
-        else:
-            boxes.extend(_boxes(ndimage.find_objects(labelled), rows.start, cols.start))
-    return components, np.array(boxes, dtype=np.int64).reshape(-1, 4)
+    edges = [_edges_shift(dr, dc) for dr, dc in shifts]
+    here = np.concatenate([pair[0] for pair in edges])
+    there = np.concatenate([pair[1] for pair in edges])
+    return _scan_order_ids(_merge(flat.size, here, there), flat != background)
 
 
 def label_components(
@@ -176,24 +190,37 @@ def label_components(
     background: int = -1,
     engine: str = "auto",
 ) -> Labelling:
-    """Label connected components and return their first pixels and boxes.
+    """Label connected components and return their table: first pixels,
+    boxes, sizes and coordinate sums.
 
     Same parameters and component numbering as :func:`connected_components`.
+    One run-length pass (see the module docstring) yields the image and the
+    table together; ``engine="unionfind"`` merges pixels instead of runs.
     """
     labels = check_label_map(labels)
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    if engine not in ("auto", "scipy", "unionfind"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "unionfind":
-        components, _, first_index = _normalise_ids(
-            _label_unionfind(labels, connectivity, background)
+    if engine not in ("auto", "unionfind"):
+        raise ValueError(
+            f"unknown engine {engine!r}; use 'auto' (or 'unionfind', the test oracle)"
         )
-        boxes = np.array(_boxes(ndimage.find_objects(components)), dtype=np.int64)
-        return Labelling(labels, components, first_index, boxes.reshape(-1, 4))
-    raw, raw_boxes = _label_scipy(labels, connectivity, background)
-    components, raw_ids, first_index = _normalise_ids(raw)
-    return Labelling(labels, components, first_index, raw_boxes[raw_ids - 1])
+    height, width = labels.shape
+    if engine == "unionfind":
+        pixel_ids, first_index = _label_unionfind(labels, connectivity, background)
+        components = pixel_ids.reshape(height, width)
+        starts, lengths = _runs(components)
+        run_ids = pixel_ids[starts]
+    else:
+        starts, lengths = _runs(labels)
+        values = labels[starts // width, starts % width]
+        joins = _run_joins(starts, lengths, values, width, connectivity, background)
+        parent = _merge(starts.size, *joins)
+        run_ids, roots = _scan_order_ids(parent, values != background)
+        first_index = starts[roots]
+        components = np.repeat(run_ids, lengths).reshape(height, width)
+    return Labelling(
+        labels, components, first_index, *_run_table(starts, lengths, run_ids, first_index, width)
+    )
 
 
 def connected_components(
@@ -213,7 +240,8 @@ def connected_components(
     background:
         Value treated as background / ignore (component id 0).
     engine:
-        ``"scipy"`` (``"auto"`` is an alias) or ``"unionfind"``.
+        ``"auto"`` (the run-length labeller) or ``"unionfind"`` (the per-pixel
+        test oracle).
 
     Returns
     -------
@@ -253,11 +281,13 @@ def pair_contingency(
         return empty, empty.copy(), empty.copy()
     a_min = int(a.min())
     b_min = int(b.min())
-    a_shift = a.astype(np.int64) - a_min
-    b_shift = b.astype(np.int64) - b_min
-    span = int(b_shift.max()) + 1
-    codes = a_shift * span + b_shift
-    n_codes = (int(a_shift.max()) + 1) * span
+    span = int(b.max()) - b_min + 1
+    n_codes = (int(a.max()) - a_min + 1) * span
+    # codes = (a - a_min) * span + (b - b_min), built in place in one array.
+    codes = np.subtract(a, a_min, dtype=np.int64)
+    codes *= span
+    codes += b.astype(np.int64, copy=False)
+    codes -= b_min
     # Dense bincount is one O(size) pass but allocates the full table; fall
     # back to sort-based np.unique when the value ranges make it too large.
     if n_codes <= max(1 << 20, 4 * a.size):

@@ -19,7 +19,6 @@ from repro.api.config import (
     ExperimentConfig,
     ExecutionConfig,
     MetaModelConfig,
-    NetworkConfig,
 )
 from repro.api.kinds import KINDS
 from repro.api.runner import ExperimentReport, Runner, derived_seeds, run_experiment

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.meta_regression import MetaRegressor
 from repro.core.multiresolution import MultiResolutionInference
-from repro.core.pipeline import MetaSegPipeline
 from repro.core.visualization import (
     fig1_panels,
     iou_to_rgb,

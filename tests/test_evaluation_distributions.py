@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.distributions import (
-    EmpiricalCDF,
     dominance_gap,
     empirical_cdf,
     first_order_dominates,

@@ -8,14 +8,6 @@ caching — and the hard gate is unchanged: a cached-fit run stays **bitwise
 identical** to a fresh storeless run.
 """
 
-import pytest
-
-from repro.api.config import (
-    DataConfig,
-    EvalConfig,
-    ExperimentConfig,
-    MetaModelConfig,
-)
 from repro.api.runner import Runner
 from repro.core.meta_classification import MetaClassifier
 from repro.store import FitCache, ResultStore

@@ -5,7 +5,6 @@ harnesses do and assert the *qualitative* results of the paper: the ordering
 of methods and baselines, not absolute numbers.
 """
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -28,7 +28,7 @@ from repro.io.cityscapes import CityscapesDiskDataset, discover_frames, raw_to_t
 from repro.io.fixture import disk_config_payload, write_disk_fixture
 from repro.io.png import PngError, _chunk, _SIGNATURE, read_png_gray8, write_png_gray8
 from repro.io.softmax import SoftmaxDumpNetwork
-from repro.segmentation.labels import IGNORE_ID, cityscapes_label_space
+from repro.segmentation.labels import IGNORE_ID
 from repro.store import ResultStore
 
 #: The committed fixture tree and the parameters it was generated with

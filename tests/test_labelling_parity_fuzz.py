@@ -1,18 +1,21 @@
-"""Parity fuzz for the box-local connected-component labeller.
+"""Parity fuzz for the run-length connected-component labeller.
 
-``label_components`` labels each class only inside its bounding box, finds
-first pixels with a scatter-min and takes the component boxes from the same
-pass; ``extract_segments`` fills every column of its segment table from that
-one pass with array expressions.
+``label_components`` splits every row into maximal runs of equal value,
+joins the touching equal-valued runs of neighbouring rows, merges them with
+a union-find over runs, and reduces each component's first pixel, box, size
+and coordinate sums per run; ``extract_segments`` fills every column of its
+segment table from that one pass with array expressions.
 The oracle below is the straightforward decomposition those replaced, kept
 here verbatim: ``ndimage.label`` on the full-image mask of every class,
 ``np.unique`` scan-order renumbering, a second ``np.unique`` for first
 pixels and a full-image ``find_objects`` for the boxes.  Every case asserts
 bitwise-equal components, counts and table columns (class ids, sizes,
 boxes, coordinate sums, centroids: same dtype, same shape, same bytes), where
-the oracle fills each row in a per-segment loop, and that the union-find
-engine agrees with the scipy engine on the component image, the first pixels
-and the boxes.
+the oracle fills each row in a per-segment loop, and that the per-pixel
+union-find engine agrees with the run engine on the component image and the
+whole table (first pixels, boxes, sizes, coordinate sums).  Next to the seeded random maps, a set of
+run-shaped maps (checkerboards, one-pixel stripes, a spiral, a snake, one run
+per row) stresses the joins and the union rounds.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ IGNORE_ID = -1
 #: Table columns of a ``Segmentation``, compared bitwise against the oracle.
 TABLE_COLUMNS = ("class_ids", "sizes", "boxes", "coordinate_sums", "centroids")
 
-#: Class-id pools: contiguous, gapped, and sparse enough (span larger than
-#: any fuzzed frame) to take the compacting ``np.unique`` route.
+#: Class-id pools: contiguous, gapped, and sparse (span larger than any
+#: fuzzed frame, so no table may be indexed by id).
 ID_POOLS = (
     (0, 1, 2, 3),
     (0, 5, 17, 18),
@@ -161,10 +164,62 @@ def _random_label_map(seed: int):
     return labels, connectivity
 
 
-@pytest.mark.fuzz
-@pytest.mark.parametrize("seed", range(N_CASES))
-def test_labelling_matches_full_image_oracle(seed):
-    labels, connectivity = _random_label_map(seed)
+def _spiral(size: int) -> np.ndarray:
+    """A one-pixel-wide clockwise spiral of class 1 walled by class 0: one
+    component whose runs are joined in no scan-order sequence."""
+    grid = np.zeros((size, size), dtype=np.int64)
+    row, col, step = 0, 0, (0, 1)
+    grid[0, 0] = 1
+    blocked = 0
+    while blocked < 2:
+        nxt = (row + step[0], col + step[1])
+        ahead = (nxt[0] + step[0], nxt[1] + step[1])
+        inside = 0 <= nxt[0] < size and 0 <= nxt[1] < size
+        closes = 0 <= ahead[0] < size and 0 <= ahead[1] < size and grid[ahead] == 1
+        if inside and grid[nxt] == 0 and not closes:
+            row, col = nxt
+            grid[row, col] = 1
+            blocked = 0
+        else:
+            step = (step[1], -step[0])
+            blocked += 1
+    return grid
+
+
+def _snake(height: int, n_columns: int) -> np.ndarray:
+    """One-pixel columns of class 1 linked alternately at the bottom and the
+    top (class 0 between them): one component that climbs up and down."""
+    grid = np.zeros((height, 2 * n_columns - 1), dtype=np.int64)
+    grid[:, ::2] = 1
+    grid[-1, 1::4] = 1
+    grid[0, 3::4] = 1
+    return grid
+
+
+def _checkerboard(height: int, width: int) -> np.ndarray:
+    return (np.arange(height)[:, None] + np.arange(width)[None, :]) % 2
+
+
+#: Maps built from runs of a chosen shape: every pixel its own run, one run
+#: per row, and single components whose runs need many union rounds.
+RUN_SHAPED = {
+    "checkerboard_7x9": _checkerboard(7, 9),
+    "checkerboard_1x6": _checkerboard(1, 6),
+    "checkerboard_ignore": np.where(_checkerboard(6, 6) == 1, IGNORE_ID, 3),
+    "stripes_2": np.tile(np.arange(12) % 2, (5, 1)),
+    "stripes_3_ignore": np.tile(np.arange(13) % 3 - 1, (4, 1)),
+    "spiral_31": _spiral(31),
+    "spiral_ignore": np.where(_spiral(24) == 1, 5, IGNORE_ID),
+    "snake_9x25": _snake(9, 13),
+    "one_run_per_row": np.repeat(np.array([0, 0, 1, IGNORE_ID, 1, 2, 2, 0]), 11).reshape(8, 11),
+    "one_run_per_row_1col": np.array([[0], [0], [IGNORE_ID], [4], [4]]),
+}
+
+
+def _assert_matches_oracle(labels: np.ndarray, connectivity: int, case: str) -> None:
+    """Components, count and table columns bitwise equal to the oracle's,
+    and the union-find engine's first pixels and boxes equal to the run
+    engine's."""
     oracle_components, oracle_count, oracle_table = _oracle_segments(
         labels, connectivity, IGNORE_ID
     )
@@ -172,9 +227,9 @@ def test_labelling_matches_full_image_oracle(seed):
     components, count = connected_components(
         labels, connectivity=connectivity, background=IGNORE_ID
     )
-    assert count == oracle_count
+    assert count == oracle_count, case
     assert components.dtype == np.int64
-    np.testing.assert_array_equal(components, oracle_components)
+    np.testing.assert_array_equal(components, oracle_components, err_msg=case)
 
     segmentation = extract_segments(labels, connectivity=connectivity, ignore_id=IGNORE_ID)
     assert segmentation.n_segments == oracle_count
@@ -182,18 +237,53 @@ def test_labelling_matches_full_image_oracle(seed):
     np.testing.assert_array_equal(segmentation.segment_ids(), np.arange(1, oracle_count + 1))
     for name, expected in oracle_table.items():
         column = getattr(segmentation, name)
-        assert column.dtype == expected.dtype, f"seed={seed} {name}"
-        assert column.shape == expected.shape, f"seed={seed} {name}"
-        assert column.tobytes() == expected.tobytes(), f"seed={seed} {name}"
+        assert column.dtype == expected.dtype, f"{case} {name}"
+        assert column.shape == expected.shape, f"{case} {name}"
+        assert column.tobytes() == expected.tobytes(), f"{case} {name}"
+
+
+def _assert_engines_agree(labels: np.ndarray, connectivity: int, case: str) -> None:
+    fast = label_components(labels, connectivity, IGNORE_ID, engine="auto")
+    fallback = label_components(labels, connectivity, IGNORE_ID, engine="unionfind")
+    for field in ("components", "first_index", "boxes", "sizes"):
+        a, b = getattr(fast, field), getattr(fallback, field)
+        assert a.dtype == b.dtype == np.int64, field
+        np.testing.assert_array_equal(a, b, err_msg=f"{case} {field}")
+    assert fast.coordinate_sums.tobytes() == fallback.coordinate_sums.tobytes(), case
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", range(N_CASES))
+def test_labelling_matches_full_image_oracle(seed):
+    labels, connectivity = _random_label_map(seed)
+    _assert_matches_oracle(labels, connectivity, f"seed={seed}")
 
 
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_engines_agree_on_first_pixels_and_boxes(seed):
     labels, connectivity = _random_label_map(seed)
-    fast = label_components(labels, connectivity, IGNORE_ID, engine="scipy")
-    fallback = label_components(labels, connectivity, IGNORE_ID, engine="unionfind")
-    for field in ("components", "first_index", "boxes"):
-        a, b = getattr(fast, field), getattr(fallback, field)
-        assert a.dtype == b.dtype == np.int64, field
-        np.testing.assert_array_equal(a, b, err_msg=f"seed={seed} {field}")
+    _assert_engines_agree(labels, connectivity, f"seed={seed}")
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("connectivity", (4, 8))
+@pytest.mark.parametrize("case", sorted(RUN_SHAPED))
+def test_run_shaped_maps(case, connectivity):
+    labels = RUN_SHAPED[case]
+    _assert_matches_oracle(labels, connectivity, case)
+    _assert_engines_agree(labels, connectivity, case)
+
+
+@pytest.mark.fuzz
+def test_run_shaped_component_counts():
+    """The shapes are what they claim: a checkerboard is one component per
+    class under 8-connectivity and one per pixel under 4; the spiral and the
+    snake are one component of class 1."""
+    board = RUN_SHAPED["checkerboard_7x9"]
+    assert connected_components(board, connectivity=8)[1] == 2
+    assert connected_components(board, connectivity=4)[1] == board.size
+    for case in ("spiral_31", "snake_9x25"):
+        labels = RUN_SHAPED[case]
+        components, _count = connected_components(labels, connectivity=4)
+        assert np.unique(components[labels == 1]).size == 1, case

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.segmentation.labels import HUMAN_CATEGORY, LabelSpace, LabelSpec, cityscapes_label_space
+from repro.segmentation.labels import HUMAN_CATEGORY, LabelSpace, LabelSpec
 
 
 class TestCityscapesLabelSpace:

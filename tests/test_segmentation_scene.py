@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.segmentation.scene import Scene, SceneConfig, SceneObject, StreetSceneGenerator
+from repro.segmentation.scene import SceneConfig, SceneObject, StreetSceneGenerator
 
 
 class TestSceneConfig:

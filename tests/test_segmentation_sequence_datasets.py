@@ -8,7 +8,6 @@ from repro.segmentation.datasets import (
     KittiLikeDataset,
     global_frame_index,
 )
-from repro.segmentation.scene import SceneConfig
 from repro.segmentation.sequence import SequenceConfig, SequenceGenerator
 
 

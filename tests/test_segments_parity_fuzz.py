@@ -124,6 +124,31 @@ def test_false_positive_negative_parity(seed):
 
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", range(N_CASES))
+def test_mismatched_ignore_id_parity(seed):
+    """IoU and false positives with an ``ignore_id`` other than the one the
+    ground truth was extracted with: the unannotated pixels are the ones
+    *labelled* ``ignore_id``, which here carry ground-truth components, while
+    the extraction's ignore pixels (component 0) count as annotated."""
+    gt, pred, n_classes, connectivity, rng = _random_case(seed)
+    prediction, ground_truth = _decompose(gt, pred, connectivity)
+    ignore_id = int(rng.integers(0, n_classes))
+    fast = segment_ious(prediction, ground_truth, ignore_id=ignore_id)
+    reference = _reference_segment_ious(prediction, ground_truth, ignore_id=ignore_id)
+    assert fast.shape == (len(reference),)
+    for segment_id in reference:
+        assert fast[segment_id - 1] == reference[segment_id], (
+            f"seed={seed} ignore_id={ignore_id} segment={segment_id}: "
+            f"{fast[segment_id - 1]!r} != {reference[segment_id]!r}"
+        )
+    assert false_positive_segments(
+        prediction, ground_truth, ignore_id=ignore_id
+    ).tolist() == _reference_false_positive_segments(
+        prediction, ground_truth, ignore_id=ignore_id
+    )
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", range(N_CASES))
 def test_precision_recall_parity(seed):
     gt, pred, n_classes, connectivity, rng = _random_case(seed)
     prediction, ground_truth = _decompose(gt, pred, connectivity)

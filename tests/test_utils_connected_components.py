@@ -71,18 +71,22 @@ class TestConnectedComponents:
         with pytest.raises(ValueError):
             connected_components(np.zeros((2, 2), dtype=int), engine="magic")
 
+    def test_scipy_engine_is_gone(self):
+        with pytest.raises(ValueError, match="'auto'"):
+            connected_components(np.zeros((2, 2), dtype=int), engine="scipy")
+
     def test_engines_agree(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, size=(20, 24))
         for connectivity in (4, 8):
-            scipy_out, scipy_count = connected_components(
-                labels, connectivity=connectivity, engine="scipy"
+            run_out, run_count = connected_components(
+                labels, connectivity=connectivity, engine="auto"
             )
             uf_out, uf_count = connected_components(
                 labels, connectivity=connectivity, engine="unionfind"
             )
-            assert scipy_count == uf_count
-            np.testing.assert_array_equal(scipy_out, uf_out)
+            assert run_count == uf_count
+            np.testing.assert_array_equal(run_out, uf_out)
 
     def test_all_background(self):
         labels = np.full((4, 4), -1)
@@ -162,24 +166,24 @@ def test_property_components_partition_foreground(labels, connectivity):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_engines_equivalent(labels, connectivity):
-    """The scipy fast path and the union-find fallback agree exactly.
+    """The run-length labeller and the per-pixel union-find agree exactly.
 
     Ids include the ignore value -1 and gaps, up to a span larger than any
-    drawn map (the compacting route of the scipy labeller).
+    drawn map (no table may be sized by the id span).
     """
-    a, count_a = connected_components(labels, connectivity=connectivity, engine="scipy")
+    a, count_a = connected_components(labels, connectivity=connectivity, engine="auto")
     b, count_b = connected_components(labels, connectivity=connectivity, engine="unionfind")
     assert count_a == count_b
     np.testing.assert_array_equal(a, b)
 
 
 def test_sparse_ids_bounded_memory():
-    """A huge id span must not size any table: the labeller compacts ids first."""
+    """A huge id span must not size any table: runs compare values directly."""
     rng = np.random.default_rng(0)
     labels = rng.choice(np.array([-1, 0, 2**40], dtype=np.int64), size=(64, 64))
     tracemalloc.start()
     try:
-        components, count = connected_components(labels, engine="scipy")
+        components, count = connected_components(labels, engine="auto")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
