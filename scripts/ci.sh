@@ -30,11 +30,8 @@ fi
 echo "=== tier-1 test suite ==="
 python -m pytest -x -q
 
-echo "=== parity-fuzz suite ==="
-python -m pytest -q -m fuzz tests/test_segments_parity_fuzz.py tests/test_api_execution.py \
-    tests/test_tracking_parity_fuzz.py tests/test_core_metrics_dataset.py \
-    tests/test_labelling_parity_fuzz.py tests/test_logistic_solver_fuzz.py \
-    tests/test_softmax_sweep_parity_fuzz.py
+echo "=== parity-fuzz suite (every test marked fuzz under tests/) ==="
+python -m pytest -q -m fuzz tests
 
 echo "=== segment-matching benchmark (smoke) ==="
 PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \

@@ -17,8 +17,12 @@ All heatmaps are normalised to [0, 1]:
 the metric extraction of :mod:`repro.core.metrics`: tile by tile of rows it
 validates the field, takes its argmax and computes all three heatmaps plus
 the max-probability map, bitwise-identical to ``check_probability_field``,
-``np.argmax`` and the individual functions above.  It allocates only the
-outputs and tile-sized work space, never an (H, W, C) temporary.
+``np.argmax`` and the individual functions above.  Each tile is copied once
+into a class-major ``(C, n)`` buffer, so every class-axis step runs over
+contiguous class planes; the class sums (row sums and entropy) go through
+``_class_sum``, which adds the planes in the order ``np.sum`` adds a
+pixel's classes (numpy's eight-lane ``pairwise_sum``).  The sweep allocates
+only the outputs and tile-sized work space, never an (H, W, C) temporary.
 """
 
 from __future__ import annotations
@@ -60,13 +64,18 @@ def probability_margin_heatmap(probs: np.ndarray) -> np.ndarray:
 
 
 #: Pixel budget of one tile of :func:`fused_dispersion_heatmaps`.  A tile is
-#: ``max(1, TILE_PIXELS // W)`` rows; at C = 19 its float64 slice of the field
-#: and its two clipped/integrand buffers are ~1.2 MB each, so every pass over
-#: a tile reads it from cache rather than from memory.
+#: ``max(1, TILE_PIXELS // W)`` rows, copied once into a class-major ``(C, n)``
+#: work buffer; at C = 19 that buffer is ~1.2 MB and the eight summation lanes
+#: ~0.5 MB, so every pass over a tile reads it from cache rather than memory.
 TILE_PIXELS = 8192
 
 #: Column order of :attr:`SoftmaxSweep.values`.
 SWEEP_COLUMNS = ("E", "M", "V", "pmax")
+
+#: Lane count and block length of numpy's ``pairwise_sum``, the summation
+#: behind ``np.sum`` over a contiguous axis, which :func:`_class_sum` mirrors.
+_LANES = 8
+_PAIRWISE_BLOCK = 128
 
 
 class SoftmaxSweep(NamedTuple):
@@ -90,80 +99,170 @@ class SoftmaxSweep(NamedTuple):
         return np.ascontiguousarray(column).reshape(height, width)
 
 
+def _sequential_sum(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = ((0.0 + planes[0]) + planes[1]) + ...``, one plane at a time."""
+    np.add(planes[0], 0.0, out=out)
+    for plane in planes[1:]:
+        np.add(out, plane, out=out)
+    return out
+
+
+def _pairwise_sum(planes: np.ndarray, out: np.ndarray, lanes) -> np.ndarray:
+    """numpy's ``pairwise_sum`` of every pixel's classes, over class planes.
+
+    Below eight classes the sum is sequential.  Up to 128 the classes feed
+    eight lanes in blocks of eight, the lanes combine as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and the tail is added in order;
+    above that the classes split at a multiple of eight near the middle and
+    each half recurses.  *lanes* is ``(8, n)`` scratch, or None to accumulate
+    in (and overwrite) the planes themselves.
+    """
+    n_classes = len(planes)
+    if n_classes < _LANES:
+        return _sequential_sum(planes, out)
+    if n_classes > _PAIRWISE_BLOCK:
+        half = n_classes // 2
+        half -= half % _LANES
+        _pairwise_sum(planes[:half], out, lanes)
+        right = _pairwise_sum(planes[half:], np.empty_like(out), lanes)
+        return np.add(out, right, out=out)
+    body = n_classes - n_classes % _LANES
+    if lanes is None:
+        lanes = planes[:_LANES]
+    else:
+        np.copyto(lanes, planes[:_LANES])
+    for start in range(_LANES, body, _LANES):
+        np.add(lanes, planes[start:start + _LANES], out=lanes)
+    np.add(lanes[0::2], lanes[1::2], out=lanes[0::2])
+    np.add(lanes[0::4], lanes[2::4], out=lanes[0::4])
+    np.add(lanes[0], lanes[4], out=out)
+    for plane in planes[body:]:
+        np.add(out, plane, out=out)
+    return out
+
+
+def _class_sum(
+    planes: np.ndarray, out: np.ndarray, lanes=None, pairwise: bool = True
+) -> np.ndarray:
+    """Sum ``(C, n)`` class planes over C into *out*, bitwise as numpy would.
+
+    ``np.sum(x, axis=-1)`` starts each pixel at the identity 0.0 and, when
+    the class axis is innermost in memory, adds ``pairwise_sum`` of its
+    classes (:func:`_pairwise_sum`); otherwise it adds the classes one at
+    a time (*pairwise* False).  *lanes* as in :func:`_pairwise_sum`.
+    """
+    if not pairwise:
+        return _sequential_sum(planes, out)
+    return np.add(_pairwise_sum(planes, out, lanes), 0.0, out=out)
+
+
+def _class_axis_innermost(field: np.ndarray) -> bool:
+    """Whether numpy's ``field.sum(axis=2)`` iterates the class axis innermost.
+
+    numpy's iterator orders axes by absolute stride, skipping zero strides
+    and single-element axes; only then does it sum each pixel pairwise.
+    """
+    class_stride = abs(field.strides[2])
+    return all(
+        abs(stride) >= class_stride
+        for stride, size in zip(field.strides[:2], field.shape[:2])
+        if size > 1 and stride != 0
+    )
+
+
 def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
     """Validate a softmax field, take its argmax and its E/M/V/p_max maps in one sweep.
 
-    The field is walked a tile of rows at a time (:data:`TILE_PIXELS`), so
-    every pass over a tile reads it from cache.  Per tile:
+    The field is walked a tile of rows at a time (:data:`TILE_PIXELS`).  Each
+    tile is copied once, from whatever layout the field has, into a
+    class-major ``(C, n)`` work buffer: that transposing copy is the tile's
+    only read of the field, and every class-axis step after it runs over
+    contiguous class planes.  Per tile:
 
-    * the validation reductions of :func:`check_probability_field`
-      (``tile < -tol`` and ``np.sum(tile, axis=2)``) accumulate into one
-      verdict, raised after the last tile with the same message;
+    * ``np.fmin.reduce`` of the buffer (NaN-ignoring, like ``tile < -tol``)
+      and the row sums of :func:`check_probability_field` accumulate into
+      one verdict, raised after the last tile with the same message;
     * a running maximum, second maximum and first-index argmax over the C
       class planes give p_max, M = 1 - (p_max - p_2nd) and V = 1 - p_max;
-    * the entropy integrand ``clip(p) * log(clip(p))`` is summed over the
-      tile's contiguous class axis.
+    * the buffer is clipped, logged and multiplied in place into the
+      entropy integrand ``clip(p) * log(clip(p))`` and summed over its class
+      planes.
 
-    Maxima are exact and every sum adds the same values in the same order as
-    the whole-field functions, so the outputs are bitwise equal to
-    ``np.argmax(probs, axis=2)`` and :func:`_reference_dispersion_heatmaps`
-    (the entropy of a non-contiguous field as of its C-contiguous copy:
-    the tile is clipped into contiguous work space before the class sum).
-    Only tile-sized work buffers are allocated besides the outputs.
+    Both class sums go through :func:`_class_sum`, which adds the planes in
+    numpy's own summation order: pairwise, as ``np.sum`` adds a contiguous
+    class axis, for the entropy and for row sums of fields whose class axis
+    is innermost; one class at a time for the row sums of other layouts
+    (Fortran order), as ``np.sum`` adds those.  Maxima are exact, so the
+    outputs are bitwise equal to ``np.argmax(probs, axis=2)`` and
+    :func:`_reference_dispersion_heatmaps` (the entropy of a non-contiguous
+    field as of its C-contiguous copy), and the verdict is
+    :func:`check_probability_field`'s.  Only the outputs and tile-sized work
+    buffers are allocated, never an (H, W, C) temporary.
     """
     field = check_probability_shape(probs)
     height, width, n_classes = field.shape
     tile_rows = max(1, TILE_PIXELS // width)
+    tile_pixels = tile_rows * width
     labels = np.empty((height, width), dtype=np.int64)
+    flat_labels = labels.reshape(-1)
     values = np.empty((height * width, len(SWEEP_COLUMNS)))
     # Tile work space.  The running argmax lives in the smallest unsigned
     # type that holds a class index, so its per-plane updates stay cheap.
-    clipped = np.empty((tile_rows, width, n_classes))
-    integrand = np.empty_like(clipped)
-    planes = np.empty((4, tile_rows, width))
-    rises = np.empty((tile_rows, width), dtype=bool)
+    buffer = np.empty(n_classes * tile_pixels)
+    lanes_buffer = np.empty((_LANES, tile_pixels))
+    planes = np.empty((3, tile_pixels))
+    rises = np.empty(tile_pixels, dtype=bool)
     index_type = np.min_scalar_type(n_classes - 1)
-    indices = np.empty((2, tile_rows, width), dtype=index_type)
+    indices = np.empty((2, tile_pixels), dtype=index_type)
     log_classes = np.log(n_classes)
+    pairwise_rows = _class_axis_innermost(field)
     negative = False
     deviation = 0.0
     for start in range(0, height, tile_rows):
         stop = min(start + tile_rows, height)
         rows = stop - start
-        tile = field[start:stop]
-        negative = negative or bool(np.any(tile < -PROBABILITY_TOL))
-        deviation = np.maximum(deviation, np.abs(np.sum(tile, axis=2) - 1.0).max())
+        pixels = rows * width
+        tile = buffer[:n_classes * pixels].reshape(n_classes, pixels)
+        np.copyto(tile.reshape(n_classes, rows, width), field[start:stop].transpose(2, 0, 1))
+        first, second, work = planes[:, :pixels]
+        lanes = lanes_buffer[:, :pixels]
+        negative = negative or bool(np.fmin.reduce(tile, axis=None) < -PROBABILITY_TOL)
+        row_sums = _class_sum(tile, work, lanes, pairwise_rows)
+        np.subtract(row_sums, 1.0, out=row_sums)
+        deviation = np.maximum(deviation, np.abs(row_sums, out=row_sums).max())
 
-        # Running top-2 and argmax over the class planes, each plane first
-        # copied out of the interleaved tile so the updates run contiguous.
-        # A strict ``>`` marks where class c takes the lead; the last such c
-        # is the first index of the maximum, as np.argmax picks on ties.
-        current, first, second, work = planes[:, :rows]
-        best, lead = indices[:, :rows]
-        rise = rises[:rows]
-        np.copyto(first, tile[:, :, 0])
+        # Running top-2 and argmax over the class planes.  A strict ``>``
+        # marks where class c takes the lead; the last such c is the first
+        # index of the maximum, as np.argmax picks on ties.
+        best, lead = indices[:, :pixels]
+        rise = rises[:pixels]
+        np.copyto(first, tile[0])
         second.fill(-np.inf)
         best.fill(0)
         for class_index in range(1, n_classes):
-            np.copyto(current, tile[:, :, class_index])
+            current = tile[class_index]
             np.greater(current, first, out=rise)
             np.multiply(rise.view(np.uint8), index_type.type(class_index), out=lead)
             np.maximum(best, lead, out=best)
             np.minimum(first, current, out=work)
             np.maximum(second, work, out=second)
             np.maximum(first, current, out=first)
-        labels[start:stop] = best
+        flat_labels[start * width:stop * width] = best
 
-        tile_clipped = np.clip(tile, 1e-12, 1.0, out=clipped[:rows])
-        tile_integrand = np.log(tile_clipped, out=integrand[:rows])
-        np.multiply(tile_clipped, tile_integrand, out=tile_integrand)
-        entropy = np.sum(tile_integrand, axis=2, out=work)
+        # The entropy integrand, in place; the lanes hold the logarithms of
+        # eight planes at a time, then the class sum overwrites the buffer.
+        np.clip(tile, 1e-12, 1.0, out=tile)
+        for low in range(0, n_classes, _LANES):
+            chunk = tile[low:low + _LANES]
+            logs = np.log(chunk, out=lanes[:len(chunk)])
+            np.multiply(chunk, logs, out=chunk)
+        entropy = _class_sum(tile, work)
 
-        block = values[start * width:stop * width].reshape(rows, width, len(SWEEP_COLUMNS))
-        np.divide(np.negative(entropy, out=entropy), log_classes, out=block[:, :, 0])
-        np.subtract(1.0, np.subtract(first, second, out=work), out=block[:, :, 1])
-        np.subtract(1.0, first, out=block[:, :, 2])
-        block[:, :, 3] = first
+        block = values[start * width:stop * width]
+        np.divide(np.negative(entropy, out=entropy), log_classes, out=block[:, 0])
+        np.subtract(1.0, np.subtract(first, second, out=work), out=block[:, 1])
+        np.subtract(1.0, first, out=block[:, 2])
+        block[:, 3] = first
     check_probability_verdict(negative, float(deviation))
     return SoftmaxSweep(field, labels, values)
 

@@ -5,11 +5,7 @@ implicitly (connected component labelling, reproducible random number
 handling, array manipulation) without depending on anything outside numpy.
 """
 
-from repro.utils.connected_components import (
-    connected_components,
-    component_sizes,
-    relabel_sequential,
-)
+from repro.utils.connected_components import connected_components
 from repro.utils.rng import RandomState, spawn_rngs, as_rng
 from repro.utils.arrays import (
     mean_std,
@@ -28,8 +24,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "connected_components",
-    "component_sizes",
-    "relabel_sequential",
     "RandomState",
     "spawn_rngs",
     "as_rng",

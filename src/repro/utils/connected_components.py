@@ -302,22 +302,3 @@ def pair_contingency(
     b_values = code_values % span + b_min
     return a_values.astype(np.int64), b_values.astype(np.int64), counts
 
-
-def component_sizes(components: np.ndarray) -> np.ndarray:
-    """Pixel counts per component id (index 0 is the background count)."""
-    components = np.asarray(components)
-    if components.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.bincount(components.ravel().astype(np.int64))
-
-
-def relabel_sequential(components: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Relabel component ids to a dense 1..n range preserving 0 as background."""
-    components = np.asarray(components, dtype=np.int64)
-    unique = np.unique(components)
-    unique = unique[unique != 0]
-    max_id = int(components.max()) if components.size else 0
-    mapping = np.zeros(max_id + 1 if max_id >= 0 else 1, dtype=np.int64)
-    mapping[unique] = np.arange(1, unique.size + 1, dtype=np.int64)
-    out = np.where(components > 0, mapping[np.clip(components, 0, None)], 0)
-    return out, int(unique.size)

@@ -24,10 +24,16 @@ def check_label_map(labels: np.ndarray, name: str = "labels") -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.round(arr)):
-            arr = arr.astype(np.int64)
-        else:
+        if not (np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.round(arr))):
             raise TypeError(f"{name} must be an integer array, got dtype {arr.dtype}")
+        # inf, -inf and huge integral floats pass the test above but have no
+        # int64 value; name them instead of casting them to garbage.
+        outside = ~((arr >= -(2.0**63)) & (arr < 2.0**63))
+        if outside.any():
+            raise ValueError(
+                f"{name} must be finite and within the int64 range, "
+                f"found {arr[outside][0]}"
+            )
     arr = arr.astype(np.int64, copy=False)
     if arr.min() < -1:
         raise ValueError(

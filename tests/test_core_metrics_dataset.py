@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.dataset import MetricsDataset
 from repro.core.heatmaps import (
+    TILE_PIXELS,
     _reference_dispersion_heatmaps,
     dispersion_heatmaps,
     fused_dispersion_heatmaps,
@@ -232,6 +233,21 @@ class TestExtractionMemory:
         result, peak = _traced_peak(lambda: extractor.extract_full(probs, gt_labels=gt_labels))
         assert result.dataset.iou is not None
         assert peak <= probs.nbytes, f"peak {peak / probs.nbytes:.2f}x the field's bytes"
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sweep_work_space_is_tile_sized(self, label_space, order):
+        """The softmax sweep allocates its outputs (40 B per pixel) plus
+        tile-sized work space, never an (H, W, C) or (H, W) temporary:
+        what it allocates beyond the outputs stays within two class-major
+        tiles (measured: ~1.6 tiles, the tile buffer plus eight summation
+        lanes and three running planes), from either memory order."""
+        probs, _gt_labels = _extraction_field(label_space.n_classes, boost=4.0)
+        field = np.asarray(probs, order=order)
+        sweep, peak = _traced_peak(lambda: fused_dispersion_heatmaps(field))
+        work = peak - sweep.labels.nbytes - sweep.values.nbytes
+        tile_bytes = TILE_PIXELS * label_space.n_classes * 8
+        assert sweep.labels.nbytes + sweep.values.nbytes == 40 * sweep.labels.size
+        assert work <= 2 * tile_bytes, f"work space {work / tile_bytes:.2f} tiles"
 
     @pytest.fixture(scope="class")
     def noisy(self, label_space):

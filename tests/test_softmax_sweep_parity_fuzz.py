@@ -10,9 +10,12 @@ exception type and message.
 
 The entropy oracle runs on a C-contiguous copy of the field: numpy sums
 ``axis=2`` of a non-contiguous array in a memory-layout-dependent order,
-while extraction has always summed each pixel's classes contiguously (the
-sweep clips into a contiguous tile, as the former full-field work buffer
-did), so that is the order the sweep must reproduce.
+while extraction has always summed each pixel's classes contiguously, so
+that is the order the sweep must reproduce.  The sweep adds class planes of
+a class-major tile in numpy's ``pairwise_sum`` order (eight lanes, a
+combine tree, a tail, recursion above 128 classes); the class counts below
+straddle every one of those boundaries, and the ``_decades`` fields make a
+wrong order show in the last bits of the entropy.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import pytest
 from repro.core.heatmaps import (
     SWEEP_COLUMNS,
     TILE_PIXELS,
+    _class_axis_innermost,
+    _class_sum,
     _reference_dispersion_heatmaps,
     fused_dispersion_heatmaps,
 )
@@ -52,6 +57,16 @@ def _one_hot(rng: np.random.Generator, height: int, width: int, n_classes: int) 
     probs[np.arange(height)[:, None], np.arange(width)[None, :], winners] = 1.0
     probs[(probs == 0.0) & (rng.random(probs.shape) < 0.5)] = -0.0
     return probs
+
+
+def _decades(rng: np.random.Generator, height: int, width: int, n_classes: int) -> np.ndarray:
+    """Entries spread over 14 decades, some below the 1e-12 entropy clip."""
+    probs = 10.0 ** rng.uniform(-14.0, 0.0, size=(height, width, n_classes))
+    probs /= probs.sum(axis=2, keepdims=True)
+    return probs
+
+
+MAKERS = (_softmax, _quantised, _one_hot, _decades)
 
 
 def _assert_matches_oracles(probs) -> None:
@@ -93,14 +108,59 @@ SHAPES = (
 
 
 @pytest.mark.parametrize("seed", range(24))
-@pytest.mark.parametrize("n_classes", [2, 19, 40])
+@pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 9, 16, 17, 19, 24, 25, 40])
 def test_random_fields_bitwise(seed, n_classes):
     rng = np.random.default_rng(seed * 97 + n_classes)
     height, width = SHAPES[seed % len(SHAPES)]
     if height * width * n_classes > 2_000_000:
         height = 1
-    maker = (_softmax, _quantised, _one_hot)[seed % 3]
+    maker = MAKERS[seed % len(MAKERS)]
     _assert_matches_oracles(maker(rng, height, width, n_classes))
+
+
+#: Small frames for class counts past numpy's 128-element pairwise block.
+SMALL_SHAPES = ((1, 1), (3, 40), (7, 1), (5, 61))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_classes", [129, 200, 300])
+def test_many_classes_bitwise(seed, n_classes):
+    rng = np.random.default_rng(seed * 131 + n_classes)
+    height, width = SMALL_SHAPES[seed % len(SMALL_SHAPES)]
+    maker = MAKERS[seed % len(MAKERS)]
+    _assert_matches_oracles(maker(rng, height, width, n_classes))
+
+
+@pytest.mark.parametrize("n_classes", [3, 8, 19, 129, 300])
+def test_row_sums_follow_numpy_order_for_every_layout(n_classes):
+    """The validation row sums equal ``np.sum(axis=2)`` of the field as laid out.
+
+    numpy adds a pixel's classes pairwise when the class axis is innermost
+    and one at a time otherwise (Fortran order), so that is what the sweep's
+    verdict must be computed from.
+    """
+    rng = np.random.default_rng(n_classes)
+    probs = _decades(rng, 6, 9, n_classes)
+    layouts = {
+        "C": probs,
+        "F": np.asfortranarray(probs),
+        "F-one-row": np.asfortranarray(probs[:1]),
+        "F-one-column": np.asfortranarray(probs[:, :1]),
+        "transposed": probs.transpose(1, 0, 2),
+        "reversed-classes": probs[:, :, ::-1],
+        "strided": probs[::2, ::-3],
+        "broadcast-rows": np.broadcast_to(probs[:1], probs.shape),
+        "broadcast-columns": np.broadcast_to(probs[:, :1], probs.shape),
+    }
+    for name, field in layouts.items():
+        planes = np.ascontiguousarray(field.transpose(2, 0, 1)).reshape(n_classes, -1)
+        pixels = planes.shape[1]
+        pairwise = _class_axis_innermost(field)
+        sums = _class_sum(planes, np.empty(pixels), np.empty((8, pixels)), pairwise)
+        assert np.array_equal(sums, field.sum(axis=2).ravel()), name
+    if n_classes >= 8:
+        # Both orders are exercised and the field tells them apart.
+        assert not np.array_equal(probs.sum(axis=2), np.asfortranarray(probs).sum(axis=2))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.utils.connected_components import (
-    component_sizes,
     connected_components,
     label_components,
-    relabel_sequential,
 )
 
 
@@ -93,32 +91,6 @@ class TestConnectedComponents:
         components, count = connected_components(labels)
         assert count == 0
         assert np.all(components == 0)
-
-
-class TestComponentSizes:
-    def test_sizes_sum_to_pixels(self):
-        labels = np.array([[0, 0, 1], [0, 1, 1]])
-        components, count = connected_components(labels)
-        sizes = component_sizes(components)
-        assert sizes[1:].sum() == labels.size
-        assert len(sizes) == count + 1
-
-    def test_empty_input(self):
-        assert component_sizes(np.zeros((0,), dtype=int)).tolist() == [0]
-
-
-class TestRelabelSequential:
-    def test_dense_relabelling(self):
-        components = np.array([[0, 5], [5, 9]])
-        out, count = relabel_sequential(components)
-        assert count == 2
-        assert set(np.unique(out)) == {0, 1, 2}
-
-    def test_preserves_partition(self):
-        components = np.array([[3, 3, 7], [7, 7, 3]])
-        out, _ = relabel_sequential(components)
-        assert (out[0, 0] == out[0, 1]) and (out[0, 2] == out[1, 0])
-        assert out[0, 0] != out[0, 2]
 
 
 class TestComponentBoxes:

@@ -1,5 +1,8 @@
 """Tests for repro.utils.validation."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,18 @@ class TestCheckLabelMap:
     def test_non_integral_floats_rejected(self):
         with pytest.raises(TypeError):
             check_label_map(np.array([[0.5, 1.0], [2.0, 3.0]]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e30])
+    def test_unrepresentable_floats_rejected_by_name(self, value):
+        labels = np.array([[0.0, 1.0], [value, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"int64 range, found {value}")):
+                check_label_map(labels)
+
+    def test_nan_float_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            check_label_map(np.array([[0.0, np.nan], [2.0, 3.0]]))
 
 
 class TestCheckProbabilityField:
