@@ -67,7 +67,6 @@ from repro.core import (
     MultiResolutionInference,
     extract_segments,
     segment_ious,
-    false_positive_segments,
     false_negative_segments,
 )
 
@@ -106,7 +105,6 @@ from repro.api import (
     EvalConfig,
     ExperimentReport,
     Runner,
-    run_experiment,
     all_registries,
 )
 
@@ -145,7 +143,6 @@ __all__ = [
     "MultiResolutionInference",
     "extract_segments",
     "segment_ious",
-    "false_positive_segments",
     "false_negative_segments",
     # time-dynamic
     "SegmentTracker",
@@ -173,7 +170,6 @@ __all__ = [
     "EvalConfig",
     "ExperimentReport",
     "Runner",
-    "run_experiment",
     "all_registries",
     # result store + sweeps
     "ResultStore",

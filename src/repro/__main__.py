@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro``.
 
-Eight subcommands expose the unified experiment API headlessly:
+Seven subcommands expose the unified experiment API headlessly:
 
 * ``python -m repro run config.json``       — execute an experiment config
   and print its Table-style summary (``--output report.json`` writes the
@@ -12,10 +12,6 @@ Eight subcommands expose the unified experiment API headlessly:
   multi-process execution — bitwise identical to serial;
   ``--cache`` / ``--cache-dir`` serve repeated runs from the
   content-addressed result store);
-* ``python -m repro trace config.json``     — ``run`` with tracing always
-  on: prints the span tree and writes the Chrome trace (``--trace-out``,
-  default ``trace.json``); the report payload is bitwise identical to an
-  untraced run;
 * ``python -m repro sweep sweep.json``      — expand a declarative grid
   over dotted config fields, run every point with result caching on by
   default (``--no-cache`` disables it), and print a summary table plus a
@@ -424,35 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(chrome://tracing / ui.perfetto.dev); implies tracing",
     )
     run.set_defaults(func=_cmd_run)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run an experiment config with tracing on and export the trace",
-    )
-    trace.add_argument("config", help="path to an ExperimentConfig JSON file")
-    trace.add_argument("--seed", type=int, default=None, help="override the config seed")
-    trace.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="override the execution backend (serial/thread/process)",
-    )
-    trace.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="override the worker / shard count of the execution backend",
-    )
-    trace.add_argument(
-        "--cache", action="store_true",
-        help="serve/store this run through the content-addressed result store",
-    )
-    trace.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="result-store root (implies --cache)",
-    )
-    trace.add_argument(
-        "--trace-out", default="trace.json", metavar="FILE",
-        help="Chrome trace_event JSON output path (default: trace.json)",
-    )
-    # `trace` is `run` with tracing forced on; the report summary prints too.
-    trace.set_defaults(func=_cmd_run, trace=True, output=None, timings=False)
 
     sweep = sub.add_parser(
         "sweep",

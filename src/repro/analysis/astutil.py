@@ -73,19 +73,6 @@ def self_attribute_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
             return None
 
 
-def assign_targets(stmt: ast.stmt) -> Iterator[ast.expr]:
-    """The target expressions of any assignment statement kind."""
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                yield from target.elts
-            else:
-                yield target
-    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        if stmt.target is not None:
-            yield stmt.target
-
-
 def string_constants(tree: ast.AST) -> Iterator[str]:
     """Every string literal below *tree* (f-string fragments included)."""
     for node in ast.walk(tree):

@@ -116,18 +116,6 @@ class AnalysisProject:
             parse_failures=parse_failures,
         )
 
-    # ------------------------------------------------------------------ ---
-    def module_by_rel(self, rel: str) -> Optional[SourceModule]:
-        """The analyzed module with the given repo-relative path, if any."""
-        for module in self.modules:
-            if module.rel == rel:
-                return module
-        return None
-
-    def relative(self, path: Path) -> str:
-        """Repo-relative posix form of *path* (used in findings)."""
-        return _relative(path, self.root)
-
 
 def _infer_root(start: Path) -> Path:
     """Nearest ancestor that looks like a repository root."""

@@ -49,8 +49,8 @@ from repro.api.registry import (
 )
 
 #: Names resolved lazily from repro.api.runner (PEP 562).
-_LAZY = ("Runner", "ExperimentReport", "ResolvedExperiment", "run_experiment",
-         "derived_seeds", "DerivedSeeds")
+_LAZY = ("Runner", "ExperimentReport", "ResolvedExperiment", "derived_seeds",
+         "DerivedSeeds")
 
 #: Names resolved lazily from repro.api.fitted (pulls in models + metrics).
 _LAZY_FITTED = ("FittedModel",)

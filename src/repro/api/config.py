@@ -331,7 +331,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}"
             )
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError("seed must be an integer")
         for section in _SECTIONS:
             getattr(self, section).validate()

@@ -535,8 +535,3 @@ def _memo_provenance(entry: str, config: ExperimentConfig, key: str) -> List[Dic
     """Sidecar provenance of a report or model memo (one key)."""
     return [{"type": entry, "kind": config.kind, "name": config.name,
              "seed": config.seed, "config_hash": key}]
-
-
-def run_experiment(config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentReport:
-    """Convenience one-shot: ``Runner().run(config)``."""
-    return Runner().run(config)

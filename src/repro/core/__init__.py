@@ -19,17 +19,11 @@ This subpackage implements the paper's primary contribution (Section II):
    (:mod:`repro.core.visualization`).
 """
 
-from repro.core.heatmaps import (
-    entropy_heatmap,
-    probability_margin_heatmap,
-    variation_ratio_heatmap,
-    dispersion_heatmaps,
-)
+from repro.core.heatmaps import dispersion_heatmaps
 from repro.core.segments import (
     Segmentation,
     extract_segments,
     segment_ious,
-    false_positive_segments,
     false_negative_segments,
 )
 from repro.core.metrics import SegmentMetricsExtractor, METRIC_GROUPS
@@ -47,14 +41,10 @@ from repro.core.visualization import (
 )
 
 __all__ = [
-    "entropy_heatmap",
-    "probability_margin_heatmap",
-    "variation_ratio_heatmap",
     "dispersion_heatmaps",
     "Segmentation",
     "extract_segments",
     "segment_ious",
-    "false_positive_segments",
     "false_negative_segments",
     "SegmentMetricsExtractor",
     "METRIC_GROUPS",

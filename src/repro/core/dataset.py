@@ -185,18 +185,6 @@ class MetricsDataset:
             extra=dict(self.extra),
         )
 
-    def per_image(self) -> List["MetricsDataset"]:
-        """Split the dataset back into one dataset per distinct image id."""
-        out: List[MetricsDataset] = []
-        seen: List[str] = []
-        for image_id in self.image_ids:
-            if image_id not in seen:
-                seen.append(image_id)
-        for image_id in seen:
-            mask = np.array([iid == image_id for iid in self.image_ids])
-            out.append(self.subset(np.nonzero(mask)[0]))
-        return out
-
 
 class MetricsAccumulator:
     """Folds streamed :class:`MetricsDataset` chunks into one dataset.

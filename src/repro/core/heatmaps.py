@@ -7,21 +7,21 @@ over segments.
 
 All heatmaps are normalised to [0, 1]:
 
-* ``entropy_heatmap`` — Shannon entropy of the pixel's class distribution,
-  divided by log(C);
-* ``probability_margin_heatmap`` — 1 minus the difference between the largest
-  and second-largest class probability (1 = maximal ambiguity);
-* ``variation_ratio_heatmap`` — 1 minus the largest class probability.
+* E — Shannon entropy of the pixel's class distribution, divided by log(C);
+* M — 1 minus the difference between the largest and second-largest class
+  probability (1 = maximal ambiguity);
+* V — 1 minus the largest class probability.
 
 ``fused_dispersion_heatmaps`` is the one walk over the softmax field behind
 the metric extraction of :mod:`repro.core.metrics`: tile by tile of rows it
 validates the field, takes its argmax and computes all three heatmaps plus
 the max-probability map, bitwise-identical to ``check_probability_field``,
-``np.argmax`` and the individual functions above.  Each tile is copied once
-into a class-major ``(C, n)`` buffer, so every class-axis step runs over
-contiguous class planes; the class sums (row sums and entropy) go through
-``_class_sum``, which adds the planes in the order ``np.sum`` adds a
-pixel's classes (numpy's eight-lane ``pairwise_sum``).  The sweep allocates
+``np.argmax`` and the one-pass-per-map ``_reference_dispersion_heatmaps``.
+Each tile is copied once into a class-major ``(C, n)`` buffer, so every
+class-axis step runs over contiguous class planes; the class sums (row sums
+and entropy) go through ``_class_sum``, which adds the planes in the order
+``np.sum`` adds the classes of a C-contiguous field (numpy's eight-lane
+``pairwise_sum``), whatever the layout of the input.  The sweep allocates
 only the outputs and tile-sized work space, never an (H, W, C) temporary.
 """
 
@@ -37,30 +37,6 @@ from repro.utils.validation import (
     check_probability_shape,
     check_probability_verdict,
 )
-
-
-def entropy_heatmap(probs: np.ndarray) -> np.ndarray:
-    """Normalised Shannon entropy per pixel (values in [0, 1])."""
-    probs = check_probability_field(probs)
-    n_classes = probs.shape[2]
-    clipped = np.clip(probs, 1e-12, 1.0)
-    entropy = -np.sum(clipped * np.log(clipped), axis=2)
-    return entropy / np.log(n_classes)
-
-
-def variation_ratio_heatmap(probs: np.ndarray) -> np.ndarray:
-    """1 - max class probability per pixel (values in [0, 1])."""
-    probs = check_probability_field(probs)
-    return 1.0 - probs.max(axis=2)
-
-
-def probability_margin_heatmap(probs: np.ndarray) -> np.ndarray:
-    """1 - (largest minus second-largest class probability) per pixel."""
-    probs = check_probability_field(probs)
-    # Partition so the two largest probabilities sit in the last two slots.
-    top_two = np.partition(probs, probs.shape[2] - 2, axis=2)[:, :, -2:]
-    margin = top_two[:, :, 1] - top_two[:, :, 0]
-    return 1.0 - margin
 
 
 #: Pixel budget of one tile of :func:`fused_dispersion_heatmaps`.  A tile is
@@ -141,33 +117,14 @@ def _pairwise_sum(planes: np.ndarray, out: np.ndarray, lanes) -> np.ndarray:
     return out
 
 
-def _class_sum(
-    planes: np.ndarray, out: np.ndarray, lanes=None, pairwise: bool = True
-) -> np.ndarray:
+def _class_sum(planes: np.ndarray, out: np.ndarray, lanes=None) -> np.ndarray:
     """Sum ``(C, n)`` class planes over C into *out*, bitwise as numpy would.
 
-    ``np.sum(x, axis=-1)`` starts each pixel at the identity 0.0 and, when
-    the class axis is innermost in memory, adds ``pairwise_sum`` of its
-    classes (:func:`_pairwise_sum`); otherwise it adds the classes one at
-    a time (*pairwise* False).  *lanes* as in :func:`_pairwise_sum`.
+    ``np.sum(x, axis=-1)`` of a C-contiguous ``x`` starts each pixel at the
+    identity 0.0 and adds ``pairwise_sum`` of its classes
+    (:func:`_pairwise_sum`).  *lanes* as in :func:`_pairwise_sum`.
     """
-    if not pairwise:
-        return _sequential_sum(planes, out)
     return np.add(_pairwise_sum(planes, out, lanes), 0.0, out=out)
-
-
-def _class_axis_innermost(field: np.ndarray) -> bool:
-    """Whether numpy's ``field.sum(axis=2)`` iterates the class axis innermost.
-
-    numpy's iterator orders axes by absolute stride, skipping zero strides
-    and single-element axes; only then does it sum each pixel pairwise.
-    """
-    class_stride = abs(field.strides[2])
-    return all(
-        abs(stride) >= class_stride
-        for stride, size in zip(field.strides[:2], field.shape[:2])
-        if size > 1 and stride != 0
-    )
 
 
 def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
@@ -189,15 +146,12 @@ def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
       planes.
 
     Both class sums go through :func:`_class_sum`, which adds the planes in
-    numpy's own summation order: pairwise, as ``np.sum`` adds a contiguous
-    class axis, for the entropy and for row sums of fields whose class axis
-    is innermost; one class at a time for the row sums of other layouts
-    (Fortran order), as ``np.sum`` adds those.  Maxima are exact, so the
-    outputs are bitwise equal to ``np.argmax(probs, axis=2)`` and
-    :func:`_reference_dispersion_heatmaps` (the entropy of a non-contiguous
-    field as of its C-contiguous copy), and the verdict is
-    :func:`check_probability_field`'s.  Only the outputs and tile-sized work
-    buffers are allocated, never an (H, W, C) temporary.
+    the order ``np.sum`` adds the classes of a C-contiguous field, for every
+    layout of the input.  Maxima are exact, so the outputs are bitwise equal
+    to ``np.argmax(probs, axis=2)`` and :func:`_reference_dispersion_heatmaps`
+    of the field's C-contiguous copy, and the verdict is
+    :func:`check_probability_field`'s for every layout.  Only the outputs and
+    tile-sized work buffers are allocated, never an (H, W, C) temporary.
     """
     field = check_probability_shape(probs)
     height, width, n_classes = field.shape
@@ -215,7 +169,6 @@ def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
     index_type = np.min_scalar_type(n_classes - 1)
     indices = np.empty((2, tile_pixels), dtype=index_type)
     log_classes = np.log(n_classes)
-    pairwise_rows = _class_axis_innermost(field)
     negative = False
     deviation = 0.0
     for start in range(0, height, tile_rows):
@@ -227,7 +180,7 @@ def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
         first, second, work = planes[:, :pixels]
         lanes = lanes_buffer[:, :pixels]
         negative = negative or bool(np.fmin.reduce(tile, axis=None) < -PROBABILITY_TOL)
-        row_sums = _class_sum(tile, work, lanes, pairwise_rows)
+        row_sums = _class_sum(tile, work, lanes)
         np.subtract(row_sums, 1.0, out=row_sums)
         deviation = np.maximum(deviation, np.abs(row_sums, out=row_sums).max())
 
@@ -276,12 +229,17 @@ def dispersion_heatmaps(probs: np.ndarray) -> Dict[str, np.ndarray]:
 def _reference_dispersion_heatmaps(probs: np.ndarray) -> Dict[str, np.ndarray]:
     """Seed implementation of :func:`dispersion_heatmaps` (one pass per map).
 
-    Retained verbatim as the baseline of the fused-extraction parity tests
-    and ``benchmarks/bench_extraction_fused.py``; do not use on hot paths.
+    Retained as the baseline of the fused-extraction parity tests and
+    ``benchmarks/bench_extraction_fused.py``; do not use on hot paths.
     """
     probs = check_probability_field(probs)
+    clipped = np.clip(probs, 1e-12, 1.0)
+    entropy = -np.sum(clipped * np.log(clipped), axis=2)
+    # Partition so the two largest probabilities sit in the last two slots.
+    top_two = np.partition(probs, probs.shape[2] - 2, axis=2)[:, :, -2:]
+    margin = top_two[:, :, 1] - top_two[:, :, 0]
     return {
-        "E": entropy_heatmap(probs),
-        "M": probability_margin_heatmap(probs),
-        "V": variation_ratio_heatmap(probs),
+        "E": entropy / np.log(probs.shape[2]),
+        "M": 1.0 - margin,
+        "V": 1.0 - probs.max(axis=2),
     }

@@ -43,8 +43,8 @@ per-segment quantities fall out without ever re-scanning the image:
 
 The previous per-segment implementations — O(n_segments × H×W) full-image
 scans — are retained as ``_reference_segment_ious``,
-``_reference_false_negative_segments``, ``_reference_false_positive_segments``
-and ``_reference_segment_precision_recall``; the parity-fuzz suite
+``_reference_false_negative_segments`` and
+``_reference_segment_precision_recall``; the parity-fuzz suite
 (``tests/test_segments_parity_fuzz.py``, run with ``pytest -m fuzz``) asserts
 the vectorised results are bitwise-equal to them on hundreds of randomized
 label maps.
@@ -212,13 +212,6 @@ def segment_ious(
     return ious[1:]
 
 
-def false_positive_segments(
-    prediction: Segmentation, ground_truth: Segmentation, ignore_id: int = -1
-) -> np.ndarray:
-    """Ids of predicted segments with zero intersection with same-class ground truth."""
-    return np.flatnonzero(segment_ious(prediction, ground_truth, ignore_id=ignore_id) == 0.0) + 1
-
-
 def false_negative_segments(
     prediction: Segmentation, ground_truth: Segmentation, ignore_id: int = -1
 ) -> np.ndarray:
@@ -351,14 +344,6 @@ def _reference_segment_ious(
         union = np.sum((pred_mask | reference_mask) & valid)
         result[segment_id] = float(intersection / union) if union > 0 else 0.0
     return result
-
-
-def _reference_false_positive_segments(
-    prediction: Segmentation, ground_truth: Segmentation, ignore_id: int = -1
-) -> List[int]:
-    """Per-segment-loop reference for :func:`false_positive_segments`."""
-    ious = _reference_segment_ious(prediction, ground_truth, ignore_id=ignore_id)
-    return sorted(sid for sid, value in ious.items() if value == 0.0)
 
 
 def _reference_false_negative_segments(

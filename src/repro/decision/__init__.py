@@ -23,7 +23,6 @@ from repro.decision.rules import (
     maximum_likelihood_rule,
     cost_based_rule,
     inverse_prior_costs,
-    DecisionRule,
 )
 from repro.decision.evaluation import (
     ClassPrecisionRecall,
@@ -39,7 +38,6 @@ __all__ = [
     "maximum_likelihood_rule",
     "cost_based_rule",
     "inverse_prior_costs",
-    "DecisionRule",
     "ClassPrecisionRecall",
     "collect_precision_recall",
     "non_detection_rate",

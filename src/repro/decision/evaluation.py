@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.segments import extract_segments, segment_precision_recall
 from repro.evaluation.distributions import EmpiricalCDF, first_order_dominates
-from repro.segmentation.labels import LabelSpace, cityscapes_label_space
+from repro.segmentation.labels import HUMAN_CATEGORY, LabelSpace, cityscapes_label_space
 from repro.utils.validation import check_label_map
 
 
@@ -83,7 +83,7 @@ def non_detection_rate(recall_values: Sequence[float]) -> float:
 def collect_precision_recall(
     prediction_labels: np.ndarray,
     gt_labels: np.ndarray,
-    category: str = "human",
+    category: str = HUMAN_CATEGORY,
     label_space: Optional[LabelSpace] = None,
     connectivity: int = 8,
     ignore_id: int = -1,

@@ -23,8 +23,8 @@ from repro.decision.evaluation import ClassPrecisionRecall, collect_precision_re
 from repro.decision.priors import PixelPriorEstimator
 from repro.decision.rules import apply_rule
 from repro.evaluation.segmentation import pixel_accuracy
-from repro.segmentation.datasets import CityscapesLikeDataset, SegmentationSample
-from repro.segmentation.labels import LabelSpace, cityscapes_label_space
+from repro.segmentation.datasets import SegmentationSample
+from repro.segmentation.labels import HUMAN_CATEGORY, LabelSpace, cityscapes_label_space
 from repro.segmentation.network import SimulatedSegmentationNetwork
 
 
@@ -62,7 +62,7 @@ class DecisionRuleComparison:
         self,
         network: SimulatedSegmentationNetwork,
         label_space: Optional[LabelSpace] = None,
-        category: str = "human",
+        category: str = HUMAN_CATEGORY,
         prior_laplace_smoothing: float = 2.0,
         prior_spatial_sigma: float = 2.0,
         prior_global_blend: float = 0.25,
@@ -217,13 +217,3 @@ class DecisionRuleComparison:
             rules=rules,
         )
         return result
-
-    # ------------------------------------------------------------------ ---
-    def run_on_dataset(
-        self,
-        dataset: CityscapesLikeDataset,
-        rules: Sequence[str] = ("bayes", "ml"),
-    ) -> DecisionRuleResult:
-        """Convenience wrapper: fit priors on train split, compare on val split."""
-        self.fit_priors(dataset.train_samples())
-        return self.compare(dataset.val_samples(), rules=rules)

@@ -79,23 +79,13 @@ class PixelPriorEstimator:
         return self.label_space.n_classes
 
     def fit(self, label_maps: Iterable[np.ndarray]) -> "PixelPriorEstimator":
-        """Accumulate per-pixel class counts over the given label maps."""
-        counts = None
-        n_images = 0
+        """Count per-pixel classes over the given label maps (from scratch)."""
+        self.counts_ = None
+        self.n_images_ = 0
         for labels in label_maps:
-            labels = check_label_map(labels)
-            if counts is None:
-                counts = np.zeros((*labels.shape, self.n_classes), dtype=np.float64)
-            elif labels.shape != counts.shape[:2]:
-                raise ValueError("all label maps must share the same shape")
-            valid = labels >= 0
-            rows, cols = np.nonzero(valid)
-            np.add.at(counts, (rows, cols, labels[valid]), 1.0)
-            n_images += 1
-        if counts is None:
+            self.partial_fit(labels)
+        if self.counts_ is None:
             raise ValueError("at least one label map is required")
-        self.counts_ = counts
-        self.n_images_ = n_images
         return self
 
     def partial_fit(self, labels: np.ndarray) -> "PixelPriorEstimator":

@@ -15,16 +15,12 @@ class.  The paper discusses three families:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.api.registry import DECISION_RULES
 from repro.utils.validation import check_probability_field
-
-#: Type alias: a decision rule maps an (H, W, C) probability field to an
-#: (H, W) label map.
-DecisionRule = Callable[[np.ndarray], np.ndarray]
 
 
 @DECISION_RULES.register("bayes")

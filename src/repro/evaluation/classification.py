@@ -1,4 +1,4 @@
-"""Binary classification metrics: accuracy, ROC curve, AUROC.
+"""Binary classification metrics: accuracy and AUROC.
 
 Table I and Table II of the paper report meta classification performance as
 accuracy (ACC) and area under the ROC curve (AUROC), both in percent.
@@ -22,57 +22,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if y_true.shape[0] == 0:
         raise ValueError("cannot compute accuracy of empty arrays")
     return float(np.mean(y_true == y_pred))
-
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-    """2x2 confusion matrix ``[[TN, FP], [FN, TP]]``."""
-    y_true = check_binary_labels(y_true, "y_true")
-    y_pred = check_binary_labels(y_pred, "y_pred")
-    if y_true.shape[0] != y_pred.shape[0]:
-        raise ValueError("y_true and y_pred must have the same length")
-    matrix = np.zeros((2, 2), dtype=np.int64)
-    for true_value in (0, 1):
-        for pred_value in (0, 1):
-            matrix[true_value, pred_value] = int(
-                np.sum((y_true == true_value) & (y_pred == pred_value))
-            )
-    return matrix
-
-
-def roc_curve(y_true: np.ndarray, scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute the ROC curve.
-
-    Returns
-    -------
-    false_positive_rate, true_positive_rate, thresholds:
-        Arrays of equal length; thresholds are the distinct score values in
-        decreasing order, preceded by ``+inf`` (the all-negative operating
-        point).
-    """
-    y_true = check_binary_labels(y_true, "y_true")
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    if y_true.shape[0] != scores.shape[0]:
-        raise ValueError("y_true and scores must have the same length")
-    if y_true.shape[0] == 0:
-        raise ValueError("cannot compute a ROC curve of empty arrays")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_true = y_true[order]
-    # Indices where the threshold changes (keep only distinct score values).
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    threshold_idx = np.concatenate([distinct, [y_true.shape[0] - 1]])
-    tps = np.cumsum(sorted_true)[threshold_idx].astype(np.float64)
-    fps = (threshold_idx + 1 - tps).astype(np.float64)
-    n_positive = float(y_true.sum())
-    n_negative = float(y_true.shape[0] - n_positive)
-    tpr = tps / n_positive if n_positive > 0 else np.zeros_like(tps)
-    fpr = fps / n_negative if n_negative > 0 else np.zeros_like(fps)
-    thresholds = np.concatenate([[np.inf], sorted_scores[threshold_idx]])
-    return (
-        np.concatenate([[0.0], fpr]),
-        np.concatenate([[0.0], tpr]),
-        thresholds,
-    )
 
 
 def auroc(y_true: np.ndarray, scores: np.ndarray) -> float:

@@ -11,7 +11,7 @@ the Fig. 5 harness and the decision-rule evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -50,20 +50,6 @@ class EmpiricalCDF:
             raise ValueError("q must lie in [0, 1]")
         index = min(self.n_samples - 1, int(np.ceil(q * self.n_samples)) - 1)
         return float(self.sorted_values[max(0, index)])
-
-    def evaluation_grid(self, n_points: int = 101) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (t, F(t)) on a uniform grid spanning the sample range."""
-        if n_points < 2:
-            raise ValueError("n_points must be >= 2")
-        low = float(self.sorted_values[0])
-        high = float(self.sorted_values[-1])
-        grid = np.linspace(low, high, n_points)
-        return grid, self(grid)
-
-
-def empirical_cdf(sample: Sequence[float]) -> EmpiricalCDF:
-    """Convenience constructor for :class:`EmpiricalCDF`."""
-    return EmpiricalCDF.from_sample(sample)
 
 
 def first_order_dominates(

@@ -35,15 +35,6 @@ def residual_std(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.sqrt(np.mean(residuals**2)))
 
 
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute prediction error."""
-    y_true = check_vector(y_true, name="y_true")
-    y_pred = check_vector(y_pred, n=y_true.shape[0], name="y_pred")
-    if y_true.shape[0] == 0:
-        raise ValueError("mean_absolute_error requires at least one sample")
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation coefficient R between two samples.
 

@@ -3,8 +3,8 @@
 The paper performs its meta tasks with small classical models: (penalised)
 logistic regression and linear regression (Section II), gradient boosting and
 shallow neural networks with l2 penalisation (Section III).  This subpackage
-implements all of them with numpy only, together with a standard scaler and
-split helpers, so the library has no scikit-learn dependency.
+implements all of them with numpy only, together with a standard scaler, so
+the library has no scikit-learn dependency.
 """
 
 from repro.models.base import ClassifierMixin, RegressorMixin, check_is_fitted
@@ -17,7 +17,6 @@ from repro.models.gradient_boosting import (
     GradientBoostingClassifier,
 )
 from repro.models.neural_network import MLPClassifier, MLPRegressor
-from repro.models.selection import train_test_split, k_fold_indices
 
 __all__ = [
     "ClassifierMixin",
@@ -31,6 +30,4 @@ __all__ = [
     "GradientBoostingClassifier",
     "MLPClassifier",
     "MLPRegressor",
-    "train_test_split",
-    "k_fold_indices",
 ]

@@ -43,16 +43,6 @@ class StandardScaler:
             )
         return (x - self.mean_) / self.scale_
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        """Fit to the data and return the standardised data."""
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        """Map standardised data back to the original feature scale."""
-        check_is_fitted(self, "mean_")
-        x = check_feature_matrix(x, allow_empty=True)
-        return x * self.scale_ + self.mean_
-
     # ------------------------------------------------------------------ ---
     def to_state(self) -> dict:
         """JSON-serialisable fitted state (bitwise-exact round-trip)."""

@@ -200,17 +200,6 @@ class DecisionTreeRegressor(RegressorMixin):
 
         return _depth(self.root_)
 
-    def n_leaves(self) -> int:
-        """Number of leaves of the grown tree."""
-        check_is_fitted(self, "root_")
-
-        def _count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return _count(node.left) + _count(node.right)
-
-        return _count(self.root_)
-
     # ------------------------------------------------------------------ ---
     def to_state(self) -> dict:
         """JSON-serialisable fitted state (bitwise-exact round-trip).

@@ -11,7 +11,6 @@ the disabled default (:data:`NULL_TRACER`) is a shared no-op.
 from repro.obs.export import (
     TRACE_FORMAT,
     trace_to_chrome,
-    trace_to_dict,
     validate_chrome_trace,
     write_json,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "format_span_tree",
     "timings_view",
     "trace_to_chrome",
-    "trace_to_dict",
     "validate_chrome_trace",
     "write_json",
 ]

@@ -143,7 +143,6 @@ def write_json(path: str, payload: Dict[str, object]) -> str:
 __all__ = [
     "TRACE_FORMAT",
     "trace_to_chrome",
-    "trace_to_dict",
     "validate_chrome_trace",
     "write_json",
 ]

@@ -219,11 +219,6 @@ class MetricsRegistry:
             out[f"{instrument.kind}s"][name] = instrument.snapshot()
         return out
 
-    def reset(self) -> None:
-        """Drop every instrument (test isolation; instrumented seams re-create)."""
-        with self._lock:
-            self._instruments.clear()
-
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._instruments

@@ -212,13 +212,6 @@ class KittiLikeDataset:
             )
         return out
 
-    def all_samples(self) -> List[SegmentationSample]:
-        """Samples of all sequences concatenated."""
-        out: List[SegmentationSample] = []
-        for i in range(self.n_sequences):
-            out.extend(self.samples(i))
-        return out
-
     def n_labeled_frames(self) -> int:
         """Total number of frames exposing ground truth across all sequences."""
         return self.n_sequences * len(self.labeled_frame_indices())

@@ -118,10 +118,6 @@ class LabelSpace:
         """All class names in train-id order."""
         return [spec.name for spec in self.specs]
 
-    def category_of(self, train_id: int) -> str:
-        """Category name of a train id."""
-        return self.specs[train_id].category
-
     def ids_in_category(self, category: str) -> List[int]:
         """Train ids belonging to the given category (e.g. ``"human"``)."""
         ids = [spec.train_id for spec in self.specs if spec.category == category]
@@ -140,10 +136,6 @@ class LabelSpace:
     def thing_ids(self) -> List[int]:
         """Train ids of instance-like ("thing") classes."""
         return [spec.train_id for spec in self.specs if spec.is_thing]
-
-    def stuff_ids(self) -> List[int]:
-        """Train ids of background ("stuff") classes."""
-        return [spec.train_id for spec in self.specs if not spec.is_thing]
 
     def color_map(self) -> Dict[int, Tuple[int, int, int]]:
         """Mapping train id → RGB colour (for PPM visualisations)."""

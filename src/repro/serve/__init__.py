@@ -10,7 +10,7 @@ softmax fields without ground truth:
 * :class:`ScoringService` — the warm model + extractor behind the endpoints;
 * :class:`ScoringServer` — threaded stdlib HTTP server with a bounded
   request queue (structured 503 backpressure) and JSON error contracts;
-* :mod:`repro.serve.protocol` — request decoding (npy / npz / JSON);
+* :mod:`repro.serve.protocol` — request decoding (npy / npz);
 * :mod:`repro.serve.client` — stdlib client helpers used by tests, the
   benchmark and CI.
 
@@ -21,8 +21,6 @@ Server responses are bitwise identical to the batch reference
 from repro.serve.client import (
     health,
     npy_bytes,
-    npz_bytes,
-    score_batch,
     score_frame,
     wait_until_ready,
 )
@@ -42,9 +40,7 @@ __all__ = [
     "ScoringService",
     "health",
     "npy_bytes",
-    "npz_bytes",
     "parse_score_request",
-    "score_batch",
     "score_frame",
     "wait_until_ready",
 ]

@@ -12,7 +12,7 @@ import os
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -31,13 +31,6 @@ def npy_bytes(array: np.ndarray) -> bytes:
     """Serialize one array as raw ``.npy`` bytes (``numpy.save``)."""
     buffer = io.BytesIO()
     np.save(buffer, np.asarray(array))
-    return buffer.getvalue()
-
-
-def npz_bytes(frames: Sequence[Tuple[str, np.ndarray]]) -> bytes:
-    """Serialize ordered (image_id, probs) pairs as an ``.npz`` archive."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **{name: np.asarray(array) for name, array in frames})
     return buffer.getvalue()
 
 
@@ -148,22 +141,6 @@ def score_frame(
     return response["frames"][0]
 
 
-def score_batch(
-    base_url: str,
-    frames: Sequence[Tuple[str, np.ndarray]],
-    timeout: Optional[float] = 120.0,
-    retries: int = 0,
-) -> Dict[str, object]:
-    """POST a batch of frames as an npz archive; returns the response dict."""
-    return _request(
-        f"{base_url.rstrip('/')}/score",
-        data=npz_bytes(frames),
-        headers={"Content-Type": "application/x-npz"},
-        timeout=timeout,
-        retries=retries,
-    )
-
-
 def wait_until_ready(
     base_url: str, timeout: float = 30.0, interval: float = 0.1
 ) -> Dict[str, object]:
@@ -185,8 +162,6 @@ __all__ = [
     "RETRY_BACKOFF_CAP",
     "health",
     "npy_bytes",
-    "npz_bytes",
-    "score_batch",
     "score_frame",
     "wait_until_ready",
 ]

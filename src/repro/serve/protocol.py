@@ -1,15 +1,15 @@
 """Request parsing for the scoring server (stdlib + numpy only).
 
-Three request encodings are accepted on ``POST /score``:
+Two request encodings are accepted on ``POST /score``:
 
 * ``application/x-npy`` — one softmax field as raw ``.npy`` bytes
   (``numpy.save``); the frame id comes from the ``X-Image-Id`` header.
 * ``application/x-npz`` / ``application/zip`` — a ``numpy.savez`` archive;
   each member is one frame, member names are the frame ids, archive order is
   response order.
-* ``application/json`` — ``{"probs": [[[...]]], "image_id": "..."}`` for one
-  frame or ``{"frames": [{"image_id": ..., "probs": ...}, ...]}`` for a
-  batch.
+
+Both decode to the field's own bytes; any other content type (JSON
+included, whose decode takes many times the body's size) is a 415.
 
 Parsing is strictly separated from scoring: everything here raises
 :class:`RequestError` with an HTTP status and a machine-readable error code,
@@ -22,7 +22,6 @@ request must never produce a stack trace on the wire.  Numerical validation
 from __future__ import annotations
 
 import io
-import json
 import zipfile
 from typing import List, Tuple
 
@@ -78,42 +77,6 @@ def _parse_npz(body: bytes) -> List[Tuple[str, np.ndarray]]:
     return frames
 
 
-def _parse_json(body: bytes, default_image_id: str) -> List[Tuple[str, np.ndarray]]:
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise RequestError(
-            400, "bad_payload", f"could not decode JSON payload: {exc}"
-        ) from None
-    if not isinstance(payload, dict):
-        raise RequestError(400, "bad_payload", "JSON payload must be an object")
-    if "frames" in payload:
-        entries = payload["frames"]
-        if not isinstance(entries, list) or not entries:
-            raise RequestError(400, "bad_payload", "'frames' must be a non-empty list")
-    elif "probs" in payload:
-        entries = [payload]
-    else:
-        raise RequestError(
-            400, "bad_payload", "JSON payload needs a 'probs' or 'frames' field"
-        )
-    frames: List[Tuple[str, np.ndarray]] = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "probs" not in entry:
-            raise RequestError(
-                400, "bad_payload", f"frame {index}: missing 'probs' field"
-            )
-        name = str(entry.get("image_id", f"{default_image_id}_{index}" if len(entries) > 1 else default_image_id))
-        try:
-            array = np.asarray(entry["probs"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(
-                400, "bad_payload", f"frame {name!r}: non-numeric probs: {exc}"
-            ) from None
-        frames.append((name, _check_frame(name, array)))
-    return frames
-
-
 def parse_score_request(
     content_type: str, body: bytes, default_image_id: str = "frame"
 ) -> List[Tuple[str, np.ndarray]]:
@@ -126,13 +89,11 @@ def parse_score_request(
         return _parse_npy(body, default_image_id)
     if media_type in ("application/x-npz", "application/zip"):
         return _parse_npz(body)
-    if media_type == "application/json":
-        return _parse_json(body, default_image_id)
     raise RequestError(
         415,
         "unsupported_media_type",
         f"unsupported content type {media_type or '(none)'!r}; use "
-        f"application/x-npy, application/x-npz or application/json",
+        f"application/x-npy or application/x-npz",
     )
 
 

@@ -382,7 +382,3 @@ class SegmentTracker:
         if frame_tracks is None:
             return None
         return frame_tracks.get(segment_id)
-
-    def track_lengths(self) -> Dict[int, int]:
-        """Number of frames each track was observed in."""
-        return {track_id: len(track.segment_history) for track_id, track in self.tracks.items()}

@@ -6,15 +6,8 @@ handling, array manipulation) without depending on anything outside numpy.
 """
 
 from repro.utils.connected_components import connected_components
-from repro.utils.rng import RandomState, spawn_rngs, as_rng
-from repro.utils.arrays import (
-    mean_std,
-    one_hot,
-    boundary_mask,
-    crop_center,
-    resize_nearest,
-    resize_bilinear,
-)
+from repro.utils.rng import RandomState, as_rng
+from repro.utils.arrays import mean_std, resize_nearest, resize_bilinear
 from repro.utils.validation import (
     check_probability_field,
     check_label_map,
@@ -25,12 +18,8 @@ from repro.utils.validation import (
 __all__ = [
     "connected_components",
     "RandomState",
-    "spawn_rngs",
     "as_rng",
     "mean_std",
-    "one_hot",
-    "boundary_mask",
-    "crop_center",
     "resize_nearest",
     "resize_bilinear",
     "check_probability_field",

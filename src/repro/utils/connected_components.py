@@ -18,10 +18,8 @@ labels every class at once in one run-length pass:
 The component image is one ``np.repeat`` of the run ids; the first pixels,
 boxes, sizes and coordinate sums of the components are reduced per run, which
 is all :func:`repro.core.segments.extract_segments` needs besides the image.
-
-``engine="unionfind"`` runs the same union-find over pixels instead of runs
-and reads the component table off the runs of its image; the test suite
-cross-checks it against the run engine.
+The test suite checks the image and the table against ``scipy.ndimage.label``
+run on the full-image mask of every class.
 
 Two pixels belong to the same component iff they carry the same value in the
 label map and are connected through a path of equally-valued neighbours.
@@ -158,66 +156,29 @@ def _run_table(
     return boxes[1:], sizes, coordinate_sums
 
 
-def _label_unionfind(
-    labels: np.ndarray, connectivity: int, background: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-pixel union-find: component id of every pixel and each first pixel."""
-    h, w = labels.shape
-    flat = labels.ravel()
-
-    def _edges_shift(dr: int, dc: int):
-        """Edge arrays between each pixel and its (dr, dc)-shifted neighbour."""
-        rows = np.arange(max(0, -dr), h - max(0, dr))
-        cols = np.arange(max(0, -dc), w - max(0, dc))
-        rr, cc = np.meshgrid(rows, cols, indexing="ij")
-        here = (rr * w + cc).ravel()
-        there = ((rr + dr) * w + (cc + dc)).ravel()
-        same = (flat[here] == flat[there]) & (flat[here] != background)
-        return here[same], there[same]
-
-    shifts = [(1, 0), (0, 1)]
-    if connectivity == 8:
-        shifts += [(1, 1), (1, -1)]
-    edges = [_edges_shift(dr, dc) for dr, dc in shifts]
-    here = np.concatenate([pair[0] for pair in edges])
-    there = np.concatenate([pair[1] for pair in edges])
-    return _scan_order_ids(_merge(flat.size, here, there), flat != background)
-
-
 def label_components(
     labels: np.ndarray,
     connectivity: int = 8,
     background: int = -1,
-    engine: str = "auto",
 ) -> Labelling:
     """Label connected components and return their table: first pixels,
     boxes, sizes and coordinate sums.
 
     Same parameters and component numbering as :func:`connected_components`.
     One run-length pass (see the module docstring) yields the image and the
-    table together; ``engine="unionfind"`` merges pixels instead of runs.
+    table together.
     """
     labels = check_label_map(labels)
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    if engine not in ("auto", "unionfind"):
-        raise ValueError(
-            f"unknown engine {engine!r}; use 'auto' (or 'unionfind', the test oracle)"
-        )
     height, width = labels.shape
-    if engine == "unionfind":
-        pixel_ids, first_index = _label_unionfind(labels, connectivity, background)
-        components = pixel_ids.reshape(height, width)
-        starts, lengths = _runs(components)
-        run_ids = pixel_ids[starts]
-    else:
-        starts, lengths = _runs(labels)
-        values = labels[starts // width, starts % width]
-        joins = _run_joins(starts, lengths, values, width, connectivity, background)
-        parent = _merge(starts.size, *joins)
-        run_ids, roots = _scan_order_ids(parent, values != background)
-        first_index = starts[roots]
-        components = np.repeat(run_ids, lengths).reshape(height, width)
+    starts, lengths = _runs(labels)
+    values = labels[starts // width, starts % width]
+    joins = _run_joins(starts, lengths, values, width, connectivity, background)
+    parent = _merge(starts.size, *joins)
+    run_ids, roots = _scan_order_ids(parent, values != background)
+    first_index = starts[roots]
+    components = np.repeat(run_ids, lengths).reshape(height, width)
     return Labelling(
         labels, components, first_index, *_run_table(starts, lengths, run_ids, first_index, width)
     )
@@ -227,7 +188,6 @@ def connected_components(
     labels: np.ndarray,
     connectivity: int = 8,
     background: int = -1,
-    engine: str = "auto",
 ) -> Tuple[np.ndarray, int]:
     """Label connected components of equal-valued pixels.
 
@@ -239,9 +199,6 @@ def connected_components(
         4 or 8.
     background:
         Value treated as background / ignore (component id 0).
-    engine:
-        ``"auto"`` (the run-length labeller) or ``"unionfind"`` (the per-pixel
-        test oracle).
 
     Returns
     -------
@@ -251,7 +208,7 @@ def connected_components(
     n_components:
         Number of non-background components.
     """
-    labelling = label_components(labels, connectivity, background, engine)
+    labelling = label_components(labels, connectivity, background)
     return labelling.components, int(labelling.first_index.size)
 
 
@@ -301,4 +258,3 @@ def pair_contingency(
     a_values = code_values // span + a_min
     b_values = code_values % span + b_min
     return a_values.astype(np.int64), b_values.astype(np.int64), counts
-

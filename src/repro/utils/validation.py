@@ -43,27 +43,31 @@ def check_label_map(labels: np.ndarray, name: str = "labels") -> np.ndarray:
     return arr
 
 
-#: Default tolerance of :func:`check_probability_field` on negative entries
-#: and on each pixel's deviation of its class sum from one.
+#: Tolerance of :func:`check_probability_field` on negative entries and on
+#: each pixel's deviation of its class sum from one.
 PROBABILITY_TOL = 1e-4
 
 
-def check_probability_field(
-    probs: np.ndarray, name: str = "probs", tol: float = PROBABILITY_TOL
-) -> np.ndarray:
+def check_probability_field(probs: np.ndarray) -> np.ndarray:
     """Validate an (H, W, C) per-pixel class probability field.
 
     Each pixel's class distribution must be non-negative and sum to one within
-    *tol*.  Returns the field as ``float64``.
+    :data:`PROBABILITY_TOL`.  Returns the field as ``float64``.
+
+    Each pixel's classes are summed as ``np.sum`` sums the field's
+    C-contiguous copy (pairwise), so every memory layout of the same values
+    gets the same verdict.  Only a field whose class axis does not have unit
+    stride (Fortran order, reversed or strided classes) is copied for it.
     """
-    arr = check_probability_shape(probs, name)
-    negative = bool(np.any(arr < -tol))
-    deviation = 0.0 if negative else float(np.abs(arr.sum(axis=2) - 1.0).max())
-    check_probability_verdict(negative, deviation, name, tol)
+    arr = check_probability_shape(probs)
+    negative = bool(np.any(arr < -PROBABILITY_TOL))
+    rows = arr if arr.strides[2] == arr.itemsize else np.ascontiguousarray(arr)
+    deviation = 0.0 if negative else float(np.abs(rows.sum(axis=2) - 1.0).max())
+    check_probability_verdict(negative, deviation)
     return arr
 
 
-def check_probability_shape(probs: np.ndarray, name: str = "probs") -> np.ndarray:
+def check_probability_shape(probs: np.ndarray) -> np.ndarray:
     """The shape half of :func:`check_probability_field`.
 
     Checks that the field is a non-empty (H, W, C) array with at least two
@@ -73,31 +77,30 @@ def check_probability_shape(probs: np.ndarray, name: str = "probs") -> np.ndarra
     """
     arr = np.asarray(probs)
     if arr.ndim != 3:
-        raise ValueError(f"{name} must be 3-D (H, W, C), got shape {arr.shape}")
+        raise ValueError(f"probs must be 3-D (H, W, C), got shape {arr.shape}")
     if arr.shape[2] < 2:
-        raise ValueError(f"{name} needs at least 2 classes, got {arr.shape[2]}")
+        raise ValueError(f"probs needs at least 2 classes, got {arr.shape[2]}")
     if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
+        raise ValueError("probs must be non-empty")
     return arr.astype(np.float64, copy=False)
 
 
-def check_probability_verdict(
-    negative: bool, max_deviation: float, name: str = "probs", tol: float = PROBABILITY_TOL
-) -> None:
+def check_probability_verdict(negative: bool, max_deviation: float) -> None:
     """The value half of :func:`check_probability_field`, from its reductions.
 
-    *negative* says whether any entry lies below ``-tol``; *max_deviation* is
-    the largest ``|sum_c p_c - 1|`` over the field's pixels (NaN when any sum
-    is NaN).  The row-sum test is ``np.allclose(sums, 1.0, atol=max(tol,
-    1e-4))`` applied to that maximum, so a field reduced in tiles gets the
-    same verdict and message as one reduced whole.
+    *negative* says whether any entry lies below ``-PROBABILITY_TOL``;
+    *max_deviation* is the largest ``|sum_c p_c - 1|`` over the field's
+    pixels (NaN when any sum is NaN).  The row-sum test is
+    ``np.allclose(sums, 1.0, atol=PROBABILITY_TOL)`` applied to that maximum,
+    so a field reduced in tiles gets the same verdict and message as one
+    reduced whole.
     """
     if negative:
-        raise ValueError(f"{name} contains negative probabilities")
+        raise ValueError("probs contains negative probabilities")
     # allclose's bound, atol + rtol * |1.0|; NaN fails it like allclose does.
-    if not max_deviation <= max(tol, 1e-4) + 1e-5:
+    if not max_deviation <= PROBABILITY_TOL + 1e-5:
         raise ValueError(
-            f"{name} rows must sum to 1 (max deviation {max_deviation:.2e} exceeds tolerance)"
+            f"probs rows must sum to 1 (max deviation {max_deviation:.2e} exceeds tolerance)"
         )
 
 

@@ -45,6 +45,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed must be an integer"):
             ExperimentConfig(seed="zero").validate()
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_boolean_seed_rejected(self, seed):
+        # JSON true would otherwise run as seed 1 under a different cache key.
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ExperimentConfig.from_dict({"seed": seed})
+
     @pytest.mark.parametrize(
         "section, kwargs, message",
         [

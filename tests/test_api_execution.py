@@ -460,7 +460,7 @@ class TestCliExecutionOverrides:
         )
         for argv in (
             ["run", str(path), "--backend", "distributed"],
-            ["trace", str(path), "--backend", "distributed",
+            ["run", str(path), "--backend", "distributed", "--trace",
              "--trace-out", str(tmp_path / "t.json")],
             ["sweep", str(sweep_path), "--no-cache", "--backend", "distributed"],
         ):

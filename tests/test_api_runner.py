@@ -21,7 +21,7 @@ from repro.api.config import (
     MetaModelConfig,
 )
 from repro.api.kinds import KINDS
-from repro.api.runner import ExperimentReport, Runner, derived_seeds, run_experiment
+from repro.api.runner import ExperimentReport, Runner, derived_seeds
 from repro.core.pipeline import MetaSegPipeline
 from repro.decision.pipeline import DecisionRuleComparison
 from repro.obs import Tracer
@@ -522,7 +522,7 @@ class TestConfigCompatibility:
 
 class TestDeterminism:
     def test_same_config_same_json_bitwise(self, metaseg_report):
-        again = run_experiment(metaseg_config())
+        again = Runner().run(metaseg_config())
         assert again.to_json() == metaseg_report.to_json()
 
     def test_dict_configs_supported(self, metaseg_report):

@@ -1,16 +1,25 @@
-"""Tests for repro.core.heatmaps."""
+"""Tests for repro.core.heatmaps: closed forms and properties of the E, M and
+V heatmaps, as the program computes them (``dispersion_heatmaps``, one tiled
+sweep over the field)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heatmaps import (
-    dispersion_heatmaps,
-    entropy_heatmap,
-    probability_margin_heatmap,
-    variation_ratio_heatmap,
-)
+from repro.core.heatmaps import dispersion_heatmaps
+
+
+def entropy_heatmap(field):
+    return dispersion_heatmaps(field)["E"]
+
+
+def probability_margin_heatmap(field):
+    return dispersion_heatmaps(field)["M"]
+
+
+def variation_ratio_heatmap(field):
+    return dispersion_heatmaps(field)["V"]
 
 
 def _one_hot_field(height, width, n_classes, class_id=0):
@@ -66,6 +75,14 @@ class TestProbabilityMargin:
 
 
 class TestDispersionHeatmaps:
+    @pytest.mark.parametrize("n_classes", [2, 3, 8, 19, 129])
+    def test_uniform_field_closed_form(self, n_classes):
+        """A uniform field: E = 1, M = 1 and V = 1 - 1/C at every pixel."""
+        maps = dispersion_heatmaps(_uniform_field(3, 5, n_classes))
+        np.testing.assert_allclose(maps["E"], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(maps["M"], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(maps["V"], 1.0 - 1.0 / n_classes, rtol=0, atol=1e-12)
+
     def test_keys_and_shapes(self, probability_field):
         maps = dispersion_heatmaps(probability_field)
         assert set(maps) == {"E", "M", "V"}

@@ -317,7 +317,11 @@ class TestMetricsDataset:
         np.testing.assert_array_equal(a_train.features, b_train.features)
 
     def test_concatenate_roundtrip(self, metrics_dataset):
-        parts = metrics_dataset.per_image()
+        image_ids = np.asarray(metrics_dataset.image_ids)
+        parts = [
+            metrics_dataset.subset(np.flatnonzero(image_ids == image_id))
+            for image_id in dict.fromkeys(metrics_dataset.image_ids)
+        ]
         assert len(parts) == 8
         rebuilt = MetricsDataset.concatenate(parts)
         assert len(rebuilt) == len(metrics_dataset)

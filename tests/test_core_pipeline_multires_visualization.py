@@ -145,9 +145,9 @@ class TestVisualization:
         np.testing.assert_array_equal(recovered, rgb)
 
     def test_render_ascii(self, probability_field):
-        from repro.core.heatmaps import entropy_heatmap
+        from repro.core.heatmaps import dispersion_heatmaps
 
-        art = render_ascii(entropy_heatmap(probability_field), width=40)
+        art = render_ascii(dispersion_heatmaps(probability_field)["E"], width=40)
         lines = art.splitlines()
         assert all(len(line) == 40 for line in lines)
         assert len(lines) >= 2

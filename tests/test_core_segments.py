@@ -5,10 +5,14 @@ import numpy as np
 from repro.core.segments import (
     extract_segments,
     false_negative_segments,
-    false_positive_segments,
     segment_ious,
     segment_precision_recall,
 )
+
+
+def false_positive_segments(prediction, ground_truth, ignore_id=-1):
+    """Ids of the false positives: predicted segments with IoU 0."""
+    return np.flatnonzero(segment_ious(prediction, ground_truth, ignore_id=ignore_id) == 0.0) + 1
 
 
 def _ids_of_class(segmentation, class_id):

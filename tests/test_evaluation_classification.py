@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.stats import mannwhitneyu
+
 from repro.evaluation.classification import (
     accuracy,
     auroc,
-    confusion_matrix,
     optimal_accuracy_threshold,
-    roc_curve,
 )
 
 
@@ -31,35 +31,13 @@ class TestAccuracy:
             accuracy(np.array([]), np.array([]))
 
 
-class TestConfusionMatrix:
-    def test_entries(self):
-        y_true = np.array([0, 0, 1, 1, 1])
-        y_pred = np.array([0, 1, 1, 1, 0])
-        matrix = confusion_matrix(y_true, y_pred)
-        assert matrix[0, 0] == 1  # TN
-        assert matrix[0, 1] == 1  # FP
-        assert matrix[1, 0] == 1  # FN
-        assert matrix[1, 1] == 2  # TP
-        assert matrix.sum() == 5
-
-
-class TestRocCurve:
-    def test_starts_at_origin_ends_at_one_one(self):
-        y = np.array([0, 0, 1, 1])
-        scores = np.array([0.1, 0.4, 0.35, 0.8])
-        fpr, tpr, thresholds = roc_curve(y, scores)
-        assert fpr[0] == 0.0 and tpr[0] == 0.0
-        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-        assert thresholds[0] == np.inf
-
-    def test_monotone(self):
-        rng = np.random.default_rng(0)
-        y = rng.integers(0, 2, size=50)
-        y[0], y[1] = 0, 1
-        scores = rng.uniform(size=50)
-        fpr, tpr, _ = roc_curve(y, scores)
-        assert np.all(np.diff(fpr) >= 0)
-        assert np.all(np.diff(tpr) >= 0)
+def _trapezoidal_roc_area(y, scores):
+    """Area under the ROC curve (one point per distinct score) by the trapezoid rule."""
+    order = np.argsort(-scores, kind="stable")
+    last = np.r_[np.flatnonzero(np.diff(scores[order])), y.size - 1]
+    tpr = np.r_[0.0, np.cumsum(y[order])[last] / y.sum()]
+    fpr = np.r_[0.0, np.cumsum(1 - y[order])[last] / (y.size - y.sum())]
+    return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
 class TestAuroc:
@@ -90,10 +68,20 @@ class TestAuroc:
         y = rng.integers(0, 2, size=200)
         y[:2] = [0, 1]
         scores = rng.normal(size=200) + y  # informative but noisy
-        fpr, tpr, _ = roc_curve(y, scores)
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        area = float(trapezoid(tpr, fpr))
-        assert abs(area - auroc(y, scores)) < 1e-9
+        assert abs(_trapezoidal_roc_area(y, scores) - auroc(y, scores)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_mann_whitney_u(self, seed):
+        """AUROC is scipy's Mann-Whitney U of the positives over n1 * n0,
+        ties counted half (scores rounded to one decimal tie often)."""
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, size=300)
+        y[:2] = [0, 1]
+        scores = np.round(rng.normal(size=300) + y, 1)
+        positives, negatives = scores[y == 1], scores[y == 0]
+        u = mannwhitneyu(positives, negatives, alternative="two-sided").statistic
+        expected = u / (positives.size * negatives.size)
+        assert auroc(y, scores) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_single_class_raises(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.distributions import (
+    EmpiricalCDF,
     dominance_gap,
-    empirical_cdf,
     first_order_dominates,
 )
+
+empirical_cdf = EmpiricalCDF.from_sample
 
 
 class TestEmpiricalCDF:
@@ -29,9 +31,9 @@ class TestEmpiricalCDF:
     def test_monotone_non_decreasing(self):
         rng = np.random.default_rng(0)
         cdf = empirical_cdf(rng.normal(size=100))
-        grid, values = cdf.evaluation_grid(51)
+        values = cdf(np.linspace(-4.0, 4.0, 51))
         assert np.all(np.diff(values) >= 0)
-        assert len(grid) == 51
+        assert len(values) == 51
 
     def test_quantile(self):
         cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])

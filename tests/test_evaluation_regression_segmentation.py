@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.regression import (
-    mean_absolute_error,
     pearson_correlation,
     r2_score,
     residual_std,
@@ -49,11 +48,6 @@ class TestResidualStd:
         y = np.zeros(10)
         pred = np.full(10, 0.5)
         assert abs(residual_std(y, pred) - 0.5) < 1e-12
-
-
-class TestMAE:
-    def test_basic(self):
-        assert mean_absolute_error(np.array([0.0, 1.0]), np.array([1.0, 1.0])) == 0.5
 
 
 class TestPearson:

@@ -105,7 +105,8 @@ class TestDecisionRulesShape:
     def comparison(self, dataset):
         network = SimulatedSegmentationNetwork(mobilenetv2_profile(), random_state=31)
         comparison = DecisionRuleComparison(network)
-        return comparison.run_on_dataset(dataset)
+        comparison.fit_priors(dataset.train_samples())
+        return comparison.compare(dataset.val_samples())
 
     def test_ml_trades_precision_for_recall(self, comparison):
         bayes = comparison.per_rule["bayes"]

@@ -11,9 +11,10 @@ here verbatim: ``ndimage.label`` on the full-image mask of every class,
 pixels and a full-image ``find_objects`` for the boxes.  Every case asserts
 bitwise-equal components, counts and table columns (class ids, sizes,
 boxes, coordinate sums, centroids: same dtype, same shape, same bytes), where
-the oracle fills each row in a per-segment loop, and that the per-pixel
-union-find engine agrees with the run engine on the component image and the
-whole table (first pixels, boxes, sizes, coordinate sums).  Next to the seeded random maps, a set of
+the oracle fills each row in a per-segment loop, and that the labelling's
+own table (first pixels, boxes, sizes, coordinate sums) is the oracle's, with
+the first pixels from ``np.unique(..., return_index=True)`` over the oracle's
+component image.  Next to the seeded random maps, a set of
 run-shaped maps (checkerboards, one-pixel stripes, a spiral, a snake, one run
 per row) stresses the joins and the union rounds.
 """
@@ -217,9 +218,7 @@ RUN_SHAPED = {
 
 
 def _assert_matches_oracle(labels: np.ndarray, connectivity: int, case: str) -> None:
-    """Components, count and table columns bitwise equal to the oracle's,
-    and the union-find engine's first pixels and boxes equal to the run
-    engine's."""
+    """Components, count and table columns bitwise equal to the oracle's."""
     oracle_components, oracle_count, oracle_table = _oracle_segments(
         labels, connectivity, IGNORE_ID
     )
@@ -242,14 +241,22 @@ def _assert_matches_oracle(labels: np.ndarray, connectivity: int, case: str) -> 
         assert column.tobytes() == expected.tobytes(), f"{case} {name}"
 
 
-def _assert_engines_agree(labels: np.ndarray, connectivity: int, case: str) -> None:
-    fast = label_components(labels, connectivity, IGNORE_ID, engine="auto")
-    fallback = label_components(labels, connectivity, IGNORE_ID, engine="unionfind")
-    for field in ("components", "first_index", "boxes", "sizes"):
-        a, b = getattr(fast, field), getattr(fallback, field)
-        assert a.dtype == b.dtype == np.int64, field
-        np.testing.assert_array_equal(a, b, err_msg=f"{case} {field}")
-    assert fast.coordinate_sums.tobytes() == fallback.coordinate_sums.tobytes(), case
+def _assert_first_pixels_match_oracle(labels: np.ndarray, connectivity: int, case: str) -> None:
+    """The run-length labeller and the scipy oracle agree on the first pixel
+    of every component and on its box, size and coordinate sums."""
+    oracle_components, oracle_count, oracle_table = _oracle_segments(
+        labels, connectivity, IGNORE_ID
+    )
+    component_ids, first_index = np.unique(oracle_components, return_index=True)
+    first_index = first_index[component_ids != 0]
+    labelling = label_components(labels, connectivity, IGNORE_ID)
+    assert labelling.first_index.dtype == np.int64, case
+    np.testing.assert_array_equal(labelling.first_index, first_index, err_msg=case)
+    assert labelling.first_index.size == oracle_count, case
+    for field in ("boxes", "sizes", "coordinate_sums"):
+        column, expected = getattr(labelling, field), oracle_table[field]
+        assert column.dtype == expected.dtype, f"{case} {field}"
+        assert column.tobytes() == expected.tobytes(), f"{case} {field}"
 
 
 @pytest.mark.fuzz
@@ -263,7 +270,7 @@ def test_labelling_matches_full_image_oracle(seed):
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_engines_agree_on_first_pixels_and_boxes(seed):
     labels, connectivity = _random_label_map(seed)
-    _assert_engines_agree(labels, connectivity, f"seed={seed}")
+    _assert_first_pixels_match_oracle(labels, connectivity, f"seed={seed}")
 
 
 @pytest.mark.fuzz
@@ -272,7 +279,7 @@ def test_engines_agree_on_first_pixels_and_boxes(seed):
 def test_run_shaped_maps(case, connectivity):
     labels = RUN_SHAPED[case]
     _assert_matches_oracle(labels, connectivity, case)
-    _assert_engines_agree(labels, connectivity, case)
+    _assert_first_pixels_match_oracle(labels, connectivity, case)
 
 
 @pytest.mark.fuzz

@@ -1,73 +1,73 @@
-"""Tests for repro.models.selection."""
+"""Train/test selection of the meta tasks.
+
+The protocols split the structured dataset of segment metrics row-wise with
+``MetricsDataset.split``: 80 %/20 % meta train/test in Section II and
+70 %/10 %/20 % in Section III, one seeded draw per resampling run.
+"""
 
 import numpy as np
 import pytest
 
-from repro.models.selection import k_fold_indices, train_test_split, train_val_test_split
+from repro.core.dataset import MetricsDataset
+
+
+def _dataset(n: int) -> MetricsDataset:
+    """n rows whose every column encodes the row number, so rows can be traced."""
+    rows = np.arange(n)
+    return MetricsDataset(
+        features=np.column_stack([rows, 10 * rows]).astype(float),
+        feature_names=["row", "ten_rows"],
+        segment_ids=rows + 1,
+        class_ids=rows % 19,
+        image_ids=np.array([f"img{row}" for row in rows], dtype=object),
+        iou=rows / max(n - 1, 1),
+    )
 
 
 class TestTrainTestSplit:
     def test_sizes(self):
-        x = np.arange(100).reshape(-1, 1)
-        y = np.arange(100)
-        x_train, x_test, y_train, y_test = train_test_split(x, y, test_fraction=0.2, random_state=0)
-        assert len(x_train) == 80 and len(x_test) == 20
-        assert len(y_train) == 80 and len(y_test) == 20
+        train, test = _dataset(100).split((0.8, 0.2), random_state=0)
+        assert len(train) == 80 and len(test) == 20
 
     def test_alignment_preserved(self):
-        x = np.arange(50).reshape(-1, 1)
-        y = np.arange(50) * 10
-        x_train, x_test, y_train, y_test = train_test_split(x, y, random_state=1)
-        np.testing.assert_array_equal(x_train[:, 0] * 10, y_train)
-        np.testing.assert_array_equal(x_test[:, 0] * 10, y_test)
+        for part in _dataset(50).split((0.8, 0.2), random_state=1):
+            rows = part.features[:, 0]
+            np.testing.assert_array_equal(part.features[:, 1], 10 * rows)
+            np.testing.assert_array_equal(part.segment_ids, rows + 1)
+            np.testing.assert_array_equal(part.class_ids, rows % 19)
+            assert part.image_ids.tolist() == [f"img{int(row)}" for row in rows]
+            np.testing.assert_array_equal(part.target_iou(), rows / 49)
 
     def test_no_overlap(self):
-        x = np.arange(30)
-        x_train, x_test = train_test_split(x, test_fraction=0.3, random_state=2)
-        assert set(x_train).isdisjoint(set(x_test))
-        assert set(x_train) | set(x_test) == set(range(30))
+        train, test = _dataset(30).split((0.7, 0.3), random_state=2)
+        assert set(train.segment_ids).isdisjoint(set(test.segment_ids))
+        assert set(train.segment_ids) | set(test.segment_ids) == set(range(1, 31))
 
     def test_deterministic_given_seed(self):
-        x = np.arange(40)
-        a_train, a_test = train_test_split(x, random_state=7)
-        b_train, b_test = train_test_split(x, random_state=7)
-        np.testing.assert_array_equal(a_train, b_train)
-        np.testing.assert_array_equal(a_test, b_test)
+        dataset = _dataset(40)
+        a_train, a_test = dataset.split(random_state=7)
+        b_train, b_test = dataset.split(random_state=7)
+        np.testing.assert_array_equal(a_train.segment_ids, b_train.segment_ids)
+        np.testing.assert_array_equal(a_test.segment_ids, b_test.segment_ids)
 
     def test_invalid_inputs(self):
+        dataset = _dataset(10)
         with pytest.raises(ValueError):
-            train_test_split()
+            dataset.split(())
         with pytest.raises(ValueError):
-            train_test_split(np.arange(10), test_fraction=0.0)
+            dataset.split((0.5, 0.4))
         with pytest.raises(ValueError):
-            train_test_split(np.arange(10), np.arange(9))
+            dataset.split((1.2, -0.2))
 
 
 class TestTrainValTestSplit:
     def test_partition(self):
-        train, val, test = train_val_test_split(100, (0.7, 0.1, 0.2), random_state=0)
+        train, val, test = _dataset(100).split((0.7, 0.1, 0.2), random_state=0)
         assert len(train) == 70 and len(val) == 10 and len(test) == 20
-        assert sorted(np.concatenate([train, val, test]).tolist()) == list(range(100))
+        ids = np.concatenate([train.segment_ids, val.segment_ids, test.segment_ids])
+        assert sorted(ids.tolist()) == list(range(1, 101))
 
     def test_requires_three_fractions(self):
-        with pytest.raises(ValueError):
-            train_val_test_split(10, (0.5, 0.5))
-
-
-class TestKFold:
-    def test_folds_cover_everything(self):
-        folds = k_fold_indices(23, n_folds=5, random_state=0)
-        assert len(folds) == 5
-        all_test = np.concatenate([test for _, test in folds])
-        assert sorted(all_test.tolist()) == list(range(23))
-
-    def test_train_test_disjoint_per_fold(self):
-        for train, test in k_fold_indices(30, n_folds=3, random_state=1):
-            assert set(train).isdisjoint(set(test))
-            assert len(train) + len(test) == 30
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            k_fold_indices(10, n_folds=1)
-        with pytest.raises(ValueError):
-            k_fold_indices(3, n_folds=5)
+        # One part per fraction: a three-way split needs all three.
+        assert len(_dataset(10).split((0.5, 0.5), random_state=0)) == 2
+        assert len(_dataset(10).split((0.7, 0.1, 0.2), random_state=0)) == 3

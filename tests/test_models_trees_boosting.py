@@ -16,6 +16,18 @@ def _step_data(rng, n=200):
     return x, y
 
 
+
+def _n_leaves(tree) -> int:
+    """Leaves of a fitted tree, counted from its root."""
+    stack, leaves = [tree.root_], 0
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves += 1
+        else:
+            stack.extend((node.left, node.right))
+    return leaves
+
 class TestDecisionTreeRegressor:
     def test_fits_step_function(self, rng):
         x, y = _step_data(rng)
@@ -26,7 +38,7 @@ class TestDecisionTreeRegressor:
         x, y = _step_data(rng)
         tree = DecisionTreeRegressor(max_depth=0).fit(x, y)
         np.testing.assert_allclose(tree.predict(x), y.mean())
-        assert tree.n_leaves() == 1
+        assert _n_leaves(tree) == 1
 
     def test_depth_bounded(self, rng):
         x = rng.uniform(size=(300, 3))
@@ -38,13 +50,13 @@ class TestDecisionTreeRegressor:
         x, y = _step_data(rng, n=30)
         tree = DecisionTreeRegressor(max_depth=8, min_samples_leaf=10).fit(x, y)
         # With 30 samples and a 10-sample leaf minimum there can be at most 3 leaves.
-        assert tree.n_leaves() <= 3
+        assert _n_leaves(tree) <= 3
 
     def test_constant_target_single_leaf(self):
         x = np.arange(20, dtype=float).reshape(-1, 1)
         y = np.full(20, 7.0)
         tree = DecisionTreeRegressor(max_depth=4).fit(x, y)
-        assert tree.n_leaves() == 1
+        assert _n_leaves(tree) == 1
         np.testing.assert_allclose(tree.predict(x), 7.0)
 
     def test_max_features_subsampling_still_fits(self, rng):

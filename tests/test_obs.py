@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.runner import Runner
+from repro.obs.export import trace_to_dict
 from repro.obs import (
     DEFAULT_BUCKETS,
     METRICS,
@@ -29,7 +30,6 @@ from repro.obs import (
     format_span_tree,
     timings_view,
     trace_to_chrome,
-    trace_to_dict,
     validate_chrome_trace,
     write_json,
 )

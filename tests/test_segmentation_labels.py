@@ -39,7 +39,7 @@ class TestCityscapesLabelSpace:
 
     def test_things_and_stuff_partition(self, label_space):
         things = set(label_space.thing_ids())
-        stuff = set(label_space.stuff_ids())
+        stuff = {spec.train_id for spec in label_space.specs if not spec.is_thing}
         assert things.isdisjoint(stuff)
         assert things | stuff == set(range(19))
         assert label_space.id_of("person") in things
@@ -66,7 +66,10 @@ class TestCityscapesLabelSpace:
         assert label_space.names()[-1] == "bicycle"
 
     def test_category_of(self, label_space):
-        assert label_space.category_of(label_space.id_of("sky")) == "sky"
+        assert label_space.ids_in_category("sky") == [label_space.id_of("sky")]
+        assert label_space.ids_in_category("human") == [
+            label_space.id_of("person"), label_space.id_of("rider")
+        ]
 
 
 class TestLabelSpaceValidation:

@@ -79,11 +79,11 @@ class TestSimulatedSegmentationNetwork:
         assert accuracy_strong > accuracy_weak
 
     def test_errors_have_higher_entropy_on_average(self, mobilenet_network, scene):
-        from repro.core.heatmaps import entropy_heatmap
+        from repro.core.heatmaps import dispersion_heatmaps
 
         probs = mobilenet_network.predict_probabilities(scene.labels, index=0)
         prediction = np.argmax(probs, axis=2)
-        entropy = entropy_heatmap(probs)
+        entropy = dispersion_heatmaps(probs)["E"]
         wrong = prediction != scene.labels
         if wrong.sum() > 10:
             assert entropy[wrong].mean() > entropy[~wrong].mean()

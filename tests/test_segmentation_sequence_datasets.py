@@ -126,7 +126,7 @@ class TestKittiLikeDataset:
         assert indices == sorted(indices)
 
     def test_all_samples_count(self, kitti_like):
-        assert len(kitti_like.all_samples()) == (
+        assert sum(len(kitti_like.samples(i)) for i in range(kitti_like.n_sequences)) == (
             kitti_like.n_sequences * kitti_like.n_frames_per_sequence
         )
 

@@ -15,12 +15,10 @@ import pytest
 
 from repro.core.segments import (
     _reference_false_negative_segments,
-    _reference_false_positive_segments,
     _reference_segment_ious,
     _reference_segment_precision_recall,
     extract_segments,
     false_negative_segments,
-    false_positive_segments,
     segment_ious,
     segment_precision_recall,
 )
@@ -88,6 +86,17 @@ def _decompose(gt: np.ndarray, pred: np.ndarray, connectivity: int):
     return prediction, ground_truth
 
 
+def _false_positives(prediction, ground_truth, ignore_id):
+    """The false positives (predicted segments with IoU 0), from the IoU."""
+    return np.flatnonzero(segment_ious(prediction, ground_truth, ignore_id=ignore_id) == 0.0) + 1
+
+
+def _reference_false_positives(prediction, ground_truth, ignore_id):
+    """The same, from the per-segment-loop IoU reference."""
+    ious = _reference_segment_ious(prediction, ground_truth, ignore_id=ignore_id)
+    return sorted(sid for sid, value in ious.items() if value == 0.0)
+
+
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_segment_iou_parity(seed):
@@ -111,12 +120,10 @@ def test_segment_iou_parity(seed):
 def test_false_positive_negative_parity(seed):
     gt, pred, _n_classes, connectivity, _rng = _random_case(seed)
     prediction, ground_truth = _decompose(gt, pred, connectivity)
-    fast_fp = false_positive_segments(prediction, ground_truth, ignore_id=IGNORE_ID)
+    fast_fp = _false_positives(prediction, ground_truth, IGNORE_ID)
     fast_fn = false_negative_segments(prediction, ground_truth, ignore_id=IGNORE_ID)
     assert fast_fp.dtype == fast_fn.dtype == np.int64
-    assert fast_fp.tolist() == _reference_false_positive_segments(
-        prediction, ground_truth, ignore_id=IGNORE_ID
-    )
+    assert fast_fp.tolist() == _reference_false_positives(prediction, ground_truth, IGNORE_ID)
     assert fast_fn.tolist() == _reference_false_negative_segments(
         prediction, ground_truth, ignore_id=IGNORE_ID
     )
@@ -140,10 +147,8 @@ def test_mismatched_ignore_id_parity(seed):
             f"seed={seed} ignore_id={ignore_id} segment={segment_id}: "
             f"{fast[segment_id - 1]!r} != {reference[segment_id]!r}"
         )
-    assert false_positive_segments(
-        prediction, ground_truth, ignore_id=ignore_id
-    ).tolist() == _reference_false_positive_segments(
-        prediction, ground_truth, ignore_id=ignore_id
+    assert _false_positives(prediction, ground_truth, ignore_id).tolist() == (
+        _reference_false_positives(prediction, ground_truth, ignore_id)
     )
 
 

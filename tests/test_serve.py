@@ -2,11 +2,12 @@
 
 The hard gate: server-side scores are **bitwise identical** to the batch
 ``Runner.score`` reference on the committed disk fixture — for single-frame
-npy requests, npz batches, JSON payloads, and under concurrent clients.
+npy requests, npz batches, and under concurrent clients.
 Error paths must return structured JSON (never a stack trace), and a
 saturated queue must answer 503 immediately (backpressure).
 """
 
+import io
 import json
 import pickle
 import socket
@@ -25,7 +26,6 @@ from repro.serve import (
     ScoringServer,
     ScoringService,
     npy_bytes,
-    score_batch,
     score_frame,
     wait_until_ready,
 )
@@ -98,6 +98,13 @@ def server(fitted_model):
     server.shutdown()
     server.close()
     thread.join(timeout=5)
+
+
+def _npz_bytes(frames):
+    """(image_id, probs) pairs as an ``.npz`` archive, one member per frame."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **dict(frames))
+    return buffer.getvalue()
 
 
 def _canon(obj) -> str:
@@ -208,18 +215,11 @@ class TestServerParity:
             assert _canon(scored) == _canon(reference)
 
     def test_npz_batch_matches_batch_bitwise(self, server, val_frames, batch_reference):
-        scored = score_batch(server.url, val_frames)
-        assert _canon(scored) == _canon(batch_reference)
-
-    def test_json_payload_matches_batch_bitwise(self, server, val_frames, batch_reference):
-        image_id, probs = val_frames[0]
         status, scored = _post(
-            server.url + "/score",
-            json.dumps({"image_id": image_id, "probs": probs.tolist()}).encode(),
-            "application/json",
+            server.url + "/score", _npz_bytes(val_frames), "application/x-npz"
         )
         assert status == 200
-        assert _canon(scored["frames"][0]) == _canon(batch_reference["frames"][0])
+        assert _canon(scored) == _canon(batch_reference)
 
     def test_concurrent_clients_match_batch_bitwise(self, server, val_frames, batch_reference):
         reference = {
@@ -274,15 +274,15 @@ class TestErrorContracts:
         assert status == 400
         assert body["error"]["code"] == "bad_payload"
 
-    def test_malformed_json_is_400(self, server):
-        status, body = _post(server.url + "/score", b"{nope", "application/json")
-        assert status == 400
-        assert body["error"]["code"] == "bad_payload"
-
-    def test_json_without_probs_is_400(self, server):
-        status, body = _post(server.url + "/score", b'{"x": 1}', "application/json")
-        assert status == 400
-        assert body["error"]["code"] == "bad_payload"
+    def test_json_body_is_415(self, server, val_frames):
+        """JSON is not a request format: a well-formed JSON frame is refused
+        with a 415 that names the two formats that are."""
+        image_id, probs = val_frames[0]
+        body = json.dumps({"image_id": image_id, "probs": probs.tolist()}).encode()
+        status, error = _post(server.url + "/score", body, "application/json")
+        assert status == 415
+        assert error["error"]["code"] == "unsupported_media_type"
+        assert error["error"]["message"].endswith("use application/x-npy or application/x-npz")
 
     def test_wrong_ndim_is_400(self, server):
         status, body = _post(

@@ -11,11 +11,14 @@ exception type and message.
 The entropy oracle runs on a C-contiguous copy of the field: numpy sums
 ``axis=2`` of a non-contiguous array in a memory-layout-dependent order,
 while extraction has always summed each pixel's classes contiguously, so
-that is the order the sweep must reproduce.  The sweep adds class planes of
-a class-major tile in numpy's ``pairwise_sum`` order (eight lanes, a
-combine tree, a tail, recursion above 128 classes); the class counts below
-straddle every one of those boundaries, and the ``_decades`` fields make a
-wrong order show in the last bits of the entropy.
+that is the order the sweep must reproduce.  The validation row sums follow
+the same order for every layout, in the sweep and in
+``check_probability_field`` alike, so a field gets one verdict however it is
+laid out.  The sweep adds class planes of a class-major tile in numpy's
+``pairwise_sum`` order (eight lanes, a combine tree, a tail, recursion above
+128 classes); the class counts below straddle every one of those
+boundaries, and the ``_decades`` fields make a wrong order show in the last
+bits of the entropy.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ import pytest
 from repro.core.heatmaps import (
     SWEEP_COLUMNS,
     TILE_PIXELS,
-    _class_axis_innermost,
     _class_sum,
     _reference_dispersion_heatmaps,
     fused_dispersion_heatmaps,
 )
-from repro.utils.validation import check_probability_field
+from repro.utils.validation import PROBABILITY_TOL, check_probability_field
 
 pytestmark = pytest.mark.fuzz
 
@@ -131,36 +133,87 @@ def test_many_classes_bitwise(seed, n_classes):
     _assert_matches_oracles(maker(rng, height, width, n_classes))
 
 
-@pytest.mark.parametrize("n_classes", [3, 8, 19, 129, 300])
-def test_row_sums_follow_numpy_order_for_every_layout(n_classes):
-    """The validation row sums equal ``np.sum(axis=2)`` of the field as laid out.
-
-    numpy adds a pixel's classes pairwise when the class axis is innermost
-    and one at a time otherwise (Fortran order), so that is what the sweep's
-    verdict must be computed from.
-    """
-    rng = np.random.default_rng(n_classes)
-    probs = _decades(rng, 6, 9, n_classes)
-    layouts = {
+def _layouts(probs: np.ndarray):
+    """The same values in every memory layout a field can arrive in."""
+    height, width, n_classes = probs.shape
+    strided = np.zeros((2 * height, 3 * width, 2 * n_classes))[::2, ::3, ::2]
+    strided[...] = probs
+    return {
         "C": probs,
         "F": np.asfortranarray(probs),
         "F-one-row": np.asfortranarray(probs[:1]),
         "F-one-column": np.asfortranarray(probs[:, :1]),
         "transposed": probs.transpose(1, 0, 2),
+        "transposed-copy": np.ascontiguousarray(probs.transpose(1, 0, 2)).transpose(1, 0, 2),
         "reversed-classes": probs[:, :, ::-1],
         "strided": probs[::2, ::-3],
+        "strided-classes": strided,
         "broadcast-rows": np.broadcast_to(probs[:1], probs.shape),
         "broadcast-columns": np.broadcast_to(probs[:, :1], probs.shape),
     }
-    for name, field in layouts.items():
+
+
+@pytest.mark.parametrize("n_classes", [3, 8, 19, 129, 300])
+def test_row_sums_follow_numpy_order_for_every_layout(n_classes):
+    """The validation row sums are ``np.sum(axis=2)`` of the field's
+    C-contiguous copy, whatever the field's own layout.
+
+    numpy adds a pixel's classes pairwise when the class axis is innermost
+    and one at a time otherwise (Fortran order), so the layouts' own sums
+    differ; the verdict must not.
+    """
+    rng = np.random.default_rng(n_classes)
+    probs = _decades(rng, 6, 9, n_classes)
+    for name, field in _layouts(probs).items():
         planes = np.ascontiguousarray(field.transpose(2, 0, 1)).reshape(n_classes, -1)
         pixels = planes.shape[1]
-        pairwise = _class_axis_innermost(field)
-        sums = _class_sum(planes, np.empty(pixels), np.empty((8, pixels)), pairwise)
-        assert np.array_equal(sums, field.sum(axis=2).ravel()), name
+        sums = _class_sum(planes, np.empty(pixels), np.empty((8, pixels)))
+        assert np.array_equal(sums, np.ascontiguousarray(field).sum(axis=2).ravel()), name
     if n_classes >= 8:
         # Both orders are exercised and the field tells them apart.
         assert not np.array_equal(probs.sum(axis=2), np.asfortranarray(probs).sum(axis=2))
+
+
+def _field_at_the_bound(n_classes: int) -> np.ndarray:
+    """A (3, 4, C) field with one pixel whose pairwise class sum and
+    one-at-a-time class sum fall on opposite sides of the row-sum bound,
+    so numpy's own ``sum(axis=2)`` accepts its C layout and rejects its
+    Fortran layout, or the reverse."""
+    bound = PROBABILITY_TOL + 1e-5
+    rng = np.random.default_rng(n_classes)
+    for _attempt in range(200):
+        probs = _decades(rng, 3, 4, n_classes)
+        probs[2, 3] *= 1.0 + bound
+        for _step in range(64):
+            pairwise = abs(probs.sum(axis=2)[2, 3] - 1.0) <= bound
+            one_at_a_time = abs(np.asfortranarray(probs).sum(axis=2)[2, 3] - 1.0) <= bound
+            if pairwise != one_at_a_time:
+                return probs
+            # Step the pixel's sum across the bound one ulp at a time.
+            probs[2, 3] *= 1.0 + (-1.0 if pairwise else 1.0) * np.finfo(float).eps
+    raise AssertionError("no field straddles the bound")
+
+
+@pytest.mark.parametrize("n_classes", [8, 19, 40, 129])
+def test_one_verdict_for_every_layout_at_the_bound(n_classes):
+    """C, F, transposed, strided and broadcast layouts of a field whose C
+    and Fortran class sums land on either side of the bound get the verdict
+    of its C-contiguous copy, from ``check_probability_field`` and the sweep."""
+    probs = _field_at_the_bound(n_classes)
+    strided = np.zeros((6, 12, 2 * n_classes))[::2, ::3, ::2]
+    strided[...] = probs
+    layouts = {
+        "C": probs,
+        "F": np.asfortranarray(probs),
+        "transposed": probs.transpose(1, 0, 2),
+        "strided": probs[::2, ::-3],
+        "strided-classes": strided,
+        "broadcast": np.broadcast_to(probs[2:3, 3:4], probs.shape),
+    }
+    expected = _error(check_probability_field, np.ascontiguousarray(probs))
+    for name, field in layouts.items():
+        assert _error(check_probability_field, field) == expected, name
+        assert _error(fused_dispersion_heatmaps, field) == expected, name
 
 
 @pytest.mark.parametrize("seed", range(8))

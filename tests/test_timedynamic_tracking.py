@@ -96,8 +96,8 @@ class TestSegmentTracker:
         tracker = SegmentTracker()
         for step in range(3):
             tracker.update(_frame_with_box(5, 5 + step))
-        lengths = tracker.track_lengths()
-        assert max(lengths.values()) == 3
+        lengths = [len(track.segment_history) for track in tracker.tracks.values()]
+        assert max(lengths) == 3
 
     def test_flicker_survival(self):
         # The object disappears for one frame and is re-identified afterwards

@@ -130,7 +130,7 @@ def test_tracker_parity(seed):
         )
         assert fast_assignment == reference_assignment, f"seed={seed}"
     assert fast_tracker.n_tracks == reference_tracker.n_tracks
-    assert fast_tracker.track_lengths() == reference_tracker.track_lengths()
+    assert fast_tracker.tracks.keys() == reference_tracker.tracks.keys()
     for track_id, track in fast_tracker.tracks.items():
         reference = reference_tracker.tracks[track_id]
         assert track.segment_history == reference.segment_history, f"seed={seed}"

@@ -7,11 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from repro.utils.connected_components import (
     connected_components,
     label_components,
 )
+
+
+def _scipy_components(labels: np.ndarray, connectivity: int = 8, background: int = -1):
+    """``ndimage.label`` on every class mask, renumbered in scan order of
+    each component's first pixel: the numbering ``connected_components``
+    promises, from a labeller the repository did not write."""
+    structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
+    components = np.zeros(labels.shape, dtype=np.int64)
+    offset = 0
+    for value in np.unique(labels):
+        if value == background:
+            continue
+        mask = labels == value
+        labelled, count = ndimage.label(mask, structure=structure)
+        components[mask] = labelled[mask] + offset
+        offset += count
+    ids, first_index = np.unique(components, return_index=True)
+    order = ids[ids != 0][np.argsort(first_index[ids != 0], kind="stable")]
+    rank = np.zeros(offset + 1, dtype=np.int64)
+    rank[order] = np.arange(1, order.size + 1)
+    return rank[components], int(order.size)
 
 
 class TestConnectedComponents:
@@ -66,25 +88,23 @@ class TestConnectedComponents:
             connected_components(np.zeros((2, 2), dtype=int), connectivity=6)
 
     def test_invalid_engine(self):
-        with pytest.raises(ValueError):
+        # One labelling engine: ``engine`` is not a parameter.
+        with pytest.raises(TypeError, match="engine"):
             connected_components(np.zeros((2, 2), dtype=int), engine="magic")
 
     def test_scipy_engine_is_gone(self):
-        with pytest.raises(ValueError, match="'auto'"):
-            connected_components(np.zeros((2, 2), dtype=int), engine="scipy")
+        with pytest.raises(TypeError, match="engine"):
+            label_components(np.zeros((2, 2), dtype=int), engine="scipy")
 
     def test_engines_agree(self):
+        """The run-length labeller agrees with scipy's ``ndimage.label``."""
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, size=(20, 24))
         for connectivity in (4, 8):
-            run_out, run_count = connected_components(
-                labels, connectivity=connectivity, engine="auto"
-            )
-            uf_out, uf_count = connected_components(
-                labels, connectivity=connectivity, engine="unionfind"
-            )
-            assert run_count == uf_count
-            np.testing.assert_array_equal(run_out, uf_out)
+            run_out, run_count = connected_components(labels, connectivity=connectivity)
+            scipy_out, scipy_count = _scipy_components(labels, connectivity)
+            assert run_count == scipy_count
+            np.testing.assert_array_equal(run_out, scipy_out)
 
     def test_all_background(self):
         labels = np.full((4, 4), -1)
@@ -138,13 +158,13 @@ def test_property_components_partition_foreground(labels, connectivity):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_engines_equivalent(labels, connectivity):
-    """The run-length labeller and the per-pixel union-find agree exactly.
+    """The run-length labeller and scipy's ``ndimage.label`` agree exactly.
 
     Ids include the ignore value -1 and gaps, up to a span larger than any
     drawn map (no table may be sized by the id span).
     """
-    a, count_a = connected_components(labels, connectivity=connectivity, engine="auto")
-    b, count_b = connected_components(labels, connectivity=connectivity, engine="unionfind")
+    a, count_a = connected_components(labels, connectivity=connectivity)
+    b, count_b = _scipy_components(labels, connectivity)
     assert count_a == count_b
     np.testing.assert_array_equal(a, b)
 
@@ -155,12 +175,12 @@ def test_sparse_ids_bounded_memory():
     labels = rng.choice(np.array([-1, 0, 2**40], dtype=np.int64), size=(64, 64))
     tracemalloc.start()
     try:
-        components, count = connected_components(labels, engine="auto")
+        components, count = connected_components(labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # The map itself is 32 KiB; a table indexed by id would need 2**40 entries.
     assert peak < 1 << 20
-    expected, expected_count = connected_components(labels, engine="unionfind")
+    expected, expected_count = _scipy_components(labels)
     assert count == expected_count
     np.testing.assert_array_equal(components, expected)
