@@ -121,12 +121,27 @@ for report in cached:
 print("unwritable cache smoke: serial + process runs bitwise-equal to the storeless run")
 PY
 
-echo "=== experiment CLI (smoke) ==="
+echo "=== experiment CLI (smoke; simulated reports match examples/report_digests.json) ==="
 python -m repro list
-python -m repro run examples/configs/metaseg_small.json
+python -m repro run examples/configs/metaseg_small.json --output "${TMP_ROOT}/report_metaseg_small.json"
 python -m repro run examples/configs/metaseg_sharded.json
-python -m repro run examples/configs/timedynamic_small.json
-python -m repro run examples/configs/decision_small.json
+python -m repro run examples/configs/timedynamic_small.json \
+    --output "${TMP_ROOT}/report_timedynamic_small.json"
+python -m repro run examples/configs/decision_small.json --output "${TMP_ROOT}/report_decision_small.json"
+python - "${TMP_ROOT}" <<'PY'
+import hashlib, json, sys
+from pathlib import Path
+digests = json.load(open("examples/report_digests.json"))["reports"]
+changed = [
+    name for name, expected in sorted(digests.items())
+    if hashlib.sha256((Path(sys.argv[1]) / f"report_{name}.json").read_bytes()).hexdigest()
+    != expected
+]
+if changed:
+    print(f"FAIL: report bytes differ from report_digests.json: {changed}", file=sys.stderr)
+    raise SystemExit(1)
+print(f"report digests: {len(digests)} simulated reports byte-identical")
+PY
 
 echo "=== trace export (smoke: run --trace, Chrome trace-event schema) ==="
 TRACE_OUT="${TMP_ROOT}/trace.json"

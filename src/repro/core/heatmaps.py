@@ -31,6 +31,7 @@ from typing import Dict, NamedTuple
 
 import numpy as np
 
+from repro.utils.arrays import _LANES, TILE_PIXELS, _class_sum
 from repro.utils.validation import (
     PROBABILITY_TOL,
     check_probability_field,
@@ -39,19 +40,8 @@ from repro.utils.validation import (
 )
 
 
-#: Pixel budget of one tile of :func:`fused_dispersion_heatmaps`.  A tile is
-#: ``max(1, TILE_PIXELS // W)`` rows, copied once into a class-major ``(C, n)``
-#: work buffer; at C = 19 that buffer is ~1.2 MB and the eight summation lanes
-#: ~0.5 MB, so every pass over a tile reads it from cache rather than memory.
-TILE_PIXELS = 8192
-
 #: Column order of :attr:`SoftmaxSweep.values`.
 SWEEP_COLUMNS = ("E", "M", "V", "pmax")
-
-#: Lane count and block length of numpy's ``pairwise_sum``, the summation
-#: behind ``np.sum`` over a contiguous axis, which :func:`_class_sum` mirrors.
-_LANES = 8
-_PAIRWISE_BLOCK = 128
 
 
 class SoftmaxSweep(NamedTuple):
@@ -73,58 +63,6 @@ class SoftmaxSweep(NamedTuple):
         height, width = self.labels.shape
         column = self.values[:, SWEEP_COLUMNS.index(key)]
         return np.ascontiguousarray(column).reshape(height, width)
-
-
-def _sequential_sum(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = ((0.0 + planes[0]) + planes[1]) + ...``, one plane at a time."""
-    np.add(planes[0], 0.0, out=out)
-    for plane in planes[1:]:
-        np.add(out, plane, out=out)
-    return out
-
-
-def _pairwise_sum(planes: np.ndarray, out: np.ndarray, lanes) -> np.ndarray:
-    """numpy's ``pairwise_sum`` of every pixel's classes, over class planes.
-
-    Below eight classes the sum is sequential.  Up to 128 the classes feed
-    eight lanes in blocks of eight, the lanes combine as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and the tail is added in order;
-    above that the classes split at a multiple of eight near the middle and
-    each half recurses.  *lanes* is ``(8, n)`` scratch, or None to accumulate
-    in (and overwrite) the planes themselves.
-    """
-    n_classes = len(planes)
-    if n_classes < _LANES:
-        return _sequential_sum(planes, out)
-    if n_classes > _PAIRWISE_BLOCK:
-        half = n_classes // 2
-        half -= half % _LANES
-        _pairwise_sum(planes[:half], out, lanes)
-        right = _pairwise_sum(planes[half:], np.empty_like(out), lanes)
-        return np.add(out, right, out=out)
-    body = n_classes - n_classes % _LANES
-    if lanes is None:
-        lanes = planes[:_LANES]
-    else:
-        np.copyto(lanes, planes[:_LANES])
-    for start in range(_LANES, body, _LANES):
-        np.add(lanes, planes[start:start + _LANES], out=lanes)
-    np.add(lanes[0::2], lanes[1::2], out=lanes[0::2])
-    np.add(lanes[0::4], lanes[2::4], out=lanes[0::4])
-    np.add(lanes[0], lanes[4], out=out)
-    for plane in planes[body:]:
-        np.add(out, plane, out=out)
-    return out
-
-
-def _class_sum(planes: np.ndarray, out: np.ndarray, lanes=None) -> np.ndarray:
-    """Sum ``(C, n)`` class planes over C into *out*, bitwise as numpy would.
-
-    ``np.sum(x, axis=-1)`` of a C-contiguous ``x`` starts each pixel at the
-    identity 0.0 and adds ``pairwise_sum`` of its classes
-    (:func:`_pairwise_sum`).  *lanes* as in :func:`_pairwise_sum`.
-    """
-    return np.add(_pairwise_sum(planes, out, lanes), 0.0, out=out)
 
 
 def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:

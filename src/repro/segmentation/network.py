@@ -26,21 +26,36 @@ similar to a real network:
 
 Two presets, :func:`xception65_profile` and :func:`mobilenetv2_profile`,
 mirror the stronger/weaker network pair of the paper.
+
+One frame costs one (H, W, C) float64 array.  The intent map is built from a
+single component table (``label_components``), each instance's mask taken
+inside its box; erroneous regions are kept as flat pixel indices.  The
+logits are scattered through flat indices ``p·C + class``, the Gaussian
+noise is drawn a row tile at a time, and the confidence field, the blobs,
+the smoothing and the softmax (over class-major tiles, its class sums in
+numpy's pairwise order) all work in place on that one array.  The output is
+bitwise the one of the whole-array formulation, draw for draw from the same
+generator; ``tests/test_network_parity_fuzz.py`` holds it to that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
 
 from repro.api.registry import NETWORK_PROFILES
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
-from repro.utils.connected_components import connected_components
+from repro.utils.arrays import _LANES, TILE_PIXELS, _class_sum
+from repro.utils.connected_components import Labelling, label_components
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_label_map
+
+#: An erroneous region of the intent map: its flat pixel indices and the
+#: confidence level the output keeps there (see ``_error_confidence``).
+ErrorSegment = Tuple[np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -228,11 +243,18 @@ class SimulatedSegmentationNetwork:
         gt_labels:
             Ground-truth label map of the image (the degradation model uses it
             the way a real network uses the RGB image: as the source of the
-            underlying scene content).
+            underlying scene content).  Labels must lie in ``[-1, C)``.
         index:
             Image identifier used to derive the per-image noise seed.
         """
-        gt = check_label_map(gt_labels)
+        labels = check_label_map(gt_labels)
+        top_label = int(labels.max())
+        if top_label >= self.n_classes:
+            raise ValueError(
+                f"label {top_label} is out of range for a network with "
+                f"C = {self.n_classes} classes"
+            )
+        gt = np.ascontiguousarray(labels)
         rng = np.random.default_rng((self._master_seed, int(index)))
         intent, error_segments = self._build_intent(gt, rng)
         logits = self._build_logits(gt, intent, error_segments, rng)
@@ -249,45 +271,43 @@ class SimulatedSegmentationNetwork:
     # ------------------------------------------------------- degradation --
     def _build_intent(
         self, gt: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, List[Dict[str, object]]]:
+    ) -> Tuple[np.ndarray, List[ErrorSegment]]:
         """Construct the predicted-class intent map and record erroneous segments.
 
         The intent map is what the network "wants" to predict before logits,
         noise and smoothing are applied.  ``error_segments`` lists regions
-        that deviate from the ground truth together with a flag telling
-        whether the output there should stay confident (overconfident errors).
+        that deviate from the ground truth, as flat pixel indices, together
+        with how confident the output there should stay (overconfident
+        errors).  Every instance is read from one component table: its class
+        is the label of its first pixel and its mask is taken inside its box.
         """
         profile = self.profile
         ls = self.label_space
+        height, width = gt.shape
         intent = gt.copy()
-        error_segments: List[Dict[str, object]] = []
+        error_segments: List[ErrorSegment] = []
 
         # --- instance-level misses and confusions --------------------------
-        thing_ids = set(ls.thing_ids())
-        components, n_components = connected_components(gt, connectivity=8, background=-1)
-        for comp_id in range(1, n_components + 1):
-            mask = components == comp_id
-            class_id = int(gt[mask][0])
-            if class_id not in thing_ids:
-                continue
-            size = int(mask.sum())
+        table = label_components(gt, connectivity=8, background=-1)
+        classes = gt.reshape(-1)[table.first_index]
+        thing_list = ls.thing_ids()
+        things = np.flatnonzero(np.isin(classes, thing_list))
+        for component in things:
+            class_id = int(classes[component])
+            size = int(table.sizes[component])
             miss_probability = profile.miss_rate * float(np.exp(-size / profile.miss_size_scale))
             draw = rng.uniform()
             if draw < miss_probability:
-                replacement = self._surrounding_class(gt, mask)
-                intent[mask] = replacement
-                error_segments.append(
-                    {"mask": mask, "kind": "miss",
-                     "confidence": self._error_confidence(rng)}
-                )
+                new_class = self._surrounding_class(gt, table, component)
             elif draw < miss_probability + profile.confusion_rate:
                 confusable = ls.confusable_classes(class_id)
                 new_class = int(confusable[int(rng.integers(0, len(confusable)))])
-                intent[mask] = new_class
-                error_segments.append(
-                    {"mask": mask, "kind": "confusion",
-                     "confidence": self._error_confidence(rng)}
-                )
+            else:
+                continue
+            rows, cols = _component_pixels(table, component)
+            pixels = rows * width + cols
+            intent.reshape(-1)[pixels] = new_class
+            error_segments.append((pixels, self._error_confidence(rng)))
 
         # --- boundary jitter -------------------------------------------------
         if profile.boundary_jitter > 0:
@@ -300,45 +320,32 @@ class SimulatedSegmentationNetwork:
         # separate them (as in real segmentation networks).  When the image
         # contains no instances, plain rectangles are used as a fallback.
         n_hallucinations = int(rng.poisson(profile.hallucination_rate))
-        h, w = gt.shape
-        thing_list = ls.thing_ids()
-        template_ids = [
-            comp_id
-            for comp_id in range(1, n_components + 1)
-            if int(gt[components == comp_id][0]) in thing_ids
-        ]
         for _ in range(n_hallucinations):
-            mask = np.zeros_like(gt, dtype=bool)
-            if template_ids and rng.uniform() < 0.85:
-                template = int(template_ids[int(rng.integers(0, len(template_ids)))])
-                template_mask = components == template
-                class_id = int(gt[template_mask][0])
-                rows, cols = np.nonzero(template_mask)
-                shift_r = int(rng.integers(-h // 3, h // 3 + 1))
-                shift_c = int(rng.integers(-w // 3, w // 3 + 1))
-                new_rows = rows + shift_r
-                new_cols = cols + shift_c
-                keep = (new_rows >= 0) & (new_rows < h) & (new_cols >= 0) & (new_cols < w)
-                if keep.sum() < 4:
+            if things.size and rng.uniform() < 0.85:
+                template = int(things[int(rng.integers(0, things.size))])
+                class_id = int(classes[template])
+                rows, cols = _component_pixels(table, template)
+                rows += int(rng.integers(-height // 3, height // 3 + 1))
+                cols += int(rng.integers(-width // 3, width // 3 + 1))
+                keep = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+                if np.count_nonzero(keep) < 4:
                     continue
-                mask[new_rows[keep], new_cols[keep]] = True
+                pixels = rows[keep] * width + cols[keep]
             else:
                 size_lo, size_hi = profile.hallucination_size
                 seg_h = int(rng.integers(size_lo, size_hi + 1))
                 seg_w = int(rng.integers(size_lo, size_hi + 1))
-                top = int(rng.integers(0, max(1, h - seg_h)))
-                left = int(rng.integers(0, max(1, w - seg_w)))
+                top = int(rng.integers(0, max(1, height - seg_h)))
+                left = int(rng.integers(0, max(1, width - seg_w)))
                 class_id = int(thing_list[int(rng.integers(0, len(thing_list)))])
-                mask[top : top + seg_h, left : left + seg_w] = True
+                rows = np.arange(top, min(top + seg_h, height))
+                pixels = (rows[:, None] * width + np.arange(left, min(left + seg_w, width))).ravel()
             # Do not hallucinate on top of an existing instance of the same class;
             # that would not be a false positive.
-            if np.any(gt[mask] == class_id):
+            if np.any(gt.reshape(-1)[pixels] == class_id):
                 continue
-            intent[mask] = class_id
-            error_segments.append(
-                {"mask": mask, "kind": "hallucination",
-                 "confidence": self._error_confidence(rng)}
-            )
+            intent.reshape(-1)[pixels] = class_id
+            error_segments.append((pixels, self._error_confidence(rng)))
         return intent, error_segments
 
     def _error_confidence(self, rng: np.random.Generator) -> float:
@@ -352,13 +359,22 @@ class SimulatedSegmentationNetwork:
         return float(rng.beta(alpha, beta))
 
     @staticmethod
-    def _surrounding_class(gt: np.ndarray, mask: np.ndarray) -> int:
-        """Most frequent ground-truth class in a dilated ring around *mask*."""
-        dilated = ndimage.binary_dilation(mask, iterations=2)
-        ring = dilated & ~mask
-        if not np.any(ring):
-            ring = ~mask
-        values = gt[ring]
+    def _surrounding_class(gt: np.ndarray, table: Labelling, component: int) -> int:
+        """Most frequent ground-truth class in a dilated ring around a component.
+
+        Two dilation steps reach two pixels, so the ring lies in the
+        component's box padded by 2.  Only a component covering the whole
+        frame has an empty ring; like a ring of ignore pixels, it gives 0.
+        """
+        height, width = gt.shape
+        top, left, bottom, right = (int(bound) for bound in table.boxes[component])
+        window = (
+            slice(max(top - 2, 0), min(bottom + 2, height)),
+            slice(max(left - 2, 0), min(right + 2, width)),
+        )
+        mask = table.components[window] == component + 1
+        ring = ndimage.binary_dilation(mask, iterations=2) & ~mask
+        values = gt[window][ring]
         values = values[values >= 0]
         if values.size == 0:
             return 0
@@ -373,9 +389,8 @@ class SimulatedSegmentationNetwork:
         flow_c = ndimage.zoom(rng.normal(0.0, 1.0, coarse_shape), (h / coarse_shape[0], w / coarse_shape[1]), order=1)
         flow_r = flow_r[:h, :w] * magnitude
         flow_c = flow_c[:h, :w] * magnitude
-        rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        src_rows = np.clip(np.round(rows + flow_r), 0, h - 1).astype(np.int64)
-        src_cols = np.clip(np.round(cols + flow_c), 0, w - 1).astype(np.int64)
+        src_rows = np.clip(np.round(np.arange(h)[:, None] + flow_r), 0, h - 1).astype(np.int64)
+        src_cols = np.clip(np.round(np.arange(w) + flow_c), 0, w - 1).astype(np.int64)
         return labels[src_rows, src_cols]
 
     # ------------------------------------------------------------ logits --
@@ -383,13 +398,22 @@ class SimulatedSegmentationNetwork:
         self,
         gt: np.ndarray,
         intent: np.ndarray,
-        error_segments: List[Dict[str, object]],
+        error_segments: List[ErrorSegment],
         rng: np.random.Generator,
     ) -> np.ndarray:
+        """The (H, W, C) logits: class peaks, noise, confidence and smoothing.
+
+        Built in one array and changed in place from there on.  The noise is
+        drawn a row tile at a time into a tile-sized buffer; the tiles follow
+        the field's C order, so they take the same values from the generator
+        as one draw over the whole field would.
+        """
         profile = self.profile
         n_classes = self.n_classes
         h, w = gt.shape
-        correct = intent == gt
+        flat_gt = gt.reshape(-1)
+        flat_intent = intent.reshape(-1)
+        correct = flat_intent == flat_gt
 
         peak = np.where(correct, profile.peak_correct, profile.peak_wrong).astype(np.float64)
         gt_logit = np.where(correct, 0.0, profile.wrong_gt_logit).astype(np.float64)
@@ -397,46 +421,60 @@ class SimulatedSegmentationNetwork:
         # output: peak grows, residual mass on the true class shrinks.  At
         # confidence 1 the erroneous segment is locally indistinguishable from
         # a correct one, which is what bounds meta-classification performance.
-        for segment in error_segments:
-            confidence = float(segment["confidence"])
-            mask = segment["mask"]
-            peak[mask] = profile.peak_wrong + confidence * (profile.peak_correct - profile.peak_wrong)
-            gt_logit[mask] = profile.wrong_gt_logit * (1.0 - confidence)
+        for pixels, confidence in error_segments:
+            peak[pixels] = profile.peak_wrong + confidence * (profile.peak_correct - profile.peak_wrong)
+            gt_logit[pixels] = profile.wrong_gt_logit * (1.0 - confidence)
 
         logits = np.full((h, w, n_classes), profile.background_logit, dtype=np.float64)
-        rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        valid_intent = np.clip(intent, 0, n_classes - 1)
-        logits[rows, cols, valid_intent] = peak
+        flat_logits = logits.reshape(-1)
+        # Pixel p's logit of class c sits at flat index p·C + c.
+        pixel_starts = np.arange(0, h * w * n_classes, n_classes)
+        flat_logits[pixel_starts + np.clip(flat_intent, 0, n_classes - 1)] = peak
         # Inside erroneous regions, the true class keeps some logit mass which
         # flattens the distribution there (higher entropy, smaller margin).
-        wrong = ~correct & (gt >= 0)
-        logits[rows[wrong], cols[wrong], gt[wrong]] = gt_logit[wrong]
+        wrong = np.flatnonzero(~correct & (flat_gt >= 0))
+        flat_logits[pixel_starts[wrong] + flat_gt[wrong]] = gt_logit[wrong]
 
-        logits += rng.normal(0.0, profile.logit_noise, size=logits.shape)
+        tile_rows = max(1, TILE_PIXELS // w)
+        noise = np.empty((min(tile_rows, h), w, n_classes))
+        for start in range(0, h, tile_rows):
+            rows = logits[start:start + tile_rows]
+            tile = noise[:len(rows)]
+            # Generator.normal(0.0, s) draws 0.0 + s·z; so does this tile.
+            rng.standard_normal(out=tile)
+            np.multiply(tile, profile.logit_noise, out=tile)
+            np.add(tile, 0.0, out=tile)
+            np.add(rows, tile, out=rows)
         # Confidence attenuation only shrinks *positive* logits: an uncertain
         # network spreads mass among the few locally plausible classes, it
         # does not hand probability to all absent classes equally.  (Raising
         # the tail of every class would make the ML rule of Section IV flip
         # entire low-confidence regions to the rarest class, which real
         # networks do not exhibit to that extent.)
-        field = self._confidence_field(h, w, rng)[..., None]
-        logits = np.where(logits > 0, logits * field, logits)
-        logits = self._apply_uncertainty_blobs(logits, rng)
+        if profile.confidence_field_amplitude > 0:
+            field = self._confidence_field(h, w, rng)[..., None]
+            positive = np.empty(noise.shape, dtype=bool)
+            for start in range(0, h, tile_rows):
+                rows = logits[start:start + tile_rows]
+                where = np.greater(rows, 0, out=positive[:len(rows)])
+                np.multiply(rows, field[start:start + tile_rows], out=rows, where=where)
+        self._apply_uncertainty_blobs(logits, rng)
         if profile.smooth_sigma > 0:
-            logits = ndimage.gaussian_filter(logits, sigma=(profile.smooth_sigma, profile.smooth_sigma, 0))
+            ndimage.gaussian_filter(
+                logits, sigma=(profile.smooth_sigma, profile.smooth_sigma, 0), output=logits
+            )
         return logits
 
     def _confidence_field(self, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
         """Smooth multiplicative confidence field in (0, 1].
 
         The field is 1 minus a low-frequency non-negative noise pattern of the
-        configured amplitude; it attenuates the logits everywhere, regardless
-        of correctness, thereby spreading the per-segment confidence of
-        correct segments.
+        configured (positive) amplitude; it attenuates the logits everywhere,
+        regardless of correctness, thereby spreading the per-segment
+        confidence of correct segments.  At amplitude 0 the field would be all
+        ones and is neither drawn nor applied.
         """
         profile = self.profile
-        if profile.confidence_field_amplitude <= 0:
-            return np.ones((height, width), dtype=np.float64)
         cells = profile.confidence_field_scale
         coarse = rng.uniform(0.0, 1.0, size=(max(2, height // cells), max(2, width // cells)))
         field = ndimage.zoom(
@@ -453,8 +491,8 @@ class SimulatedSegmentationNetwork:
             )
         return 1.0 - profile.confidence_field_amplitude * field
 
-    def _apply_uncertainty_blobs(self, logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Attenuate the logits inside random regions (uncertain but correct).
+    def _apply_uncertainty_blobs(self, logits: np.ndarray, rng: np.random.Generator) -> None:
+        """Attenuate the logits inside random regions (uncertain but correct), in place.
 
         These regions mimic aleatoric uncertainty that does not correspond to
         prediction errors; they keep pure dispersion baselines (entropy only)
@@ -462,7 +500,7 @@ class SimulatedSegmentationNetwork:
         """
         profile = self.profile
         if profile.uncertainty_blob_rate <= 0:
-            return logits
+            return
         h, w = logits.shape[:2]
         n_blobs = int(rng.poisson(profile.uncertainty_blob_rate))
         for _ in range(n_blobs):
@@ -473,14 +511,44 @@ class SimulatedSegmentationNetwork:
             left = int(rng.integers(0, max(1, w - blob_w)))
             strength = rng.uniform(profile.uncertainty_blob_strength, 1.0)
             window = logits[top : top + blob_h, left : left + blob_w, :]
-            logits[top : top + blob_h, left : left + blob_w, :] = np.where(
-                window > 0, window * strength, window
-            )
-        return logits
+            np.multiply(window, strength, out=window, where=window > 0)
+
+
+def _component_pixels(table: Labelling, component: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of one component's pixels (scan order), read inside its box."""
+    top, left, bottom, right = (int(bound) for bound in table.boxes[component])
+    rows, cols = np.nonzero(table.components[top:bottom, left:right] == component + 1)
+    rows += top
+    cols += left
+    return rows, cols
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of a C-contiguous (H, W, C) field, in place.
+
+    Bitwise equal to ``exp(x - max) / sum(exp(x - max))`` over the whole
+    field at once.  The field is walked a tile of rows at a time
+    (:data:`TILE_PIXELS`); each tile is copied once into a class-major
+    ``(C, n)`` buffer, where the class maximum, the shift, ``np.exp`` and the
+    division run over contiguous class planes, and the class sum goes through
+    :func:`_class_sum`, which adds the planes in the order ``np.sum`` adds the
+    classes of a C-contiguous field.  The tile is then copied back.
+    """
+    height, width, n_classes = logits.shape
+    tile_rows = max(1, TILE_PIXELS // width)
+    tile_pixels = min(tile_rows, height) * width
+    buffer = np.empty(n_classes * tile_pixels)
+    lanes_buffer = np.empty((_LANES, tile_pixels))
+    work = np.empty(tile_pixels)
+    for start in range(0, height, tile_rows):
+        rows = logits[start:start + tile_rows]
+        pixels = len(rows) * width
+        tile = buffer[:n_classes * pixels].reshape(n_classes, pixels)
+        planes = tile.reshape(n_classes, len(rows), width)
+        np.copyto(planes, rows.transpose(2, 0, 1))
+        shift = np.maximum.reduce(tile, axis=0, out=work[:pixels])
+        np.subtract(tile, shift, out=tile)
+        np.exp(tile, out=tile)
+        np.divide(tile, _class_sum(tile, shift, lanes_buffer[:, :pixels]), out=tile)
+        np.copyto(rows.transpose(2, 0, 1), planes)
+    return logits

@@ -5,7 +5,6 @@ implicitly (connected component labelling, reproducible random number
 handling, array manipulation) without depending on anything outside numpy.
 """
 
-from repro.utils.connected_components import connected_components
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.arrays import mean_std, resize_nearest, resize_bilinear
 from repro.utils.validation import (
@@ -16,7 +15,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "connected_components",
     "RandomState",
     "as_rng",
     "mean_std",

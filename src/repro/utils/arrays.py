@@ -1,10 +1,13 @@
-"""Small array helpers: aggregation, one-hot encoding, boundaries, crops and
-resizing.
+"""Small array helpers: aggregation, crops, resizing, and class sums over tiles.
 
 The multi-resolution extension of MetaSeg (Section II of the paper, ref. [18])
-needs nested center crops and resizing; the simulated segmentation network
-needs nearest/bilinear resizing and boundary extraction.  We implement these
-with plain numpy so the library has no image-processing dependency.
+needs nested center crops, nearest/bilinear resizing and renormalised
+probability fields.  The two walks over a softmax field, the simulated
+network's softmax (:mod:`repro.segmentation.network`) and the dispersion
+sweep (:mod:`repro.core.heatmaps`), share the tile size :data:`TILE_PIXELS`
+and :func:`_class_sum`, which adds class planes in the order ``np.sum`` adds
+the classes of a C-contiguous field.  Everything is plain numpy, so the
+library has no image-processing dependency.
 """
 
 from __future__ import annotations
@@ -13,7 +16,19 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.utils.validation import check_label_map, check_probability_field
+from repro.utils.validation import check_probability_field
+
+#: Pixel budget of one tile of a class-major walk over an (H, W, C) field.  A
+#: tile is ``max(1, TILE_PIXELS // W)`` rows, copied once into a class-major
+#: ``(C, n)`` work buffer; at C = 19 that buffer is ~1.2 MB and the eight
+#: summation lanes ~0.5 MB, so every pass over a tile reads it from cache
+#: rather than memory.
+TILE_PIXELS = 8192
+
+#: Lane count and block length of numpy's ``pairwise_sum``, the summation
+#: behind ``np.sum`` over a contiguous axis, which :func:`_class_sum` mirrors.
+_LANES = 8
+_PAIRWISE_BLOCK = 128
 
 
 def mean_std(values: Union[Sequence[float], np.ndarray]) -> Tuple[float, float]:
@@ -32,55 +47,6 @@ def mean_std(values: Union[Sequence[float], np.ndarray]) -> Tuple[float, float]:
 def mean_std_by_key(runs: Sequence[Mapping[str, float]]) -> Dict[str, Tuple[float, float]]:
     """:func:`mean_std` of every key over runs that share the first run's keys."""
     return {key: mean_std([run[key] for run in runs]) for key in runs[0]}
-
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """One-hot encode a 2-D label map into an (H, W, C) float field.
-
-    Pixels labelled ``-1`` (ignore) get an all-zero row.
-    """
-    labels = check_label_map(labels)
-    if n_classes <= int(labels.max()):
-        raise ValueError(
-            f"n_classes={n_classes} too small for max label {int(labels.max())}"
-        )
-    h, w = labels.shape
-    out = np.zeros((h, w, n_classes), dtype=np.float64)
-    valid = labels >= 0
-    rows, cols = np.nonzero(valid)
-    out[rows, cols, labels[valid]] = 1.0
-    return out
-
-
-def boundary_mask(labels: np.ndarray, connectivity: int = 4) -> np.ndarray:
-    """Return a boolean mask of pixels lying on a label boundary.
-
-    A pixel is a boundary pixel if at least one of its 4- (or 8-) neighbours
-    carries a different label.  Image border pixels count as boundary pixels,
-    matching the segment-boundary convention used for the fractality metrics
-    in MetaSeg.
-    """
-    labels = check_label_map(labels)
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    h, w = labels.shape
-    mask = np.zeros((h, w), dtype=bool)
-    # Neighbour differences along the two axes.
-    mask[:-1, :] |= labels[:-1, :] != labels[1:, :]
-    mask[1:, :] |= labels[1:, :] != labels[:-1, :]
-    mask[:, :-1] |= labels[:, :-1] != labels[:, 1:]
-    mask[:, 1:] |= labels[:, 1:] != labels[:, :-1]
-    if connectivity == 8:
-        mask[:-1, :-1] |= labels[:-1, :-1] != labels[1:, 1:]
-        mask[1:, 1:] |= labels[1:, 1:] != labels[:-1, :-1]
-        mask[:-1, 1:] |= labels[:-1, 1:] != labels[1:, :-1]
-        mask[1:, :-1] |= labels[1:, :-1] != labels[:-1, 1:]
-    # Image border counts as boundary.
-    mask[0, :] = True
-    mask[-1, :] = True
-    mask[:, 0] = True
-    mask[:, -1] = True
-    return mask
 
 
 def crop_center(array: np.ndarray, crop_height: int, crop_width: int) -> np.ndarray:
@@ -178,3 +144,55 @@ def pad_to_shape(array: np.ndarray, height: int, width: int, value: float = 0.0)
     if array.ndim == 3:
         pads = pads + ((0, 0),)
     return np.pad(array, pads, mode="constant", constant_values=value)
+
+
+def _sequential_sum(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = ((0.0 + planes[0]) + planes[1]) + ...``, one plane at a time."""
+    np.add(planes[0], 0.0, out=out)
+    for plane in planes[1:]:
+        np.add(out, plane, out=out)
+    return out
+
+
+def _pairwise_sum(planes: np.ndarray, out: np.ndarray, lanes) -> np.ndarray:
+    """numpy's ``pairwise_sum`` of every pixel's classes, over class planes.
+
+    Below eight classes the sum is sequential.  Up to 128 the classes feed
+    eight lanes in blocks of eight, the lanes combine as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and the tail is added in order;
+    above that the classes split at a multiple of eight near the middle and
+    each half recurses.  *lanes* is ``(8, n)`` scratch, or None to accumulate
+    in (and overwrite) the planes themselves.
+    """
+    n_classes = len(planes)
+    if n_classes < _LANES:
+        return _sequential_sum(planes, out)
+    if n_classes > _PAIRWISE_BLOCK:
+        half = n_classes // 2
+        half -= half % _LANES
+        _pairwise_sum(planes[:half], out, lanes)
+        right = _pairwise_sum(planes[half:], np.empty_like(out), lanes)
+        return np.add(out, right, out=out)
+    body = n_classes - n_classes % _LANES
+    if lanes is None:
+        lanes = planes[:_LANES]
+    else:
+        np.copyto(lanes, planes[:_LANES])
+    for start in range(_LANES, body, _LANES):
+        np.add(lanes, planes[start:start + _LANES], out=lanes)
+    np.add(lanes[0::2], lanes[1::2], out=lanes[0::2])
+    np.add(lanes[0::4], lanes[2::4], out=lanes[0::4])
+    np.add(lanes[0], lanes[4], out=out)
+    for plane in planes[body:]:
+        np.add(out, plane, out=out)
+    return out
+
+
+def _class_sum(planes: np.ndarray, out: np.ndarray, lanes=None) -> np.ndarray:
+    """Sum ``(C, n)`` class planes over C into *out*, bitwise as numpy would.
+
+    ``np.sum(x, axis=-1)`` of a C-contiguous ``x`` starts each pixel at the
+    identity 0.0 and adds ``pairwise_sum`` of its classes
+    (:func:`_pairwise_sum`).  *lanes* as in :func:`_pairwise_sum`.
+    """
+    return np.add(_pairwise_sum(planes, out, lanes), 0.0, out=out)

@@ -22,6 +22,18 @@ def variation_ratio_heatmap(field):
     return dispersion_heatmaps(field)["V"]
 
 
+def _boundary_mask(labels):
+    """Pixels with a 4-neighbour of another label, plus the image border."""
+    mask = np.ones(labels.shape, dtype=bool)
+    inner = mask[1:-1, 1:-1]
+    centre = labels[1:-1, 1:-1]
+    inner[:] = (
+        (centre != labels[:-2, 1:-1]) | (centre != labels[2:, 1:-1])
+        | (centre != labels[1:-1, :-2]) | (centre != labels[1:-1, 2:])
+    )
+    return mask
+
+
 def _one_hot_field(height, width, n_classes, class_id=0):
     field = np.zeros((height, width, n_classes))
     field[..., class_id] = 1.0
@@ -90,10 +102,8 @@ class TestDispersionHeatmaps:
             assert heatmap.shape == probability_field.shape[:2]
 
     def test_boundaries_more_uncertain_than_interiors(self, probability_field, scene):
-        from repro.utils.arrays import boundary_mask
-
         entropy = entropy_heatmap(probability_field)
-        boundary = boundary_mask(scene.labels)
+        boundary = _boundary_mask(scene.labels)
         assert entropy[boundary].mean() > entropy[~boundary].mean()
 
 

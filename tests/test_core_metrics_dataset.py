@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.dataset import MetricsDataset
 from repro.core.heatmaps import (
-    TILE_PIXELS,
     _reference_dispersion_heatmaps,
     dispersion_heatmaps,
     fused_dispersion_heatmaps,
@@ -16,6 +15,7 @@ from repro.core.metrics import METRIC_GROUPS, SegmentMetricsExtractor
 from repro.core.segments import extract_segments
 from repro.evaluation.regression import pearson_correlation
 from repro.segmentation.labels import LabelSpace, LabelSpec
+from repro.utils.arrays import TILE_PIXELS
 
 
 def _random_softmax_field(seed: int, n_classes: int, height=None, width=None):

@@ -1,5 +1,8 @@
 """Tests for repro.segmentation.network."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from repro.evaluation.segmentation import pixel_accuracy
 from repro.segmentation.network import (
     NetworkProfile,
     SimulatedSegmentationNetwork,
+    generic_profile,
     mobilenetv2_profile,
     xception65_profile,
 )
+from repro.segmentation.scene import SceneConfig, StreetSceneGenerator
 
 
 class TestNetworkProfile:
@@ -132,3 +137,81 @@ class TestSimulatedSegmentationNetwork:
         acc_quiet = pixel_accuracy(scene.labels, quiet.predict_labels(scene.labels, index=0))
         acc_noisy = pixel_accuracy(scene.labels, noisy.predict_labels(scene.labels, index=0))
         assert acc_noisy <= acc_quiet
+
+
+class TestLabelRange:
+    """Labels at or above C are rejected by name before anything is drawn."""
+
+    def test_all_out_of_range_map_is_rejected(self, mobilenet_network):
+        with pytest.raises(ValueError, match=r"label 25 .*C = 19"):
+            mobilenet_network.predict_probabilities(np.full((16, 16), 25))
+
+    def test_mixed_map_names_its_largest_label(self, mobilenet_network, scene):
+        labels = scene.labels.copy()
+        labels[3, 5] = 19
+        labels[10:12, 40:44] = 23
+        with pytest.raises(ValueError, match=r"label 23 .*C = 19"):
+            mobilenet_network.predict_probabilities(labels)
+
+    def test_largest_valid_label_is_accepted(self, mobilenet_network):
+        labels = np.full((8, 12), 18)
+        labels[:, :3] = -1
+        probs = mobilenet_network.predict_probabilities(labels)
+        assert probs.shape == (8, 12, 19)
+
+
+def _pinned_frames():
+    base = StreetSceneGenerator(SceneConfig(height=48, width=96), random_state=123)
+    yield "mobilenetv2_48x96", mobilenetv2_profile(), 7, base.generate(0).labels, 0
+    yield "xception65_48x96", xception65_profile(), 8, base.generate(1).labels, 3
+    ignore = StreetSceneGenerator(SceneConfig(height=64, width=128, ignore_margin=4), random_state=5)
+    yield "generic_64x128_ignore", generic_profile(), 11, ignore.generate(2).labels, 2
+    bench = StreetSceneGenerator(SceneConfig(height=96, width=192), random_state=0)
+    yield "mobilenetv2_96x192", mobilenetv2_profile(), 0, bench.generate(0).labels, 0
+    yield "xception65_7x5", xception65_profile(), 3, base.generate(2).labels[20:27, 40:45], 1
+    wide = np.tile(base.generate(3).labels[30:32], (1, 86))[:, :8200]
+    yield "mobilenetv2_2x8200", mobilenetv2_profile(), 4, wide, 5
+
+
+#: sha256 of the float64 softmax bytes of six frames, from the whole-array
+#: implementation the tiled one replaced: every simulated report rests on
+#: these bytes, so any change to the network's arithmetic or draw order
+#: shows here by name.
+PINNED_SHA256 = {
+    "mobilenetv2_48x96": "f884ab0b694ada916af737b50a884449e3b799cbeffafd5ae0e9cf36a178965c",
+    "xception65_48x96": "6aabcd56b864703ec3a7c834746f92f7c3167d32df8aaba531f4c08f3d1d4488",
+    "generic_64x128_ignore": "b8766d190574f2abed02ab03842b5cab31ca311b483fda989bb8001140dba761",
+    "mobilenetv2_96x192": "715d6dcf519207b6216d15cd501899816fda2b00f5333db4ec09b2e1a79a88b9",
+    "xception65_7x5": "9dcc704b643ed980161f20aa5922417552136bb8b49d0cfc00a510edba12c3ae",
+    "mobilenetv2_2x8200": "c0d8248ce59c8cb94fa007b32007d8231c297d7eb154e3211f97c6dd1a8d9426",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("frame", list(_pinned_frames()), ids=lambda frame: frame[0])
+    def test_softmax_bytes_are_pinned(self, frame):
+        name, profile, seed, labels, index = frame
+        network = SimulatedSegmentationNetwork(profile, random_state=seed)
+        probs = network.predict_probabilities(labels, index=index)
+        assert probs.dtype == np.float64 and probs.flags.c_contiguous
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == PINNED_SHA256[name]
+
+
+class TestNetworkMemory:
+    def test_cityscapes_half_frame_peak_is_bounded(self):
+        """One 512x1024 frame peaks at <= 240 bytes per pixel: the (H, W, C)
+        float64 logits (152 B/px at C = 19), changed in place into the
+        softmax, plus per-pixel maps and tile-sized buffers."""
+        height, width = 512, 1024
+        labels = StreetSceneGenerator(
+            SceneConfig(height=height, width=width), random_state=0
+        ).generate(0).labels
+        network = SimulatedSegmentationNetwork(mobilenetv2_profile(), random_state=0)
+        tracemalloc.start()
+        try:
+            probs = network.predict_probabilities(labels, index=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (height, width, 19)
+        assert peak / (height * width) <= 240

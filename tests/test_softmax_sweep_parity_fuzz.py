@@ -28,11 +28,10 @@ import pytest
 
 from repro.core.heatmaps import (
     SWEEP_COLUMNS,
-    TILE_PIXELS,
-    _class_sum,
     _reference_dispersion_heatmaps,
     fused_dispersion_heatmaps,
 )
+from repro.utils.arrays import TILE_PIXELS, _class_sum
 from repro.utils.validation import PROBABILITY_TOL, check_probability_field
 
 pytestmark = pytest.mark.fuzz

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.arrays import (
-    boundary_mask,
     crop_center,
     downsample_probability_field,
     mean_std,
-    one_hot,
     pad_to_shape,
     renormalise_probabilities,
     resize_bilinear,
@@ -36,55 +34,6 @@ class TestMeanStd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one value"):
             mean_std([])
-
-
-class TestOneHot:
-    def test_basic_encoding(self):
-        labels = np.array([[0, 1], [2, 1]])
-        encoded = one_hot(labels, 3)
-        assert encoded.shape == (2, 2, 3)
-        assert encoded[0, 0, 0] == 1.0
-        assert encoded[1, 0, 2] == 1.0
-        assert encoded.sum() == 4.0
-
-    def test_ignore_pixels_all_zero(self):
-        labels = np.array([[0, -1]])
-        encoded = one_hot(labels, 2)
-        assert encoded[0, 1].sum() == 0.0
-
-    def test_too_few_classes_raises(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([[3]]), 3)
-
-
-class TestBoundaryMask:
-    def test_interior_of_uniform_map_is_not_boundary(self):
-        labels = np.zeros((5, 5), dtype=int)
-        mask = boundary_mask(labels)
-        assert not mask[2, 2]
-
-    def test_image_border_is_boundary(self):
-        labels = np.zeros((5, 5), dtype=int)
-        mask = boundary_mask(labels)
-        assert mask[0, :].all() and mask[:, 0].all()
-
-    def test_class_transition_is_boundary(self):
-        labels = np.zeros((5, 6), dtype=int)
-        labels[:, 3:] = 1
-        mask = boundary_mask(labels)
-        assert mask[2, 2] and mask[2, 3]
-        assert not mask[2, 1]
-
-    def test_invalid_connectivity(self):
-        with pytest.raises(ValueError):
-            boundary_mask(np.zeros((3, 3), dtype=int), connectivity=6)
-
-    def test_8_connectivity_marks_diagonal_transitions(self):
-        labels = np.zeros((4, 4), dtype=int)
-        labels[2:, 2:] = 1
-        mask4 = boundary_mask(labels, connectivity=4)
-        mask8 = boundary_mask(labels, connectivity=8)
-        assert mask8.sum() >= mask4.sum()
 
 
 class TestCropCenter:
