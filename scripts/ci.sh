@@ -121,13 +121,16 @@ for report in cached:
 print("unwritable cache smoke: serial + process runs bitwise-equal to the storeless run")
 PY
 
-echo "=== experiment CLI (smoke; simulated reports match examples/report_digests.json) ==="
+echo "=== experiment CLI (smoke; reports match examples/report_digests.json) ==="
 python -m repro list
 python -m repro run examples/configs/metaseg_small.json --output "${TMP_ROOT}/report_metaseg_small.json"
-python -m repro run examples/configs/metaseg_sharded.json
+python -m repro run examples/configs/metaseg_sharded.json \
+    --output "${TMP_ROOT}/report_metaseg_sharded.json"
 python -m repro run examples/configs/timedynamic_small.json \
     --output "${TMP_ROOT}/report_timedynamic_small.json"
 python -m repro run examples/configs/decision_small.json --output "${TMP_ROOT}/report_decision_small.json"
+# The committed disk fixture (label PNGs and softmax dumps under tests/fixtures/disk).
+python -m repro run examples/configs/metaseg_disk.json --output "${TMP_ROOT}/report_metaseg_disk.json"
 python - "${TMP_ROOT}" <<'PY'
 import hashlib, json, sys
 from pathlib import Path
@@ -140,7 +143,7 @@ changed = [
 if changed:
     print(f"FAIL: report bytes differ from report_digests.json: {changed}", file=sys.stderr)
     raise SystemExit(1)
-print(f"report digests: {len(digests)} simulated reports byte-identical")
+print(f"report digests: {len(digests)} reports byte-identical")
 PY
 
 echo "=== trace export (smoke: run --trace, Chrome trace-event schema) ==="
@@ -165,9 +168,6 @@ if missing:
     raise SystemExit(1)
 print(f"trace smoke: valid chrome trace ({len(spans)} spans)")
 PY
-
-echo "=== disk-backed I/O (committed fixture smoke) ==="
-python -m repro run examples/configs/metaseg_disk.json
 
 echo "=== disk-backed I/O (generated fixture + process backend + store cache) ==="
 DISK_ROOT="${TMP_ROOT}/disk-fixture"

@@ -169,22 +169,6 @@ class MetricsDataset:
             extra=dict(datasets[0].extra),
         )
 
-    def with_iou(self, iou: np.ndarray) -> "MetricsDataset":
-        """Return a copy of the dataset with (pseudo) IoU targets attached.
-
-        Used by the pseudo-ground-truth compositions of Section III, where IoU
-        targets for unlabelled frames are derived from a reference network.
-        """
-        return MetricsDataset(
-            features=self.features,
-            feature_names=list(self.feature_names),
-            segment_ids=self.segment_ids,
-            class_ids=self.class_ids,
-            image_ids=self.image_ids,
-            iou=np.asarray(iou, dtype=np.float64),
-            extra=dict(self.extra),
-        )
-
 
 class MetricsAccumulator:
     """Folds streamed :class:`MetricsDataset` chunks into one dataset.

@@ -33,7 +33,7 @@ from repro.evaluation.classification import accuracy, auroc
 from repro.models.gradient_boosting import GradientBoostingClassifier
 from repro.models.logistic import LogisticRegression
 from repro.models.neural_network import MLPClassifier
-from repro.utils.rng import RandomState, as_rng
+from repro.utils.rng import RandomState
 
 
 def naive_baseline_accuracy(dataset: MetricsDataset) -> float:
@@ -135,11 +135,3 @@ def entropy_baseline_classifier(
         feature_subset=list(METRIC_GROUPS["entropy_only"]),
         random_state=random_state,
     )
-
-
-def random_baseline_scores(n: int, random_state: RandomState = None) -> np.ndarray:
-    """Random scores in [0, 1] for the naive random-guessing baseline."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = as_rng(random_state)
-    return rng.uniform(0.0, 1.0, size=n)

@@ -9,6 +9,9 @@ Protocol:
 3. collect segment-wise precision and recall for the chosen category
    ("human") under each rule and compare their empirical CDFs, stochastic
    dominance and non-detection rates (Fig. 5).
+
+Each frame's softmax field is validated once; every rule then decodes the
+validated field through the ``decision_rules`` registry.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ import numpy as np
 from repro.api.registry import DECISION_RULES
 from repro.decision.evaluation import ClassPrecisionRecall, collect_precision_recall
 from repro.decision.priors import PixelPriorEstimator
-from repro.decision.rules import apply_rule
 from repro.evaluation.segmentation import pixel_accuracy
 from repro.segmentation.datasets import SegmentationSample
 from repro.segmentation.labels import HUMAN_CATEGORY, LabelSpace, cityscapes_label_space
 from repro.segmentation.network import SimulatedSegmentationNetwork
+from repro.utils.validation import check_probability_field
+
+#: Built-in rules that divide by the priors: decoding with them before
+#: :meth:`DecisionRuleComparison.fit_priors` is an error of the caller.
+_PRIOR_RULES = ("ml", "interpolated")
 
 
 @dataclass
@@ -111,20 +118,21 @@ class DecisionRuleComparison:
 
     # ------------------------------------------------------------------ ---
     def decode(self, probs: np.ndarray, rule: str, strength: float = 1.0) -> np.ndarray:
-        """Decode a probability field with the requested decision rule.
+        """Validate a probability field and decode it with the requested rule.
 
-        The built-in rules dispatch through :func:`apply_rule`; any other
-        name is resolved via the ``decision_rules`` registry and called as
-        ``rule_fn(probs, priors=..., strength=...)`` (``priors`` is ``None``
-        when no priors were fitted), so custom registered rules plug into
-        the comparison without pipeline changes.
+        The rule is resolved via the ``decision_rules`` registry and called
+        as ``rule_fn(probs, priors=..., strength=...)`` (``priors`` is
+        ``None`` when no priors were fitted), so custom registered rules plug
+        into the comparison without pipeline changes.  The built-in ``ml``
+        and ``interpolated`` rules raise ``RuntimeError`` before
+        :meth:`fit_priors`.
         """
-        if rule == "bayes":
-            return apply_rule(probs, rule=rule)
-        if rule in ("ml", "interpolated"):
-            return apply_rule(probs, rule=rule, priors=self.priors, strength=strength)
-        custom_rule = DECISION_RULES.get(rule)
-        return custom_rule(probs, priors=self._priors, strength=strength)
+        return self._decode(check_probability_field(probs), rule, strength)
+
+    def _decode(self, probs: np.ndarray, rule: str, strength: float) -> np.ndarray:
+        """:meth:`decode` of a field that is already validated."""
+        priors = self.priors if rule in _PRIOR_RULES else self._priors
+        return DECISION_RULES.get(rule)(probs, priors=priors, strength=strength)
 
     def _compare_one(
         self,
@@ -134,10 +142,12 @@ class DecisionRuleComparison:
         strengths: Dict[str, float],
     ) -> Dict[str, Tuple[List[float], List[float], float]]:
         """Per-rule (precision samples, recall samples, pixel accuracy) of one sample."""
-        probs = self.network.predict_probabilities(sample.labels, index=index)
+        probs = check_probability_field(
+            self.network.predict_probabilities(sample.labels, index=index)
+        )
         out: Dict[str, Tuple[List[float], List[float], float]] = {}
         for rule in rules:
-            decoded = self.decode(probs, rule, strength=strengths.get(rule, 1.0))
+            decoded = self._decode(probs, rule, strengths.get(rule, 1.0))
             precision, recall = collect_precision_recall(
                 decoded,
                 sample.labels,

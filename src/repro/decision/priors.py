@@ -123,17 +123,6 @@ class PixelPriorEstimator:
             )
         return positional
 
-    def class_prior(self, class_name_or_id) -> np.ndarray:
-        """(H, W) prior heatmap of one class (Fig. 4 shows the "person" map)."""
-        priors = self.priors()
-        if isinstance(class_name_or_id, str):
-            class_id = self.label_space.id_of(class_name_or_id)
-        else:
-            class_id = int(class_name_or_id)
-        if not 0 <= class_id < self.n_classes:
-            raise ValueError(f"class id {class_id} out of range")
-        return priors[:, :, class_id]
-
     def category_prior(self, category: str) -> np.ndarray:
         """(H, W) prior heatmap of a whole category (e.g. ``"human"``)."""
         priors = self.priors()

@@ -11,6 +11,13 @@ class.  The paper discusses three families:
   which, via Bayes' theorem, amounts to dividing the posterior by the
   position-specific prior and therefore picks the class for which the
   observation is most *typical*, independent of class frequency.
+
+Every rule takes a validated (H, W, C) field
+(:func:`repro.utils.validation.check_probability_field`): the caller
+validates a frame once and decodes it with as many rules as it likes.  The
+registered rules share one signature, ``rule(probs, priors=None,
+strength=1.0)``, and one prior check: a length-C vector or an (H, W, C)
+field like the probabilities, non-negative.
 """
 
 from __future__ import annotations
@@ -20,42 +27,64 @@ from typing import Optional
 import numpy as np
 
 from repro.api.registry import DECISION_RULES
-from repro.utils.validation import check_probability_field
+
+
+def _prior_field(priors: Optional[np.ndarray], shape: tuple, rule: str) -> np.ndarray:
+    """*priors* as an array that broadcasts against a field of *shape*.
+
+    Accepts a length-C vector of global priors or an (H, W, C) field of
+    position-specific priors, non-negative; anything else is a
+    ``ValueError`` naming what it found.
+    """
+    if priors is None:
+        raise ValueError(f"the {rule} rule requires priors")
+    priors = np.asarray(priors, dtype=np.float64)
+    n_classes = shape[2]
+    if priors.shape == (n_classes,):
+        priors = priors.reshape(1, 1, -1)
+    elif priors.shape != tuple(shape):
+        raise ValueError(
+            f"priors must be a length-{n_classes} vector or an array of the "
+            f"probabilities' shape {tuple(shape)}, got shape {priors.shape}"
+        )
+    if np.any(priors < 0):
+        raise ValueError(f"priors must be non-negative, found {float(np.min(priors))!r}")
+    return priors
 
 
 @DECISION_RULES.register("bayes")
-def bayes_rule(probs: np.ndarray) -> np.ndarray:
-    """Maximum a-posteriori (MAP) decision: argmax_y f_z(y|x)."""
-    probs = check_probability_field(probs)
+def bayes_rule(
+    probs: np.ndarray, priors: Optional[np.ndarray] = None, strength: float = 1.0
+) -> np.ndarray:
+    """Maximum a-posteriori (MAP) decision: argmax_y f_z(y|x).
+
+    Takes a validated (H, W, C) field; *priors* and *strength* are ignored.
+    """
     return np.argmax(probs, axis=2).astype(np.int64)
 
 
 @DECISION_RULES.register("ml")
-def maximum_likelihood_rule(probs: np.ndarray, priors: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
+def maximum_likelihood_rule(
+    probs: np.ndarray,
+    priors: Optional[np.ndarray] = None,
+    strength: float = 1.0,
+    epsilon: float = 1e-12,
+) -> np.ndarray:
     """Maximum-Likelihood decision: argmax_y f_z(y|x) / p̂_z(y).
 
     Parameters
     ----------
     probs:
-        (H, W, C) posterior (softmax) field.
+        Validated (H, W, C) posterior (softmax) field.
     priors:
         Either an (H, W, C) position-specific prior field (the paper's
         position-wise application) or a length-C vector of global priors.
+    strength:
+        Ignored: ML is the interpolated rule at full strength.
     epsilon:
         Numerical floor for the priors.
     """
-    probs = check_probability_field(probs)
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.ndim == 1:
-        if priors.shape[0] != probs.shape[2]:
-            raise ValueError("global priors must have one entry per class")
-        priors = priors.reshape(1, 1, -1)
-    elif priors.shape != probs.shape:
-        raise ValueError(
-            f"priors shape {priors.shape} does not match probabilities {probs.shape}"
-        )
-    if np.any(priors < 0):
-        raise ValueError("priors must be non-negative")
+    priors = _prior_field(priors, probs.shape, "ml")
     likelihood = probs / np.maximum(priors, epsilon)
     return np.argmax(likelihood, axis=2).astype(np.int64)
 
@@ -78,7 +107,7 @@ def cost_based_rule(probs: np.ndarray, confusion_costs: np.ndarray) -> np.ndarra
     Parameters
     ----------
     probs:
-        (H, W, C) posterior field.
+        Validated (H, W, C) posterior field.
     confusion_costs:
         Either a (C, C) matrix ψ(ŷ, y) of confusion costs (position
         independent) or an (H, W, C, C) tensor for position-specific costs.
@@ -89,7 +118,6 @@ def cost_based_rule(probs: np.ndarray, confusion_costs: np.ndarray) -> np.ndarra
     -------
     (H, W) label map minimising the expected cost per pixel.
     """
-    probs = check_probability_field(probs)
     height, width, n_classes = probs.shape
     costs = np.asarray(confusion_costs, dtype=np.float64)
     if costs.ndim == 2:
@@ -111,51 +139,19 @@ def cost_based_rule(probs: np.ndarray, confusion_costs: np.ndarray) -> np.ndarra
 @DECISION_RULES.register("interpolated")
 def interpolated_rule(
     probs: np.ndarray,
-    priors: np.ndarray,
-    strength: float,
+    priors: Optional[np.ndarray] = None,
+    strength: float = 1.0,
     epsilon: float = 1e-12,
 ) -> np.ndarray:
     """Decision rule interpolating between Bayes (strength 0) and ML (strength 1).
 
-    The posterior is divided by ``priors ** strength``; intermediate strengths
+    Takes a validated (H, W, C) field and the priors the ML rule takes.  The
+    posterior is divided by ``priors ** strength``; intermediate strengths
     correspond to milder cost asymmetries, which is the knob explored by the
     cost-sweep ablation of the Fig. 5 benchmark.
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError("strength must be in [0, 1]")
-    probs = check_probability_field(probs)
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.ndim == 1:
-        priors = priors.reshape(1, 1, -1)
+    priors = _prior_field(priors, probs.shape, "interpolated")
     scaled = probs / np.maximum(priors, epsilon) ** strength
     return np.argmax(scaled, axis=2).astype(np.int64)
-
-
-def apply_rule(
-    probs: np.ndarray,
-    rule: str = "bayes",
-    priors: Optional[np.ndarray] = None,
-    strength: float = 1.0,
-) -> np.ndarray:
-    """Convenience dispatcher used by the pipelines and benchmarks.
-
-    Parameters
-    ----------
-    rule:
-        ``"bayes"``, ``"ml"`` (maximum likelihood) or ``"interpolated"``.
-    priors:
-        Required for the ML and interpolated rules.
-    strength:
-        Interpolation strength for ``"interpolated"``.
-    """
-    if rule == "bayes":
-        return bayes_rule(probs)
-    if rule == "ml":
-        if priors is None:
-            raise ValueError("the ML rule requires priors")
-        return maximum_likelihood_rule(probs, priors)
-    if rule == "interpolated":
-        if priors is None:
-            raise ValueError("the interpolated rule requires priors")
-        return interpolated_rule(probs, priors, strength)
-    raise ValueError(f"unknown decision rule {rule!r}")

@@ -6,8 +6,6 @@ accuracy (ACC) and area under the ROC curve (AUROC), both in percent.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.utils.validation import check_binary_labels
@@ -55,25 +53,3 @@ def auroc(y_true: np.ndarray, scores: np.ndarray) -> float:
     rank_sum_positive = float(ranks[y_true == 1].sum())
     u_statistic = rank_sum_positive - n_positive * (n_positive + 1) / 2.0
     return float(u_statistic / (n_positive * n_negative))
-
-
-def optimal_accuracy_threshold(y_true: np.ndarray, scores: np.ndarray) -> Tuple[float, float]:
-    """Threshold on *scores* maximising accuracy, and that best accuracy.
-
-    The naive baseline of Table I thresholds a random score; the learned meta
-    classifiers threshold a predicted probability.  This helper scans all
-    candidate thresholds (the distinct scores plus ±inf end points).
-    """
-    y_true = check_binary_labels(y_true, "y_true")
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    if y_true.shape[0] != scores.shape[0]:
-        raise ValueError("y_true and scores must have the same length")
-    candidates = np.concatenate([[-np.inf], np.unique(scores), [np.inf]])
-    best_threshold, best_accuracy = -np.inf, -1.0
-    for threshold in candidates:
-        pred = (scores >= threshold).astype(np.int64)
-        acc = float(np.mean(pred == y_true))
-        if acc > best_accuracy:
-            best_accuracy = acc
-            best_threshold = float(threshold)
-    return best_threshold, best_accuracy

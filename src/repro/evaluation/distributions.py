@@ -77,18 +77,3 @@ def first_order_dominates(
     high = max(float(cdf_smaller.sorted_values[-1]), float(cdf_larger.sorted_values[-1]))
     grid = np.linspace(low, high, grid_points)
     return bool(np.all(cdf_larger(grid) <= cdf_smaller(grid) + tolerance))
-
-
-def dominance_gap(cdf_a: EmpiricalCDF, cdf_b: EmpiricalCDF, grid_points: int = 201) -> float:
-    """Signed area between two CDFs, positive when ``cdf_a`` lies above ``cdf_b``.
-
-    A positive value indicates that samples from *b* are typically larger than
-    samples from *a* (because *a*'s CDF accumulates mass earlier).
-    """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    low = min(float(cdf_a.sorted_values[0]), float(cdf_b.sorted_values[0]))
-    high = max(float(cdf_a.sorted_values[-1]), float(cdf_b.sorted_values[-1]))
-    grid = np.linspace(low, high, grid_points)
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(cdf_a(grid) - cdf_b(grid), grid))

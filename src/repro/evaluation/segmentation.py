@@ -2,14 +2,13 @@
 
 The paper contrasts segment-level meta classification with the usual global
 indices "like the global accuracy over frames or the averaged intersection
-over union (IoU) on class mask level".  These global indices are implemented
-here; they are used to sanity-check the simulated networks (the Xception-like
-profile must outperform the Mobilenet-like one) and by the ablation benches.
+over union (IoU) on class mask level".  The global accuracy is implemented
+here; it sanity-checks the simulated networks (the Xception-like profile must
+outperform the Mobilenet-like one) and is reported next to the decision
+rules' precision and recall.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -25,78 +24,3 @@ def pixel_accuracy(gt: np.ndarray, pred: np.ndarray, ignore_id: int = -1) -> flo
     if not np.any(valid):
         raise ValueError("all pixels are ignored; cannot compute accuracy")
     return float(np.mean(gt[valid] == pred[valid]))
-
-
-def class_iou(
-    gt: np.ndarray, pred: np.ndarray, n_classes: int, ignore_id: int = -1
-) -> Dict[int, float]:
-    """Per-class intersection over union on class-mask level.
-
-    Classes absent from both ground truth and prediction are omitted from the
-    result (their IoU is undefined).
-    """
-    gt = check_label_map(gt, "gt")
-    pred = check_label_map(pred, "pred")
-    check_same_shape(gt, pred, "gt", "pred")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    valid = gt != ignore_id
-    result: Dict[int, float] = {}
-    for class_id in range(n_classes):
-        gt_mask = (gt == class_id) & valid
-        pred_mask = (pred == class_id) & valid
-        union = int(np.sum(gt_mask | pred_mask))
-        if union == 0:
-            continue
-        intersection = int(np.sum(gt_mask & pred_mask))
-        result[class_id] = intersection / union
-    return result
-
-
-def mean_iou(
-    gt: np.ndarray, pred: np.ndarray, n_classes: int, ignore_id: int = -1
-) -> float:
-    """Mean of the per-class IoU values over classes present in GT or prediction."""
-    per_class = class_iou(gt, pred, n_classes, ignore_id)
-    if not per_class:
-        raise ValueError("no class present; cannot compute mean IoU")
-    return float(np.mean(list(per_class.values())))
-
-
-def accumulate_confusion(
-    gt: np.ndarray,
-    pred: np.ndarray,
-    n_classes: int,
-    ignore_id: int = -1,
-    confusion: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Accumulate a (n_classes, n_classes) confusion matrix over images.
-
-    ``confusion[i, j]`` counts pixels with ground truth *i* predicted as *j*.
-    Pass the returned matrix back in to accumulate over a dataset.
-    """
-    gt = check_label_map(gt, "gt")
-    pred = check_label_map(pred, "pred")
-    check_same_shape(gt, pred, "gt", "pred")
-    if confusion is None:
-        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    elif confusion.shape != (n_classes, n_classes):
-        raise ValueError("confusion matrix has the wrong shape")
-    valid = (gt != ignore_id) & (gt < n_classes) & (pred >= 0) & (pred < n_classes)
-    indices = gt[valid] * n_classes + pred[valid]
-    counts = np.bincount(indices, minlength=n_classes * n_classes)
-    return confusion + counts.reshape(n_classes, n_classes)
-
-
-def iou_from_confusion(confusion: np.ndarray) -> Dict[int, float]:
-    """Per-class IoU from an accumulated confusion matrix."""
-    confusion = np.asarray(confusion, dtype=np.float64)
-    if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
-        raise ValueError("confusion must be a square matrix")
-    result: Dict[int, float] = {}
-    for class_id in range(confusion.shape[0]):
-        intersection = confusion[class_id, class_id]
-        union = confusion[class_id, :].sum() + confusion[:, class_id].sum() - intersection
-        if union > 0:
-            result[class_id] = float(intersection / union)
-    return result

@@ -1,15 +1,13 @@
-"""Trace exporters: deterministic JSON and Chrome ``trace_event`` format.
+"""Trace export in the Chrome ``trace_event`` format.
 
-Two serialisations of a :class:`~repro.obs.trace.Tracer`:
-
-* :func:`trace_to_dict` — the library's own span-record format
-  (``"repro-trace/1"``), records sorted by ``(start_s, span_id)`` so the
-  export of a given trace is order-stable regardless of commit order.
-* :func:`trace_to_chrome` — the Chrome/Perfetto `trace_event` JSON array
-  format: one ``"X"`` (complete) event per span with microsecond
-  ``ts``/``dur``, plus ``"M"`` (metadata) ``thread_name`` events so the
-  per-thread tracks are labelled.  Load the file in ``chrome://tracing``
-  or https://ui.perfetto.dev.
+:func:`trace_to_chrome` serialises a :class:`~repro.obs.trace.Tracer` as
+the Chrome/Perfetto `trace_event` JSON array format: one ``"X"`` (complete)
+event per span with microsecond ``ts``/``dur``, plus ``"M"`` (metadata)
+``thread_name`` events so the per-thread tracks are labelled.  Records are
+sorted by ``(start_s, span_id)`` so the export of a given trace is
+order-stable regardless of commit order, and ``otherData`` carries the
+format tag ``"repro-trace/1"``.  Load the file in ``chrome://tracing`` or
+https://ui.perfetto.dev.
 
 :func:`write_json` writes either payload via the store's atomic
 temp-file+rename pattern, and :func:`validate_chrome_trace` is the schema
@@ -23,7 +21,7 @@ import os
 import tempfile
 from typing import Dict, List
 
-#: Format tag stamped into the library's own JSON trace export.
+#: Format tag stamped into the ``otherData`` of the Chrome trace export.
 TRACE_FORMAT = "repro-trace/1"
 
 
@@ -31,15 +29,6 @@ def _sorted_records(tracer) -> List[Dict[str, object]]:
     return sorted(
         tracer.records(), key=lambda r: (r.get("start_s") or 0.0, str(r["span_id"]))
     )
-
-
-def trace_to_dict(tracer) -> Dict[str, object]:
-    """The library's own JSON-ready trace payload (deterministic order)."""
-    return {
-        "format": TRACE_FORMAT,
-        "trace_id": tracer.trace_id,
-        "records": _sorted_records(tracer),
-    }
 
 
 def trace_to_chrome(tracer) -> Dict[str, object]:

@@ -125,14 +125,6 @@ class LabelSpace:
             raise KeyError(f"unknown category {category!r}")
         return ids
 
-    def categories(self) -> List[str]:
-        """Distinct category names in first-appearance order."""
-        seen: List[str] = []
-        for spec in self.specs:
-            if spec.category not in seen:
-                seen.append(spec.category)
-        return seen
-
     def thing_ids(self) -> List[int]:
         """Train ids of instance-like ("thing") classes."""
         return [spec.train_id for spec in self.specs if spec.is_thing]

@@ -28,7 +28,7 @@ cover well below 1 % of the pixels), and position-dependent class priors
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -111,12 +111,6 @@ class SceneObject:
             velocity=self.velocity,
         )
 
-    def bounding_box(self) -> Tuple[int, int, int, int]:
-        """Integer bounding box (top, left, bottom, right), bottom/right exclusive."""
-        top = int(round(self.center_row - self.height / 2))
-        left = int(round(self.center_col - self.width / 2))
-        return top, left, top + max(1, int(round(self.height))), left + max(1, int(round(self.width)))
-
 
 @dataclass
 class Scene:
@@ -137,15 +131,6 @@ class Scene:
     @property
     def width(self) -> int:
         return self.config.width
-
-    def class_pixel_counts(self) -> Dict[int, int]:
-        """Pixel count per class id present in the label map (ignore excluded)."""
-        counts: Dict[int, int] = {}
-        values, freq = np.unique(self.labels, return_counts=True)
-        for value, count in zip(values, freq):
-            if value >= 0:
-                counts[int(value)] = int(count)
-        return counts
 
 
 class StreetSceneGenerator:
@@ -194,10 +179,6 @@ class StreetSceneGenerator:
             config=self.config,
             label_space=self.label_space,
         )
-
-    def generate_many(self, n: int, start_index: int = 0) -> List[Scene]:
-        """Generate *n* consecutive scenes starting at *start_index*."""
-        return [self.generate(start_index + i) for i in range(n)]
 
     def render(self, background: np.ndarray, objects: List[SceneObject]) -> np.ndarray:
         """Paint objects onto a copy of the background label map.

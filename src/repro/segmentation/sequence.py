@@ -120,10 +120,6 @@ class SequenceGenerator:
                     next_object_id += 1
         return SceneSequence(sequence_id=sequence_index, frames=frames, config=cfg)
 
-    def generate_many(self, n_sequences: int, start_index: int = 0) -> List[SceneSequence]:
-        """Generate several consecutive sequences."""
-        return [self.generate(start_index + i) for i in range(n_sequences)]
-
     # ------------------------------------------------------------------ ---
     def _advance(
         self, objects: List[SceneObject], rng: np.random.Generator, base_scene: Scene

@@ -14,7 +14,7 @@ real ground truth.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,21 +98,3 @@ def assemble_composition(
     combined = MetricsDataset.concatenate(parts)
     combined.extra["composition"] = name
     return combined
-
-
-def composition_sizes(
-    real_train: MetricsDataset,
-    pseudo_train: Optional[MetricsDataset],
-    augmentation_factor: float = 1.0,
-) -> Dict[str, int]:
-    """Expected number of training samples per composition (diagnostic)."""
-    n_real = len(real_train)
-    n_pseudo = len(pseudo_train) if pseudo_train is not None else 0
-    n_augmented = int(round(augmentation_factor * n_real))
-    return {
-        "R": n_real,
-        "RA": n_real + n_augmented,
-        "RAP": n_real + n_augmented + n_pseudo,
-        "RP": n_real + n_pseudo,
-        "P": n_pseudo,
-    }

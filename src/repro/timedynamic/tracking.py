@@ -308,10 +308,6 @@ class SegmentTracker:
         self._frame_index = -1
         self._previous: Optional[Segmentation] = None
         self._match_fn = match_fn or match_segments
-        # Reverse index frame → {segment id: track id} (a copy of each
-        # frame's assignment), so track_of is a dict lookup instead of an
-        # O(n_tracks) scan over every track's history.
-        self._frame_tracks: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------ ---
     def update(self, segmentation: Segmentation) -> Dict[int, int]:
@@ -360,7 +356,6 @@ class SegmentTracker:
                 self._active[track.track_id] = track
                 self._next_track_id += 1
                 assignment[segment_id] = track.track_id
-        self._frame_tracks[frame] = dict(assignment)
         # Age unmatched active tracks and retire the stale ones.
         for track in list(self._active.values()):
             if track.last_frame != frame:
@@ -369,16 +364,3 @@ class SegmentTracker:
                     del self._active[track.track_id]
         self._previous = segmentation
         return assignment
-
-    # ------------------------------------------------------------------ ---
-    @property
-    def n_tracks(self) -> int:
-        """Total number of tracks created so far."""
-        return len(self.tracks)
-
-    def track_of(self, frame: int, segment_id: int) -> Optional[int]:
-        """Track id of a segment in a given frame, or ``None`` if untracked."""
-        frame_tracks = self._frame_tracks.get(frame)
-        if frame_tracks is None:
-            return None
-        return frame_tracks.get(segment_id)

@@ -1,8 +1,8 @@
-"""Small array helpers: aggregation, crops, resizing, and class sums over tiles.
+"""Small array helpers: aggregation, resizing, and class sums over tiles.
 
 The multi-resolution extension of MetaSeg (Section II of the paper, ref. [18])
-needs nested center crops, nearest/bilinear resizing and renormalised
-probability fields.  The two walks over a softmax field, the simulated
+resizes its nested centre crops (nearest and bilinear) and renormalises the
+probability fields it blends.  The two walks over a softmax field, the simulated
 network's softmax (:mod:`repro.segmentation.network`) and the dispersion
 sweep (:mod:`repro.core.heatmaps`), share the tile size :data:`TILE_PIXELS`
 and :func:`_class_sum`, which adds class planes in the order ``np.sum`` adds
@@ -15,8 +15,6 @@ from __future__ import annotations
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.utils.validation import check_probability_field
 
 #: Pixel budget of one tile of a class-major walk over an (H, W, C) field.  A
 #: tile is ``max(1, TILE_PIXELS // W)`` rows, copied once into a class-major
@@ -47,20 +45,6 @@ def mean_std(values: Union[Sequence[float], np.ndarray]) -> Tuple[float, float]:
 def mean_std_by_key(runs: Sequence[Mapping[str, float]]) -> Dict[str, Tuple[float, float]]:
     """:func:`mean_std` of every key over runs that share the first run's keys."""
     return {key: mean_std([run[key] for run in runs]) for key in runs[0]}
-
-
-def crop_center(array: np.ndarray, crop_height: int, crop_width: int) -> np.ndarray:
-    """Extract a centered crop of the given spatial size from a 2-D/3-D array."""
-    if crop_height <= 0 or crop_width <= 0:
-        raise ValueError("crop sizes must be positive")
-    h, w = array.shape[:2]
-    if crop_height > h or crop_width > w:
-        raise ValueError(
-            f"crop size ({crop_height}, {crop_width}) exceeds array size ({h}, {w})"
-        )
-    top = (h - crop_height) // 2
-    left = (w - crop_width) // 2
-    return array[top : top + crop_height, left : left + crop_width]
 
 
 def _resize_indices(src: int, dst: int) -> np.ndarray:
@@ -108,42 +92,6 @@ def renormalise_probabilities(probs: np.ndarray) -> np.ndarray:
     sums = arr.sum(axis=2, keepdims=True)
     sums[sums == 0] = 1.0
     return arr / sums
-
-
-def downsample_probability_field(probs: np.ndarray, factor: int) -> np.ndarray:
-    """Block-average an (H, W, C) probability field by an integer factor.
-
-    Used by the multi-resolution pyramid to simulate inference at reduced
-    resolution; the result is renormalised per pixel.
-    """
-    probs = check_probability_field(probs)
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return probs.copy()
-    h, w, c = probs.shape
-    new_h, new_w = h // factor, w // factor
-    if new_h == 0 or new_w == 0:
-        raise ValueError(f"factor {factor} too large for field of shape {(h, w)}")
-    trimmed = probs[: new_h * factor, : new_w * factor]
-    blocks = trimmed.reshape(new_h, factor, new_w, factor, c)
-    return renormalise_probabilities(blocks.mean(axis=(1, 3)))
-
-
-def pad_to_shape(array: np.ndarray, height: int, width: int, value: float = 0.0) -> np.ndarray:
-    """Pad a 2-D/3-D array symmetrically up to (height, width) with *value*."""
-    h, w = array.shape[:2]
-    if height < h or width < w:
-        raise ValueError("target shape must not be smaller than the array")
-    pad_h = height - h
-    pad_w = width - w
-    pads: Tuple[Tuple[int, int], ...] = (
-        (pad_h // 2, pad_h - pad_h // 2),
-        (pad_w // 2, pad_w - pad_w // 2),
-    )
-    if array.ndim == 3:
-        pads = pads + ((0, 0),)
-    return np.pad(array, pads, mode="constant", constant_values=value)
 
 
 def _sequential_sum(planes: np.ndarray, out: np.ndarray) -> np.ndarray:

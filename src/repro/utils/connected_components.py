@@ -18,6 +18,9 @@ labels every class at once in one run-length pass:
 The component image is one ``np.repeat`` of the run ids; the first pixels,
 boxes, sizes and coordinate sums of the components are reduced per run, which
 is all :func:`repro.core.segments.extract_segments` needs besides the image.
+:func:`label_components` is the one labelling entry point: the segment
+extraction, the simulated network and the tests read its ``components``
+image and count the components as ``first_index.size``.
 The test suite checks the image and the table against ``scipy.ndimage.label``
 run on the full-image mask of every class.
 
@@ -161,12 +164,22 @@ def label_components(
     connectivity: int = 8,
     background: int = -1,
 ) -> Labelling:
-    """Label connected components and return their table: first pixels,
-    boxes, sizes and coordinate sums.
+    """Label connected components of equal-valued pixels and return their
+    table: first pixels, boxes, sizes and coordinate sums.
 
-    Same parameters and component numbering as :func:`connected_components`.
+    Parameters
+    ----------
+    labels:
+        2-D integer array of class ids per pixel.
+    connectivity:
+        4 or 8.
+    background:
+        Value treated as background / ignore (component id 0).
+
     One run-length pass (see the module docstring) yields the image and the
-    table together.
+    table together.  In ``components`` background pixels are 0 and the
+    components are numbered 1..n in scan order of their first pixel, so
+    ``first_index.size`` is the component count.
     """
     labels = check_label_map(labels)
     if connectivity not in (4, 8):
@@ -182,34 +195,6 @@ def label_components(
     return Labelling(
         labels, components, first_index, *_run_table(starts, lengths, run_ids, first_index, width)
     )
-
-
-def connected_components(
-    labels: np.ndarray,
-    connectivity: int = 8,
-    background: int = -1,
-) -> Tuple[np.ndarray, int]:
-    """Label connected components of equal-valued pixels.
-
-    Parameters
-    ----------
-    labels:
-        2-D integer array of class ids per pixel.
-    connectivity:
-        4 or 8.
-    background:
-        Value treated as background / ignore (component id 0).
-
-    Returns
-    -------
-    components:
-        2-D ``int64`` array; background pixels are 0, components are numbered
-        1..n_components in scan order of their first pixel.
-    n_components:
-        Number of non-background components.
-    """
-    labelling = label_components(labels, connectivity, background)
-    return labelling.components, int(labelling.first_index.size)
 
 
 def pair_contingency(

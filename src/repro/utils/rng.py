@@ -9,7 +9,7 @@ experiments are exactly reproducible from a single seed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
@@ -43,65 +43,12 @@ def as_rng(random_state: RandomState = None) -> np.random.Generator:
     )
 
 
-def spawn_rngs(random_state: RandomState, n: int) -> List[np.random.Generator]:
-    """Create *n* statistically independent child generators.
-
-    Children are derived through numpy's ``SeedSequence.spawn`` mechanism so
-    that (a) they are independent of each other and (b) the whole family is
-    reproducible from the parent seed.
-
-    Parameters
-    ----------
-    random_state:
-        Parent seed/generator (see :func:`as_rng`).
-    n:
-        Number of children to create; must be non-negative.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    parent = as_rng(random_state)
-    seeds = parent.integers(0, np.iinfo(np.uint32).max, size=n, dtype=np.uint32)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def derive_seed(random_state: RandomState, *tokens: Union[int, str]) -> int:
-    """Derive a deterministic child seed from a parent seed and tokens.
-
-    This is used where a component needs a stable per-item seed (e.g. the
-    scene generator derives one seed per image index) so that generating item
-    ``i`` alone yields the same data as generating items ``0..i`` in order.
-    """
-    parent = as_rng(random_state)
-    base = int(parent.integers(0, 2**31 - 1))
-    mix = base
-    for token in tokens:
-        if isinstance(token, str):
-            token_value = sum((i + 1) * b for i, b in enumerate(token.encode("utf-8")))
-        else:
-            token_value = int(token)
-        # Simple deterministic integer mixing (splitmix-like constants).
-        mix = (mix ^ (token_value + 0x9E3779B9 + (mix << 6) + (mix >> 2))) % (2**31 - 1)
-    return int(mix)
-
-
 def shuffled_indices(n: int, random_state: RandomState = None) -> np.ndarray:
     """Return a random permutation of ``arange(n)``."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     rng = as_rng(random_state)
     return rng.permutation(n)
-
-
-def bootstrap_indices(
-    n: int, size: Optional[int] = None, random_state: RandomState = None
-) -> np.ndarray:
-    """Sample indices with replacement (bootstrap resampling)."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    rng = as_rng(random_state)
-    if size is None:
-        size = n
-    return rng.integers(0, n, size=size)
 
 
 def split_indices(

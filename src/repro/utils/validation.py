@@ -6,7 +6,7 @@ computational modules focused on their actual algorithms.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -172,23 +172,3 @@ def check_binary_labels(y: np.ndarray, name: str = "y") -> np.ndarray:
     if not np.all(np.isin(unique, [0, 1])):
         raise ValueError(f"{name} must contain only 0/1 labels, found {unique}")
     return arr.astype(np.int64)
-
-
-def check_class_count(n_classes: int, minimum: int = 2) -> int:
-    """Validate a class count."""
-    n_classes = int(n_classes)
-    if n_classes < minimum:
-        raise ValueError(f"n_classes must be >= {minimum}, got {n_classes}")
-    return n_classes
-
-
-def check_fractions(fractions: Sequence[float], name: str = "fractions") -> Tuple[float, ...]:
-    """Validate a sequence of non-negative fractions summing to one."""
-    values = tuple(float(f) for f in fractions)
-    if not values:
-        raise ValueError(f"{name} must be non-empty")
-    if any(v < 0 for v in values):
-        raise ValueError(f"{name} must be non-negative")
-    if not np.isclose(sum(values), 1.0, atol=1e-8):
-        raise ValueError(f"{name} must sum to 1, got {sum(values)}")
-    return values

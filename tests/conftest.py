@@ -54,7 +54,7 @@ def scene(scene_generator):
 @pytest.fixture(scope="session")
 def scenes(scene_generator):
     """Eight generated street scenes."""
-    return scene_generator.generate_many(8)
+    return [scene_generator.generate(index) for index in range(8)]
 
 
 @pytest.fixture(scope="session")

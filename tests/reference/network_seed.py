@@ -1,8 +1,10 @@
 """The simulated network exactly as it was before the tiled, in-place rewrite.
 
 ``SimulatedSegmentationNetwork`` and ``_softmax`` below are the earlier
-``repro.segmentation.network`` code, unchanged apart from this header and the
-imports: the profiles and their registrations are not repeated (they are
+``repro.segmentation.network`` code, unchanged apart from this header, the
+imports and the two lines that read the component image and count from
+``label_components`` (the labeller the earlier code reached through a
+wrapper): the profiles and their registrations are not repeated (they are
 data the rewrite left alone), so :class:`NetworkProfile` and the presets come
 from ``repro``.  ``tests/test_network_parity_fuzz.py`` checks that the
 program's ``predict_probabilities`` returns the same bytes as this one.  It
@@ -18,7 +20,7 @@ from scipy import ndimage
 
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.segmentation.network import NetworkProfile, mobilenetv2_profile
-from repro.utils.connected_components import connected_components
+from repro.utils.connected_components import label_components
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_label_map
 
@@ -99,7 +101,8 @@ class SimulatedSegmentationNetwork:
 
         # --- instance-level misses and confusions --------------------------
         thing_ids = set(ls.thing_ids())
-        components, n_components = connected_components(gt, connectivity=8, background=-1)
+        labelling = label_components(gt, connectivity=8, background=-1)
+        components, n_components = labelling.components, int(labelling.first_index.size)
         for comp_id in range(1, n_components + 1):
             mask = components == comp_id
             class_id = int(gt[mask][0])

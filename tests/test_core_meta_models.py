@@ -7,10 +7,8 @@ from repro.core.meta_classification import (
     MetaClassifier,
     entropy_baseline_classifier,
     naive_baseline_accuracy,
-    random_baseline_scores,
 )
 from repro.core.meta_regression import MetaRegressor, entropy_baseline_regressor
-from repro.evaluation.classification import auroc
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +84,6 @@ class TestBaselines:
         positive_rate = float(np.mean(metrics_dataset.target_iou0()))
         assert naive == max(positive_rate, 1 - positive_rate)
         assert 0.5 <= naive <= 1.0
-
-    def test_random_scores_are_uninformative(self, metrics_dataset):
-        scores = random_baseline_scores(len(metrics_dataset), random_state=0)
-        value = auroc(metrics_dataset.target_iou0(), scores)
-        assert 0.3 < value < 0.7
-
-    def test_random_scores_invalid_n(self):
-        with pytest.raises(ValueError):
-            random_baseline_scores(0)
 
 
 class TestMetaRegressor:

@@ -344,16 +344,16 @@ class TestMetricsDataset:
         with pytest.raises(ValueError):
             MetricsDataset.concatenate([])
 
-    def test_with_iou(self, extractor, probability_field):
-        dataset = extractor.extract(probability_field, gt_labels=None, image_id="nogt")
-        pseudo = np.linspace(0, 1, len(dataset))
-        updated = dataset.with_iou(pseudo)
-        assert updated.has_targets
-        np.testing.assert_allclose(updated.target_iou(), pseudo)
-
     def test_invalid_iou_range_rejected(self, metrics_dataset):
         with pytest.raises(ValueError):
-            metrics_dataset.with_iou(np.full(len(metrics_dataset), 2.0))
+            MetricsDataset(
+                features=metrics_dataset.features,
+                feature_names=list(metrics_dataset.feature_names),
+                segment_ids=metrics_dataset.segment_ids,
+                class_ids=metrics_dataset.class_ids,
+                image_ids=metrics_dataset.image_ids,
+                iou=np.full(len(metrics_dataset), 2.0),
+            )
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
 """Tests for repro.decision.evaluation and repro.decision.pipeline."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.api.config import ExperimentConfig
+from repro.api.runner import Runner
 from repro.decision.evaluation import (
     ClassPrecisionRecall,
     collect_precision_recall,
@@ -11,6 +16,9 @@ from repro.decision.evaluation import (
     recall_dominance,
 )
 from repro.decision.pipeline import DecisionRuleComparison
+from repro.utils import validation
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestClassPrecisionRecall:
@@ -88,6 +96,25 @@ class TestDecisionRuleComparison:
         comparison = DecisionRuleComparison(mobilenet_network)
         with pytest.raises(RuntimeError):
             comparison.decode(probability_field, "ml")
+
+    def test_each_frame_is_validated_once(self, monkeypatch):
+        """``decision_small``'s 4 frames, each decoded by Bayes and ML, make
+        4 field validations: one per frame, not one per rule."""
+        original = validation.check_probability_field
+        calls = []
+
+        def counting(probs):
+            calls.append(probs.shape)
+            return original(probs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "check_probability_field", None) is original:
+                monkeypatch.setattr(module, "check_probability_field", counting)
+        config = ExperimentConfig.from_json(
+            (REPO / "examples" / "configs" / "decision_small.json").read_text()
+        )
+        Runner().run(config)
+        assert len(calls) == config.data.n_val == 4
 
     def test_result_structure(self, comparison_result):
         _, result = comparison_result

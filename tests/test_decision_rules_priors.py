@@ -5,7 +5,6 @@ import pytest
 
 from repro.decision.priors import PixelPriorEstimator, uniform_priors
 from repro.decision.rules import (
-    apply_rule,
     bayes_rule,
     cost_based_rule,
     interpolated_rule,
@@ -38,7 +37,7 @@ class TestPixelPriorEstimator:
         estimator = PixelPriorEstimator().fit(
             s.labels for s in cityscapes_like.train_samples()
         )
-        person_prior = estimator.class_prior("person")
+        person_prior = estimator.priors()[..., label_space.id_of("person")]
         height = person_prior.shape[0]
         upper = person_prior[: height // 3].mean()
         lower = person_prior[height // 2 :].mean()
@@ -49,8 +48,9 @@ class TestPixelPriorEstimator:
             s.labels for s in cityscapes_like.train_samples()
         )
         human = estimator.category_prior("human")
-        person = estimator.class_prior("person")
-        rider = estimator.class_prior("rider")
+        priors = estimator.priors()
+        person = priors[..., label_space.id_of("person")]
+        rider = priors[..., label_space.id_of("rider")]
         np.testing.assert_allclose(human, person + rider, atol=1e-12)
 
     def test_global_frequencies_reflect_imbalance(self, cityscapes_like, label_space):
@@ -85,15 +85,6 @@ class TestPixelPriorEstimator:
         estimator.partial_fit(cityscapes_like.train_sample(0).labels)
         with pytest.raises(ValueError):
             estimator.partial_fit(np.zeros((8, 8), dtype=int))
-
-    def test_class_prior_by_id_and_name_agree(self, cityscapes_like, label_space):
-        estimator = PixelPriorEstimator().fit(
-            s.labels for s in cityscapes_like.train_samples()
-        )
-        np.testing.assert_allclose(
-            estimator.class_prior("person"),
-            estimator.class_prior(label_space.id_of("person")),
-        )
 
 
 class TestDecisionRules:
@@ -175,11 +166,32 @@ class TestDecisionRules:
         with pytest.raises(ValueError):
             interpolated_rule(probability_field, np.ones(19) / 19, 1.5)
 
-    def test_apply_rule_dispatch(self, probability_field):
-        np.testing.assert_array_equal(
-            apply_rule(probability_field, "bayes"), bayes_rule(probability_field)
-        )
-        with pytest.raises(ValueError):
-            apply_rule(probability_field, "ml")  # priors missing
-        with pytest.raises(ValueError):
-            apply_rule(probability_field, "unknown")
+    @pytest.mark.parametrize("rule", [maximum_likelihood_rule, interpolated_rule])
+    def test_prior_rules_reject_negative_priors(self, rule, probability_field):
+        with pytest.raises(ValueError, match="non-negative, found -1.0"):
+            rule(probability_field, -np.ones(probability_field.shape[2]), 1.0)
+
+    @pytest.mark.parametrize("rule", [maximum_likelihood_rule, interpolated_rule])
+    def test_prior_rules_reject_one_prior_per_pixel(self, rule, probability_field):
+        """An (H, W, 1) field would divide every class by the same prior."""
+        height, width, _ = probability_field.shape
+        with pytest.raises(ValueError, match=r"got shape \(%d, %d, 1\)" % (height, width)):
+            rule(probability_field, np.full((height, width, 1), 0.5), 1.0)
+
+    @pytest.mark.parametrize("rule", [maximum_likelihood_rule, interpolated_rule])
+    def test_prior_rules_reject_wrong_length_vector(self, rule, probability_field):
+        with pytest.raises(ValueError, match=r"length-19 vector .* got shape \(5,\)"):
+            rule(probability_field, np.ones(5) / 5, 1.0)
+
+    @pytest.mark.parametrize("rule", [maximum_likelihood_rule, interpolated_rule])
+    def test_prior_rules_require_priors(self, rule, probability_field):
+        with pytest.raises(ValueError, match="requires priors"):
+            rule(probability_field)
+
+    def test_registered_rules_share_one_signature(self, probability_field):
+        n_classes = probability_field.shape[2]
+        priors = np.full(n_classes, 1.0 / n_classes)
+        expected = bayes_rule(probability_field)
+        for rule in (bayes_rule, maximum_likelihood_rule, interpolated_rule):
+            decoded = rule(probability_field, priors=priors, strength=1.0)
+            np.testing.assert_array_equal(decoded, expected)

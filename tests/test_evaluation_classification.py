@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from scipy.stats import mannwhitneyu
 
-from repro.evaluation.classification import (
-    accuracy,
-    auroc,
-    optimal_accuracy_threshold,
-)
+from repro.evaluation.classification import accuracy, auroc
 
 
 class TestAccuracy:
@@ -95,21 +91,6 @@ class TestAuroc:
         a = auroc(y, scores)
         b = auroc(y, 1.0 / (1.0 + np.exp(-scores)))
         assert abs(a - b) < 1e-12
-
-
-class TestOptimalThreshold:
-    def test_perfectly_separable(self):
-        y = np.array([0, 0, 1, 1])
-        scores = np.array([0.1, 0.2, 0.8, 0.9])
-        threshold, best = optimal_accuracy_threshold(y, scores)
-        assert best == 1.0
-        assert 0.2 < threshold <= 0.8
-
-    def test_uninformative_scores_majority_class(self):
-        y = np.array([0] * 8 + [1] * 2)
-        scores = np.full(10, 0.5)
-        _, best = optimal_accuracy_threshold(y, scores)
-        assert best == 0.8
 
 
 @given(

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation.distributions import (
-    EmpiricalCDF,
-    dominance_gap,
-    first_order_dominates,
-)
+from repro.evaluation.distributions import EmpiricalCDF, first_order_dominates
 
 empirical_cdf = EmpiricalCDF.from_sample
 
@@ -83,12 +79,6 @@ class TestDominance:
             first_order_dominates(cdf, cdf, grid_points=1)
         with pytest.raises(ValueError):
             first_order_dominates(cdf, cdf, tolerance=-0.1)
-
-    def test_dominance_gap_sign(self):
-        low = empirical_cdf(np.linspace(0.0, 0.4, 100))
-        high = empirical_cdf(np.linspace(0.6, 1.0, 100))
-        assert dominance_gap(low, high) > 0
-        assert dominance_gap(high, low) < 0
 
 
 @given(

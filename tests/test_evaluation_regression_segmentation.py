@@ -10,13 +10,7 @@ from repro.evaluation.regression import (
     r2_score,
     residual_std,
 )
-from repro.evaluation.segmentation import (
-    accumulate_confusion,
-    class_iou,
-    iou_from_confusion,
-    mean_iou,
-    pixel_accuracy,
-)
+from repro.evaluation.segmentation import pixel_accuracy
 
 
 class TestR2:
@@ -97,55 +91,3 @@ class TestPixelAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             pixel_accuracy(np.zeros((2, 2), dtype=int), np.zeros((3, 2), dtype=int))
-
-
-class TestClassIoU:
-    def test_perfect_iou(self):
-        labels = np.array([[0, 0, 1, 1]])
-        per_class = class_iou(labels, labels, n_classes=2)
-        assert per_class == {0: 1.0, 1: 1.0}
-
-    def test_half_overlap(self):
-        gt = np.array([[1, 1, 0, 0]])
-        pred = np.array([[1, 0, 0, 0]])
-        per_class = class_iou(gt, pred, n_classes=2)
-        assert abs(per_class[1] - 0.5) < 1e-12
-
-    def test_absent_class_omitted(self):
-        labels = np.zeros((2, 2), dtype=int)
-        per_class = class_iou(labels, labels, n_classes=5)
-        assert set(per_class) == {0}
-
-    def test_mean_iou(self):
-        gt = np.array([[1, 1, 0, 0]])
-        pred = np.array([[1, 1, 0, 1]])
-        value = mean_iou(gt, pred, n_classes=2)
-        assert 0.0 < value < 1.0
-
-
-class TestConfusionAccumulation:
-    def test_accumulation_matches_direct_iou(self):
-        rng = np.random.default_rng(2)
-        gt1 = rng.integers(0, 3, size=(10, 10))
-        pred1 = rng.integers(0, 3, size=(10, 10))
-        gt2 = rng.integers(0, 3, size=(10, 10))
-        pred2 = rng.integers(0, 3, size=(10, 10))
-        confusion = accumulate_confusion(gt1, pred1, n_classes=3)
-        confusion = accumulate_confusion(gt2, pred2, n_classes=3, confusion=confusion)
-        combined_gt = np.concatenate([gt1, gt2], axis=0)
-        combined_pred = np.concatenate([pred1, pred2], axis=0)
-        direct = class_iou(combined_gt, combined_pred, n_classes=3)
-        from_confusion = iou_from_confusion(confusion)
-        for class_id, value in direct.items():
-            assert abs(from_confusion[class_id] - value) < 1e-12
-
-    def test_wrong_confusion_shape_raises(self):
-        with pytest.raises(ValueError):
-            accumulate_confusion(
-                np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int),
-                n_classes=3, confusion=np.zeros((2, 2), dtype=np.int64),
-            )
-
-    def test_iou_from_non_square_raises(self):
-        with pytest.raises(ValueError):
-            iou_from_confusion(np.zeros((2, 3)))

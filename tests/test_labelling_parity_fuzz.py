@@ -28,7 +28,7 @@ import pytest
 from scipy import ndimage
 
 from repro.core.segments import extract_segments
-from repro.utils.connected_components import connected_components, label_components
+from repro.utils.connected_components import label_components
 
 N_CASES = 240
 
@@ -223,12 +223,10 @@ def _assert_matches_oracle(labels: np.ndarray, connectivity: int, case: str) -> 
         labels, connectivity, IGNORE_ID
     )
 
-    components, count = connected_components(
-        labels, connectivity=connectivity, background=IGNORE_ID
-    )
-    assert count == oracle_count, case
-    assert components.dtype == np.int64
-    np.testing.assert_array_equal(components, oracle_components, err_msg=case)
+    labelling = label_components(labels, connectivity=connectivity, background=IGNORE_ID)
+    assert labelling.first_index.size == oracle_count, case
+    assert labelling.components.dtype == np.int64
+    np.testing.assert_array_equal(labelling.components, oracle_components, err_msg=case)
 
     segmentation = extract_segments(labels, connectivity=connectivity, ignore_id=IGNORE_ID)
     assert segmentation.n_segments == oracle_count
@@ -288,9 +286,9 @@ def test_run_shaped_component_counts():
     class under 8-connectivity and one per pixel under 4; the spiral and the
     snake are one component of class 1."""
     board = RUN_SHAPED["checkerboard_7x9"]
-    assert connected_components(board, connectivity=8)[1] == 2
-    assert connected_components(board, connectivity=4)[1] == board.size
+    assert label_components(board, connectivity=8).first_index.size == 2
+    assert label_components(board, connectivity=4).first_index.size == board.size
     for case in ("spiral_31", "snake_9x25"):
         labels = RUN_SHAPED[case]
-        components, _count = connected_components(labels, connectivity=4)
+        components = label_components(labels, connectivity=4).components
         assert np.unique(components[labels == 1]).size == 1, case

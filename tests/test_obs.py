@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.api.runner import Runner
-from repro.obs.export import trace_to_dict
 from repro.obs import (
     DEFAULT_BUCKETS,
     METRICS,
@@ -289,13 +288,6 @@ class TestExporters:
                 pass
         return tracer
 
-    def test_trace_to_dict_is_ordered_and_tagged(self, traced):
-        payload = trace_to_dict(traced)
-        assert payload["format"] == "repro-trace/1"
-        assert payload["trace_id"] == traced.trace_id
-        starts = [record["start_s"] for record in payload["records"]]
-        assert starts == sorted(starts)
-
     def test_chrome_export_is_valid_and_loadable_shape(self, traced):
         payload = trace_to_chrome(traced)
         assert validate_chrome_trace(payload) == []
@@ -304,7 +296,9 @@ class TestExporters:
         assert all(event["ts"] >= 0 and event["dur"] >= 0 for event in complete)
         metadata = [e for e in payload["traceEvents"] if e["ph"] == "M"]
         assert metadata and all(e["name"] == "thread_name" for e in metadata)
-        assert payload["otherData"]["trace_id"] == traced.trace_id
+        assert payload["otherData"] == {"trace_id": traced.trace_id, "format": "repro-trace/1"}
+        starts = [event["ts"] for event in complete]
+        assert starts == sorted(starts)
 
     def test_validator_catches_broken_payloads(self):
         assert validate_chrome_trace([]) == ["payload must be a JSON object, got list"]

@@ -31,7 +31,7 @@ class TestCityscapesLabelSpace:
             label_space.ids_in_category("animals")
 
     def test_categories_cover_all_classes(self, label_space):
-        categories = label_space.categories()
+        categories = {spec.category for spec in label_space.specs}
         covered = set()
         for category in categories:
             covered.update(label_space.ids_in_category(category))

@@ -6,7 +6,7 @@ import pytest
 from repro.core.metrics import SegmentMetricsExtractor
 from repro.core.segments import extract_segments, segment_ious
 from repro.segmentation.datasets import global_frame_index
-from repro.timedynamic.compositions import COMPOSITIONS, assemble_composition, composition_sizes
+from repro.timedynamic.compositions import COMPOSITIONS, assemble_composition
 from repro.timedynamic.smote import smote_regression, target_relevance
 from repro.timedynamic.time_series import (
     DEFAULT_BASE_FEATURES,
@@ -194,7 +194,9 @@ class TestCompositions:
 
     def test_composition_sizes_match(self, real_and_pseudo):
         real, pseudo = real_and_pseudo
-        sizes = composition_sizes(real, pseudo, augmentation_factor=1.0)
+        n_real, n_pseudo = len(real), len(pseudo)
+        sizes = {"R": n_real, "RA": 2 * n_real, "RAP": 2 * n_real + n_pseudo,
+                 "RP": n_real + n_pseudo, "P": n_pseudo}
         for name in COMPOSITIONS:
             training = assemble_composition(
                 name, real, pseudo, augmentation_factor=1.0, random_state=0

@@ -75,7 +75,7 @@ class TestSegmentTracker:
         tracker = SegmentTracker()
         first = tracker.update(image_metrics.prediction)
         second = tracker.update(image_metrics.prediction)
-        assert tracker.n_tracks == image_metrics.prediction.n_segments
+        assert len(tracker.tracks) == image_metrics.prediction.n_segments
         for segment_id, track_id in second.items():
             assert first[segment_id] == track_id
 
@@ -123,15 +123,7 @@ class TestSegmentTracker:
         labels[12:16, 20:24] = 11
         second = extract_segments(labels)
         tracker.update(second)
-        assert tracker.n_tracks >= 3  # background, first box, new person
-
-    def test_track_of_lookup(self):
-        tracker = SegmentTracker()
-        frame = _frame_with_box(5, 5)
-        assignment = tracker.update(frame)
-        for segment_id, track_id in assignment.items():
-            assert tracker.track_of(0, segment_id) == track_id
-        assert tracker.track_of(0, 9999) is None
+        assert len(tracker.tracks) >= 3  # background, first box, new person
 
     def test_expected_shift_estimation(self):
         tracker = SegmentTracker()
@@ -156,4 +148,4 @@ class TestSegmentTracker:
             n_segments_total += segmentation.n_segments
             assert set(assignment) == set(segmentation.segment_ids().tolist())
         # Tracking compresses segments into fewer identities.
-        assert tracker.n_tracks < n_segments_total
+        assert len(tracker.tracks) < n_segments_total

@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.arrays import (
-    crop_center,
-    downsample_probability_field,
     mean_std,
-    pad_to_shape,
     renormalise_probabilities,
     resize_bilinear,
     resize_nearest,
@@ -34,30 +31,6 @@ class TestMeanStd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one value"):
             mean_std([])
-
-
-class TestCropCenter:
-    def test_crop_shape(self):
-        array = np.arange(36).reshape(6, 6)
-        crop = crop_center(array, 4, 2)
-        assert crop.shape == (4, 2)
-
-    def test_center_content(self):
-        array = np.arange(25).reshape(5, 5)
-        crop = crop_center(array, 1, 1)
-        assert crop[0, 0] == 12
-
-    def test_too_large_raises(self):
-        with pytest.raises(ValueError):
-            crop_center(np.zeros((4, 4)), 5, 2)
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
-            crop_center(np.zeros((4, 4)), 0, 2)
-
-    def test_3d_crop_keeps_channels(self):
-        array = np.zeros((6, 6, 3))
-        assert crop_center(array, 2, 2).shape == (2, 2, 3)
 
 
 class TestResize:
@@ -107,50 +80,6 @@ class TestRenormalise:
         field = np.zeros((1, 1, 3))
         out = renormalise_probabilities(field)
         assert np.all(np.isfinite(out))
-
-
-class TestDownsample:
-    def test_factor_one_is_copy(self):
-        field = np.full((4, 4, 2), 0.5)
-        out = downsample_probability_field(field, 1)
-        np.testing.assert_array_equal(out, field)
-        assert out is not field
-
-    def test_shape_halved(self):
-        field = np.full((8, 6, 2), 0.5)
-        assert downsample_probability_field(field, 2).shape == (4, 3, 2)
-
-    def test_remains_normalised(self):
-        rng = np.random.default_rng(3)
-        field = rng.uniform(size=(8, 8, 5))
-        field = field / field.sum(axis=2, keepdims=True)
-        out = downsample_probability_field(field, 2)
-        np.testing.assert_allclose(out.sum(axis=2), 1.0)
-
-    def test_too_large_factor_raises(self):
-        field = np.full((4, 4, 2), 0.5)
-        with pytest.raises(ValueError):
-            downsample_probability_field(field, 8)
-
-    def test_invalid_factor_raises(self):
-        field = np.full((4, 4, 2), 0.5)
-        with pytest.raises(ValueError):
-            downsample_probability_field(field, 0)
-
-
-class TestPadToShape:
-    def test_pads_symmetrically(self):
-        out = pad_to_shape(np.ones((2, 2)), 4, 4)
-        assert out.shape == (4, 4)
-        assert out.sum() == 4.0
-        assert out[1, 1] == 1.0
-
-    def test_3d(self):
-        assert pad_to_shape(np.ones((2, 2, 3)), 4, 6).shape == (4, 6, 3)
-
-    def test_shrinking_raises(self):
-        with pytest.raises(ValueError):
-            pad_to_shape(np.ones((4, 4)), 2, 6)
 
 
 @given(

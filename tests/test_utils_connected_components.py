@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from repro.utils.connected_components import (
-    connected_components,
-    label_components,
-)
+from repro.utils.connected_components import label_components
 
 
 def _scipy_components(labels: np.ndarray, connectivity: int = 8, background: int = -1):
     """``ndimage.label`` on every class mask, renumbered in scan order of
-    each component's first pixel: the numbering ``connected_components``
+    each component's first pixel: the numbering ``label_components``
     promises, from a labeller the repository did not write."""
     structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
     components = np.zeros(labels.shape, dtype=np.int64)
@@ -38,39 +35,38 @@ def _scipy_components(labels: np.ndarray, connectivity: int = 8, background: int
 
 class TestConnectedComponents:
     def test_single_uniform_region(self):
-        labels = np.zeros((4, 4), dtype=int)
-        components, count = connected_components(labels)
-        assert count == 1
-        assert np.all(components == 1)
+        labelling = label_components(np.zeros((4, 4), dtype=int))
+        assert labelling.first_index.size == 1
+        assert np.all(labelling.components == 1)
 
     def test_two_classes_two_components(self):
         labels = np.zeros((4, 6), dtype=int)
         labels[:, 3:] = 1
-        components, count = connected_components(labels)
-        assert count == 2
-        assert components[0, 0] != components[0, 5]
+        labelling = label_components(labels)
+        assert labelling.first_index.size == 2
+        assert labelling.components[0, 0] != labelling.components[0, 5]
 
     def test_same_class_disconnected_regions(self):
         labels = np.zeros((5, 5), dtype=int)
         labels[0, 0] = 1
         labels[4, 4] = 1
-        components, count = connected_components(labels, connectivity=4)
-        assert count == 3  # background class 0 plus two isolated class-1 pixels
+        labelling = label_components(labels, connectivity=4)
+        assert labelling.first_index.size == 3  # background class 0 plus two isolated class-1 pixels
 
     def test_background_ignored(self):
         labels = np.full((3, 3), -1)
         labels[1, 1] = 2
-        components, count = connected_components(labels, background=-1)
-        assert count == 1
-        assert components[0, 0] == 0
-        assert components[1, 1] == 1
+        labelling = label_components(labels, background=-1)
+        assert labelling.first_index.size == 1
+        assert labelling.components[0, 0] == 0
+        assert labelling.components[1, 1] == 1
 
     def test_diagonal_connectivity_difference(self):
         labels = np.zeros((2, 2), dtype=int)
         labels[0, 0] = 1
         labels[1, 1] = 1
-        _, count4 = connected_components(labels, connectivity=4)
-        _, count8 = connected_components(labels, connectivity=8)
+        count4 = label_components(labels, connectivity=4).first_index.size
+        count8 = label_components(labels, connectivity=8).first_index.size
         # 4-connectivity: both diagonal pairs (class 1 and class 0) stay split
         # into two components each; 8-connectivity merges each pair.
         assert count4 == 4
@@ -78,19 +74,19 @@ class TestConnectedComponents:
 
     def test_ids_are_dense_and_start_at_one(self):
         labels = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        components, count = connected_components(labels, connectivity=4)
-        present = np.unique(components)
+        labelling = label_components(labels, connectivity=4)
+        present = np.unique(labelling.components)
         assert present.min() == 1
-        assert present.max() == count
+        assert present.max() == labelling.first_index.size
 
     def test_invalid_connectivity(self):
         with pytest.raises(ValueError):
-            connected_components(np.zeros((2, 2), dtype=int), connectivity=6)
+            label_components(np.zeros((2, 2), dtype=int), connectivity=6)
 
     def test_invalid_engine(self):
         # One labelling engine: ``engine`` is not a parameter.
         with pytest.raises(TypeError, match="engine"):
-            connected_components(np.zeros((2, 2), dtype=int), engine="magic")
+            label_components(np.zeros((2, 2), dtype=int), engine="magic")
 
     def test_scipy_engine_is_gone(self):
         with pytest.raises(TypeError, match="engine"):
@@ -101,16 +97,15 @@ class TestConnectedComponents:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, size=(20, 24))
         for connectivity in (4, 8):
-            run_out, run_count = connected_components(labels, connectivity=connectivity)
+            labelling = label_components(labels, connectivity=connectivity)
             scipy_out, scipy_count = _scipy_components(labels, connectivity)
-            assert run_count == scipy_count
-            np.testing.assert_array_equal(run_out, scipy_out)
+            assert labelling.first_index.size == scipy_count
+            np.testing.assert_array_equal(labelling.components, scipy_out)
 
     def test_all_background(self):
-        labels = np.full((4, 4), -1)
-        components, count = connected_components(labels)
-        assert count == 0
-        assert np.all(components == 0)
+        labelling = label_components(np.full((4, 4), -1))
+        assert labelling.first_index.size == 0
+        assert np.all(labelling.components == 0)
 
 
 class TestComponentBoxes:
@@ -140,11 +135,11 @@ class TestComponentBoxes:
 @settings(max_examples=40, deadline=None)
 def test_property_components_partition_foreground(labels, connectivity):
     """Every non-background pixel gets exactly one id; components are class-pure."""
-    components, count = connected_components(labels, connectivity=connectivity)
+    labelling = label_components(labels, connectivity=connectivity)
     foreground = labels != -1
-    assert np.all((components > 0) == foreground)
-    for comp_id in range(1, count + 1):
-        values = np.unique(labels[components == comp_id])
+    assert np.all((labelling.components > 0) == foreground)
+    for comp_id in range(1, labelling.first_index.size + 1):
+        values = np.unique(labels[labelling.components == comp_id])
         assert values.size == 1
 
 
@@ -163,10 +158,10 @@ def test_property_engines_equivalent(labels, connectivity):
     Ids include the ignore value -1 and gaps, up to a span larger than any
     drawn map (no table may be sized by the id span).
     """
-    a, count_a = connected_components(labels, connectivity=connectivity)
+    labelling = label_components(labels, connectivity=connectivity)
     b, count_b = _scipy_components(labels, connectivity)
-    assert count_a == count_b
-    np.testing.assert_array_equal(a, b)
+    assert labelling.first_index.size == count_b
+    np.testing.assert_array_equal(labelling.components, b)
 
 
 def test_sparse_ids_bounded_memory():
@@ -175,12 +170,12 @@ def test_sparse_ids_bounded_memory():
     labels = rng.choice(np.array([-1, 0, 2**40], dtype=np.int64), size=(64, 64))
     tracemalloc.start()
     try:
-        components, count = connected_components(labels)
+        labelling = label_components(labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # The map itself is 32 KiB; a table indexed by id would need 2**40 entries.
     assert peak < 1 << 20
     expected, expected_count = _scipy_components(labels)
-    assert count == expected_count
-    np.testing.assert_array_equal(components, expected)
+    assert labelling.first_index.size == expected_count
+    np.testing.assert_array_equal(labelling.components, expected)

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import (
     as_rng,
-    bootstrap_indices,
-    derive_seed,
     shuffled_indices,
-    spawn_rngs,
     split_indices,
 )
 
@@ -38,42 +35,6 @@ class TestAsRng:
             as_rng("not a seed")
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(3, 2)
-        a = children[0].integers(0, 10**6, size=50)
-        b = children[1].integers(0, 10**6, size=50)
-        assert not np.array_equal(a, b)
-
-    def test_reproducible_family(self):
-        first = [g.integers(0, 10**6) for g in spawn_rngs(7, 3)]
-        second = [g.integers(0, 10**6) for g in spawn_rngs(7, 3)]
-        assert first == second
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(5, "scene", 3) == derive_seed(5, "scene", 3)
-
-    def test_token_sensitivity(self):
-        assert derive_seed(5, "scene", 3) != derive_seed(5, "scene", 4)
-
-    def test_returns_non_negative_int(self):
-        value = derive_seed(1, "x")
-        assert isinstance(value, int)
-        assert value >= 0
-
-
 class TestShuffledIndices:
     def test_is_permutation(self):
         perm = shuffled_indices(20, 0)
@@ -82,20 +43,6 @@ class TestShuffledIndices:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             shuffled_indices(-1)
-
-
-class TestBootstrapIndices:
-    def test_range_and_size(self):
-        idx = bootstrap_indices(10, random_state=0)
-        assert idx.shape == (10,)
-        assert idx.min() >= 0 and idx.max() < 10
-
-    def test_explicit_size(self):
-        assert bootstrap_indices(10, size=25, random_state=0).shape == (25,)
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            bootstrap_indices(0)
 
 
 class TestSplitIndices:

@@ -8,9 +8,7 @@ import pytest
 
 from repro.utils.validation import (
     check_binary_labels,
-    check_class_count,
     check_feature_matrix,
-    check_fractions,
     check_in_range,
     check_label_map,
     check_probability_field,
@@ -169,29 +167,3 @@ class TestCheckBinaryLabels:
     def test_rejects_other_values(self):
         with pytest.raises(ValueError):
             check_binary_labels(np.array([0, 2]))
-
-
-class TestCheckClassCount:
-    def test_valid(self):
-        assert check_class_count(19) == 19
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            check_class_count(1)
-
-
-class TestCheckFractions:
-    def test_valid(self):
-        assert check_fractions([0.8, 0.2]) == (0.8, 0.2)
-
-    def test_not_summing_to_one(self):
-        with pytest.raises(ValueError):
-            check_fractions([0.5, 0.6])
-
-    def test_negative(self):
-        with pytest.raises(ValueError):
-            check_fractions([1.5, -0.5])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            check_fractions([])
