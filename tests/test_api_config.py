@@ -82,6 +82,15 @@ class TestValidation:
             ("evaluation", {"n_frames_list": []}, "n_frames_list"),
             ("evaluation", {"rules": []}, "rules"),
             ("evaluation", {"category": ""}, "category"),
+            ("data", {"root": 7}, "root must be a path string, got 7"),
+            ("data", {"n_sequences": 0}, "n_sequences and n_frames"),
+            ("data", {"n_frames": 0}, "n_sequences and n_frames"),
+            ("network", {"overrides": ["logit_noise"]}, "overrides must be a dict"),
+            ("network", {"dump_root": 3}, "dump_root must be a path string, got 3"),
+            ("network", {"mmap": "yes"}, "mmap must be a boolean, got 'yes'"),
+            ("meta_models", {"model_params": []}, "model_params must be a dict"),
+            ("evaluation", {"compositions": []}, "compositions must be non-empty"),
+            ("evaluation", {"augmentation_factor": -1.0}, "augmentation_factor"),
         ],
     )
     def test_section_validation(self, section, kwargs, message):

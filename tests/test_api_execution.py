@@ -301,6 +301,30 @@ class TestMetricsAccumulator:
         with pytest.raises(ValueError, match="differing feature columns"):
             accumulator.add(renamed)
 
+    def test_chunks_with_and_without_targets_rejected(self, metrics_dataset):
+        accumulator = MetricsAccumulator()
+        accumulator.add(metrics_dataset)
+        unlabelled = MetricsDataset(
+            features=metrics_dataset.features,
+            feature_names=list(metrics_dataset.feature_names),
+            segment_ids=metrics_dataset.segment_ids,
+            class_ids=metrics_dataset.class_ids,
+            image_ids=metrics_dataset.image_ids,
+        )
+        with pytest.raises(ValueError, match="with and without IoU targets"):
+            accumulator.add(unlabelled)
+
+    def test_only_empty_chunks_fold_to_an_empty_dataset(self, metrics_dataset):
+        empty = metrics_dataset.subset(np.arange(0))
+        accumulator = MetricsAccumulator()
+        accumulator.add(empty)
+        accumulator.add(empty)
+        folded = accumulator.result()
+        assert len(folded) == 0
+        assert folded.features.shape == (0, metrics_dataset.n_features)
+        assert folded.feature_names == list(metrics_dataset.feature_names)
+        assert folded.has_targets
+
 
 # ------------------------------------------------------------- peak memory --
 class TestStreamingPeakMemory:

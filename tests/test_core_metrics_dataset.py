@@ -374,3 +374,36 @@ class TestMetricsDataset:
                 class_ids=np.zeros(3, dtype=int),
                 image_ids=np.array(["x"] * 3, dtype=object),
             )
+
+    def test_non_matrix_features_rejected(self):
+        with pytest.raises(ValueError, match="features must be a 2-D matrix"):
+            MetricsDataset(
+                features=np.zeros(3),
+                feature_names=["a"],
+                segment_ids=np.arange(3),
+                class_ids=np.zeros(3, dtype=int),
+                image_ids=np.array(["x"] * 3, dtype=object),
+            )
+
+    def test_iou_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="iou must have length 3, got 2"):
+            MetricsDataset(
+                features=np.zeros((3, 1)),
+                feature_names=["a"],
+                segment_ids=np.arange(3),
+                class_ids=np.zeros(3, dtype=int),
+                image_ids=np.array(["x"] * 3, dtype=object),
+                iou=np.array([0.5, 0.5]),
+            )
+
+    def test_concatenate_with_and_without_targets_raises(self, metrics_dataset):
+        unlabelled = MetricsDataset(
+            features=metrics_dataset.features,
+            feature_names=list(metrics_dataset.feature_names),
+            segment_ids=metrics_dataset.segment_ids,
+            class_ids=metrics_dataset.class_ids,
+            image_ids=metrics_dataset.image_ids,
+        )
+        with pytest.raises(ValueError, match="with and without IoU targets"):
+            MetricsDataset.concatenate([metrics_dataset, unlabelled])
+

@@ -101,6 +101,30 @@ class TestMultiResolution:
         with pytest.raises(ValueError):
             MultiResolutionInference(mobilenet_network, crop_fractions=())
 
+    def test_member_replaces_only_the_centre_crop(self, inference, scene):
+        """Level 1 is the full-resolution field with its centred 0.75 crop re-inferred."""
+        full, member = inference.predict_ensemble(scene.labels, index=0)
+        height, width = scene.labels.shape
+        crop_height, crop_width = round(0.75 * height), round(0.75 * width)
+        top, left = (height - crop_height) // 2, (width - crop_width) // 2
+        inside = np.zeros((height, width), dtype=bool)
+        inside[top:top + crop_height, left:left + crop_width] = True
+        np.testing.assert_array_equal(member[~inside], full[~inside])
+        assert not np.array_equal(member[inside], full[inside])
+
+    def test_crop_fractions_outside_unit_interval(self, mobilenet_network):
+        for fractions in ((1.0, 0.0), (1.0, -0.5), (1.0, 1.5)):
+            with pytest.raises(ValueError):
+                MultiResolutionInference(mobilenet_network, crop_fractions=fractions)
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            MultiResolutionInference(mobilenet_network, crop_fractions=(1.0, 0.0))
+
+    def test_empty_inputs_rejected(self, inference):
+        with pytest.raises(ValueError, match="members must be non-empty"):
+            inference.ensemble_probabilities([])
+        with pytest.raises(ValueError, match="no samples provided"):
+            inference.extract_many([])
+
     def test_extract_many(self, inference, cityscapes_like):
         dataset = inference.extract_many(cityscapes_like.val_samples()[:2])
         assert len(dataset) > 10
@@ -143,6 +167,28 @@ class TestVisualization:
         path = write_ppm(tmp_path / "scene.ppm", rgb)
         recovered = read_ppm(path)
         np.testing.assert_array_equal(recovered, rgb)
+
+    def test_write_ppm_scales_unit_floats_and_clips_larger_values(self, tmp_path):
+        unit = np.array([[[0.0, 0.5, 1.0]]])
+        np.testing.assert_array_equal(
+            read_ppm(write_ppm(tmp_path / "unit.ppm", unit)), [[[0, 127, 255]]]
+        )
+        wide = np.array([[[-3.0, 128.0, 300.0]]])
+        np.testing.assert_array_equal(
+            read_ppm(write_ppm(tmp_path / "wide.ppm", wide)), [[[0, 128, 255]]]
+        )
+        with pytest.raises(ValueError, match=r"\(H, W, 3\)"):
+            write_ppm(tmp_path / "gray.ppm", np.zeros((2, 2)))
+
+    def test_read_ppm_rejects_other_formats(self, tmp_path):
+        ascii_ppm = tmp_path / "ascii.ppm"
+        ascii_ppm.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
+        with pytest.raises(ValueError, match="not a binary PPM"):
+            read_ppm(ascii_ppm)
+        deep_ppm = tmp_path / "deep.ppm"
+        deep_ppm.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
+        with pytest.raises(ValueError, match="only 8-bit"):
+            read_ppm(deep_ppm)
 
     def test_render_ascii(self, probability_field):
         from repro.core.heatmaps import dispersion_heatmaps

@@ -43,6 +43,13 @@ class TestClassPrecisionRecall:
         with pytest.raises(ValueError):
             stats.non_detection_rate()
 
+    def test_mean_recall(self):
+        stats = ClassPrecisionRecall("ml")
+        with pytest.raises(ValueError, match="no recall samples"):
+            stats.mean_recall()
+        stats.extend([], [0.0, 0.5, 1.0])
+        assert stats.mean_recall() == 0.5
+
     def test_non_detection_rate_direct(self):
         assert non_detection_rate([0.0, 0.0, 0.5, 1.0]) == 0.5
         with pytest.raises(ValueError):

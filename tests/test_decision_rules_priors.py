@@ -68,6 +68,10 @@ class TestPixelPriorEstimator:
             streaming.partial_fit(sample.labels)
         np.testing.assert_allclose(batch.priors(), streaming.priors())
 
+    def test_fit_needs_a_label_map(self):
+        with pytest.raises(ValueError, match="at least one label map"):
+            PixelPriorEstimator().fit([])
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             PixelPriorEstimator().priors()
@@ -151,6 +155,24 @@ class TestDecisionRules:
             cost_based_rule(probability_field, np.ones((3, 3)))
         with pytest.raises(ValueError):
             cost_based_rule(probability_field, -np.ones((19, 19)))
+
+    def test_cost_rule_position_specific_costs(self):
+        """An (H, W, C, C) tensor decides pixel by pixel; the matrix is its broadcast."""
+        rng = np.random.default_rng(1)
+        probs = rng.uniform(size=(3, 4, 3))
+        probs /= probs.sum(axis=2, keepdims=True)
+        matrix = rng.uniform(0.5, 2.0, size=(3, 3))
+        tensor = np.broadcast_to(matrix, (3, 4, 3, 3)).copy()
+        np.testing.assert_array_equal(
+            cost_based_rule(probs, tensor), cost_based_rule(probs, matrix)
+        )
+        # Forbid class 0 at the top row only: confusing it with any class costs 100.
+        tensor[0, :, 0, 1:] = 100.0
+        decoded = cost_based_rule(probs, tensor)
+        assert not np.any(decoded[0] == 0)
+        np.testing.assert_array_equal(decoded[1:], cost_based_rule(probs, matrix)[1:])
+        with pytest.raises(ValueError, match=r"tensor must be \(H, W, C, C\)"):
+            cost_based_rule(probs, tensor[:2])
 
     def test_interpolated_rule_endpoints(self, probability_field, cityscapes_like):
         estimator = PixelPriorEstimator().fit(

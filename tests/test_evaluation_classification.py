@@ -79,6 +79,10 @@ class TestAuroc:
         expected = u / (positives.size * negatives.size)
         assert auroc(y, scores) == pytest.approx(expected, rel=0, abs=1e-12)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="same length"):
+            auroc(np.array([0, 1, 1]), np.array([0.2, 0.8]))
+
     def test_single_class_raises(self):
         with pytest.raises(ValueError):
             auroc(np.ones(5, dtype=int), np.random.uniform(size=5))

@@ -32,6 +32,11 @@ class TestR2:
         with pytest.raises(ValueError):
             r2_score(np.array([1.0]), np.array([1.0]))
 
+    def test_constant_target_scores_one_only_when_exact(self):
+        y = np.full(4, 0.25)
+        assert r2_score(y, y.copy()) == 1.0
+        assert r2_score(y, y + 1e-9) == 0.0
+
 
 class TestResidualStd:
     def test_zero_for_perfect(self):
@@ -42,6 +47,10 @@ class TestResidualStd:
         y = np.zeros(10)
         pred = np.full(10, 0.5)
         assert abs(residual_std(y, pred) - 0.5) < 1e-12
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            residual_std(np.array([]), np.array([]))
 
 
 class TestPearson:
@@ -55,6 +64,10 @@ class TestPearson:
 
     def test_constant_input_returns_zero(self):
         assert pearson_correlation(np.ones(5), np.arange(5.0)) == 0.0
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least two samples"):
+            pearson_correlation(np.array([1.0]), np.array([2.0]))
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -82,6 +95,11 @@ class TestPixelAccuracy:
         gt = np.array([[0, -1], [1, -1]])
         pred = np.array([[0, 5], [0, 5]])
         assert pixel_accuracy(gt, pred) == 0.5
+
+    def test_custom_ignore_id(self):
+        gt = np.array([[0, 1], [1, 2]])
+        pred = np.array([[1, 1], [0, 2]])
+        assert pixel_accuracy(gt, pred, ignore_id=0) == pytest.approx(2 / 3)
 
     def test_all_ignored_raises(self):
         gt = np.full((2, 2), -1)

@@ -216,6 +216,24 @@ class TestMetrics:
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram("h", bounds=(1.0, 1.0))
 
+    def test_histogram_needs_a_bound(self):
+        with pytest.raises(ValueError, match=">= 1 bucket bound"):
+            Histogram("h", bounds=())
+
+    def test_histogram_count_tracks_observations(self):
+        histogram = Histogram("h", bounds=(1.0,))
+        assert histogram.count == 0
+        histogram.observe(0.5)
+        histogram.observe(3.0)
+        assert histogram.count == 2
+
+    def test_registry_rejects_non_string_names(self):
+        registry = MetricsRegistry()
+        for name in ("", 7):
+            with pytest.raises(TypeError, match="non-empty strings"):
+                registry.register(name, Counter("x"))
+        assert len(registry) == 0
+
     def test_registry_get_or_create_shares_instances(self):
         registry = MetricsRegistry()
         first = registry.counter("a.count")
@@ -311,6 +329,25 @@ class TestExporters:
         assert any("ts must be a non-negative number" in problem for problem in problems)
         assert validate_chrome_trace({"traceEvents": [{"ph": "?"}]}) != []
 
+    def test_validator_names_non_object_events_and_non_int_ids(self):
+        problems = validate_chrome_trace(
+            {"traceEvents": [
+                "not an event",
+                {"ph": "X", "name": "run", "pid": "1", "tid": 1.5, "ts": 0, "dur": 1},
+            ]}
+        )
+        assert problems == [
+            "traceEvents[0]: not an object",
+            "traceEvents[1]: pid must be an int",
+            "traceEvents[1]: tid must be an int",
+        ]
+
+    def test_validator_flags_a_trace_without_complete_events(self):
+        metadata = {"ph": "M", "name": "thread_name", "pid": 1, "tid": 1}
+        assert validate_chrome_trace({"traceEvents": [metadata]}) == [
+            "no complete ('X') events — empty trace"
+        ]
+
     def test_write_json_is_atomic_and_deterministic(self, traced, tmp_path):
         target = tmp_path / "nested" / "trace.json"
         write_json(str(target), trace_to_chrome(traced))
@@ -319,6 +356,12 @@ class TestExporters:
         assert validate_chrome_trace(loaded) == []
         # No temp-file litter next to the target.
         assert [p.name for p in target.parent.iterdir()] == ["trace.json"]
+
+    def test_write_json_failure_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "trace.json"
+        with pytest.raises(TypeError):
+            write_json(str(target), {"traceEvents": [object()]})
+        assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------- runner instrumentation --

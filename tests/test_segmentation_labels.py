@@ -91,3 +91,30 @@ class TestLabelSpaceValidation:
 
     def test_getitem(self, label_space):
         assert label_space[11].name == "person"
+
+    def test_raw_id_claimed_twice_rejected(self):
+        space = LabelSpace(specs=(
+            LabelSpec(0, "a", "x", (0, 0, 0), False, 0.1, raw_id=7),
+            LabelSpec(1, "b", "y", (1, 1, 1), False, 0.1, raw_id=7),
+        ))
+        with pytest.raises(ValueError, match=r"raw id 7 is claimed by two classes \('a' and 'b'\)"):
+            space.raw_id_map()
+
+    def test_synthetic_only_space_has_no_raw_ids(self):
+        space = LabelSpace(specs=(
+            LabelSpec(0, "a", "x", (0, 0, 0), False, 0.1),
+            LabelSpec(1, "b", "y", (1, 1, 1), False, 0.1),
+        ))
+        assert space.raw_id_map() == {}
+        assert space.train_id_to_raw(-1) == 0
+        with pytest.raises(ValueError, match="'b' has no raw"):
+            space.train_id_to_raw(1)
+
+    def test_confusable_falls_back_to_closest_typical_size(self):
+        space = LabelSpace(specs=(
+            LabelSpec(0, "a", "x", (0, 0, 0), False, 0.10),
+            LabelSpec(1, "b", "y", (1, 1, 1), False, 0.50),
+            LabelSpec(2, "c", "z", (2, 2, 2), False, 0.12),
+        ))
+        assert space.confusable_classes(0) == [2]
+        assert space.confusable_classes(1) == [2]

@@ -42,6 +42,19 @@ class TestNetworkProfile:
         with pytest.raises(ValueError):
             NetworkProfile(confidence_field_amplitude=1.0)
 
+    def test_invalid_non_negative_fields(self):
+        for name in ("hallucination_rate", "boundary_jitter", "logit_noise", "smooth_sigma",
+                     "miss_size_scale", "uncertainty_blob_rate"):
+            with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+                NetworkProfile(**{name: -0.5})
+
+    def test_invalid_blob_strength_and_field_scale(self):
+        for strength in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"uncertainty_blob_strength must be in \(0, 1\]"):
+                NetworkProfile(uncertainty_blob_strength=strength)
+        with pytest.raises(ValueError, match="confidence_field_scale must be >= 1"):
+            NetworkProfile(confidence_field_scale=0)
+
     def test_with_overrides(self):
         profile = xception65_profile().with_overrides(miss_rate=0.0)
         assert profile.miss_rate == 0.0

@@ -23,9 +23,11 @@ from repro.api.config import ExperimentConfig
 from repro.api.fitted import FittedModel
 from repro.api.runner import Runner
 from repro.serve import (
+    RequestError,
     ScoringServer,
     ScoringService,
     npy_bytes,
+    parse_score_request,
     score_frame,
     wait_until_ready,
 )
@@ -320,6 +322,22 @@ class TestErrorContracts:
         assert b" 411 " in head.split(b"\r\n", 1)[0]
         assert json.loads(body)["error"]["code"] == "length_required"
 
+    def test_non_integer_content_length_is_400(self, server):
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"POST /score HTTP/1.0\r\nContent-Length: ten\r\n\r\n")
+            response = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert b" 400 " in head.split(b"\r\n", 1)[0]
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad_length"
+        assert error["message"] == "invalid Content-Length 'ten'"
+
     def test_oversized_payload_is_413(self, fitted_model, val_frames):
         server = ScoringServer(
             ScoringService(fitted_model), port=0, workers=1, max_request_bytes=1000
@@ -342,6 +360,18 @@ class TestErrorContracts:
 
 
 class TestBackpressure:
+    @pytest.mark.parametrize(
+        "capacity, message",
+        [
+            ({"workers": 0}, "workers must be >= 1, got 0"),
+            ({"queue_depth": 0}, "queue_depth must be >= 1, got 0"),
+            ({"max_request_bytes": 0}, "max_request_bytes must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_capacity_rejected_before_binding(self, fitted_model, capacity, message):
+        with pytest.raises(ValueError, match=message):
+            ScoringServer(ScoringService(fitted_model), port=0, **capacity)
+
     def test_saturated_queue_answers_503(self, fitted_model, val_frames):
         gate = threading.Event()
         entered = threading.Event()
@@ -699,3 +729,48 @@ class TestClientRetries:
             server.shutdown()
             server.close()
             thread.join(timeout=5)
+
+    def test_wait_until_ready_polls_until_healthy(self, monkeypatch):
+        calls, sleeps = self._stub_transport(
+            monkeypatch,
+            [urllib.error.URLError("refused"), ConnectionResetError(), {"status": "ok"}],
+        )
+        assert wait_until_ready("http://x", timeout=60.0, interval=0.25) == {"status": "ok"}
+        assert len(calls) == 3
+        assert sleeps == [0.25, 0.25]
+
+    def test_wait_until_ready_times_out_naming_the_last_error(self, monkeypatch):
+        self._stub_transport(monkeypatch, [urllib.error.URLError("refused")])
+        with pytest.raises(TimeoutError, match=r"not ready after 0.05s: .*refused"):
+            wait_until_ready("http://x", timeout=0.05)
+
+
+class TestRequestParsing:
+    """parse_score_request's client errors, without a server."""
+
+    def _npz(self, **frames) -> bytes:
+        buffer = io.BytesIO()
+        np.savez(buffer, **frames)
+        return buffer.getvalue()
+
+    def test_npz_members_keep_archive_order(self):
+        first, second = np.zeros((2, 2, 3)), np.ones((2, 2, 3))
+        parsed = parse_score_request("application/x-npz", self._npz(b=first, a=second))
+        assert [name for name, _ in parsed] == ["b", "a"]
+        np.testing.assert_array_equal(parsed[0][1], first)
+        np.testing.assert_array_equal(parsed[1][1], second)
+
+    def test_undecodable_npz_is_bad_payload(self):
+        with pytest.raises(RequestError, match="could not decode npz payload") as excinfo:
+            parse_score_request("application/zip", b"not a zip archive")
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_payload")
+
+    def test_bare_npy_sent_as_npz_is_bad_payload(self):
+        with pytest.raises(RequestError, match="got a bare array") as excinfo:
+            parse_score_request("application/x-npz", npy_bytes(np.zeros((2, 2, 3))))
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_payload")
+
+    def test_empty_npz_is_bad_payload(self):
+        with pytest.raises(RequestError, match="contains no frames") as excinfo:
+            parse_score_request("application/x-npz", self._npz())
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_payload")

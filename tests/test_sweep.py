@@ -93,6 +93,16 @@ class TestStructuralDiff:
         assert lines[0].startswith("a: ")
         assert "1 more difference" in lines[-1]
 
+    def test_summary_line_for_every_change_kind(self):
+        baseline = {"gone": 1, "rows": [1, 2], "v": 0.5}
+        other = {"new": [3], "rows": [1, 2, 3], "v": 0.25}
+        assert summarize_diff(structural_diff(baseline, other)) == [
+            "gone: removed",
+            "new: added",
+            "rows: length 2 -> 3",
+            "v: 0.5 -> 0.25",
+        ]
+
 
 # ------------------------------------------------------------- sweep configs
 
@@ -133,6 +143,12 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="'data.n_va'"):
             tiny_sweep(grid={"data.n_va": [1]})
 
+    def test_non_dict_payload_and_grid_rejected(self):
+        with pytest.raises(ConfigError, match="sweep payload must be a dict, got list"):
+            SweepConfig.from_dict([TINY_BASE])
+        with pytest.raises(ConfigError, match="sweep grid must be a dict, got list"):
+            tiny_sweep(grid=[("seed", [0, 1])])
+
     def test_invalid_point_value_names_the_point(self):
         sweep = tiny_sweep(grid={"evaluation.n_runs": [1, 0]})
         with pytest.raises(ConfigError, match="sweep point 1"):
@@ -161,6 +177,29 @@ class TestSweepConfig:
         sweep_path.write_text(json.dumps({"base_path": "nope.json", "grid": {}}))
         with pytest.raises(ConfigError, match="cannot read sweep base config"):
             SweepConfig.from_file(sweep_path)
+
+    def test_invalid_json_is_config_error_naming_the_file(self, tmp_path):
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text("{not json")
+        with pytest.raises(ConfigError, match="invalid JSON in sweep config .*sweep.json"):
+            SweepConfig.from_file(sweep_path)
+        (tmp_path / "base.json").write_text("[unclosed")
+        sweep_path.write_text(json.dumps({"base_path": "base.json", "grid": {}}))
+        with pytest.raises(ConfigError, match="invalid JSON in sweep base config .*base.json"):
+            SweepConfig.from_file(sweep_path)
+
+    def test_to_dict_inlines_the_base_and_keeps_its_path(self, tmp_path):
+        (tmp_path / "base.json").write_text(json.dumps(TINY_BASE))
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps({
+            "name": "from-file", "base_path": "base.json", "grid": {"seed": [0, 1]},
+        }))
+        payload = SweepConfig.from_file(sweep_path).to_dict()
+        assert payload == {
+            "name": "from-file", "base": TINY_BASE, "grid": {"seed": [0, 1]},
+            "base_path": "base.json",
+        }
+        assert "base_path" not in tiny_sweep().to_dict()
 
 
 # ------------------------------------------------------------- sweep driver

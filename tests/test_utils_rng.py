@@ -44,6 +44,9 @@ class TestShuffledIndices:
         with pytest.raises(ValueError):
             shuffled_indices(-1)
 
+    def test_zero_is_empty(self):
+        assert shuffled_indices(0, 0).size == 0
+
 
 class TestSplitIndices:
     def test_partition(self):
@@ -52,6 +55,18 @@ class TestSplitIndices:
         assert sorted(combined.tolist()) == list(range(100))
         assert len(groups[0]) == 80
         assert len(groups[1]) == 20
+
+    def test_reproducible_from_the_seed(self):
+        first = split_indices(40, [0.5, 0.5], random_state=7)
+        again = split_indices(40, [0.5, 0.5], random_state=7)
+        other = split_indices(40, [0.5, 0.5], random_state=8)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(first[0], other[0])
+
+    def test_last_group_absorbs_rounding(self):
+        groups = split_indices(10, [0.25, 0.25, 0.5], random_state=0)
+        assert [len(g) for g in groups] == [2, 2, 6]
 
     def test_three_way(self):
         groups = split_indices(50, [0.7, 0.1, 0.2], random_state=1)

@@ -116,6 +116,11 @@ class TestCheckInRange:
         with pytest.raises(ValueError):
             check_in_range(0.0, 0.0, 1.0, inclusive=(False, True))
 
+    def test_exclusive_upper_boundary(self):
+        assert check_in_range(0.999, 0.0, 1.0, inclusive=(True, False)) == 0.999
+        with pytest.raises(ValueError, match="rate must be < 1.0, got 1.0"):
+            check_in_range(1.0, 0.0, 1.0, name="rate", inclusive=(True, False))
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             check_in_range(2.0, 0.0, 1.0)
@@ -130,6 +135,10 @@ class TestCheckFeatureMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             check_feature_matrix(np.zeros((0, 3)))
+
+    def test_rejects_more_than_two_dims(self):
+        with pytest.raises(ValueError, match=r"X must be 2-D .* got \(2, 2, 2\)"):
+            check_feature_matrix(np.zeros((2, 2, 2)))
 
     def test_allow_empty(self):
         assert check_feature_matrix(np.zeros((0, 3)), allow_empty=True).shape == (0, 3)
