@@ -9,7 +9,12 @@ Exercises the real subprocess path end to end:
    model (cache hit), not refit;
 3. POSTs the first validation frame as npy and asserts the response is
    bitwise identical to the batch reference frame;
-4. shuts the server down and verifies a clean exit.
+4. POSTs the first two validation frames as one npz archive and asserts
+   the response is bitwise identical to the reference's first two frames;
+5. POSTs a compressed all-zero npz that declares twice the server's
+   decoded-bytes cap and asserts a 413 ``payload_too_large``, then a
+   healthy ``/healthz``;
+6. shuts the server down and verifies a clean exit.
 
 Exit code 0 on success, 1 with a one-line diagnostic on any failure.
 
@@ -19,20 +24,30 @@ Usage: PYTHONPATH=src python scripts/serve_smoke.py --cache-dir DIR
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import select
 import subprocess
 import sys
 import time
+import urllib.error
+import urllib.request
+import zipfile
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api.config import ExperimentConfig  # noqa: E402
 from repro.api.runner import Runner  # noqa: E402
-from repro.serve import score_frame, wait_until_ready  # noqa: E402
+from repro.serve import (  # noqa: E402
+    DEFAULT_MAX_REQUEST_BYTES,
+    score_frame,
+    wait_until_ready,
+)
 from repro.store import ResultStore  # noqa: E402
 
 CONFIG_PATH = REPO_ROOT / "examples" / "configs" / "metaseg_serve.json"
@@ -63,6 +78,41 @@ def next_line(process, deadline: float):
     return process.stdout.readline()
 
 
+def post(url: str, body: bytes, content_type: str):
+    """POST raw bytes; (status, parsed JSON body) without raising on 4xx/5xx."""
+    request = urllib.request.Request(url, data=body, headers={"Content-Type": content_type})
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def npz_body(frames) -> bytes:
+    """(image_id, probs) pairs as one ``numpy.savez`` archive."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **dict(frames))
+    return buffer.getvalue()
+
+
+def zero_bomb(decoded_bytes: int) -> bytes:
+    """A deflated npz whose one float64 member decodes to ``decoded_bytes``
+    of zeros, written in 1 MiB pieces (the script never holds them)."""
+    shape = (decoded_bytes // (8 * 1024 * 16), 1024, 16)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": shape}
+    )
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+        with archive.open("bomb.npy", "w", force_zip64=True) as member:
+            member.write(header.getvalue())
+            piece = bytes(1 << 20)
+            for _ in range(shape[0] * 1024 * 16 * 8 // len(piece)):
+                member.write(piece)
+    return buffer.getvalue()
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -79,8 +129,12 @@ def main(argv) -> int:
     config = ExperimentConfig.from_dict(config_dict)
     config.validate()
     resolved = runner.resolve(config)
-    sample = next(iter(resolved.dataset.val_samples()))
-    probs = resolved.network.predict_probabilities(sample.labels, index=0)
+    samples = list(resolved.dataset.val_samples())[:2]
+    fields = [
+        (sample.image_id, np.array(resolved.network.predict_probabilities(sample.labels, index=i)))
+        for i, sample in enumerate(samples)
+    ]
+    sample, probs = samples[0], fields[0][1]
 
     process = subprocess.Popen(
         [
@@ -127,10 +181,27 @@ def main(argv) -> int:
         print(f"serve smoke: bitwise parity on {sample.image_id} "
               f"({scored['n_segments']} segments)")
 
+        status, batch = post(url + "/score", npz_body(fields), "application/x-npz")
+        expected = {"frames": reference["frames"][:2], "n_frames": 2}
+        if status != 200:
+            return fail(f"two-frame npz request answered {status}: {batch}")
+        if json.dumps(batch, sort_keys=True) != json.dumps(expected, sort_keys=True):
+            return fail("two-frame npz response diverges from the batch Runner.score reference")
+        print(f"serve smoke: bitwise parity on a two-frame npz "
+              f"({', '.join(image_id for image_id, _ in fields)})")
+
+        bomb = zero_bomb(2 * DEFAULT_MAX_REQUEST_BYTES)
+        status, error = post(url + "/score", bomb, "application/x-npz")
+        if status != 413 or error.get("error", {}).get("code") != "payload_too_large":
+            return fail(f"compressed npz bomb answered {status}: {error}")
+        health = json.loads(urllib.request.urlopen(url + "/healthz", timeout=30).read())
+        if health.get("status") != "ok":
+            return fail(f"/healthz not ok after the npz bomb: {health}")
+        print(f"serve smoke: {len(bomb)}-byte npz bomb refused with 413 "
+              f"({error['error']['message']}); /healthz ok")
+
         # Introspection contract: /healthz answers 200 with the model
         # descriptor, /metrics exposes the serving instruments.
-        import urllib.request
-
         health = json.loads(urllib.request.urlopen(url + "/healthz", timeout=30).read())
         if health.get("status") != "ok":
             return fail(f"/healthz did not report ok: {health}")

@@ -488,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-request-bytes", type=int, default=None, metavar="N",
-        help="request-body cap (413 beyond it; default 64 MiB)",
+        help="cap on a request body and on the bytes it decodes to "
+             "(413 beyond it; default 64 MiB)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="per-request logging"

@@ -10,7 +10,8 @@ softmax fields without ground truth:
 * :class:`ScoringService` — the warm model + extractor behind the endpoints;
 * :class:`ScoringServer` — threaded stdlib HTTP server with a bounded
   request queue (structured 503 backpressure) and JSON error contracts;
-* :mod:`repro.serve.protocol` — request decoding (npy / npz);
+* :mod:`repro.serve.protocol` — bounded request decoding (npy / npz),
+  straight from the socket into the field;
 * :mod:`repro.serve.client` — stdlib client helpers used by tests, the
   benchmark and CI.
 
@@ -18,18 +19,13 @@ Server responses are bitwise identical to the batch reference
 (``Runner.score``) because both go through ``FittedModel.score_frame``.
 """
 
-from repro.serve.client import (
-    health,
-    npy_bytes,
-    score_frame,
-    wait_until_ready,
-)
-from repro.serve.protocol import RequestError, parse_score_request
-from repro.serve.server import (
+from repro.serve.client import health, score_frame, wait_until_ready
+from repro.serve.protocol import (
     DEFAULT_MAX_REQUEST_BYTES,
-    ScoringRequestHandler,
-    ScoringServer,
+    RequestError,
+    parse_score_request,
 )
+from repro.serve.server import ScoringRequestHandler, ScoringServer
 from repro.serve.service import ScoringService
 
 __all__ = [
@@ -39,7 +35,6 @@ __all__ = [
     "ScoringServer",
     "ScoringService",
     "health",
-    "npy_bytes",
     "parse_score_request",
     "score_frame",
     "wait_until_ready",

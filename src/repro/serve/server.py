@@ -13,9 +13,18 @@ Endpoints:
 * ``GET /`` / ``GET /healthz`` — liveness + model descriptor.
 * ``GET /model`` — the model descriptor alone.
 * ``GET /metrics`` — JSON snapshot of the server's metrics registry
-  (request counts/latency histogram, queue-depth gauge, rejections).
+  (request counts, latency and decoded-bytes histograms, queue-depth
+  gauge, rejections).
 * ``POST /score`` — softmax field(s) in, per-segment scores out (see
   :mod:`repro.serve.protocol` for the accepted encodings).
+
+A ``/score`` body must declare its ``Content-Length`` (411 otherwise) and
+stay within ``max_request_bytes`` (413 otherwise, after a bounded drain).
+The handler then hands the socket's stream to
+:func:`~repro.serve.protocol.parse_score_request`, which checks the
+npy/npz headers before allocating (an npz archive's declared sizes against
+the same cap) and reads an npy body straight into the field — the body is
+never held as ``bytes``.
 
 Observability: every request is handled under a span of the server's
 tracer (default: disabled) and assigned a ``req-<n>`` request id, echoed
@@ -37,12 +46,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Optional
 
 from repro.obs import NULL_TRACER, MetricsRegistry
-from repro.serve.protocol import RequestError, parse_score_request
+from repro.serve.protocol import DEFAULT_MAX_REQUEST_BYTES, RequestError, parse_score_request
 from repro.serve.service import ScoringService
 
-#: Default cap on request bodies.  64 MiB holds a 512x1024x19 float32 field
-#: (38 MiB) but not a full 1024x2048x19 float64 frame (304 MiB).
-DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
+#: Bucket bounds (bytes) of ``serve.request.decoded_bytes``: powers of four
+#: from 64 KiB to 256 MiB, past the default request cap.
+_DECODED_BYTES_BUCKETS = tuple(float(4 ** k * 1024) for k in range(3, 10))
 
 #: How much of an oversized body is drained before responding, so
 #: well-behaved clients receive the 413 JSON instead of a connection reset.
@@ -152,12 +161,20 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the limit of {max_bytes}",
             )
             return
-        body = self.rfile.read(length)
         image_id = self.headers.get("X-Image-Id") or "frame"
         service: ScoringService = self.server.service
         try:
+            # The decoder reads the body from the socket straight into the
+            # field(s); max_bytes also caps what an npz archive inflates to.
             frames = parse_score_request(
-                self.headers.get("Content-Type"), body, default_image_id=image_id
+                self.headers.get("Content-Type"),
+                self.rfile,
+                length,
+                default_image_id=image_id,
+                max_bytes=max_bytes,
+            )
+            self.server.metrics.histogram("serve.request.decoded_bytes").observe(
+                sum(probs.nbytes for _, probs in frames)
             )
             result = service.score_frames(frames)
         except RequestError as exc:
@@ -191,7 +208,9 @@ class ScoringServer(HTTPServer):
         connections get an immediate ``503`` (backpressure) instead of
         queueing unboundedly.
     max_request_bytes:
-        Request-body cap enforced before reading the body (413 beyond it).
+        Cap on a request body, enforced before reading it, and on the bytes
+        the body decodes to, enforced from the npy/npz headers before
+        anything is allocated (413 beyond either).
     verbose:
         Enable stdlib per-request logging (quiet by default).
     metrics:
@@ -243,6 +262,7 @@ class ScoringServer(HTTPServer):
         self.metrics.counter("serve.rejected.count")
         self.metrics.gauge("serve.queue.depth")
         self.metrics.histogram("serve.request.latency_seconds")
+        self.metrics.histogram("serve.request.decoded_bytes", _DECODED_BYTES_BUCKETS)
         super().__init__((host, port), ScoringRequestHandler)
         for index in range(workers):
             thread = threading.Thread(
@@ -328,7 +348,6 @@ class ScoringServer(HTTPServer):
 
 
 __all__ = [
-    "DEFAULT_MAX_REQUEST_BYTES",
     "ScoringRequestHandler",
     "ScoringServer",
 ]

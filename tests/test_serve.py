@@ -26,7 +26,6 @@ from repro.serve import (
     RequestError,
     ScoringServer,
     ScoringService,
-    npy_bytes,
     parse_score_request,
     score_frame,
     wait_until_ready,
@@ -100,6 +99,18 @@ def server(fitted_model):
     server.shutdown()
     server.close()
     thread.join(timeout=5)
+
+
+def npy_bytes(array) -> bytes:
+    """One array as the raw ``.npy`` bytes ``numpy.save`` writes."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _parse(content_type: str, body: bytes, **kwargs):
+    """parse_score_request over an in-memory body, as the server reads a socket."""
+    return parse_score_request(content_type, io.BytesIO(body), len(body), **kwargs)
 
 
 def _npz_bytes(frames):
@@ -338,6 +349,31 @@ class TestErrorContracts:
         assert error["code"] == "bad_length"
         assert error["message"] == "invalid Content-Length 'ten'"
 
+    @pytest.mark.fuzz
+    def test_short_body_then_eof_is_400_not_a_hang(self, server):
+        """A client that declares more than it sends and then closes its
+        write side gets a structured 400 naming the truncation."""
+        body = npy_bytes(np.full((8, 8, 19), 1.0 / 19.0))
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /score HTTP/1.0\r\nContent-Type: application/x-npy\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                + body[: len(body) // 2]
+            )
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert b" 400 " in head.split(b"\r\n", 1)[0]
+        error = json.loads(payload)["error"]
+        assert error["code"] == "bad_payload"
+        assert error["message"].startswith("frame 'frame': truncated npy data, got ")
+
     def test_oversized_payload_is_413(self, fitted_model, val_frames):
         server = ScoringServer(
             ScoringService(fitted_model), port=0, workers=1, max_request_bytes=1000
@@ -472,6 +508,11 @@ class TestObservability:
         assert sum(latency["counts"]) == latency["count"]
         assert len(latency["counts"]) == len(latency["bounds"]) + 1
         assert latency["min"] >= 0.0
+        decoded = snapshot["histograms"]["serve.request.decoded_bytes"]
+        assert decoded["count"] >= 1
+        assert sum(decoded["counts"]) == decoded["count"]
+        assert decoded["bounds"][0] == 64 * 1024
+        assert decoded["min"] <= probs.nbytes <= decoded["max"]
 
     def test_request_spans_record_method_path_and_status(self, fitted_model):
         from repro.obs import Tracer
@@ -755,22 +796,22 @@ class TestRequestParsing:
 
     def test_npz_members_keep_archive_order(self):
         first, second = np.zeros((2, 2, 3)), np.ones((2, 2, 3))
-        parsed = parse_score_request("application/x-npz", self._npz(b=first, a=second))
+        parsed = _parse("application/x-npz", self._npz(b=first, a=second))
         assert [name for name, _ in parsed] == ["b", "a"]
         np.testing.assert_array_equal(parsed[0][1], first)
         np.testing.assert_array_equal(parsed[1][1], second)
 
     def test_undecodable_npz_is_bad_payload(self):
         with pytest.raises(RequestError, match="could not decode npz payload") as excinfo:
-            parse_score_request("application/zip", b"not a zip archive")
+            _parse("application/zip", b"not a zip archive")
         assert (excinfo.value.status, excinfo.value.code) == (400, "bad_payload")
 
     def test_bare_npy_sent_as_npz_is_bad_payload(self):
         with pytest.raises(RequestError, match="got a bare array") as excinfo:
-            parse_score_request("application/x-npz", npy_bytes(np.zeros((2, 2, 3))))
+            _parse("application/x-npz", npy_bytes(np.zeros((2, 2, 3))))
         assert (excinfo.value.status, excinfo.value.code) == (400, "bad_payload")
 
     def test_empty_npz_is_bad_payload(self):
         with pytest.raises(RequestError, match="contains no frames") as excinfo:
-            parse_score_request("application/x-npz", self._npz())
+            _parse("application/x-npz", self._npz())
         assert (excinfo.value.status, excinfo.value.code) == (400, "bad_payload")
