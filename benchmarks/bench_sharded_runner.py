@@ -5,8 +5,7 @@ The ``process`` execution backend shards the workload's index range across a
 and the derived seeds, so the merged result is **bitwise identical** to the
 serial path.  This bench:
 
-1. asserts that bitwise parity on a metaseg workload (process backend *and*
-   thread backend) — always a hard gate;
+1. asserts that bitwise parity on a metaseg workload — always a hard gate;
 2. times the serial and sharded paths end to end and records the speedup in
    ``benchmarks/artifacts/BENCH_sharded_runner.json``.
 
@@ -87,14 +86,10 @@ def run(smoke: bool = False) -> dict:
     sharded_config = make_config(
         smoke, ExecutionConfig(backend="process", workers=workers)
     )
-    thread_config = make_config(
-        smoke, ExecutionConfig(backend="thread", workers=workers)
-    )
 
     # Parity first (also warms every path before the timing runs).
     serial_report = runner.run(serial_config)
     check_parity(serial_report, runner.run(sharded_config), f"process@{workers}")
-    check_parity(serial_report, runner.run(thread_config), f"thread@{workers}")
 
     repeats = 2 if smoke else 3
     serial_seconds = best_of(lambda: runner.run(serial_config), repeats)
@@ -129,14 +124,14 @@ def run(smoke: bool = False) -> dict:
                 "serial_seconds": serial_seconds,
                 "sharded_seconds": sharded_seconds,
                 "speedup": speedup,
-                "parity": "bitwise (process + thread vs serial)",
+                "parity": "bitwise (process vs serial)",
             }
         ],
     }
     rows = [
         f"Sharded process-pool Runner backend vs serial ({config.data.n_val} images "
         f"at {config.data.height}x{config.data.width}, {workers} workers, {n_cpus} CPU core(s))",
-        "  parity   process + thread bitwise-equal to serial: OK",
+        "  parity   process bitwise-equal to serial: OK",
         f"  serial   {serial_seconds * 1e3:8.1f} ms",
         f"  sharded  {sharded_seconds * 1e3:8.1f} ms",
         f"  speedup  {speedup:6.2f}x  (gate: {gate})",

@@ -392,12 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="override the execution backend (serial/thread/process; "
-             "all bitwise identical)",
+        help="override the execution backend (serial/process; "
+             "both bitwise identical)",
     )
     run.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="override the worker / shard count of the execution backend",
+        help="override the worker / shard count of the execution backend "
+             "(above 1 needs the process backend)",
     )
     run.add_argument(
         "--cache", action="store_true",
@@ -439,12 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="override the execution backend of every point (serial/thread/"
-             "process; all bitwise identical)",
+        help="override the execution backend of every point (serial/"
+             "process; both bitwise identical)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="override the worker / shard count of every point",
+        help="override the worker / shard count of every point "
+             "(above 1 needs the process backend)",
     )
     sweep.add_argument(
         "--timings", action="store_true",

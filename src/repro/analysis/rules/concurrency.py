@@ -1,10 +1,11 @@
 """Shared-state concurrency rule for the thread-facing parts of the tree.
 
-The thread backend and the serving layer run library code on worker
-threads, so any state shared across calls is a data race waiting for a
-scheduler to expose it.  Within modules that are concurrency-relevant —
-they import ``threading``/``concurrent.futures`` or live under the serving
-package — this rule flags the shared-mutable-state idioms:
+The scoring server runs library code on worker threads, and the first
+registry lookup may come from one of them, so any state shared across
+calls is a data race waiting for a scheduler to expose it.  Within modules
+that are concurrency-relevant — they import ``threading``/
+``concurrent.futures`` or live under the serving package — this rule
+flags the shared-mutable-state idioms:
 
 * module-level mutable containers (a dict/list/set at import scope is
   visible to every thread);

@@ -56,8 +56,7 @@ _LAZY = ("Runner", "ExperimentReport", "ResolvedExperiment", "derived_seeds",
 _LAZY_FITTED = ("FittedModel",)
 
 #: Names resolved lazily from repro.api.execution (imports the runner).
-_LAZY_EXECUTION = ("SerialBackend", "ThreadBackend", "ProcessBackend",
-                   "shard_ranges")
+_LAZY_EXECUTION = ("SerialBackend", "ProcessBackend", "shard_ranges")
 
 __all__ = [
     "EXPERIMENT_KINDS",

@@ -152,14 +152,14 @@ class ExecutionConfig:
     """How the Runner executes the dataset walk of an experiment.
 
     ``backend`` names an entry of the ``execution_backends`` registry
-    (built-ins: ``serial``, ``thread``, ``process``); ``workers`` is the
-    one worker knob: the shard count of the stage-1 walk, run on that many
-    threads or processes (``None`` picks the core count,
-    0 and 1 mean one inline shard, negative values are rejected at parse
-    time; ``serial`` always runs one shard).  Every walk streams: items are
-    read uncached by index and folded one at a time.  The ``process``
-    backend recovers a lost worker on its own (the unfinished shards are
-    recomputed inline), so there is nothing to tune.
+    (built-ins: ``serial``, ``process``); ``workers`` is the one worker
+    knob: the shard count of the stage-1 walk, run on that many processes
+    (``None`` picks the core count, 0 and 1 mean one inline shard,
+    negative values are rejected at parse time).  ``serial`` runs one
+    shard, so ``workers > 1`` under it is rejected at parse time too.
+    Every walk streams: items are read uncached by index and folded one at
+    a time.  The ``process`` backend recovers a lost worker on its own (the
+    unfinished shards are recomputed inline), so there is nothing to tune.
 
     Every combination is bit-neutral: backends only change where the work
     runs, never the numbers.
@@ -182,6 +182,11 @@ class ExecutionConfig:
             raise ConfigError(
                 f"execution: workers must be an integer >= 0 "
                 f"(None, 0 and 1 run serially), got {self.workers!r}"
+            )
+        if self.backend == "serial" and self.workers is not None and self.workers > 1:
+            raise ConfigError(
+                f"execution: workers={self.workers} needs execution.backend "
+                f"'process'; 'serial' runs one shard"
             )
 
 
@@ -278,7 +283,7 @@ _RECOVERS_LOST_WORKERS = (
 _REMOVED_KEYS = {
     ("extraction", "chunk_size"): "items fold one at a time, so drop the key",
     ("extraction", "max_workers"): (
-        "threads come from execution.workers under execution.backend 'thread'"
+        "workers come from execution.workers under execution.backend 'process'"
     ),
     ("execution", "streaming"): "every walk streams uncached now, so drop the key",
     ("execution", "lease_timeout"): _RECOVERS_LOST_WORKERS,
@@ -289,6 +294,7 @@ _REMOVED_KEYS = {
 #: Removed execution.backend value -> its replacement; validate names it.
 _REMOVED_BACKENDS = {
     "distributed": "use 'process', which recovers lost workers on its own",
+    "thread": "use 'process' for parallel shards",
 }
 
 #: Section name -> nested dataclass type, shared by from_dict/to_dict.

@@ -7,20 +7,19 @@ decision rule.  Each kind's item count, pure shard function
 ``(resolved, start, stop, priors) -> payload`` and in-order fold are one
 entry of :data:`repro.api.kinds.KINDS`.
 
-A backend does one thing: it maps the shard function over
+A backend does one thing: it runs the shard function over
 ``shard_ranges(n, workers)``.  A single shard always runs inline on the
-already-resolved experiment.  Otherwise:
+already-resolved experiment.  There are two backends:
 
-* ``serial`` — always one shard (the default);
-* ``thread`` — contiguous shards on a ``ThreadPoolExecutor`` (numpy releases
-  the GIL in the heavy kernels);
+* ``serial`` — always one inline shard (the default; ``workers > 1`` is a
+  config error naming ``process``);
 * ``process`` — picklable specs (the config dict, the index range and, for
   the decision kind, the fitted priors) on a ``ProcessPoolExecutor``.  Each
   worker rebuilds the experiment from the config and runs the same shard
   function.  With a store attached, shards are content-addressed and
   claimed single-flight through :meth:`repro.store.ResultStore.get_or_compute`
-  (:meth:`ProcessBackend._map_ranges`).  A lost worker does not fail the
-  run: the items it left unfinished are recomputed inline in the parent
+  (:meth:`ProcessBackend._shards`).  A lost worker does not fail the
+  run: the shards it left unfinished are recomputed inline in the parent
   (:meth:`ProcessBackend.map`).
 
 The reproducibility contract is absolute: **backends only change where the
@@ -34,9 +33,9 @@ serial.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.api.config import ExecutionConfig, ExperimentConfig
 from repro.api.kinds import KINDS, ExperimentKind
@@ -71,19 +70,12 @@ def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
 
 
 class ShardError(RuntimeError):
-    """An item a lost worker left unfinished also failed when recomputed inline.
+    """A shard a lost worker left unfinished also failed when recomputed inline.
 
-    Raised by :meth:`ProcessBackend.map`; the message names the item index
-    and, for a shard spec, its ``[start, stop)`` range, and the inline
-    failure is chained as ``__cause__``.
+    Raised by :meth:`ProcessBackend.map`; the message names the shard index
+    and its ``[start, stop)`` range, and the inline failure is chained as
+    ``__cause__``.
     """
-
-
-def _describe_item(index: int, item: object) -> str:
-    """``item 3``, or ``shard 3 [6, 8)`` for a spec carrying an index range."""
-    if isinstance(item, dict) and "start" in item and "stop" in item:
-        return f"shard {index} [{item['start']}, {item['stop']})"
-    return f"item {index}"
 
 
 def _spec_shard(spec: Dict):
@@ -123,11 +115,11 @@ def _spec_shard(spec: Dict):
 class SerialBackend:
     """One inline shard on the already-resolved experiment (the default).
 
-    Also the base class of the other backends: :meth:`stage1` is the one
-    walk every backend shares, and subclasses change only the shard count
-    and where the shards run (:meth:`map`).  The evaluation protocols
-    always run in the parent, on the folded stage-1 result, so they consume
-    one RNG stream regardless of the backend.
+    Also the base class of ``process``: :meth:`stage1` is the one walk
+    every backend shares, and :class:`ProcessBackend` changes only how the
+    shards are cut and where they run (:meth:`_shards`).  The evaluation
+    protocols always run in the parent, on the folded stage-1 result, so
+    they consume one RNG stream regardless of the backend.
     """
 
     name = "serial"
@@ -141,8 +133,8 @@ class SerialBackend:
     def attach_store(self, store) -> None:
         """Install a :class:`repro.store.ResultStore` for shard reuse.
 
-        Called by the Runner when it was built with a store.  In-process
-        shards are not cached (whole-report memoisation already happens in
+        Called by the Runner when it was built with a store.  The inline
+        shard is not cached (whole-report memoisation already happens in
         the Runner); the ``process`` backend caches and claims its shipped
         shards in the store.
         """
@@ -151,19 +143,11 @@ class SerialBackend:
     def attach_tracer(self, tracer) -> None:
         """Install the run's :class:`repro.obs.Tracer` (default: no-op).
 
-        Spec-shipping backends embed the tracer's span context into the
-        shard specs and merge the child timelines they get back; in-process
-        shards run entirely under the Runner's stage spans.
+        The ``process`` backend embeds the tracer's span context into its
+        shard specs and merges the child timelines it gets back; the inline
+        shard runs entirely under the Runner's stage spans.
         """
         self.tracer = tracer  # repro: allow[concurrency-shared-state] -- Runner wires the tracer on the parent thread before any walk starts
-
-    def default_workers(self) -> int:
-        """The shard count; ``serial`` always runs one."""
-        return 1
-
-    def map(self, fn: Callable, items: Iterable) -> List:
-        """``fn`` over ``items`` on this backend's workers, in input order."""
-        return [fn(item) for item in items]
 
     def stage1(self, resolved: ResolvedExperiment, priors=None) -> Tuple[object, int]:
         """Walk stage 1 of a resolved experiment: (folded result, item count).
@@ -175,38 +159,15 @@ class SerialBackend:
         n_items = int(getattr(resolved.dataset, kind.size))
         if n_items < 1:
             raise ValueError(f"{resolved.config.kind} needs data.{kind.size} >= 1")
-        ranges = shard_ranges(n_items, self.default_workers())
-        if len(ranges) == 1:
-            shards = [kind.shard(resolved, 0, n_items, priors)]
-        else:
-            shards = self._map_ranges(kind, resolved, ranges, priors)
-        return kind.fold(resolved, shards), n_items
+        return kind.fold(resolved, self._shards(kind, resolved, n_items, priors)), n_items
 
-    def _map_ranges(self, kind: ExperimentKind, resolved, ranges, priors) -> List:
-        """Shard payloads of several ranges, computed in this process."""
-        return self.map(lambda bounds: kind.shard(resolved, *bounds, priors), ranges)
-
-
-@EXECUTION_BACKENDS.register("thread")
-class ThreadBackend(SerialBackend):
-    """Contiguous shards on a thread pool, folded in shard order."""
-
-    name = "thread"
-
-    def default_workers(self) -> int:
-        """``None`` picks the core count; explicit 0 and 1 mean one shard."""
-        if self.execution.workers is None:
-            return os.cpu_count() or 1
-        return max(1, int(self.execution.workers))
-
-    def map(self, fn: Callable, items: Iterable) -> List:
-        items = list(items)
-        with ThreadPoolExecutor(max_workers=max(1, len(items))) as pool:
-            return list(pool.map(fn, items))
+    def _shards(self, kind: ExperimentKind, resolved, n_items: int, priors) -> List:
+        """Stage-1 shard payloads in shard order: one inline shard here."""
+        return [kind.shard(resolved, 0, n_items, priors)]
 
 
 @EXECUTION_BACKENDS.register("process")
-class ProcessBackend(ThreadBackend):
+class ProcessBackend(SerialBackend):
     """Shard specs on a process pool, cached and claimed through the store.
 
     The parent ships each worker a picklable spec — the config dict, its
@@ -228,48 +189,55 @@ class ProcessBackend(ThreadBackend):
         #: so the Runner's bookkeeping never needs a hasattr dance).
         self.shard_cache = {"hits": 0, "misses": 0}
 
-    def map(self, fn: Callable, items: Iterable) -> List:
-        """``fn`` over ``items`` on a process pool, surviving lost workers.
+    def default_workers(self) -> int:
+        """The shard count: ``None`` picks the core count, 0 and 1 mean one."""
+        if self.execution.workers is None:
+            return os.cpu_count() or 1
+        return max(1, int(self.execution.workers))
+
+    def map(self, fn: Callable, specs: List[Dict]) -> List:
+        """``fn`` over shard ``specs`` on a process pool, surviving lost workers.
 
         Every result that finished is kept.  If the pool breaks, the
-        unfinished items are recomputed inline in input order and
+        unfinished specs are recomputed inline in input order and
         ``execution.worker_lost`` counts the broken pool once; an inline
         failure raises :class:`ShardError`.  An exception ``fn`` raises in
         a worker propagates unchanged and is not recomputed.
         """
-        items = list(items)
-        results: List = [None] * len(items)
+        results: List = [None] * len(specs)
         unfinished: List[int] = []
         futures = []
-        with ProcessPoolExecutor(max_workers=max(1, len(items))) as pool:
+        with ProcessPoolExecutor(max_workers=max(1, len(specs))) as pool:
             try:
-                for item in items:
-                    futures.append(pool.submit(fn, item))
+                for spec in specs:
+                    futures.append(pool.submit(fn, spec))
             except BrokenProcessPool:
-                pass  # the items never submitted are recomputed below
+                pass  # the specs never submitted are recomputed below
             for index, future in enumerate(futures):
                 try:
                     results[index] = future.result()
                 except BrokenProcessPool:
                     unfinished.append(index)
-        unfinished.extend(range(len(futures), len(items)))
+        unfinished.extend(range(len(futures), len(specs)))
         if unfinished:
             METRICS.counter("execution.worker_lost").inc()
             for index in unfinished:
+                spec = specs[index]
                 try:
-                    results[index] = fn(items[index])
+                    results[index] = fn(spec)
                 except Exception as exc:
                     raise ShardError(
-                        f"{_describe_item(index, items[index])} failed when "
+                        f"shard {index} [{spec['start']}, {spec['stop']}) failed when "
                         f"recomputed inline after a worker was lost: {exc!r}"
                     ) from exc
         return results
 
-    def _map_ranges(self, kind: ExperimentKind, resolved, ranges, priors) -> List:
+    def _shards(self, kind: ExperimentKind, resolved, n_items: int, priors) -> List:
         """Shard payloads in shard order, single-flight across processes.
 
-        Without a store every spec is computed by one :meth:`map`.  With
-        one, shards are content-addressed by (stage-1 config hash, index
+        A single shard runs inline, as under ``serial``.  Otherwise every
+        spec is computed by one :meth:`map`, or, with a store attached,
+        shards are content-addressed by (stage-1 config hash, index
         range) and go through :meth:`ResultStore.get_or_compute`: cached
         shards are served without spawning anything, the claimed misses
         are computed by one :meth:`map` and shards another process holds
@@ -277,6 +245,9 @@ class ProcessBackend(ThreadBackend):
         protocol-side field, a sweep that only changes the meta-model
         reuses every shard.
         """
+        ranges = shard_ranges(n_items, self.default_workers())
+        if len(ranges) == 1:
+            return super()._shards(kind, resolved, n_items, priors)
         config_dict = resolved.config.to_dict()
         specs = [
             {"config": config_dict, "start": start, "stop": stop, "priors": priors}

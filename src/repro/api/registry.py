@@ -150,7 +150,7 @@ class Registry:
 # * DECISION_RULES     — the decision-rule callables of repro.decision.rules;
 # * EXECUTION_BACKENDS — factories ``(execution: ExecutionConfig) ->
 #                        ExecutionBackend`` deciding how the Runner walks a
-#                        dataset (serial / thread pool / sharded processes).
+#                        dataset (one inline shard / sharded processes).
 # --------------------------------------------------------------------------
 
 NETWORK_PROFILES = Registry(
@@ -172,7 +172,7 @@ DECISION_RULES = Registry(
     "decision_rules", "pixel-wise decision rules on the softmax output"
 )
 EXECUTION_BACKENDS = Registry(
-    "execution_backends", "how the Runner executes a dataset walk (serial/thread/process)"
+    "execution_backends", "how the Runner executes a dataset walk (serial/process)"
 )
 
 #: All registries by kind, in display order.
@@ -206,8 +206,8 @@ def _load_builtins() -> None:
     would re-execute partially-registered modules (duplicate-name errors)
     and silently operating on a partial registry would mask the real cause.
 
-    Thread-safe: the first lookup may come from a worker thread (the thread
-    backend, the scoring server), and concurrent first lookups must not let
+    Thread-safe: the first lookup may come from a worker thread (the
+    scoring server's), and concurrent first lookups must not let
     one thread observe the registries while another is still importing.
     ``_BUILTINS_READY`` flips only after the imports succeed, so the
     lock-free fast path never exposes a partial registry; the reentrancy

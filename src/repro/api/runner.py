@@ -228,8 +228,8 @@ class Runner:
         Resolve, the kind's optional ``prepare`` step, the stage-1 walk
         under the kind's span, then its ``evaluate`` hook under the
         ``evaluate`` span.  The walk is delegated to the execution backend
-        named by ``config.execution.backend`` (``serial`` / ``thread`` /
-        ``process``, resolved through the ``execution_backends`` registry);
+        named by ``config.execution.backend`` (``serial`` or ``process``,
+        resolved through the ``execution_backends`` registry);
         every backend is bitwise identical to serial, so the choice is
         purely about wall-clock and memory.  With a store, the whole run is
         the compute of one single-flight report memo under the

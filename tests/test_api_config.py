@@ -118,6 +118,11 @@ class TestParseTimeValidation:
             ("execution", {"backend": ""}, "execution: backend"),
             ("execution", {"streaming": False}, "execution: streaming"),
             ("execution", {"backend": "distributed"}, "execution: backend"),
+            ("execution", {"backend": "thread"}, "execution: backend"),
+            # serial runs one shard: more workers are an error naming process.
+            ("execution", {"workers": 2}, "workers=2 needs execution.backend 'process'"),
+            ("execution", {"backend": "serial", "workers": 8},
+             "workers=8 needs execution.backend 'process'"),
         ],
     )
     def test_bad_execution_numbers_fail_at_parse_time(self, section, payload, fragment):
@@ -128,7 +133,7 @@ class TestParseTimeValidation:
         "section, key, replacement",
         [
             ("extraction", "chunk_size", "items fold one at a time"),
-            ("extraction", "max_workers", "execution.workers under execution.backend 'thread'"),
+            ("extraction", "max_workers", "execution.workers under execution.backend 'process'"),
             ("execution", "streaming", "every walk streams uncached"),
             ("execution", "lease_timeout", "process backend recovers lost workers"),
             ("execution", "max_retries", "process backend recovers lost workers"),
@@ -163,14 +168,16 @@ class TestParseTimeValidation:
 
     def test_queue_backend_and_knobs_are_removed(self):
         """The work-queue backend and its three lease knobs fail loudly,
-        naming ``process``, which recovers lost workers on its own."""
-        payload = {"execution": {"backend": "distributed"}}
-        deferred = ExperimentConfig.from_dict(payload, validate=False)
-        for parse in (lambda: ExperimentConfig.from_dict(payload), deferred.validate):
-            with pytest.raises(ConfigError) as error:
-                parse()
-            assert "backend 'distributed' was removed" in str(error.value)
-            assert "'process'" in str(error.value)
+        naming ``process``, which recovers lost workers on its own; so does
+        the removed ``thread`` backend."""
+        for backend in ("distributed", "thread"):
+            payload = {"execution": {"backend": backend, "workers": 2}}
+            deferred = ExperimentConfig.from_dict(payload, validate=False)
+            for parse in (lambda: ExperimentConfig.from_dict(payload), deferred.validate):
+                with pytest.raises(ConfigError) as error:
+                    parse()
+                assert f"backend '{backend}' was removed" in str(error.value)
+                assert "'process'" in str(error.value)
         assert {field.name for field in dataclasses.fields(ExecutionConfig)} == {
             "backend", "workers",
         }

@@ -1,8 +1,8 @@
 """Tests for repro.api.execution: the stage-1 walk, its shards and backends.
 
-The acceptance criterion of the execution layer is absolute: every backend
-(``serial`` / ``thread`` / ``process``) at every worker count produces
-**bitwise identical** reports on all three experiment kinds.  The parity
+The acceptance criterion of the execution layer is absolute: both backends
+(``serial`` and ``process``) at every worker count produce **bitwise
+identical** reports on all three experiment kinds.  The parity
 tests below follow the fuzz-harness style — seeded cases, exact
 (float-equal) table comparison — and the memory test pins the streaming
 walk's O(image) claim with ``tracemalloc``.
@@ -22,7 +22,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.api.config import ConfigError, ExecutionConfig, ExperimentConfig
-from repro.api.execution import ProcessBackend, SerialBackend, ThreadBackend, shard_ranges
+from repro.api.execution import ProcessBackend, SerialBackend, shard_ranges
 from repro.api.registry import DATASETS, EXECUTION_BACKENDS, RegistryError
 from repro.api.runner import Runner
 from repro.core.dataset import MetricsAccumulator, MetricsDataset
@@ -76,9 +76,8 @@ PAYLOADS = {
 
 #: Execution-section variants that must all be bitwise identical to serial.
 VARIANTS = (
-    {"backend": "thread", "workers": 2},
-    {"backend": "thread", "workers": 3},
     {"backend": "process", "workers": 2},
+    {"backend": "process", "workers": 3},
 )
 
 
@@ -132,7 +131,7 @@ def serial_reports():
 
 
 class TestBackendParity:
-    """process / thread == serial, bitwise, on all three kinds."""
+    """process == serial, bitwise, on all three kinds."""
 
     @pytest.mark.parametrize("execution", VARIANTS, ids=lambda e: "-".join(
         f"{k}={v}" for k, v in e.items()))
@@ -142,8 +141,8 @@ class TestBackendParity:
         assert_reports_identical(report, serial_reports[kind], f"{kind}/{execution}")
 
     def test_config_echo_reflects_the_variant(self, serial_reports):
-        report = run_with_execution(metaseg_payload(3), {"backend": "thread", "workers": 2})
-        assert report.config["execution"]["backend"] == "thread"
+        report = run_with_execution(metaseg_payload(3), {"backend": "process", "workers": 2})
+        assert report.config["execution"]["backend"] == "process"
         assert serial_reports["metaseg"].config["execution"]["backend"] == "serial"
 
     def test_process_shards_merge_in_index_order(self):
@@ -154,13 +153,6 @@ class TestBackendParity:
             metaseg_payload(4), {"backend": "process", "workers": 3}
         )
         assert_reports_identical(sharded, serial, "metaseg/3-shards")
-
-    def test_thread_shards_merge_in_index_order(self):
-        serial = run_with_execution(metaseg_payload(4), {"backend": "serial"})
-        sharded = run_with_execution(
-            metaseg_payload(4), {"backend": "thread", "workers": 3}
-        )
-        assert_reports_identical(sharded, serial, "metaseg/3-thread-shards")
 
 
 @pytest.mark.fuzz
@@ -176,9 +168,9 @@ class TestBackendParityFuzz:
     def test_seeded_process_and_streaming_parity(self, kind, seed):
         serial = Runner().run(ExperimentConfig.from_dict(PAYLOADS[kind](seed)))
         for execution in (
+            {"backend": "process", "workers": 1},
             {"backend": "process", "workers": 2},
-            {"backend": "thread", "workers": 3},
-            {"backend": "thread", "workers": 1},
+            {"backend": "process", "workers": 3},
         ):
             report = run_with_execution(PAYLOADS[kind](seed), execution)
             assert_reports_identical(report, serial, f"{kind}/seed{seed}/{execution}")
@@ -187,7 +179,7 @@ class TestBackendParityFuzz:
 # ------------------------------------------------------- backend semantics --
 class TestBackendSemantics:
     def test_builtin_backends_registered(self):
-        assert set(EXECUTION_BACKENDS.available()) == {"serial", "thread", "process"}
+        assert set(EXECUTION_BACKENDS.available()) == {"serial", "process"}
 
     def test_unknown_backend_fails_fast_at_resolve(self):
         config = ExperimentConfig.from_dict(
@@ -197,7 +189,7 @@ class TestBackendSemantics:
             Runner().resolve(config)
 
     def test_workers_zero_and_one_degenerate_to_serial(self, serial_reports):
-        for backend in ("thread", "process"):
+        for backend in ("serial", "process"):
             for workers in (0, 1):
                 report = run_with_execution(
                     metaseg_payload(3), {"backend": backend, "workers": workers}
@@ -207,18 +199,22 @@ class TestBackendSemantics:
                 )
 
     def test_backend_factories_honour_worker_contract(self):
-        assert SerialBackend(ExecutionConfig(workers=8)).default_workers() == 1
-        assert ThreadBackend(ExecutionConfig(workers=3)).default_workers() == 3
-        assert ProcessBackend(ExecutionConfig(workers=5)).default_workers() == 5
-        assert ThreadBackend(ExecutionConfig()).default_workers() == (os.cpu_count() or 1)
+        def process(workers=None):
+            return ProcessBackend(ExecutionConfig(backend="process", workers=workers))
+
+        assert process(5).default_workers() == 5
+        assert process().default_workers() == (os.cpu_count() or 1)
         with pytest.raises(ConfigError, match="execution: workers"):
             SerialBackend(ExecutionConfig(workers=-1))
+        # serial runs one shard: more workers are an error, not ignored.
+        with pytest.raises(ConfigError, match="needs execution.backend 'process'"):
+            SerialBackend(ExecutionConfig(workers=8))
 
     def test_explicit_zero_and_one_workers_never_fan_out(self):
         # Explicit 0/1 mean serial — they must NOT fall back to cpu_count.
-        for backend_cls in (SerialBackend, ThreadBackend, ProcessBackend):
-            for workers in (0, 1):
-                assert backend_cls(ExecutionConfig(workers=workers)).default_workers() == 1
+        for workers in (0, 1):
+            execution = ExecutionConfig(backend="process", workers=workers)
+            assert ProcessBackend(execution).default_workers() == 1
 
     def test_sharded_size_errors_distinguish_capability_from_emptiness(self):
         # A substrate without the index accessors cannot be walked by any
@@ -250,16 +246,14 @@ class TestBackendSemantics:
     def test_empty_decision_train_split_is_a_config_error_everywhere(self):
         payload = decision_payload(0)
         payload["data"]["n_train"] = 0
-        for execution in ({"backend": "serial"}, {"backend": "thread", "workers": 2},
-                          {"backend": "process", "workers": 2}):
+        for execution in ({"backend": "serial"}, {"backend": "process", "workers": 2}):
             with pytest.raises(ValueError, match="data.n_train >= 1"):
                 run_with_execution(payload, execution)
 
     def test_empty_metaseg_val_split_still_a_clear_error(self):
         payload = metaseg_payload(0)
         payload["data"]["n_val"] = 0
-        for execution in ({"backend": "serial"}, {"backend": "process", "workers": 2},
-                          {"backend": "thread", "workers": 2}):
+        for execution in ({"backend": "serial"}, {"backend": "process", "workers": 2}):
             with pytest.raises(ValueError, match="n_val >= 1"):
                 run_with_execution(payload, execution)
 
@@ -476,28 +470,54 @@ class TestCliExecutionOverrides:
         err = capsys.readouterr().err
         assert "execution: streaming was removed" in err and "drop the key" in err
 
-    def test_removed_queue_backend_exits_2_naming_process(self, tmp_path, capsys):
-        path = self._write(tmp_path, metaseg_payload(0))
+    def _sweep(self, tmp_path, path):
         sweep_path = tmp_path / "sweep.json"
         sweep_path.write_text(
             '{"name": "s", "base": %s, "grid": {"seed": [0, 1]}}' % path.read_text()
         )
+        return sweep_path
+
+    def _assert_one_line_error(self, argv, capsys, *fragments):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        for fragment in fragments:
+            assert fragment in lines[0], (fragment, lines[0])
+        assert captured.out == ""
+
+    def test_removed_queue_backend_exits_2_naming_process(self, tmp_path, capsys):
+        # The work queue ("distributed") and "thread" are both gone.
+        path = self._write(tmp_path, metaseg_payload(0))
+        sweep_path = self._sweep(tmp_path, path)
+        for backend in ("distributed", "thread"):
+            for argv in (
+                ["run", str(path), "--backend", backend],
+                ["run", str(path), "--backend", backend, "--trace",
+                 "--trace-out", str(tmp_path / "t.json")],
+                ["sweep", str(sweep_path), "--no-cache", "--backend", backend],
+            ):
+                self._assert_one_line_error(
+                    argv, capsys, f"backend '{backend}' was removed", "'process'"
+                )
+            payload = {**metaseg_payload(0), "execution": {"backend": backend}}
+            assert main(["run", str(self._write(tmp_path, payload))]) == 2
+            assert "'process'" in capsys.readouterr().err
+
+    def test_serial_with_several_workers_exits_2_naming_process(self, tmp_path, capsys):
+        # serial runs one shard; asking it for more is an error, not a no-op.
+        path = self._write(tmp_path, metaseg_payload(0))
+        sweep_path = self._sweep(tmp_path, path)
         for argv in (
-            ["run", str(path), "--backend", "distributed"],
-            ["run", str(path), "--backend", "distributed", "--trace",
-             "--trace-out", str(tmp_path / "t.json")],
-            ["sweep", str(sweep_path), "--no-cache", "--backend", "distributed"],
+            ["run", str(path), "--workers", "2"],
+            ["run", str(path), "--backend", "serial", "--workers", "4"],
+            ["sweep", str(sweep_path), "--no-cache", "--workers", "2"],
         ):
-            assert main(argv) == 2, argv
-            captured = capsys.readouterr()
-            lines = captured.err.strip().splitlines()
-            assert len(lines) == 1, captured.err
-            assert "backend 'distributed' was removed" in lines[0]
-            assert "'process'" in lines[0]
-            assert captured.out == ""
-        payload = {**metaseg_payload(0), "execution": {"backend": "distributed"}}
-        assert main(["run", str(self._write(tmp_path, payload))]) == 2
-        assert "'process'" in capsys.readouterr().err
+            self._assert_one_line_error(argv, capsys, "execution: workers=", "'process'")
+        payload = {**metaseg_payload(0), "execution": {"backend": "serial", "workers": 3}}
+        self._assert_one_line_error(
+            ["run", str(self._write(tmp_path, payload))], capsys, "'process'"
+        )
 
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, metaseg_payload(0))
@@ -512,7 +532,7 @@ class TestCliExecutionOverrides:
     def test_override_can_fix_the_overridden_field(self, tmp_path, capsys):
         # A bad config value must be fixable by the CLI flag that owns it.
         payload = metaseg_payload(3)
-        payload["execution"] = {"workers": -1}
+        payload["execution"] = {"backend": "process", "workers": -1}
         path = self._write(tmp_path, payload)
         out = tmp_path / "report.json"
         assert main(["run", str(path), "--workers", "2", "--output", str(out)]) == 0

@@ -90,8 +90,12 @@ class TestRegistryBasics:
 
 class TestBuiltinListings:
     def test_every_registry_has_at_least_three_entries(self):
+        # The one exception: execution_backends holds serial and process.
         for kind, registry in all_registries().items():
-            assert len(registry.available()) >= 3, kind
+            if kind == "execution_backends":
+                assert registry.available() == ["process", "serial"]
+            else:
+                assert len(registry.available()) >= 3, kind
 
     def test_network_profiles(self):
         for name in ("generic", "xception65", "mobilenetv2"):

@@ -146,9 +146,9 @@ class TestRunnerMetaseg:
 
     def test_parallel_extraction_bit_identical(self, metaseg_report):
         # Only the config echo may differ; tables and provenance are bitwise
-        # equal because the thread shards fold in order.
+        # equal because the process shards fold in order.
         parallel = Runner().run(
-            metaseg_config(execution=ExecutionConfig(backend="thread", workers=4))
+            metaseg_config(execution=ExecutionConfig(backend="process", workers=4))
         )
         assert parallel.tables == metaseg_report.tables
         assert parallel.provenance == metaseg_report.provenance
@@ -566,6 +566,7 @@ class TestCli:
     def test_list_json(self, capsys):
         assert main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload.pop("execution_backends")) == ["process", "serial"]
         assert all(len(names) >= 3 for names in payload.values())
 
     def test_describe_registry_and_entry(self, capsys):

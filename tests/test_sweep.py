@@ -232,16 +232,16 @@ class TestRunSweep:
 
     def test_execution_overrides_do_not_change_the_numbers(self, tmp_path):
         baseline = run_sweep(tiny_sweep(), no_cache=True)
-        threaded = run_sweep(
-            tiny_sweep(), store=ResultStore(tmp_path), backend="thread", workers=2
+        sharded = run_sweep(
+            tiny_sweep(), store=ResultStore(tmp_path), backend="process", workers=2
         )
         # The execution override is echoed in each report's config (so the
         # full payloads differ), but tables and provenance are bit-equal.
-        for base_point, thread_point in zip(baseline.points, threaded.points):
-            assert base_point.report.tables == thread_point.report.tables
-            assert base_point.report.provenance == thread_point.report.provenance
-            config_echo = thread_point.report.config["execution"]
-            assert config_echo["backend"] == "thread"
+        for base_point, sharded_point in zip(baseline.points, sharded.points):
+            assert base_point.report.tables == sharded_point.report.tables
+            assert base_point.report.provenance == sharded_point.report.provenance
+            config_echo = sharded_point.report.config["execution"]
+            assert config_echo["backend"] == "process"
             assert config_echo["workers"] == 2
 
 
