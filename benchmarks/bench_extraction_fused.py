@@ -3,8 +3,10 @@
 Times the fused path — one tiled softmax sweep
 (:func:`repro.core.heatmaps.fused_dispersion_heatmaps`: validation, argmax
 and the E/M/V/p_max heatmaps in one walk over the field) followed by
-:meth:`SegmentMetricsExtractor._compute_features` (every per-segment sum from
-sparse membership products) — against the retained
+:meth:`SegmentMetricsExtractor._compute_features` (interior and boundary
+sums from ``np.bincount`` over one split index, whole-segment sums from
+products of one CSR membership matrix with the sweep's column-major maps
+and the field) — against the retained
 ``_reference_compute_features`` seed implementation (one validated heatmap
 pass per dispersion measure, one bincount pass per metric column) on
 synthetic softmax fields with hundreds of segments.  Bitwise parity of the

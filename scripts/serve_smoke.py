@@ -14,7 +14,11 @@ Exercises the real subprocess path end to end:
 5. POSTs a compressed all-zero npz that declares twice the server's
    decoded-bytes cap and asserts a 413 ``payload_too_large``, then a
    healthy ``/healthz``;
-6. shuts the server down and verifies a clean exit.
+6. declares a 1000-byte body, sends 6 bytes and holds the socket, and
+   asserts a 408 ``request_timeout`` within the server's read deadline
+   (``READ_TIMEOUT_S``, which this step waits out), then a healthy
+   ``/healthz``;
+7. shuts the server down and verifies a clean exit.
 
 Exit code 0 on success, 1 with a one-line diagnostic on any failure.
 
@@ -28,10 +32,12 @@ import io
 import json
 import re
 import select
+import socket
 import subprocess
 import sys
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 import zipfile
 from pathlib import Path
@@ -48,6 +54,7 @@ from repro.serve import (  # noqa: E402
     score_frame,
     wait_until_ready,
 )
+from repro.serve.server import READ_TIMEOUT_S  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 
 CONFIG_PATH = REPO_ROOT / "examples" / "configs" / "metaseg_serve.json"
@@ -93,6 +100,29 @@ def npz_body(frames) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **dict(frames))
     return buffer.getvalue()
+
+
+def stalled_body(url: str):
+    """Declare a 1000-byte npy body, send its 6-byte magic and hold the
+    socket; (status line, parsed JSON body, seconds waited for the reply)."""
+    address = urllib.parse.urlsplit(url)
+    with socket.create_connection(
+        (address.hostname, address.port), timeout=READ_TIMEOUT_S + 10.0
+    ) as sock:
+        sock.sendall(
+            b"POST /score HTTP/1.0\r\nContent-Type: application/x-npy\r\n"
+            b"Content-Length: 1000\r\n\r\n\x93NUMPY"
+        )
+        start = time.monotonic()
+        response = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            response += chunk
+        waited = time.monotonic() - start
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0].decode("latin-1"), json.loads(body), waited
 
 
 def zero_bomb(decoded_bytes: int) -> bytes:
@@ -198,6 +228,18 @@ def main(argv) -> int:
         if health.get("status") != "ok":
             return fail(f"/healthz not ok after the npz bomb: {health}")
         print(f"serve smoke: {len(bomb)}-byte npz bomb refused with 413 "
+              f"({error['error']['message']}); /healthz ok")
+
+        try:
+            status_line, error, waited = stalled_body(url)
+        except OSError as exc:
+            return fail(f"stalled body got no reply within the read deadline: {exc}")
+        if " 408 " not in status_line or error.get("error", {}).get("code") != "request_timeout":
+            return fail(f"stalled body answered {status_line!r}: {error}")
+        health = json.loads(urllib.request.urlopen(url + "/healthz", timeout=30).read())
+        if health.get("status") != "ok":
+            return fail(f"/healthz not ok after the stalled body: {health}")
+        print(f"serve smoke: stalled body answered 408 after {waited:.1f} s "
               f"({error['error']['message']}); /healthz ok")
 
         # Introspection contract: /healthz answers 200 with the model

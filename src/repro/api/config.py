@@ -341,6 +341,14 @@ class ExperimentConfig:
             raise ConfigError("seed must be an integer")
         for section in _SECTIONS:
             getattr(self, section).validate()
+        meta = self.meta_models
+        if self.kind == "metaseg" and "linear" in meta.regressors and meta.regression_penalty == 0:
+            raise ConfigError(
+                "meta_models: regression_penalty 0 leaves the 'linear' regressor "
+                "rank-deficient: the segment features carry exact identities "
+                "(sum of cprob = 1, S = S_in + S_bd, V_mean = 1 - pmax_mean); "
+                "use a positive regression_penalty"
+            )
         return self
 
     # ------------------------------------------------------------- (de)serialisation

@@ -22,7 +22,8 @@ class-axis step runs over contiguous class planes; the class sums (row sums
 and entropy) go through ``_class_sum``, which adds the planes in the order
 ``np.sum`` adds the classes of a C-contiguous field (numpy's eight-lane
 ``pairwise_sum``), whatever the layout of the input.  The sweep allocates
-only the outputs and tile-sized work space, never an (H, W, C) temporary.
+only the outputs and tile-sized work space, never an (H, W, C) temporary;
+its four maps are the columns of one column-major ``(H·W, 4)`` matrix.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ class SoftmaxSweep(NamedTuple):
 
     ``field`` is the validated ``float64`` field (the input itself when it
     already was one), ``labels`` its ``(H, W)`` int64 argmax (first class on
-    ties, like ``np.argmax``), and ``values`` an ``(H·W, 4)`` matrix holding
-    the E, M, V and p_max heatmaps as columns (:data:`SWEEP_COLUMNS`), ready
-    to be summed per segment by one sparse product.
+    ties, like ``np.argmax``), and ``values`` an ``(H·W, 4)`` column-major
+    matrix holding the E, M, V and p_max heatmaps as columns
+    (:data:`SWEEP_COLUMNS`): each map is one contiguous run of ``H·W``
+    values, which the sweep writes a tile at a time and the extractor sums
+    per segment without a copy.
     """
 
     field: np.ndarray
@@ -59,10 +62,8 @@ class SoftmaxSweep(NamedTuple):
     values: np.ndarray
 
     def heatmap(self, key: str) -> np.ndarray:
-        """One column of :attr:`values` as a contiguous (H, W) map."""
-        height, width = self.labels.shape
-        column = self.values[:, SWEEP_COLUMNS.index(key)]
-        return np.ascontiguousarray(column).reshape(height, width)
+        """One column of :attr:`values` as an (H, W) view."""
+        return self.values[:, SWEEP_COLUMNS.index(key)].reshape(self.labels.shape)
 
 
 def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
@@ -97,7 +98,7 @@ def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
     tile_pixels = tile_rows * width
     labels = np.empty((height, width), dtype=np.int64)
     flat_labels = labels.reshape(-1)
-    values = np.empty((height * width, len(SWEEP_COLUMNS)))
+    values = np.empty((height * width, len(SWEEP_COLUMNS)), order="F")
     # Tile work space.  The running argmax lives in the smallest unsigned
     # type that holds a class index, so its per-plane updates stay cheap.
     buffer = np.empty(n_classes * tile_pixels)
@@ -149,11 +150,12 @@ def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
             np.multiply(chunk, logs, out=chunk)
         entropy = _class_sum(tile, work)
 
-        block = values[start * width:stop * width]
-        np.divide(np.negative(entropy, out=entropy), log_classes, out=block[:, 0])
-        np.subtract(1.0, np.subtract(first, second, out=work), out=block[:, 1])
-        np.subtract(1.0, first, out=block[:, 2])
-        block[:, 3] = first
+        # The maps are column-major: each is written as one contiguous run.
+        entropy_map, margin_map, variation_map, pmax_map = values[start * width:stop * width].T
+        np.divide(np.negative(entropy, out=entropy), log_classes, out=entropy_map)
+        np.subtract(1.0, np.subtract(first, second, out=work), out=margin_map)
+        np.subtract(1.0, first, out=variation_map)
+        np.copyto(pmax_map, first)
     check_probability_verdict(negative, float(deviation))
     return SoftmaxSweep(field, labels, values)
 

@@ -19,14 +19,17 @@ eq. (3)).  Following the MetaSeg construction ([16] of the paper) we compute:
 
 The extractor is fully vectorised over segments.  One tiled sweep over the
 softmax field (:func:`repro.core.heatmaps.fused_dispersion_heatmaps`)
-validates it and yields the argmax and an ``(H·W, 4)`` matrix of the E, M, V
-and max-probability heatmaps.  Every per-segment sum is then a product of a
-sparse (CSR) segment-membership matrix with a dense ``(H·W, k)`` matrix: one
-membership matrix with the heatmap matrix and with the ``(H·W, C)`` field
-(segment means of the heatmaps and of every class probability), one that
-splits each segment into its interior and its boundary with the heatmap
-matrix; pixel counts are the membership rows' lengths and the centroids
-reuse the coordinate sums of the segment decomposition.  The extractor
+validates it and yields the argmax and a column-major ``(H·W, 4)`` matrix of
+the E, M, V and max-probability heatmaps.  The interior and boundary sums
+and pixel counts are ``np.bincount`` passes over one int64 index that splits
+each segment into its interior and its boundary; the index is freed before
+the one sparse (CSR) segment-membership matrix is built.  That matrix has
+int32 indices from a stable argsort, with no CSC intermediate, and its
+products with each heatmap column and with the ``(H·W, C)`` field give the
+whole-segment sums of the heatmaps and of every class probability.  The
+centroids reuse the coordinate sums of the segment decomposition.  The
+features are computed before the ground truth is labelled, and the
+sweep's maps are freed first, so the two peaks do not stack.  The extractor
 holds no mutable state, so one instance is shared freely across threads.
 The column-at-a-time seed implementation is retained as
 ``_reference_compute_features``; the fused path is bitwise-identical to it
@@ -165,6 +168,10 @@ class SegmentMetricsExtractor:
                 f"label space has {self.label_space.n_classes}"
             )
         prediction = extract_segments(sweep.labels, connectivity=self.connectivity)
+        # The features come first, so the sweep's maps are freed before the
+        # ground truth is labelled and matched.
+        features = self._compute_features(sweep, prediction)
+        del sweep
         ground_truth = None
         iou: Optional[np.ndarray] = None
         if gt_labels is not None:
@@ -176,7 +183,7 @@ class SegmentMetricsExtractor:
             iou = segment_ious(prediction, ground_truth, ignore_id=self.ignore_id)
 
         dataset = MetricsDataset(
-            features=self._compute_features(sweep, prediction),
+            features=features,
             feature_names=self.feature_names(),
             segment_ids=prediction.segment_ids(),
             class_ids=prediction.class_ids,
@@ -193,7 +200,8 @@ class SegmentMetricsExtractor:
         column-at-a-time path) on ``sweep.field``: every per-segment sum adds
         the same values to the same segment in the same ascending pixel
         order, starting from zero, as the seed's one-bincount-per-column loop
-        — each CSR row of a membership matrix holds its pixels in ascending
+        — ``np.bincount`` adds each bin's weights in pixel order, and each
+        CSR row of the membership matrix holds its pixels in ascending
         order — and the pixel counts are exact integers.
         """
         components = prediction.components
@@ -201,20 +209,26 @@ class SegmentMetricsExtractor:
         flat_components = components.ravel()
         height, width = components.shape
         n_classes = sweep.field.shape[2]
+        maps = dict(zip(SWEEP_COLUMNS, sweep.values.T))
 
-        # Rows 0..n_bins-1 of ``split`` gather each segment's interior
-        # pixels, rows n_bins.. its boundary pixels; bin 0 (background) of
-        # every product is dropped.
-        boundary_flat = ~self._interior_mask(components).ravel()
-        membership = _membership(flat_components, n_bins)
-        split = _membership(flat_components + n_bins * boundary_flat, 2 * n_bins)
-        sizes = np.diff(membership.indptr)[1:].astype(np.float64)
-        split_sizes = np.diff(split.indptr).astype(np.float64)
+        # Interior and boundary sums come from np.bincount over one split
+        # index, freed before the membership matrix is built: bins
+        # 0..n_bins-1 gather each segment's interior pixels, bins n_bins..
+        # its boundary pixels.  The index is int64, so bincount casts
+        # nothing; bin 0 (background) of every sum is dropped.
+        split = np.multiply(~self._interior_mask(components).ravel(), n_bins, dtype=np.int64)
+        split += flat_components
+        split_sizes = np.bincount(split, minlength=2 * n_bins).astype(np.float64)
+        split_sums = {
+            key: np.bincount(split, weights=maps[key], minlength=2 * n_bins)
+            for key in ("E", "M", "V")
+        }
+        del split
         sizes_in, sizes_bd = split_sizes[1:n_bins], split_sizes[n_bins + 1:]
-        # E, M, V, pmax summed over each segment, its interior and its boundary.
-        sums = (membership @ sweep.values)[1:]
-        split_sums = split @ sweep.values
-        sums_in, sums_bd = split_sums[1:n_bins], split_sums[n_bins + 1:]
+        sizes = sizes_in + sizes_bd
+        # E, M, V and pmax summed over each whole segment, one product each.
+        membership = _membership(flat_components, n_bins)
+        sums = {key: (membership @ column)[1:] for key, column in maps.items()}
 
         def _mean(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
             """Per-segment mean from precomputed sums and counts."""
@@ -238,12 +252,11 @@ class SegmentMetricsExtractor:
         put(sizes_in / safe_bd)                     # S_rel_in
         # dispersion ----------------------------------------------------------
         for key in ("E", "M", "V"):
-            column = SWEEP_COLUMNS.index(key)
-            mean_all = _mean(sums[:, column], sizes)
-            mean_in = _mean(sums_in[:, column], sizes_in)
+            mean_all = _mean(sums[key], sizes)
+            mean_in = _mean(split_sums[key][1:n_bins], sizes_in)
             put(mean_all)                                          # D_mean
             put(mean_in)                                           # D_in_mean
-            put(_mean(sums_bd[:, column], sizes_bd))               # D_bd_mean
+            put(_mean(split_sums[key][n_bins + 1:], sizes_bd))     # D_bd_mean
             put(mean_all * sizes_bd / np.maximum(sizes, 1.0))      # D_rel
             put(mean_in * sizes_bd / np.maximum(sizes_in, 1.0))    # D_rel_in
         # context ---------------------------------------------------------------
@@ -251,7 +264,7 @@ class SegmentMetricsExtractor:
         put(np.isin(prediction.class_ids, self.label_space.thing_ids()))
         put(_mean(prediction.coordinate_sums[:, 0], sizes) / max(1, height - 1))
         put(_mean(prediction.coordinate_sums[:, 1], sizes) / max(1, width - 1))
-        put(_mean(sums[:, SWEEP_COLUMNS.index("pmax")], sizes))  # pmax_mean
+        put(_mean(sums["pmax"], sizes))                            # pmax_mean
         # per-class mean probabilities -----------------------------------------
         class_sums = membership @ sweep.field.reshape(flat_components.size, n_classes)
         for class_index in range(n_classes):
@@ -365,12 +378,15 @@ class SegmentMetricsExtractor:
 def _membership(rows: np.ndarray, n_rows: int) -> sparse.csr_matrix:
     """(n_rows, H·W) CSR matrix with a 1.0 at (rows[p], p) for every pixel p.
 
-    Built column-wise (one entry per pixel) and converted to CSR by a
-    counting sort, so each row lists its pixels in ascending order and a
-    product with an (H·W, k) matrix adds that matrix's rows in the same
-    order as a per-column ``np.bincount(rows, weights=...)``.
+    Built straight as CSR, with no CSC intermediate: the row pointers are
+    the cumulative row counts and the column indices a stable argsort of
+    ``rows``, both int32 (int64 past 2**31 pixels).  The stable sort lists
+    each row's pixels in ascending order, so a product with an (H·W,) or
+    (H·W, k) matrix adds that matrix's rows in the same order as a
+    per-column ``np.bincount(rows, weights=...)``.
     """
-    n_pixels = rows.size
-    return sparse.csc_matrix(
-        (np.ones(n_pixels), rows, np.arange(n_pixels + 1)), shape=(n_rows, n_pixels)
-    ).tocsr()
+    index_type = np.int32 if rows.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=index_type)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    indices = np.argsort(rows, kind="stable").astype(index_type)
+    return sparse.csr_matrix((np.ones(rows.size), indices, indptr), shape=(n_rows, rows.size))

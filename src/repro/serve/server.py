@@ -18,6 +18,10 @@ Endpoints:
 * ``POST /score`` — softmax field(s) in, per-segment scores out (see
   :mod:`repro.serve.protocol` for the accepted encodings).
 
+Every socket read of a connection waits at most :data:`READ_TIMEOUT_S`
+seconds, so a stalled client cannot hold a worker: a stalled request line
+or header closes the connection, and a stalled ``/score`` body answers a
+structured ``408`` (``request_timeout``) naming the deadline.
 A ``/score`` body must declare its ``Content-Length`` (411 otherwise) and
 stay within ``max_request_bytes`` (413 otherwise, after a bounded drain).
 The handler then hands the socket's stream to
@@ -57,6 +61,12 @@ _DECODED_BYTES_BUCKETS = tuple(float(4 ** k * 1024) for k in range(3, 10))
 #: well-behaved clients receive the 413 JSON instead of a connection reset.
 _DRAIN_LIMIT = 1024 * 1024
 
+#: Read deadline of a scoring connection, in seconds: 5 s.  Each socket
+#: read (request line, headers, each piece of a body) that waits longer
+#: gives up.  It bounds how long a client that declares a body and stalls
+#: holds its worker; a local client sends a 20 MB body in well under it.
+READ_TIMEOUT_S = 5.0
+
 
 class ScoringRequestHandler(BaseHTTPRequestHandler):
     """Maps HTTP requests onto the :class:`ScoringService`.
@@ -74,6 +84,12 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
     #: ``X-Request-Id`` header and every structured error body.
     request_id = ""
     _response_status = 0
+
+    @property
+    def timeout(self) -> float:
+        """The read deadline :data:`READ_TIMEOUT_S`, which
+        ``StreamRequestHandler.setup`` sets on the connection."""
+        return READ_TIMEOUT_S
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if getattr(self.server, "verbose", False):
@@ -180,6 +196,14 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         except RequestError as exc:
             self._send_error_json(exc.status, exc.code, exc.message)
             return
+        except TimeoutError:
+            self.server.metrics.counter("serve.timeouts.count").inc()
+            self._send_error_json(
+                408,
+                "request_timeout",
+                f"request body stalled past the {READ_TIMEOUT_S:g} s read deadline",
+            )
+            return
         except ValueError as exc:
             # The extractor's numerical validation (shape/row-sum/classes).
             self._send_error_json(400, "bad_input", str(exc))
@@ -255,11 +279,12 @@ class ScoringServer(HTTPServer):
         self._queue: "queue.Queue[Optional[tuple]]" = queue.Queue(maxsize=queue_depth)
         self._workers = []
         # Pre-create the serving instruments so /metrics shows the full
-        # contract (latency histogram + queue gauge) from the first scrape,
-        # not only after traffic has arrived.
+        # contract (latency histogram, queue gauge, rejection and timeout
+        # counters) from the first scrape, not only after traffic has arrived.
         self.metrics.counter("serve.requests.count")
         self.metrics.counter("serve.requests.errors")
         self.metrics.counter("serve.rejected.count")
+        self.metrics.counter("serve.timeouts.count")
         self.metrics.gauge("serve.queue.depth")
         self.metrics.histogram("serve.request.latency_seconds")
         self.metrics.histogram("serve.request.decoded_bytes", _DECODED_BYTES_BUCKETS)
@@ -348,6 +373,7 @@ class ScoringServer(HTTPServer):
 
 
 __all__ = [
+    "READ_TIMEOUT_S",
     "ScoringRequestHandler",
     "ScoringServer",
 ]

@@ -148,6 +148,50 @@ class TestParseTimeValidation:
             assert f"{section}: {key} was removed" in message
             assert replacement in message
 
+    @pytest.mark.parametrize(
+        "meta_models",
+        [
+            {"regression_penalty": 0},
+            {"regression_penalty": 0.0, "regressors": ["gradient_boosting", "linear"]},
+            {"regression_penalty": 0, "feature_group": "geometry"},
+        ],
+    )
+    def test_unpenalised_linear_regression_fails_at_parse_time(self, meta_models):
+        """The Table I features carry exact identities, so the unpenalised
+        linear fit's normal equations are singular."""
+        with pytest.raises(ConfigError) as error:
+            ExperimentConfig.from_dict({"kind": "metaseg", "meta_models": meta_models})
+        message = str(error.value)
+        assert message.startswith("meta_models: regression_penalty 0 ")
+        for identity in ("sum of cprob = 1", "S = S_in + S_bd", "V_mean = 1 - pmax_mean"):
+            assert identity in message
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"meta_models": {"regressors": ["gradient_boosting"], "regression_penalty": 0}},
+            {"meta_models": {"regressors": ["neural_network"], "regression_penalty": 0}},
+            {"meta_models": {"classification_penalty": 0}},
+            # The time-dynamic kind ignores ``regressors``; decision fits nothing.
+            {"kind": "timedynamic", "meta_models": {"regression_penalty": 0}},
+            {"kind": "decision", "meta_models": {"regression_penalty": 0}},
+        ],
+    )
+    def test_zero_penalty_stays_valid_elsewhere(self, payload):
+        ExperimentConfig.from_dict(payload)
+
+    def test_unpenalised_linear_regression_exits_2_from_run(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"meta_models": {"regression_penalty": 0}}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert "regression_penalty 0" in lines[0] and "S = S_in + S_bd" in lines[0]
+        assert captured.out == ""
+
     def test_config_error_is_a_value_error(self):
         # Callers that catch ValueError (the CLI, older tests) keep working.
         assert issubclass(ConfigError, ValueError)

@@ -221,18 +221,31 @@ def _traced_peak(fn):
 
 class TestExtractionMemory:
     def test_transient_peak_below_field_bytes(self, label_space):
-        """A fresh extractor scores a 256x512x19 field within its bytes.
+        """A fresh extractor scores a 256x512x19 field within 0.6x its bytes.
 
         The softmax sweep allocates tile-sized work space only; what stays
-        is the per-pixel maps, segment decompositions and the feature
-        matrix.  The field is the extraction benchmark's recipe (chunky
-        16-pixel cells, a few thousand segments).
+        is the per-pixel maps, segment decompositions, one int32-indexed
+        membership matrix and the feature matrix.  The features are
+        computed, and the sweep's maps freed, before the ground truth is
+        labelled, so its labelling and IoU do not stack on the feature
+        peak (measured: 0.55x).  The field is
+        the extraction benchmark's recipe (chunky 16-pixel cells, a few
+        thousand segments).
         """
         probs, gt_labels = _extraction_field(label_space.n_classes, boost=4.0)
         extractor = SegmentMetricsExtractor(label_space=label_space)
         result, peak = _traced_peak(lambda: extractor.extract_full(probs, gt_labels=gt_labels))
         assert result.dataset.iou is not None
-        assert peak <= probs.nbytes, f"peak {peak / probs.nbytes:.2f}x the field's bytes"
+        assert peak <= 0.6 * probs.nbytes, f"peak {peak / probs.nbytes:.2f}x the field's bytes"
+
+    def test_transient_peak_without_ground_truth(self, label_space):
+        """The serving path (no ground truth) stays within 0.6x the field's
+        bytes too (measured: 0.55x)."""
+        probs, _gt_labels = _extraction_field(label_space.n_classes, boost=4.0)
+        extractor = SegmentMetricsExtractor(label_space=label_space)
+        result, peak = _traced_peak(lambda: extractor.extract_full(probs))
+        assert result.dataset.iou is None
+        assert peak <= 0.6 * probs.nbytes, f"peak {peak / probs.nbytes:.2f}x the field's bytes"
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_sweep_work_space_is_tile_sized(self, label_space, order):

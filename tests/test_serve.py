@@ -12,6 +12,7 @@ import json
 import pickle
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -22,6 +23,7 @@ import pytest
 from repro.api.config import ExperimentConfig
 from repro.api.fitted import FittedModel
 from repro.api.runner import Runner
+from repro.serve import server as server_module
 from repro.serve import (
     RequestError,
     ScoringServer,
@@ -389,6 +391,47 @@ class TestErrorContracts:
             )
             assert status == 413
             assert body["error"]["code"] == "payload_too_large"
+        finally:
+            server.shutdown()
+            server.close()
+            thread.join(timeout=5)
+
+    def test_stalled_body_is_408_and_frees_the_worker(self, fitted_model, monkeypatch):
+        """A client that declares 1000 body bytes, sends 6 and holds its
+        socket gets a structured 408 within the read deadline, and the one
+        worker then answers /healthz."""
+        deadline = 0.5
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", deadline)
+        server = ScoringServer(ScoringService(fitted_model), port=0, workers=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            wait_until_ready(server.url)
+            assert server.metrics.counter("serve.timeouts.count").value == 0
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=deadline + 2.0) as sock:
+                sock.sendall(
+                    b"POST /score HTTP/1.0\r\nContent-Type: application/x-npy\r\n"
+                    b"Content-Length: 1000\r\n\r\n\x93NUMPY"
+                )
+                start = time.monotonic()
+                response = b""
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    response += chunk
+                elapsed = time.monotonic() - start
+            assert elapsed <= deadline + 2.0
+            head, _, payload = response.partition(b"\r\n\r\n")
+            assert b" 408 " in head.split(b"\r\n", 1)[0]
+            error = json.loads(payload)["error"]
+            assert error["code"] == "request_timeout"
+            assert error["message"] == "request body stalled past the 0.5 s read deadline"
+            with urllib.request.urlopen(server.url + "/healthz", timeout=deadline + 2.0) as reply:
+                assert reply.status == 200
+                assert json.loads(reply.read())["status"] == "ok"
+            assert server.metrics.counter("serve.timeouts.count").value == 1
         finally:
             server.shutdown()
             server.close()
