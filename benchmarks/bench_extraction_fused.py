@@ -6,10 +6,10 @@ and the E/M/V/p_max heatmaps in one walk over the field) followed by
 :meth:`SegmentMetricsExtractor._compute_features` (interior and boundary
 sums from ``np.bincount`` over one split index, whole-segment sums from
 products of one CSR membership matrix with the sweep's column-major maps
-and the field) — against the retained
-``_reference_compute_features`` seed implementation (one validated heatmap
-pass per dispersion measure, one bincount pass per metric column) on
-synthetic softmax fields with hundreds of segments.  Bitwise parity of the
+and the field) — against the retained ``_reference_compute_features`` seed
+implementation (``tests/reference/metrics.py``: one validated heatmap pass
+per dispersion measure, one bincount pass per metric column) on synthetic
+softmax fields with hundreds of segments.  Bitwise parity of the
 full feature matrix — and of the assembled ``MetricsDataset`` — is asserted
 on every run; full mode enforces the acceptance gate (fused >= 1.5x seed)
 via the exit code.
@@ -17,8 +17,8 @@ via the exit code.
 Invocation (the segment decomposition is not part of the timed region; the
 fused path's argmax is, the seed path's is not):
 
-    PYTHONPATH=src python benchmarks/bench_extraction_fused.py           # full
-    PYTHONPATH=src python benchmarks/bench_extraction_fused.py --smoke   # CI
+    PYTHONPATH=src:tests python benchmarks/bench_extraction_fused.py           # full
+    PYTHONPATH=src:tests python benchmarks/bench_extraction_fused.py --smoke   # CI
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from _bench_common import write_artifact, write_bench_json, write_trajectory_json
 
+from reference.metrics import _reference_compute_features
 from repro.core.heatmaps import fused_dispersion_heatmaps
 from repro.core.metrics import SegmentMetricsExtractor
 from repro.core.segments import extract_segments
@@ -78,7 +79,7 @@ def run_case(name: str, height: int, width: int, cell: int, repeats: int) -> Dic
         return extractor._compute_features(fused_dispersion_heatmaps(probs), prediction)
 
     fused = fused_path()
-    reference = extractor._reference_compute_features(probs, prediction)
+    reference = _reference_compute_features(extractor, probs, prediction)
     if not np.array_equal(fused, reference):
         mismatches = int(np.count_nonzero(fused != reference))
         raise AssertionError(f"{name}: {mismatches} feature entries diverge from the seed path")
@@ -92,7 +93,7 @@ def run_case(name: str, height: int, width: int, cell: int, repeats: int) -> Dic
         raise AssertionError(f"{name}: extracted MetricsDataset diverges from the seed path")
 
     reference_seconds = _best_of(
-        lambda: extractor._reference_compute_features(probs, prediction), repeats
+        lambda: _reference_compute_features(extractor, probs, prediction), repeats
     )
     fused_seconds = _best_of(fused_path, repeats)
     return {

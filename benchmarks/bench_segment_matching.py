@@ -2,9 +2,9 @@
 
 Times the three segment-matching primitives (`segment_ious`,
 `false_negative_segments`, `segment_precision_recall`) against the retained
-``_reference_*`` per-segment implementations on synthetic label maps with
-hundreds of segments, at the resolutions named in the issue (256×512 and
-512×1024).  Results are written both as human-readable rows and as
+``_reference_*`` per-segment implementations (``tests/reference/segments.py``)
+on synthetic label maps with hundreds of segments, at 256×512 and 512×1024.
+Results are written both as human-readable rows and as
 ``benchmarks/artifacts/BENCH_segment_matching.json`` so the perf trajectory
 of the matching hot path is recorded run over run.  Every case first
 asserts that the fast results equal the references bitwise (IoU per segment
@@ -13,8 +13,8 @@ id, false-negative ids, precision/recall dicts including their order).
 Invocation (the segment decomposition itself is not part of the timed
 region):
 
-    PYTHONPATH=src python benchmarks/bench_segment_matching.py           # full
-    PYTHONPATH=src python benchmarks/bench_segment_matching.py --smoke   # CI
+    PYTHONPATH=src:tests python benchmarks/bench_segment_matching.py           # full
+    PYTHONPATH=src:tests python benchmarks/bench_segment_matching.py --smoke   # CI
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ import numpy as np
 
 from _bench_common import write_artifact, write_bench_json
 
-from repro.core.segments import (
-    Segmentation,
+from reference.segments import (
     _reference_false_negative_segments,
     _reference_segment_ious,
     _reference_segment_precision_recall,
+)
+from repro.core.segments import (
+    Segmentation,
     extract_segments,
     false_negative_segments,
     segment_ious,

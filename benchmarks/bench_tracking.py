@@ -1,8 +1,9 @@
 """Benchmark — sparse contingency-table tracking vs per-segment masks.
 
 Times the vectorised :func:`match_segments` against the retained
-``_reference_match_segments`` per-segment-mask implementation on synthetic
-video frame pairs with hundreds of moving segments, and a full
+``_reference_match_segments`` per-segment-mask implementation
+(``tests/reference/tracking.py``) on synthetic video frame pairs with
+hundreds of moving segments, and a full
 :class:`SegmentTracker` run over a short sequence against a tracker driven by
 the reference matcher.  Bitwise parity (identical match dicts including
 insertion order, identical track assignments and histories) is asserted on
@@ -11,8 +12,8 @@ every run; the acceptance gate of the perf issue — >= 5x at 512x1024 with
 
 Invocation (segment decomposition is not part of the timed region):
 
-    PYTHONPATH=src python benchmarks/bench_tracking.py           # full + gate
-    PYTHONPATH=src python benchmarks/bench_tracking.py --smoke   # CI
+    PYTHONPATH=src:tests python benchmarks/bench_tracking.py           # full + gate
+    PYTHONPATH=src:tests python benchmarks/bench_tracking.py --smoke   # CI
 """
 
 from __future__ import annotations
@@ -26,12 +27,9 @@ import numpy as np
 
 from _bench_common import write_artifact, write_bench_json, write_trajectory_json
 
+from reference.tracking import _reference_match_segments
 from repro.core.segments import Segmentation, extract_segments
-from repro.timedynamic.tracking import (
-    SegmentTracker,
-    _reference_match_segments,
-    match_segments,
-)
+from repro.timedynamic.tracking import SegmentTracker, match_segments
 
 #: (name, height, width, cell) benchmark cases; the cell size keeps each frame
 #: at roughly 300 segments (>= 100 required by the acceptance criterion).

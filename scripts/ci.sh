@@ -34,15 +34,15 @@ echo "=== parity-fuzz suite (every test marked fuzz under tests/) ==="
 python -m pytest -q -m fuzz tests
 
 echo "=== segment-matching benchmark (smoke) ==="
-PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
+PYTHONPATH="${REPO_ROOT}/benchmarks:${REPO_ROOT}/tests:${PYTHONPATH}" \
     python benchmarks/bench_segment_matching.py --smoke
 
 echo "=== tracking benchmark (smoke: bitwise parity + speedup sanity) ==="
-PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
+PYTHONPATH="${REPO_ROOT}/benchmarks:${REPO_ROOT}/tests:${PYTHONPATH}" \
     python benchmarks/bench_tracking.py --smoke
 
 echo "=== fused-extraction benchmark (smoke: bitwise parity + speedup sanity) ==="
-PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
+PYTHONPATH="${REPO_ROOT}/benchmarks:${REPO_ROOT}/tests:${PYTHONPATH}" \
     python benchmarks/bench_extraction_fused.py --smoke
 
 echo "=== runner-overhead benchmark (smoke) ==="

@@ -86,7 +86,6 @@ from repro.decision import (
     PixelPriorEstimator,
     bayes_rule,
     maximum_likelihood_rule,
-    cost_based_rule,
     DecisionRuleComparison,
     DecisionRuleResult,
 )
@@ -156,7 +155,6 @@ __all__ = [
     "PixelPriorEstimator",
     "bayes_rule",
     "maximum_likelihood_rule",
-    "cost_based_rule",
     "DecisionRuleComparison",
     "DecisionRuleResult",
     # unified experiment API

@@ -30,8 +30,8 @@ Seven subcommands expose the unified experiment API headlessly:
 * ``python -m repro describe KIND [NAME]``  — document one registry or one
   entry (e.g. ``python -m repro describe networks mobilenetv2``);
 * ``python -m repro analyze [PATHS]``       — run the AST-based invariant
-  linter (determinism, parity-gate, config-contract, state-schema and
-  concurrency rules; see :mod:`repro.analysis`) over the source tree;
+  linter (determinism, config-contract, state-schema and concurrency
+  rules; see :mod:`repro.analysis`) over the source tree;
   exit 0 clean / 1 findings, ``--json`` for machine output, ``--baseline``
   to accept known findings, ``--list-rules`` to enumerate the rules.
 
@@ -565,10 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--rules", default=None, metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
-    )
-    analyze.add_argument(
-        "--tests", default=None, metavar="DIR",
-        help="test tree for the parity-gate audit (default: <root>/tests)",
     )
     analyze.add_argument(
         "--configs", default=None, metavar="DIR",

@@ -1,8 +1,7 @@
 """Static enforcement of the library's behavioural contracts.
 
-Every guarantee this reproduction makes — bitwise parity between optimized
-and ``_reference_*`` paths, one seed driving all randomness, content-address
-keys that only change when behaviour changes, deterministic
+Every guarantee this reproduction makes — one seed driving all randomness,
+content-address keys that only change when behaviour changes, deterministic
 ``to_state``/``from_state`` round-trips — is otherwise enforced dynamically,
 by tests that must happen to exercise the offending line.  This package is
 the static half of that enforcement: an AST-based linter
@@ -14,8 +13,6 @@ Rule families (see ``python -m repro analyze --list-rules``):
 * **determinism** — unsorted directory walks, set iteration flowing into
   ordered output, wall-clock reads, unseeded RNG construction and builtin
   ``hash()`` outside the derived-seed / provenance seams;
-* **parity-gate** — every ``_reference_*`` function must be exercised by at
-  least one test under ``tests/``;
 * **registry/config contract** — every ``*Config`` dataclass field must be
   consumed somewhere, and dotted override keys in sweep grids / example
   configs must resolve to real fields;

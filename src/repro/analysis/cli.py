@@ -54,9 +54,7 @@ def run_cli(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        project = AnalysisProject.from_paths(
-            paths, tests_dir=args.tests, configs_dir=args.configs
-        )
+        project = AnalysisProject.from_paths(paths, configs_dir=args.configs)
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,11 @@
-"""What the analyzer looks at: parsed source, tests and config JSONs.
+"""What the analyzer looks at: parsed source and config JSONs.
 
 An :class:`AnalysisProject` is the shared input of every rule: the modules
-under the *analyzed* paths (findings are reported against these), the parsed
-test tree (context for the parity-gate audit — tests are cross-checked, not
-linted) and the example config JSONs (context for the dotted-override
-contract).  Everything is collected in sorted order so reports are
-deterministic, and files that fail to parse become ``parse-error`` findings
-instead of crashing the run.
+under the *analyzed* paths (findings are reported against these) and the
+example config JSONs (context for the dotted-override contract).
+Everything is collected in sorted order so reports are deterministic, and
+files that fail to parse become ``parse-error`` findings instead of crashing
+the run.
 """
 
 from __future__ import annotations
@@ -44,13 +43,11 @@ class AnalysisProject:
         self,
         root: Path,
         modules: List[SourceModule],
-        test_modules: List[SourceModule],
         config_files: List[Tuple[str, object]],
         parse_failures: List[Finding],
     ) -> None:
         self.root = root
         self.modules = modules
-        self.test_modules = test_modules
         self.config_files = config_files
         self.parse_failures = parse_failures
 
@@ -59,18 +56,16 @@ class AnalysisProject:
     def from_paths(
         cls,
         paths: Sequence[str],
-        tests_dir: Optional[str] = None,
         configs_dir: Optional[str] = None,
     ) -> "AnalysisProject":
-        """Load the analyzed tree plus its test/config context.
+        """Load the analyzed tree plus its config context.
 
         *paths* are files or directories to analyze.  The repository root is
         inferred by walking up from the first path until a directory with a
-        ``tests`` tree (or ``.git``/``pytest.ini``) appears; ``tests_dir``
-        and ``configs_dir`` override the derived defaults (``<root>/tests``
-        and ``<root>/examples/configs``).  A missing context directory
-        silently disables the rules that need it — analyzing a single file
-        must not fail because it has no test tree.
+        ``tests`` tree (or ``.git``/``pytest.ini``) appears; ``configs_dir``
+        overrides the derived default ``<root>/examples/configs``.  A
+        missing config directory silently disables the rule that needs it —
+        analyzing a single file must not fail because it has no configs.
         """
         resolved = [Path(p).resolve() for p in paths]
         for path in resolved:
@@ -80,15 +75,6 @@ class AnalysisProject:
 
         parse_failures: List[Finding] = []
         modules = _load_tree(_collect_py_files(resolved), root, parse_failures)
-
-        tests_path = Path(tests_dir).resolve() if tests_dir else root / "tests"
-        test_modules: List[SourceModule] = []
-        if tests_path.is_dir():
-            # Context only: a syntactically broken test file is the test
-            # suite's problem, not a finding against the analyzed tree.
-            test_modules = _load_tree(
-                sorted(tests_path.rglob("*.py")), root, failures=None
-            )
 
         configs_path = (
             Path(configs_dir).resolve() if configs_dir else root / "examples" / "configs"
@@ -111,7 +97,6 @@ class AnalysisProject:
         return cls(
             root=root,
             modules=modules,
-            test_modules=test_modules,
             config_files=config_files,
             parse_failures=parse_failures,
         )
@@ -148,9 +133,7 @@ def _collect_py_files(paths: List[Path]) -> List[Path]:
     return sorted(seen)
 
 
-def _load_tree(
-    files: List[Path], root: Path, failures: Optional[List[Finding]]
-) -> List[SourceModule]:
+def _load_tree(files: List[Path], root: Path, failures: List[Finding]) -> List[SourceModule]:
     modules: List[SourceModule] = []
     for file_path in files:
         rel = _relative(file_path, root)
@@ -158,15 +141,14 @@ def _load_tree(
             text = file_path.read_text()
             tree = ast.parse(text, filename=rel)
         except (OSError, SyntaxError, ValueError) as exc:
-            if failures is not None:
-                failures.append(
-                    Finding(
-                        rule="parse-error",
-                        path=rel,
-                        line=getattr(exc, "lineno", 1) or 1,
-                        message=f"cannot parse: {exc}",
-                    )
+            failures.append(
+                Finding(
+                    rule="parse-error",
+                    path=rel,
+                    line=getattr(exc, "lineno", 1) or 1,
+                    message=f"cannot parse: {exc}",
                 )
+            )
             continue
         modules.append(SourceModule(file_path, rel, text, tree))
     return modules

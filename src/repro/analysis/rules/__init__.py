@@ -3,5 +3,4 @@
 import repro.analysis.rules.concurrency  # noqa: F401
 import repro.analysis.rules.config_contract  # noqa: F401
 import repro.analysis.rules.determinism  # noqa: F401
-import repro.analysis.rules.parity  # noqa: F401
 import repro.analysis.rules.state_schema  # noqa: F401

@@ -16,7 +16,8 @@ All heatmaps are normalised to [0, 1]:
 the metric extraction of :mod:`repro.core.metrics`: tile by tile of rows it
 validates the field, takes its argmax and computes all three heatmaps plus
 the max-probability map, bitwise-identical to ``check_probability_field``,
-``np.argmax`` and the one-pass-per-map ``_reference_dispersion_heatmaps``.
+``np.argmax`` and the one-pass-per-map seed implementation kept as the
+oracle ``tests/reference/heatmaps.py``.
 Each tile is copied once into a class-major ``(C, n)`` buffer, so every
 class-axis step runs over contiguous class planes; the class sums (row sums
 and entropy) go through ``_class_sum``, which adds the planes in the order
@@ -35,7 +36,6 @@ import numpy as np
 from repro.utils.arrays import _LANES, TILE_PIXELS, _class_sum
 from repro.utils.validation import (
     PROBABILITY_TOL,
-    check_probability_field,
     check_probability_shape,
     check_probability_verdict,
 )
@@ -87,9 +87,10 @@ def fused_dispersion_heatmaps(probs: np.ndarray) -> SoftmaxSweep:
     Both class sums go through :func:`_class_sum`, which adds the planes in
     the order ``np.sum`` adds the classes of a C-contiguous field, for every
     layout of the input.  Maxima are exact, so the outputs are bitwise equal
-    to ``np.argmax(probs, axis=2)`` and :func:`_reference_dispersion_heatmaps`
-    of the field's C-contiguous copy, and the verdict is
-    :func:`check_probability_field`'s for every layout.  Only the outputs and
+    to ``np.argmax(probs, axis=2)`` and the one-pass-per-map seed oracle
+    (``tests/reference/heatmaps.py``) on the field's C-contiguous copy, and
+    the verdict is :func:`~repro.utils.validation.check_probability_field`'s
+    for every layout.  Only the outputs and
     tile-sized work buffers are allocated, never an (H, W, C) temporary.
     """
     field = check_probability_shape(probs)
@@ -164,22 +165,3 @@ def dispersion_heatmaps(probs: np.ndarray) -> Dict[str, np.ndarray]:
     """All dispersion heatmaps keyed by their short names (E, M, V)."""
     sweep = fused_dispersion_heatmaps(probs)
     return {key: sweep.heatmap(key) for key in ("E", "M", "V")}
-
-
-def _reference_dispersion_heatmaps(probs: np.ndarray) -> Dict[str, np.ndarray]:
-    """Seed implementation of :func:`dispersion_heatmaps` (one pass per map).
-
-    Retained as the baseline of the fused-extraction parity tests and
-    ``benchmarks/bench_extraction_fused.py``; do not use on hot paths.
-    """
-    probs = check_probability_field(probs)
-    clipped = np.clip(probs, 1e-12, 1.0)
-    entropy = -np.sum(clipped * np.log(clipped), axis=2)
-    # Partition so the two largest probabilities sit in the last two slots.
-    top_two = np.partition(probs, probs.shape[2] - 2, axis=2)[:, :, -2:]
-    margin = top_two[:, :, 1] - top_two[:, :, 0]
-    return {
-        "E": entropy / np.log(probs.shape[2]),
-        "M": 1.0 - margin,
-        "V": 1.0 - probs.max(axis=2),
-    }

@@ -31,8 +31,8 @@ centroids reuse the coordinate sums of the segment decomposition.  The
 features are computed before the ground truth is labelled, and the
 sweep's maps are freed first, so the two peaks do not stack.  The extractor
 holds no mutable state, so one instance is shared freely across threads.
-The column-at-a-time seed implementation is retained as
-``_reference_compute_features``; the fused path is bitwise-identical to it
+The column-at-a-time seed implementation is kept as the test oracle
+``tests/reference/metrics.py``; the fused path is bitwise-identical to it
 (``tests/test_core_metrics_dataset.py`` fuzzes the parity,
 ``benchmarks/bench_extraction_fused.py`` gates the speedup).
 """
@@ -50,7 +50,6 @@ from repro.core.dataset import MetricsDataset
 from repro.core.heatmaps import (
     SWEEP_COLUMNS,
     SoftmaxSweep,
-    _reference_dispersion_heatmaps,
     fused_dispersion_heatmaps,
 )
 from repro.core.segments import Segmentation, extract_segments, segment_ious
@@ -196,13 +195,14 @@ class SegmentMetricsExtractor:
     def _compute_features(self, sweep: SoftmaxSweep, prediction: Segmentation) -> np.ndarray:
         """Fused aggregation of all segment metrics from one softmax sweep.
 
-        Bitwise-identical to :meth:`_reference_compute_features` (the seed
-        column-at-a-time path) on ``sweep.field``: every per-segment sum adds
-        the same values to the same segment in the same ascending pixel
-        order, starting from zero, as the seed's one-bincount-per-column loop
-        — ``np.bincount`` adds each bin's weights in pixel order, and each
-        CSR row of the membership matrix holds its pixels in ascending
-        order — and the pixel counts are exact integers.
+        Bitwise-identical to the seed column-at-a-time path kept as the
+        oracle ``tests/reference/metrics.py``, on ``sweep.field``: every
+        per-segment sum adds the same values to the same segment in the
+        same ascending pixel order, starting from zero, as the seed's
+        one-bincount-per-column loop — ``np.bincount`` adds each bin's
+        weights in pixel order, and each CSR row of the membership matrix
+        holds its pixels in ascending order — and the pixel counts are
+        exact integers.
         """
         components = prediction.components
         n_bins = prediction.n_segments + 1
@@ -270,94 +270,6 @@ class SegmentMetricsExtractor:
         for class_index in range(n_classes):
             put(_mean(class_sums[1:, class_index], sizes))
         return matrix
-
-    def _reference_compute_features(
-        self, probs: np.ndarray, prediction: Segmentation
-    ) -> np.ndarray:
-        """Seed column-at-a-time extraction (one bincount pass per metric).
-
-        Retained verbatim as the parity ground truth of the fused
-        :meth:`_compute_features` and as the baseline timed by
-        ``benchmarks/bench_extraction_fused.py``; do not use on hot paths.
-        """
-        components = prediction.components
-        n_segments = prediction.n_segments
-        n_bins = n_segments + 1
-        flat_components = components.ravel()
-        height, width = components.shape
-
-        sizes = np.bincount(flat_components, minlength=n_bins).astype(np.float64)
-        interior = self._interior_mask(components)
-        interior_flat = interior.ravel()
-        sizes_in = np.bincount(
-            flat_components[interior_flat], minlength=n_bins
-        ).astype(np.float64)
-        sizes_bd = sizes - sizes_in
-
-        heatmaps = _reference_dispersion_heatmaps(probs)
-
-        def _segment_mean(values: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-            """Mean of *values* per segment (optionally restricted to a mask)."""
-            flat_values = values.ravel()
-            if mask is None:
-                sums = np.bincount(flat_components, weights=flat_values, minlength=n_bins)
-                counts = sizes
-            else:
-                flat_mask = mask.ravel()
-                sums = np.bincount(
-                    flat_components[flat_mask], weights=flat_values[flat_mask], minlength=n_bins
-                )
-                counts = np.bincount(flat_components[flat_mask], minlength=n_bins).astype(np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                means = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
-            return means
-
-        columns: List[np.ndarray] = []
-        # geometry ------------------------------------------------------------
-        safe_bd = np.maximum(sizes_bd, 1.0)
-        columns.append(sizes)                       # S
-        columns.append(sizes_in)                    # S_in
-        columns.append(sizes_bd)                    # S_bd
-        columns.append(sizes / safe_bd)             # S_rel
-        columns.append(sizes_in / safe_bd)          # S_rel_in
-        # dispersion ----------------------------------------------------------
-        boundary = ~interior
-        for key in ("E", "M", "V"):
-            heatmap = heatmaps[key]
-            mean_all = _segment_mean(heatmap)
-            mean_in = _segment_mean(heatmap, interior)
-            mean_bd = _segment_mean(heatmap, boundary)
-            columns.append(mean_all)                               # D_mean
-            columns.append(mean_in)                                # D_in_mean
-            columns.append(mean_bd)                                # D_bd_mean
-            columns.append(mean_all * sizes_bd / np.maximum(sizes, 1.0))      # D_rel
-            columns.append(mean_in * sizes_bd / np.maximum(sizes_in, 1.0))    # D_rel_in
-        # context ---------------------------------------------------------------
-        class_per_segment = np.zeros(n_bins, dtype=np.float64)
-        is_thing = np.zeros(n_bins, dtype=np.float64)
-        thing_ids = set(self.label_space.thing_ids())
-        for sid, class_id in enumerate(prediction.class_ids.tolist(), start=1):
-            class_per_segment[sid] = class_id
-            is_thing[sid] = 1.0 if class_id in thing_ids else 0.0
-        columns.append(class_per_segment)
-        columns.append(is_thing)
-        rows_grid, cols_grid = np.meshgrid(
-            np.arange(height, dtype=np.float64),
-            np.arange(width, dtype=np.float64),
-            indexing="ij",
-        )
-        centroid_row = _segment_mean(rows_grid) / max(1, height - 1)
-        centroid_col = _segment_mean(cols_grid) / max(1, width - 1)
-        columns.append(centroid_row)
-        columns.append(centroid_col)
-        columns.append(_segment_mean(probs.max(axis=2)))            # pmax_mean
-        # per-class mean probabilities -----------------------------------------
-        for class_index in range(self.label_space.n_classes):
-            columns.append(_segment_mean(probs[:, :, class_index]))
-
-        matrix = np.stack(columns, axis=1)
-        # Drop the background bin 0; segments are 1..n.
-        return matrix[1:, :]
 
     def _interior_mask(self, components: np.ndarray) -> np.ndarray:
         """Pixels all of whose 4-neighbours belong to the same segment."""

@@ -10,20 +10,15 @@ overlooked ground-truth segments.
 
 * :mod:`repro.decision.priors` — estimation of pixel-wise class priors
   (Fig. 4);
-* :mod:`repro.decision.rules` — Bayes, ML and general cost-based decision
-  rules (eqs. (4)-(9), Fig. 3);
+* :mod:`repro.decision.rules` — the Bayes, ML and interpolated decision
+  rules (eqs. (1), (7)-(9), Fig. 3);
 * :mod:`repro.decision.evaluation` — segment-wise precision/recall CDFs,
   stochastic dominance, non-detection rates (Fig. 5);
 * :mod:`repro.decision.pipeline` — the end-to-end Bayes-vs-ML comparison.
 """
 
-from repro.decision.priors import PixelPriorEstimator, uniform_priors
-from repro.decision.rules import (
-    bayes_rule,
-    maximum_likelihood_rule,
-    cost_based_rule,
-    inverse_prior_costs,
-)
+from repro.decision.priors import PixelPriorEstimator
+from repro.decision.rules import bayes_rule, maximum_likelihood_rule
 from repro.decision.evaluation import (
     ClassPrecisionRecall,
     collect_precision_recall,
@@ -33,11 +28,8 @@ from repro.decision.pipeline import DecisionRuleComparison, DecisionRuleResult
 
 __all__ = [
     "PixelPriorEstimator",
-    "uniform_priors",
     "bayes_rule",
     "maximum_likelihood_rule",
-    "cost_based_rule",
-    "inverse_prior_costs",
     "ClassPrecisionRecall",
     "collect_precision_recall",
     "non_detection_rate",

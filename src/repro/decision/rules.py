@@ -12,6 +12,10 @@ class.  The paper discusses three families:
   position-specific prior and therefore picks the class for which the
   observation is most *typical*, independent of class frequency.
 
+The program runs the Bayes and ML rules and the interpolation between them;
+the general cost-based rule of eqs. (4)-(6) is the test oracle of both
+(``tests/reference/rules.py``).
+
 Every rule takes a validated (H, W, C) field
 (:func:`repro.utils.validation.check_probability_field`): the caller
 validates a frame once and decodes it with as many rules as it likes.  The
@@ -87,53 +91,6 @@ def maximum_likelihood_rule(
     priors = _prior_field(priors, probs.shape, "ml")
     likelihood = probs / np.maximum(priors, epsilon)
     return np.argmax(likelihood, axis=2).astype(np.int64)
-
-
-def inverse_prior_costs(priors: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
-    """Cost tensor ψ_z(ŷ, y) = 1/p̂_z(y) of the ML rule (eq. (7)).
-
-    Returns an array with one cost per (pixel, true class); the cost is
-    independent of the predicted class ŷ (for ŷ ≠ y), as in the paper.
-    """
-    priors = np.asarray(priors, dtype=np.float64)
-    if np.any(priors < 0):
-        raise ValueError("priors must be non-negative")
-    return 1.0 / np.maximum(priors, epsilon)
-
-
-def cost_based_rule(probs: np.ndarray, confusion_costs: np.ndarray) -> np.ndarray:
-    """General cost-based decision (eqs. (5)-(6)).
-
-    Parameters
-    ----------
-    probs:
-        Validated (H, W, C) posterior field.
-    confusion_costs:
-        Either a (C, C) matrix ψ(ŷ, y) of confusion costs (position
-        independent) or an (H, W, C, C) tensor for position-specific costs.
-        The diagonal (correct decisions) is ignored — it is forced to zero as
-        in eq. (4).
-
-    Returns
-    -------
-    (H, W) label map minimising the expected cost per pixel.
-    """
-    height, width, n_classes = probs.shape
-    costs = np.asarray(confusion_costs, dtype=np.float64)
-    if costs.ndim == 2:
-        if costs.shape != (n_classes, n_classes):
-            raise ValueError("confusion_costs matrix must be (C, C)")
-        costs = np.broadcast_to(costs, (height, width, n_classes, n_classes))
-    elif costs.shape != (height, width, n_classes, n_classes):
-        raise ValueError("confusion_costs tensor must be (H, W, C, C)")
-    if np.any(costs < 0):
-        raise ValueError("confusion costs must be non-negative")
-    # Zero out the diagonal ψ(y, y) = 0.
-    eye = np.eye(n_classes, dtype=bool)
-    costs = np.where(eye.reshape(1, 1, n_classes, n_classes), 0.0, costs)
-    # expected_cost[.., yhat] = sum_y psi(yhat, y) * p(y)
-    expected_cost = np.einsum("hwij,hwj->hwi", costs, probs)
-    return np.argmin(expected_cost, axis=2).astype(np.int64)
 
 
 @DECISION_RULES.register("interpolated")

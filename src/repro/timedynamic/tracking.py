@@ -36,8 +36,8 @@ Sparse single-pass matching
   :class:`~repro.core.segments.Segmentation` table, and the tracker takes
   each new track's class and centroid from the same arrays.
 
-The per-segment-mask implementation is retained as
-``_reference_match_segments``; ``tests/test_tracking_parity_fuzz.py`` asserts
+The per-segment-mask implementation is kept as the test oracle
+``tests/reference/tracking.py``; ``tests/test_tracking_parity_fuzz.py`` asserts
 the two are bitwise-identical (same match dicts, same insertion order, same
 greedy tie-breaks) on randomized video sequences, and
 ``benchmarks/bench_tracking.py`` gates the speedup.
@@ -78,29 +78,6 @@ class TrackedSegment:
         return (last_row - prev_row, last_col - prev_col)
 
 
-def _overlap_after_shift(
-    old_mask: np.ndarray,
-    new_mask: np.ndarray,
-    shift: Tuple[float, float],
-) -> int:
-    """Pixel overlap of *old_mask* shifted by *shift* with *new_mask*."""
-    height, width = old_mask.shape
-    rows, cols = np.nonzero(old_mask)
-    if rows.size == 0:
-        return 0
-    shifted_rows = np.round(rows + shift[0]).astype(np.int64)
-    shifted_cols = np.round(cols + shift[1]).astype(np.int64)
-    keep = (
-        (shifted_rows >= 0)
-        & (shifted_rows < height)
-        & (shifted_cols >= 0)
-        & (shifted_cols < width)
-    )
-    if not np.any(keep):
-        return 0
-    return int(np.sum(new_mask[shifted_rows[keep], shifted_cols[keep]]))
-
-
 def match_segments(
     previous: Segmentation,
     current: Segmentation,
@@ -111,8 +88,8 @@ def match_segments(
 
     Vectorised over segment pairs (see the module docstring): zero-shift
     overlaps come from one contingency-table pass, shifted overlaps from one
-    sparse scatter per shifted segment.  Bitwise-identical to
-    :func:`_reference_match_segments`.
+    sparse scatter per shifted segment.  Bitwise-identical to the
+    per-segment-mask oracle ``tests/reference/tracking.py``.
 
     Parameters
     ----------
@@ -146,7 +123,8 @@ def match_segments(
     curr_boxes = current.boxes.astype(np.float64)
 
     # Candidate mask: equal class and shifted bounding boxes within the margin
-    # (the exact float arithmetic of _boxes_close, broadcast over all pairs).
+    # (the oracle's per-pair box test, in the same float arithmetic,
+    # broadcast over all pairs).
     shifted_top = prev_boxes[:, 0:1] + (shift_arr[:, 0:1] - _BOX_MARGIN)
     shifted_bottom = prev_boxes[:, 2:3] + (shift_arr[:, 0:1] + _BOX_MARGIN)
     shifted_left = prev_boxes[:, 1:2] + (shift_arr[:, 1:2] - _BOX_MARGIN)
@@ -214,71 +192,6 @@ def match_segments(
     return matches
 
 
-def _reference_match_segments(
-    previous: Segmentation,
-    current: Segmentation,
-    shifts: Optional[Dict[int, Tuple[float, float]]] = None,
-    min_overlap_fraction: float = 0.1,
-) -> Dict[int, int]:
-    """Per-segment-mask reference for :func:`match_segments`.
-
-    The original O(n_prev × n_curr × H×W) implementation, retained verbatim
-    as the parity-fuzz ground truth and for the tracking benchmark; do not use
-    it on hot paths.
-    """
-    if not 0.0 <= min_overlap_fraction <= 1.0:
-        raise ValueError("min_overlap_fraction must be in [0, 1]")
-    shifts = shifts or {}
-    candidates: List[Tuple[int, int, int]] = []
-    current_masks = {sid: current.components == sid for sid in current.segment_ids().tolist()}
-    for prev_id in previous.segment_ids().tolist():
-        prev_class = int(previous.class_ids[prev_id - 1])
-        prev_size = int(previous.sizes[prev_id - 1])
-        prev_box = tuple(previous.boxes[prev_id - 1].tolist())
-        prev_mask = previous.components == prev_id
-        shift = shifts.get(prev_id, (0.0, 0.0))
-        for curr_id in current.segment_ids().tolist():
-            if int(current.class_ids[curr_id - 1]) != prev_class:
-                continue
-            # Cheap bounding-box rejection before the pixel-level overlap.
-            curr_box = tuple(current.boxes[curr_id - 1].tolist())
-            if not _boxes_close(prev_box, curr_box, shift, margin=8):
-                continue
-            overlap = _overlap_after_shift(prev_mask, current_masks[curr_id], shift)
-            smaller = min(prev_size, int(current.sizes[curr_id - 1]))
-            if smaller > 0 and overlap / smaller >= min_overlap_fraction:
-                candidates.append((overlap, prev_id, curr_id))
-    candidates.sort(key=lambda item: -item[0])
-    matched_prev: set = set()
-    matched_curr: set = set()
-    matches: Dict[int, int] = {}
-    for overlap, prev_id, curr_id in candidates:
-        if prev_id in matched_prev or curr_id in matched_curr:
-            continue
-        matches[prev_id] = curr_id
-        matched_prev.add(prev_id)
-        matched_curr.add(curr_id)
-    return matches
-
-
-def _boxes_close(
-    box_a: Tuple[int, int, int, int],
-    box_b: Tuple[int, int, int, int],
-    shift: Tuple[float, float],
-    margin: int,
-) -> bool:
-    """Whether bounding box *a*, shifted, overlaps box *b* within a margin."""
-    top_a, left_a, bottom_a, right_a = box_a
-    top_b, left_b, bottom_b, right_b = box_b
-    top_a += shift[0] - margin
-    bottom_a += shift[0] + margin
-    left_a += shift[1] - margin
-    right_a += shift[1] + margin
-    return not (
-        bottom_a <= top_b or bottom_b <= top_a or right_a <= left_b or right_b <= left_a
-    )
-
-
 class SegmentTracker:
     """Track predicted segments through a sequence of frames.
 
@@ -288,8 +201,8 @@ class SegmentTracker:
 
     ``match_fn`` overrides the frame-pair matcher (same signature as
     :func:`match_segments`); it exists so the parity-fuzz suite and the
-    tracking benchmark can run a whole tracker against
-    :func:`_reference_match_segments`.
+    tracking benchmark can run a whole tracker against the per-segment-mask
+    oracle of ``tests/reference/tracking.py``.
     """
 
     def __init__(

@@ -14,11 +14,10 @@ FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
 
 def analyze_args(paths, tmp_path, *extra):
-    """CLI argv with the context dirs pointed at nothing (isolation)."""
+    """CLI argv with the config dir pointed at nothing (isolation)."""
     return [
         "analyze",
         *[str(p) for p in paths],
-        "--tests", str(tmp_path / "no-tests"),
         "--configs", str(tmp_path / "no-configs"),
         *extra,
     ]

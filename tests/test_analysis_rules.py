@@ -25,10 +25,9 @@ REPO_ROOT = Path(__file__).parent.parent
 
 def analyze(paths, tmp_path=None, **kwargs):
     """Run the full rule set over *paths* without real-repo context."""
-    if "tests_dir" not in kwargs:
-        # Point the context dirs somewhere empty so fixture analysis does
-        # not pick up the real test tree through root inference.
-        kwargs["tests_dir"] = str((tmp_path or FIXTURES) / "no-tests-here")
+    if "configs_dir" not in kwargs:
+        # Point the config dir somewhere empty so fixture analysis does not
+        # pick up the real example configs through root inference.
         kwargs["configs_dir"] = str((tmp_path or FIXTURES) / "no-configs-here")
     project = AnalysisProject.from_paths([str(p) for p in paths], **kwargs)
     return run_analysis(project)
@@ -52,14 +51,8 @@ class TestKnownBadFixtures:
         assert result.findings, f"{fixture} produced no findings"
         assert {f.rule for f in result.findings} == {rule}
 
-    def test_parity_gate_flags_only_the_orphan(self):
-        result = analyze([FIXTURES / "parity" / "src"], tests_dir=None)
-        assert {f.rule for f in result.findings} == {"parity-gate"}
-        assert len(result.findings) == 1
-        assert "_reference_foo" in result.findings[0].message
-
     def test_config_contract_flags_dead_knob_and_bad_paths(self):
-        result = analyze([FIXTURES / "config" / "src"], tests_dir=None)
+        result = analyze([FIXTURES / "config" / "src"], configs_dir=None)
         by_rule = {}
         for finding in result.findings:
             by_rule.setdefault(finding.rule, []).append(finding.message)
@@ -194,7 +187,6 @@ class TestBaseline:
 
         project = AnalysisProject.from_paths(
             [str(src)],
-            tests_dir=str(tmp_path / "none"),
             configs_dir=str(tmp_path / "none"),
         )
         accepted = run_analysis(project, baseline_path=str(baseline))
@@ -205,7 +197,6 @@ class TestBaseline:
         src.write_text("import hashlib\n\n\ndef key_of(name):\n    return hashlib.sha256(name.encode()).hexdigest()\n")
         project = AnalysisProject.from_paths(
             [str(src)],
-            tests_dir=str(tmp_path / "none"),
             configs_dir=str(tmp_path / "none"),
         )
         fixed = run_analysis(project, baseline_path=str(baseline))
@@ -220,7 +211,6 @@ class TestBaseline:
         src.write_text("import os\n\n\ndef key_of(name):\n    del os\n    return hash(name)\n")
         project = AnalysisProject.from_paths(
             [str(src)],
-            tests_dir=str(tmp_path / "none"),
             configs_dir=str(tmp_path / "none"),
         )
         result = run_analysis(project, baseline_path=str(baseline))
@@ -252,7 +242,6 @@ class TestRegistryAndSelfAudit:
             "det-wallclock",
             "det-rng",
             "det-hash",
-            "parity-gate",
             "config-field-unread",
             "config-override-path",
             "state-schema",

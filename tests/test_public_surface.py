@@ -14,6 +14,12 @@ itself used, so a helper that only a dead helper calls is dead too.  Uses
 in the other program directories, and at the top level of a ``src`` module,
 are the roots.  Dunders, registry-registered definitions and the overrides
 the standard library calls back (``STDLIB_CALLBACKS``) count as used.
+There are no other exceptions: the oracles the tests compare the program
+against live under ``tests/reference/``.
+
+The converse holds for those oracles: each module-level function and class
+under ``tests/reference/`` must be imported by name by a test, or used by an
+oracle that is, so no oracle outlives the parity test that needs it.
 """
 
 from __future__ import annotations
@@ -27,14 +33,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 PROGRAM_DIRS = ("scripts", "examples", "perfbench", "benchmarks")
-
-#: Defined for the tests alone, on purpose.  The general cost-based rule of
-#: eqs. (4)-(8) and its two inputs are the oracle of the two rules the
-#: program runs: ML is ``cost_based_rule`` with ``inverse_prior_costs``
-#: (eq. (7)), and Bayes is the ML rule under ``uniform_priors``.
-#: ``read_ppm`` reads back what ``write_ppm`` writes, the round trip that
-#: checks the writer.
-ORACLE_ONLY = {"cost_based_rule", "inverse_prior_costs", "uniform_priors", "read_ppm"}
+TESTS = REPO / "tests"
 
 #: Methods the standard library calls on a subclass by name
 #: (``http.server`` handlers, ``socketserver`` servers).
@@ -204,7 +203,6 @@ def _unused(names: Iterator[Tuple[Path, str]]) -> List[str]:
         f"{path.relative_to(REPO)}: {qualname}"
         for path, qualname in names
         if qualname.rsplit(".", 1)[-1] not in used
-        and qualname.rsplit(".", 1)[-1] not in ORACLE_ONLY
     )
 
 
@@ -220,11 +218,64 @@ def test_every_definition_is_used_by_the_program():
     assert not unused, "defined but used only by tests:\n" + "\n".join(unused)
 
 
-def test_oracle_allowlist_is_exported_and_not_otherwise_used():
-    """The allowlist holds only names that need it: each is a module-level
-    function of ``src`` that the program does not reach."""
-    defined = {
-        qualname for path in _src_files() for qualname, _ in _defined_nodes(path)
+def _reference_imports(tree: ast.Module) -> Iterator[Tuple[str, str]]:
+    """(module, name) of every ``from reference.<module> import <name>``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("reference."):
+            module = node.module.split(".", 1)[1]
+            for alias in node.names:
+                yield module, alias.name
+
+
+def _unreached_oracles(tests: Path) -> List[str]:
+    """Definitions under ``<tests>/reference`` that no test imports, neither
+    directly nor through an oracle that uses them."""
+    reference = tests / "reference"
+    modules = {
+        path.stem: _parse(path) for path in sorted(reference.glob("*.py"))
+        if path.name != "__init__.py"
     }
-    assert ORACLE_ONLY <= defined
-    assert not ORACLE_ONLY & _used_names()
+    reached: Set[Tuple[str, str]] = set()
+    for path in sorted(tests.rglob("*.py")):
+        if reference not in path.parents:
+            reached.update(_reference_imports(_parse(path)))
+    defined = {
+        (module, node.name): node
+        for module, tree in modules.items()
+        for node in tree.body
+        if _is_def(node)
+    }
+    pending = sorted(reached & set(defined))
+    while pending:
+        module, name = pending.pop()
+        imported = {alias: (source, alias) for source, alias in _reference_imports(modules[module])}
+        for child in ast.walk(defined[(module, name)]):
+            if isinstance(child, ast.Name):
+                key = imported.get(child.id, (module, child.id))
+                if key in defined and key not in reached:
+                    reached.add(key)
+                    pending.append(key)
+    return sorted(
+        f"{reference.name}/{module}.py: {name}"
+        for module, name in defined
+        if (module, name) not in reached
+    )
+
+
+def test_every_oracle_is_imported_by_a_test():
+    unreached = _unreached_oracles(TESTS)
+    assert not unreached, "oracle imported by no test:\n" + "\n".join(unreached)
+
+
+def test_oracle_check_flags_only_the_orphan(tmp_path):
+    """An oracle no test imports is flagged; one a test imports, and the
+    helper only that oracle calls, are not."""
+    (tmp_path / "reference").mkdir()
+    (tmp_path / "reference" / "__init__.py").write_text("")
+    (tmp_path / "reference" / "seed.py").write_text(
+        "def _helper(x):\n    return x\n\n\n"
+        "def _reference_bar(x):\n    return _helper(x)\n\n\n"
+        "def _reference_foo(x):\n    return x\n"
+    )
+    (tmp_path / "test_bar.py").write_text("from reference.seed import _reference_bar\n")
+    assert _unreached_oracles(tmp_path) == ["reference/seed.py: _reference_foo"]

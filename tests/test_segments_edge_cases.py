@@ -13,9 +13,8 @@ import dataclasses
 import numpy as np
 
 from repro.core.metrics import SegmentMetricsExtractor
+from reference.segments import _reference_segment_ious, _reference_segment_precision_recall
 from repro.core.segments import (
-    _reference_segment_ious,
-    _reference_segment_precision_recall,
     extract_segments,
     false_negative_segments,
     segment_ious,

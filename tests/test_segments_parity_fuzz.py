@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.segments import (
+from reference.segments import (
     _reference_false_negative_segments,
     _reference_segment_ious,
     _reference_segment_precision_recall,
+)
+from repro.core.segments import (
     extract_segments,
     false_negative_segments,
     segment_ious,

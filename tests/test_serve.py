@@ -33,6 +33,7 @@ from repro.serve import (
     wait_until_ready,
 )
 from repro.store import ResultStore
+from repro.utils.validation import check_probability_field
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "disk"
 
@@ -311,6 +312,23 @@ class TestErrorContracts:
         status, body = _post(server.url + "/score", npy_bytes(bad), "application/x-npy")
         assert status == 400
         assert body["error"]["code"] == "bad_input"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_is_400_naming_the_probability_check(self, server, value):
+        """A NaN or ±inf entry fails the extractor's probability check: the
+        server answers a structured 400 carrying that check's message, the
+        one in-process validation raises, and keeps answering /healthz."""
+        field = np.full((8, 8, 19), 1.0 / 19.0)
+        field[3, 5, 2] = value
+        with pytest.raises(ValueError) as expected:
+            check_probability_field(field)
+        status, body = _post(server.url + "/score", npy_bytes(field), "application/x-npy")
+        assert status == 400
+        assert body["error"]["code"] == "bad_input"
+        assert body["error"]["message"] == str(expected.value)
+        assert body["error"]["message"].startswith("probs ")
+        with urllib.request.urlopen(server.url + "/healthz", timeout=30) as response:
+            assert response.status == 200
 
     @pytest.mark.parametrize("shape", [(0, 8, 19), (8, 0, 19)])
     def test_empty_field_is_400_naming_probs(self, server, shape):

@@ -26,11 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.heatmaps import (
-    SWEEP_COLUMNS,
-    _reference_dispersion_heatmaps,
-    fused_dispersion_heatmaps,
-)
+from reference.heatmaps import _reference_dispersion_heatmaps
+from repro.core.heatmaps import SWEEP_COLUMNS, fused_dispersion_heatmaps
 from repro.utils.arrays import TILE_PIXELS, _class_sum
 from repro.utils.validation import PROBABILITY_TOL, check_probability_field
 

@@ -8,7 +8,12 @@ import pytest
 from repro.api.config import ExperimentConfig
 from repro.api.kinds import KINDS
 from repro.api.runner import Runner
+from repro.core.meta_regression import MetaRegressor
+from repro.evaluation.regression import r2_score, residual_std
 from repro.timedynamic.pipeline import TimeDynamicPipeline
+from repro.timedynamic.time_series import build_time_series_dataset
+from repro.utils.arrays import mean_std
+from repro.utils.rng import as_rng
 
 CONFIGS = Path(__file__).resolve().parent.parent / "examples" / "configs"
 
@@ -97,6 +102,32 @@ class TestRunProtocol:
         reference = pipeline.single_frame_linear_reference(processed, n_runs=2, random_state=1)
         assert set(reference) == {"accuracy", "auroc", "sigma", "r2"}
         assert 0.0 <= reference["auroc"][0] <= 1.0
+
+    def test_single_frame_linear_reference_fits_at_the_regression_penalty(
+        self, pipeline, processed
+    ):
+        """The base features hold V_mean + pmax_mean = 1, so the linear
+        reference fits at the pipeline's ridge penalty (Table II's 1e-3),
+        not at α = 0: its σ and R² are those of an explicit fit at
+        ``pipeline.regression_penalty`` over the same split seeds."""
+        assert pipeline.regression_penalty == 1e-3
+        reference = pipeline.single_frame_linear_reference(processed, n_runs=3, random_state=5)
+        dataset = build_time_series_dataset(
+            processed, n_previous=0, target="real", base_features=pipeline.base_features
+        )
+        rng = as_rng(5)
+        runs = {"sigma": [], "r2": []}
+        for _ in range(3):
+            run_seed = int(rng.integers(0, 2**31 - 1))
+            train, _val, test = dataset.split((0.7, 0.1, 0.2), random_state=run_seed)
+            regressor = MetaRegressor(
+                method="linear", penalty=pipeline.regression_penalty, random_state=run_seed
+            ).fit(train)
+            predictions = regressor.predict(test)
+            runs["sigma"].append(residual_std(test.target_iou(), predictions))
+            runs["r2"].append(r2_score(test.target_iou(), predictions))
+        for key, values in runs.items():
+            assert reference[key] == mean_std(values)
 
 
 class TestStage1Payload:

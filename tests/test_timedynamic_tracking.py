@@ -149,3 +149,88 @@ class TestSegmentTracker:
             assert set(assignment) == set(segmentation.segment_ids().tolist())
         # Tracking compresses segments into fewer identities.
         assert len(tracker.tracks) < n_segments_total
+
+
+def _seeded_frames(seed, n_frames=5):
+    """Blocky label maps that move by seeded amounts frame over frame, with
+    rectangles pasted over them (segments split, vanish and reappear)."""
+    rng = np.random.default_rng(seed)
+    cell = int(rng.integers(3, 7))
+    base = np.kron(
+        rng.integers(0, 5, size=(int(rng.integers(4, 9)), int(rng.integers(4, 11)))),
+        np.ones((cell, cell), dtype=np.int64),
+    )
+    frames = []
+    for index in range(n_frames):
+        motion = (index * int(rng.integers(0, cell)), index * int(rng.integers(-2, 3)))
+        frame = np.roll(base, motion, axis=(0, 1))
+        for _ in range(int(rng.integers(0, 4))):
+            top = int(rng.integers(0, frame.shape[0]))
+            left = int(rng.integers(0, frame.shape[1]))
+            rows, cols = rng.integers(1, 2 * cell, size=2)
+            frame[top:top + rows, left:left + cols] = int(rng.integers(0, 5))
+        frames.append(frame)
+    return frames
+
+
+def _on_canvas(frame, offset, canvas_class):
+    """*frame* at *offset* inside a canvas of *canvas_class*, 3 pixels wider
+    than the frame on the bottom and right."""
+    height, width = frame.shape
+    canvas = np.full(
+        (offset[0] + height + 3, offset[1] + width + 3), canvas_class, dtype=frame.dtype
+    )
+    canvas[offset[0]:offset[0] + height, offset[1]:offset[1] + width] = frame
+    return canvas
+
+
+class TestTranslation:
+    """Translating every frame of a sequence leaves its tracks unchanged.
+
+    Each frame sits at the same offset inside a larger canvas of one extra
+    class.  The canvas is segment 1 of every frame (its first pixel leads the
+    scan order) and keeps one track of its own, track 0; every original
+    segment id, and every original track id, shifts by one, and centroids
+    shift by the offset.  The offsets are even: expected shifts can be
+    half-integers, which ``np.round`` rounds half to even, so only a
+    translation by even rows and columns maps the rounded pixel positions
+    onto each other.
+    """
+
+    @staticmethod
+    def assert_translation_invariant(frames, offset):
+        canvas_class = int(max(frame.max() for frame in frames)) + 1
+        plain, moved = SegmentTracker(), SegmentTracker()
+        for frame in frames:
+            plain.update(extract_segments(frame))
+            moved.update(extract_segments(_on_canvas(frame, offset, canvas_class)))
+        assert len(moved.tracks) == len(plain.tracks) + 1
+        canvas = moved.tracks[0]
+        assert canvas.class_id == canvas_class
+        assert canvas.segment_history == {index: 1 for index in range(len(frames))}
+        for track_id, track in plain.tracks.items():
+            translated = moved.tracks[track_id + 1]
+            assert translated.class_id == track.class_id
+            assert translated.segment_history == {
+                index: segment_id + 1 for index, segment_id in track.segment_history.items()
+            }
+            np.testing.assert_allclose(
+                np.asarray(translated.centroid_history) - offset,
+                track.centroid_history,
+                rtol=0.0,
+                atol=1e-9,
+            )
+
+    @pytest.mark.parametrize("offset", [(2, 4), (64, 130)])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_sequence(self, seed, offset):
+        self.assert_translation_invariant(_seeded_frames(seed), offset)
+
+    @pytest.mark.parametrize("offset", [(2, 4), (64, 130)])
+    def test_predicted_video_sequence(self, kitti_like, mobilenet_network, offset):
+        for sequence_index in range(kitti_like.n_sequences):
+            frames = [
+                np.argmax(mobilenet_network.predict_probabilities(scene.labels, index), axis=2)
+                for index, scene in enumerate(kitti_like.sequence(sequence_index).frames)
+            ]
+            self.assert_translation_invariant(frames, offset)

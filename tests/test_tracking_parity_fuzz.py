@@ -25,12 +25,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference.tracking import _reference_match_segments
 from repro.core.segments import Segmentation, extract_segments
-from repro.timedynamic.tracking import (
-    SegmentTracker,
-    _reference_match_segments,
-    match_segments,
-)
+from repro.timedynamic.tracking import SegmentTracker, match_segments
 
 #: Number of generated fuzz cases per test.
 N_CASES = 60
