@@ -18,7 +18,9 @@ Exercises the real subprocess path end to end:
    asserts a 408 ``request_timeout`` within the server's read deadline
    (``READ_TIMEOUT_S``, which this step waits out), then a healthy
    ``/healthz``;
-7. shuts the server down and verifies a clean exit.
+7. reads the server's child pids (one scoring process per worker), shuts
+   the server down, and verifies a clean exit that leaves none of them
+   running.
 
 Exit code 0 on success, 1 with a one-line diagnostic on any failure.
 
@@ -83,6 +85,23 @@ def next_line(process, deadline: float):
     if not ready:
         return None
     return process.stdout.readline()
+
+
+def child_pids(pid: int) -> list:
+    """The children of process ``pid``, from Linux ``/proc``."""
+    pids = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        pids.extend(int(child) for child in (task / "children").read_text().split())
+    return pids
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def post(url: str, body: bytes, content_type: str):
@@ -179,6 +198,7 @@ def main(argv) -> int:
         stderr=subprocess.STDOUT,
         text=True,
     )
+    children = []
     try:
         # The server prints "model: cache hit (...)" then "serving on URL".
         url = None
@@ -259,6 +279,10 @@ def main(argv) -> int:
         print(f"serve smoke: /healthz ok, /metrics sane "
               f"({counters['serve.requests.count']} requests, "
               f"latency count {latency['count']})")
+
+        children = child_pids(process.pid)
+        if len(children) != 2:
+            return fail(f"server with 2 workers runs {len(children)} child processes: {children}")
     finally:
         # Graceful path first (SIGINT -> KeyboardInterrupt -> server.close()),
         # escalating only if the server hangs.
@@ -278,7 +302,10 @@ def main(argv) -> int:
                       "abandoning the process", file=sys.stderr)
     if process.returncode != 0:
         return fail(f"server exited with unexpected status {process.returncode}")
-    print("serve smoke: clean shutdown")
+    left = [pid for pid in children if running(pid)]
+    if left:
+        return fail(f"scoring processes {left} outlived the server")
+    print(f"serve smoke: clean shutdown, scoring processes {children} gone")
     return 0
 
 

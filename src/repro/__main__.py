@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="long-lived scoring worker threads",
+        help="handler threads, each paired with its own scoring process",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=16, metavar="N",

@@ -17,6 +17,12 @@ Anything outside that subset — palette or RGB color types, 16-bit depth,
 interlacing — raises :class:`PngError` with the offending property named,
 never a silent misread: a label map decoded wrongly would corrupt every
 downstream IoU target.
+
+The reader bounds its input before it allocates: every chunk's CRC is
+checked, the IHDR size is capped at :data:`MAX_PNG_PIXELS`, and the image
+data is inflated to at most one byte past the size the header declares, so
+a small file whose stream inflates to far more (a decompression bomb) is
+refused without ever holding that output.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ import numpy as np
 
 #: The 8-byte PNG file signature.
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+#: Largest image :func:`read_png_gray8` decodes, in pixels: 2**25, sixteen
+#: 1024x2048 Cityscapes frames.
+MAX_PNG_PIXELS = 1 << 25
 
 
 class PngError(ValueError):
@@ -125,23 +135,35 @@ def read_png_gray8(path: Union[str, Path]) -> np.ndarray:
         raise PngError(f"{path} is not a PNG file (bad signature)")
     offset = len(_SIGNATURE)
     header = None
-    idat = bytearray()
+    idat = []
+    view = memoryview(data)  # chunk payloads are views, never copies
     while offset + 8 <= len(data):
         (length,) = struct.unpack_from(">I", data, offset)
         tag = data[offset + 4 : offset + 8]
-        payload = data[offset + 8 : offset + 8 + length]
-        if len(payload) != length:
+        end = offset + 8 + length
+        if end + 4 > len(data):
             raise PngError(f"{path} is truncated inside chunk {tag!r}")
+        payload = view[offset + 8 : end]
+        (crc,) = struct.unpack_from(">I", data, end)
+        if zlib.crc32(payload, zlib.crc32(tag)) != crc:
+            raise PngError(f"{path} has a bad CRC in chunk {tag!r}")
         if tag == b"IHDR":
+            if length != 13:
+                raise PngError(f"{path} has a {length}-byte IHDR chunk, expected 13")
             header = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
-            idat.extend(payload)
+            idat.append(payload)
         elif tag == b"IEND":
             break
-        offset += 12 + length  # length + tag + payload + CRC
+        offset = end + 4
     if header is None:
         raise PngError(f"{path} has no IHDR chunk")
     width, height, bit_depth, color_type, _, _, interlace = header
+    if not 0 < width * height <= MAX_PNG_PIXELS:
+        raise PngError(
+            f"{path} declares a {width}x{height} image; sizes from 1 to "
+            f"{MAX_PNG_PIXELS} pixels are supported"
+        )
     if bit_depth != 8 or color_type != 0:
         raise PngError(
             f"{path} is not 8-bit grayscale (bit depth {bit_depth}, "
@@ -151,14 +173,23 @@ def read_png_gray8(path: Union[str, Path]) -> np.ndarray:
         raise PngError(f"{path} is interlaced, which is not supported")
     if not idat:
         raise PngError(f"{path} has no IDAT chunk")
+    expected = height * (width + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        # One byte past the declared size is enough to tell an excess stream.
+        raw = inflater.decompress(b"".join(idat), expected + 1)
     except zlib.error as exc:
         raise PngError(f"{path} has corrupt image data: {exc}") from None
-    expected = height * (width + 1)
-    if len(raw) != expected:
+    if len(raw) > expected:
         raise PngError(
-            f"{path} decodes to {len(raw)} bytes, expected {expected} "
+            f"{path} has excess image data: it inflates past the {expected} bytes "
+            f"of a {width}x{height} grayscale image"
+        )
+    if not inflater.eof:
+        raise PngError(f"{path} has an unterminated image data stream")
+    if len(raw) < expected:
+        raise PngError(
+            f"{path} has short image data: {len(raw)} bytes, expected {expected} "
             f"for {width}x{height} grayscale"
         )
     return _unfilter(np.frombuffer(raw, dtype=np.uint8), height, width)

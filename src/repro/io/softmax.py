@@ -13,11 +13,16 @@ a dump root:
                                                           #   (members "<city>/<frame>")
 
 ``.npy`` dumps are opened with ``np.memmap`` (via ``np.load(mmap_mode="r")``),
-so a 1024×2048×19 float field is *sliced, never fully materialised*: the
-extraction pipeline reads pages on demand and its transient buffers stay
-O(H×W), a factor ``n_classes`` below the field itself.  ``.npz`` archives
-cannot be memmapped; each member is decompressed on access (still one frame
-at a time, never the whole dump).
+so a field is never copied into the process's own (anonymous) memory: its
+pages come from the page cache as extraction reads them.  Extraction reads
+all of them — the tiled softmax sweep and the class-sum product each touch
+the whole field — so while a frame is extracted its mapped field is
+resident, as reclaimable page cache, until the memmap is released.  On the
+seed-1 512×1024×19 float64 dump frame, file-backed RSS grows by the whole
+76 MiB field across ``fused_dispersion_heatmaps``.  Only extraction's
+anonymous transients are O(H×W), a factor ``n_classes`` below the field.
+``.npz`` archives cannot be memmapped; each member is decompressed on
+access (still one frame at a time, never the whole dump).
 
 The adapter presents the exact duck-typed network interface the pipelines
 consume — ``predict_probabilities(gt_labels, index)``, ``profile.name``,

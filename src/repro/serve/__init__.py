@@ -8,8 +8,9 @@ scalers + label space + provenance, content-addressed through
 softmax fields without ground truth:
 
 * :class:`ScoringService` — the warm model + extractor behind the endpoints;
-* :class:`ScoringServer` — threaded stdlib HTTP server with a bounded
-  request queue (structured 503 backpressure) and JSON error contracts;
+* :class:`ScoringServer` — stdlib HTTP server with a bounded request
+  queue (structured 503 backpressure) and JSON error contracts, whose
+  handler threads each score through their own forked scoring process;
 * :mod:`repro.serve.protocol` — bounded request decoding (npy / npz),
   straight from the socket into the field;
 * :mod:`repro.serve.client` — stdlib client helpers used by tests, the

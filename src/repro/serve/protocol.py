@@ -16,10 +16,11 @@ through one bounded decoder, :func:`_read_npy`.  It reads the magic string
 and the header, and before allocating anything rejects a field that is not
 3-D, an object or unsized dtype and a declared data size that is not exactly the bytes
 left in the stream, so a field is never larger than its body.  Only
-then does it allocate the array and fill its bytes with ``readinto``: an
-npy body goes from the socket straight into the field, with no copy in
-between.  A stream that ends early is a 400 ("truncated"), never a hang or
-a 500.  An npz archive is held whole (it needs random access, and its wire
+then does it ask the caller's ``allocate`` for the array (``np.empty`` by
+default; the server's handler hands out pieces of its scoring process's
+shared mapping) and fill its bytes with ``readinto``: an npy body goes
+from the socket straight into the field, with no copy in between.  A
+stream that ends early is a 400 ("truncated"), never a hang or a 500.  An npz archive is held whole (it needs random access, and its wire
 size is already capped), and the sizes its directory declares are summed
 against ``max_bytes`` before any member is inflated, so a compressed
 all-zero body cannot decode to more than the cap.
@@ -38,7 +39,7 @@ import io
 import tokenize
 import zipfile
 import zlib
-from typing import BinaryIO, List, Tuple
+from typing import BinaryIO, Callable, List, Tuple
 
 import numpy as np
 
@@ -63,6 +64,11 @@ _HEADER_ERRORS = (
 _ZIP_ERRORS = (
     zipfile.BadZipFile, zlib.error, EOFError, OSError, NotImplementedError, RuntimeError,
 )
+
+
+#: Where a decoded field goes: ``allocate(shape, dtype, order)`` returns an
+#: uninitialised array, as ``np.empty`` does.
+Allocate = Callable[[Tuple[int, ...], np.dtype, str], np.ndarray]
 
 
 class RequestError(Exception):
@@ -111,12 +117,12 @@ def _bad(message: str) -> RequestError:
     return RequestError(400, "bad_payload", message)
 
 
-def _read_npy(body: _Body, name: str) -> np.ndarray:
+def _read_npy(body: _Body, name: str, allocate: Allocate) -> np.ndarray:
     """Decode the 3-D ``.npy`` array that fills the rest of ``body``.
 
     Nothing is allocated before the header has passed every check, so the
     array is never larger than the body; the data is then read straight
-    into the new array's bytes.
+    into the bytes of the array ``allocate`` returns.
     """
     try:
         version = np.lib.format.read_magic(body)
@@ -148,7 +154,7 @@ def _read_npy(body: _Body, name: str) -> np.ndarray:
             f"frame {name!r}: header declares {nbytes} data bytes "
             f"(shape {shape}, {dtype}) but {body.remaining} follow it"
         )
-    array = np.empty(shape, dtype=dtype, order="F" if fortran_order else "C")
+    array = allocate(shape, dtype, "F" if fortran_order else "C")
     # The array is contiguous, so its memory-order ravel is a view; a uint8
     # view of it takes the bytes of any dtype, big-endian included.
     target = memoryview(array.ravel(order="K").view(np.uint8))
@@ -163,7 +169,9 @@ def _read_npy(body: _Body, name: str) -> np.ndarray:
     return array
 
 
-def _parse_npz(body: _Body, max_bytes: int) -> List[Tuple[str, np.ndarray]]:
+def _parse_npz(
+    body: _Body, max_bytes: int, allocate: Allocate
+) -> List[Tuple[str, np.ndarray]]:
     data = body.read()
     if data.startswith(np.lib.format.MAGIC_PREFIX):
         raise _bad("expected an npz archive, got a bare array")
@@ -189,7 +197,7 @@ def _parse_npz(body: _Body, max_bytes: int) -> List[Tuple[str, np.ndarray]]:
             name = name[:-4] if name.endswith(".npy") else name
             try:
                 with archive.open(member) as stream:
-                    array = _read_npy(_Body(stream, member.file_size), name)
+                    array = _read_npy(_Body(stream, member.file_size), name, allocate)
             except _ZIP_ERRORS as exc:
                 raise _bad(f"could not decode npz member {name!r}: {exc}") from None
             frames.append((name, array))
@@ -202,6 +210,7 @@ def parse_score_request(
     length: int,
     default_image_id: str = "frame",
     max_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
+    allocate: Allocate = np.empty,
 ) -> List[Tuple[str, np.ndarray]]:
     """Decode a ``/score`` body of ``length`` bytes into ``[(image_id, probs), ...]``.
 
@@ -209,16 +218,18 @@ def parse_score_request(
     server, ``io.BytesIO(body)`` in tests); no more than ``length`` bytes
     are read from it, and a rejected body's unread rest is drained.  An npy
     body decodes to exactly its own data bytes, which the caller has capped;
-    ``max_bytes`` caps what an npz archive declares it inflates to.  Raises
+    ``max_bytes`` caps what an npz archive declares it inflates to.  Each
+    field, npz members one after another, is read into the array that
+    ``allocate(shape, dtype, order)`` returns.  Raises
     :class:`RequestError` for anything the client got wrong.
     """
     body = _Body(stream, length)
     media_type = (content_type or "").split(";")[0].strip().lower()
     try:
         if media_type == "application/x-npy":
-            return [(default_image_id, _read_npy(body, default_image_id))]
+            return [(default_image_id, _read_npy(body, default_image_id, allocate))]
         if media_type in ("application/x-npz", "application/zip"):
-            return _parse_npz(body, max_bytes)
+            return _parse_npz(body, max_bytes, allocate)
         raise RequestError(
             415,
             "unsupported_media_type",

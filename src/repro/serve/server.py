@@ -36,22 +36,46 @@ in the ``X-Request-Id`` response header and in every structured error
 body, so client logs correlate with server traces.  The metrics registry
 is private to the server instance (pass a shared one to aggregate).
 
-All worker threads score through the service's one stateless extractor.
+Extraction and scoring run in processes, one per handler thread: on a
+few cores, threads running the softmax sweep's many small numpy calls
+mostly wait on each other for the GIL.  Each handler thread is paired
+with one forked scoring process and one anonymous shared mapping of
+``max_request_bytes``, both made in :meth:`ScoringServer.__init__` before
+any thread starts, so every child inherits the warm model and extractor
+and the mapping needs no name and leaves nothing behind.  The handler
+decodes a body straight into its mapping, then sends the child only
+``(image_id, offset, shape, dtype, order)`` per frame over a pipe; the
+child views the mapping without a copy, runs
+:meth:`~repro.serve.service.ScoringService.score_frame` and sends back the
+response dict, or the text of its ``ValueError`` (a 400 ``bad_input``).
+Everything else — accepting, reading and decoding, deadlines,
+backpressure, request ids, spans, ``/metrics`` and responses — stays in
+the server's own process.  A child that dies mid-request costs that
+request a structured ``500`` (``worker_lost``, counted on
+``serve.worker_lost.count``), and its thread forks a new one before it
+takes the next connection.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import mmap
+import multiprocessing
 import queue
+import signal
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Optional
+from multiprocessing.connection import wait
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.serve.protocol import DEFAULT_MAX_REQUEST_BYTES, RequestError, parse_score_request
-from repro.serve.service import ScoringService
+from repro.serve.service import ScoringService, SharedFrames
 
 #: Bucket bounds (bytes) of ``serve.request.decoded_bytes``: powers of four
 #: from 64 KiB to 256 MiB, past the default request cap.
@@ -67,6 +91,134 @@ _DRAIN_LIMIT = 1024 * 1024
 #: holds its worker; a local client sends a 20 MB body in well under it.
 READ_TIMEOUT_S = 5.0
 
+#: Alignment (bytes) of each field in a scoring mapping, that of ``malloc``.
+#: An npy header is longer than this, so the fields of a body always fit
+#: in a mapping of the body's size.
+_FIELD_ALIGN = 16
+
+#: Held while a scoring process is forked and the parent's copy of its pipe
+#: end is closed, so no child inherits another child's end of a pipe.
+_FORK_LOCK = threading.Lock()
+
+#: The open servers of this process.  A new scoring process closes what it
+#: inherits of every one of them — listening sockets and the parent's ends
+#: of all pipes — so each child sees EOF once the server closes its own
+#: pipe, and no child keeps another server's port open.
+_SERVERS = weakref.WeakSet()
+
+
+class WorkerLost(Exception):
+    """A scoring process died before answering."""
+
+
+def _score_loop(conn, mapping: mmap.mmap, service: ScoringService, inherited) -> None:
+    """A scoring process: score each frame the pipe names, until its EOF."""
+    # Interrupts are the server's to handle; the child ends with its pipe.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for handle in inherited:
+        handle.close()
+    while True:
+        try:
+            image_id, offset, shape, dtype, order = conn.recv()
+        except EOFError:
+            return
+        probs = np.ndarray(shape, dtype, buffer=mapping, offset=offset, order=order)
+        try:
+            reply = ("ok", service.score_frame(probs, image_id=image_id))
+        except ValueError as exc:
+            reply = ("invalid", str(exc))
+        except Exception as exc:  # pragma: no cover - defensive
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
+
+
+class _ScoringProcess:
+    """One handler thread's scoring process and the mapping it reads."""
+
+    def __init__(self, size: int) -> None:
+        self.mapping = mmap.mmap(-1, size)
+        view = np.frombuffer(self.mapping, dtype=np.uint8)
+        self._base = view.ctypes.data
+        del view  # releases the export, so close() can unmap
+        self.process = None
+        self.conn = None
+
+    def start(self, server: "ScoringServer") -> None:
+        """Fork the scoring process (again, after a loss), reaping the old one.
+
+        Forking is what hands the child the warm model without pickling
+        it.  A fork after a loss happens while other threads run; the
+        child then touches nothing they may hold locked, only numpy, its
+        mapping and its pipe.
+        """
+        with _FORK_LOCK:
+            if self.process is not None:
+                self.conn.close()
+                self.process.join()
+            conn, child_conn = multiprocessing.Pipe()
+            inherited = [conn]
+            for live in _SERVERS:
+                inherited.append(live.socket)
+                inherited.extend(
+                    scorer.conn for scorer in live._scorers if scorer.conn is not None
+                )
+            self.process = multiprocessing.get_context("fork").Process(
+                target=_score_loop,
+                args=(child_conn, self.mapping, server.service, inherited),
+                name="score-process",
+                daemon=True,
+            )
+            self.process.start()
+            child_conn.close()
+            self.conn = conn
+
+    def allocate_fields(self):
+        """An ``allocate`` for one request: its fields, one after another,
+        at aligned offsets of the mapping."""
+        used = 0
+
+        def allocate(shape, dtype, order) -> np.ndarray:
+            nonlocal used
+            offset = -(-used // _FIELD_ALIGN) * _FIELD_ALIGN
+            array = np.ndarray(shape, dtype, buffer=self.mapping, offset=offset, order=order)
+            used = offset + array.nbytes
+            return array
+
+        return allocate
+
+    def score_frame(self, probs: np.ndarray, image_id: str = "frame") -> Dict[str, object]:
+        """Score a field of the mapping in the scoring process."""
+        order = "C" if probs.flags.c_contiguous else "F"
+        request = (image_id, probs.ctypes.data - self._base, probs.shape, probs.dtype, order)
+        try:
+            self.conn.send(request)
+            # The sentinel fires when the child exits, whoever holds its pipe.
+            if self.conn not in wait([self.conn, self.process.sentinel]):
+                raise EOFError
+            status, payload = self.conn.recv()
+        except (EOFError, OSError):
+            # Its pipe can close a moment before it can be reaped; wait for
+            # that, so the worker thread sees it dead and forks a new one.
+            self.process.kill()
+            self.process.join()
+            raise WorkerLost(
+                f"the scoring process (pid {self.process.pid}) exited before answering"
+            ) from None
+        if status == "ok":
+            return payload
+        if status == "invalid":
+            raise ValueError(payload)
+        raise RuntimeError(payload)
+
+    def stop(self) -> None:
+        """Close the pipe (the child exits on its EOF), reap it, unmap."""
+        self.conn.close()
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # pragma: no cover - a wedged child
+            self.process.kill()
+            self.process.join()
+        self.mapping.close()
+
 
 class ScoringRequestHandler(BaseHTTPRequestHandler):
     """Maps HTTP requests onto the :class:`ScoringService`.
@@ -75,6 +227,7 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
     (HTTP/1.0, one request per connection), so per-request attributes on
     ``self`` are single-threaded by construction; only the server's
     metrics/tracer — which are lock-guarded internally — are shared.
+    ``scorer`` is the worker thread's own scoring process.
     """
 
     server_version = "repro-serve/1"
@@ -84,6 +237,10 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
     #: ``X-Request-Id`` header and every structured error body.
     request_id = ""
     _response_status = 0
+
+    def __init__(self, request, client_address, server, scorer: _ScoringProcess) -> None:
+        self.scorer = scorer
+        super().__init__(request, client_address, server)
 
     @property
     def timeout(self) -> float:
@@ -181,18 +338,20 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         service: ScoringService = self.server.service
         try:
             # The decoder reads the body from the socket straight into the
-            # field(s); max_bytes also caps what an npz archive inflates to.
+            # field(s) in the scoring process's mapping; max_bytes also caps
+            # what an npz archive inflates to.
             frames = parse_score_request(
                 self.headers.get("Content-Type"),
                 self.rfile,
                 length,
                 default_image_id=image_id,
                 max_bytes=max_bytes,
+                allocate=self.scorer.allocate_fields(),
             )
             self.server.metrics.histogram("serve.request.decoded_bytes").observe(
                 sum(probs.nbytes for _, probs in frames)
             )
-            result = service.score_frames(frames)
+            result = service.score_frames(SharedFrames(frames, self.scorer.score_frame))
         except RequestError as exc:
             self._send_error_json(exc.status, exc.code, exc.message)
             return
@@ -208,6 +367,10 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             # The extractor's numerical validation (shape/row-sum/classes).
             self._send_error_json(400, "bad_input", str(exc))
             return
+        except WorkerLost as exc:
+            self.server.metrics.counter("serve.worker_lost.count").inc()
+            self._send_error_json(500, "worker_lost", str(exc))
+            return
         except Exception as exc:  # pragma: no cover - defensive
             self._send_error_json(
                 500, "internal_error", f"{type(exc).__name__}: {exc}"
@@ -217,7 +380,8 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
 
 
 class ScoringServer(HTTPServer):
-    """HTTP server with a bounded request queue and a worker-thread pool.
+    """HTTP server with a bounded request queue, handler threads and one
+    scoring process per thread.
 
     Parameters
     ----------
@@ -226,7 +390,10 @@ class ScoringServer(HTTPServer):
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (see :attr:`url`).
     workers:
-        Number of long-lived handler threads (>= 1).
+        Number of long-lived handler threads (>= 1), each paired with its
+        own forked scoring process and a shared mapping of
+        ``max_request_bytes``; at most this many requests are extracted
+        and scored at once.
     queue_depth:
         Bound on accepted-but-unhandled connections (>= 1).  When full, new
         connections get an immediate ``503`` (backpressure) instead of
@@ -278,6 +445,7 @@ class ScoringServer(HTTPServer):
         self._request_ids = itertools.count(1)
         self._queue: "queue.Queue[Optional[tuple]]" = queue.Queue(maxsize=queue_depth)
         self._workers = []
+        self._scorers = []
         # Pre-create the serving instruments so /metrics shows the full
         # contract (latency histogram, queue gauge, rejection and timeout
         # counters) from the first scrape, not only after traffic has arrived.
@@ -285,13 +453,22 @@ class ScoringServer(HTTPServer):
         self.metrics.counter("serve.requests.errors")
         self.metrics.counter("serve.rejected.count")
         self.metrics.counter("serve.timeouts.count")
+        self.metrics.counter("serve.worker_lost.count")
         self.metrics.gauge("serve.queue.depth")
         self.metrics.histogram("serve.request.latency_seconds")
         self.metrics.histogram("serve.request.decoded_bytes", _DECODED_BYTES_BUCKETS)
         super().__init__((host, port), ScoringRequestHandler)
-        for index in range(workers):
+        with _FORK_LOCK:
+            _SERVERS.add(self)
+        # Every scoring process is forked before any thread starts.
+        for _ in range(workers):
+            scorer = _ScoringProcess(self.max_request_bytes)
+            scorer.start(self)
+            self._scorers.append(scorer)
+        for index, scorer in enumerate(self._scorers):
             thread = threading.Thread(
-                target=self._worker_loop, name=f"score-worker-{index}", daemon=True
+                target=self._worker_loop, args=(scorer,), name=f"score-worker-{index}",
+                daemon=True,
             )
             thread.start()
             self._workers.append(thread)
@@ -345,7 +522,7 @@ class ScoringServer(HTTPServer):
         except OSError:
             pass
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, scorer: _ScoringProcess) -> None:
         while True:
             item = self._queue.get()
             self.metrics.gauge("serve.queue.depth").set(self._queue.qsize())
@@ -353,22 +530,29 @@ class ScoringServer(HTTPServer):
                 return
             request, client_address = item
             try:
-                self.finish_request(request, client_address)
+                self.RequestHandlerClass(request, client_address, self, scorer)
             except Exception:
                 self.handle_error(request, client_address)
             finally:
                 self.shutdown_request(request)
+            if not scorer.process.is_alive():
+                scorer.start(self)
 
     def handle_error(self, request, client_address):
         if self.verbose:
             super().handle_error(request, client_address)
 
     def close(self) -> None:
-        """Stop the workers and close the listening socket."""
+        """Stop the workers, reap their scoring processes and close the
+        listening socket."""
         for _ in self._workers:
             self._queue.put(None)
         for thread in self._workers:
             thread.join(timeout=5)
+        for scorer in self._scorers:
+            scorer.stop()
+        with _FORK_LOCK:
+            _SERVERS.discard(self)
         self.server_close()
 
 

@@ -26,7 +26,14 @@ from repro.api.registry import DATASETS, NETWORK_PROFILES
 from repro.api.runner import Runner
 from repro.io.cityscapes import CityscapesDiskDataset, discover_frames, raw_to_train_lut
 from repro.io.fixture import disk_config_payload, write_disk_fixture
-from repro.io.png import PngError, _chunk, _SIGNATURE, read_png_gray8, write_png_gray8
+from repro.io.png import (
+    MAX_PNG_PIXELS,
+    PngError,
+    _chunk,
+    _SIGNATURE,
+    read_png_gray8,
+    write_png_gray8,
+)
 from repro.io.softmax import SoftmaxDumpNetwork
 from repro.segmentation.labels import IGNORE_ID
 from repro.store import ResultStore
@@ -171,6 +178,70 @@ class TestPngCodec:
         )
         with pytest.raises(PngError, match="corrupt"):
             read_png_gray8(corrupt)
+
+
+    @staticmethod
+    def _gray_png(path, width, height, idat):
+        """An 8-bit grayscale PNG with the given IHDR size and IDAT bytes."""
+        ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+        path.write_bytes(
+            _SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
+        )
+        return path
+
+    def test_decompression_bomb_is_refused_in_bounded_memory(self, tmp_path):
+        """A 1x1 PNG whose image data inflates to 256 MiB is refused by name.
+        Decoding it holds the file's bytes three times (the file, its joined
+        IDAT data and the inflater's unconsumed tail), the 2 bytes the
+        header declares and zlib's fixed state, never the inflated data."""
+        deflate = zlib.compressobj(9)
+        piece = bytes(1 << 20)
+        idat = b"".join(deflate.compress(piece) for _ in range(256)) + deflate.flush()
+        path = self._gray_png(tmp_path / "bomb.png", 1, 1, idat)
+        file_bytes = path.stat().st_size
+        assert file_bytes < 300 * 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(PngError, match="excess image data"):
+                read_png_gray8(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        declared = 1 * (1 + 1)
+        assert peak <= 3 * file_bytes + declared + 64 * 1024
+
+    @pytest.mark.parametrize(
+        "raw, cut, message",
+        [
+            (bytes(3 * 5), 0, "excess image data"),
+            (bytes(3 * 3), 0, "short image data"),
+            (bytes(3 * 4), 4, "unterminated image data stream"),
+            (bytes(3 * 4), 6, "unterminated image data stream"),
+        ],
+    )
+    def test_rejects_streams_of_the_wrong_length(self, tmp_path, raw, cut, message):
+        """A 2x4 image holds 4 scanlines of 3 bytes; anything else is named."""
+        idat = zlib.compress(raw)
+        path = self._gray_png(tmp_path / "x.png", 2, 4, idat[: len(idat) - cut])
+        with pytest.raises(PngError, match=message):
+            read_png_gray8(path)
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (1 << 13, 1 << 13)])
+    def test_rejects_declared_sizes_out_of_bounds(self, tmp_path, width, height):
+        path = self._gray_png(tmp_path / "x.png", width, height, zlib.compress(b"\x00"))
+        with pytest.raises(PngError, match=f"declares a {width}x{height} image"):
+            read_png_gray8(path)
+        assert width * height == 0 or width * height > MAX_PNG_PIXELS
+
+    def test_rejects_a_bad_chunk_crc(self, tmp_path):
+        good = tmp_path / "good.png"
+        write_png_gray8(good, np.zeros((4, 4), dtype=np.uint8))
+        data = bytearray(good.read_bytes())
+        data[len(_SIGNATURE) + 8] ^= 1  # first byte of the IHDR payload
+        bad = tmp_path / "bad.png"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(PngError, match="bad CRC in chunk b'IHDR'"):
+            read_png_gray8(bad)
 
 
 # ------------------------------------------------------- raw-id label mapping

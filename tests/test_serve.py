@@ -9,7 +9,9 @@ saturated queue must answer 503 immediately (backpressure).
 
 import io
 import json
+import os
 import pickle
+import signal
 import socket
 import threading
 import time
@@ -454,6 +456,103 @@ class TestErrorContracts:
             server.shutdown()
             server.close()
             thread.join(timeout=5)
+
+
+def _live_children() -> list:
+    """Pids of this process's children, zombies included (Linux ``/proc``)."""
+    pids = []
+    for task in Path("/proc/self/task").iterdir():
+        pids.extend(int(pid) for pid in (task / "children").read_text().split())
+    return pids
+
+
+class TestScoringProcesses:
+    def test_closing_the_older_of_two_servers_is_prompt_and_frees_its_port(
+        self, fitted_model
+    ):
+        """A later server's scoring process holds nothing of an earlier
+        server's: closing the earlier one reaps its child at once (the
+        child sees its pipe's EOF) and its port stops listening."""
+        older = ScoringServer(ScoringService(fitted_model), port=0, workers=1)
+        newer = ScoringServer(ScoringService(fitted_model), port=0, workers=1)
+        try:
+            child = older._scorers[0].process
+            address = older.server_address[:2]
+            start = time.monotonic()
+            older.close()
+            assert time.monotonic() - start < 2.0
+            assert child.exitcode == 0
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5).close()
+        finally:
+            newer.close()
+        assert newer._scorers[0].process.exitcode == 0
+
+
+@pytest.mark.faults
+class TestWorkerLoss:
+    def test_killed_scoring_process_answers_worker_lost_then_is_replaced(
+        self, fitted_model, val_frames, tmp_path
+    ):
+        """SIGKILL the one scoring process mid-request: that request gets a
+        structured 500 well within the read deadline, the loss is counted,
+        the next request is scored bitwise by a fresh process, and close()
+        leaves no child of the server behind."""
+        hold = tmp_path / "hold"
+        pid_file = tmp_path / "pid"
+        service = ScoringService(fitted_model)
+        original = service.score_frame
+
+        def held_score_frame(probs, image_id="frame"):
+            # Runs in the scoring process, which inherits this override: the
+            # first call takes the hold, reports its pid and waits.
+            if hold.exists():
+                hold.unlink()
+                (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+                (tmp_path / "pid.tmp").rename(pid_file)
+                time.sleep(60)
+            return original(probs, image_id=image_id)
+
+        service.score_frame = held_score_frame
+        hold.touch()
+        # Other servers of this module (the shared fixture's) keep theirs.
+        children_before = _live_children()
+        server = ScoringServer(service, port=0, workers=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        image_id, probs = val_frames[0]
+        outcome = []
+        try:
+            wait_until_ready(server.url)
+            first_pid = server._scorers[0].process.pid
+            client = threading.Thread(
+                target=lambda: outcome.append(
+                    _post(server.url + "/score", npy_bytes(probs), "application/x-npy",
+                          {"X-Image-Id": image_id})
+                )
+            )
+            client.start()
+            _wait_until(pid_file.exists)
+            assert int(pid_file.read_text()) == first_pid
+            killed = time.monotonic()
+            os.kill(first_pid, signal.SIGKILL)
+            client.join(timeout=30)
+            answered_s = time.monotonic() - killed
+            assert not client.is_alive()
+            assert answered_s < server_module.READ_TIMEOUT_S / 2
+            status, body = outcome[0]
+            assert status == 500
+            assert body["error"]["code"] == "worker_lost"
+            assert str(first_pid) in body["error"]["message"]
+            assert server.metrics.counter("serve.worker_lost.count").value == 1
+            rescored = score_frame(server.url, probs, image_id=image_id)
+            assert _canon(rescored) == _canon(fitted_model.score_frame(probs, image_id=image_id))
+            assert server._scorers[0].process.pid != first_pid
+        finally:
+            server.shutdown()
+            server.close()
+            thread.join(timeout=5)
+        assert sorted(_live_children()) == sorted(children_before)
 
 
 class TestBackpressure:
