@@ -14,17 +14,17 @@ export PYTHONPATH="${REPO_ROOT}/src${PYTHONPATH:+:$PYTHONPATH}"
 TMP_ROOT="$(mktemp -d)"
 trap 'rm -rf "${TMP_ROOT}"' EXIT
 
-echo "=== static analysis (invariant linter; zero unsuppressed findings) ==="
-python -m repro analyze src/repro
+echo "=== static analysis (invariant linter on the program and itself; zero unsuppressed findings) ==="
+python -m tools.analysis src/repro tools/analysis
 
-echo "=== compileall (src + tests must byte-compile) ==="
-python -m compileall -q src tests
+echo "=== compileall (src + tools + tests must byte-compile) ==="
+python -m compileall -q src tools tests
 
 echo "=== pyflakes (stdlib unused-import check where pyflakes is not installed) ==="
 if python -c "import pyflakes" >/dev/null 2>&1; then
-    python -m pyflakes src tests
+    python -m pyflakes src tools tests
 else
-    python scripts/check_unused_imports.py src tests
+    python scripts/check_unused_imports.py src tools tests
 fi
 
 echo "=== tier-1 test suite ==="

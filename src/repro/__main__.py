@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro``.
 
-Seven subcommands expose the unified experiment API headlessly:
+Six subcommands expose the unified experiment API headlessly:
 
 * ``python -m repro run config.json``       — execute an experiment config
   and print its Table-style summary (``--output report.json`` writes the
@@ -28,12 +28,7 @@ Seven subcommands expose the unified experiment API headlessly:
 * ``python -m repro list``                  — show every registry and its
   entries (``--json`` for machine-readable output);
 * ``python -m repro describe KIND [NAME]``  — document one registry or one
-  entry (e.g. ``python -m repro describe networks mobilenetv2``);
-* ``python -m repro analyze [PATHS]``       — run the AST-based invariant
-  linter (determinism, config-contract, state-schema and concurrency
-  rules; see :mod:`repro.analysis`) over the source tree;
-  exit 0 clean / 1 findings, ``--json`` for machine output, ``--baseline``
-  to accept known findings, ``--list-rules`` to enumerate the rules.
+  entry (e.g. ``python -m repro describe networks mobilenetv2``).
 
 Reports are deterministic: the same config (and therefore the same single
 seed) produces bitwise-identical ``--output`` files — whether computed or
@@ -369,12 +364,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run_cli
-
-    return run_cli(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -539,47 +528,20 @@ def build_parser() -> argparse.ArgumentParser:
     describe.add_argument("name", nargs="?", default=None, help="entry name")
     describe.set_defaults(func=_cmd_describe)
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="run the static invariant linter over the source tree",
-    )
-    analyze.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to analyze (default: src/repro)",
-    )
-    analyze.add_argument(
-        "--json", action="store_true", help="machine-readable findings on stdout"
-    )
-    analyze.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also write the findings JSON to this path",
-    )
-    analyze.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="accept the findings fingerprinted in this committed baseline",
-    )
-    analyze.add_argument(
-        "--write-baseline", action="store_true",
-        help="(re)write --baseline from the current findings and exit 0",
-    )
-    analyze.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    analyze.add_argument(
-        "--configs", default=None, metavar="DIR",
-        help="config JSONs for the override contract "
-             "(default: <root>/examples/configs)",
-    )
-    analyze.add_argument(
-        "--list-rules", action="store_true", help="list the registered rules"
-    )
-    analyze.set_defaults(func=_cmd_analyze)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["analyze"]:
+        # The linter is a repository tool (tools/analysis), not a subcommand.
+        print(
+            "error: `python -m repro analyze` was removed; run "
+            "`python -m tools.analysis [PATHS]` from the repository root",
+            file=sys.stderr,
+        )
+        return 2
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

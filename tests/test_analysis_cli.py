@@ -1,22 +1,22 @@
-"""Tests for ``python -m repro analyze``: the CLI contract of the linter.
+"""Tests for ``python -m tools.analysis``: the CLI contract of the linter.
 
 Exit codes (0 clean / 1 findings / 2 usage errors), one-line diagnostics,
-``--json`` machine output, parent-directory creation for ``--output`` and
-the ``--baseline`` / ``--write-baseline`` workflow.
+``--json`` machine output, and the removed ``python -m repro analyze``
+subcommand pointing at the tool.
 """
 
 import json
 from pathlib import Path
 
-from repro.__main__ import main
+from repro.__main__ import main as repro_main
+from tools.analysis.__main__ import main
 
-FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
+REPO_ROOT = Path(__file__).parent.parent
 
 
 def analyze_args(paths, tmp_path, *extra):
     """CLI argv with the config dir pointed at nothing (isolation)."""
     return [
-        "analyze",
         *[str(p) for p in paths],
         "--configs", str(tmp_path / "no-configs"),
         *extra,
@@ -59,23 +59,8 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "\n" == err[err.index("\n"):]  # single line
 
-    def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
-        code = main(
-            analyze_args([write_clean(tmp_path)], tmp_path, "--rules", "det-nope")
-        )
-        assert code == 2
-        assert "unknown analysis rule" in capsys.readouterr().err
 
-    def test_rule_selection_runs_only_named_rules(self, tmp_path, capsys):
-        src = write_bad(tmp_path)
-        code = main(
-            analyze_args([src], tmp_path, "--rules", "det-wallclock")
-        )
-        assert code == 0  # det-hash did not run
-        assert "1 rules" in capsys.readouterr().out
-
-
-class TestJsonAndOutput:
+class TestJson:
     def test_json_output_parses(self, tmp_path, capsys):
         src = write_bad(tmp_path)
         code = main(analyze_args([src], tmp_path, "--json"))
@@ -88,84 +73,12 @@ class TestJsonAndOutput:
         assert finding["line"] == 2
         assert finding["hint"]
 
-    def test_output_creates_parent_directories(self, tmp_path, capsys):
-        src = write_clean(tmp_path)
-        out_file = tmp_path / "deep" / "nested" / "findings.json"
-        code = main(analyze_args([src], tmp_path, "--output", str(out_file)))
-        assert code == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["clean"] is True
-        assert f"findings written to {out_file}" in capsys.readouterr().out
-
-    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
-        src = write_clean(tmp_path)
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
-        code = main(
-            analyze_args([src], tmp_path, "--output", str(blocker / "x.json"))
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_list_rules(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
+        assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "det-hash" in out
         assert "concurrency-shared-state" in out
         assert "always on" in out
-
-
-class TestBaselineWorkflow:
-    def test_write_baseline_requires_baseline(self, tmp_path, capsys):
-        src = write_bad(tmp_path)
-        code = main(analyze_args([src], tmp_path, "--write-baseline"))
-        assert code == 2
-        assert "--write-baseline requires --baseline" in capsys.readouterr().err
-
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        src = write_bad(tmp_path)
-        baseline = tmp_path / "ci" / "baseline.json"
-
-        # 1. Accept the current findings (parent dir is created).
-        code = main(
-            analyze_args(
-                [src], tmp_path,
-                "--baseline", str(baseline), "--write-baseline",
-            )
-        )
-        assert code == 0
-        assert "baseline written" in capsys.readouterr().out
-        assert len(json.loads(baseline.read_text())["findings"]) == 1
-
-        # 2. With the baseline, the unchanged tree is clean (exit 0).
-        code = main(analyze_args([src], tmp_path, "--baseline", str(baseline)))
-        assert code == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-        # 3. After the fix, the stale entry itself fails the run ...
-        src.write_text("def key_of(name):\n    return len(name)\n")
-        code = main(analyze_args([src], tmp_path, "--baseline", str(baseline)))
-        assert code == 1
-        assert "stale-baseline" in capsys.readouterr().out
-
-        # 4. ... until the baseline is rewritten, now empty.
-        code = main(
-            analyze_args(
-                [src], tmp_path,
-                "--baseline", str(baseline), "--write-baseline",
-            )
-        )
-        assert code == 0
-        capsys.readouterr()
-        assert json.loads(baseline.read_text())["findings"] == []
-
-    def test_malformed_baseline_is_usage_error(self, tmp_path, capsys):
-        src = write_bad(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{}")
-        code = main(analyze_args([src], tmp_path, "--baseline", str(baseline)))
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestSuppressionThroughCli:
@@ -180,9 +93,27 @@ class TestSuppressionThroughCli:
         assert "1 suppressed" in capsys.readouterr().out
 
     def test_real_tree_gate_via_cli(self, capsys):
-        """What scripts/ci.sh runs: the real tree, no baseline, exit 0."""
-        repo = Path(__file__).parent.parent
-        code = main(["analyze", str(repo / "src" / "repro")])
+        """What scripts/ci.sh runs: the program and the tool, exit 0."""
+        code = main(
+            [str(REPO_ROOT / "src" / "repro"), str(REPO_ROOT / "tools" / "analysis")]
+        )
         out = capsys.readouterr().out
         assert code == 0, out
         assert "clean" in out
+
+
+def test_repro_analyze_is_removed_and_names_the_tool(capsys):
+    for argv in (
+        ["analyze"],
+        ["analyze", "src/repro"],
+        ["analyze", "--list-rules"],
+        ["analyze", "src/repro", "--baseline", "b.json", "--write-baseline"],
+        ["analyze", "--rules", "det-wallclock", "--output", "out.json"],
+    ):
+        assert repro_main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error:")
+        assert "python -m tools.analysis" in lines[0]

@@ -1,23 +1,19 @@
-"""Tests for repro.analysis: rules, suppressions, baseline and self-audit.
+"""Tests for the invariant linter ``tools.analysis``: rules, suppressions
+and self-audit.
 
 The known-bad fixtures under ``tests/fixtures/analysis`` each violate exactly
 one rule family; the tests pin that the intended rule (and only that rule)
-fires on each.  Suppression and baseline behaviour is exercised on temporary
-trees, and the final test runs the full analyzer over the real ``src/repro``
-tree — the same standing gate ``scripts/ci.sh`` enforces.
+fires on each.  Suppression behaviour is exercised on temporary trees, and
+the final test runs the full analyzer over the paths ``scripts/ci.sh`` lints
+— the same standing gate, with no baseline.
 """
 
+import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    ANALYSIS_RULES,
-    AnalysisProject,
-    load_baseline,
-    run_analysis,
-    write_baseline,
-)
+from tools.analysis import ANALYSIS_RULES, AnalysisProject, run_analysis
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 REPO_ROOT = Path(__file__).parent.parent
@@ -170,93 +166,60 @@ class TestSuppressions:
         assert result.findings == []
 
 
-class TestBaseline:
-    def write_bad_module(self, tmp_path):
-        src = tmp_path / "mod.py"
-        src.write_text("def key_of(name):\n    return hash(name)\n")
-        return src
+RULE_IDS = [
+    "concurrency-shared-state",
+    "config-field-unread",
+    "config-override-path",
+    "det-hash",
+    "det-listdir",
+    "det-rng",
+    "det-set-order",
+    "det-wallclock",
+    "state-schema",
+]
 
-    def test_baseline_accepts_then_goes_stale(self, tmp_path):
-        src = self.write_bad_module(tmp_path)
-        baseline = tmp_path / "baseline.json"
 
-        first = analyze([src], tmp_path=tmp_path)
-        assert [f.rule for f in first.findings] == ["det-hash"]
-        assert write_baseline(baseline, first.findings) == 1
-        assert load_baseline(baseline) == [f.fingerprint() for f in first.findings]
-
-        project = AnalysisProject.from_paths(
-            [str(src)],
-            configs_dir=str(tmp_path / "none"),
-        )
-        accepted = run_analysis(project, baseline_path=str(baseline))
-        assert accepted.findings == []
-        assert [f.rule for f in accepted.baselined] == ["det-hash"]
-
-        # Fix the defect: the baseline entry is now stale and must surface.
-        src.write_text("import hashlib\n\n\ndef key_of(name):\n    return hashlib.sha256(name.encode()).hexdigest()\n")
-        project = AnalysisProject.from_paths(
-            [str(src)],
-            configs_dir=str(tmp_path / "none"),
-        )
-        fixed = run_analysis(project, baseline_path=str(baseline))
-        assert [f.rule for f in fixed.findings] == ["stale-baseline"]
-        assert fixed.baselined == []
-
-    def test_baseline_is_line_independent(self, tmp_path):
-        src = self.write_bad_module(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, analyze([src], tmp_path=tmp_path).findings)
-        # Shift the finding to another line: the fingerprint still matches.
-        src.write_text("import os\n\n\ndef key_of(name):\n    del os\n    return hash(name)\n")
-        project = AnalysisProject.from_paths(
-            [str(src)],
-            configs_dir=str(tmp_path / "none"),
-        )
-        result = run_analysis(project, baseline_path=str(baseline))
-        assert result.findings == []
-        assert len(result.baselined) == 1
-
-    def test_malformed_baseline_is_an_error(self, tmp_path):
-        from repro.analysis.baseline import BaselineError
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 99}\n')
-        with pytest.raises(BaselineError):
-            load_baseline(baseline)
-        baseline.write_text("not json at all")
-        with pytest.raises(BaselineError):
-            load_baseline(baseline)
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == []
+def ci_lint_paths():
+    """The paths the static-analysis stage of ``scripts/ci.sh`` lints."""
+    command = "python -m tools.analysis "
+    for line in (REPO_ROOT / "scripts" / "ci.sh").read_text().splitlines():
+        if line.startswith(command):
+            return shlex.split(line[len(command):])
+    raise AssertionError("scripts/ci.sh does not run python -m tools.analysis")
 
 
 class TestRegistryAndSelfAudit:
     def test_all_rule_families_are_registered(self):
-        available = ANALYSIS_RULES.available()
-        assert available == sorted(available)
-        for rule_id in (
-            "det-listdir",
-            "det-set-order",
-            "det-wallclock",
-            "det-rng",
-            "det-hash",
-            "config-field-unread",
-            "config-override-path",
-            "state-schema",
-            "concurrency-shared-state",
-        ):
-            assert rule_id in ANALYSIS_RULES
-            assert ANALYSIS_RULES.get(rule_id).describe()
+        rules = dict(ANALYSIS_RULES.items())
+        assert sorted(rules) == RULE_IDS
+        for rule_cls in rules.values():
+            assert rule_cls.describe()
 
     def test_real_tree_is_clean_without_baseline(self):
-        """The standing CI gate: src/repro passes with no baseline at all."""
-        project = AnalysisProject.from_paths([str(REPO_ROOT / "src" / "repro")])
+        """The standing CI gate: what ci.sh lints passes with no baseline."""
+        paths = ci_lint_paths()
+        assert paths == ["src/repro", "tools/analysis"]
+        project = AnalysisProject.from_paths([str(REPO_ROOT / p) for p in paths])
         result = run_analysis(project)
         assert result.findings == [], "\n".join(
             finding.format() for finding in result.findings
         )
-        assert result.n_files > 80
+        # Every Python file under the linted paths was parsed and analysed.
+        expected_files = sorted(
+            file.relative_to(REPO_ROOT).as_posix()
+            for p in paths
+            for file in (REPO_ROOT / p).rglob("*.py")
+        )
+        assert sorted(module.rel for module in project.modules) == expected_files
+        assert result.n_files == len(expected_files)
+        assert result.rules == RULE_IDS
+        # A missing config directory would silently switch the override
+        # contract off: every example config must have been read.
+        configs = sorted(
+            file.relative_to(REPO_ROOT).as_posix()
+            for file in (REPO_ROOT / "examples" / "configs").glob("*.json")
+        )
+        assert configs
+        assert sorted(rel for rel, _ in project.config_files) == configs
         # The waived seams stay visible as suppression counts, not silence.
         assert result.n_suppressed > 0

@@ -4,11 +4,13 @@ Every guarantee this reproduction makes — one seed driving all randomness,
 content-address keys that only change when behaviour changes, deterministic
 ``to_state``/``from_state`` round-trips — is otherwise enforced dynamically,
 by tests that must happen to exercise the offending line.  This package is
-the static half of that enforcement: an AST-based linter
-(``python -m repro analyze``) with a string-keyed rule registry mirroring
-the component registries of :mod:`repro.api.registry`.
+the static half of that enforcement: an AST-based linter with a string-keyed
+rule registry, run from the repository root as
+``python -m tools.analysis src/repro tools/analysis``.  It is a repository
+tool, not part of the ``repro`` program: it is stdlib-only and imports
+nothing from ``repro``, so it can lint a tree whose dependencies are broken.
 
-Rule families (see ``python -m repro analyze --list-rules``):
+Rule families (see ``python -m tools.analysis --list-rules``):
 
 * **determinism** — unsorted directory walks, set iteration flowing into
   ordered output, wall-clock reads, unseeded RNG construction and builtin
@@ -22,16 +24,14 @@ Rule families (see ``python -m repro analyze --list-rules``):
   worker code must be lock-guarded or thread-local.
 
 Findings are suppressed per line with ``# repro: allow[rule-id] -- reason``
-(the reason is mandatory and unused suppressions are themselves findings), or
-accepted wholesale through a committed baseline file so only *new* findings
-fail CI.
+(the reason is mandatory and unused suppressions are themselves findings).
+There is no baseline file: a finding is fixed or waived on its own line.
 """
 
-from repro.analysis.baseline import load_baseline, write_baseline
-from repro.analysis.engine import AnalysisResult, run_analysis
-from repro.analysis.findings import Finding
-from repro.analysis.project import AnalysisProject
-from repro.analysis.registry import ANALYSIS_RULES, AnalysisRule
+from .engine import AnalysisResult, run_analysis
+from .findings import Finding
+from .project import AnalysisProject
+from .registry import ANALYSIS_RULES, AnalysisRule
 
 __all__ = [
     "ANALYSIS_RULES",
@@ -39,7 +39,5 @@ __all__ = [
     "AnalysisResult",
     "AnalysisRule",
     "Finding",
-    "load_baseline",
     "run_analysis",
-    "write_baseline",
 ]

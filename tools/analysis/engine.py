@@ -1,15 +1,13 @@
-"""The analyzer engine: run rules, apply suppressions, apply the baseline.
+"""The analyzer engine: run every rule, then apply the suppressions.
 
 The pipeline is deliberately ordered:
 
-1. every selected rule runs over the project and yields raw findings
+1. every registered rule runs over the project and yields raw findings
    (plus any ``parse-error`` findings collected while loading);
 2. per-line ``# repro: allow[...]`` suppressions filter them, *marking
    usage* as they match;
 3. malformed and unused suppressions are appended as findings of their own
-   (a waiver that silences nothing is debt);
-4. the baseline splits what remains into accepted and new findings, turning
-   stale entries into findings.
+   (a waiver that silences nothing is debt).
 
 The returned result is deterministic: findings are sorted by path, line,
 rule and message, so two runs over the same tree are diffable.
@@ -18,12 +16,11 @@ rule and message, so two runs over the same tree are diffable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.baseline import apply_baseline, load_baseline
-from repro.analysis.findings import Finding, sort_findings
-from repro.analysis.project import AnalysisProject
-from repro.analysis.registry import ANALYSIS_RULES
+from .findings import Finding, sort_findings
+from .project import AnalysisProject
+from .registry import ANALYSIS_RULES
 
 
 @dataclass
@@ -31,9 +28,7 @@ class AnalysisResult:
     """Outcome of one analyzer run."""
 
     findings: List[Finding] = field(default_factory=list)
-    """New (unsuppressed, non-baselined) findings; non-empty means exit 1."""
-    baselined: List[Finding] = field(default_factory=list)
-    """Findings accepted by the baseline file."""
+    """Unsuppressed findings; non-empty means exit 1."""
     n_suppressed: int = 0
     """Findings silenced by allow comments."""
     n_files: int = 0
@@ -46,30 +41,23 @@ class AnalysisResult:
         return not self.findings
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON document for ``--json`` / ``--output``."""
+        """JSON document for ``--json``."""
         return {
             "clean": self.clean,
             "n_files": self.n_files,
             "n_findings": len(self.findings),
-            "n_baselined": len(self.baselined),
             "n_suppressed": self.n_suppressed,
             "rules": list(self.rules),
             "findings": [finding.to_dict() for finding in self.findings],
-            "baselined": [finding.to_dict() for finding in self.baselined],
         }
 
 
-def run_analysis(
-    project: AnalysisProject,
-    rule_ids: Optional[Sequence[str]] = None,
-    baseline_path: Optional[str] = None,
-) -> AnalysisResult:
-    """Run the selected rules (default: all registered) over *project*."""
-    selected = list(rule_ids) if rule_ids else ANALYSIS_RULES.available()
+def run_analysis(project: AnalysisProject) -> AnalysisResult:
+    """Run every registered rule over *project*."""
     raw: List[Finding] = list(project.parse_failures)
-    for rule_id in selected:
-        rule = ANALYSIS_RULES.get(rule_id)()
-        raw.extend(rule.check(project))
+    rules = ANALYSIS_RULES.items()
+    for _, rule_cls in rules:
+        raw.extend(rule_cls().check(project))
 
     modules_by_rel = {module.rel: module for module in project.modules}
     kept: List[Finding] = []
@@ -86,15 +74,9 @@ def run_analysis(
     for module in project.modules:
         kept.extend(module.suppressions.leftover_findings(module.rel))
 
-    baselined: List[Finding] = []
-    if baseline_path is not None:
-        fingerprints = load_baseline(baseline_path)
-        kept, baselined = apply_baseline(kept, fingerprints, str(baseline_path))
-
     return AnalysisResult(
         findings=sort_findings(kept),
-        baselined=sort_findings(baselined),
         n_suppressed=n_suppressed,
         n_files=len(project.modules),
-        rules=selected,
+        rules=[rule_id for rule_id, _ in rules],
     )

@@ -1,10 +1,7 @@
-"""The unit of analyzer output: one finding, with a stable fingerprint.
+"""The unit of analyzer output: one finding.
 
 A finding names the rule that fired, where it fired (repo-relative path +
-line) and what to do about it.  The *fingerprint* deliberately excludes the
-line number so a committed baseline survives unrelated edits above the
-finding; it includes the message, which names the offending symbol, so two
-distinct findings in one file do not alias.
+line) and what to do about it.
 """
 
 from __future__ import annotations
@@ -13,13 +10,12 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 #: Rule ids of the analyzer's own bookkeeping checks.  They are always on
-#: (not registry entries) and cannot be suppressed with an allow comment —
-#: only a baseline can accept them.
+#: (not registry entries) and cannot be suppressed with an allow comment:
+#: the file, directive or waiver they name has to be fixed.
 META_RULES = (
     "parse-error",
     "malformed-suppression",
     "unused-suppression",
-    "stale-baseline",
 )
 
 
@@ -40,12 +36,8 @@ class Finding:
             text += f" (fix: {self.hint})"
         return text
 
-    def fingerprint(self) -> str:
-        """Line-independent identity used by baselines."""
-        return f"{self.rule}::{self.path}::{self.message}"
-
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (``--json`` / ``--output``)."""
+        """JSON-ready form (``--json``)."""
         return {
             "rule": self.rule,
             "path": self.path,

@@ -15,8 +15,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.findings import Finding
-from repro.analysis.suppressions import SuppressionSet
+from .findings import Finding
+from .suppressions import SuppressionSet
 
 #: Directory names that mark a repository root when inferring context.
 _ROOT_MARKERS = ("tests", ".git", "pytest.ini")

@@ -1,31 +1,26 @@
-"""The string-keyed rule registry, mirroring :mod:`repro.api.registry`.
+"""The string-keyed rule registry.
 
 Rules self-register at import time with the same decorator idiom the
-experiment components use::
+experiment components of ``repro.api.registry`` use::
 
-    from repro.analysis.registry import ANALYSIS_RULES, AnalysisRule
+    from .registry import ANALYSIS_RULES, AnalysisRule
 
     @ANALYSIS_RULES.register("det-wallclock")
     class WallClockRule(AnalysisRule):
         '''Wall-clock reads outside the provenance/timing seams.'''
         ...
 
-It is a separate registry class (not :class:`repro.api.registry.Registry`)
-on purpose: that class lazily imports the numpy-backed component modules on
-first lookup, while the analyzer must stay stdlib-only so it can lint a tree
-whose dependencies are broken.
+It is a registry of its own (not ``repro.api.registry.Registry``) on
+purpose: the analyzer is stdlib-only and imports nothing from ``repro``, so
+it can lint a tree whose dependencies are broken.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Type
+from typing import Dict, Iterator, List, Tuple, Type
 
-from repro.analysis.findings import Finding
-from repro.analysis.project import AnalysisProject
-
-
-class RuleError(KeyError):
-    """Lookup of an unknown rule id or registration under a taken id."""
+from .findings import Finding
+from .project import AnalysisProject
 
 
 class AnalysisRule:
@@ -49,7 +44,7 @@ class AnalysisRule:
 
 
 class RuleRegistry:
-    """String-keyed collection of rule classes (sorted, introspectable)."""
+    """String-keyed collection of rule classes, listed in id order."""
 
     def __init__(self) -> None:
         self._entries: Dict[str, Type[AnalysisRule]] = {}
@@ -62,41 +57,24 @@ class RuleRegistry:
 
         def _add(rule_cls: Type[AnalysisRule]) -> Type[AnalysisRule]:
             if rule_id in self._entries:
-                raise RuleError(f"analysis rule {rule_id!r} is already registered")
+                raise ValueError(f"analysis rule {rule_id!r} is already registered")
             rule_cls.rule_id = rule_id
             self._entries[rule_id] = rule_cls
             return rule_cls
 
         return _add
 
-    def get(self, rule_id: str) -> Type[AnalysisRule]:
+    def items(self) -> List[Tuple[str, Type[AnalysisRule]]]:
+        """``(rule id, rule class)`` of every registered rule, by id."""
         self._load()
-        try:
-            return self._entries[rule_id]
-        except KeyError:
-            raise RuleError(
-                f"unknown analysis rule {rule_id!r}; "
-                f"available: {', '.join(self.available()) or '(none)'}"
-            ) from None
-
-    def available(self) -> List[str]:
-        self._load()
-        return sorted(self._entries)
-
-    def items(self) -> List:
-        self._load()
-        return [(rule_id, self._entries[rule_id]) for rule_id in self.available()]
-
-    def __contains__(self, rule_id: str) -> bool:
-        self._load()
-        return rule_id in self._entries
+        return sorted(self._entries.items())
 
     def _load(self) -> None:
         """Import the built-in rule modules (self-registration on import)."""
         if self._loaded:
             return
         self._loaded = True
-        import repro.analysis.rules  # noqa: F401  (registers the built-ins)
+        from . import rules  # noqa: F401  (registers the built-ins)
 
 
 #: The rule registry; built-in rules register on first lookup.

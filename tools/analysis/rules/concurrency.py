@@ -25,16 +25,16 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Set
 
-from repro.analysis.astutil import (
+from ..astutil import (
     build_parent_map,
     call_name,
     class_methods,
     dotted_name,
     self_attribute_chain,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.project import AnalysisProject, SourceModule
-from repro.analysis.registry import ANALYSIS_RULES, AnalysisRule
+from ..findings import Finding
+from ..project import AnalysisProject, SourceModule
+from ..registry import ANALYSIS_RULES, AnalysisRule
 
 #: Calls whose result is a shared mutable container.
 _MUTABLE_FACTORIES = {

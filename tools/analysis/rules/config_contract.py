@@ -20,14 +20,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.analysis.astutil import (
+from ..astutil import (
     dotted_name,
     is_dataclass_def,
     class_methods,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.project import AnalysisProject
-from repro.analysis.registry import ANALYSIS_RULES, AnalysisRule
+from ..findings import Finding
+from ..project import AnalysisProject
+from ..registry import ANALYSIS_RULES, AnalysisRule
 
 #: Methods whose self.<field> reads do not count as consumption: a field
 #: only checked by its own class is still a knob nobody acts on.

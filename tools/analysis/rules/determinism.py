@@ -29,14 +29,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
-from repro.analysis.astutil import (
+from ..astutil import (
     build_parent_map,
     call_name,
     enclosing_calls,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.project import AnalysisProject, SourceModule
-from repro.analysis.registry import ANALYSIS_RULES, AnalysisRule
+from ..findings import Finding
+from ..project import AnalysisProject, SourceModule
+from ..registry import ANALYSIS_RULES, AnalysisRule
 
 #: Wrappers that erase enumeration order (or reduce to an order-free value).
 _ORDER_NEUTRAL = {

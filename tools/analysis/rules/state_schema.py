@@ -24,14 +24,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set
 
-from repro.analysis.astutil import (
+from ..astutil import (
     class_methods,
     self_attribute_chain,
     string_constants,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.project import AnalysisProject
-from repro.analysis.registry import ANALYSIS_RULES, AnalysisRule
+from ..findings import Finding
+from ..project import AnalysisProject
+from ..registry import ANALYSIS_RULES, AnalysisRule
 
 #: State keys every serializer emits as format/dispatch markers, checked by
 #: shared helpers (expect_state_type) rather than each from_state.

@@ -20,7 +20,7 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.analysis.findings import META_RULES, Finding
+from .findings import META_RULES, Finding
 
 #: Anything after the ``repro:`` comment marker is a directive and must
 #: parse completely (this sentence avoids spelling the marker itself).
@@ -35,7 +35,7 @@ class Suppression:
     """One parsed allow comment."""
 
     line: int
-    rule_ids: Tuple[str, ...]
+    rules: Tuple[str, ...]
     reason: str
     used: Set[str] = field(default_factory=set)
 
@@ -88,7 +88,7 @@ class SuppressionSet:
         if meta:
             self._malformed.append(
                 (line, f"rule {meta[0]!r} cannot be suppressed with an allow "
-                       f"comment; accept it through a baseline instead")
+                       f"comment; fix what it reports instead")
             )
             return
         if not reason:
@@ -96,7 +96,7 @@ class SuppressionSet:
                 (line, f"allow[{', '.join(ids)}] is missing its '-- reason'")
             )
             return
-        self._by_line[line] = Suppression(line=line, rule_ids=ids, reason=reason)
+        self._by_line[line] = Suppression(line=line, rules=ids, reason=reason)
 
     # ------------------------------------------------------------------ ---
     def suppresses(self, rule_id: str, line: int) -> bool:
@@ -104,7 +104,7 @@ class SuppressionSet:
         if rule_id in META_RULES:
             return False
         suppression = self._by_line.get(line)
-        if suppression is None or rule_id not in suppression.rule_ids:
+        if suppression is None or rule_id not in suppression.rules:
             return False
         suppression.used.add(rule_id)
         return True
@@ -121,7 +121,7 @@ class SuppressionSet:
             )
         for line in sorted(self._by_line):
             suppression = self._by_line[line]
-            for rule_id in suppression.rule_ids:
+            for rule_id in suppression.rules:
                 if rule_id not in suppression.used:
                     yield Finding(
                         rule="unused-suppression",
@@ -132,6 +132,3 @@ class SuppressionSet:
                         ),
                         hint="delete the stale allow comment",
                     )
-
-    def __len__(self) -> int:
-        return len(self._by_line)
