@@ -1,12 +1,14 @@
 """Tests for ``python -m tools.analysis``: the CLI contract of the linter.
 
 Exit codes (0 clean / 1 findings / 2 usage errors), one-line diagnostics,
-``--json`` machine output, and the removed ``python -m repro analyze``
-subcommand pointing at the tool.
+``--json`` machine output, the options the tool no longer has, and the
+removed ``python -m repro analyze`` subcommand pointing at the tool.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.__main__ import main as repro_main
 from tools.analysis.__main__ import main
@@ -100,6 +102,29 @@ class TestSuppressionThroughCli:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "clean" in out
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--baseline", "baseline.json"],
+        ["--write-baseline"],
+        ["--rules", "det-hash"],
+        ["--output", "findings.json"],
+    ],
+    ids=lambda option: option[0].lstrip("-"),
+)
+def test_removed_options_are_usage_errors(option, tmp_path, capsys):
+    """The baseline workflow, rule selection and ``--output`` are gone:
+    argparse rejects them and nothing is analysed or written."""
+    argv = analyze_args([write_bad(tmp_path)], tmp_path, *option)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.py"]
 
 
 def test_repro_analyze_is_removed_and_names_the_tool(capsys):

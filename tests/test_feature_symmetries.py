@@ -38,6 +38,7 @@ examples are the same on every run.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -214,6 +215,13 @@ def _identity(array):
     return array
 
 
+def _renamed(array, class_map):
+    """*array* with its last-axis classes moved to their new indices."""
+    renamed = np.empty_like(array)
+    renamed[..., class_map] = array
+    return renamed
+
+
 def _pair_segments(original, moved_components, transform) -> np.ndarray:
     """Original segment index of every segment of the transformed frame,
     from their pixels; fails unless the pixel sets match one to one."""
@@ -257,9 +265,10 @@ def _assert_exact_columns_match(original, moved, order, class_map, shape, coordi
     )
 
 
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
 @SYMMETRY_SETTINGS
-@given(seed=SEEDS, name=st.sampled_from(sorted(TRANSFORMS)))
-def test_extraction_commutes_with_the_dihedral_group(seed, name):
+@given(seed=SEEDS)
+def test_extraction_commutes_with_the_dihedral_group(name, seed):
     transform, coordinate_map = TRANSFORMS[name]
     probs, gt, things = _frame(seed)
     moved_probs = np.ascontiguousarray(transform(probs))
@@ -286,10 +295,8 @@ def test_extraction_commutes_with_class_relabelling(seed):
     probs, gt, things = _frame(seed)
     n_classes = len(things)
     class_map = np.random.default_rng(seed).permutation(n_classes)
-    renamed_probs = np.empty_like(probs)
-    renamed_probs[:, :, class_map] = probs
-    renamed_things = np.empty_like(things)
-    renamed_things[class_map] = things
+    renamed_probs = _renamed(probs, class_map)
+    renamed_things = _renamed(things, class_map)
     renamed_gt = np.where(gt >= 0, class_map[np.maximum(gt, 0)], gt)
     original = SegmentMetricsExtractor(label_space=_space(things)).extract_full(
         probs, gt_labels=gt
@@ -313,21 +320,26 @@ def test_extraction_commutes_with_class_relabelling(seed):
 
 
 @SYMMETRY_SETTINGS
-@given(seed=SEEDS, positional=st.booleans())
-def test_bayes_and_ml_rules_commute_with_class_relabelling(seed, positional):
+@given(seed=SEEDS)
+def test_bayes_rule_commutes_with_class_relabelling(seed):
+    probs, _, things = _frame(seed)
+    class_map = np.random.default_rng(seed).permutation(len(things))
+
+    assert np.array_equal(bayes_rule(_renamed(probs, class_map)), class_map[bayes_rule(probs)])
+
+
+@pytest.mark.parametrize("positional", [False, True], ids=["class_priors", "pixel_priors"])
+@SYMMETRY_SETTINGS
+@given(seed=SEEDS)
+def test_ml_rule_commutes_with_class_and_prior_relabelling(positional, seed):
     probs, _, things = _frame(seed)
     n_classes = len(things)
     rng = np.random.default_rng(seed)
     class_map = rng.permutation(n_classes)
     priors = rng.uniform(0.05, 1.0, size=probs.shape if positional else (n_classes,))
     _assert_tie_free(np.broadcast_to(probs / priors, probs.shape))
-    renamed_probs = np.empty_like(probs)
-    renamed_probs[:, :, class_map] = probs
-    renamed_priors = np.empty_like(priors)
-    renamed_priors[..., class_map] = priors
 
-    assert np.array_equal(bayes_rule(renamed_probs), class_map[bayes_rule(probs)])
     assert np.array_equal(
-        maximum_likelihood_rule(renamed_probs, renamed_priors),
+        maximum_likelihood_rule(_renamed(probs, class_map), _renamed(priors, class_map)),
         class_map[maximum_likelihood_rule(probs, priors)],
     )
