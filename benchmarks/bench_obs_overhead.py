@@ -39,8 +39,8 @@ from _bench_common import (
 )
 
 from repro.api.config import DataConfig, EvalConfig, ExperimentConfig
+from repro.api.execution import walk_stage1
 from repro.api.kinds import metaseg_pipeline
-from repro.api.registry import EXECUTION_BACKENDS
 from repro.api.runner import Runner
 from repro.obs import NULL_TRACER, Tracer
 
@@ -77,10 +77,9 @@ def run_baseline(config: ExperimentConfig) -> Tuple[object, Dict[str, float]]:
     with _timer(timings, "total"):
         with _timer(timings, "resolve"):
             resolved = runner.resolve(config)
-            backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
         pipeline = metaseg_pipeline(resolved)
         with _timer(timings, "extract"):
-            metrics, _ = backend.stage1(resolved)
+            metrics, _, _ = walk_stage1(resolved)
         with _timer(timings, "evaluate"):
             result = pipeline.run_table1_protocol(
                 metrics,

@@ -69,20 +69,24 @@ echo "=== worker-loss fault-injection suite (process backend: kill-one, all-die,
 python -m pytest -q -m faults tests/test_execution_faults.py
 
 echo "=== process CLI (smoke: --backend process --workers 2 bitwise-equal to serial) ==="
-PROC_SERIAL_OUT="${TMP_ROOT}/proc_serial.json"
-PROC_OUT="${TMP_ROOT}/proc_process.json"
-python -m repro run examples/configs/metaseg_small.json --output "${PROC_SERIAL_OUT}"
-python -m repro run examples/configs/metaseg_small.json \
-    --backend process --workers 2 --output "${PROC_OUT}"
-python - "${PROC_SERIAL_OUT}" "${PROC_OUT}" <<'PY'
+# The decision kind ships its fitted priors in every shard spec.
+for config in metaseg_small decision_small; do
+    PROC_SERIAL_OUT="${TMP_ROOT}/proc_${config}_serial.json"
+    PROC_OUT="${TMP_ROOT}/proc_${config}_process.json"
+    python -m repro run "examples/configs/${config}.json" --output "${PROC_SERIAL_OUT}"
+    python -m repro run "examples/configs/${config}.json" \
+        --backend process --workers 2 --output "${PROC_OUT}"
+    python - "${config}" "${PROC_SERIAL_OUT}" "${PROC_OUT}" <<'PY'
 import json, sys
-serial, process = (json.load(open(path)) for path in sys.argv[1:])
+name, *paths = sys.argv[1:]
+serial, process = (json.load(open(path)) for path in paths)
 for field in ("tables", "provenance"):
     if process[field] != serial[field]:
-        print(f"FAIL: process run diverges from serial in {field}", file=sys.stderr)
+        print(f"FAIL: {name} process run diverges from serial in {field}", file=sys.stderr)
         raise SystemExit(1)
-print("process smoke: --backend process --workers 2 bitwise-equal to serial")
+print(f"process smoke: {name} --backend process --workers 2 bitwise-equal to serial")
 PY
+done
 # The time-dynamic shards (per-sequence metrics datasets and tracks) cross
 # the process pool and are published through the store.
 PROC_TD_SERIAL_OUT="${TMP_ROOT}/proc_td_serial.json"

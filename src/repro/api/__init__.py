@@ -1,6 +1,6 @@
 """Unified experiment API: registries, declarative configs, one Runner.
 
-The subpackage has four layers:
+The subpackage has five layers:
 
 * :mod:`repro.api.registry` — string-keyed registries of every pluggable
   component (network profiles, datasets, metric groups, meta-model variants,
@@ -9,6 +9,8 @@ The subpackage has four layers:
   dataclasses (:class:`ExperimentConfig` and its nested sections);
 * :mod:`repro.api.kinds` — the three experiment kinds, one table entry
   each (substrate, stage-1 shard and fold, protocol and tables);
+* :mod:`repro.api.execution` — stage 1 as one walk, cut into
+  :func:`shard_ranges` that run inline or on a process pool;
 * :mod:`repro.api.runner` — the :class:`Runner` that resolves a config
   through the registries, runs any of the three experiment kinds and
   returns a unified :class:`ExperimentReport`.
@@ -38,7 +40,6 @@ from repro.api.registry import (
     ALL_REGISTRIES,
     DATASETS,
     DECISION_RULES,
-    EXECUTION_BACKENDS,
     META_CLASSIFIERS,
     META_REGRESSORS,
     METRIC_GROUPS,
@@ -55,8 +56,8 @@ _LAZY = ("Runner", "ExperimentReport", "ResolvedExperiment", "derived_seeds",
 #: Names resolved lazily from repro.api.fitted (pulls in models + metrics).
 _LAZY_FITTED = ("FittedModel",)
 
-#: Names resolved lazily from repro.api.execution (imports the runner).
-_LAZY_EXECUTION = ("SerialBackend", "ProcessBackend", "shard_ranges")
+#: Names resolved lazily from repro.api.execution (imports the pipelines).
+_LAZY_EXECUTION = ("shard_ranges",)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -77,7 +78,6 @@ __all__ = [
     "META_CLASSIFIERS",
     "META_REGRESSORS",
     "DECISION_RULES",
-    "EXECUTION_BACKENDS",
     "all_registries",
     "apply_dotted_override",
     *_LAZY,

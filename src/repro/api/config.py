@@ -151,18 +151,19 @@ class ExtractionConfig:
 class ExecutionConfig:
     """How the Runner executes the dataset walk of an experiment.
 
-    ``backend`` names an entry of the ``execution_backends`` registry
-    (built-ins: ``serial``, ``process``); ``workers`` is the one worker
-    knob: the shard count of the stage-1 walk, run on that many processes
-    (``None`` picks the core count, 0 and 1 mean one inline shard,
-    negative values are rejected at parse time).  ``serial`` runs one
-    shard, so ``workers > 1`` under it is rejected at parse time too.
-    Every walk streams: items are read uncached by index and folded one at
-    a time.  The ``process`` backend recovers a lost worker on its own (the
+    ``backend`` is ``serial`` or ``process`` (any other name is rejected
+    at parse time); ``workers`` is the one worker knob: the shard count of
+    the stage-1 walk, run on that many processes (``None`` picks one shard
+    under ``serial`` and the core count under ``process``, 0 and 1 mean
+    one inline shard, negative values are rejected at parse time).
+    ``serial`` runs one shard, so ``workers > 1`` under it is rejected at
+    parse time too.  Every walk streams: items are read uncached by index
+    and folded one at a time.  A lost worker is recovered on its own (the
     unfinished shards are recomputed inline), so there is nothing to tune.
 
-    Every combination is bit-neutral: backends only change where the work
-    runs, never the numbers.
+    Every combination is bit-neutral: the shard count only changes where
+    the work runs, never the numbers
+    (:func:`repro.api.execution.walk_stage1`).
     """
 
     backend: str = "serial"
@@ -177,6 +178,11 @@ class ExecutionConfig:
             raise ConfigError(
                 f"execution: backend {self.backend!r} was removed; "
                 f"{_REMOVED_BACKENDS[self.backend]}"
+            )
+        if self.backend not in ("serial", "process"):
+            raise ConfigError(
+                f"execution: unknown backend {self.backend!r}; "
+                f"use 'serial' or 'process'"
             )
         if self.workers is not None and (not _is_int(self.workers) or self.workers < 0):
             raise ConfigError(

@@ -3,7 +3,7 @@
 Table I meta classification/regression (``metaseg``), Table II time-dynamic
 tracking (``timedynamic``) and the Fig. 5 Bayes-vs-ML decision rules
 (``decision``) differ only in the :class:`ExperimentKind` entries of
-:data:`KINDS`; the Runner and the execution backends read them and never
+:data:`KINDS`; the Runner and the stage-1 walk read them and never
 compare kind names.  ``resolved`` is a
 :class:`repro.api.runner.ResolvedExperiment`, duck-typed here so this module
 never imports the runner.

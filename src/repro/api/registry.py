@@ -147,10 +147,7 @@ class Registry:
 # * META_CLASSIFIERS   — factories ``(**kwargs) -> MetaClassifier`` with the
 #                        model family baked in;
 # * META_REGRESSORS    — factories ``(**kwargs) -> MetaRegressor``;
-# * DECISION_RULES     — the decision-rule callables of repro.decision.rules;
-# * EXECUTION_BACKENDS — factories ``(execution: ExecutionConfig) ->
-#                        ExecutionBackend`` deciding how the Runner walks a
-#                        dataset (one inline shard / sharded processes).
+# * DECISION_RULES     — the decision-rule callables of repro.decision.rules.
 # --------------------------------------------------------------------------
 
 NETWORK_PROFILES = Registry(
@@ -171,9 +168,6 @@ META_REGRESSORS = Registry(
 DECISION_RULES = Registry(
     "decision_rules", "pixel-wise decision rules on the softmax output"
 )
-EXECUTION_BACKENDS = Registry(
-    "execution_backends", "how the Runner executes a dataset walk (serial/process)"
-)
 
 #: All registries by kind, in display order.
 ALL_REGISTRIES: Dict[str, Registry] = {  # repro: allow[concurrency-shared-state] -- populated by this literal, read-only afterwards
@@ -185,7 +179,6 @@ ALL_REGISTRIES: Dict[str, Registry] = {  # repro: allow[concurrency-shared-state
         META_CLASSIFIERS,
         META_REGRESSORS,
         DECISION_RULES,
-        EXECUTION_BACKENDS,
     )
 }
 
@@ -226,7 +219,6 @@ def _load_builtins() -> None:
             return
         _BUILTINS_LOADING = True
         try:
-            import repro.api.execution  # noqa: F401
             import repro.core.meta_classification  # noqa: F401
             import repro.core.meta_regression  # noqa: F401
             import repro.core.metrics  # noqa: F401

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.api.config import ConfigError, ExperimentConfig
+from repro.api.execution import walk_stage1
 from repro.api.fitted import FittedModel
 from repro.api.kinds import KINDS, Table, metaseg_pipeline
 from repro.obs import Tracer, timings_view
@@ -28,7 +29,6 @@ from repro.store import FitCache, model_key, report_key
 from repro.api.registry import (
     DATASETS,
     DECISION_RULES,
-    EXECUTION_BACKENDS,
     META_CLASSIFIERS,
     META_REGRESSORS,
     METRIC_GROUPS,
@@ -194,8 +194,8 @@ class Runner:
     Passing a :class:`repro.store.ResultStore` memoises the run through
     :meth:`~repro.store.ResultStore.get_or_compute`, the one caching route:
     whole reports by the full config hash, the serving model of
-    :meth:`fit`, the ``process`` stage-1 shards by (stage-1 config hash,
-    index range), the decision priors and every meta-model fit.  So a
+    :meth:`fit`, the shards of a multi-shard stage 1 by (stage-1 config
+    hash, index range), the decision priors and every meta-model fit.  So a
     sweep that only changes protocol-side fields (e.g. the meta-model)
     reuses every extraction shard.  Writes are best-effort (an unwritable
     store still returns the computed result) and stale payloads are
@@ -227,13 +227,12 @@ class Runner:
 
         Resolve, the kind's optional ``prepare`` step, the stage-1 walk
         under the kind's span, then its ``evaluate`` hook under the
-        ``evaluate`` span.  The walk is delegated to the execution backend
-        named by ``config.execution.backend`` (``serial`` or ``process``,
-        resolved through the ``execution_backends`` registry);
-        every backend is bitwise identical to serial, so the choice is
-        purely about wall-clock and memory.  With a store, the whole run is
-        the compute of one single-flight report memo under the
-        ``cache_lookup`` span.
+        ``evaluate`` span.  The walk is :func:`repro.api.execution.walk_stage1`,
+        cut into as many shards as ``config.execution`` asks for; every
+        shard count is bitwise identical to serial, so the choice is purely
+        about wall-clock and memory.  With a store, the whole run is the
+        compute of one single-flight report memo under the ``cache_lookup``
+        span.
         """
         config = _validated(config)
         tracer = self._run_tracer()
@@ -266,12 +265,13 @@ class Runner:
         with tracer.span("run", kind=config.kind, seed=config.seed) as root:
             with tracer.span("resolve"):
                 resolved = self.resolve(config)
-                backend = self._backend(config, tracer)
             priors = None
             if kind.prepare is not None:
                 priors = kind.prepare(resolved, self.store, tracer, fit_cache)
-            with tracer.span(kind.span, backend=backend.name) as span:
-                folded, n_items = backend.stage1(resolved, priors)
+            with tracer.span(kind.span, backend=config.execution.backend) as span:
+                folded, n_items, shard_counts = walk_stage1(
+                    resolved, priors, self.store, tracer
+                )
                 span.set(n_items=n_items)
             with tracer.span("evaluate"):
                 provenance, tables = kind.evaluate(resolved, folded, n_items, fit_cache)
@@ -280,9 +280,8 @@ class Runner:
                 config=config.to_dict(), tables=tables, provenance=provenance,
             )
         report.timings = timings_view(tracer.records(), root.span_id)
-        shard_cache = getattr(backend, "shard_cache", None)
-        if self.store is not None and shard_cache:
-            report.cache["shards"] = dict(shard_cache)
+        if shard_counts:
+            report.cache["shards"] = shard_counts
         if fit_cache is not None and any(fit_cache.counters.values()):
             report.cache["fits"] = dict(fit_cache.counters)
         return report
@@ -316,7 +315,7 @@ class Runner:
     def _fit_model(self, config: ExperimentConfig) -> FittedModel:
         """Extract the metrics dataset and fit the serving model once."""
         resolved = self.resolve(config)
-        metrics, n_images = self._backend(config).stage1(resolved)
+        metrics, n_images, _ = walk_stage1(resolved, store=self.store)
         classifier_name = resolved.classifiers[0]
         regressor_name = resolved.regressors[0]
         params = config.meta_models.model_params
@@ -380,15 +379,6 @@ class Runner:
             )
         return {"frames": frames, "n_frames": len(frames)}
 
-    def _backend(self, config: ExperimentConfig, tracer: Optional[object] = None):
-        """The config's execution backend, wired to this Runner's store."""
-        backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
-        if tracer is not None:
-            backend.attach_tracer(tracer)
-        if self.store is not None:
-            backend.attach_store(self.store)
-        return backend
-
     # ------------------------------------------------------------------ ---
     def resolve(self, config: ExperimentConfig) -> ResolvedExperiment:
         """Resolve every registry name of a validated config into components.
@@ -401,8 +391,6 @@ class Runner:
         """
         seeds = derived_seeds(config.seed)
         kind = KINDS[config.kind]
-        # Backend first: it is the cheapest lookup and gates everything else.
-        EXECUTION_BACKENDS.get(config.execution.backend)
         # A registry entry marked ``builds_network`` is an adapter factory:
         # called with the network section and the seed, it returns a ready
         # network (e.g. softmax_dump serving precomputed fields from disk)

@@ -148,7 +148,12 @@ class MetricsDataset:
 
     @staticmethod
     def concatenate(datasets: Sequence["MetricsDataset"]) -> "MetricsDataset":
-        """Concatenate several datasets with identical feature columns."""
+        """Concatenate several datasets with identical feature columns.
+
+        The one fold of metric datasets (per-frame extracts, stage-1
+        shards, training compositions).  Row values are copied, and
+        ``extra`` is a copy of the first dataset's.
+        """
         datasets = list(datasets)
         if not datasets:
             raise ValueError("need at least one dataset to concatenate")
@@ -169,97 +174,3 @@ class MetricsDataset:
             extra=dict(datasets[0].extra),
         )
 
-
-class MetricsAccumulator:
-    """Folds streamed :class:`MetricsDataset` chunks into one dataset.
-
-    The never-concatenate counterpart of :meth:`MetricsDataset.concatenate`:
-    instead of holding every per-image part until a final ``vstack``,
-    chunks are copied into growing preallocated buffers as they arrive, so
-    the peak transient memory of an extraction walk is bounded by one image
-    plus the (amortised, at most 2x) output buffers — never by the full
-    list of parts.  Row values are plain copies, so the accumulated dataset
-    is bitwise identical to a one-shot concatenation of the same chunks.
-    :meth:`repro.core.pipeline.MetaSegPipeline.extract_dataset` folds every
-    image through one.
-    """
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._capacity = 0
-        self._features: Optional[np.ndarray] = None
-        self._segment_ids: Optional[np.ndarray] = None
-        self._class_ids: Optional[np.ndarray] = None
-        self._image_ids: Optional[np.ndarray] = None
-        self._iou: Optional[np.ndarray] = None
-        self._feature_names: Optional[List[str]] = None
-        self._extra: Optional[dict] = None
-        self._has_targets: Optional[bool] = None
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def empty(self) -> bool:
-        """True while no chunk has been folded in yet."""
-        return self._feature_names is None
-
-    def _grow(self, needed: int, n_features: int) -> None:
-        """Ensure capacity for *needed* more rows (geometric growth)."""
-        required = self._n + needed
-        if required <= self._capacity:
-            return
-        new_capacity = max(required, 2 * self._capacity, 64)
-        def _resize(buffer: Optional[np.ndarray], shape, dtype) -> np.ndarray:
-            grown = np.empty(shape, dtype=dtype)
-            if buffer is not None and self._n:
-                grown[: self._n] = buffer[: self._n]
-            return grown
-        self._features = _resize(
-            self._features, (new_capacity, n_features), np.float64
-        )
-        self._segment_ids = _resize(self._segment_ids, (new_capacity,), np.int64)
-        self._class_ids = _resize(self._class_ids, (new_capacity,), np.int64)
-        self._image_ids = _resize(self._image_ids, (new_capacity,), object)
-        if self._has_targets:
-            self._iou = _resize(self._iou, (new_capacity,), np.float64)
-        self._capacity = new_capacity
-
-    def add(self, chunk: MetricsDataset) -> None:
-        """Fold one streamed chunk into the accumulator."""
-        if self._feature_names is None:
-            self._feature_names = list(chunk.feature_names)
-            self._extra = dict(chunk.extra)
-            self._has_targets = chunk.has_targets
-        elif chunk.feature_names != self._feature_names:
-            raise ValueError("chunks have differing feature columns")
-        elif chunk.has_targets != self._has_targets:
-            raise ValueError("cannot accumulate chunks with and without IoU targets")
-        n_new = len(chunk)
-        if not n_new:
-            return
-        self._grow(n_new, chunk.n_features)
-        stop = self._n + n_new
-        self._features[self._n: stop] = chunk.features
-        self._segment_ids[self._n: stop] = chunk.segment_ids
-        self._class_ids[self._n: stop] = chunk.class_ids
-        self._image_ids[self._n: stop] = chunk.image_ids
-        if self._has_targets:
-            self._iou[self._n: stop] = chunk.target_iou()
-        self._n = stop
-
-    def result(self) -> MetricsDataset:
-        """The accumulated dataset (views of the buffers, trimmed to size)."""
-        if self._feature_names is None:
-            raise ValueError("no chunks accumulated")
-        if self._features is None:  # only empty chunks arrived
-            self._grow(1, len(self._feature_names))
-        return MetricsDataset(
-            features=self._features[: self._n],
-            feature_names=list(self._feature_names),
-            segment_ids=self._segment_ids[: self._n],
-            class_ids=self._class_ids[: self._n],
-            image_ids=self._image_ids[: self._n],
-            iou=self._iou[: self._n] if self._has_targets else None,
-            extra=dict(self._extra),
-        )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
-from repro.core.dataset import MetricsAccumulator, MetricsDataset
+from repro.core.dataset import MetricsDataset
 from repro.core.meta_classification import entropy_baseline_classifier, naive_baseline_accuracy
 from repro.core.meta_regression import entropy_baseline_regressor
 from repro.core.metrics import SegmentMetricsExtractor
@@ -106,22 +106,23 @@ class MetaSegPipeline:
     ) -> MetricsDataset:
         """Run inference and metric extraction over an iterable of samples.
 
-        Each image is folded straight into a
-        :class:`~repro.core.dataset.MetricsAccumulator`, so a lazy sample
-        stream is never materialised: the peak transient memory is one image
-        plus the output buffers.  ``index_offset`` is the global index of
-        the first sample (it seeds the network's per-image noise, which is
-        what lets a shard of ``[start, stop)`` reproduce the serial rows).
+        A lazy sample stream is never materialised: each image's field is
+        dropped once its metric rows are extracted, and the per-image
+        datasets (45 float64 columns per segment, small next to a field)
+        are folded by one :meth:`MetricsDataset.concatenate`.
+        ``index_offset`` is the global index of the first sample (it seeds
+        the network's per-image noise, which is what lets a shard of
+        ``[start, stop)`` reproduce the serial rows).
         """
-        accumulator = MetricsAccumulator()
+        parts = []
         for index, sample in enumerate(samples, start=index_offset):
             probs = self.network.predict_probabilities(sample.labels, index=index)
-            accumulator.add(
+            parts.append(
                 self.extractor.extract(probs, gt_labels=sample.labels, image_id=sample.image_id)
             )
-        if accumulator.empty:
+        if not parts:
             raise ValueError("no samples provided")
-        return accumulator.result()
+        return MetricsDataset.concatenate(parts)
 
     # ------------------------------------------------------------------ ---
     def run_table1_protocol(

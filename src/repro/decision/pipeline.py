@@ -70,18 +70,15 @@ class DecisionRuleComparison:
         network: SimulatedSegmentationNetwork,
         label_space: Optional[LabelSpace] = None,
         category: str = HUMAN_CATEGORY,
-        prior_laplace_smoothing: float = 2.0,
-        prior_spatial_sigma: float = 2.0,
-        prior_global_blend: float = 0.25,
     ) -> None:
         self.network = network
         self.label_space = label_space or cityscapes_label_space()
         self.category = category
         self.prior_estimator = PixelPriorEstimator(
             label_space=self.label_space,
-            laplace_smoothing=prior_laplace_smoothing,
-            spatial_sigma=prior_spatial_sigma,
-            global_blend=prior_global_blend,
+            laplace_smoothing=2.0,
+            spatial_sigma=2.0,
+            global_blend=0.25,
         )
         self._priors: Optional[np.ndarray] = None
 

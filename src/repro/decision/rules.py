@@ -72,7 +72,6 @@ def maximum_likelihood_rule(
     probs: np.ndarray,
     priors: Optional[np.ndarray] = None,
     strength: float = 1.0,
-    epsilon: float = 1e-12,
 ) -> np.ndarray:
     """Maximum-Likelihood decision: argmax_y f_z(y|x) / p̂_z(y).
 
@@ -85,11 +84,11 @@ def maximum_likelihood_rule(
         position-wise application) or a length-C vector of global priors.
     strength:
         Ignored: ML is the interpolated rule at full strength.
-    epsilon:
-        Numerical floor for the priors.
+
+    The priors are floored at ``1e-12`` before the division.
     """
     priors = _prior_field(priors, probs.shape, "ml")
-    likelihood = probs / np.maximum(priors, epsilon)
+    likelihood = probs / np.maximum(priors, 1e-12)
     return np.argmax(likelihood, axis=2).astype(np.int64)
 
 
@@ -98,7 +97,6 @@ def interpolated_rule(
     probs: np.ndarray,
     priors: Optional[np.ndarray] = None,
     strength: float = 1.0,
-    epsilon: float = 1e-12,
 ) -> np.ndarray:
     """Decision rule interpolating between Bayes (strength 0) and ML (strength 1).
 
@@ -110,5 +108,5 @@ def interpolated_rule(
     if not 0.0 <= strength <= 1.0:
         raise ValueError("strength must be in [0, 1]")
     priors = _prior_field(priors, probs.shape, "interpolated")
-    scaled = probs / np.maximum(priors, epsilon) ** strength
+    scaled = probs / np.maximum(priors, 1e-12) ** strength
     return np.argmax(scaled, axis=2).astype(np.int64)

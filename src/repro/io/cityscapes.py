@@ -113,33 +113,29 @@ class CityscapesDiskDataset:
     label_space:
         Label space providing the raw→train id mapping (defaults to the
         19-class Cityscapes space).
-    train_split, val_split:
-        Split directory names.  The validation split must exist and be
-        non-empty (it is what every experiment kind walks); the train split
-        is optional and reports ``n_train == 0`` when absent.
+
+    The ``val`` split must exist and be non-empty (it is what every
+    experiment kind walks); the ``train`` split is optional and reports
+    ``n_train == 0`` when absent.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         label_space: Optional[LabelSpace] = None,
-        train_split: str = "train",
-        val_split: str = "val",
     ) -> None:
         self.root = Path(root)
         if not self.root.is_dir():
             raise ConfigError(f"data: dataset root {self.root} does not exist")
         self.label_space = label_space or cityscapes_label_space()
         self._lut = raw_to_train_lut(self.label_space)
-        self.train_split = train_split
-        self.val_split = val_split
-        self._val_frames = discover_frames(self.root, val_split)
+        self._val_frames = discover_frames(self.root, "val")
         if not self._val_frames:
             raise ConfigError(
-                f"data: split {val_split!r} of {self.root} contains no frames"
+                f"data: split 'val' of {self.root} contains no frames"
             )
         try:
-            self._train_frames = discover_frames(self.root, train_split)
+            self._train_frames = discover_frames(self.root, "train")
         except ConfigError:
             self._train_frames = []  # train split is optional
 
@@ -170,9 +166,9 @@ class CityscapesDiskDataset:
         return [frame.frame_id for frame in self._frames_of(split)]
 
     def _frames_of(self, split: str) -> List[DiskFrame]:
-        if split == self.train_split or split == "train":
+        if split == "train":
             return self._train_frames
-        if split == self.val_split or split == "val":
+        if split == "val":
             return self._val_frames
         raise ValueError(f"unknown split {split!r}")
 

@@ -96,21 +96,19 @@ class SoftmaxDumpNetwork:
     label_space:
         Label space the dumps were produced for; its class count must match
         the manifest's ``n_classes`` when present.
-    split:
-        Which split's dumps to serve (overrides the manifest's ``split``;
-        the default is the validation split, which is what every
-        single-frame experiment kind walks).
     mmap:
         Serve ``.npy`` dumps through ``np.memmap`` (the default).  Disabling
         it materialises each frame — only useful on filesystems without
         mmap support; the numbers are identical either way.
+
+    It serves the manifest's ``split`` (default: the validation split, which
+    is what every single-frame experiment kind walks).
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         label_space: Optional[LabelSpace] = None,
-        split: Optional[str] = None,
         mmap: bool = True,
     ) -> None:
         self.root = Path(root)
@@ -119,7 +117,7 @@ class SoftmaxDumpNetwork:
         self.label_space = label_space or cityscapes_label_space()
         self.mmap = bool(mmap)
         manifest = _load_manifest(self.root)
-        self.split = split or str(manifest.get("split", "val"))
+        self.split = str(manifest.get("split", "val"))
         self.profile = SoftmaxDumpProfile(name=str(manifest.get("profile", "softmax_dump")))
         declared = manifest.get("n_classes")
         if declared is not None and int(declared) != self.label_space.n_classes:

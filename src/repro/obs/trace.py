@@ -316,13 +316,11 @@ def timings_view(
     return out
 
 
-def format_span_tree(
-    records: List[Dict[str, object]], root_id: Optional[str] = None
-) -> List[str]:
+def format_span_tree(records: List[Dict[str, object]]) -> List[str]:
     """Human-readable indented rendering of a span forest (CLI ``--trace``).
 
     Children print under their parents sorted by start time; durations in
-    milliseconds.  ``root_id`` restricts the output to one subtree.
+    milliseconds.
     """
     by_parent: Dict[Optional[str], List[Dict[str, object]]] = {}
     ids = {record["span_id"] for record in records}
@@ -347,11 +345,7 @@ def format_span_tree(
         for child in by_parent.get(record["span_id"], []):
             render(child, depth + 1)
 
-    if root_id is not None and root_id in ids:
-        roots = [record for record in records if record["span_id"] == root_id]
-    else:
-        roots = by_parent.get(None, [])
-    for root in roots:
+    for root in by_parent.get(None, []):
         render(root, 0)
     return rows
 

@@ -404,10 +404,6 @@ class ScoringServer(HTTPServer):
         anything is allocated (413 beyond either).
     verbose:
         Enable stdlib per-request logging (quiet by default).
-    metrics:
-        The :class:`repro.obs.MetricsRegistry` behind ``GET /metrics``.
-        Defaults to a registry private to this server (pass one in to
-        aggregate several servers or to share with other seams).
     tracer:
         A :class:`repro.obs.Tracer` recording one span per request
         (default: the shared no-op tracer — zero cost).
@@ -424,7 +420,6 @@ class ScoringServer(HTTPServer):
         queue_depth: int = 16,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         verbose: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[object] = None,
     ) -> None:
         if workers < 1:
@@ -438,7 +433,8 @@ class ScoringServer(HTTPServer):
         self.service = service
         self.max_request_bytes = int(max_request_bytes)
         self.verbose = bool(verbose)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The registry behind ``GET /metrics``, private to this server.
+        self.metrics = MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Monotonic per-server request-id sequence (``next()`` is atomic in
         #: CPython, so the listener and worker threads can all draw from it).

@@ -22,7 +22,7 @@ Two layers:
   stale payloads recomputed).
 
 Wire-up: ``Runner(store=ResultStore())`` memoises whole reports, serving
-models, priors and fits, and hands the store to the execution backend for
+models, priors and fits, and hands the store to the stage-1 walk for
 per-shard caching; the sweep driver (:mod:`repro.sweep`) does this by
 default.  Cached results are bitwise identical to fresh ones — enforced by
 ``tests/test_store.py`` and ``benchmarks/bench_sweep_cache.py``.

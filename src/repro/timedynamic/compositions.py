@@ -47,7 +47,6 @@ def assemble_composition(
     real_train: MetricsDataset,
     pseudo_train: Optional[MetricsDataset] = None,
     augmentation_factor: float = 1.0,
-    smote_k_neighbors: int = 5,
     random_state: RandomState = None,
 ) -> MetricsDataset:
     """Build the training dataset for one composition.
@@ -62,9 +61,8 @@ def assemble_composition(
         Metrics of segments with pseudo ground-truth IoU targets (required for
         the P-containing compositions).
     augmentation_factor:
-        Number of SMOTE samples generated per real sample (for RA / RAP).
-    smote_k_neighbors:
-        Neighbourhood size of the SmoteR interpolation.
+        Number of SMOTE samples generated per real sample (for RA / RAP),
+        interpolated between each sample's 5 nearest neighbours (SmoteR).
     random_state:
         Seed controlling the SMOTE generation.
     """
@@ -87,7 +85,7 @@ def assemble_composition(
                 real_train.features,
                 real_train.target_iou(),
                 n_synthetic=n_synthetic,
-                k_neighbors=smote_k_neighbors,
+                k_neighbors=5,
                 random_state=int(rng.integers(0, 2**31 - 1)),
             )
             parts.append(_synthetic_dataset(real_train, synthetic_features, synthetic_targets))

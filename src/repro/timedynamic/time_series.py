@@ -159,7 +159,6 @@ def build_time_series_dataset(
     n_previous: int,
     target: str = "real",
     base_features: Sequence[str] = DEFAULT_BASE_FEATURES,
-    include_unlabeled: bool = False,
 ) -> MetricsDataset:
     """Assemble the time-series metrics dataset over several sequences.
 
@@ -176,9 +175,6 @@ def build_time_series_dataset(
         targets from the reference network.
     base_features:
         Per-frame metrics forming the base of the time series.
-    include_unlabeled:
-        Only relevant for ``target="real"``: if True, frames without ground
-        truth yield rows without targets (not generally useful; default off).
     """
     if n_previous < 0:
         raise ValueError("n_previous must be non-negative")
@@ -199,9 +195,9 @@ def build_time_series_dataset(
             id_to_row.append({int(sid): i for i, sid in enumerate(dataset.segment_ids)})
         for frame_index, dataset in enumerate(sequence.datasets):
             if target == "real":
-                if not sequence.real_iou_available[frame_index] and not include_unlabeled:
+                if not sequence.real_iou_available[frame_index]:
                     continue
-                frame_targets = dataset.iou if sequence.real_iou_available[frame_index] else None
+                frame_targets = dataset.iou
             else:
                 frame_targets = sequence.pseudo_iou[frame_index]
                 if frame_targets is None:
@@ -231,7 +227,7 @@ def build_time_series_dataset(
                         history_rows.append(last_seen)
                 feature_vector = np.concatenate(history_rows + [np.array([float(observed)])])
                 rows.append(feature_vector)
-                targets.append(float(frame_targets[row_index]) if frame_targets is not None else np.nan)
+                targets.append(float(frame_targets[row_index]))
                 segment_ids.append(segment_id)
                 class_ids.append(int(dataset.class_ids[row_index]))
                 image_ids.append(str(dataset.image_ids[row_index]))
@@ -239,14 +235,12 @@ def build_time_series_dataset(
     if not rows:
         raise ValueError("no rows produced; check ground-truth availability and target type")
     features = np.vstack(rows)
-    target_array = np.asarray(targets, dtype=np.float64)
-    iou = None if np.any(np.isnan(target_array)) else target_array
     return MetricsDataset(
         features=features,
         feature_names=time_series_feature_names(base_features, n_previous),
         segment_ids=np.asarray(segment_ids, dtype=np.int64),
         class_ids=np.asarray(class_ids, dtype=np.int64),
         image_ids=np.asarray(image_ids, dtype=object),
-        iou=iou,
+        iou=np.asarray(targets, dtype=np.float64),
         extra={"n_previous": n_previous, "target": target},
     )

@@ -17,12 +17,10 @@ REPO_ROOT = Path(__file__).parent.parent
 
 
 def analyze_args(paths, tmp_path, *extra):
-    """CLI argv with the config dir pointed at nothing (isolation)."""
-    return [
-        *[str(p) for p in paths],
-        "--configs", str(tmp_path / "no-configs"),
-        *extra,
-    ]
+    """CLI argv with the config dir pointed at an empty one (isolation)."""
+    configs = tmp_path / "no-configs"
+    configs.mkdir(exist_ok=True)
+    return [*[str(p) for p in paths], "--configs", str(configs), *extra]
 
 
 def write_clean(tmp_path):
@@ -53,6 +51,15 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith(f"{src.name}:2: [det-hash]") or ":2: [det-hash]" in lines[0]
         assert "analyze: 1 finding(s)" in out
+
+    def test_missing_configs_dir_is_usage_error(self, tmp_path, capsys):
+        # An explicit --configs must exist: a typo must not switch the
+        # config-override-path rule off and still exit 0.
+        missing = tmp_path / "absent-configs"
+        code = main([str(write_clean(tmp_path)), "--configs", str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         code = main(analyze_args([tmp_path / "absent"], tmp_path))
@@ -124,7 +131,7 @@ def test_removed_options_are_usage_errors(option, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {' '.join(option)}" in captured.err
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.py"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.py", "no-configs"]
 
 
 def test_repro_analyze_is_removed_and_names_the_tool(capsys):

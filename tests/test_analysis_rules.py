@@ -22,9 +22,11 @@ REPO_ROOT = Path(__file__).parent.parent
 def analyze(paths, tmp_path=None, **kwargs):
     """Run the full rule set over *paths* without real-repo context."""
     if "configs_dir" not in kwargs:
-        # Point the config dir somewhere empty so fixture analysis does not
+        # Point the config dir at an empty one so fixture analysis does not
         # pick up the real example configs through root inference.
-        kwargs["configs_dir"] = str((tmp_path or FIXTURES) / "no-configs-here")
+        configs = tmp_path / "no-configs-here"
+        configs.mkdir(exist_ok=True)
+        kwargs["configs_dir"] = str(configs)
     project = AnalysisProject.from_paths([str(p) for p in paths], **kwargs)
     return run_analysis(project)
 
@@ -42,8 +44,8 @@ class TestKnownBadFixtures:
             ("concurrency.py", "concurrency-shared-state"),
         ],
     )
-    def test_fixture_fires_exactly_its_rule(self, fixture, rule):
-        result = analyze([FIXTURES / fixture])
+    def test_fixture_fires_exactly_its_rule(self, fixture, rule, tmp_path):
+        result = analyze([FIXTURES / fixture], tmp_path)
         assert result.findings, f"{fixture} produced no findings"
         assert {f.rule for f in result.findings} == {rule}
 
@@ -60,8 +62,8 @@ class TestKnownBadFixtures:
         assert any("train.momentum" in m for m in by_rule["config-override-path"])
         assert any("train.decay" in m for m in by_rule["config-override-path"])
 
-    def test_findings_carry_location_and_hint(self):
-        result = analyze([FIXTURES / "det_hash.py"])
+    def test_findings_carry_location_and_hint(self, tmp_path):
+        result = analyze([FIXTURES / "det_hash.py"], tmp_path)
         finding = result.findings[0]
         assert finding.path.endswith("det_hash.py")
         assert finding.line == 5

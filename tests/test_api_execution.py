@@ -22,10 +22,10 @@ import pytest
 
 from repro.__main__ import main
 from repro.api.config import ConfigError, ExecutionConfig, ExperimentConfig
-from repro.api.execution import ProcessBackend, SerialBackend, shard_ranges
-from repro.api.registry import DATASETS, EXECUTION_BACKENDS, RegistryError
+from repro.api.execution import n_shards, shard_ranges, walk_stage1
+from repro.api.registry import DATASETS
 from repro.api.runner import Runner
-from repro.core.dataset import MetricsAccumulator, MetricsDataset
+from repro.core.dataset import MetricsDataset
 from repro.core.pipeline import MetaSegPipeline
 from repro.segmentation.datasets import CityscapesLikeDataset
 from repro.segmentation.network import SimulatedSegmentationNetwork, mobilenetv2_profile
@@ -177,16 +177,42 @@ class TestBackendParityFuzz:
 
 
 # ------------------------------------------------------- backend semantics --
-class TestBackendSemantics:
-    def test_builtin_backends_registered(self):
-        assert set(EXECUTION_BACKENDS.available()) == {"serial", "process"}
+class TestShardCount:
+    """``n_shards``: ``workers`` when set (0 and 1 mean one), otherwise one
+    under ``serial`` and the core count under ``process``."""
 
-    def test_unknown_backend_fails_fast_at_resolve(self):
-        config = ExperimentConfig.from_dict(
-            {**metaseg_payload(0), "execution": {"backend": "gpu"}}
-        )
-        with pytest.raises(RegistryError, match="unknown execution_backends entry 'gpu'"):
-            Runner().resolve(config)
+    @pytest.mark.parametrize("backend, workers, expected", [
+        ("serial", None, 1),
+        ("process", None, os.cpu_count() or 1),
+        ("serial", 0, 1),
+        ("serial", 1, 1),
+        ("process", 0, 1),
+        ("process", 1, 1),
+        ("process", 5, 5),
+    ])
+    def test_contract(self, backend, workers, expected):
+        execution = ExecutionConfig(backend=backend, workers=workers)
+        execution.validate()
+        assert n_shards(execution) == expected
+
+    @pytest.mark.parametrize("workers, message", [
+        (-1, "execution: workers"),
+        # serial runs one shard: more workers are an error, not ignored.
+        (8, "needs execution.backend 'process'"),
+    ])
+    def test_invalid_workers_rejected_at_parse_time(self, workers, message):
+        with pytest.raises(ConfigError, match=message):
+            ExecutionConfig(workers=workers).validate()
+
+
+class TestBackendSemantics:
+    @pytest.mark.parametrize("backend", ["gpu", "Serial", "processes"])
+    def test_unknown_backend_is_a_parse_time_config_error(self, backend):
+        message = f"execution: unknown backend '{backend}'; use 'serial' or 'process'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict(
+                {**metaseg_payload(0), "execution": {"backend": backend}}
+            )
 
     def test_workers_zero_and_one_degenerate_to_serial(self, serial_reports):
         for backend in ("serial", "process"):
@@ -197,24 +223,6 @@ class TestBackendSemantics:
                 assert_reports_identical(
                     report, serial_reports["metaseg"], f"{backend}/workers={workers}"
                 )
-
-    def test_backend_factories_honour_worker_contract(self):
-        def process(workers=None):
-            return ProcessBackend(ExecutionConfig(backend="process", workers=workers))
-
-        assert process(5).default_workers() == 5
-        assert process().default_workers() == (os.cpu_count() or 1)
-        with pytest.raises(ConfigError, match="execution: workers"):
-            SerialBackend(ExecutionConfig(workers=-1))
-        # serial runs one shard: more workers are an error, not ignored.
-        with pytest.raises(ConfigError, match="needs execution.backend 'process'"):
-            SerialBackend(ExecutionConfig(workers=8))
-
-    def test_explicit_zero_and_one_workers_never_fan_out(self):
-        # Explicit 0/1 mean serial — they must NOT fall back to cpu_count.
-        for workers in (0, 1):
-            execution = ExecutionConfig(backend="process", workers=workers)
-            assert ProcessBackend(execution).default_workers() == 1
 
     def test_sharded_size_errors_distinguish_capability_from_emptiness(self):
         # A substrate without the index accessors cannot be walked by any
@@ -258,66 +266,110 @@ class TestBackendSemantics:
                 run_with_execution(payload, execution)
 
 
-# ----------------------------------------------------- MetricsAccumulator --
-class TestMetricsAccumulator:
-    def test_fold_matches_concatenate(self, metaseg_pipeline, cityscapes_like):
-        samples = cityscapes_like.val_samples()
-        chunks = [
-            metaseg_pipeline.extract_dataset(samples[start:start + 2], index_offset=start)
-            for start in range(0, len(samples), 2)
-        ]
-        accumulator = MetricsAccumulator()
-        for chunk in chunks:
-            accumulator.add(chunk)
-        folded = accumulator.result()
-        reference = MetricsDataset.concatenate(chunks)
-        np.testing.assert_array_equal(folded.features, reference.features)
-        np.testing.assert_array_equal(folded.segment_ids, reference.segment_ids)
-        np.testing.assert_array_equal(folded.class_ids, reference.class_ids)
-        assert list(folded.image_ids) == list(reference.image_ids)
-        np.testing.assert_array_equal(folded.target_iou(), reference.target_iou())
+# ---------------------------------------------------------------- the fold --
+def _without_targets(dataset: MetricsDataset) -> MetricsDataset:
+    return MetricsDataset(
+        features=dataset.features,
+        feature_names=list(dataset.feature_names),
+        segment_ids=dataset.segment_ids,
+        class_ids=dataset.class_ids,
+        image_ids=dataset.image_ids,
+    )
 
-    def test_empty_accumulator_rejected(self):
-        with pytest.raises(ValueError, match="no chunks"):
-            MetricsAccumulator().result()
 
-    def test_mismatched_columns_rejected(self, metrics_dataset):
-        accumulator = MetricsAccumulator()
-        accumulator.add(metrics_dataset)
-        renamed = MetricsDataset(
-            features=metrics_dataset.features,
-            feature_names=[f"x_{name}" for name in metrics_dataset.feature_names],
-            segment_ids=metrics_dataset.segment_ids,
-            class_ids=metrics_dataset.class_ids,
-            image_ids=metrics_dataset.image_ids,
-            iou=metrics_dataset.iou,
-        )
-        with pytest.raises(ValueError, match="differing feature columns"):
-            accumulator.add(renamed)
+def _assert_datasets_equal(left: MetricsDataset, right: MetricsDataset) -> None:
+    np.testing.assert_array_equal(left.features, right.features)
+    np.testing.assert_array_equal(left.segment_ids, right.segment_ids)
+    np.testing.assert_array_equal(left.class_ids, right.class_ids)
+    assert list(left.image_ids) == list(right.image_ids)
+    assert left.feature_names == right.feature_names
+    assert left.has_targets == right.has_targets
+    if left.has_targets:
+        np.testing.assert_array_equal(left.target_iou(), right.target_iou())
 
-    def test_chunks_with_and_without_targets_rejected(self, metrics_dataset):
-        accumulator = MetricsAccumulator()
-        accumulator.add(metrics_dataset)
-        unlabelled = MetricsDataset(
-            features=metrics_dataset.features,
-            feature_names=list(metrics_dataset.feature_names),
-            segment_ids=metrics_dataset.segment_ids,
-            class_ids=metrics_dataset.class_ids,
-            image_ids=metrics_dataset.image_ids,
-        )
-        with pytest.raises(ValueError, match="with and without IoU targets"):
-            accumulator.add(unlabelled)
 
-    def test_only_empty_chunks_fold_to_an_empty_dataset(self, metrics_dataset):
+class TestConcatenateFold:
+    """``MetricsDataset.concatenate`` is the one fold of metric datasets."""
+
+    @pytest.mark.parametrize("n_empty", [1, 3])
+    def test_only_empty_chunks_fold_to_an_empty_dataset(self, metrics_dataset, n_empty):
         empty = metrics_dataset.subset(np.arange(0))
-        accumulator = MetricsAccumulator()
-        accumulator.add(empty)
-        accumulator.add(empty)
-        folded = accumulator.result()
+        folded = MetricsDataset.concatenate([empty] * n_empty)
         assert len(folded) == 0
         assert folded.features.shape == (0, metrics_dataset.n_features)
         assert folded.feature_names == list(metrics_dataset.feature_names)
         assert folded.has_targets
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_empty_chunks_leave_the_rows_unchanged(self, metrics_dataset, position):
+        empty = metrics_dataset.subset(np.arange(0))
+        half = len(metrics_dataset) // 2
+        head = metrics_dataset.subset(np.arange(half))
+        tail = metrics_dataset.subset(np.arange(half, len(metrics_dataset)))
+        chunks = {
+            "first": [empty, head, tail],
+            "middle": [head, empty, tail],
+            "last": [head, tail, empty],
+        }[position]
+        _assert_datasets_equal(MetricsDataset.concatenate(chunks), metrics_dataset)
+
+    @pytest.mark.parametrize("labelled_first", [True, False])
+    def test_mixed_targets_rejected(self, metrics_dataset, labelled_first):
+        chunks = [metrics_dataset, _without_targets(metrics_dataset)]
+        if not labelled_first:
+            chunks.reverse()
+        with pytest.raises(ValueError, match="with and without IoU targets"):
+            MetricsDataset.concatenate(chunks)
+
+    def test_chunks_without_targets_fold_without_targets(self, metrics_dataset):
+        unlabelled = _without_targets(metrics_dataset)
+        folded = MetricsDataset.concatenate([unlabelled, unlabelled])
+        assert not folded.has_targets
+        assert len(folded) == 2 * len(metrics_dataset)
+
+    def test_extra_is_taken_from_the_first_chunk(self, metrics_dataset):
+        first = metrics_dataset.subset(np.arange(2))
+        second = metrics_dataset.subset(np.arange(2, 4))
+        first.extra["composition"] = "R"
+        second.extra["composition"] = "P"
+        folded = MetricsDataset.concatenate([first, second])
+        assert folded.extra == {"composition": "R"}
+        folded.extra["composition"] = "RP"
+        assert first.extra == {"composition": "R"}
+
+
+class TestExtractDatasetFold:
+    """``extract_dataset`` is the concatenation of its per-frame extracts."""
+
+    @pytest.mark.parametrize("index_offset", [0, 3])
+    def test_equals_concatenated_frames(self, metaseg_pipeline, cityscapes_like, index_offset):
+        samples = cityscapes_like.val_samples()
+        frames = [
+            metaseg_pipeline.extractor.extract(
+                metaseg_pipeline.network.predict_probabilities(sample.labels, index=index),
+                gt_labels=sample.labels,
+                image_id=sample.image_id,
+            )
+            for index, sample in enumerate(samples, start=index_offset)
+        ]
+        folded = metaseg_pipeline.extract_dataset(iter(samples), index_offset=index_offset)
+        _assert_datasets_equal(folded, MetricsDataset.concatenate(frames))
+
+    def test_no_samples_rejected(self, metaseg_pipeline):
+        with pytest.raises(ValueError, match="no samples provided"):
+            metaseg_pipeline.extract_dataset(iter(()))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_walk_stage1_matches_one_extract(self, workers):
+        payload = {**metaseg_payload(3),
+                   "execution": {"backend": "process", "workers": workers}}
+        resolved = Runner().resolve(ExperimentConfig.from_dict(payload))
+        folded, n_items, counts = walk_stage1(resolved)
+        assert (n_items, counts) == (5, {})
+        reference = MetaSegPipeline(resolved.network).extract_dataset(
+            resolved.dataset.val_sample(index) for index in range(5)
+        )
+        _assert_datasets_equal(folded, reference)
 
 
 # ------------------------------------------------------------- peak memory --
@@ -521,8 +573,18 @@ class TestCliExecutionOverrides:
 
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, metaseg_payload(0))
-        assert main(["run", str(path), "--backend", "gpu"]) == 2
-        assert "unknown execution_backends entry" in capsys.readouterr().err
+        sweep_path = self._sweep(tmp_path, path)
+        for argv in (
+            ["run", str(path), "--backend", "gpu"],
+            ["sweep", str(sweep_path), "--no-cache", "--backend", "gpu"],
+        ):
+            self._assert_one_line_error(
+                argv, capsys, "unknown backend 'gpu'", "'serial' or 'process'"
+            )
+        payload = {**metaseg_payload(0), "execution": {"backend": "gpu"}}
+        self._assert_one_line_error(
+            ["run", str(self._write(tmp_path, payload))], capsys, "unknown backend 'gpu'"
+        )
 
     def test_negative_workers_exit_2(self, tmp_path, capsys):
         path = self._write(tmp_path, metaseg_payload(0))

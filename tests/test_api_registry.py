@@ -90,12 +90,15 @@ class TestRegistryBasics:
 
 class TestBuiltinListings:
     def test_every_registry_has_at_least_three_entries(self):
-        # The one exception: execution_backends holds serial and process.
         for kind, registry in all_registries().items():
-            if kind == "execution_backends":
-                assert registry.available() == ["process", "serial"]
-            else:
-                assert len(registry.available()) >= 3, kind
+            assert len(registry.available()) >= 3, kind
+
+    def test_six_registries_and_no_backend_registry(self):
+        # Where stage 1 runs is a config field, not a registry.
+        assert list(all_registries()) == [
+            "networks", "datasets", "metric_groups", "meta_classifiers",
+            "meta_regressors", "decision_rules",
+        ]
 
     def test_network_profiles(self):
         for name in ("generic", "xception65", "mobilenetv2"):

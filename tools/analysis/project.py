@@ -64,8 +64,10 @@ class AnalysisProject:
         inferred by walking up from the first path until a directory with a
         ``tests`` tree (or ``.git``/``pytest.ini``) appears; ``configs_dir``
         overrides the derived default ``<root>/examples/configs``.  A
-        missing config directory silently disables the rule that needs it —
-        analyzing a single file must not fail because it has no configs.
+        missing default directory silently disables the rule that needs it —
+        analyzing a single file must not fail because it has no configs —
+        but an explicit ``configs_dir`` that is not a directory raises
+        :class:`NotADirectoryError`.
         """
         resolved = [Path(p).resolve() for p in paths]
         for path in resolved:
@@ -79,6 +81,8 @@ class AnalysisProject:
         configs_path = (
             Path(configs_dir).resolve() if configs_dir else root / "examples" / "configs"
         )
+        if configs_dir and not configs_path.is_dir():
+            raise NotADirectoryError(f"--configs: not a directory: {configs_path}")
         config_files: List[Tuple[str, object]] = []
         if configs_path.is_dir():
             for json_path in sorted(configs_path.rglob("*.json")):
