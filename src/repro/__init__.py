@@ -92,7 +92,7 @@ from repro.decision import (
 
 # Unified experiment API --------------------------------------------------------
 # Imported last: the api.runner module builds on the pipelines above, and the
-# registries are populated by the imports above as a side effect.
+# registry names the components those modules define.
 from repro.api import (
     ConfigError,
     ExperimentConfig,

@@ -2,9 +2,9 @@
 
 The subpackage has five layers:
 
-* :mod:`repro.api.registry` — string-keyed registries of every pluggable
-  component (network profiles, datasets, metric groups, meta-model variants,
-  decision rules), populated by self-registration at import time;
+* :mod:`repro.api.registry` — read-only tables naming every component a
+  config picks (network profiles, datasets, metric groups, meta-model
+  families, decision rules), built from the modules that define them;
 * :mod:`repro.api.config` — declarative, JSON-round-trippable configuration
   dataclasses (:class:`ExperimentConfig` and its nested sections);
 * :mod:`repro.api.kinds` — the three experiment kinds, one table entry
@@ -18,10 +18,11 @@ The subpackage has five layers:
 ``python -m repro`` (see :mod:`repro.__main__`) exposes the same API on the
 command line.
 
-Registry and config are imported eagerly (both are dependency-light and are
-imported *by* the concrete modules for self-registration); the runner —
-which imports the pipelines — is loaded lazily on first attribute access to
-keep this package importable from anywhere without cycles.
+Config and registry are imported eagerly: the config is stdlib-only, and
+the registry imports only domain modules, which import nothing of this
+package but :mod:`repro.api.config`.  The runner — which imports the
+pipelines and the store — is loaded lazily on first attribute access to keep
+this package importable from anywhere without cycles.
 """
 
 from repro.api.config import (

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 #: The three experiment kinds the Runner can dispatch to.
 EXPERIMENT_KINDS = ("metaseg", "timedynamic", "decision")
@@ -56,9 +57,38 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_list(values: Sequence) -> list:
-    """Normalise sequence fields to plain lists (JSON round-trip equality)."""
-    return list(values)
+def _is_real(value: object) -> bool:
+    """True for genuine integers and finite floats (no bool, NaN or inf)."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+#: Field type -> (check, what the error calls it).
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "real": (_is_real, "a finite number"),
+    "list": (lambda value: isinstance(value, list), "a list"),
+    "dict": (lambda value: isinstance(value, dict), "a dict"),
+    "int list": (lambda value: isinstance(value, list) and all(map(_is_int, value)),
+                 "a list of integers"),
+    "real list": (lambda value: isinstance(value, list) and all(map(_is_real, value)),
+                  "a list of finite numbers"),
+}
+
+
+def _check_types(section: str, config: object, **fields: str) -> None:
+    """Raise one :class:`ConfigError` naming ``section.field`` for the first
+    field whose value is not of its type in *fields* (a key of ``_TYPES``)."""
+    for name, kind in fields.items():
+        check, what = _TYPES[kind]
+        value = getattr(config, name)
+        if not check(value):
+            raise ConfigError(f"{section}.{name} must be {what}, got {value!r}")
+
+
+def _as_list(values: object) -> object:
+    """Copy list and tuple fields to plain lists (JSON round-trip equality);
+    anything else is left for ``validate`` to reject."""
+    return list(values) if isinstance(values, (list, tuple)) else values
 
 
 @dataclass
@@ -85,6 +115,8 @@ class DataConfig:
     labeled_stride: int = 2
 
     def validate(self) -> None:
+        _check_types("data", self, n_train="int", n_val="int", height="int", width="int",
+                     n_sequences="int", n_frames="int", labeled_stride="int")
         if not isinstance(self.root, str):
             raise ConfigError(f"data: root must be a path string, got {self.root!r}")
         if self.n_train < 0 or self.n_val < 0:
@@ -143,6 +175,7 @@ class ExtractionConfig:
     kind; the other kinds use the library default of 8)."""
 
     def validate(self) -> None:
+        _check_types("extraction", self, connectivity="int")
         if self.connectivity not in (4, 8):
             raise ConfigError("extraction: connectivity must be 4 or 8")
 
@@ -228,6 +261,8 @@ class MetaModelConfig:
         self.regressors = _as_list(self.regressors)
 
     def validate(self) -> None:
+        _check_types("meta_models", self, classifiers="list", regressors="list",
+                     classification_penalty="real", regression_penalty="real")
         if not self.classifiers or not self.regressors:
             raise ConfigError("meta_models: need at least one classifier and one regressor")
         if self.classification_penalty < 0 or self.regression_penalty < 0:
@@ -243,7 +278,8 @@ class EvalConfig:
     ``n_runs``/``train_fraction`` drive the Table I resampling protocol,
     ``split_fractions``/``n_frames_list``/``compositions`` the Section III
     protocol, and ``rules``/``category``/``strengths`` the Section IV
-    comparison (``rules`` names entries of the ``decision_rules`` registry).
+    comparison (``rules`` names entries of the ``decision_rules`` registry;
+    ``strengths`` maps some of them to a strength in [0, 1]).
     """
 
     n_runs: int = 10
@@ -263,6 +299,10 @@ class EvalConfig:
         self.rules = _as_list(self.rules)
 
     def validate(self) -> None:
+        _check_types("evaluation", self, n_runs="int", train_fraction="real",
+                     split_fractions="real list", n_frames_list="int list",
+                     compositions="list", augmentation_factor="real", rules="list",
+                     strengths="dict")
         if self.n_runs < 1:
             raise ConfigError("evaluation: n_runs must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -279,6 +319,17 @@ class EvalConfig:
             raise ConfigError("evaluation: rules must be non-empty")
         if not self.category:
             raise ConfigError("evaluation: category must be non-empty")
+        for rule, strength in self.strengths.items():
+            if rule not in self.rules:
+                raise ConfigError(
+                    f"evaluation.strengths: {rule!r} is not a rule of "
+                    f"evaluation.rules {self.rules!r}"
+                )
+            if not _is_real(strength) or not 0 <= strength <= 1:
+                raise ConfigError(
+                    f"evaluation.strengths[{rule!r}] must be a number in [0, 1], "
+                    f"got {strength!r}"
+                )
 
 
 _RECOVERS_LOST_WORKERS = (

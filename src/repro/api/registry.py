@@ -1,92 +1,66 @@
-"""String-keyed registries of the experiment building blocks.
+"""The named building blocks of the experiment API, one read-only table each.
 
-The unified experiment API resolves every pluggable component — network
-profile, dataset substrate, metric group, meta-model variant, decision rule —
-through a named :class:`Registry`.  Concrete implementations self-register at
-import time with the :meth:`Registry.register` decorator, the way named
-BuilderConfigs make dataset variants declarative:
+A config picks every component by name — network profile, dataset
+substrate, metric group, meta-model family, decision rule
+(``{"network": {"profile": "xception65"}}``).  The components are plain
+functions and tables of the modules that define them; this module is the
+one place that names them, in six read-only :class:`Registry` tables built
+when it is imported.  A new component is added to its module and named
+here.  ``available()`` / ``describe()`` make every table introspectable
+(the ``python -m repro list`` command is a thin wrapper around them).
 
-    from repro.api.registry import NETWORK_PROFILES
-
-    @NETWORK_PROFILES.register("xception65")
-    def xception65_profile() -> NetworkProfile:
-        ...
-
-Config files then refer to components purely by name
-(``{"network": {"profile": "xception65"}}``), and new variants plug in
-without touching any pipeline plumbing.  ``available()`` / ``describe()``
-make every registry introspectable (the ``python -m repro list`` command is
-a thin wrapper around them).
-
-This module is intentionally dependency-free (stdlib only) so any part of
-the library can import it for self-registration without import cycles; the
-built-in implementations are imported lazily on first lookup.
+Only the API layer imports this module: the domain modules below it never
+look a component up by name.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterator, List, Mapping
 
-EntryT = TypeVar("EntryT")
-
-#: Sentinel distinguishing "no object passed" (decorator mode) from
-#: registering a literal ``None`` entry (e.g. the "all features" group).
-_MISSING = object()
+from repro.core.meta_classification import MetaClassifier
+from repro.core.meta_regression import MetaRegressor
+from repro.core.metrics import METRIC_GROUPS as FEATURE_GROUPS
+from repro.decision.rules import RULES
+from repro.io.cityscapes import build_cityscapes_disk
+from repro.io.softmax import build_softmax_dump
+from repro.segmentation.datasets import (
+    build_cityscapes_like,
+    build_cityscapes_like_small,
+    build_kitti_like,
+    build_kitti_like_small,
+)
+from repro.segmentation.network import generic_profile, mobilenetv2_profile, xception65_profile
 
 
 class RegistryError(KeyError):
-    """Lookup of an unknown name or registration under a taken name."""
+    """Lookup of an unknown name."""
 
 
 class Registry:
-    """A string-keyed collection of interchangeable components.
+    """A read-only table of interchangeable components, keyed by name.
 
     Parameters
     ----------
     kind:
-        Short machine-readable name of the registry (``"networks"``, ...),
+        Short machine-readable name of the table (``"networks"``, ...),
         used in error messages and by the CLI.
     description:
         One-line human description shown by ``python -m repro list``.
+    entries:
+        Name -> component.
     """
 
-    def __init__(self, kind: str, description: str = "") -> None:
+    def __init__(self, kind: str, description: str, entries: Mapping[str, object]) -> None:
         self.kind = kind
         self.description = description
-        self._entries: Dict[str, object] = {}
-
-    # ------------------------------------------------------------------ ---
-    def register(self, name: str, obj: object = _MISSING):
-        """Register *obj* under *name*; usable as decorator or plain call.
-
-        As a decorator (``@REGISTRY.register("name")``) it returns the
-        decorated object unchanged; a plain call registers any value,
-        including ``None``.  Registering a name twice is an error: silently
-        replacing a component would make configs ambiguous.
-        """
-        if not isinstance(name, str) or not name:
-            raise TypeError("registry names must be non-empty strings")
-
-        def _add(entry):
-            if name in self._entries:
-                raise RegistryError(
-                    f"{self.kind!r} registry already has an entry named {name!r}"
-                )
-            self._entries[name] = entry  # repro: allow[concurrency-shared-state] -- registration happens at import time, before worker threads exist
-            return entry
-
-        if obj is _MISSING:
-            return _add
-        return _add(obj)
+        self._entries = dict(entries)
 
     def get(self, name: str) -> object:
-        """Return the entry registered under *name*.
+        """Return the entry named *name*.
 
         Raises :class:`RegistryError` with the list of available names when
         the name is unknown.
         """
-        _load_builtins()
         try:
             return self._entries[name]
         except KeyError:
@@ -96,8 +70,7 @@ class Registry:
             ) from None
 
     def available(self) -> List[str]:
-        """Sorted names of all registered entries."""
-        _load_builtins()
+        """Sorted names of all entries."""
         return sorted(self._entries)
 
     def describe(self, name: str) -> str:
@@ -112,65 +85,66 @@ class Registry:
             return repr(entry)
         return doc.strip().splitlines()[0]
 
-    def items(self) -> List[Tuple[str, object]]:
-        """(name, entry) pairs sorted by name."""
-        _load_builtins()
-        return [(name, self._entries[name]) for name in self.available()]
-
-    # ------------------------------------------------------------------ ---
     def __contains__(self, name: str) -> bool:
-        _load_builtins()
         return name in self._entries
-
-    def __len__(self) -> int:
-        _load_builtins()
-        return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.available())
 
-    def __repr__(self) -> str:
-        return f"Registry(kind={self.kind!r}, n_entries={len(self._entries)})"
-
 
 # --------------------------------------------------------------------------
-# The library's registries.  Entry contracts:
+# The library's tables.  Entry contracts:
 #
 # * NETWORK_PROFILES   — zero-argument factories returning a NetworkProfile
-#                        (wrapped in a simulated network by the Runner), or —
-#                        when the factory carries ``builds_network = True`` —
-#                        adapter factories ``(network: NetworkConfig, seed:
-#                        int) -> network`` returning a ready network object
-#                        (e.g. the disk-backed softmax_dump adapter);
+#                        (wrapped in a simulated network by the Runner), and
+#                        the one adapter factory, ``softmax_dump``:
+#                        ``(network: NetworkConfig, seed: int) -> network``
+#                        returning a ready disk-backed network;
 # * DATASETS           — builders ``(data: DataConfig, seed: int) -> dataset``;
 # * METRIC_GROUPS      — tuples of feature names (or None for "all features");
-# * META_CLASSIFIERS   — factories ``(**kwargs) -> MetaClassifier`` with the
-#                        model family baked in;
-# * META_REGRESSORS    — factories ``(**kwargs) -> MetaRegressor``;
+# * META_CLASSIFIERS   — the estimator class of each MetaClassifier family;
+# * META_REGRESSORS    — the estimator class of each MetaRegressor family;
 # * DECISION_RULES     — the decision-rule callables of repro.decision.rules.
 # --------------------------------------------------------------------------
 
 NETWORK_PROFILES = Registry(
-    "networks", "simulated segmentation-network profiles (quality presets)"
+    "networks", "simulated segmentation-network profiles (quality presets)",
+    {
+        "generic": generic_profile,
+        "xception65": xception65_profile,
+        "mobilenetv2": mobilenetv2_profile,
+        "softmax_dump": build_softmax_dump,
+    },
 )
 DATASETS = Registry(
-    "datasets", "synthetic dataset substrates and named size variants"
+    "datasets", "synthetic dataset substrates and named size variants",
+    {
+        "cityscapes_like": build_cityscapes_like,
+        "cityscapes_like_small": build_cityscapes_like_small,
+        "kitti_like": build_kitti_like,
+        "kitti_like_small": build_kitti_like_small,
+        "cityscapes_disk": build_cityscapes_disk,
+    },
 )
+# "all" is no restriction, i.e. the full metric vector of eq. (3).
 METRIC_GROUPS = Registry(
-    "metric_groups", "named feature subsets of the segment metrics mu(k)"
+    "metric_groups", "named feature subsets of the segment metrics mu(k)",
+    {"all": None, **FEATURE_GROUPS},
 )
 META_CLASSIFIERS = Registry(
-    "meta_classifiers", "meta-classification model families (IoU = 0 vs > 0)"
+    "meta_classifiers", "meta-classification model families (IoU = 0 vs > 0)",
+    {method: family.model for method, family in MetaClassifier.FAMILIES.items()},
 )
 META_REGRESSORS = Registry(
-    "meta_regressors", "meta-regression model families (IoU prediction)"
+    "meta_regressors", "meta-regression model families (IoU prediction)",
+    {method: family.model for method, family in MetaRegressor.FAMILIES.items()},
 )
 DECISION_RULES = Registry(
-    "decision_rules", "pixel-wise decision rules on the softmax output"
+    "decision_rules", "pixel-wise decision rules on the softmax output", RULES
 )
 
 #: All registries by kind, in display order.
-ALL_REGISTRIES: Dict[str, Registry] = {  # repro: allow[concurrency-shared-state] -- populated by this literal, read-only afterwards
+ALL_REGISTRIES: Dict[str, Registry] = {
     registry.kind: registry
     for registry in (
         NETWORK_PROFILES,
@@ -183,59 +157,6 @@ ALL_REGISTRIES: Dict[str, Registry] = {  # repro: allow[concurrency-shared-state
 }
 
 
-_BUILTINS_READY = False
-_BUILTINS_LOADING = False
-_BUILTINS_ERROR: Optional[BaseException] = None
-_BUILTINS_LOCK = threading.RLock()
-
-
-def _load_builtins() -> None:
-    """Import the modules that self-register the built-in components.
-
-    Deferred to first lookup so that (a) ``import repro.api.registry`` stays
-    cheap and cycle-free and (b) modules can self-register during the import
-    of the ``repro`` package without re-entering this loader.  A failed
-    import is remembered and re-raised on every subsequent lookup: retrying
-    would re-execute partially-registered modules (duplicate-name errors)
-    and silently operating on a partial registry would mask the real cause.
-
-    Thread-safe: the first lookup may come from a worker thread (the
-    scoring server's), and concurrent first lookups must not let
-    one thread observe the registries while another is still importing.
-    ``_BUILTINS_READY`` flips only after the imports succeed, so the
-    lock-free fast path never exposes a partial registry; the reentrancy
-    flag (plus the RLock) keeps self-registration during the import block
-    working on the loading thread itself.
-    """
-    global _BUILTINS_READY, _BUILTINS_LOADING, _BUILTINS_ERROR
-    if _BUILTINS_READY:
-        return
-    with _BUILTINS_LOCK:
-        if _BUILTINS_ERROR is not None:
-            raise RuntimeError(
-                "registration of the built-in components failed previously"
-            ) from _BUILTINS_ERROR
-        if _BUILTINS_READY or _BUILTINS_LOADING:
-            return
-        _BUILTINS_LOADING = True
-        try:
-            import repro.core.meta_classification  # noqa: F401
-            import repro.core.meta_regression  # noqa: F401
-            import repro.core.metrics  # noqa: F401
-            import repro.decision.rules  # noqa: F401
-            import repro.io.cityscapes  # noqa: F401
-            import repro.io.softmax  # noqa: F401
-            import repro.segmentation.datasets  # noqa: F401
-            import repro.segmentation.network  # noqa: F401
-        except BaseException as exc:
-            _BUILTINS_ERROR = exc
-            raise
-        finally:
-            _BUILTINS_LOADING = False
-        _BUILTINS_READY = True
-
-
 def all_registries() -> Dict[str, Registry]:
-    """All registries by kind (built-ins guaranteed to be loaded)."""
-    _load_builtins()
+    """All registries by kind, in display order."""
     return dict(ALL_REGISTRIES)

@@ -34,7 +34,10 @@ from repro.api.registry import (
     METRIC_GROUPS,
     NETWORK_PROFILES,
 )
+from repro.core.meta_classification import MetaClassifier
 from repro.core.meta_model import PROTOCOL_PARAMS
+from repro.core.meta_regression import MetaRegressor
+from repro.io.softmax import build_softmax_dump
 from repro.segmentation.network import SimulatedSegmentationNetwork
 
 
@@ -164,8 +167,7 @@ class ResolvedExperiment:
 
     ``dataset`` is the built substrate, ``network`` (and, for the
     time-dynamic kind, ``reference_network``) the networks — simulated ones
-    for ordinary profiles, ready adapter objects (e.g. the disk-backed
-    ``softmax_dump``) for registry entries marked ``builds_network`` — and
+    for ordinary profiles, the disk-backed adapter for ``softmax_dump`` — and
     ``feature_subset`` the resolved metric-group column list (``None`` for
     all features).  ``classifiers``/``regressors``/``rules`` echo the
     validated registry names.
@@ -290,7 +292,7 @@ class Runner:
         """Fit (once) the serving meta-model of a metaseg config.
 
         Extracts the full metrics dataset and fits the config's *first*
-        registered classifier and regressor on it, returning a
+        listed classifier and regressor on it, returning a
         :class:`~repro.api.fitted.FittedModel` ready for fit-once/score-many
         use (:meth:`score`, ``python -m repro serve``).  With a store
         attached the artifact is persisted under its content key
@@ -319,15 +321,15 @@ class Runner:
         classifier_name = resolved.classifiers[0]
         regressor_name = resolved.regressors[0]
         params = config.meta_models.model_params
-        classifier = META_CLASSIFIERS.get(classifier_name)(
-            penalty=config.meta_models.classification_penalty,
+        classifier = MetaClassifier(
+            classifier_name, penalty=config.meta_models.classification_penalty,
             feature_subset=resolved.feature_subset,
             random_state=resolved.seeds.protocol,
             **params.get(classifier_name, {}),
         )
         classifier.fit(metrics)
-        regressor = META_REGRESSORS.get(regressor_name)(
-            penalty=config.meta_models.regression_penalty,
+        regressor = MetaRegressor(
+            regressor_name, penalty=config.meta_models.regression_penalty,
             feature_subset=resolved.feature_subset,
             random_state=resolved.seeds.protocol,
             **params.get(regressor_name, {}),
@@ -391,12 +393,12 @@ class Runner:
         """
         seeds = derived_seeds(config.seed)
         kind = KINDS[config.kind]
-        # A registry entry marked ``builds_network`` is an adapter factory:
-        # called with the network section and the seed, it returns a ready
-        # network (e.g. softmax_dump serving precomputed fields from disk)
-        # instead of a NetworkProfile to wrap in the simulated network.
+        # softmax_dump is the one adapter factory: called with the network
+        # section and the seed, it returns a network serving precomputed
+        # fields from disk instead of a NetworkProfile to wrap in the
+        # simulated network.
         factory = NETWORK_PROFILES.get(config.network.profile)
-        if getattr(factory, "builds_network", False):
+        if factory is build_softmax_dump:
             if config.network.overrides:
                 raise ValueError(
                     f"network: profile {config.network.profile!r} serves "
@@ -418,7 +420,7 @@ class Runner:
         reference_network = None
         if kind.video:
             reference_factory = NETWORK_PROFILES.get(config.network.reference_profile)
-            if getattr(reference_factory, "builds_network", False):
+            if reference_factory is build_softmax_dump:
                 raise ValueError(
                     f"network: reference_profile {config.network.reference_profile!r} "
                     f"must be a simulated profile (it generates pseudo ground truth)"
@@ -457,10 +459,11 @@ class Runner:
                         f"(shared by both: "
                         f"{', '.join(sorted(set(META_CLASSIFIERS) & set(META_REGRESSORS)))})"
                     )
-        for registry, names in ((META_CLASSIFIERS, meta.classifiers),
-                                (META_REGRESSORS, regressors)):
+        for registry, meta_model, names in ((META_CLASSIFIERS, MetaClassifier, meta.classifiers),
+                                            (META_REGRESSORS, MetaRegressor, regressors)):
             for name in names:
-                _check_model_params(registry.get(name), name, meta.model_params.get(name, {}))
+                registry.get(name)
+                _check_model_params(meta_model, name, meta.model_params.get(name, {}))
         for name in config.evaluation.rules:
             DECISION_RULES.get(name)
         return ResolvedExperiment(
@@ -476,19 +479,17 @@ class Runner:
         )
 
 
-def _check_model_params(factory: object, name: str, params: object) -> None:
-    """Reject a built-in family's ``model_params`` entry its model cannot take.
+def _check_model_params(meta_model: type, name: str, params: object) -> None:
+    """Reject a ``model_params`` entry the *name* family of *meta_model*
+    cannot take.
 
     Checked at resolve time, so a typo fails before stage 1 instead of
-    inside the protocol.  Custom factories stay unchecked.
+    inside the protocol.
     """
-    meta_model = getattr(factory, "meta_model", None)
-    if meta_model is None:
-        return
     where = f"meta_models: model_params[{name!r}]"
     if not isinstance(params, dict):
         raise ConfigError(f"{where} must be a dict, got {type(params).__name__}")
-    accepted = meta_model.accepted_params(factory.method)
+    accepted = meta_model.accepted_params(name)
     for key in params:
         if key in PROTOCOL_PARAMS:
             raise ConfigError(f"{where}: {key!r} is set by the protocol, not by model_params")

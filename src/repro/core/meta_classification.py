@@ -25,7 +25,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.api.registry import META_CLASSIFIERS
 from repro.core.dataset import MetricsDataset
 from repro.core.metrics import METRIC_GROUPS
 from repro.core.meta_model import BOOSTING_DEFAULTS, NETWORK_DEFAULTS, Family, MetaModel
@@ -120,9 +119,6 @@ class MetaClassifier(MetaModel):
             train_auroc=auroc(train_targets, train_scores),
             test_auroc=auroc(test_targets, test_scores),
         )
-
-
-MetaClassifier.register_families(META_CLASSIFIERS)
 
 
 def entropy_baseline_classifier(

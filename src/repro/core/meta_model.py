@@ -5,7 +5,7 @@ Both meta tasks fit a model family on the standardised segment metrics of a
 differ.  :class:`MetaModel` holds what the two tasks share: the
 ``method -> Family`` table each task declares, the constructor checks, the
 model construction, ``evaluate``, the state protocol (``param_state`` /
-``to_state`` / ``from_state``) and the registry factories.  The tasks keep
+``to_state`` / ``from_state``) and the ``model_params`` check.  The tasks keep
 their own ``fit``, prediction and ``evaluate_fitted`` methods.
 """
 
@@ -177,26 +177,3 @@ class MetaModel:
         and the task's own parameters, less :data:`PROTOCOL_PARAMS`."""
         names = [*inspect.signature(cls.FAMILIES[method].model).parameters, *cls.TASK_PARAMS]
         return tuple(name for name in names if name not in PROTOCOL_PARAMS)
-
-    @classmethod
-    def register_families(cls, registry) -> None:
-        """Register one named factory per family in *registry*.
-
-        A factory is the constructor with the method baked in, so configs
-        select a family purely by name.  ``factory.meta_model`` and
-        ``factory.method`` let config checks find the family behind a name.
-        """
-        for method in cls.FAMILIES:
-            registry.register(method, _family_factory(cls, method))
-
-
-def _family_factory(cls: type, method: str):
-    def factory(**kwargs) -> MetaModel:
-        return cls(method=method, **kwargs)
-
-    task = cls.__name__[len("Meta"):].lower()
-    factory.__name__ = f"{method}_meta_{task}"
-    factory.__doc__ = f"{cls.__name__} factory for the {method!r} model family."
-    factory.meta_model = cls
-    factory.method = method
-    return factory

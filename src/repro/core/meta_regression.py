@@ -16,7 +16,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.api.registry import META_REGRESSORS
 from repro.core.dataset import MetricsDataset
 from repro.core.metrics import METRIC_GROUPS
 from repro.core.meta_model import BOOSTING_DEFAULTS, NETWORK_DEFAULTS, Family, MetaModel
@@ -94,9 +93,6 @@ class MetaRegressor(MetaModel):
             train_r2=r2_score(train_targets, train_pred),
             test_r2=r2_score(test_targets, test_pred),
         )
-
-
-MetaRegressor.register_families(META_REGRESSORS)
 
 
 def entropy_baseline_regressor(

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from repro.api.registry import METRIC_GROUPS as METRIC_GROUP_REGISTRY
 from repro.core.dataset import MetricsDataset
 from repro.core.heatmaps import (
     SWEEP_COLUMNS,
@@ -77,12 +76,6 @@ METRIC_GROUPS: Dict[str, Sequence[str]] = {
     "geometry": ("S", "S_in", "S_bd", "S_rel", "S_rel_in"),
     "context": ("predicted_class", "is_thing", "centroid_row", "centroid_col", "pmax_mean"),
 }
-
-# Expose the metric groups through the experiment-API registry ("all" = no
-# restriction, i.e. the full metric vector of eq. (3)).
-METRIC_GROUP_REGISTRY.register("all", None)
-for _group_name, _group_features in METRIC_GROUPS.items():
-    METRIC_GROUP_REGISTRY.register(_group_name, tuple(_group_features))
 
 
 @dataclass

@@ -15,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
 from repro.core.dataset import MetricsDataset
-from repro.core.meta_classification import entropy_baseline_classifier, naive_baseline_accuracy
-from repro.core.meta_regression import entropy_baseline_regressor
+from repro.core.meta_classification import (
+    MetaClassifier,
+    entropy_baseline_classifier,
+    naive_baseline_accuracy,
+)
+from repro.core.meta_regression import MetaRegressor, entropy_baseline_regressor
 from repro.core.metrics import SegmentMetricsExtractor
 from repro.evaluation.regression import pearson_correlation
 from repro.segmentation.datasets import SegmentationSample
@@ -148,17 +151,15 @@ class MetaSegPipeline:
         train_fraction:
             Fraction of segments used for meta training (the paper uses 0.8).
         classification_methods, regression_methods:
-            Model families to evaluate; the default matches Section II
-            (logistic / linear models).  Names are resolved through the
-            ``meta_classifiers`` / ``meta_regressors`` registries, so custom
-            registered factories work here.  A factory is called as
-            ``factory(penalty=..., feature_subset=..., random_state=...,
-            **model_params[name])`` and must return an object with the
-            ``fit(train)`` / ``evaluate_fitted(train, test)`` protocol of the
-            built-in meta models.
+            Model families to evaluate, keys of :attr:`MetaClassifier.FAMILIES`
+            / :attr:`MetaRegressor.FAMILIES`; the default matches Section II
+            (logistic / linear models).  Each variant is built as
+            ``MetaClassifier(method, penalty=..., feature_subset=...,
+            random_state=..., **model_params[method])`` (and likewise
+            ``MetaRegressor``).
         feature_subset:
             Optional metric-group restriction for the main variants (e.g. a
-            named group from the ``metric_groups`` registry); ``None`` uses
+            group of :data:`repro.core.metrics.METRIC_GROUPS`); ``None`` uses
             all features, as in Table I.  The entropy-only baseline always
             uses its own single feature.
         model_params:
@@ -170,8 +171,7 @@ class MetaSegPipeline:
             meta-model fits are loaded from the store instead of re-fitted.
             Bitwise neutral — every model derives its internal RNG from the
             per-run split seed, never from the shared protocol stream, so
-            skipping a fit cannot perturb later runs.  Models without the
-            state protocol (custom registry factories) fit in place.
+            skipping a fit cannot perturb later runs.
         """
         if not 0.0 < train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
@@ -180,14 +180,6 @@ class MetaSegPipeline:
         rng = as_rng(random_state)
         subset = list(feature_subset) if feature_subset is not None else None
         model_params = model_params or {}
-        # Resolve the model families up front so unknown names fail fast
-        # (before any split is consumed from the RNG stream).
-        classifier_factories = {
-            method: META_CLASSIFIERS.get(method) for method in classification_methods
-        }
-        regressor_factories = {
-            method: META_REGRESSORS.get(method) for method in regression_methods
-        }
         classification_runs: Dict[str, List[Dict[str, float]]] = {}
         regression_runs: Dict[str, List[Dict[str, float]]] = {}
 
@@ -204,11 +196,11 @@ class MetaSegPipeline:
                 "train_fraction": train_fraction,
             }
             train, test = dataset.split((train_fraction, 1.0 - train_fraction), split_seed)
-            for method, factory in classifier_factories.items():
+            for method in classification_methods:
                 for variant, penalty in (("penalized", self.classification_penalty),
                                          ("unpenalized", 0.0)):
-                    classifier = factory(
-                        penalty=penalty, feature_subset=subset, random_state=split_seed,
+                    classifier = MetaClassifier(
+                        method, penalty=penalty, feature_subset=subset, random_state=split_seed,
                         **model_params.get(method, {}),
                     )
                     classification_runs.setdefault(f"{method}_{variant}", []).append(
@@ -217,9 +209,9 @@ class MetaSegPipeline:
             classification_runs.setdefault("entropy_only", []).append(
                 evaluate(entropy_baseline_classifier(random_state=split_seed), train, test, split)
             )
-            for method, factory in regressor_factories.items():
-                regressor = factory(
-                    penalty=self.regression_penalty,
+            for method in regression_methods:
+                regressor = MetaRegressor(
+                    method, penalty=self.regression_penalty,
                     feature_subset=subset, random_state=split_seed,
                     **model_params.get(method, {}),
                 )

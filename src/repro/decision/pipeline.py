@@ -11,7 +11,7 @@ Protocol:
    dominance and non-detection rates (Fig. 5).
 
 Each frame's softmax field is validated once; every rule then decodes the
-validated field through the ``decision_rules`` registry.
+validated field through :data:`repro.decision.rules.RULES`.
 """
 
 from __future__ import annotations
@@ -21,18 +21,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.registry import DECISION_RULES
 from repro.decision.evaluation import ClassPrecisionRecall, collect_precision_recall
 from repro.decision.priors import PixelPriorEstimator
+from repro.decision.rules import RULES
 from repro.evaluation.segmentation import pixel_accuracy
 from repro.segmentation.datasets import SegmentationSample
 from repro.segmentation.labels import HUMAN_CATEGORY, LabelSpace, cityscapes_label_space
 from repro.segmentation.network import SimulatedSegmentationNetwork
 from repro.utils.validation import check_probability_field
-
-#: Built-in rules that divide by the priors: decoding with them before
-#: :meth:`DecisionRuleComparison.fit_priors` is an error of the caller.
-_PRIOR_RULES = ("ml", "interpolated")
 
 
 @dataclass
@@ -117,19 +113,17 @@ class DecisionRuleComparison:
     def decode(self, probs: np.ndarray, rule: str, strength: float = 1.0) -> np.ndarray:
         """Validate a probability field and decode it with the requested rule.
 
-        The rule is resolved via the ``decision_rules`` registry and called
-        as ``rule_fn(probs, priors=..., strength=...)`` (``priors`` is
-        ``None`` when no priors were fitted), so custom registered rules plug
-        into the comparison without pipeline changes.  The built-in ``ml``
-        and ``interpolated`` rules raise ``RuntimeError`` before
-        :meth:`fit_priors`.
+        *rule* names an entry of :data:`repro.decision.rules.RULES`, called
+        as ``rule_fn(probs, priors=..., strength=...)``.  The ``ml`` and
+        ``interpolated`` rules divide by the fitted priors, so they raise
+        ``RuntimeError`` before :meth:`fit_priors`; ``bayes`` needs none.
         """
         return self._decode(check_probability_field(probs), rule, strength)
 
     def _decode(self, probs: np.ndarray, rule: str, strength: float) -> np.ndarray:
         """:meth:`decode` of a field that is already validated."""
-        priors = self.priors if rule in _PRIOR_RULES else self._priors
-        return DECISION_RULES.get(rule)(probs, priors=priors, strength=strength)
+        rule_fn = RULES[rule]
+        return rule_fn(probs, priors=None if rule == "bayes" else self.priors, strength=strength)
 
     def _compare_one(
         self,

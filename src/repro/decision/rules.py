@@ -19,7 +19,7 @@ the general cost-based rule of eqs. (4)-(6) is the test oracle of both
 Every rule takes a validated (H, W, C) field
 (:func:`repro.utils.validation.check_probability_field`): the caller
 validates a frame once and decodes it with as many rules as it likes.  The
-registered rules share one signature, ``rule(probs, priors=None,
+rules of :data:`RULES` share one signature, ``rule(probs, priors=None,
 strength=1.0)``, and one prior check: a length-C vector or an (H, W, C)
 field like the probabilities, non-negative.
 """
@@ -29,8 +29,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-from repro.api.registry import DECISION_RULES
 
 
 def _prior_field(priors: Optional[np.ndarray], shape: tuple, rule: str) -> np.ndarray:
@@ -56,7 +54,6 @@ def _prior_field(priors: Optional[np.ndarray], shape: tuple, rule: str) -> np.nd
     return priors
 
 
-@DECISION_RULES.register("bayes")
 def bayes_rule(
     probs: np.ndarray, priors: Optional[np.ndarray] = None, strength: float = 1.0
 ) -> np.ndarray:
@@ -67,7 +64,6 @@ def bayes_rule(
     return np.argmax(probs, axis=2).astype(np.int64)
 
 
-@DECISION_RULES.register("ml")
 def maximum_likelihood_rule(
     probs: np.ndarray,
     priors: Optional[np.ndarray] = None,
@@ -92,7 +88,6 @@ def maximum_likelihood_rule(
     return np.argmax(likelihood, axis=2).astype(np.int64)
 
 
-@DECISION_RULES.register("interpolated")
 def interpolated_rule(
     probs: np.ndarray,
     priors: Optional[np.ndarray] = None,
@@ -110,3 +105,7 @@ def interpolated_rule(
     priors = _prior_field(priors, probs.shape, "interpolated")
     scaled = probs / np.maximum(priors, 1e-12) ** strength
     return np.argmax(scaled, axis=2).astype(np.int64)
+
+
+#: The rules by config name (``evaluation.rules``).
+RULES = {"bayes": bayes_rule, "ml": maximum_likelihood_rule, "interpolated": interpolated_rule}

@@ -10,13 +10,12 @@ Everything in this package reads files instead of generating scenes:
 * :mod:`repro.io.fixture` — deterministic fixture generator writing a tiny
   tree from the synthetic stack (tests/CI need no download).
 
-Importing the substrate modules registers their builders with the
-``datasets`` / ``networks`` registries (the registry's lazy built-in loader
-imports them on first lookup, like every other built-in).
+:mod:`repro.api.registry` names the two builders, ``cityscapes_disk`` and
+``softmax_dump``.  The fixture writer builds on the API layer, so it is
+imported from :mod:`repro.io.fixture` and not re-exported here.
 """
 
 from repro.io.cityscapes import CityscapesDiskDataset, discover_frames, raw_to_train_lut
-from repro.io.fixture import disk_config_payload, write_disk_fixture
 from repro.io.png import PngError, read_png_gray8, write_png_gray8
 from repro.io.softmax import SoftmaxDumpNetwork
 
@@ -28,6 +27,4 @@ __all__ = [
     "write_png_gray8",
     "discover_frames",
     "raw_to_train_lut",
-    "write_disk_fixture",
-    "disk_config_payload",
 ]

@@ -36,7 +36,6 @@ from typing import Iterator, List, Optional, Union
 import numpy as np
 
 from repro.api.config import ConfigError
-from repro.api.registry import DATASETS
 from repro.io.png import PngError, read_png_gray8
 from repro.segmentation.datasets import SegmentationSample
 from repro.segmentation.labels import IGNORE_ID, LabelSpace, cityscapes_label_space
@@ -218,7 +217,6 @@ class CityscapesDiskDataset:
 
 # ---------------------------------------------------------------- builders --
 
-@DATASETS.register("cityscapes_disk")
 def build_cityscapes_disk(data, seed: int) -> CityscapesDiskDataset:
     """On-disk Cityscapes-format dataset (leftImg8bit + gtFine label-ID PNGs)."""
     if not data.root:

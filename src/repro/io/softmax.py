@@ -51,7 +51,6 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.api.config import ConfigError
-from repro.api.registry import NETWORK_PROFILES
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 
 #: Suffix of per-frame ``.npy`` dump files.
@@ -286,9 +285,8 @@ class SoftmaxDumpNetwork:
 from zipfile import BadZipFile as zipfile_error  # noqa: E402
 
 
-# ---------------------------------------------------------------- registry --
+# ----------------------------------------------------------------- builder --
 
-@NETWORK_PROFILES.register("softmax_dump")
 def build_softmax_dump(network, seed: int) -> SoftmaxDumpNetwork:
     """Serve precomputed softmax dumps (.npy memmap / .npz) instead of simulating."""
     if not network.dump_root:
@@ -298,9 +296,3 @@ def build_softmax_dump(network, seed: int) -> SoftmaxDumpNetwork:
         )
     # Dumps are deterministic data; the seed only drives simulated networks.
     return SoftmaxDumpNetwork(root=network.dump_root, mmap=network.mmap)
-
-
-#: Marks the entry as a network *adapter* factory: the Runner calls it as
-#: ``factory(config.network, seed)`` and uses the returned network directly,
-#: instead of calling it with no arguments for a NetworkProfile to wrap.
-build_softmax_dump.builds_network = True

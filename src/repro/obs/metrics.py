@@ -142,9 +142,8 @@ class Histogram:
 class MetricsRegistry:
     """String-keyed instruments with get-or-create accessors.
 
-    Mirrors the component-registry idiom: instruments live under unique
-    dotted names, duplicate registration is an error, and lookups are
-    thread-safe.  ``snapshot()`` groups instruments by kind with names
+    Instruments live under unique dotted names, one instrument kind per
+    name, and lookups are thread-safe.  ``snapshot()`` groups instruments by kind with names
     sorted, so serialising it is deterministic for a fixed set of values.
     """
 
@@ -153,16 +152,6 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ ---
-    def register(self, name: str, instrument: object) -> object:
-        """Register a pre-built instrument under *name* (unique)."""
-        if not isinstance(name, str) or not name:
-            raise TypeError("metric names must be non-empty strings")
-        with self._lock:
-            if name in self._instruments:
-                raise ValueError(f"metrics registry already has an instrument named {name!r}")
-            self._instruments[name] = instrument
-        return instrument
-
     def _get_or_create(self, name: str, kind: type, factory) -> object:
         with self._lock:
             instrument = self._instruments.get(name)

@@ -19,7 +19,6 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.api.registry import DATASETS
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.segmentation.scene import Scene, SceneConfig, StreetSceneGenerator
 from repro.segmentation.sequence import SceneSequence, SequenceConfig, SequenceGenerator
@@ -223,7 +222,6 @@ class KittiLikeDataset:
 # "_small" variants pin a reduced resolution (BuilderConfig-style presets for
 # smoke runs and CI) while the base variants honour the configured size.
 
-@DATASETS.register("cityscapes_like")
 def build_cityscapes_like(data, seed: int) -> "CityscapesLikeDataset":
     """Single-frame Cityscapes-like substrate at the configured size."""
     return CityscapesLikeDataset(
@@ -234,7 +232,6 @@ def build_cityscapes_like(data, seed: int) -> "CityscapesLikeDataset":
     )
 
 
-@DATASETS.register("cityscapes_like_small")
 def build_cityscapes_like_small(data, seed: int) -> "CityscapesLikeDataset":
     """Cityscapes-like substrate pinned to 64x128 scenes (smoke runs, CI)."""
     return CityscapesLikeDataset(
@@ -245,7 +242,6 @@ def build_cityscapes_like_small(data, seed: int) -> "CityscapesLikeDataset":
     )
 
 
-@DATASETS.register("kitti_like")
 def build_kitti_like(data, seed: int) -> "KittiLikeDataset":
     """Sparsely labelled KITTI-like video substrate at the configured size."""
     return KittiLikeDataset(
@@ -259,7 +255,6 @@ def build_kitti_like(data, seed: int) -> "KittiLikeDataset":
     )
 
 
-@DATASETS.register("kitti_like_small")
 def build_kitti_like_small(data, seed: int) -> "KittiLikeDataset":
     """KITTI-like video substrate pinned to 64x128 frames (smoke runs, CI)."""
     return KittiLikeDataset(

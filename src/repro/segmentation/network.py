@@ -46,7 +46,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
-from repro.api.registry import NETWORK_PROFILES
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
 from repro.utils.arrays import _LANES, TILE_PIXELS, _class_sum
 from repro.utils.connected_components import Labelling, label_components
@@ -145,13 +144,11 @@ class NetworkProfile:
         return replace(self, **kwargs)
 
 
-@NETWORK_PROFILES.register("generic")
 def generic_profile() -> NetworkProfile:
     """Default mid-quality profile (the NetworkProfile defaults)."""
     return NetworkProfile()
 
 
-@NETWORK_PROFILES.register("xception65")
 def xception65_profile() -> NetworkProfile:
     """Profile mimicking the stronger DeepLabv3+ Xception65 network."""
     return NetworkProfile(
@@ -177,7 +174,6 @@ def xception65_profile() -> NetworkProfile:
     )
 
 
-@NETWORK_PROFILES.register("mobilenetv2")
 def mobilenetv2_profile() -> NetworkProfile:
     """Profile mimicking the weaker DeepLabv3+ MobilenetV2 network."""
     return NetworkProfile(

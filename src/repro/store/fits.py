@@ -9,7 +9,7 @@ RNG-stream-neutral and bitwise identical.  :class:`FitCache` exploits that by
 keying each fit on exactly those three components and persisting the fitted
 state (:meth:`to_state`) through the :class:`~repro.store.store.ResultStore`.
 :func:`fit_model` is the one fit call of both protocols: through the cache
-when one is attached and the model supports it, in place otherwise.
+when one is attached, in place otherwise.
 
 A store-backed sweep that varies only evaluation-side fields (``n_runs``,
 ``train_fraction``, model lists) therefore reuses not just extraction shards
@@ -44,20 +44,6 @@ class FitCache:
         self.counters = {"hits": 0, "misses": 0}
 
     # ------------------------------------------------------------------ ---
-    @staticmethod
-    def supports(model: object) -> bool:
-        """Whether *model* exposes the state protocol needed for caching.
-
-        Custom registry entries may return plain estimators without state
-        support; those fall back to fitting in place.
-        """
-        return (
-            callable(getattr(model, "param_state", None))
-            and callable(getattr(model, "to_state", None))
-            and callable(getattr(model, "fit", None))
-            and callable(getattr(type(model), "from_state", None))
-        )
-
     def fit_key(self, model: object, split: Dict[str, object]) -> str:
         """Cache key of one fit: (stage-1 payload, model identity, split)."""
         return content_key(
@@ -91,12 +77,10 @@ class FitCache:
 def fit_model(model: object, train, split: Dict[str, object], fit_cache: Optional[FitCache]):
     """Return *model* fitted on *train*.
 
-    With a *fit_cache* and a model that has the state protocol the fit goes
-    through :meth:`FitCache.fit_or_load` (*split* enters its key);
-    otherwise (no store, or a custom factory's plain estimator) *model* is
-    fitted in place.
+    With a *fit_cache* the fit goes through :meth:`FitCache.fit_or_load`
+    (*split* enters its key); without one *model* is fitted in place.
     """
-    if fit_cache is not None and fit_cache.supports(model):
+    if fit_cache is not None:
         return fit_cache.fit_or_load(model, train, split)
     model.fit(train)
     return model

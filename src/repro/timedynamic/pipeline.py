@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
 from repro.core.dataset import MetricsDataset
 from repro.core.meta_classification import MetaClassifier
 from repro.core.meta_regression import MetaRegressor
@@ -106,9 +105,9 @@ class TimeDynamicPipeline:
 
     ``model_params`` maps a method name to the keyword arguments its meta
     models get (the config's ``meta_models.model_params`` shape); an entry
-    replaces that method's :data:`SECTION_III_PARAMS` entry.  Every method,
-    built-in or custom, is built as ``factory(penalty=..., random_state=...,
-    **params)`` with the task's penalty.
+    replaces that method's :data:`SECTION_III_PARAMS` entry.  Every method
+    is built as ``MetaClassifier(method, penalty=..., random_state=...,
+    **params)`` (and likewise ``MetaRegressor``) with the task's penalty.
     """
 
     def __init__(
@@ -228,8 +227,8 @@ class TimeDynamicPipeline:
                 raise ValueError(f"unknown composition {composition!r}")
         for method in methods:
             # Methods are shared between the two meta tasks (as in Table II),
-            # so a name must be registered for both.
-            if method not in META_CLASSIFIERS or method not in META_REGRESSORS:
+            # so a name must be a family of both.
+            if method not in MetaClassifier.FAMILIES or method not in MetaRegressor.FAMILIES:
                 raise ValueError(f"unsupported method {method!r}")
         rng = as_rng(random_state)
         result = TimeDynamicResult(n_runs=n_runs)
@@ -273,9 +272,9 @@ class TimeDynamicPipeline:
                         }
                         params = self.model_params.get(method, {})
                         classifier = fit_model(
-                            META_CLASSIFIERS.get(method)(
-                                penalty=self.classification_penalty, random_state=run_seed,
-                                **params,
+                            MetaClassifier(
+                                method, penalty=self.classification_penalty,
+                                random_state=run_seed, **params,
                             ),
                             training, {**split, "task": "classification"}, fit_cache,
                         )
@@ -287,9 +286,9 @@ class TimeDynamicPipeline:
                             "auroc": auroc(test_cls_targets, scores),
                         })
                         regressor = fit_model(
-                            META_REGRESSORS.get(method)(
-                                penalty=self.regression_penalty, random_state=run_seed,
-                                **params,
+                            MetaRegressor(
+                                method, penalty=self.regression_penalty,
+                                random_state=run_seed, **params,
                             ),
                             training, {**split, "task": "regression"}, fit_cache,
                         )

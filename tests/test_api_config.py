@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from repro.api.config import (
     MetaModelConfig,
     NetworkConfig,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "examples" / "configs"
 
 
 class TestDefaults:
@@ -191,6 +195,63 @@ class TestParseTimeValidation:
         assert len(lines) == 1, captured.err
         assert "regression_penalty 0" in lines[0] and "S = S_in + S_bd" in lines[0]
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("data", "n_val", 2.5),
+            ("data", "n_train", "4"),
+            ("data", "height", 96.0),
+            ("data", "n_frames", True),
+            ("extraction", "connectivity", 4.0),
+            ("evaluation", "n_runs", 2.5),
+            ("evaluation", "n_runs", float("nan")),
+            ("evaluation", "n_frames_list", [0, 1.5]),
+            ("evaluation", "train_fraction", "0.8"),
+            ("evaluation", "augmentation_factor", True),
+            ("evaluation", "augmentation_factor", float("inf")),
+            ("evaluation", "split_fractions", [0.7, 0.1, "0.2"]),
+            ("evaluation", "split_fractions", [0.7, float("nan"), 0.2]),
+            ("evaluation", "compositions", "RP"),
+            ("evaluation", "rules", "bayes"),
+            ("meta_models", "classification_penalty", "1"),
+            ("meta_models", "regression_penalty", float("nan")),
+            ("meta_models", "regression_penalty", True),
+            ("meta_models", "classifiers", "logistic"),
+            ("meta_models", "regressors", {"linear": 1}),
+        ],
+    )
+    def test_mistyped_numbers_and_lists_fail_at_parse_time(self, section, key, value):
+        """Integer fields take only ints, real fields only finite ints and
+        floats (no bool), list fields only lists: one ConfigError naming
+        ``section.field``, never a TypeError or a run that dies later."""
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be")):
+            ExperimentConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize(
+        "rules, strengths, fragment",
+        [
+            (["bayes", "ml"], {"interpolated": 0.5}, "'interpolated' is not a rule"),
+            (["bayes", "interpolated"], {"interpolated": "abc"}, "a number in [0, 1]"),
+            (["bayes", "interpolated"], {"interpolated": 1.5}, "a number in [0, 1]"),
+            (["bayes", "interpolated"], {"interpolated": -0.1}, "a number in [0, 1]"),
+            (["bayes", "interpolated"], {"interpolated": float("nan")}, "a number in [0, 1]"),
+            (["bayes", "interpolated"], {"interpolated": True}, "a number in [0, 1]"),
+            (["bayes", "interpolated"], [0.5], "strengths must be a dict"),
+        ],
+    )
+    def test_bad_strengths_fail_at_parse_time(self, rules, strengths, fragment):
+        payload = {"kind": "decision", "evaluation": {"rules": rules, "strengths": strengths}}
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            ExperimentConfig.from_dict(payload)
+
+    def test_fig5_strengths_still_parse(self):
+        sweep = json.loads((CONFIGS / "sweep_paper_fig5.json").read_text())
+        config = ExperimentConfig.from_dict(sweep["base"])
+        assert config.evaluation.strengths == {"interpolated": 0.5}
+        for strength in (0, 1, 0.25):
+            ExperimentConfig.from_dict({"evaluation": {
+                "rules": ["ml", "interpolated"], "strengths": {"interpolated": strength}}})
 
     def test_config_error_is_a_value_error(self):
         # Callers that catch ValueError (the CLI, older tests) keep working.

@@ -23,7 +23,6 @@ import pytest
 from repro.__main__ import main
 from repro.api.config import ConfigError, ExecutionConfig, ExperimentConfig
 from repro.api.execution import n_shards, shard_ranges, walk_stage1
-from repro.api.registry import DATASETS
 from repro.api.runner import Runner
 from repro.core.dataset import MetricsDataset
 from repro.core.pipeline import MetaSegPipeline
@@ -225,31 +224,19 @@ class TestBackendSemantics:
                 )
 
     def test_sharded_size_errors_distinguish_capability_from_emptiness(self):
-        # A substrate without the index accessors cannot be walked by any
-        # backend: that is a resolve-time capability error, distinct from
-        # the empty-split errors below.
-        class NoIndexAccess:
-            def val_samples(self):
-                return []
-
-        @DATASETS.register("no_index_access")
-        def build_no_index_access(data, seed):
-            """A substrate without the index accessors."""
-            return NoIndexAccess()
-
-        try:
-            payload = metaseg_payload(0)
-            payload["data"]["dataset"] = "no_index_access"
-            config = ExperimentConfig.from_dict(payload)
-            message = (
-                "dataset 'no_index_access' does not fit experiment kind 'metaseg': "
-                "it lacks n_val, val_sample; this kind needs a single-frame "
-                "substrate (Cityscapes-like)"
-            )
-            with pytest.raises(ValueError, match=re.escape(message)):
-                Runner().resolve(config)
-        finally:
-            DATASETS._entries.pop("no_index_access")
+        # A substrate without the single-frame index accessors (the video
+        # substrate) cannot be walked by any backend: that is a resolve-time
+        # capability error, distinct from the empty-split errors below.
+        payload = metaseg_payload(0)
+        payload["data"]["dataset"] = "kitti_like"
+        config = ExperimentConfig.from_dict(payload)
+        message = (
+            "dataset 'kitti_like' does not fit experiment kind 'metaseg': "
+            "it lacks n_val, val_sample; this kind needs a single-frame "
+            "substrate (Cityscapes-like)"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Runner().resolve(config)
 
     def test_empty_decision_train_split_is_a_config_error_everywhere(self):
         payload = decision_payload(0)

@@ -1,6 +1,13 @@
 """Tests for repro.api.registry: the component registries of the experiment API."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
+import repro.api
+import repro.api.registry as registry_module
 
 from repro.api.config import DataConfig, EvalConfig, ExperimentConfig, MetaModelConfig
 from repro.api.registry import (
@@ -21,71 +28,38 @@ from repro.segmentation.network import NetworkProfile
 
 
 class TestRegistryBasics:
-    def test_register_via_decorator_returns_object(self):
-        registry = Registry("toys")
-
-        @registry.register("one")
-        def make_one():
-            """Makes a one."""
-            return 1
-
-        assert make_one() == 1
-        assert registry.get("one") is make_one
-
-    def test_register_plain_call_accepts_any_value(self):
-        registry = Registry("toys")
-        registry.register("names", ("a", "b"))
-        registry.register("nothing", None)
-        assert registry.get("names") == ("a", "b")
-        assert registry.get("nothing") is None
-
     def test_available_is_sorted(self):
-        registry = Registry("toys")
-        registry.register("zeta", 1)
-        registry.register("alpha", 2)
+        registry = Registry("toys", "", {"zeta": 1, "alpha": 2})
         assert registry.available() == ["alpha", "zeta"]
         assert list(registry) == ["alpha", "zeta"]
-        assert len(registry) == 2
-
-    def test_duplicate_name_rejected(self):
-        registry = Registry("toys")
-        registry.register("taken", 1)
-        with pytest.raises(RegistryError, match="already has an entry named 'taken'"):
-            registry.register("taken", 2)
 
     def test_unknown_name_lists_alternatives(self):
-        registry = Registry("toys")
-        registry.register("alpha", 1)
+        registry = Registry("toys", "", {"alpha": 1})
         with pytest.raises(RegistryError, match="unknown toys entry 'beta'.*alpha"):
             registry.get("beta")
 
-    def test_invalid_names_rejected(self):
-        registry = Registry("toys")
-        with pytest.raises(TypeError):
-            registry.register("", 1)
-        with pytest.raises(TypeError):
-            registry.register(3, 1)
-
     def test_contains_and_items(self):
-        registry = Registry("toys")
-        registry.register("alpha", 1)
+        registry = Registry("toys", "", {"alpha": 1})
         assert "alpha" in registry
         assert "beta" not in registry
-        assert registry.items() == [("alpha", 1)]
+        assert registry.get("alpha") == 1
 
     def test_describe_uses_docstring_for_callables(self):
-        registry = Registry("toys")
-
-        @registry.register("documented")
         def entry():
             """First line.
 
             More detail.
             """
 
-        registry.register("data", (1, 2))
+        registry = Registry("toys", "", {"documented": entry, "data": (1, 2)})
         assert registry.describe("documented") == "First line."
         assert registry.describe("data") == "(1, 2)"
+
+    def test_entries_are_copied(self):
+        entries = {"alpha": 1}
+        registry = Registry("toys", "", entries)
+        entries["beta"] = 2
+        assert registry.available() == ["alpha"]
 
 
 class TestBuiltinListings:
@@ -147,11 +121,13 @@ class TestConfigRegistryRoundTrip:
         assert resolved.network.profile.name == "mobilenetv2"
         assert resolved.reference_network is None
         assert resolved.feature_subset == list(METRIC_GROUPS.get("dispersion"))
-        classifier = META_CLASSIFIERS.get(resolved.classifiers[0])(penalty=0.5)
-        assert isinstance(classifier, MetaClassifier)
-        assert classifier.method == "logistic"
-        regressor = META_REGRESSORS.get(resolved.regressors[0])()
-        assert isinstance(regressor, MetaRegressor)
+        assert resolved.classifiers == ["logistic"]
+        assert resolved.regressors == ["linear"]
+        assert META_CLASSIFIERS.get("logistic") is MetaClassifier.FAMILIES["logistic"].model
+        assert META_REGRESSORS.get("linear") is MetaRegressor.FAMILIES["linear"].model
+        classifier = MetaClassifier(resolved.classifiers[0], penalty=0.5)
+        assert classifier.method == "logistic" and classifier.penalty == 0.5
+        regressor = MetaRegressor(resolved.regressors[0])
         assert regressor.method == "linear"
 
     def test_timedynamic_round_trip(self):
@@ -203,78 +179,42 @@ class TestConfigRegistryRoundTrip:
             runner.resolve(bad_rule)
 
 
-class TestBuiltinLoaderThreadSafety:
-    """The lazy builtin loader must never expose a partially loaded registry.
+#: The modules that may import repro.api.registry, relative to src/repro.
+REGISTRY_IMPORTERS = ("__init__.py", "__main__.py", "io/fixture.py")
 
-    Regression tests for the first-lookup race: the loader used to flip its
-    loaded flag *before* importing the self-registering modules, so a second
-    thread looking up concurrently returned immediately and saw whatever
-    subset had registered so far.
-    """
+#: The registry module and the names repro.api re-exports from it.
+REGISTRY_NAMES = {"registry"} | {
+    name for name in repro.api.__all__ if name in vars(registry_module)
+}
 
-    def test_concurrent_lookup_blocks_until_registration_completes(self, monkeypatch):
-        import builtins
-        import threading
 
-        import repro.api.registry as reg
+def _imports_registry(tree: ast.Module) -> bool:
+    """Whether a module imports repro.api.registry, or one of its names
+    through repro.api, anywhere (function-level imports included)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "repro.api.registry" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "repro.api.registry":
+                return True
+            if node.module == "repro.api" and any(
+                alias.name in REGISTRY_NAMES for alias in node.names
+            ):
+                return True
+    return False
 
-        monkeypatch.setattr(reg, "_BUILTINS_READY", False)
-        entered = threading.Event()
-        release = threading.Event()
-        real_import = builtins.__import__
 
-        def slow_import(name, *args, **kwargs):
-            # Stall the loading thread mid-registration, with the lock held.
-            if name == "repro.decision.rules":
-                entered.set()
-                release.wait(timeout=10)
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", slow_import)
-        results = []
-        loader = threading.Thread(target=reg.DECISION_RULES.available)
-        second = threading.Thread(
-            target=lambda: results.append(reg.META_CLASSIFIERS.available())
-        )
-        try:
-            loader.start()
-            assert entered.wait(timeout=10)
-            second.start()
-            second.join(timeout=0.3)
-            # The buggy loader let this lookup through mid-import; now it
-            # must wait for the loading thread instead.
-            assert second.is_alive()
-        finally:
-            release.set()
-        loader.join(timeout=10)
-        second.join(timeout=10)
-        assert not loader.is_alive() and not second.is_alive()
-        assert results and "logistic" in results[0]
-
-    def test_parallel_first_lookups_agree(self, monkeypatch):
-        import threading
-
-        import repro.api.registry as reg
-
-        monkeypatch.setattr(reg, "_BUILTINS_READY", False)
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        results = [None] * n_threads
-        errors = []
-
-        def lookup(i):
-            try:
-                barrier.wait(timeout=10)
-                results[i] = tuple(reg.DECISION_RULES.available())
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=lookup, args=(i,)) for i in range(n_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not errors
-        assert len(set(results)) == 1 and results[0]
+class TestImportBoundary:
+    def test_only_the_api_layer_imports_the_registry(self):
+        """The domain modules define components; only the API layer names
+        them, so nothing below it imports the registry."""
+        src = Path(repro.__file__).resolve().parent
+        importers = []
+        for path in sorted(src.rglob("*.py")):
+            relative = path.relative_to(src).as_posix()
+            if relative.startswith("api/") or relative in REGISTRY_IMPORTERS:
+                continue
+            if _imports_registry(ast.parse(path.read_text(encoding="utf-8"))):
+                importers.append(relative)
+        assert importers == []

@@ -210,113 +210,32 @@ class TestRunnerMetaseg:
 
 
 class TestCustomRegistrations:
-    """The extension contract: registered components run end to end."""
+    """A config's ``model_params`` entry reaches the protocol's fits."""
 
-    def test_custom_classifier_factory_runs_through_runner(self):
-        from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
-        from repro.core.meta_classification import MetaClassifier
-        from repro.core.meta_regression import MetaRegressor
-
-        @META_CLASSIFIERS.register("stub_logistic")
-        def stub_classifier(**kwargs) -> MetaClassifier:
-            """Logistic family under a custom name."""
-            return MetaClassifier(method="logistic", **kwargs)
-
-        @META_REGRESSORS.register("stub_linear")
-        def stub_regressor(**kwargs) -> MetaRegressor:
-            """Linear family under a custom name."""
-            return MetaRegressor(method="linear", **kwargs)
-
-        try:
-            config = metaseg_config()
-            config.meta_models.classifiers = ["stub_logistic"]
-            config.meta_models.regressors = ["stub_linear"]
-            report = Runner().run(config)
-            variants = {row["variant"] for row in report.table("classification")}
-            assert {"stub_logistic_penalized", "stub_logistic_unpenalized"} <= variants
-            assert {row["variant"] for row in report.table("regression")} == {
-                "stub_linear_all_metrics", "entropy_only"
-            }
-        finally:
-            META_CLASSIFIERS._entries.pop("stub_logistic")
-            META_REGRESSORS._entries.pop("stub_linear")
-
-    def test_timedynamic_custom_method_gets_only_its_own_params(self):
-        """Table II builds every method as factory(penalty, random_state,
-        **model_params[method]): no other family's defaults leak in."""
-        from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
-        from repro.core.meta_classification import MetaClassifier
-        from repro.core.meta_regression import MetaRegressor
+    def test_timedynamic_custom_method_gets_only_its_own_params(self, monkeypatch):
+        """Table II builds every method as MetaClassifier/MetaRegressor(method,
+        penalty, random_state, **model_params[method]): the entry reaches both
+        fits of its method, and no other family's defaults leak in."""
+        from repro.core.meta_model import MetaModel
 
         tiny = {"n_estimators": 4, "max_depth": 2}
-        received = []
+        built = []
+        build_model = MetaModel._build_model
 
-        @META_CLASSIFIERS.register("tiny_gb")
-        def tiny_classifier(**kwargs) -> MetaClassifier:
-            """Small gradient boosting under a custom name."""
-            received.append(kwargs)
-            return MetaClassifier(method="gradient_boosting", **kwargs)
+        def spy(self):
+            built.append((type(self).__name__, self.method, dict(self.model_params)))
+            return build_model(self)
 
-        @META_REGRESSORS.register("tiny_gb")
-        def tiny_regressor(**kwargs) -> MetaRegressor:
-            """Small gradient boosting under a custom name."""
-            received.append(kwargs)
-            return MetaRegressor(method="gradient_boosting", **kwargs)
-
-        try:
-            config = timedynamic_config()
-            config.meta_models.classifiers = ["tiny_gb"]
-            config.meta_models.model_params = {"tiny_gb": tiny}
-            report = Runner().run(config)
-            assert {row["method"] for row in report.table("regression")} == {"tiny_gb"}
-            assert received
-            for kwargs in received:
-                assert kwargs == {"penalty": 1e-3, "random_state": kwargs["random_state"],
-                                  **tiny}
-        finally:
-            META_CLASSIFIERS._entries.pop("tiny_gb")
-            META_REGRESSORS._entries.pop("tiny_gb")
-
-    def test_custom_factory_params_are_not_checked(self):
-        from repro.api.registry import META_CLASSIFIERS
-        from repro.core.meta_classification import MetaClassifier
-
-        @META_CLASSIFIERS.register("stub_any_params")
-        def stub_classifier(anything=None, **kwargs) -> MetaClassifier:
-            """Logistic family taking a parameter of its own."""
-            return MetaClassifier(method="logistic", **kwargs)
-
-        try:
-            config = metaseg_config()
-            config.meta_models.classifiers = ["stub_any_params"]
-            config.meta_models.model_params = {"stub_any_params": {"anything": 1}}
-            Runner().resolve(config)
-        finally:
-            META_CLASSIFIERS._entries.pop("stub_any_params")
-
-    def test_custom_decision_rule_runs_through_runner(self):
-        import numpy as np
-
-        from repro.api.registry import DECISION_RULES
-
-        @DECISION_RULES.register("stub_argmax")
-        def stub_argmax(probs, priors=None, strength=1.0):
-            """Plain argmax under a custom name."""
-            return np.argmax(probs, axis=2).astype(np.int64)
-
-        try:
-            config = decision_config()
-            config.evaluation.rules = ["bayes", "stub_argmax"]
-            report = Runner().run(config)
-            rows = {
-                (row["rule"], row["metric"]): row["mean"]
-                for row in report.table("rules")
-            }
-            # The stub is the Bayes rule under another name: same numbers.
-            for metric in ("precision", "recall", "non_detection_rate", "pixel_accuracy"):
-                assert rows[("stub_argmax", metric)] == rows[("bayes", metric)]
-        finally:
-            DECISION_RULES._entries.pop("stub_argmax")
+        monkeypatch.setattr(MetaModel, "_build_model", spy)
+        config = timedynamic_config()
+        config.meta_models.classifiers = ["gradient_boosting"]
+        config.meta_models.model_params = {"gradient_boosting": tiny}
+        report = Runner().run(config)
+        assert {row["method"] for row in report.table("regression")} == {"gradient_boosting"}
+        assert {task for task, _, _ in built} == {"MetaClassifier", "MetaRegressor"}
+        for _, method, params in built:
+            assert method == "gradient_boosting"
+            assert params == tiny
 
 
 class TestModelParamsChecks:

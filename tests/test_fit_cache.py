@@ -103,10 +103,6 @@ class TestDecisionPriorsReuse:
 
 
 class TestFitCacheUnit:
-    def test_supports_requires_state_protocol(self):
-        assert FitCache.supports(MetaClassifier(method="logistic")) is True
-        assert FitCache.supports(object()) is False
-
     def test_corrupted_fit_entry_refits(self, tmp_path, metrics_dataset):
         store = ResultStore(tmp_path)
         config = metaseg_config()

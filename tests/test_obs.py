@@ -227,13 +227,6 @@ class TestMetrics:
         histogram.observe(3.0)
         assert histogram.count == 2
 
-    def test_registry_rejects_non_string_names(self):
-        registry = MetricsRegistry()
-        for name in ("", 7):
-            with pytest.raises(TypeError, match="non-empty strings"):
-                registry.register(name, Counter("x"))
-        assert len(registry) == 0
-
     def test_registry_get_or_create_shares_instances(self):
         registry = MetricsRegistry()
         first = registry.counter("a.count")
@@ -246,12 +239,6 @@ class TestMetrics:
         registry.counter("x")
         with pytest.raises(ValueError, match="is a Counter"):
             registry.gauge("x")
-
-    def test_registry_duplicate_register_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.register("x", Counter("x"))
-        with pytest.raises(ValueError, match="already has"):
-            registry.register("x", Counter("x"))
 
     def test_registry_unknown_get_names_available(self):
         registry = MetricsRegistry()

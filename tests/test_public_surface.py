@@ -12,8 +12,8 @@ attribute, imported under another name, or spelled out as a whole string
 transitive: a use inside a definition counts only once that definition is
 itself used, so a helper that only a dead helper calls is dead too.  Uses
 in the other program directories, and at the top level of a ``src`` module,
-are the roots.  Dunders, registry-registered definitions and the overrides
-the standard library calls back (``STDLIB_CALLBACKS``) count as used.
+are the roots.  Dunders and the overrides the standard library calls back
+(``STDLIB_CALLBACKS``) count as used.
 There are no other exceptions: the oracles the tests compare the program
 against live under ``tests/reference/``.
 
@@ -78,17 +78,6 @@ def _exports(tree: ast.Module) -> List[str]:
     return [name for node in tree.body if _is_all(node) for name in names(node.value)]
 
 
-def _registered(node: ast.AST) -> bool:
-    """Whether a definition is decorated with a registry's ``register(...)``:
-    the program reaches it through the registry, by its entry name."""
-    return any(
-        isinstance(decorator, ast.Call)
-        and isinstance(decorator.func, ast.Attribute)
-        and decorator.func.attr == "register"
-        for decorator in getattr(node, "decorator_list", ())
-    )
-
-
 def _is_def(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
@@ -149,10 +138,9 @@ def _uses(path: Path) -> Iterator[Tuple[str, Optional[str]]]:
 
 
 def _always_used(qualname: str, node: ast.AST) -> bool:
-    """Dunders, registry entries and standard-library callbacks."""
+    """Dunders and standard-library callbacks."""
     return (
         (node.name.startswith("__") and node.name.endswith("__"))
-        or _registered(node)
         or ("." in qualname and node.name in STDLIB_CALLBACKS)
     )
 

@@ -1,8 +1,7 @@
 """Shared-state concurrency rule for the thread-facing parts of the tree.
 
-The scoring server runs library code on worker threads, and the first
-registry lookup may come from one of them, so any state shared across
-calls is a data race waiting for a scheduler to expose it.  Within modules
+The scoring server runs library code on its handler threads, so any state
+shared across calls is a data race waiting for a scheduler to expose it.  Within modules
 that are concurrency-relevant — they import ``threading``/
 ``concurrent.futures`` or live under the serving package — this rule
 flags the shared-mutable-state idioms:
